@@ -44,7 +44,7 @@ from scipy.integrate import trapezoid
 
 from . import matcore
 from .errors import BlowUp, OutOfRange, StructuralError
-from .esre import EsreSolution
+from .esre import EsreSolution, _batched_guarded_inverse
 from .model import ProblemSpec
 from .regime_chain import (
     _jump_cumprobs,
@@ -172,25 +172,15 @@ def feedback_gain(solution: EsreSolution, spec: ProblemSpec) -> FeedbackGain:
     sample and regime.
     """
     grid = solution.grid
-    cond = solution.options.cond_threshold
     bs = spec.B.sample_times(grid)
     cs = spec.C.sample_times(grid)
     ds = spec.D.sample_times(grid)
     ss = spec.S.sample_times(grid)
     rs = spec.R.sample_times(grid)
     p = solution.P
-    lam = solution.Lambda
-    gains = np.empty((len(grid), spec.ell, spec.m, spec.n))
-    for k in range(len(grid)):
-        for i in range(spec.ell):
-            mrow = (
-                bs[k, i].T @ p[k, i]
-                + ds[k, i].T @ (p[k, i] @ cs[k, i])
-                + ds[k, i].T @ lam[k, i]
-                + ss[k, i]
-            )
-            sigma = matcore.symmetrize(rs[k, i] + ds[k, i].T @ (p[k, i] @ ds[k, i]))
-            gains[k, i] = -(matcore.sym_inverse(sigma, cond) @ mrow)
+    mrow = bs.mT @ p + ds.mT @ (p @ cs) + ds.mT @ solution.Lambda + ss
+    sigma = matcore.symmetrize(rs + ds.mT @ (p @ ds))
+    gains = -(_batched_guarded_inverse(sigma, solution.options.cond_threshold) @ mrow)
     return FeedbackGain(grid=grid, gains=gains)
 
 

@@ -32,6 +32,20 @@ the Loewner order and stay positive semidefinite, which is asserted by the
 test suite; the driver stops when the sup-norm difference of consecutive
 iterates falls below ``picard_tol``.
 
+On the grid the sweeps run in lockstep (pipelined waveform relaxation).
+Sweep k+1 reads sweep k only at the grid times it steps across, so it can
+trail sweep k by a single step.  Its launch rule: sweep k+1 starts at
+t = T as soon as sweep k's running residual, the max so far of
+``|Ptilde_k - Ptilde_{k-1}|_F`` over the nodes it has reached, exceeds
+``picard_tol``; that is when the sweep-after-sweep loop is certain to run
+sweep k+1.  Launches stop at ``picard_max_iter``.  Each lockstep step
+then advances every live sweep by one RK4 step with one stacked rhs
+evaluation per stage and one PSD projection.  The iterates, residual
+history and iteration count equal those of repeated :func:`picard_step`
+bit for bit, and errors surface in the same order: a failure in a
+trailing sweep is held until every earlier sweep has finished, and an
+error from an earlier sweep replaces it.
+
 Backends
 --------
 ``ode``
@@ -65,6 +79,7 @@ from .errors import (
     NearSingular,
     NoConvergence,
     PsdViolation,
+    RegimeLQError,
     StepFailure,
     StructuralError,
 )
@@ -145,12 +160,17 @@ class GridIterate:
         """Values on the half grid (2N+1 samples): nodes interleaved with
         cubic-Hermite midpoints."""
         v, d = self.values, self.derivs
-        dt = self.grid[1] - self.grid[0]
-        mids = 0.5 * (v[:-1] + v[1:]) + (dt / 8.0) * (d[:-1] - d[1:])
+        mids = _hermite_midpoint(v[:-1], v[1:], d[:-1], d[1:], self.grid[1] - self.grid[0])
         out = np.empty((2 * (v.shape[0] - 1) + 1,) + v.shape[1:])
         out[0::2] = v
         out[1::2] = mids
         return out
+
+
+def _hermite_midpoint(v0, v1, d0, d1, dt):
+    """Cubic-Hermite value halfway between two nodes dt apart, from the
+    node values v and time derivatives d."""
+    return 0.5 * (v0 + v1) + (dt / 8.0) * (d0 - d1)
 
 
 class BinomialTree:
@@ -330,7 +350,7 @@ def f_of_theta(t: float, i: int, ptilde: np.ndarray, lamtilde: np.ndarray,
 
 
 def _sym(m):
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    return 0.5 * (m + m.mT)
 
 
 def _batched_guarded_inverse(mats: np.ndarray, cond_threshold: float) -> np.ndarray:
@@ -357,6 +377,12 @@ class _GridEngine:
     Everything is precomputed on the half grid (step dt/2) so the four
     stages of every backward step hit exact samples.  Per-regime data are
     stacked on the leading axis and processed with batched matmul.
+
+    The right-hand sides take the state either as one ``(ell, n, n)`` stack
+    at an integer half-index or as ``(L, ell, n, n)`` with one half-index
+    per member.  ``h`` indexes the rescaled weights, which vary in time;
+    ``hc`` indexes A, B, C, D and their transposes, and is the single
+    index 0 shared by every member when those are constant.
     """
 
     def __init__(self, spec: ProblemSpec, options: SolverOptions):
@@ -381,6 +407,11 @@ class _GridEngine:
         self.Q = np.ascontiguousarray(spec.Q.sample_times(half))
         self.S = np.ascontiguousarray(spec.S.sample_times(half))
         self.R = np.ascontiguousarray(spec.R.sample_times(half))
+        self.Ct = np.ascontiguousarray(self.C.mT)
+        self.Dt = np.ascontiguousarray(self.D.mT)
+        self.constant_dynamics = all(
+            spec.coefficient(name).kind == "constant" for name in ("A", "B", "C", "D")
+        )
         scale = tilde.scale(half)                       # (2N+1, ell)
         sc = scale[:, :, None, None]
         self.Qt = self.Q * sc
@@ -399,25 +430,25 @@ class _GridEngine:
 
     # -- right-hand sides (dP/dt), batched over regimes -----------------
 
-    def _quadratic_term(self, h: int, p: np.ndarray, check_cond: bool) -> np.ndarray:
-        """H = -M' Sigma^{-1} M at half-index h."""
-        pb = p @ self.B[h]
-        m = np.swapaxes(pb, -1, -2)
-        if self.has_C:
-            pc = p @ self.C[h]
-            if self.has_D:
-                m = m + np.swapaxes(self.D[h], -1, -2) @ pc
+    def _quadratic_term(self, h, hc, p: np.ndarray, pc, check_cond: bool) -> np.ndarray:
+        """H = -M' Sigma^{-1} M; ``pc`` is P C (None when C = 0)."""
+        m = (p @ self.B[hc]).mT
+        if self.has_D and pc is not None:
+            m = m + self.Dt[hc] @ pc
         if self.has_S:
             m = m + self.St[h]
         if self.has_D:
-            pd = p @ self.D[h]
-            sigma = _sym(self.Rt[h] + np.swapaxes(self.D[h], -1, -2) @ pd)
+            sigma = _sym(self.Rt[h] + self.Dt[hc] @ (p @ self.D[hc]))
             if check_cond:
                 w = np.abs(np.linalg.eigvalsh(sigma))
                 lo, hi = w.min(axis=-1), w.max(axis=-1)
-                if np.any((lo == 0.0) | (hi > self.options.cond_threshold * lo)):
+                bad = (lo == 0.0) | (hi > self.options.cond_threshold * lo)
+                if np.any(bad):
+                    first = np.unravel_index(np.argmax(bad), bad.shape)
+                    t = self.half_times[h if np.ndim(h) == 0 else h[first[0]]]
                     raise NearSingular(
-                        "R + D'PD became ill-conditioned during backward stepping"
+                        "R + D'PD became ill-conditioned during backward stepping "
+                        f"at t = {t:.6g} in regime {first[-1] + 1}"
                     )
             try:
                 x = np.linalg.solve(sigma, m)
@@ -425,25 +456,27 @@ class _GridEngine:
                 raise NearSingular("R + D'PD is singular") from exc
         else:
             x = self.Rt_inv[h] @ m
-        return -np.swapaxes(m, -1, -2) @ x
+        return -m.mT @ x
 
-    def _linear_term(self, h: int, p: np.ndarray) -> np.ndarray:
-        pa = p @ self.A[h]
-        out = pa + np.swapaxes(pa, -1, -2)
-        if self.has_C:
-            pc = p @ self.C[h]
-            out = out + np.swapaxes(self.C[h], -1, -2) @ pc
+    def _linear_term(self, hc, p: np.ndarray, pc) -> np.ndarray:
+        pa = p @ self.A[hc]
+        out = pa + pa.mT
+        if pc is not None:
+            out = out + self.Ct[hc] @ pc
         return out
 
-    def _rhs_picard(self, h: int, p: np.ndarray, src: np.ndarray,
+    def _rhs_picard(self, h, hc, p: np.ndarray, src: np.ndarray,
                     check_cond: bool) -> np.ndarray:
-        drift = self._linear_term(h, p) + self.Qt[h] + src[h]
-        drift = drift + self._quadratic_term(h, p, check_cond)
+        """Frozen-coupling rhs; ``src`` is the coupling source at ``h``."""
+        pc = p @ self.C[hc] if self.has_C else None
+        drift = self._linear_term(hc, p, pc) + self.Qt[h] + src
+        drift = drift + self._quadratic_term(h, hc, p, pc, check_cond)
         return -_sym(drift)
 
     def _rhs_linear(self, h: int, p: np.ndarray) -> np.ndarray:
         """Initial iterate: linear drift + live cross-regime coupling."""
-        drift = self._linear_term(h, p) + self.Qt[h]
+        pc = p @ self.C[h] if self.has_C else None
+        drift = self._linear_term(h, p, pc) + self.Qt[h]
         drift = drift + np.einsum("ij,jab->iab", self.W[h], p)
         return -_sym(drift)
 
@@ -479,9 +512,154 @@ class _GridEngine:
     def picard_sweep(self, prev: GridIterate) -> GridIterate:
         prev_half = prev.half_values()
         src = np.einsum("hij,hjab->hiab", self.W, prev_half)
-        rhs = lambda h, p, chk: self._rhs_picard(h, p, src, chk)
+        rhs = lambda h, p, chk: self._rhs_picard(h, h, p, src[h], chk)
         values, derivs = self._sweep(rhs, self.Gt, project=True)
         return GridIterate(self.grid, values, derivs, np.zeros_like(values))
+
+    # -- pipelined fixed point -------------------------------------------
+
+    def pipelined_sweeps(self, it0: GridIterate):
+        """Run the sweeps of the fixed point from ``it0`` in lockstep, with
+        the launch rule and error order described in the module docstring.
+
+        Returns ``(ptilde, residuals, iterates)``; ``iterates`` lists every
+        iterate from ``it0`` on when ``keep_iterates`` is set, else None.
+        """
+        opts = self.options
+        n_steps = opts.grid_steps
+        # store[j]: values and derivatives of sweep j, (N+1, 2, ell, n, n),
+        # dropped once sweep j+1 has finished
+        store = [np.stack([it0.values, it0.derivs], axis=1)]
+        src_T = np.einsum("hij,hjab->hiab", self.W[-1:], self.Gt[None])
+        live = _Members.empty(self.Gt.shape)
+        residuals = []
+        iterates = [it0.values.copy()] if opts.keep_iterates else None
+        held = None
+        while True:
+            newest = len(store) - 1
+            if (held is None and newest < opts.picard_max_iter
+                    and (newest == 0 or not live.res[-1] <= opts.picard_tol)):
+                store.append(np.empty((n_steps + 1, 2) + self.Gt.shape))
+                store[-1][n_steps, 0] = self.Gt
+                launch = _Members(np.array([newest + 1]), np.array([n_steps]),
+                                  self.Gt[None], src_T, np.zeros(1))
+                live = _Members.join([live, launch], self.Gt.shape)
+            if not len(live):
+                break
+            try:
+                finished, stepped = self._lockstep(store, live)
+            except _SWEEP_ERRORS:
+                # replay this step member by member, oldest first, to find
+                # the oldest failing sweep and keep the ones before it
+                finished, parts = False, []
+                for j in range(len(live)):
+                    try:
+                        done, part = self._lockstep(store, live[j:j + 1])
+                    except _SWEEP_ERRORS as exc:
+                        held = exc
+                        break
+                    finished = finished or done
+                    parts.append(part)
+                stepped = _Members.join(parts, self.Gt.shape)
+            if finished:
+                j = int(live.sweep[0])
+                res = float(live.res[0])
+                residuals.append(res)
+                if opts.keep_iterates:
+                    iterates.append(store[j][:, 0].copy())
+                store[j - 1] = None
+                if res <= opts.picard_tol:
+                    return store[j][:, 0].copy(), residuals, iterates
+            live = stepped
+        if held is not None:
+            raise held
+        raise NoConvergence(
+            f"no convergence after {opts.picard_max_iter} sweeps "
+            f"(last residual {residuals[-1]:.3e})",
+            residual_history=residuals,
+        )
+
+    def _lockstep(self, store: list, live: "_Members"):
+        """One backward RK4 step of every member of ``live``.
+
+        Stage 1 of every member runs first and records its derivative, so
+        a member one step behind its predecessor interpolates with the
+        derivative just computed.  A member at node 0 only records that
+        derivative and finishes; only the oldest can be there.  Returns
+        ``(finished, stepped)``: whether the oldest member finished, and the
+        members that took a step, at their new node.
+        """
+        dt = self.dt
+        h = 2 * live.k
+        k1 = self._rhs_picard(h, 0 if self.constant_dynamics else h,
+                              live.p, live.src, True)
+        for j, k, d in zip(live.sweep.tolist(), live.k.tolist(), k1):
+            store[j][k, 1] = d
+        finished = bool(live.k[0] == 0)
+        if finished:
+            live, k1, h = live[1:], k1[1:], h[1:]
+            if not len(live):
+                return finished, live
+        sweeps, ks = live.sweep.tolist(), live.k.tolist()
+        # the predecessors' values and derivatives at nodes k-1 and k
+        (v0, d0), (v1, d1) = np.stack(
+            [store[j - 1][k - 1:k + 1] for j, k in zip(sweeps, ks)], axis=2)
+        mid = _hermite_midpoint(v0, v1, d0, d1, self.grid[1] - self.grid[0])
+        h_mid, h_end = h - 1, h - 2
+        src_mid = np.einsum("hij,hjab->hiab", self.W[h_mid], mid)
+        src_end = np.einsum("hij,hjab->hiab", self.W[h_end], v0)
+        hc_mid = 0 if self.constant_dynamics else h_mid
+        hc_end = 0 if self.constant_dynamics else h_end
+        p = live.p
+        k2 = self._rhs_picard(h_mid, hc_mid, p - 0.5 * dt * k1, src_mid, False)
+        k3 = self._rhs_picard(h_mid, hc_mid, p - 0.5 * dt * k2, src_mid, False)
+        k4 = self._rhs_picard(h_end, hc_end, p - dt * k3, src_end, False)
+        p = _sym(p - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        out = matcore.project_psd(p, self.options.psd_tol)
+        if out is not p and len(p) > 1:
+            # a clip in one member re-forms the whole stack; clip member by
+            # member, as each sweep on its own does
+            out = np.stack([matcore.project_psd(m, self.options.psd_tol) for m in p])
+        for j, k, v in zip(sweeps, ks, out):
+            store[j][k - 1, 0] = v
+        res = np.linalg.norm(out - v0, axis=(-2, -1)).max(axis=-1)
+        return finished, _Members(live.sweep, live.k - 1, out, src_end,
+                                  np.maximum(live.res, res))
+
+
+_SWEEP_ERRORS = (RegimeLQError, np.linalg.LinAlgError, FloatingPointError)
+
+
+@dataclass
+class _Members:
+    """Live sweeps of the pipelined fixed point, oldest first."""
+
+    sweep: np.ndarray            # (L,) sweep number, from 1
+    k: np.ndarray                # (L,) grid node the member stands at
+    p: np.ndarray                # (L, ell, n, n) state at node k
+    src: np.ndarray              # (L, ell, n, n) frozen source at node k
+    res: np.ndarray              # (L,) running residual
+
+    def __len__(self) -> int:
+        return len(self.sweep)
+
+    def __getitem__(self, sel) -> "_Members":
+        return _Members(self.sweep[sel], self.k[sel], self.p[sel], self.src[sel],
+                        self.res[sel])
+
+    @classmethod
+    def empty(cls, shape) -> "_Members":
+        ints = np.empty(0, dtype=np.intp)
+        mats = np.empty((0,) + shape)
+        return cls(ints, ints, mats, mats, np.empty(0))
+
+    @classmethod
+    def join(cls, parts, shape) -> "_Members":
+        if not parts:
+            return cls.empty(shape)
+        return cls(*(np.concatenate([getattr(m, f) for m in parts])
+                     for f in ("sweep", "k", "p", "src", "res")))
+
 
 
 # ---------------------------------------------------------------------------
@@ -727,28 +905,7 @@ def solve_esre(spec: ProblemSpec, options: SolverOptions = None, **overrides) ->
 def _solve_grid(spec, options, smallness, smallness_ok) -> EsreSolution:
     engine = _GridEngine(spec, options)
     it0 = engine.solve_p0()
-    iterates = [it0.values.copy()] if options.keep_iterates else None
-    prev = it0
-    residuals = []
-    converged = False
-    for _ in range(options.picard_max_iter):
-        cur = engine.picard_sweep(prev)
-        res = float(np.max(np.linalg.norm(cur.values - prev.values, axis=(-2, -1))))
-        residuals.append(res)
-        if options.keep_iterates:
-            iterates.append(cur.values.copy())
-        prev = cur
-        if res <= options.picard_tol:
-            converged = True
-            break
-    if not converged:
-        raise NoConvergence(
-            f"no convergence after {options.picard_max_iter} sweeps "
-            f"(last residual {residuals[-1]:.3e})",
-            residual_history=residuals,
-        )
-
-    ptilde = prev.values
+    ptilde, residuals, iterates = engine.pipelined_sweeps(it0)
     lamtilde = np.zeros_like(ptilde)
     p, lam = untilde_solution(ptilde, lamtilde, spec.generator, engine.grid)
     p[-1] = engine.G           # terminal condition exact by assignment
@@ -841,12 +998,16 @@ def growth_constant(spec: ProblemSpec) -> float:
 
     Uses ``2 max|A| + max|C|^2`` and ``2 max|C|`` for the drift part; any
     valid K keeps the a priori bound assertable, so conservatism is safe.
+    K saturates to ``inf`` when ``exp((q_ii - q_jj) T)`` overflows.
     """
     max_a = spec.A.max_norm()
     max_c = spec.C.max_norm()
-    qdiag = np.diag(spec.q)
+    q = spec.q
+    qdiag = np.diag(q)
     diff = qdiag[:, None] - qdiag[None, :]
-    off = np.abs(spec.q) * np.maximum(np.exp(diff * 0.0), np.exp(diff * spec.T))
+    with np.errstate(over="ignore"):
+        growth = np.maximum(np.exp(diff * 0.0), np.exp(diff * spec.T))
+    off = np.where(q != 0.0, np.abs(q) * growth, 0.0)
     np.fill_diagonal(off, 0.0)
     return max(
         2.0 * max_a + max_c**2,
@@ -857,15 +1018,24 @@ def growth_constant(spec: ProblemSpec) -> float:
     )
 
 
+def _square(x: float) -> float:
+    """``x**2``, saturating to ``inf`` where float ``**`` raises."""
+    try:
+        return x**2
+    except OverflowError:
+        return np.inf
+
+
 def _rho_of(spec: ProblemSpec, k_est: float) -> float:
-    return (3.0 * (spec.ell - 1) ** 2 * spec.T + 3.0) * k_est**2 + 3.0 * k_est
+    return (3.0 * (spec.ell - 1) ** 2 * spec.T + 3.0) * _square(k_est) + 3.0 * k_est
 
 
 def _bound_logs(spec, k_est, rho, log_sup_sq):
-    """log of measured sup and of the bound 1.5 e^{rho T}(K^2 + 1/rho)."""
+    """log of measured sup and of the bound 1.5 e^{rho T}(K^2 + 1/rho);
+    the bound is ``inf`` once rho is."""
     if rho <= 0.0:
         return -np.inf if log_sup_sq == -np.inf else log_sup_sq, np.inf
-    log_bound = np.log(1.5) + rho * spec.T + np.log(k_est**2 + 1.0 / rho)
+    log_bound = np.log(1.5) + rho * spec.T + np.log(_square(k_est) + 1.0 / rho)
     return log_sup_sq, log_bound
 
 
@@ -873,9 +1043,10 @@ def _diagnostics(spec, grid, ptilde0, lamtilde, smallness, thresh, ok) -> Diagno
     k_est = growth_constant(spec)
     rho = _rho_of(spec, k_est)
     norms = np.linalg.norm(ptilde0, axis=(-2, -1))        # (N+1, ell)
-    with np.errstate(divide="ignore"):
+    # rho = inf makes rho * 0 undefined at t = 0; nanmax skips that sample
+    with np.errstate(divide="ignore", invalid="ignore"):
         logs = rho * grid[:, None] + 2.0 * np.log(norms)
-    log_sup = float(np.max(logs)) if norms.size else -np.inf
+    log_sup = float(np.nanmax(logs)) if norms.size else -np.inf
     log_sup, log_bound = _bound_logs(spec, k_est, rho, log_sup)
     dt = grid[1] - grid[0] if grid.size > 1 else 0.0
     lam_l2 = np.sqrt((np.linalg.norm(lamtilde, axis=(-2, -1)) ** 2).sum(axis=0) * dt)
@@ -896,7 +1067,7 @@ def _diagnostics_tree(spec, tree, it0, final, smallness, thresh, ok) -> Diagnost
     for k, lv in enumerate(it0.levels):
         norms = np.linalg.norm(lv, axis=(-2, -1))
         top = float(norms.max())
-        if top > 0.0:
+        if top > 0.0 and (k > 0 or np.isfinite(rho)):
             log_sup = max(log_sup, rho * tree.times[k] + 2.0 * np.log(top))
     log_sup, log_bound = _bound_logs(spec, k_est, rho, log_sup)
     sq_sum = np.zeros(spec.ell)

@@ -82,17 +82,6 @@ def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float = 0.0) -> bool:
     return min_eigenvalue(symmetrize(b - a)) >= -tol
 
 
-def spectral_cond(m: np.ndarray) -> float:
-    """Spectral condition number ``max|eig| / min|eig|`` of a symmetric
-    matrix.  Returns ``inf`` when an eigenvalue is exactly zero."""
-    w = np.abs(np.linalg.eigvalsh(np.asarray(m, dtype=float)))
-    lo = float(w.min())
-    hi = float(w.max())
-    if lo == 0.0:
-        return np.inf
-    return hi / lo
-
-
 def sym_inverse(m: np.ndarray, cond_threshold: float = DEFAULT_COND_THRESHOLD) -> np.ndarray:
     """Inverse of a symmetric matrix via its spectral factorization.
 

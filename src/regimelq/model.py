@@ -174,15 +174,6 @@ class CoefficientField:
             return self.values[idx]
         raise StructuralError("tree_table field cannot be sampled on a plain grid")
 
-    def tree_value(self, k: int, j: int) -> np.ndarray:
-        """All-regime value at tree node (k, j): array (ell, r, c).
-
-        For constant / time_table fields the node only determines the time.
-        """
-        if self.kind == "tree_table":
-            return self.levels[k][j]
-        raise StructuralError("tree_value on a non-tree field needs a time; use sample_times")
-
     def max_norm(self, times=None) -> float:
         """Largest Frobenius norm over all samples (or tree nodes)."""
         if self.kind == "tree_table":

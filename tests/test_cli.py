@@ -328,6 +328,16 @@ class TestMain:
         assert main(["solve", "--config", str(cfg),
                      "--output", str(tmp_path)]) == 0
 
+    def test_solve_with_overflowing_apriori_bound(self, tmp_path):
+        text = SMALL_RUN.replace("generator: [[-1.0, 1.0], [1.0, -1.0]]",
+                                 "generator: [[-1.0, 1.0], [400.0, -400.0]]")
+        text = text.replace("grid_steps: 200", "grid_steps: 400")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["solve", "--config", str(cfg), "--output", str(tmp_path)]) == 0
+        meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
+        assert meta["converged"] is True
+        assert meta["diagnostics"]["apriori_bound"] == float("inf")
+
     def test_parse_failure_maps_to_one(self, tmp_path):
         bad = write_cfg(tmp_path, E1_YAML.replace("generator:", "genrator:"))
         assert main(["validate", "--config", str(bad)]) == 1

@@ -16,7 +16,13 @@ Reference values used here:
 import numpy as np
 import pytest
 
-from regimelq.errors import NoConvergence, PsdViolation, StepFailure, StructuralError
+from regimelq.errors import (
+    NoConvergence,
+    PsdViolation,
+    RegimeLQError,
+    StepFailure,
+    StructuralError,
+)
 from regimelq.esre import (
     BinomialTree,
     SolverOptions,
@@ -32,7 +38,7 @@ from regimelq.esre import (
 )
 from regimelq.matcore import min_eigenvalue, symmetrize
 from regimelq.model import tilde_transform, untilde_solution
-from conftest import make_e1, scalar_spec
+from conftest import FAMILY_SEEDS, make_e1, random_spec, scalar_spec
 
 E1_VALUE = 0.5
 ASYM_P0_AT_0 = ((3.0 + (1.0 - np.exp(-2.0)) / 2.0) / 2.0,
@@ -292,6 +298,169 @@ class TestPicardStep:
 
 
 # ---------------------------------------------------------------------------
+# pipelined sweeps against the sweep-after-sweep replay
+# ---------------------------------------------------------------------------
+
+
+def _replay(spec, options, values, residuals):
+    """The fixed point as public ``solve_p0`` + repeated ``picard_step``.
+
+    Fills ``values`` (iterate 0 on) and ``residuals`` as it goes, so both
+    hold the completed sweeps when a sweep raises.
+    """
+    prev = solve_p0(spec, options)
+    values.append(prev.values)
+    for _ in range(options.picard_max_iter):
+        cur = picard_step(spec, prev, options)
+        residuals.append(float(np.max(np.linalg.norm(cur.values - prev.values,
+                                                     axis=(-2, -1)))))
+        values.append(cur.values)
+        prev = cur
+        if residuals[-1] <= options.picard_tol:
+            return
+    raise NoConvergence("replay did not converge", residual_history=residuals)
+
+
+def _table_spec():
+    """Family member 303 with time-table A, C and Q (three pieces)."""
+    from regimelq.model import CoefficientField, ProblemSpec
+
+    base = random_spec(303)
+    times = [0.0, 0.3, 0.7]
+
+    def table(field, factors):
+        return CoefficientField.from_table(times, np.stack([field.values * f for f in factors]))
+
+    return ProblemSpec(
+        n=base.n, m=base.m, ell=base.ell, T=base.T, generator=base.q,
+        A=table(base.A, (1.0, 0.5, -0.3)), B=base.B.values,
+        C=table(base.C, (1.0, 0.2, 0.7)), D=base.D.values,
+        Q=table(base.Q, (1.0, 2.0, 0.5)), S=base.S.values, R=base.R.values,
+        G=base.G.values, delta=base.delta, x0=np.ones(base.n), i0=1,
+    )
+
+
+def _rank_one_spec():
+    """Weights of rank one along a rotated direction: P keeps an exact null
+    direction, so roundoff leaves eigenvalues of about -1e-17 that the PSD
+    projection clips in some sweeps but not in others."""
+    from regimelq.model import ProblemSpec
+
+    c, s = np.cos(0.7), np.sin(0.7)
+    u = np.array([[c, -s], [s, c]])
+    w = u @ np.diag([1.0, 0.0]) @ u.T
+    return ProblemSpec(
+        n=2, m=1, ell=2, T=1.0, generator=[[-1.0, 1.0], [2.0, -2.0]],
+        A=np.zeros((2, 2, 2)), B=np.stack([u[:, :1]] * 2), C=np.zeros((2, 2, 2)),
+        D=np.zeros((2, 2, 1)), Q=np.stack([w, 2.0 * w]), S=np.zeros((2, 1, 2)),
+        R=np.ones((2, 1, 1)), G=np.stack([w, 0.5 * w]), delta=0.5,
+    )
+
+
+def _ill_conditioned_spec():
+    """Two regimes whose P(t, 1) dips to a minimum near t = 0.88; D loads
+    the cheap second control of regime 1 only, so cond(R + D'PD) there
+    peaks with that dip and grows from sweep to sweep (3.9750, 3.9883,
+    3.9941 in sweeps 1, 2, 3 at N = 400)."""
+    from regimelq.model import ProblemSpec
+
+    return ProblemSpec(
+        n=1, m=2, ell=2, T=1.0, generator=[[-3.0, 3.0], [3.0, -3.0]],
+        A=np.zeros((2, 1, 1)), B=np.array([[[1.0, 0.0]], [[1.0, 0.0]]]),
+        C=np.zeros((2, 1, 1)), D=np.array([[[0.0, 0.5]], [[0.0, 0.0]]]),
+        Q=np.array([[[0.0]], [[8.0]]]), S=np.zeros((2, 2, 1)),
+        R=np.array([np.diag([1.0, 0.05]), np.eye(2)]),
+        G=np.array([[[1.0]], [[0.0]]]), delta=0.01,
+    )
+
+
+def _same_error(spec, options):
+    """Assert the solve raises exactly what the replay raises; return the
+    number of sweeps the replay completed first."""
+    values, residuals = [], []
+    with pytest.raises(RegimeLQError) as ref:
+        _replay(spec, options, values, residuals)
+    with pytest.raises(RegimeLQError) as got:
+        solve_esre(spec, options)
+    assert type(got.value) is type(ref.value)
+    assert str(got.value) == str(ref.value)
+    return len(residuals)
+
+
+class TestPipelinedSweeps:
+    """``solve_esre`` runs its sweeps in lockstep; every iterate, residual
+    and error must be bit for bit those of the sequential replay."""
+
+    @staticmethod
+    def _assert_replayed(spec, sol):
+        values, residuals = [], []
+        _replay(spec, sol.options, values, residuals)
+        assert sol.iterations == len(residuals)
+        assert sol.residual_history == residuals
+        assert np.array_equal(sol.Ptilde, values[-1])
+        p, _ = untilde_solution(values[-1], np.zeros_like(values[-1]),
+                                spec.generator, sol.grid)
+        p[-1] = sol.P[-1]
+        assert np.array_equal(sol.P, p)
+        assert len(sol.iterates) == len(values)
+        assert all(np.array_equal(a, b) for a, b in zip(sol.iterates, values))
+
+    def test_e1(self, e1, e1_solution):
+        self._assert_replayed(e1, e1_solution)
+
+    def test_e1_general_d_algebra(self, e1):
+        opts = SolverOptions(grid_steps=800, force_general_d=True, keep_iterates=True)
+        self._assert_replayed(e1, solve_esre(e1, opts))
+
+    @pytest.mark.parametrize("seed", FAMILY_SEEDS)
+    def test_family(self, seed):
+        spec = random_spec(seed)
+        sol = solve_esre(spec, SolverOptions(grid_steps=800, keep_iterates=True))
+        self._assert_replayed(spec, sol)
+
+    def test_time_table_coefficients(self):
+        spec = _table_spec()
+        sol = solve_esre(spec, SolverOptions(grid_steps=500, keep_iterates=True))
+        self._assert_replayed(spec, sol)
+
+    def test_psd_clips_in_some_sweeps_only(self):
+        spec = _rank_one_spec()
+        sol = solve_esre(spec, SolverOptions(grid_steps=300, keep_iterates=True))
+        self._assert_replayed(spec, sol)
+
+    def test_no_convergence_history(self, e1):
+        opts = SolverOptions(grid_steps=400, picard_max_iter=3)
+        values, residuals = [], []
+        with pytest.raises(NoConvergence):
+            _replay(e1, opts, values, residuals)
+        with pytest.raises(NoConvergence) as err:
+            solve_esre(e1, opts)
+        assert err.value.residual_history == residuals
+
+    def test_stiff_terminal_weight_fails_in_sweep_one(self):
+        spec = scalar_spec(B=1.0, R=1e-6, G=1e7, delta=1e-7)
+        assert _same_error(spec, SolverOptions(grid_steps=400)) == 0
+
+    def test_long_horizon_fails_in_sweep_one(self):
+        spec = scalar_spec(A=0.5, Q=1.0, B=1.0, R=1.0, G=1.0, T=50.0)
+        assert _same_error(spec, SolverOptions(grid_steps=2000)) == 0
+
+    @pytest.mark.filterwarnings("ignore:measured diffusion size")
+    def test_trailing_sweep_error_is_held(self):
+        # sweep 3 fails at t = 0.89 while sweeps 1 and 2 are still stepping;
+        # its error waits for them and the sweeps behind it are dropped
+        opts = SolverOptions(grid_steps=400, cond_threshold=3.99)
+        assert _same_error(_ill_conditioned_spec(), opts) == 2
+
+    @pytest.mark.filterwarnings("ignore:measured diffusion size")
+    def test_earlier_sweep_error_replaces_held_one(self):
+        # sweep 3 fails first in lockstep order (t = 0.895), sweep 2 two
+        # steps later (t = 0.89); the replay only ever meets sweep 2's error
+        opts = SolverOptions(grid_steps=400, cond_threshold=3.985)
+        assert _same_error(_ill_conditioned_spec(), opts) == 1
+
+
+# ---------------------------------------------------------------------------
 # full solves
 # ---------------------------------------------------------------------------
 
@@ -373,6 +542,17 @@ class TestSolveEsre:
         assert d.log_measured_sup <= d.log_apriori_bound
         assert d.k_estimate == pytest.approx(1.0, abs=1e-12)
         assert d.rho == pytest.approx(6.0 * 1.0 + 3.0, abs=1e-12)
+
+    def test_apriori_bound_saturates_instead_of_overflowing(self):
+        # K ~ 400 e^{399}: K**2 overflows a float, the solve still converges
+        spec = make_e1(generator=[[-1.0, 1.0], [400.0, -400.0]])
+        sol = solve_esre(spec, SolverOptions(grid_steps=400))
+        d = sol.diagnostics
+        assert np.isfinite(d.k_estimate)
+        assert d.rho == np.inf
+        assert d.apriori_bound == np.inf and d.log_apriori_bound == np.inf
+        assert d.log_measured_sup <= d.log_apriori_bound
+        assert np.all(np.isfinite(sol.P))
 
     def test_smallness_recorded(self, e1_solution):
         assert e1_solution.diagnostics.smallness == 0.0
