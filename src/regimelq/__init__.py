@@ -51,7 +51,6 @@ from .model import (
     TildeTransform,
     ValidationReport,
     check_smallness,
-    eval_coefficient,
     tilde_transform,
     untilde_solution,
     validate_assumptions,
@@ -110,7 +109,7 @@ __all__ = [
     "Generator", "RegimePath", "path_substream", "sample_chain_path",
     "transition_matrix", "validate_generator",
     "CoefficientField", "ProblemSpec", "TildeTransform", "ValidationReport",
-    "check_smallness", "eval_coefficient", "tilde_transform",
+    "check_smallness", "tilde_transform",
     "untilde_solution", "validate_assumptions",
     "BinomialTree", "Diagnostics", "EsreSolution", "GridIterate",
     "SolverOptions", "TreeIterate", "direct_coupled_oracle", "drift_h",

@@ -129,12 +129,23 @@ def _as_float(value, where: str, positive=False) -> float:
     return value
 
 
-def _as_matrix_stack(node, ell: int, where: str) -> np.ndarray:
-    """Nested-list matrix (shared) or list of ell matrices -> (ell, r, c)."""
+def _as_floats(node, where: str, size: int = None) -> np.ndarray:
+    """Float array of a (nested) list; with ``size``, flattened and
+    required to hold exactly that many entries."""
     try:
         arr = np.asarray(node, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: not a numeric matrix: {exc}") from exc
+        raise ParseError(f"{where}: not a numeric array: {exc}") from exc
+    if size is not None:
+        arr = arr.reshape(-1)
+        if arr.size != size:
+            raise RangeError(f"{where} must have {size} entries, got {arr.size}")
+    return arr
+
+
+def _as_matrix_stack(node, ell: int, where: str) -> np.ndarray:
+    """Nested-list matrix (shared) or list of ell matrices -> (ell, r, c)."""
+    arr = _as_floats(node, where)
     if arr.ndim == 2:
         return np.repeat(arr[None], ell, axis=0)
     if arr.ndim == 3:
@@ -196,17 +207,15 @@ def _parse_perturbation(node, m: int, where: str) -> Perturbation:
     if len(node) != 1:
         raise ParseError(f"{where}: give exactly one of constant / table")
     if "constant" in node:
-        vec = np.asarray(node["constant"], dtype=float).reshape(-1)
-        if vec.size != m:
-            raise RangeError(f"{where}.constant must have m={m} entries")
-        return Perturbation(values=vec)
+        return Perturbation(values=_as_floats(node["constant"], f"{where}.constant", m))
     table = node["table"]
     if not isinstance(table, dict) or set(table) != {"times", "values"}:
         raise ParseError(f"{where}.table needs 'times' and 'values'")
-    times = np.asarray(table["times"], dtype=float)
-    values = np.asarray(table["values"], dtype=float).reshape(len(times), m)
+    times = _as_floats(table["times"], f"{where}.table.times")
     if times.ndim != 1 or np.any(np.diff(times) <= 0.0):
         raise RangeError(f"{where}.table times must increase strictly")
+    values = _as_floats(table["values"], f"{where}.table.values", times.size * m)
+    values = values.reshape(times.size, m)
     return Perturbation(values=values, times=times)
 
 
@@ -249,14 +258,12 @@ def parse_config(path) -> RunConfig:
         )
     x0 = prob.get("x0")
     if x0 is not None:
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        if x0.size != n:
-            raise RangeError(f"problem.x0 must have n={n} entries")
+        x0 = _as_floats(x0, "problem.x0", n)
     i0 = _as_int(prob.get("i0", 1), "problem.i0", minimum=1)
     if i0 > ell:
         raise RangeError(f"problem.i0 must be in 1..{ell}, got {i0}")
     spec = ProblemSpec(
-        n=n, m=m, ell=ell, T=T, generator=np.asarray(generator, dtype=float),
+        n=n, m=m, ell=ell, T=T, generator=_as_floats(generator, "problem.generator"),
         delta=delta, x0=x0, i0=i0, **coeffs,
     )
 
@@ -287,9 +294,7 @@ def parse_config(path) -> RunConfig:
     _reject_unknown(sm, _SIMULATE_KEYS, "simulate")
     sim_x0 = sm.get("x0")
     if sim_x0 is not None:
-        sim_x0 = np.asarray(sim_x0, dtype=float).reshape(-1)
-        if sim_x0.size != n:
-            raise RangeError(f"simulate.x0 must have n={n} entries")
+        sim_x0 = _as_floats(sim_x0, "simulate.x0", n)
     sim_i0 = sm.get("i0")
     if sim_i0 is not None:
         sim_i0 = _as_int(sim_i0, "simulate.i0", minimum=1)

@@ -28,15 +28,12 @@ measurable with far fewer paths than either cost alone.
 
 Every path draws from its own counter-based substream keyed by
 ``(master_seed, path_index)`` - chain jumps first, then the Brownian
-increments - so estimates are bit-reproducible regardless of batching or
-the ``REGIMELQ_THREADS`` worker cap.
+increments - so estimates are bit-reproducible regardless of chunking.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +41,7 @@ from scipy.integrate import trapezoid
 
 from . import matcore
 from .errors import BlowUp, OutOfRange, StructuralError
-from .esre import EsreSolution, _batched_guarded_inverse
+from .esre import EsreSolution, _gain_blocks
 from .model import ProblemSpec
 from .regime_chain import (
     _jump_cumprobs,
@@ -55,26 +52,6 @@ from .regime_chain import (
 )
 
 CHUNK_PATHS = 4096
-
-
-def worker_count(n_tasks: int) -> int:
-    """Worker cap from REGIMELQ_THREADS (0 or unset = auto).
-
-    Auto resolves to a single worker: the per-path substream setup is
-    Python-bound and the per-step array operations are too small to
-    release the GIL profitably, so extra threads slow desk-scale runs
-    down.  Results are identical for any worker count.
-    """
-    raw = os.environ.get("REGIMELQ_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise StructuralError(f"REGIMELQ_THREADS must be an integer, got {raw!r}")
-    if cap < 0:
-        raise StructuralError("REGIMELQ_THREADS must be >= 0")
-    if cap == 0:
-        cap = 1
-    return max(1, min(cap, n_tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -172,15 +149,9 @@ def feedback_gain(solution: EsreSolution, spec: ProblemSpec) -> FeedbackGain:
     sample and regime.
     """
     grid = solution.grid
-    bs = spec.B.sample_times(grid)
-    cs = spec.C.sample_times(grid)
-    ds = spec.D.sample_times(grid)
-    ss = spec.S.sample_times(grid)
-    rs = spec.R.sample_times(grid)
-    p = solution.P
-    mrow = bs.mT @ p + ds.mT @ (p @ cs) + ds.mT @ solution.Lambda + ss
-    sigma = matcore.symmetrize(rs + ds.mT @ (p @ ds))
-    gains = -(_batched_guarded_inverse(sigma, solution.options.cond_threshold) @ mrow)
+    m, sigma = _gain_blocks(solution.P, solution.Lambda, *(
+        spec.coefficient(name).sample_times(grid) for name in ("B", "C", "D", "S", "R")))
+    gains = -(matcore.sym_inverse(sigma, solution.options.cond_threshold) @ m)
     return FeedbackGain(grid=grid, gains=gains)
 
 
@@ -448,28 +419,17 @@ def _run_general(tables, pol, x0, reg, reg_T, dw, path_offset):
 
 def _batch_costs(spec, policies, x0, i0, n_paths, dt, master_seed) -> np.ndarray:
     """Per-path costs, shape (len(policies), n_paths).  Identical results
-    for any chunking or worker count: substreams are per path and every
-    chunk writes a disjoint slice."""
+    for any chunking: substreams are per path and every chunk writes a
+    disjoint slice."""
     if n_paths < 1:
         raise StructuralError("n_paths must be >= 1")
     if not 1 <= int(i0) <= spec.ell:
         raise OutOfRange(f"initial regime {i0} outside 1..{spec.ell}")
     tables = _BatchTables(spec, policies, dt)
     costs = np.empty((len(policies), n_paths))
-    bounds = list(range(0, n_paths, CHUNK_PATHS)) + [n_paths]
-    chunks = [(bounds[j], bounds[j + 1]) for j in range(len(bounds) - 1)]
-    workers = worker_count(len(chunks))
-    if workers == 1:
-        for lo, hi in chunks:
-            _simulate_chunk(tables, x0, int(i0), master_seed, lo, hi, costs)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_simulate_chunk, tables, x0, int(i0), master_seed, lo, hi, costs)
-                for lo, hi in chunks
-            ]
-            for f in futures:
-                f.result()
+    for lo in range(0, n_paths, CHUNK_PATHS):
+        hi = min(lo + CHUNK_PATHS, n_paths)
+        _simulate_chunk(tables, x0, int(i0), master_seed, lo, hi, costs)
     return costs
 
 
@@ -503,7 +463,7 @@ def mc_cost(spec: ProblemSpec, policy, x0, i0: int, n_paths: int, dt: float,
     """Monte Carlo estimate of the cost of a policy.
 
     Per-path costs are accumulated with compensated summation in path-index
-    order, so the estimate does not depend on chunking or thread count.
+    order, so the estimate does not depend on chunking.
     """
     if n_paths < 2:
         raise StructuralError("n_paths must be >= 2 for a standard error")

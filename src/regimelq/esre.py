@@ -273,13 +273,7 @@ def drift_h(t: float, i: int, p: np.ndarray, lam: np.ndarray, r_mat: np.ndarray,
         If ``R + D'p D`` fails the guarded inversion; this is the runtime
         guard for the positivity the feedback formula requires.
     """
-    b = spec.B.eval(t, i, node)
-    c = spec.C.eval(t, i, node)
-    d = spec.D.eval(t, i, node)
-    p = np.asarray(p, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    m = b.T @ p + d.T @ (p @ c) + d.T @ lam + np.asarray(s_mat, dtype=float)
-    sigma = matcore.symmetrize(np.asarray(r_mat, dtype=float) + d.T @ (p @ d))
+    m, sigma = _gain_blocks_at(spec, t, i, node, p, lam, s_mat, r_mat)
     sigma_inv = matcore.sym_inverse(sigma, cond_threshold)
     return matcore.symmetrize(-(m.T @ (sigma_inv @ m)))
 
@@ -294,16 +288,29 @@ def theta_hat(t: float, i: int, ptilde: np.ndarray, lamtilde: np.ndarray,
     The exponential rescaling cancels between the two factors, so this
     equals the untransformed feedback gain pointwise.
     """
-    spec = tilde.spec
-    b = spec.B.eval(t, i, node)
-    c = spec.C.eval(t, i, node)
-    d = spec.D.eval(t, i, node)
-    p = np.asarray(ptilde, dtype=float)
-    lam = np.asarray(lamtilde, dtype=float)
-    m = b.T @ p + d.T @ (p @ c) + d.T @ lam + tilde.s_tilde(t, i, node)
-    sigma = matcore.symmetrize(tilde.r_tilde(t, i, node) + d.T @ (p @ d))
-    sigma_inv = matcore.sym_inverse(sigma, cond_threshold)
-    return -(sigma_inv @ m)
+    m, sigma = _gain_blocks_at(tilde.spec, t, i, node, ptilde, lamtilde,
+                               tilde.s_tilde(t, i, node), tilde.r_tilde(t, i, node))
+    return -(matcore.sym_inverse(sigma, cond_threshold) @ m)
+
+
+def _gain_blocks(p, lam, b, c, d, s, r):
+    """The two blocks of the feedback formula ``K = -Sigma^{-1} M``,
+
+        M = B'P + D'(P C) + D'Lam + S,    Sigma = sym(R + D'P D),
+
+    for one matrix each or for stacks that broadcast together."""
+    d_t = d.mT
+    m = b.mT @ p + d_t @ (p @ c) + d_t @ lam + s
+    return m, matcore.symmetrize(r + d_t @ (p @ d))
+
+
+def _gain_blocks_at(spec, t, i, node, p, lam, s, r):
+    """:func:`_gain_blocks` with B, C, D evaluated at (t, regime i, node)."""
+    return _gain_blocks(
+        np.asarray(p, dtype=float), np.asarray(lam, dtype=float),
+        spec.B.eval(t, i, node), spec.C.eval(t, i, node), spec.D.eval(t, i, node),
+        np.asarray(s, dtype=float), np.asarray(r, dtype=float),
+    )
 
 
 def f_of_theta(t: float, i: int, ptilde: np.ndarray, lamtilde: np.ndarray,
@@ -351,24 +358,6 @@ def f_of_theta(t: float, i: int, ptilde: np.ndarray, lamtilde: np.ndarray,
 
 def _sym(m):
     return 0.5 * (m + m.mT)
-
-
-def _batched_guarded_inverse(mats: np.ndarray, cond_threshold: float) -> np.ndarray:
-    """Spectral inverse of a stack of symmetric matrices with the
-    NearSingular guard applied to every member."""
-    w, v = np.linalg.eigh(mats)
-    aw = np.abs(w)
-    lo = aw.min(axis=-1)
-    hi = aw.max(axis=-1)
-    bad = (lo == 0.0) | (hi > cond_threshold * lo)
-    if np.any(bad):
-        worst = float(np.max(np.where(lo > 0, hi / np.maximum(lo, 1e-300), np.inf)))
-        raise NearSingular(
-            f"block inversion refused: condition number {worst:.3e} "
-            f"exceeds threshold {cond_threshold:.3e}"
-        )
-    inv = (v / w[..., None, :]) @ np.swapaxes(v, -1, -2)
-    return _sym(inv)
 
 
 class _GridEngine:
@@ -426,12 +415,15 @@ class _GridEngine:
         self.has_S = not spec.S.is_zero()
         if not self.has_D:
             # constant inverse reused by every stage of every sweep
-            self.Rt_inv = _batched_guarded_inverse(self.Rt, options.cond_threshold)
+            self.Rt_inv = matcore.sym_inverse(self.Rt, options.cond_threshold)
 
     # -- right-hand sides (dP/dt), batched over regimes -----------------
 
     def _quadratic_term(self, h, hc, p: np.ndarray, pc, check_cond: bool) -> np.ndarray:
         """H = -M' Sigma^{-1} M; ``pc`` is P C (None when C = 0)."""
+        # M starts from (P B)' here, in the tree engine and in the oracle,
+        # but from B'P in _gain_blocks: the two orders differ in the last
+        # bit, and each path keeps its own so its results stay unchanged
         m = (p @ self.B[hc]).mT
         if self.has_D and pc is not None:
             m = m + self.Dt[hc] @ pc
@@ -740,9 +732,9 @@ class _TreeEngine:
             if self.has_D:
                 sigma = _sym(self.coef["R"][k] * sc + dt_ @ (pm @ d))
                 sigma = np.broadcast_to(sigma, m.shape[:-2] + sigma.shape[-2:])
-                sigma_inv = _batched_guarded_inverse(sigma, self.options.cond_threshold)
+                sigma_inv = matcore.sym_inverse(sigma, self.options.cond_threshold)
             else:
-                sigma_inv = _batched_guarded_inverse(
+                sigma_inv = matcore.sym_inverse(
                     self.coef["R"][k] * sc, self.options.cond_threshold
                 )
             out = out - np.swapaxes(m, -1, -2) @ (sigma_inv @ m)
@@ -1030,13 +1022,23 @@ def _rho_of(spec: ProblemSpec, k_est: float) -> float:
     return (3.0 * (spec.ell - 1) ** 2 * spec.T + 3.0) * _square(k_est) + 3.0 * k_est
 
 
-def _bound_logs(spec, k_est, rho, log_sup_sq):
-    """log of measured sup and of the bound 1.5 e^{rho T}(K^2 + 1/rho);
-    the bound is ``inf`` once rho is."""
+def _make_diagnostics(spec, k_est, rho, log_sup, lam_l2, smallness, thresh,
+                      ok) -> Diagnostics:
+    """Diagnostics from K, rho and the log of the measured supremum.  The
+    bound 1.5 e^{rho T}(K^2 + 1/rho) is kept as a log, which is ``inf``
+    unless rho > 0; both exponentials saturate to ``inf`` past e^709."""
     if rho <= 0.0:
-        return -np.inf if log_sup_sq == -np.inf else log_sup_sq, np.inf
-    log_bound = np.log(1.5) + rho * spec.T + np.log(_square(k_est) + 1.0 / rho)
-    return log_sup_sq, log_bound
+        log_bound = np.inf
+    else:
+        log_bound = np.log(1.5) + rho * spec.T + np.log(_square(k_est) + 1.0 / rho)
+    return Diagnostics(
+        rho=rho, k_estimate=k_est,
+        apriori_bound=float(np.exp(min(log_bound, 709.0))) if np.isfinite(log_bound) else np.inf,
+        measured_sup=float(np.exp(log_sup)) if log_sup < 709.0 else np.inf,
+        log_apriori_bound=log_bound, log_measured_sup=log_sup,
+        lambda_l2=lam_l2, smallness=smallness,
+        smallness_threshold=thresh, smallness_ok=ok,
+    )
 
 
 def _diagnostics(spec, grid, ptilde0, lamtilde, smallness, thresh, ok) -> Diagnostics:
@@ -1047,17 +1049,9 @@ def _diagnostics(spec, grid, ptilde0, lamtilde, smallness, thresh, ok) -> Diagno
     with np.errstate(divide="ignore", invalid="ignore"):
         logs = rho * grid[:, None] + 2.0 * np.log(norms)
     log_sup = float(np.nanmax(logs)) if norms.size else -np.inf
-    log_sup, log_bound = _bound_logs(spec, k_est, rho, log_sup)
     dt = grid[1] - grid[0] if grid.size > 1 else 0.0
     lam_l2 = np.sqrt((np.linalg.norm(lamtilde, axis=(-2, -1)) ** 2).sum(axis=0) * dt)
-    return Diagnostics(
-        rho=rho, k_estimate=k_est,
-        apriori_bound=float(np.exp(min(log_bound, 709.0))) if np.isfinite(log_bound) else np.inf,
-        measured_sup=float(np.exp(log_sup)) if log_sup < 709.0 else np.inf,
-        log_apriori_bound=log_bound, log_measured_sup=log_sup,
-        lambda_l2=lam_l2, smallness=smallness,
-        smallness_threshold=thresh, smallness_ok=ok,
-    )
+    return _make_diagnostics(spec, k_est, rho, log_sup, lam_l2, smallness, thresh, ok)
 
 
 def _diagnostics_tree(spec, tree, it0, final, smallness, thresh, ok) -> Diagnostics:
@@ -1069,20 +1063,12 @@ def _diagnostics_tree(spec, tree, it0, final, smallness, thresh, ok) -> Diagnost
         top = float(norms.max())
         if top > 0.0 and (k > 0 or np.isfinite(rho)):
             log_sup = max(log_sup, rho * tree.times[k] + 2.0 * np.log(top))
-    log_sup, log_bound = _bound_logs(spec, k_est, rho, log_sup)
     sq_sum = np.zeros(spec.ell)
     for k in range(tree.depth):
         wts = _node_weights(k)[:, None]
         sq_sum += (np.linalg.norm(final.lam_levels[k], axis=(-2, -1)) ** 2 * wts).sum(axis=0)
     lam_l2 = np.sqrt(sq_sum * tree.dt)
-    return Diagnostics(
-        rho=rho, k_estimate=k_est,
-        apriori_bound=float(np.exp(min(log_bound, 709.0))) if np.isfinite(log_bound) else np.inf,
-        measured_sup=float(np.exp(log_sup)) if log_sup < 709.0 else np.inf,
-        log_apriori_bound=log_bound, log_measured_sup=log_sup,
-        lambda_l2=lam_l2, smallness=smallness,
-        smallness_threshold=thresh, smallness_ok=ok,
-    )
+    return _make_diagnostics(spec, k_est, rho, log_sup, lam_l2, smallness, thresh, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -1109,7 +1095,7 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None,
     # plain-coordinate inverse of R when D is identically zero
     r_inv = None
     if not has_D:
-        r_inv = _batched_guarded_inverse(engine.R, options.cond_threshold)
+        r_inv = matcore.sym_inverse(engine.R, options.cond_threshold)
 
     def rhs(h, p):
         pa = p @ engine.A[h]

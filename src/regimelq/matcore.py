@@ -5,7 +5,11 @@ All matrices handled here are small (n <= 16) dense ``numpy`` arrays.  A
 *exactly* symmetric; :func:`make_symmetric` is the validating constructor
 that turns raw data into one.  Spectral queries (:func:`min_eigenvalue`),
 Loewner-order comparisons (:func:`loewner_leq`) and guarded inversion
-(:func:`sym_inverse`) all operate on such arrays.
+(:func:`sym_inverse`) all operate on such arrays.  :func:`symmetrize`,
+:func:`sym_inverse` and :func:`project_psd` also take a stack of matrices
+(any leading axes, the matrices on the last two) and treat each member
+as its own matrix, so the solver calls them once per time step or
+lattice level rather than once per regime.
 
 Every product that is symmetric in exact arithmetic is explicitly
 re-symmetrized after computation; this keeps roundoff from accumulating into
@@ -83,25 +87,27 @@ def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float = 0.0) -> bool:
 
 
 def sym_inverse(m: np.ndarray, cond_threshold: float = DEFAULT_COND_THRESHOLD) -> np.ndarray:
-    """Inverse of a symmetric matrix via its spectral factorization.
+    """Inverse of a symmetric matrix, or of each member of a stack (the
+    last two axes), via its spectral factorization.
 
     Raises
     ------
     NearSingular
         If an eigenvalue is exactly zero or the spectral condition number
-        exceeds ``cond_threshold``.
+        exceeds ``cond_threshold`` for any member; the message names the
+        worst condition number.
     """
-    m = np.asarray(m, dtype=float)
-    w, v = np.linalg.eigh(m)
+    w, v = np.linalg.eigh(np.asarray(m, dtype=float))
     aw = np.abs(w)
-    lo = float(aw.min())
-    hi = float(aw.max())
-    if lo == 0.0 or (lo > 0.0 and hi / lo > cond_threshold):
-        cond = np.inf if lo == 0.0 else hi / lo
+    lo = aw.min(axis=-1)
+    hi = aw.max(axis=-1)
+    if np.any((lo == 0.0) | (hi > cond_threshold * lo)):
+        cond = float(np.max(np.divide(hi, lo, out=np.full_like(hi, np.inf),
+                                      where=lo > 0.0)))
         raise NearSingular(
             f"condition number {cond:.3e} exceeds threshold {cond_threshold:.3e}"
         )
-    inv = (v / w) @ v.T
+    inv = (v / w[..., None, :]) @ np.swapaxes(v, -1, -2)
     return symmetrize(inv)
 
 

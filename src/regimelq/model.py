@@ -183,11 +183,6 @@ class CoefficientField:
         return float(np.max(np.linalg.norm(self.values, axis=(-2, -1))))
 
 
-def eval_coefficient(field: CoefficientField, t: float, regime: int, node=None) -> np.ndarray:
-    """Functional form of :meth:`CoefficientField.eval`."""
-    return field.eval(t, regime, node=node)
-
-
 def _as_field(value, ell, shape, name) -> CoefficientField:
     """Coerce raw input (field, array of per-regime matrices, or a single
     matrix shared by all regimes) into a CoefficientField."""

@@ -117,10 +117,22 @@ class TestParseConfig:
         ("simulate: {i0: 7}", RangeError),
         ("solver: {backend: magic}", RangeError),
         ("solver: {grid_steps: 0}", RangeError),
+        ("simulate: {x0: [abc]}", ParseError),
+        ("simulate: {perturbations: [{constant: [abc]}]}", ParseError),
+        ("simulate: {perturbations: [{table: {times: [0.0, 0.5], values: [[0.1]]}}]}",
+         RangeError),
     ])
     def test_out_of_range_values(self, tmp_path, patch, err):
         with pytest.raises(err):
             parse_config(write_cfg(tmp_path, E1_YAML + patch + "\n"))
+
+    @pytest.mark.parametrize("old, new", [
+        ("x0: [1.0]", "x0: [abc]"),
+        ("generator: [[-1.0, 1.0], [1.0, -1.0]]", "generator: [[-1.0, 1.0], [1.0]]"),
+    ])
+    def test_malformed_problem_numbers(self, tmp_path, old, new):
+        with pytest.raises(ParseError):
+            parse_config(write_cfg(tmp_path, E1_YAML.replace(old, new)))
 
     def test_time_table_coefficient(self, tmp_path):
         text = E1_YAML.replace(
@@ -338,9 +350,13 @@ class TestMain:
         assert meta["converged"] is True
         assert meta["diagnostics"]["apriori_bound"] == float("inf")
 
-    def test_parse_failure_maps_to_one(self, tmp_path):
+    def test_parse_failure_maps_to_one(self, tmp_path, capsys):
         bad = write_cfg(tmp_path, E1_YAML.replace("generator:", "genrator:"))
         assert main(["validate", "--config", str(bad)]) == 1
+        # a malformed number is an error line too, not a traceback
+        bad = write_cfg(tmp_path, E1_YAML.replace("x0: [1.0]", "x0: [abc]"), "x0.yaml")
+        assert main(["validate", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: problem.x0")
 
     def test_missing_artifacts_map_to_four(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_RUN)

@@ -1,10 +1,13 @@
 """Feedback synthesis, closed-loop simulation and Monte Carlo estimators."""
 
-import os
+import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from regimelq import control
+from regimelq.config import parse_config
 from regimelq.control import (
     FeedbackGain,
     Perturbation,
@@ -19,8 +22,11 @@ from regimelq.control import (
 )
 from regimelq.errors import BlowUp, StructuralError
 from regimelq.esre import SolverOptions, solve_esre
+from regimelq.matcore import symmetrize
 from regimelq.regime_chain import path_substream
-from conftest import make_e1, scalar_spec
+from conftest import make_e1, random_spec, scalar_spec
+
+MATRIX_DEMO = Path(__file__).resolve().parent.parent / "demos/configs/matrix_two_regime.yaml"
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +62,28 @@ class TestFeedbackGain:
                 r = e1.R.eval(grid[k], i)
                 reduced = -np.linalg.solve(r, b.T @ e1_solution.P[k, i - 1] + s)
                 assert np.max(np.abs(gains.gains[k, i - 1] - reduced)) <= 1e-14
+
+    @pytest.mark.parametrize("problem", ["matrix-demo", "family-101", "family-303"])
+    def test_matches_written_out_expression(self, problem):
+        if problem == "matrix-demo":
+            spec = parse_config(MATRIX_DEMO).problem
+        else:
+            spec = random_spec(int(problem.split("-")[1]))
+        sol = solve_esre(spec, SolverOptions(grid_steps=200))
+        # a nonzero Lambda exercises the D'Lambda term as well
+        rng = np.random.default_rng(41)
+        sol = dataclasses.replace(
+            sol, Lambda=symmetrize(0.1 * rng.standard_normal(sol.P.shape)))
+        # reference: the gain formula written out term by term
+        grid = sol.grid
+        bs, cs, ds, ss, rs = (spec.coefficient(name).sample_times(grid)
+                              for name in ("B", "C", "D", "S", "R"))
+        p = sol.P
+        mrow = bs.mT @ p + ds.mT @ (p @ cs) + ds.mT @ sol.Lambda + ss
+        sigma = symmetrize(rs + ds.mT @ (p @ ds))
+        w, v = np.linalg.eigh(sigma)
+        sigma_inv = symmetrize((v / w[..., None, :]) @ v.mT)
+        assert np.array_equal(feedback_gain(sol, spec).gains, -(sigma_inv @ mrow))
 
     def test_symmetric_regimes_share_gains(self, e1, e1_solution):
         gains = feedback_gain(e1_solution, e1)
@@ -173,13 +201,13 @@ class TestMcCost:
         large = mc_cost(noisy_spec, gains, [1.0], 1, 8000, 4e-3, 13)
         assert 1.25 <= small.std_error / large.std_error <= 1.6
 
-    def test_worker_count_invariance(self, e1, e1_solution, monkeypatch):
-        gains = feedback_gain(e1_solution, e1)
-        monkeypatch.setenv("REGIMELQ_THREADS", "1")
-        c1 = _batch_costs(e1, [Policy(gains=gains)], [1.0], 1, 9000, 1e-2, 42)
-        monkeypatch.setenv("REGIMELQ_THREADS", "3")
-        c3 = _batch_costs(e1, [Policy(gains=gains)], [1.0], 1, 9000, 1e-2, 42)
-        assert np.array_equal(c1, c3)
+    def test_chunking_invariance(self, noisy_spec, noisy_solution, monkeypatch):
+        policies = [Policy(gains=feedback_gain(noisy_solution, noisy_spec))]
+        default = _batch_costs(noisy_spec, policies, [1.0], 1, 9000, 1e-2, 42)
+        monkeypatch.setattr(control, "CHUNK_PATHS", 1000)
+        small = _batch_costs(noisy_spec, policies, [1.0], 1, 9000, 1e-2, 42)
+        assert np.array_equal(default, small)
+        assert np.unique(default).size > 1
 
     def test_linear_state_scaling(self, noisy_spec, noisy_solution):
         # doubling x0 doubles every path (linear homogeneous dynamics) and

@@ -83,6 +83,26 @@ def asym_spec():
 # ---------------------------------------------------------------------------
 
 
+def _written_out_blocks(spec, t, i, p, lam, s, r):
+    """M and Sigma^{-1} of the feedback formula written out term by term,
+    the reference for drift_h and theta_hat."""
+    b, c, d = spec.B.eval(t, i), spec.C.eval(t, i), spec.D.eval(t, i)
+    m = b.T @ p + d.T @ (p @ c) + d.T @ lam + s
+    w, v = np.linalg.eigh(symmetrize(r + d.T @ (p @ d)))
+    return m, symmetrize((v / w) @ v.T)
+
+
+def _random_points(seed):
+    """(spec, t, regime, P, Lambda) for a D != 0 family member."""
+    spec = random_spec(seed)
+    rng = np.random.default_rng(seed)
+    for t in (0.0, 0.37, 1.0):
+        for i in range(1, spec.ell + 1):
+            w = rng.standard_normal((spec.n, spec.n))
+            lam = symmetrize(0.3 * rng.standard_normal((spec.n, spec.n)))
+            yield spec, t, i, w @ w.T, lam
+
+
 class TestDriftPi:
     def test_scalar_substitution(self):
         spec = scalar_spec(A=1.0, C=1.0, R=1.0, G=1.0)
@@ -136,6 +156,14 @@ class TestDriftH:
             out = drift_h(0.0, 1, p, lam, r, s, spec)
             assert min_eigenvalue(out) <= 1e-10
 
+    @pytest.mark.parametrize("seed", [101, 303])
+    def test_matches_written_out_expression(self, seed):
+        for spec, t, i, p, lam in _random_points(seed):
+            r, s = spec.R.eval(t, i), spec.S.eval(t, i)
+            m, sigma_inv = _written_out_blocks(spec, t, i, p, lam, s, r)
+            ref = symmetrize(-(m.T @ (sigma_inv @ m)))
+            assert np.array_equal(drift_h(t, i, p, lam, r, s, spec), ref)
+
 
 class TestThetaHat:
     def test_scalar_substitution(self):
@@ -178,6 +206,14 @@ class TestThetaHat:
             sigma = tilde.r_tilde(t, i) + d.T @ (p @ d)
             h = drift_h(t, i, p, lam, tilde.r_tilde(t, i), tilde.s_tilde(t, i), spec)
             assert np.max(np.abs(h - (-(th.T @ sigma @ th)))) <= 1e-10
+
+    @pytest.mark.parametrize("seed", [101, 303])
+    def test_matches_written_out_expression(self, seed):
+        for spec, t, i, p, lam in _random_points(seed):
+            tilde = tilde_transform(spec)
+            m, sigma_inv = _written_out_blocks(
+                spec, t, i, p, lam, tilde.s_tilde(t, i), tilde.r_tilde(t, i))
+            assert np.array_equal(theta_hat(t, i, p, lam, tilde), -(sigma_inv @ m))
 
 
 class TestFOfTheta:

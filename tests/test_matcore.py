@@ -119,6 +119,24 @@ class TestSymInverse:
         inv = sym_inverse(a)
         assert np.array_equal(inv, inv.T)
 
+    def test_stack_matches_members(self):
+        rng = np.random.default_rng(29)
+        for n in (1, 2, 3):
+            m = rng.standard_normal((4, 3, n, n))
+            stack = symmetrize(m @ m.mT + 0.5 * np.eye(n))
+            inv = sym_inverse(stack)
+            for idx in np.ndindex(4, 3):
+                assert np.array_equal(inv[idx], sym_inverse(stack[idx]))
+
+    def test_stack_rejects_one_bad_member(self):
+        stack = np.stack([np.eye(2)] * 5)
+        stack[3] = np.diag([1.0, 1e-15])
+        with pytest.raises(NearSingular, match="condition number 1.000e"):
+            sym_inverse(stack, cond_threshold=1e12)
+        stack[3] = np.diag([1.0, 0.0])
+        with pytest.raises(NearSingular, match="condition number inf"):
+            sym_inverse(stack)
+
 
 def test_trace_bound_for_psd_factor():
     # tr(A B) <= max_eig(A) tr(B) for symmetric A and PSD B

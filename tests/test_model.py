@@ -9,7 +9,6 @@ from regimelq.model import (
     CoefficientField,
     ProblemSpec,
     check_smallness,
-    eval_coefficient,
     tilde_transform,
     untilde_solution,
     validate_assumptions,
@@ -22,7 +21,7 @@ class TestCoefficientField:
         f = CoefficientField.constant(np.full((2, 1, 1), 3.0))
         for t in (0.0, 0.3, 1.0):
             for i in (1, 2):
-                assert eval_coefficient(f, t, i) == np.array([[3.0]])
+                assert f.eval(t, i) == np.array([[3.0]])
 
     def test_table_left_piecewise(self):
         f = CoefficientField.from_table(
