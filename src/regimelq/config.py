@@ -124,6 +124,8 @@ def _as_float(value, where: str, positive=False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
         raise RangeError(f"{where} must be a number, got {value!r}")
     value = float(value)
+    if not np.isfinite(value):
+        raise RangeError(f"{where} must be finite, got {value}")
     if positive and value <= 0.0:
         raise RangeError(f"{where} must be positive, got {value}")
     return value
@@ -136,6 +138,8 @@ def _as_floats(node, where: str, size: int = None) -> np.ndarray:
         arr = np.asarray(node, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: not a numeric array: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise RangeError(f"{where} must be finite, got {arr[~np.isfinite(arr)][0]}")
     if size is not None:
         arr = arr.reshape(-1)
         if arr.size != size:

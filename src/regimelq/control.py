@@ -17,6 +17,15 @@ Cost convention: left-endpoint quadrature of the running integrand
 plus the terminal term ``<G(a_T) X(T), X(T)>``.  The induced O(dt) bias is
 part of the stated verification tolerances.
 
+Under an affine policy ``u = K X + e`` the closed loop is
+
+    dX = [(A + BK) X + B e] dt + [(C + DK) X + D e] dW,
+
+with running integrand ``X'(Q + K'S + S'K + K'RK)X + 2 e'(S + RK)X +
+e'Re``.  The batched engine tabulates these closed-loop matrices once per
+(step, regime), for every state and control dimension, and each Euler step
+reads them with one gather per path.
+
 Optimality is checked by perturbing the feedback, ``u = K X + e(t)``, and
 comparing against the completed-square prediction
 
@@ -266,51 +275,9 @@ def _step_count(T: float, dt: float) -> int:
 # ---------------------------------------------------------------------------
 
 
-class _CompiledPolicy:
-    """Policy tabulated on the simulation grid: gains (K, ell, m, n) or
-    None, offsets (K, m).  For scalar problems the per-step update and
-    cost are folded into closed-loop tables so each step needs a single
-    regime gather:
-
-        x'   = (mult_x x + add_x) + (diff_x x + diff_0) dW
-        cost += (quad x + lin) x + const
-    """
-
-    def __init__(self, policy, spec, tables):
-        pol = Policy.coerce(policy, spec.m)
-        times = tables.times
-        self.k_table = None
-        if pol.gains is not None:
-            self.k_table = np.ascontiguousarray(pol.gains.sample_times(times))
-        self.e_table = np.ascontiguousarray(
-            Perturbation.coerce(pol.offset, spec.m).sample_times(times)
-        )
-        self.has_offset = bool(self.e_table.any())
-        self.scalar_table = None
-        if spec.n == 1 and spec.m == 1:
-            dt = tables.dt
-            a = tables.A[:, :, 0, 0]
-            b = tables.B[:, :, 0, 0]
-            c = tables.C[:, :, 0, 0]
-            d = tables.D[:, :, 0, 0]
-            q = tables.Q[:, :, 0, 0]
-            s = tables.S[:, :, 0, 0]
-            r = tables.R[:, :, 0, 0]
-            kk = self.k_table[:, :, 0, 0] if self.k_table is not None else np.zeros_like(a)
-            ee = self.e_table[:, 0][:, None]
-            tab = np.empty(a.shape + (7,))
-            tab[..., 0] = 1.0 + (a + b * kk) * dt
-            tab[..., 1] = b * ee * dt
-            tab[..., 2] = c + d * kk
-            tab[..., 3] = d * ee
-            tab[..., 4] = (q + (2.0 * s + r * kk) * kk) * dt
-            tab[..., 5] = 2.0 * (s + r * kk) * ee * dt
-            tab[..., 6] = r * ee * ee * dt
-            self.scalar_table = np.ascontiguousarray(tab)
-
-
 class _BatchTables:
-    """Coefficients and policies sampled once on the simulation grid."""
+    """Coefficients sampled once on the simulation grid and folded into one
+    closed-loop table per policy (see :func:`_closed_loop_table`)."""
 
     def __init__(self, spec: ProblemSpec, policies, dt: float):
         if spec.has_random_coefficients:
@@ -321,15 +288,39 @@ class _BatchTables:
         self.n_steps = _step_count(spec.T, dt)
         self.dt = dt
         self.times = dt * np.arange(self.n_steps)
-        self.A = spec.A.sample_times(self.times)
-        self.B = spec.B.sample_times(self.times)
-        self.C = spec.C.sample_times(self.times)
-        self.D = spec.D.sample_times(self.times)
-        self.Q = spec.Q.sample_times(self.times)
-        self.S = spec.S.sample_times(self.times)
-        self.R = spec.R.sample_times(self.times)
         self.G = np.stack([spec.G.eval(spec.T, i) for i in range(1, spec.ell + 1)])
-        self.policies = [_CompiledPolicy(p, spec, self) for p in policies]
+        coef = [spec.coefficient(name).sample_times(self.times) for name in "ABCDQSR"]
+        self.loops = [_closed_loop_table(spec, p, coef, self.times, dt) for p in policies]
+
+
+def _closed_loop_table(spec, policy, coef, times, dt) -> np.ndarray:
+    """The affine policy ``u = K x + e`` folded into the Euler step and the
+    left-endpoint running cost, one packed row per (step, regime): array
+    (steps, ell, 3n^2 + 3n + 1) holding ``[W; M; N]`` (3n x n, row-major), then
+    ``[l; a; b]`` (3n), then ``c``, where
+
+        W = (Q + K'(2S + RK)) dt     l = 2 (S + RK)'e dt
+        M = I + (A + BK) dt          a = B e dt
+        N = C + DK                   b = D e
+        c = e'R e dt
+
+    A step from x with Brownian increment dW is then
+
+        cost += (Wx + l)'x + c,      x <- (Mx + a) + (Nx + b) dW.
+    """
+    a, b, c, d, q, s, r = coef
+    pol = Policy.coerce(policy, spec.m)
+    gain = (np.zeros(q.shape[:2] + (spec.m, spec.n)) if pol.gains is None
+            else pol.gains.sample_times(times))
+    e = Perturbation.coerce(pol.offset, spec.m).sample_times(times)[:, None, :, None]
+    rk = r @ gain
+    lin = np.concatenate([(q + gain.mT @ (2.0 * s + rk)) * dt,
+                          np.eye(spec.n) + (a + b @ gain) * dt,
+                          c + d @ gain], axis=-2)
+    off = np.concatenate([(2.0 * (s + rk)).mT @ e * dt, b @ e * dt, d @ e,
+                          e.mT @ r @ e * dt], axis=-2)
+    rows = lin.shape[:2]
+    return np.concatenate([lin.reshape(rows + (-1,)), off.reshape(rows + (-1,))], axis=-1)
 
 
 def _simulate_chunk(tables: _BatchTables, x0, i0, master_seed, lo, hi, costs):
@@ -350,71 +341,37 @@ def _simulate_chunk(tables: _BatchTables, x0, i0, master_seed, lo, hi, costs):
         st = np.asarray(states)
         reg[p] = st[np.searchsorted(jumps, times, side="right")] - 1
         reg_T[p] = states[-1] - 1
-    dw = np.sqrt(dt) * xi
-
-    scalar = spec.n == 1 and spec.m == 1
-    for ip, pol in enumerate(tables.policies):
-        if scalar:
-            c = _run_scalar(tables, pol, float(np.asarray(x0).ravel()[0]),
-                            reg, reg_T, dw, lo)
-        else:
-            c = _run_general(tables, pol, np.asarray(x0, dtype=float).reshape(spec.n),
-                             reg, reg_T, dw, lo)
-        costs[ip, lo:hi] = c
+    # step-major, so each step reads contiguous increments and regimes
+    dw = np.multiply(np.sqrt(dt), xi.T, order="C")
+    del xi
+    reg = np.ascontiguousarray(reg.T)
+    x0 = np.asarray(x0, dtype=float).reshape(spec.n)
+    for ip, table in enumerate(tables.loops):
+        costs[ip, lo:hi] = _run_paths(table, tables.G, x0, reg, reg_T, dw, lo)
 
 
-def _run_scalar(tables, pol, x0, reg, reg_T, dw, path_offset):
-    """n = m = 1 fast path: one regime gather per step on the fused
-    closed-loop table."""
-    n_steps = tables.n_steps
-    tab = pol.scalar_table
-    x = np.full(reg.shape[0], x0)
-    cost = np.zeros(reg.shape[0])
-    for k in range(n_steps):
-        row = tab[k][reg[:, k]]
-        cost += (row[:, 4] * x + row[:, 5]) * x + row[:, 6]
-        x = (row[:, 0] * x + row[:, 1]) + (row[:, 2] * x + row[:, 3]) * dw[:, k]
-        if np.max(np.abs(x)) > 1e8:
-            raise BlowUp(
-                f"state norm exceeded 1e8 at step {k + 1}",
-                path_index=path_offset + int(np.argmax(np.abs(x) > 1e8)),
-            )
-    cost += tables.G[reg_T, 0, 0] * x * x
-    return cost
-
-
-def _run_general(tables, pol, x0, reg, reg_T, dw, path_offset):
-    """Matrix-valued states: per-step gather of regime coefficients."""
-    n_steps, dt = tables.n_steps, tables.dt
-    count = reg.shape[0]
-    x = np.broadcast_to(x0, (count, x0.size)).copy()
+def _run_paths(table, G, x0, reg, reg_T, dw, path_offset):
+    """Per-path costs under one closed-loop table: each step gathers one
+    packed row per path, then forms ``Wx``, ``Mx`` and ``Nx``."""
+    n_steps, count = reg.shape
+    n = x0.size
+    cuts = np.cumsum([n * n] * 3 + [n] * 3)
+    x = np.broadcast_to(x0, (count, n)).copy()
     cost = np.zeros(count)
     for k in range(n_steps):
-        rk = reg[:, k]
-        if pol.k_table is not None:
-            u = np.einsum("pij,pj->pi", pol.k_table[k][rk], x)
-        else:
-            u = np.zeros((count, tables.spec.m))
-        if pol.has_offset:
-            u = u + pol.e_table[k]
-        qx = np.einsum("pij,pj->pi", tables.Q[k][rk], x)
-        sx = np.einsum("pij,pj->pi", tables.S[k][rk], x)
-        ru = np.einsum("pij,pj->pi", tables.R[k][rk], u)
-        cost += ((x * qx).sum(1) + 2.0 * (u * sx).sum(1) + (u * ru).sum(1)) * dt
-        drift = np.einsum("pij,pj->pi", tables.A[k][rk], x) \
-            + np.einsum("pij,pj->pi", tables.B[k][rk], u)
-        diff = np.einsum("pij,pj->pi", tables.C[k][rk], x) \
-            + np.einsum("pij,pj->pi", tables.D[k][rk], u)
-        x = x + drift * dt + diff * dw[:, k][:, None]
-        norms = np.abs(x).max(axis=1)
-        if (norms > 1e8).any():
+        w, m, nc, l, a, b, c = np.split(np.take(table[k], reg[k], axis=0), cuts, axis=1)
+        wx = np.einsum("pij,pj->pi", w.reshape(count, n, n), x)
+        mx = np.einsum("pij,pj->pi", m.reshape(count, n, n), x)
+        nx = np.einsum("pij,pj->pi", nc.reshape(count, n, n), x)
+        cost += np.einsum("pi,pi->p", wx + l, x) + c[:, 0]
+        x = (mx + a) + (nx + b) * dw[k, :, None]
+        if np.abs(x).max() > 1e8:
             raise BlowUp(
                 f"state norm exceeded 1e8 at step {k + 1}",
-                path_index=path_offset + int(np.argmax(norms > 1e8)),
+                path_index=path_offset + int(np.argmax(np.abs(x).max(axis=1) > 1e8)),
             )
-    gx = np.einsum("pij,pj->pi", tables.G[reg_T], x)
-    cost += (x * gx).sum(1)
-    return cost
+    gx = np.einsum("pij,pj->pi", G[reg_T], x)
+    return cost + np.einsum("pi,pi->p", gx, x)
 
 
 def _batch_costs(spec, policies, x0, i0, n_paths, dt, master_seed) -> np.ndarray:

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import FeedbackGain, feedback_gain
+from .control import FeedbackGain, _step_count, feedback_gain
 from .errors import NoConvergence, SingularState, StructuralError
 from .esre import EsreSolution, SolverOptions, TreeIterate, picard_step
 from .model import ProblemSpec, tilde_transform
@@ -299,9 +299,7 @@ def xinv_product_check(spec: ProblemSpec, regime: int, gains: FeedbackGain,
     """
     if not 1 <= regime <= spec.ell:
         raise StructuralError(f"regime {regime} outside 1..{spec.ell}")
-    n_steps = int(round(spec.T / dt))
-    if n_steps < 1 or abs(n_steps * dt - spec.T) > 1e-12 * max(1.0, spec.T):
-        raise StructuralError(f"dt={dt} does not divide the horizon T={spec.T}")
+    n_steps = _step_count(spec.T, dt)
     i = regime
     n = spec.n
     times = dt * np.arange(n_steps + 1)

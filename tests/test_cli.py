@@ -121,6 +121,10 @@ class TestParseConfig:
         ("simulate: {perturbations: [{constant: [abc]}]}", ParseError),
         ("simulate: {perturbations: [{table: {times: [0.0, 0.5], values: [[0.1]]}}]}",
          RangeError),
+        ("simulate: {x0: [null]}", RangeError),
+        ("simulate: {dt: .nan}", RangeError),
+        ("solver: {picard_tol: .nan}", RangeError),
+        ("simulate: {perturbations: [{constant: [.inf]}]}", RangeError),
     ])
     def test_out_of_range_values(self, tmp_path, patch, err):
         with pytest.raises(err):
@@ -355,6 +359,10 @@ class TestMain:
         assert main(["validate", "--config", str(bad)]) == 1
         # a malformed number is an error line too, not a traceback
         bad = write_cfg(tmp_path, E1_YAML.replace("x0: [1.0]", "x0: [abc]"), "x0.yaml")
+        assert main(["validate", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: problem.x0")
+        # so is a non-finite one
+        bad = write_cfg(tmp_path, E1_YAML.replace("x0: [1.0]", "x0: [null]"), "x0.yaml")
         assert main(["validate", "--config", str(bad)]) == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: problem.x0")
 

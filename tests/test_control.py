@@ -22,7 +22,9 @@ from regimelq.control import (
 )
 from regimelq.errors import BlowUp, StructuralError
 from regimelq.esre import SolverOptions, solve_esre
+from regimelq.fbsde import xinv_product_check
 from regimelq.matcore import symmetrize
+from regimelq.model import ProblemSpec
 from regimelq.regime_chain import path_substream
 from conftest import make_e1, random_spec, scalar_spec
 
@@ -102,7 +104,6 @@ class TestFeedbackGain:
 class TestValueAt:
     def test_quadratic_form(self):
         g0 = np.diag([1.0, 2.0])
-        from regimelq.model import ProblemSpec
         spec = ProblemSpec(
             n=2, m=1, ell=2, T=1.0, generator=[[-1.0, 1.0], [1.0, -1.0]],
             A=np.zeros((2, 2, 2)), B=np.zeros((2, 2, 1)), C=np.zeros((2, 2, 2)),
@@ -150,17 +151,46 @@ class TestSimulateClosedLoop:
         with pytest.raises(BlowUp):
             simulate_closed_loop(spec, None, [1.0], 1, 0.01, path_substream(0, 0))
 
-    def test_dt_must_divide_horizon(self, e1):
+    def test_dt_must_divide_horizon(self, e1, e1_solution):
         with pytest.raises(StructuralError):
             simulate_closed_loop(e1, None, [1.0], 1, 0.3, path_substream(0, 0))
+        # the inverse-state check shares the same step count
+        with pytest.raises(StructuralError, match="does not divide"):
+            xinv_product_check(e1, 1, feedback_gain(e1_solution, e1), 0.3)
 
-    def test_matches_batch_engine(self, e1, e1_solution):
-        gains = feedback_gain(e1_solution, e1)
-        costs = _batch_costs(e1, [Policy(gains=gains)], [1.0], 1, 4, 1e-2, 99)
+    @pytest.mark.parametrize("problem", ["e1", "matrix-demo", "family-101", "family-303"])
+    def test_matches_batch_engine(self, problem, e1, e1_solution):
+        if problem == "e1":
+            spec, sol = e1, e1_solution
+        else:
+            if problem == "matrix-demo":
+                spec = parse_config(MATRIX_DEMO).problem
+            else:
+                spec = random_spec(int(problem.split("-")[1]))
+            sol = solve_esre(spec, SolverOptions(grid_steps=200))
+        offset = Perturbation(values=np.outer([0.3, -0.2], np.linspace(0.5, 1.0, spec.m)),
+                              times=np.array([0.0, 0.35]))
+        policy = Policy(gains=feedback_gain(sol, spec), offset=offset)
+        x0 = np.linspace(1.0, -0.5, spec.n)
+        costs = _batch_costs(spec, [policy], x0, 1, 4, 1e-2, 99)
         for p in range(4):
-            rec = simulate_closed_loop(e1, gains, [1.0], 1, 1e-2,
-                                       path_substream(99, p))
+            rec = simulate_closed_loop(spec, policy, x0, 1, 1e-2, path_substream(99, p))
             assert rec.total_cost == pytest.approx(costs[0, p], rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_batch_engine_blowup_guard(self, n):
+        if n == 1:
+            spec = scalar_spec(A=25.0, R=1.0, G=1.0, delta=0.5)
+        else:
+            spec = ProblemSpec(
+                n=2, m=1, ell=2, T=1.0, generator=[[-1.0, 1.0], [1.0, -1.0]],
+                A=np.stack([25.0 * np.eye(2)] * 2), B=np.zeros((2, 2, 1)),
+                C=np.zeros((2, 2, 2)), D=np.zeros((2, 2, 1)), Q=np.zeros((2, 2, 2)),
+                S=np.zeros((2, 1, 2)), R=np.ones((2, 1, 1)), G=np.zeros((2, 2, 2)),
+                delta=0.5)
+        with pytest.raises(BlowUp, match="exceeded 1e8") as info:
+            _batch_costs(spec, [None], np.ones(n), 1, 8, 0.01, 0)
+        assert info.value.path_index == 0
 
 
 class TestMcCost:
@@ -216,6 +246,38 @@ class TestMcCost:
         c1 = _batch_costs(noisy_spec, [Policy(gains=gains)], [1.0], 1, 64, 1e-2, 5)
         c2 = _batch_costs(noisy_spec, [Policy(gains=gains)], [2.0], 1, 64, 1e-2, 5)
         assert np.max(np.abs(c2 - 4.0 * c1)) <= 1e-9 * np.max(np.abs(c2))
+
+    def test_scalar_matches_written_out_recursion(self, monkeypatch):
+        # reference: the n = m = 1 recursion on scalar closed-loop tables,
+        # fed the regimes and increments the engine drew
+        spec = scalar_spec(A=[0.1, -0.4], B=1.0, C=0.5, D=[0.1, 0.05], Q=[0.3, 0.5],
+                           S=[0.1, -0.2], R=[1.0, 2.0], G=[1.0, 0.5], delta=0.5)
+        sol = solve_esre(spec, SolverOptions(grid_steps=200))
+        offset = Perturbation(values=np.array([[0.3], [-0.2]]), times=np.array([0.0, 0.35]))
+        policy = Policy(gains=feedback_gain(sol, spec), offset=offset)
+        drawn = []
+        run_paths = control._run_paths
+        monkeypatch.setattr(control, "_run_paths",
+                            lambda *args: drawn.append(args) or run_paths(*args))
+        costs = _batch_costs(spec, [policy], [1.0], 1, 50, 1e-2, 8)
+        _, _, _, reg, reg_T, dw, _ = drawn[0]
+        dt = 1e-2
+        times = dt * np.arange(reg.shape[0])
+        a, b, c, d, q, s, r = (spec.coefficient(name).sample_times(times)[:, :, 0, 0]
+                               for name in "ABCDQSR")
+        kk = policy.gains.sample_times(times)[:, :, 0, 0]
+        ee = offset.sample_times(times)[:, 0][:, None]
+        tab = np.stack([1.0 + (a + b * kk) * dt, b * ee * dt, c + d * kk, d * ee,
+                        (q + (2.0 * s + r * kk) * kk) * dt, 2.0 * (s + r * kk) * ee * dt,
+                        r * ee * ee * dt], axis=-1)
+        x = np.ones(reg.shape[1])
+        ref = np.zeros(reg.shape[1])
+        for k in range(reg.shape[0]):
+            row = tab[k][reg[k]]
+            ref += (row[:, 4] * x + row[:, 5]) * x + row[:, 6]
+            x = (row[:, 0] * x + row[:, 1]) + (row[:, 2] * x + row[:, 3]) * dw[k]
+        ref += np.array([1.0, 0.5])[reg_T] * x * x
+        assert np.array_equal(costs[0], ref)
 
 
 class TestOptimalityGap:
