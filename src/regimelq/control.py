@@ -155,8 +155,15 @@ def feedback_gain(solution: EsreSolution, spec: ProblemSpec) -> FeedbackGain:
     """Optimal feedback matrices on the solution grid.
 
     Raises NearSingular if ``R + D'P D`` fails the guarded inversion at any
-    sample and regime.
+    sample and regime, and StructuralError for random (lattice)
+    coefficients: their optimal gain differs from node to node, which one
+    gain per (time, regime) cannot hold.
     """
+    if spec.has_random_coefficients:
+        raise StructuralError(
+            "feedback gains need deterministic coefficients: with random "
+            "(tree) coefficients the optimal gain differs per lattice node"
+        )
     grid = solution.grid
     m, sigma = _gain_blocks(solution.P, solution.Lambda, *(
         spec.coefficient(name).sample_times(grid) for name in ("B", "C", "D", "S", "R")))

@@ -59,6 +59,12 @@ Backends
     driver is evaluated at the conditional expectation of the child values
     and at the martingale increment ``Z = (V_up - V_down) / (2 sqrt(dt))``.
     Handles coefficients that are functions of the lattice Brownian level.
+    The linear initial iterate is solved directly, one ell x ell inverse
+    per level: ``p_k = (I - dt W_k)^{-1} (pm + dt drift(pm, Z))``, with
+    ``W_k`` the rescaled coupling weights.  This needs
+    ``tree_depth > T rho(W)`` (``rho`` the spectral radius of the
+    generator's off-diagonal part), else :class:`StructuralError`;
+    ``picard_tol`` and ``picard_max_iter`` do not apply to this iterate.
 
 :func:`direct_coupled_oracle` integrates the full coupled system in one go
 (no freezing, original coordinates) and serves as an independent
@@ -675,36 +681,21 @@ class _TreeEngine:
         self.tree = BinomialTree(depth, spec.T)
         self.tilde = tilde_transform(spec)
         self.qdiag = np.diag(spec.q)
-        ell = spec.ell
         self.scale = np.exp(np.multiply.outer(self.tree.times, self.qdiag))
         self.W = self.tilde.coupling_weights(self.tree.times)
-        # per-level coefficient arrays, broadcastable against (k+1, ell, ., .)
-        self.coef = {
-            name: [self._level_values(name, k) for k in range(depth + 1)]
-            for name in ("A", "B", "C", "D", "Q", "S", "R")
-        }
+        self.coef = {name: self._levels(spec.coefficient(name))
+                     for name in ("A", "B", "C", "D", "Q", "S", "R")}
         self.has_C = not spec.C.is_zero()
         self.has_D = (not spec.D.is_zero()) or options.force_general_d
         self.has_S = not spec.S.is_zero()
-        self.Gt = self._terminal()
+        g = spec.G.levels[-1] if spec.G.is_random else spec.G.values
+        self.Gt = (np.broadcast_to(g, (depth + 1,) + g.shape[-3:])
+                   * self.scale[depth][None, :, None, None])
 
-    def _level_values(self, name: str, k: int) -> np.ndarray:
-        f = self.spec.coefficient(name)
-        t = self.tree.times[k]
-        if f.is_random:
-            return f.levels[k]
-        vals = np.stack([f.eval(t, i) for i in range(1, self.spec.ell + 1)])
-        return vals[None]        # broadcast over the k+1 nodes
-
-    def _terminal(self) -> np.ndarray:
-        depth, ell = self.tree.depth, self.spec.ell
-        g = self.spec.G
-        out = np.empty((depth + 1, ell, self.spec.n, self.spec.n))
-        for j in range(depth + 1):
-            node = (depth, j) if g.is_random else None
-            for i in range(1, ell + 1):
-                out[j, i - 1] = g.eval(self.spec.T, i, node)
-        return out * self.scale[depth][None, :, None, None]
+    def _levels(self, f):
+        """Per-level values of a coefficient, level k broadcastable against
+        (k+1, ell, ., .): a random field's own levels, else one sample."""
+        return f.levels if f.is_random else f.sample_times(self.tree.times)[:, None]
 
     def _drift(self, k: int, pm: np.ndarray, z: np.ndarray, src: np.ndarray,
                include_h: bool) -> np.ndarray:
@@ -740,10 +731,11 @@ class _TreeEngine:
             out = out - np.swapaxes(m, -1, -2) @ (sigma_inv @ m)
         return _sym(out)
 
-    def _sweep(self, source_levels, include_h: bool, project: bool) -> TreeIterate:
-        """One backward induction with a frozen coupling source."""
+    def _sweep(self, level_step) -> TreeIterate:
+        """One backward induction from the terminal level; ``level_step(k,
+        pm, z)`` gives level k from the conditional mean ``pm`` of the
+        children and the martingale increment ``z``."""
         depth = self.tree.depth
-        dt = self.tree.dt
         levels = [None] * (depth + 1)
         lam_levels = [None] * (depth + 1)
         levels[depth] = self.Gt.copy()
@@ -753,45 +745,35 @@ class _TreeEngine:
             up, down = child[1:], child[:-1]
             pm = 0.5 * (up + down)
             z = _sym((up - down) / (2.0 * self.tree.sqrt_dt))
-            p = pm + dt * self._drift(k, pm, z, source_levels[k], include_h)
-            p = _sym(p)
-            if project:
-                p = matcore.project_psd(p, self.options.psd_tol)
-            levels[k] = p
+            levels[k] = level_step(k, pm, z)
             lam_levels[k] = z
         return TreeIterate(self.tree, tuple(levels), tuple(lam_levels))
 
-    def _coupling_source(self, prev_levels) -> list:
-        return [
-            np.einsum("ij,njab->niab", self.W[k], prev_levels[k])
-            for k in range(self.tree.depth + 1)
-        ]
-
     def solve_p0(self) -> TreeIterate:
-        """Linear initial iterate; the live regime coupling is resolved by
-        an outer fixed point that freezes it and re-solves (a contraction,
-        so a handful of passes suffice)."""
-        opts = self.options
-        zero = [np.zeros((k + 1, self.spec.ell, self.spec.n, self.spec.n))
-                for k in range(self.tree.depth + 1)]
-        prev = self._sweep(zero, include_h=False, project=False)
-        history = []
-        for _ in range(opts.picard_max_iter):
-            cur = self._sweep(self._coupling_source(prev.levels),
-                              include_h=False, project=False)
-            res = _tree_residual(cur.levels, prev.levels)
-            history.append(res)
-            prev = cur
-            if res <= opts.picard_tol:
-                return prev
-        raise NoConvergence(
-            "inner fixed point of the linear initial iterate did not converge",
-            residual_history=history,
-        )
+        """Linear initial iterate with the live regime coupling.  Level k
+        solves ``p = pm + dt (drift(pm, z) + W_k p)``, which is linear
+        across regimes: ``p = (I - dt W_k)^{-1} (pm + dt drift(pm, z))``.
+        ``W_k`` is similar to the generator's off-diagonal part, so the
+        inverse exists and is nonnegative exactly when ``dt rho(W) < 1``."""
+        tree = self.tree
+        rho = float(np.max(np.abs(np.linalg.eigvals(self.W[0]))))
+        if tree.dt * rho >= 1.0:
+            raise StructuralError(
+                f"tree_depth {tree.depth} is too coarse for the regime coupling: "
+                f"dt*rho(W) = {tree.dt * rho:.6g} >= 1; the linear initial iterate "
+                f"needs tree_depth > T*rho(W) = {tree.T * rho:.6g}, "
+                f"i.e. tree_depth >= {int(np.floor(tree.T * rho)) + 1}"
+            )
+        inv = np.linalg.inv(np.eye(self.spec.ell) - tree.dt * self.W[:-1])
+        return self._sweep(lambda k, pm, z: np.einsum(
+            "ij,njab->niab", inv[k], pm + tree.dt * self._drift(k, pm, z, 0.0, False)))
 
     def picard_sweep(self, prev: TreeIterate) -> TreeIterate:
-        return self._sweep(self._coupling_source(prev.levels),
-                           include_h=True, project=True)
+        """Frozen-coupling sweep with the quadratic term and the PSD clip."""
+        src = [np.einsum("ij,njab->niab", self.W[k], lv) for k, lv in enumerate(prev.levels)]
+        return self._sweep(lambda k, pm, z: matcore.project_psd(
+            _sym(pm + self.tree.dt * self._drift(k, pm, z, src[k], True)),
+            self.options.psd_tol))
 
 
 def _tree_residual(levels_a, levels_b) -> float:
@@ -865,6 +847,8 @@ def solve_esre(spec: ProblemSpec, options: SolverOptions = None, **overrides) ->
         If the definiteness assumptions fail (the report is attached).
     NoConvergence
         After ``picard_max_iter`` sweeps; partial residual history attached.
+    StructuralError
+        On the tree backend, when ``tree_depth <= T rho(W)``.
     NearSingular, PsdViolation
         Propagated from the backward stepping guards.
     """
@@ -943,11 +927,7 @@ def _solve_tree(spec, options, smallness, smallness_ok) -> EsreSolution:
         p_levels.append(prev.levels[k] * f)
         lam_levels.append(prev.lam_levels[k] * f)
     # terminal condition exact by assignment (the exp round trip is 1 ulp off)
-    g = spec.G
-    for j in range(tree.depth + 1):
-        node = (tree.depth, j) if g.is_random else None
-        for i in range(1, spec.ell + 1):
-            p_levels[tree.depth][j, i - 1] = g.eval(spec.T, i, node)
+    p_levels[tree.depth][...] = spec.G.levels[-1] if spec.G.is_random else spec.G.values
     for lv in p_levels:
         _require_psd(lv, options.psd_tol)
 

@@ -5,11 +5,11 @@ All matrices handled here are small (n <= 16) dense ``numpy`` arrays.  A
 *exactly* symmetric; :func:`make_symmetric` is the validating constructor
 that turns raw data into one.  Spectral queries (:func:`min_eigenvalue`),
 Loewner-order comparisons (:func:`loewner_leq`) and guarded inversion
-(:func:`sym_inverse`) all operate on such arrays.  :func:`symmetrize`,
-:func:`sym_inverse` and :func:`project_psd` also take a stack of matrices
-(any leading axes, the matrices on the last two) and treat each member
-as its own matrix, so the solver calls them once per time step or
-lattice level rather than once per regime.
+(:func:`sym_inverse`) all operate on such arrays.  :func:`make_symmetric`,
+:func:`symmetrize`, :func:`sym_inverse` and :func:`project_psd` also take a
+stack of matrices (any leading axes, the matrices on the last two) and
+treat each member as its own matrix, so the solver calls them once per
+time step or lattice level rather than once per regime.
 
 Every product that is symmetric in exact arithmetic is explicitly
 re-symmetrized after computation; this keeps roundoff from accumulating into
@@ -36,13 +36,14 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def make_symmetric(raw, asym_tol: float = DEFAULT_ASYM_TOL) -> np.ndarray:
-    """Validate and symmetrize a raw square matrix.
+    """Validate and symmetrize a raw square matrix or a stack of them.
 
     Parameters
     ----------
-    raw : array_like, shape (n, n)
+    raw : array_like, shape (..., n, n)
     asym_tol : float
-        Largest tolerated entrywise deviation ``max|raw - raw^T|``.
+        Largest tolerated entrywise deviation ``max|raw - raw^T|`` over
+        every member.
 
     Returns
     -------
@@ -52,14 +53,14 @@ def make_symmetric(raw, asym_tol: float = DEFAULT_ASYM_TOL) -> np.ndarray:
     Raises
     ------
     DimensionMismatch
-        If ``raw`` is not square.
+        If the last two axes of ``raw`` are not square.
     AsymmetryExceeded
-        If the asymmetry is larger than ``asym_tol``.
+        If the asymmetry of any member is larger than ``asym_tol``.
     """
     m = np.asarray(raw, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimensionMismatch(f"expected square matrices, got shape {m.shape}")
+    asym = float(np.max(np.abs(m - np.swapaxes(m, -1, -2)))) if m.size else 0.0
     if asym > asym_tol:
         raise AsymmetryExceeded(
             f"max|M - M^T| = {asym:.3e} exceeds tolerance {asym_tol:.3e}"

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .errors import NearSingular, OutOfRange, StructuralError
+from .errors import OutOfRange, StructuralError
 from .regime_chain import Generator, validate_generator
 
 COEFFICIENT_NAMES = ("A", "B", "C", "D", "Q", "S", "R")
@@ -247,6 +247,10 @@ class ProblemSpec:
             setattr(self, name, _as_field(getattr(self, name), ell, shape, name))
         for name in SYMMETRIC_COEFFICIENTS:
             self._symmetrize_field(name)
+        depths = {f.depth for f in map(self.coefficient, COEFFICIENT_NAMES + ("G",))
+                  if f.is_random}
+        if len(depths) > 1:
+            raise StructuralError(f"tree fields disagree on the lattice depth: {sorted(depths)}")
         for name in COEFFICIENT_NAMES:
             f = getattr(self, name)
             if f.kind == "time_table" and f.times[-1] > self.T:
@@ -262,19 +266,9 @@ class ProblemSpec:
         f = getattr(self, name)
         try:
             if f.kind == "tree_table":
-                levels = tuple(
-                    np.stack([
-                        np.stack([matcore.make_symmetric(lv[j, i]) for i in range(f.ell)])
-                        for j in range(lv.shape[0])
-                    ])
-                    for lv in f.levels
-                )
-                f.levels = levels
+                f.levels = tuple(matcore.make_symmetric(lv) for lv in f.levels)
             else:
-                flat = f.values.reshape((-1,) + f.shape)
-                f.values = np.stack([matcore.make_symmetric(v) for v in flat]).reshape(
-                    f.values.shape
-                )
+                f.values = matcore.make_symmetric(f.values)
         except Exception as exc:
             raise StructuralError(f"{name} must be symmetric per regime: {exc}") from exc
 
@@ -312,61 +306,68 @@ class ValidationReport:
         assert self.passed == (len(self.violations) == 0)
 
 
-def _check_points(spec: ProblemSpec):
-    """(where, time, node) triples covering every distinct coefficient value."""
-    fields = [spec.Q, spec.S, spec.R]
-    if any(f.is_random for f in fields):
-        depth = next(f.depth for f in fields if f.is_random)
-        dt = spec.T / depth
-        return [
-            ((k, j), k * dt, (k, j))
-            for k in range(depth + 1)
-            for j in range(k + 1)
-        ]
+def _check_points(spec: ProblemSpec, fields):
+    """``(times, t_right, nodes)`` of the points covering every distinct
+    value of ``fields``.
+
+    With a random field among them the points are the lattice nodes in
+    level order and ``nodes`` holds their (level, up-moves) pairs, shape
+    (K, 2); otherwise they are the sorted union of 0, T and the table
+    sample times, and ``nodes`` is None.  ``t_right`` is the right end of
+    each point's interval: the next level or sample time, T for the last.
+    """
+    depths = [f.depth for f in fields if f.is_random]
+    if depths:
+        dt = spec.T / depths[0]
+        level = np.repeat(np.arange(depths[0] + 1), np.arange(1, depths[0] + 2))
+        up = np.arange(level.size) - level * (level + 1) // 2
+        return level * dt, np.minimum((level + 1) * dt, spec.T), np.stack([level, up], 1)
     times = {0.0, spec.T}
     for f in fields:
         if f.kind == "time_table":
             times.update(float(t) for t in f.times)
-    return [(t, t, None) for t in sorted(times)]
+    times = np.array(sorted(times))
+    return times, np.append(times[1:], spec.T), None
+
+
+def _stack(f: CoefficientField, times: np.ndarray) -> np.ndarray:
+    """Values of ``f`` at every check point and regime, (K, ell, r, c);
+    a random field's nodes are already the check points in level order."""
+    return np.concatenate(f.levels) if f.is_random else f.sample_times(times)
 
 
 def validate_assumptions(spec: ProblemSpec, tol: float = 1e-9) -> ValidationReport:
     """Check the definiteness assumptions at every sample point and regime.
 
-    Collects all failures instead of stopping at the first; structural
-    problems (handled at construction) are not re-checked here.
+    Collects all failures instead of stopping at the first, regime by
+    regime and point by point; structural problems (handled at
+    construction) are not re-checked here.  Where R is exactly singular
+    the Schur complement check fails with margin ``-inf``.
     """
-    violations = []
-    points = _check_points(spec)
-    for i in range(1, spec.ell + 1):
-        for where, t, node in points:
-            r = spec.R.eval(t, i, node=node)
-            s = spec.S.eval(t, i, node=node)
-            q = spec.Q.eval(t, i, node=node)
-            lo = matcore.min_eigenvalue(r - spec.delta * np.eye(spec.m))
-            if lo < -tol:
-                violations.append(Violation("R_lower", i, where, lo))
-            try:
-                rinv_s = np.linalg.solve(r, s)
-                schur = matcore.symmetrize(q - s.T @ rinv_s)
-                lo = matcore.min_eigenvalue(schur)
-                if lo < -tol:
-                    violations.append(Violation("Q_schur", i, where, lo))
-            except np.linalg.LinAlgError:
-                violations.append(Violation("Q_schur", i, where, -np.inf))
-    # terminal weight
-    if spec.G.is_random:
-        depth = spec.G.depth
-        for i in range(1, spec.ell + 1):
-            for j in range(depth + 1):
-                lo = matcore.min_eigenvalue(spec.G.eval(spec.T, i, node=(depth, j)))
-                if lo < -tol:
-                    violations.append(Violation("G_psd", i, (depth, j), lo))
-    else:
-        for i in range(1, spec.ell + 1):
-            lo = matcore.min_eigenvalue(spec.G.eval(spec.T, i))
-            if lo < -tol:
-                violations.append(Violation("G_psd", i, spec.T, lo))
+    times, _, nodes = _check_points(spec, (spec.Q, spec.S, spec.R))
+    r, s, q = (_stack(f, times) for f in (spec.R, spec.S, spec.Q))
+    eye = np.eye(spec.m)
+    r_lower = np.linalg.eigvalsh(r - spec.delta * eye)[..., 0]
+    # a zero pivot in the LU factorization is what makes solve() fail
+    singular = np.linalg.slogdet(r)[0] == 0.0
+    rinv_s = np.linalg.solve(np.where(singular[..., None, None], eye, r), s)
+    schur = matcore.symmetrize(q - s.mT @ rinv_s)
+    q_schur = np.where(singular, -np.inf, np.linalg.eigvalsh(schur)[..., 0])
+    margins = np.stack([r_lower.T, q_schur.T], axis=-1)       # (ell, K, 2)
+    violations = [
+        Violation(("R_lower", "Q_schur")[c], int(i) + 1,
+                  float(times[p]) if nodes is None else tuple(map(int, nodes[p])),
+                  float(margins[i, p, c]))
+        for i, p, c in np.argwhere(margins < -tol)
+    ]
+    g = spec.G.levels[-1] if spec.G.is_random else spec.G.values[None]
+    g_min = np.linalg.eigvalsh(g)[..., 0].T                   # (ell, J)
+    violations += [
+        Violation("G_psd", int(i) + 1,
+                  (spec.G.depth, int(j)) if spec.G.is_random else spec.T,
+                  float(g_min[i, j]))
+        for i, j in np.argwhere(g_min < -tol)
+    ]
     return ValidationReport(passed=not violations, violations=tuple(violations))
 
 
@@ -380,44 +381,20 @@ def check_smallness(spec: ProblemSpec) -> float:
     piecewise-constant interval the supremum sits at the right endpoint;
     the scan below is exact for constant and table coefficients.  Callers
     compare the value against a configured threshold: it is a solvability
-    indicator, not a hard gate.  Identically zero D gives 0.
+    indicator, not a hard gate.  Identically zero D gives 0, and R is only
+    inverted where D is nonzero.
     """
-    qdiag = np.diag(spec.q)
-    worst = 0.0
-    if spec.D.is_random or spec.R.is_random:
-        depth = spec.D.depth if spec.D.is_random else spec.R.depth
-        dt = spec.T / depth
-        for i in range(1, spec.ell + 1):
-            for k in range(depth + 1):
-                t_right = min((k + 1) * dt, spec.T)
-                for j in range(k + 1):
-                    d = spec.D.eval(k * dt, i, node=(k, j))
-                    if not d.any():
-                        continue
-                    r = spec.R.eval(k * dt, i, node=(k, j))
-                    val = _drr(d, r) * np.exp(-qdiag[i - 1] * t_right)
-                    worst = max(worst, val)
-        return worst
-    times = {0.0, spec.T}
-    for f in (spec.D, spec.R):
-        if f.kind == "time_table":
-            times.update(float(t) for t in f.times)
-    times = sorted(times)
-    for i in range(1, spec.ell + 1):
-        for k, t in enumerate(times):
-            d = spec.D.eval(t, i)
-            if not d.any():
-                continue
-            r = spec.R.eval(t, i)
-            t_right = times[k + 1] if k + 1 < len(times) else spec.T
-            worst = max(worst, _drr(d, r) * np.exp(-qdiag[i - 1] * t_right))
-    return worst
-
-
-def _drr(d: np.ndarray, r: np.ndarray) -> float:
-    """|D R^{-1} D'|_F with a guarded inverse."""
-    rinv = matcore.sym_inverse(r)
-    return float(np.linalg.norm(d @ rinv @ d.T))
+    times, t_right, _ = _check_points(spec, (spec.D, spec.R))
+    d = _stack(spec.D, times)
+    live = d.any(axis=(-2, -1))                               # (K, ell)
+    if not live.any():
+        return 0.0
+    d = d[live]
+    drr = (d @ matcore.sym_inverse(_stack(spec.R, times)[live]) @ d.mT).reshape(len(d), -1)
+    decay = np.exp(-np.diag(spec.q)[None, :] * t_right[:, None])[live]
+    # the Frobenius norm as the dot product that np.linalg.norm takes on a
+    # single matrix; its axis= form sums in another order
+    return float(np.max(np.sqrt(np.vecdot(drr, drr)) * decay))
 
 
 # --- exponential rescaling ---------------------------------------------------

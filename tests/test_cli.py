@@ -1,6 +1,9 @@
 """Configuration parsing, artifact persistence and command exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -365,6 +368,27 @@ class TestMain:
         bad = write_cfg(tmp_path, E1_YAML.replace("x0: [1.0]", "x0: [null]"), "x0.yaml")
         assert main(["validate", "--config", str(bad)]) == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: problem.x0")
+
+    def test_tree_too_coarse_for_coupling_maps_to_one(self, tmp_path, capsys):
+        text = E1_YAML.replace("generator: [[-1.0, 1.0], [1.0, -1.0]]",
+                               "generator: [[-8.0, 8.0], [8.0, -8.0]]")
+        cfg = write_cfg(tmp_path, text + "solver: {backend: tree, tree_depth: 8}\n")
+        assert main(["solve", "--config", str(cfg), "--output", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert err.startswith("error: tree_depth 8 is too coarse")
+        assert "tree_depth >= 9" in err
+
+    def test_python_dash_m_runs_the_cli(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "regimelq", "validate",
+             "--config", "demos/configs/e1_scalar.yaml"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stdout.startswith("assumptions: PASS")
 
     def test_missing_artifacts_map_to_four(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_RUN)

@@ -29,6 +29,7 @@ from regimelq.regime_chain import path_substream
 from conftest import make_e1, random_spec, scalar_spec
 
 MATRIX_DEMO = Path(__file__).resolve().parent.parent / "demos/configs/matrix_two_regime.yaml"
+TREE_DEMO = MATRIX_DEMO.with_name("tree_random_q.yaml")
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +65,21 @@ class TestFeedbackGain:
                 r = e1.R.eval(grid[k], i)
                 reduced = -np.linalg.solve(r, b.T @ e1_solution.P[k, i - 1] + s)
                 assert np.max(np.abs(gains.gains[k, i - 1] - reduced)) <= 1e-14
+
+    def test_refuses_random_tree_coefficients(self):
+        # only Q is random here, so every field samples on the grid; the
+        # node-mean P spreads across the nodes and gives no optimal gain
+        cfg = parse_config(TREE_DEMO)
+        sol = solve_esre(cfg.problem, cfg.solver)
+        with pytest.raises(StructuralError, match="per lattice node"):
+            feedback_gain(sol, cfg.problem)
+
+    def test_deterministic_tree_solution_gives_gains(self, e1):
+        sol = solve_esre(e1, SolverOptions(backend="tree", tree_depth=8))
+        gains = feedback_gain(sol, e1)
+        assert gains.gains.shape == (9, 2, 1, 1)
+        # B = R = 1, D = S = 0: K = -P
+        assert np.max(np.abs(gains.gains + sol.P)) <= 1e-15
 
     @pytest.mark.parametrize("problem", ["matrix-demo", "family-101", "family-303"])
     def test_matches_written_out_expression(self, problem):

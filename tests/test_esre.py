@@ -13,9 +13,12 @@ Reference values used here:
   by an independent fine-grid integrator in ``_asym_oracle``.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from regimelq.config import parse_config
 from regimelq.errors import (
     NoConvergence,
     PsdViolation,
@@ -37,14 +40,75 @@ from regimelq.esre import (
     theta_hat,
 )
 from regimelq.matcore import min_eigenvalue, symmetrize
-from regimelq.model import tilde_transform, untilde_solution
+from regimelq.model import CoefficientField, ProblemSpec, tilde_transform, untilde_solution
 from conftest import FAMILY_SEEDS, make_e1, random_spec, scalar_spec
 
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 E1_VALUE = 0.5
 ASYM_P0_AT_0 = ((3.0 + (1.0 - np.exp(-2.0)) / 2.0) / 2.0,
                 (3.0 - (1.0 - np.exp(-2.0)) / 2.0) / 2.0)
 # frozen from the independent integrator below (dt = 1e-4, RK4-converged)
 ASYM_FULL_AT_0 = (0.897489, 0.626213)
+
+
+def _inner_fixed_point_p0(spec, depth, tol=1e-13, max_iter=200):
+    """Reference for the tree's linear initial iterate, as a nested fixed
+    point: freeze the cross-regime coupling at the previous pass, re-solve
+    the whole lattice backward with the linear driver, repeat until
+    consecutive passes agree.  Coefficients are read node by node through
+    ``eval``; values are in rescaled coordinates."""
+    tree = BinomialTree(depth, spec.T)
+    tilde = tilde_transform(spec)
+    w = tilde.coupling_weights(tree.times)
+
+    def nodes(fn, k):
+        return np.array([[fn(tree.times[k], i, (k, j)) for i in range(1, spec.ell + 1)]
+                         for j in range(k + 1)])
+
+    a = [nodes(spec.A.eval, k) for k in range(depth)]
+    c = [nodes(spec.C.eval, k) for k in range(depth)]
+    qt = [nodes(tilde.q_tilde, k) for k in range(depth)]
+    gt = nodes(lambda t, i, node: tilde.g_tilde(i, node), depth)
+
+    def sweep(src):
+        levels = [None] * depth + [gt]
+        for k in range(depth - 1, -1, -1):
+            up, down = levels[k + 1][1:], levels[k + 1][:-1]
+            pm = 0.5 * (up + down)
+            z = symmetrize((up - down) / (2.0 * tree.sqrt_dt))
+            drift = (pm @ a[k] + a[k].mT @ pm + c[k].mT @ pm @ c[k]
+                     + z @ c[k] + c[k].mT @ z + qt[k] + src[k])
+            levels[k] = pm + tree.dt * symmetrize(drift)
+        return levels
+
+    prev = sweep([0.0] * depth)
+    for _ in range(max_iter):
+        cur = sweep([np.einsum("ij,njab->niab", w[k], prev[k]) for k in range(depth)])
+        res = max(float(np.max(np.abs(x - y))) for x, y in zip(cur, prev))
+        prev = cur
+        if res <= tol:
+            return cur
+    raise AssertionError("reference fixed point did not settle")
+
+
+def _random_q_spec(depth):
+    """n = 2, three regimes, nonzero A and C, state weight driven by the
+    lattice Brownian level."""
+    rng = np.random.default_rng(17)
+    ell, n = 3, 2
+    q = rng.uniform(0.3, 1.2, (ell, ell))
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    base = [0.2 * np.eye(n) + m @ m.T for m in 0.5 * rng.standard_normal((ell, n, n))]
+    qf = CoefficientField.from_tree_function(
+        lambda t, w, i: base[i - 1] * (1.0 + 0.5 * np.tanh(w)), depth, 1.0, ell, (n, n))
+    return ProblemSpec(
+        n=n, m=1, ell=ell, T=1.0, generator=q,
+        A=0.4 * rng.standard_normal((ell, n, n)), B=rng.standard_normal((ell, n, 1)),
+        C=0.3 * rng.standard_normal((ell, n, n)), D=np.zeros((ell, n, 1)),
+        Q=qf, S=np.zeros((ell, 1, n)), R=np.ones((ell, 1, 1)),
+        G=np.stack([np.eye(n)] * ell), delta=0.5,
+    )
 
 
 def _p1_closed_form() -> float:
@@ -289,11 +353,27 @@ class TestSolveP0:
             it0 = solve_p0(spec, SolverOptions(grid_steps=200))
             assert float(np.min(np.linalg.eigvalsh(it0.values))) >= -1e-10
 
-    def test_tree_inner_fixed_point_can_exhaust_iterations(self, e1):
-        with pytest.raises(NoConvergence) as err:
-            solve_p0(e1, SolverOptions(backend="tree", tree_depth=8,
-                                       picard_max_iter=1))
-        assert len(err.value.residual_history) == 1
+    @pytest.mark.parametrize("case", ["e1", "tree-random-q", "random-q-n2"])
+    def test_tree_direct_matches_inner_fixed_point(self, case):
+        if case == "e1":
+            spec, opts = make_e1(), SolverOptions(backend="tree", tree_depth=8)
+        elif case == "tree-random-q":
+            cfg = parse_config(CONFIGS / "tree_random_q.yaml")
+            spec, opts = cfg.problem, cfg.solver
+        else:
+            spec, opts = _random_q_spec(10), SolverOptions(backend="tree", tree_depth=10)
+        it0 = solve_p0(spec, opts)
+        ref = _inner_fixed_point_p0(spec, opts.tree_depth)
+        assert max(float(np.max(np.abs(a - b))) for a, b in zip(it0.levels, ref)) <= 1e-10
+
+    @pytest.mark.parametrize("rate, need", [(8.0, 9), (40.0, 41)])
+    def test_tree_too_coarse_for_coupling(self, rate, need):
+        spec = make_e1(generator=[[-rate, rate], [rate, -rate]])
+        with pytest.raises(StructuralError, match=rf"tree_depth >= {need}\b") as err:
+            solve_p0(spec, SolverOptions(backend="tree", tree_depth=8))
+        assert "dt*rho(W)" in str(err.value)
+        it0 = solve_p0(spec, SolverOptions(backend="tree", tree_depth=need))
+        assert all(float(lv.min()) > 0.0 for lv in it0.levels)
 
 
 # ---------------------------------------------------------------------------

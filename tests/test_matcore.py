@@ -34,6 +34,26 @@ class TestMakeSymmetric:
         with pytest.raises(DimensionMismatch):
             make_symmetric(np.zeros((2, 3)))
 
+    def test_stack_matches_members(self):
+        rng = np.random.default_rng(1)
+        m = rng.standard_normal((4, 3, 2, 2))
+        m = m + np.swapaxes(m, -1, -2) + 1e-13 * rng.standard_normal(m.shape)
+        out = make_symmetric(m, asym_tol=1e-12)
+        assert out.shape == m.shape
+        for idx in np.ndindex(4, 3):
+            assert np.array_equal(out[idx], make_symmetric(m[idx], asym_tol=1e-12))
+
+    def test_stack_rejects_one_asymmetric_member(self):
+        m = np.stack([np.eye(2)] * 5)
+        m[3, 0, 1] = 0.5
+        with pytest.raises(AsymmetryExceeded):
+            make_symmetric(m, asym_tol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 3), (2, 2, 3, 2), (4,)])
+    def test_stack_non_square_rejected(self, shape):
+        with pytest.raises(DimensionMismatch):
+            make_symmetric(np.zeros(shape))
+
 
 class TestMinEigenvalue:
     def test_identity(self):

@@ -5,15 +5,93 @@ import numpy as np
 import pytest
 
 from regimelq.errors import OutOfRange, StructuralError
+from regimelq.matcore import min_eigenvalue, sym_inverse, symmetrize
 from regimelq.model import (
     CoefficientField,
     ProblemSpec,
+    ValidationReport,
+    Violation,
     check_smallness,
     tilde_transform,
     untilde_solution,
     validate_assumptions,
 )
 from conftest import make_e1, scalar_spec
+
+
+def _points(spec, fields):
+    """(where, time, node) of every check point: the lattice nodes in
+    level order when a field is random, else 0, T and the table times."""
+    if any(f.is_random for f in fields):
+        depth = next(f.depth for f in fields if f.is_random)
+        dt = spec.T / depth
+        return [((k, j), k * dt, (k, j)) for k in range(depth + 1) for j in range(k + 1)]
+    times = {0.0, spec.T}
+    for f in fields:
+        if f.kind == "time_table":
+            times.update(float(t) for t in f.times)
+    return [(t, t, None) for t in sorted(times)]
+
+
+def _validate_by_point(spec, tol=1e-9):
+    """The definiteness checks as one loop over regimes and check points,
+    one ``eval`` per coefficient, point and regime (the reference)."""
+    violations = []
+    for i in range(1, spec.ell + 1):
+        for where, t, node in _points(spec, (spec.Q, spec.S, spec.R)):
+            r, s, q = (f.eval(t, i, node=node) for f in (spec.R, spec.S, spec.Q))
+            lo = min_eigenvalue(r - spec.delta * np.eye(spec.m))
+            if lo < -tol:
+                violations.append(Violation("R_lower", i, where, lo))
+            try:
+                lo = min_eigenvalue(symmetrize(q - s.T @ np.linalg.solve(r, s)))
+                if lo < -tol:
+                    violations.append(Violation("Q_schur", i, where, lo))
+            except np.linalg.LinAlgError:
+                violations.append(Violation("Q_schur", i, where, -np.inf))
+    leaves = ([(spec.G.depth, j) for j in range(spec.G.depth + 1)]
+              if spec.G.is_random else [None])
+    for i in range(1, spec.ell + 1):
+        for node in leaves:
+            lo = min_eigenvalue(spec.G.eval(spec.T, i, node=node))
+            if lo < -tol:
+                violations.append(Violation("G_psd", i, spec.T if node is None else node, lo))
+    return ValidationReport(passed=not violations, violations=tuple(violations))
+
+
+def _smallness_by_point(spec):
+    """check_smallness as one loop over regimes and check points."""
+    qdiag = np.diag(spec.q)
+    points = _points(spec, (spec.D, spec.R))
+    worst = 0.0
+    for i in range(1, spec.ell + 1):
+        for p, (where, t, node) in enumerate(points):
+            d = spec.D.eval(t, i, node=node)
+            if not d.any():
+                continue
+            r = spec.R.eval(t, i, node=node)
+            if node is None:
+                t_right = points[p + 1][1] if p + 1 < len(points) else spec.T
+            else:
+                t_right = min((node[0] + 1) * (spec.T / spec.D.depth), spec.T)
+            val = np.linalg.norm(d @ sym_inverse(r) @ d.T) * np.exp(-qdiag[i - 1] * t_right)
+            worst = max(worst, float(val))
+    return worst
+
+
+def _two_by_two_spec(depth=6, **fields):
+    """n = m = 2, three regimes; any coefficient may be overridden."""
+    rng = np.random.default_rng(3)
+    ell, n = 3, 2
+    q = rng.uniform(0.2, 1.0, (ell, ell))
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    coef = dict(A=np.zeros((ell, n, n)), B=np.ones((ell, n, n)), C=np.zeros((ell, n, n)),
+                D=np.zeros((ell, n, n)), Q=np.stack([np.eye(n)] * ell),
+                S=0.1 * rng.standard_normal((ell, n, n)), R=np.stack([np.eye(n)] * ell),
+                G=np.stack([np.eye(n)] * ell))
+    coef.update(fields)
+    return ProblemSpec(n=n, m=n, ell=ell, T=1.0, generator=q, delta=0.5, **coef)
 
 
 class TestCoefficientField:
@@ -85,6 +163,26 @@ class TestProblemSpec:
         with pytest.raises(StructuralError):
             scalar_spec(R=1.0, T=0.0)
 
+    def test_tree_fields_must_share_depth(self):
+        q4 = CoefficientField.from_tree_function(lambda t, w, i: [[1.0]], 4, 1.0, 2, (1, 1))
+        r5 = CoefficientField.from_tree_function(lambda t, w, i: [[1.0]], 5, 1.0, 2, (1, 1))
+        with pytest.raises(StructuralError, match="depth"):
+            ProblemSpec(n=1, m=1, ell=2, T=1.0, generator=[[-1.0, 1.0], [1.0, -1.0]],
+                        A=np.zeros((2, 1, 1)), B=np.ones((2, 1, 1)),
+                        C=np.zeros((2, 1, 1)), D=np.zeros((2, 1, 1)), Q=q4,
+                        S=np.zeros((2, 1, 1)), R=r5, G=np.ones((2, 1, 1)), delta=0.5)
+
+    def test_asymmetric_tree_node_rejected(self):
+        def q(t, w, i):
+            return [[1.0, 0.5 if (i == 2 and w > 1.0) else 0.0], [0.0, 1.0]]
+        qf = CoefficientField.from_tree_function(q, 3, 1.0, 2, (2, 2))
+        with pytest.raises(StructuralError, match="Q must be symmetric"):
+            ProblemSpec(n=2, m=1, ell=2, T=1.0, generator=[[-1.0, 1.0], [1.0, -1.0]],
+                        A=np.zeros((2, 2, 2)), B=np.ones((2, 2, 1)),
+                        C=np.zeros((2, 2, 2)), D=np.zeros((2, 2, 1)), Q=qf,
+                        S=np.zeros((2, 1, 2)), R=np.ones((2, 1, 1)),
+                        G=np.stack([np.eye(2)] * 2), delta=0.5)
+
     def test_shared_matrix_broadcasts_over_regimes(self):
         spec = make_e1()
         assert spec.B.eval(0.0, 1) == spec.B.eval(0.0, 2)
@@ -128,6 +226,50 @@ class TestValidateAssumptions:
         assert kinds == {"R_lower", "Q_schur", "G_psd"}
 
 
+    def test_tree_matches_point_loop(self):
+        # violations at some nodes only: Q and R move with the Brownian
+        # level, R also drops below delta on [0.5, T] in regime 2, G goes
+        # negative at the low leaves
+        depth, rot = 6, np.array([[1.0, 0.4], [0.4, 0.3]])
+        tree = lambda fn: CoefficientField.from_tree_function(fn, depth, 1.0, 3, (2, 2))
+        r_table = np.stack([np.stack([np.eye(2)] * 3)] * 2)
+        r_table[1, 1] = 0.2 * np.eye(2)
+        spec = _two_by_two_spec(
+            depth,
+            Q=tree(lambda t, w, i: np.eye(2) * (0.3 + w) + 0.1 * i * rot),
+            S=tree(lambda t, w, i: 0.2 * (1.0 + w) * rot),
+            R=CoefficientField.from_table([0.0, 0.5], r_table),
+            G=tree(lambda t, w, i: np.eye(2) * (0.5 + w) + 0.05 * i * rot))
+        report = validate_assumptions(spec)
+        kinds = {v.assumption for v in report.violations}
+        assert kinds == {"R_lower", "Q_schur", "G_psd"}
+        assert len(report.violations) < 2 * 3 * 28 + 3 * 7
+        assert report == _validate_by_point(spec)
+
+    def test_time_table_matches_point_loop(self):
+        q_table = np.stack([np.stack([np.eye(2)] * 3)] * 3)
+        q_table[1, 0] = np.diag([1.0, -0.2])
+        q_table[2, 2] = 0.01 * np.eye(2)
+        r_table = np.stack([np.stack([np.eye(2)] * 3)] * 2)
+        r_table[1, 1] = np.diag([2.0, 0.3])
+        spec = _two_by_two_spec(
+            Q=CoefficientField.from_table([0.0, 0.25, 0.75], q_table),
+            R=CoefficientField.from_table([0.0, 0.6], r_table),
+            G=np.stack([np.eye(2), np.diag([1.0, -0.1]), np.eye(2)]))
+        report = validate_assumptions(spec)
+        assert not report.passed
+        assert report == _validate_by_point(spec)
+
+    def test_singular_control_weight_fails_schur_at_that_point(self):
+        r_table = np.stack([np.stack([np.eye(2)] * 3)] * 3)
+        r_table[1, 1] = np.diag([1.0, 0.0])       # regime 2 on [0.5, 0.75) only
+        spec = _two_by_two_spec(R=CoefficientField.from_table([0.0, 0.5, 0.75], r_table))
+        report = validate_assumptions(spec)
+        assert report == _validate_by_point(spec)
+        schur = [v for v in report.violations if v.assumption == "Q_schur"]
+        assert schur == [Violation("Q_schur", 2, 0.5, -np.inf)]
+
+
 class TestCheckSmallness:
     def test_zero_control_noise_gives_zero(self):
         assert check_smallness(make_e1()) == 0.0
@@ -141,6 +283,28 @@ class TestCheckSmallness:
         spec = scalar_spec(D=1.0, R=1.0, G=1.0, delta=0.5,
                            generator=[[0.0, 0.0], [0.0, 0.0]])
         assert check_smallness(spec) == pytest.approx(1.0, rel=1e-12)
+
+    def test_random_noise_and_weight_match_point_loop(self):
+        depth = 7
+        tree = lambda fn: CoefficientField.from_tree_function(fn, depth, 1.0, 3, (2, 2))
+        rot = np.array([[0.3, -0.2], [0.5, 0.1]])
+        # D vanishes on the lower half of the lattice, so R is skipped there
+        spec = _two_by_two_spec(
+            depth,
+            D=tree(lambda t, w, i: 0.1 * i * max(w, 0.0) * rot),
+            R=tree(lambda t, w, i: np.eye(2) * (1.0 + 0.5 * np.tanh(w)) + 0.1 * i * rot @ rot.T))
+        value = check_smallness(spec)
+        assert value > 0.0
+        assert value == _smallness_by_point(spec)
+
+    def test_time_table_noise_matches_point_loop(self):
+        d_table = np.zeros((3, 3, 2, 2))
+        d_table[1, 0] = [[0.2, 0.0], [0.1, 0.3]]
+        d_table[2, 2] = [[0.0, 0.4], [0.0, 0.0]]
+        spec = _two_by_two_spec(D=CoefficientField.from_table([0.0, 0.4, 0.8], d_table))
+        value = check_smallness(spec)
+        assert value > 0.0
+        assert value == _smallness_by_point(spec)
 
     def test_invariant_under_joint_scaling(self):
         base = scalar_spec(D=1.0, R=2.0, G=1.0, delta=0.5)
