@@ -355,7 +355,7 @@ def _cmd_verify(config: RunConfig, paths, echo, seed) -> CommandResult:
     perturbations = sim.perturbations
     for k, pert in enumerate(perturbations):
         gap = optimality_gap(spec, solution, pert, sim.n_paths, sim.dt,
-                             use_seed, gains=gains)
+                             use_seed, gains=gains, x0=x0, i0=i0)
         not_below = gap.gap >= -3.0 * gap.std_error
         pred_tol = max(3.0 * gap.std_error,
                        0.02 * (1.0 + abs(gap.theoretical_gap)))

@@ -49,6 +49,10 @@ from .errors import ParseError, RangeError, UnknownKey
 from .esre import SolverOptions
 from .model import CoefficientField, ProblemSpec
 
+# libyaml's parser where PyYAML was built with it: the same constructors and
+# resolver as SafeLoader, several times faster on large node tables
+YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 _PROBLEM_KEYS = {
     "n", "m", "ell", "T", "delta", "generator", "x0", "i0",
     "A", "B", "C", "D", "Q", "S", "R", "G",
@@ -238,7 +242,7 @@ def parse_config(path) -> RunConfig:
     except OSError as exc:
         raise ParseError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ParseError(f"invalid YAML in {path}: {exc}") from exc
     if not isinstance(data, dict):

@@ -448,20 +448,24 @@ class GapEstimate:
 
 def optimality_gap(spec: ProblemSpec, solution: EsreSolution, perturbation,
                    n_paths: int, dt: float, seed: int,
-                   gains: FeedbackGain = None) -> GapEstimate:
+                   gains: FeedbackGain = None, x0=None, i0: int = None) -> GapEstimate:
     """Cost excess of ``u = K X + e`` over the plain feedback.
 
     Both policies run on the same noise and regime paths, and the standard
     error reported is that of the paired per-path differences.  The
     completed-square prediction integrates
     ``E <(R + D'P D)(t, a_t) e(t), e(t)>`` over the solution grid with the
-    regime distribution propagated exactly from the initial regime.
+    regime distribution propagated exactly from the initial regime.  The
+    paths start from ``x0`` and ``i0``, by default the spec's (``x0 = 0``
+    when the spec has none).
     """
     if gains is None:
         gains = feedback_gain(solution, spec)
     e = Perturbation.coerce(perturbation, spec.m)
-    x0 = spec.x0 if spec.x0 is not None else np.zeros(spec.n)
-    i0 = spec.i0
+    if x0 is None:
+        x0 = spec.x0 if spec.x0 is not None else np.zeros(spec.n)
+    if i0 is None:
+        i0 = spec.i0
     base = Policy(gains=gains)
     pert = Policy(gains=gains, offset=e)
     costs = _batch_costs(spec, [base, pert], x0, i0, n_paths, dt, seed)

@@ -34,17 +34,24 @@ iterates falls below ``picard_tol``.
 
 On the grid the sweeps run in lockstep (pipelined waveform relaxation).
 Sweep k+1 reads sweep k only at the grid times it steps across, so it can
-trail sweep k by a single step.  Its launch rule: sweep k+1 starts at
-t = T as soon as sweep k's running residual, the max so far of
-``|Ptilde_k - Ptilde_{k-1}|_F`` over the nodes it has reached, exceeds
-``picard_tol``; that is when the sweep-after-sweep loop is certain to run
-sweep k+1.  Launches stop at ``picard_max_iter``.  Each lockstep step
-then advances every live sweep by one RK4 step with one stacked rhs
-evaluation per stage and one PSD projection.  The iterates, residual
+trail sweep k by a single step.  Sweep k+1 is *needed* once sweep k's
+running residual, the max so far of ``|Ptilde_k - Ptilde_{k-1}|_F`` over
+the nodes it has reached, exceeds ``picard_tol``: the sweep-after-sweep
+loop is then certain to run it.  Near t = T consecutive iterates agree,
+so that certainty comes late; waiting for it would drain the pipeline
+and refill it several times per solve.  Instead a sweep is launched at
+t = T on every lockstep step while fewer than ``SPECULATIVE_SWEEPS``
+sweeps beyond the last needed one have been launched, and never past
+``picard_max_iter``.  Each lockstep step then advances every live sweep
+by one RK4 step with one stacked rhs evaluation per stage and one PSD
+projection.  A speculative sweep only adds work: the fixed point returns
+as soon as the oldest live sweep finishes within ``picard_tol``, and the
+sweeps behind it are discarded unread.  So the iterates, residual
 history and iteration count equal those of repeated :func:`picard_step`
 bit for bit, and errors surface in the same order: a failure in a
-trailing sweep is held until every earlier sweep has finished, and an
-error from an earlier sweep replaces it.
+trailing sweep is held until every earlier sweep has finished (and is
+dropped if one of them converges), and an error from an earlier sweep
+replaces it.
 
 Backends
 --------
@@ -366,6 +373,13 @@ def _sym(m):
     return 0.5 * (m + m.mT)
 
 
+# sweeps the grid pipeline may launch beyond the last one known to be
+# needed (see the module docstring): at 8 no sweep of e1 or of the frozen
+# random family (seeds 101, 303, 404) waits for its launch, and more would
+# only add discarded work
+SPECULATIVE_SWEEPS = 8
+
+
 class _GridEngine:
     """Sampled coefficients and backward sweeps for the ODE backend.
 
@@ -533,10 +547,16 @@ class _GridEngine:
         residuals = []
         iterates = [it0.values.copy()] if opts.keep_iterates else None
         held = None
+        certain = 1
         while True:
             newest = len(store) - 1
-            if (held is None and newest < opts.picard_max_iter
-                    and (newest == 0 or not live.res[-1] <= opts.picard_tol)):
+            # sweep j+1 is needed once sweep j's running residual exceeds
+            # picard_tol (live members are consecutive sweeps, oldest first)
+            for j, res in zip(live.sweep.tolist(), live.res.tolist()):
+                if j == certain and not res <= opts.picard_tol:
+                    certain += 1
+            if held is None and newest < min(certain + SPECULATIVE_SWEEPS,
+                                             opts.picard_max_iter):
                 store.append(np.empty((n_steps + 1, 2) + self.Gt.shape))
                 store[-1][n_steps, 0] = self.Gt
                 launch = _Members(np.array([newest + 1]), np.array([n_steps]),

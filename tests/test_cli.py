@@ -8,12 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
+from regimelq import config
 from regimelq.cli import main, read_solution_csv, run_command, write_solution_csv
 from regimelq.config import parse_config
+from regimelq.control import predicted_gap
 from regimelq.errors import ParseError, RangeError, UnknownKey
 from regimelq.esre import SolverOptions, solve_esre
 from regimelq.model import CoefficientField
+
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 E1_YAML = """\
 problem:
@@ -113,6 +118,32 @@ class TestParseConfig:
     def test_invalid_yaml(self, tmp_path):
         with pytest.raises(ParseError):
             parse_config(write_cfg(tmp_path, "problem: [unclosed"))
+
+    @pytest.mark.parametrize("text", [
+        "a: [1, 2\n",
+        "a: b: c\n",
+        "problem:\n\tn: 1\n",
+    ], ids=["unclosed-flow", "nested-mapping", "tab-indent"])
+    def test_malformed_yaml_raises_parse_error(self, tmp_path, text):
+        with pytest.raises(ParseError, match="invalid YAML"):
+            parse_config(write_cfg(tmp_path, text))
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.yaml")))
+    def test_bundled_configs_parse_equal_under_both_loaders(self, name):
+        text = (CONFIGS / name).read_text()
+
+        def typed(x):
+            # equality that also tells 1 from 1.0 and True from 1
+            if isinstance(x, dict):
+                return {k: typed(v) for k, v in x.items()}
+            if isinstance(x, list):
+                return [typed(v) for v in x]
+            return type(x), x
+
+        pure = yaml.load(text, Loader=yaml.SafeLoader)
+        assert typed(yaml.load(text, Loader=config.YAML_LOADER)) == typed(pure)
+        if yaml.__with_libyaml__:
+            assert config.YAML_LOADER is yaml.CSafeLoader
 
     @pytest.mark.parametrize("patch, err", [
         ("simulate: {n_paths: 1}", RangeError),
@@ -282,6 +313,24 @@ class TestCommands:
         res = run_command("verify", cfg, output_dir=tmp_path)
         assert res.exit_code == 0
         assert "result: PASS" in (tmp_path / "r.txt").read_text()
+
+    def test_verify_gap_starts_from_simulate_regime(self, tmp_path):
+        # R differs by regime, so the predicted gap depends on the initial
+        # regime; verify's value match starts from simulate.i0, and so
+        # must its optimality gaps
+        text = SMALL_RUN.replace("  R: [[1.0]]", "  R: [[[1.0]], [[3.0]]]").replace(
+            "  seed: 5\n", "  seed: 5\n  i0: 2\n")
+        cfg = parse_config(write_cfg(tmp_path, text))
+        assert (cfg.problem.i0, cfg.simulate.i0) == (1, 2)
+        res = run_command("verify", cfg, output_dir=tmp_path)
+        assert res.exit_code == 0
+        solution = solve_esre(cfg.problem, cfg.solver)
+        pert = cfg.simulate.perturbations[0]
+        want = predicted_gap(cfg.problem, solution, pert, 2)
+        assert want != predicted_gap(cfg.problem, solution, pert, 1)
+        line = next(ln for ln in (tmp_path / "r.txt").read_text().splitlines()
+                    if ln.startswith("[PASS] perturbation[0] gap"))
+        assert line.split(" vs predicted ")[1].split()[0] == format(want, ".10g")
 
     def test_verify_detects_biased_simulation(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, BIASED_RUN))
