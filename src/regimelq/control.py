@@ -38,29 +38,38 @@ measurable with far fewer paths than either cost alone.
 Every path draws from its own counter-based substream keyed by
 ``(master_seed, path_index)`` - chain jumps first, then the Brownian
 increments - so estimates are bit-reproducible regardless of chunking.
+The engine builds one Philox per chunk of paths and re-keys it for each
+path, which draws the same streams as one new substream per path, and
+reads every path's regimes off one step-major table per chunk.  Streams
+and estimates are the same as with a new substream and a separate regime
+lookup per path; only the set-up cost differs.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 from scipy.integrate import trapezoid
 
 from . import matcore
-from .errors import BlowUp, OutOfRange, StructuralError
+from .errors import BlowUp, DimensionMismatch, OutOfRange, StructuralError
 from .esre import EsreSolution, _gain_blocks
 from .model import ProblemSpec
 from .regime_chain import (
     _jump_cumprobs,
     path_substream,
+    rekeyed,
     sample_chain_path,
     sample_jumps,
     transition_matrix,
 )
 
 CHUNK_PATHS = 4096
+_TRANSPOSE_BLOCK = 256
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +222,9 @@ def simulate_closed_loop(spec: ProblemSpec, policy, x0, i0: int, dt: float,
     reproduces the engine's path bit for bit.
     """
     n_steps = _step_count(spec.T, dt)
-    if not 1 <= int(i0) <= spec.ell:
-        raise OutOfRange(f"initial regime {i0} outside 1..{spec.ell}")
-    x = np.asarray(x0, dtype=float).reshape(spec.n)
+    x, i0 = _start_state(spec, x0, i0)
 
-    path = sample_chain_path(spec.generator, int(i0), spec.T, rng)
+    path = sample_chain_path(spec.generator, i0, spec.T, rng)
     xi = rng.standard_normal(n_steps)
     times = dt * np.arange(n_steps + 1)
     regimes = path.regime_at(times)
@@ -268,6 +275,24 @@ def simulate_closed_loop(spec: ProblemSpec, policy, x0, i0: int, dt: float,
         running_cost=running, terminal_cost=terminal,
         total_cost=acc + terminal,
     )
+
+
+def _start_state(spec: ProblemSpec, x0, i0):
+    """The initial state as n finite floats and the initial regime as an
+    int in 1..ell, checked before any path is sampled."""
+    x = np.asarray(x0, dtype=float).ravel()
+    if x.size != spec.n:
+        raise DimensionMismatch(f"x0 has {x.size} entries, the state dimension is {spec.n}")
+    if not np.all(np.isfinite(x)):
+        raise OutOfRange(f"x0 must be finite, got {x.tolist()}")
+    if isinstance(i0, bool) or not isinstance(i0, numbers.Integral) or not 1 <= i0 <= spec.ell:
+        raise OutOfRange(f"initial regime {i0!r} is not an integer in 1..{spec.ell}")
+    return x, int(i0)
+
+
+def _check_path_count(n_paths, minimum: int):
+    if isinstance(n_paths, bool) or not isinstance(n_paths, numbers.Integral) or n_paths < minimum:
+        raise StructuralError(f"n_paths must be an integer >= {minimum}, got {n_paths!r}")
 
 
 def _step_count(T: float, dt: float) -> int:
@@ -331,30 +356,59 @@ def _closed_loop_table(spec, policy, coef, times, dt) -> np.ndarray:
 
 
 def _simulate_chunk(tables: _BatchTables, x0, i0, master_seed, lo, hi, costs):
-    """Simulate paths [lo, hi) for every policy; write into costs[:, lo:hi]."""
+    """Simulate paths [lo, hi) for every policy; write into costs[:, lo:hi].
+
+    One substream is built per chunk and re-keyed for each path, so every
+    path draws from its own ``(master_seed, path_index)`` stream."""
     spec = tables.spec
     n_steps, dt = tables.n_steps, tables.dt
     count = hi - lo
     xi = np.empty((count, n_steps))
-    reg = np.empty((count, n_steps), dtype=np.intp)
-    reg_T = np.empty(count, dtype=np.intp)
-    times = tables.times
     q = spec.generator.q
     cum = _jump_cumprobs(q)
-    for p in range(count):
-        rng = path_substream(master_seed, lo + p)
-        jumps, states = sample_jumps(q, cum, i0, spec.T, rng)
+    chains = []
+    for p, rng in enumerate(rekeyed(path_substream(master_seed, lo), range(lo, hi))):
+        chains.append(sample_jumps(q, cum, i0, spec.T, rng))
         xi[p] = rng.standard_normal(n_steps)
-        st = np.asarray(states)
-        reg[p] = st[np.searchsorted(jumps, times, side="right")] - 1
-        reg_T[p] = states[-1] - 1
-    # step-major, so each step reads contiguous increments and regimes
-    dw = np.multiply(np.sqrt(dt), xi.T, order="C")
+    reg = _regime_table(tables.times, i0, chains)
+    # step-major, so each step reads contiguous increments and regimes;
+    # transposed in blocks of paths to stay in cache
+    dw = np.empty((n_steps, count))
+    sq = np.sqrt(dt)
+    for b in range(0, count, _TRANSPOSE_BLOCK):
+        np.multiply(sq, xi[b:b + _TRANSPOSE_BLOCK].T, out=dw[:, b:b + _TRANSPOSE_BLOCK])
     del xi
-    reg = np.ascontiguousarray(reg.T)
-    x0 = np.asarray(x0, dtype=float).reshape(spec.n)
     for ip, table in enumerate(tables.loops):
-        costs[ip, lo:hi] = _run_paths(table, tables.G, x0, reg, reg_T, dw, lo)
+        costs[ip, lo:hi] = _run_paths(table, tables.G, x0, reg[:n_steps], reg[n_steps], dw, lo)
+
+
+def _regime_table(times, i0, chains) -> np.ndarray:
+    """0-based regimes of a chunk of chain paths, step-major: array
+    (len(times) + 1, paths) whose row k is the regime at ``times[k]`` and
+    whose last row is the regime at T.  ``chains`` holds each path's
+    ``(jump_times, states)`` from :func:`sample_jumps`, all started at
+    ``i0``.
+
+    Jump j counts from the first step with ``times[k] >= t_j``, the cadlag
+    lookup of :meth:`RegimePath.regime_at`: each jump's state change is
+    added to the row of that step, then rows are summed in step order.
+    """
+    table = np.zeros((len(times) + 1, len(chains)), dtype=np.intp)
+    table[0] = i0 - 1
+    jump_times, jump_paths, before, after = [], [], [], []
+    for p, (jumps, states) in enumerate(chains):
+        if jumps:
+            jump_times += jumps
+            jump_paths += [p] * len(jumps)
+            before += states[:-1]
+            after += states[1:]
+    if jump_times:
+        rows = np.searchsorted(times, jump_times, side="left")
+        np.add.at(table, (rows, jump_paths), np.subtract(after, before))
+    # row by row: cumsum along axis 0 of a wide table is far slower
+    for k in range(len(times)):
+        np.add(table[k + 1], table[k], out=table[k + 1])
+    return table
 
 
 def _run_paths(table, G, x0, reg, reg_T, dw, path_offset):
@@ -362,16 +416,17 @@ def _run_paths(table, G, x0, reg, reg_T, dw, path_offset):
     packed row per path, then forms ``Wx``, ``Mx`` and ``Nx``."""
     n_steps, count = reg.shape
     n = x0.size
-    cuts = np.cumsum([n * n] * 3 + [n] * 3)
+    cuts = list(accumulate([0] + [n * n] * 3 + [n] * 3))
+    w_, m_, nc_, l_, a_, b_ = map(slice, cuts[:-1], cuts[1:])
     x = np.broadcast_to(x0, (count, n)).copy()
     cost = np.zeros(count)
     for k in range(n_steps):
-        w, m, nc, l, a, b, c = np.split(np.take(table[k], reg[k], axis=0), cuts, axis=1)
-        wx = np.einsum("pij,pj->pi", w.reshape(count, n, n), x)
-        mx = np.einsum("pij,pj->pi", m.reshape(count, n, n), x)
-        nx = np.einsum("pij,pj->pi", nc.reshape(count, n, n), x)
-        cost += np.einsum("pi,pi->p", wx + l, x) + c[:, 0]
-        x = (mx + a) + (nx + b) * dw[k, :, None]
+        row = np.take(table[k], reg[k], axis=0)
+        wx = np.einsum("pij,pj->pi", row[:, w_].reshape(count, n, n), x)
+        mx = np.einsum("pij,pj->pi", row[:, m_].reshape(count, n, n), x)
+        nx = np.einsum("pij,pj->pi", row[:, nc_].reshape(count, n, n), x)
+        cost += np.einsum("pi,pi->p", wx + row[:, l_], x) + row[:, -1]
+        x = (mx + row[:, a_]) + (nx + row[:, b_]) * dw[k, :, None]
         if np.abs(x).max() > 1e8:
             raise BlowUp(
                 f"state norm exceeded 1e8 at step {k + 1}",
@@ -385,15 +440,13 @@ def _batch_costs(spec, policies, x0, i0, n_paths, dt, master_seed) -> np.ndarray
     """Per-path costs, shape (len(policies), n_paths).  Identical results
     for any chunking: substreams are per path and every chunk writes a
     disjoint slice."""
-    if n_paths < 1:
-        raise StructuralError("n_paths must be >= 1")
-    if not 1 <= int(i0) <= spec.ell:
-        raise OutOfRange(f"initial regime {i0} outside 1..{spec.ell}")
+    x0, i0 = _start_state(spec, x0, i0)
+    _check_path_count(n_paths, 1)
     tables = _BatchTables(spec, policies, dt)
     costs = np.empty((len(policies), n_paths))
     for lo in range(0, n_paths, CHUNK_PATHS):
         hi = min(lo + CHUNK_PATHS, n_paths)
-        _simulate_chunk(tables, x0, int(i0), master_seed, lo, hi, costs)
+        _simulate_chunk(tables, x0, i0, master_seed, lo, hi, costs)
     return costs
 
 
@@ -429,8 +482,7 @@ def mc_cost(spec: ProblemSpec, policy, x0, i0: int, n_paths: int, dt: float,
     Per-path costs are accumulated with compensated summation in path-index
     order, so the estimate does not depend on chunking.
     """
-    if n_paths < 2:
-        raise StructuralError("n_paths must be >= 2 for a standard error")
+    _check_path_count(n_paths, 2)       # a standard error needs two paths
     costs = _batch_costs(spec, [policy], x0, i0, n_paths, dt, master_seed)
     return _estimate(costs[0], dt, master_seed)
 

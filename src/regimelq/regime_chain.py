@@ -9,7 +9,10 @@ later reads the regime by lookup.
 
 Randomness comes from counter-based Philox substreams keyed by
 ``(master_seed, path_index)``, which makes every path reproducible
-independently of scheduling or batch size.
+independently of scheduling or batch size.  A batch of paths builds one
+Philox and re-keys it per path (:func:`rekeyed`), which draws exactly
+what a fresh substream per path would, so streams and estimates do not
+depend on how the substreams are made.
 
 Regimes are numbered 1..ell everywhere in the public interface, matching
 the usual notation for switching systems.
@@ -194,3 +197,20 @@ def path_substream(master_seed: int, path_index: int) -> np.random.Generator:
     sees the same randomness no matter how paths are batched or scheduled.
     """
     return np.random.Generator(np.random.Philox(key=[master_seed, path_index]))
+
+
+def rekeyed(rng: np.random.Generator, path_indices):
+    """Yield ``rng`` re-keyed to each path index in turn.
+
+    ``rng`` must come unused from :func:`path_substream`.  Re-keying
+    restores its fresh Philox state (counter, buffer and pending 32-bit
+    half) with ``key[1]`` set to the path index, so each yielded generator
+    draws exactly what ``path_substream(master_seed, path_index)`` would,
+    at a fraction of the cost of building one.
+    """
+    bitgen = rng.bit_generator
+    fresh = bitgen.state
+    for k in path_indices:
+        fresh["state"]["key"][1] = k
+        bitgen.state = fresh
+        yield rng

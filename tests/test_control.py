@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regimelq import control
 from regimelq.config import parse_config
@@ -20,12 +22,12 @@ from regimelq.control import (
     simulate_closed_loop,
     value_at,
 )
-from regimelq.errors import BlowUp, StructuralError
+from regimelq.errors import BlowUp, DimensionMismatch, OutOfRange, StructuralError
 from regimelq.esre import SolverOptions, solve_esre
 from regimelq.fbsde import xinv_product_check
 from regimelq.matcore import symmetrize
 from regimelq.model import ProblemSpec
-from regimelq.regime_chain import path_substream
+from regimelq.regime_chain import RegimePath, _jump_cumprobs, path_substream
 from conftest import make_e1, random_spec, scalar_spec
 
 MATRIX_DEMO = Path(__file__).resolve().parent.parent / "demos/configs/matrix_two_regime.yaml"
@@ -294,6 +296,168 @@ class TestMcCost:
             x = (row[:, 0] * x + row[:, 1]) + (row[:, 2] * x + row[:, 3]) * dw[k]
         ref += np.array([1.0, 0.5])[reg_T] * x * x
         assert np.array_equal(costs[0], ref)
+
+
+def _per_path_reference(spec, policies, x0, i0, n_paths, dt, seed):
+    """Per-path costs from the first batched sampler: a fresh substream and
+    a separate regime lookup for every path, all paths in one chunk, fed to
+    the same stepping loop."""
+    tables = control._BatchTables(spec, policies, dt)
+    q = spec.generator.q
+    cum = _jump_cumprobs(q)
+    xi = np.empty((n_paths, tables.n_steps))
+    reg = np.empty((n_paths, tables.n_steps), dtype=np.intp)
+    reg_T = np.empty(n_paths, dtype=np.intp)
+    for p in range(n_paths):
+        rng = path_substream(seed, p)
+        jumps, states = control.sample_jumps(q, cum, i0, spec.T, rng)
+        xi[p] = rng.standard_normal(tables.n_steps)
+        reg[p] = np.asarray(states)[np.searchsorted(jumps, tables.times, side="right")] - 1
+        reg_T[p] = states[-1] - 1
+    dw = np.multiply(np.sqrt(dt), xi.T, order="C")
+    x0 = np.asarray(x0, dtype=float)
+    return np.stack([control._run_paths(table, tables.G, x0, np.ascontiguousarray(reg.T),
+                                        reg_T, dw, 0) for table in tables.loops])
+
+
+def _constant_policies(spec):
+    grid = np.linspace(0.0, spec.T, 6)
+    gains = FeedbackGain(grid=grid, gains=np.full((6, spec.ell, spec.m, spec.n), -0.4))
+    return [Policy(gains=gains), Policy(gains=gains, offset=Perturbation.coerce(0.3, spec.m))]
+
+
+FAST_SWITCHING = [[-400.0, 200.0, 200.0], [150.0, -300.0, 150.0], [100.0, 100.0, -200.0]]
+
+
+class TestChunkSampler:
+    """The chunk sampler (one re-keyed substream per chunk, one step-major
+    regime table) against the per-path sampler it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("problem", ["noisy-scalar", "matrix-demo", "fast-switching",
+                                         "absorbing", "uneven-chunks"])
+    def test_costs_equal_per_path_sampler(self, problem, request, monkeypatch):
+        dt, n_paths, i0 = 1e-2, 300, 1
+        if problem == "noisy-scalar":
+            spec = request.getfixturevalue("noisy_spec")
+        elif problem == "matrix-demo":
+            spec = parse_config(MATRIX_DEMO).problem
+        elif problem == "absorbing":
+            # regime 2 has zero exit rate
+            spec = scalar_spec(generator=[[-3.0, 3.0], [0.0, 0.0]], A=[0.2, -0.3], B=1.0,
+                               C=0.4, Q=[1.0, 0.0], R=1.0, G=[1.0, 2.0])
+        else:
+            spec = scalar_spec(ell=3, generator=FAST_SWITCHING, A=[0.1, -0.5, 0.3], B=1.0,
+                               C=[0.2, 0.5, 0.1], Q=[1.0, 0.0, 2.0], R=1.0,
+                               G=[1.0, 2.0, 0.5])
+            i0 = 2
+        if problem == "uneven-chunks":
+            monkeypatch.setattr(control, "CHUNK_PATHS", 97)
+        x0 = np.linspace(1.0, -0.5, spec.n)
+        policies = _constant_policies(spec)
+        costs = _batch_costs(spec, policies, x0, i0, n_paths, dt, 17)
+        assert np.array_equal(costs, _per_path_reference(spec, policies, x0, i0, n_paths, dt, 17))
+        assert np.unique(costs[0]).size > 1
+        if problem == "fast-switching":
+            # some path jumps more than once inside one step
+            times = dt * np.arange(round(spec.T / dt))
+            cum = _jump_cumprobs(spec.generator.q)
+            steps = [np.searchsorted(times, control.sample_jumps(
+                spec.generator.q, cum, i0, spec.T, path_substream(17, p))[0])
+                for p in range(20)]
+            assert any(np.unique(s).size < s.size for s in steps)
+
+    def test_jump_on_a_grid_time_counts_from_that_step(self, monkeypatch):
+        spec = scalar_spec(A=[0.2, -0.3], B=1.0, C=0.4, Q=[1.0, 0.0], R=1.0, G=[1.0, 2.0])
+        dt = 1e-2
+        times = dt * np.arange(100)
+        sample_jumps = control.sample_jumps
+
+        def on_grid(q, cum, i0, T, rng):
+            sample_jumps(q, cum, i0, T, rng)        # same draws, fixed jumps
+            return [float(times[25]), float(np.nextafter(times[60], 1.0))], [i0, 3 - i0, i0]
+
+        monkeypatch.setattr(control, "sample_jumps", on_grid)
+        drawn = []
+        run_paths = control._run_paths
+        monkeypatch.setattr(control, "_run_paths",
+                            lambda *args: drawn.append(args) or run_paths(*args))
+        policies = _constant_policies(spec)
+        costs = _batch_costs(spec, policies, [1.0], 1, 40, dt, 3)
+        reg, reg_T = drawn[0][3], drawn[0][4]
+        assert np.all(reg[24] == 0) and np.all(reg[25:61] == 1)
+        assert np.all(reg[61:] == 0) and np.all(reg_T == 0)
+        monkeypatch.setattr(control, "_run_paths", run_paths)
+        assert np.array_equal(costs, _per_path_reference(spec, policies, [1.0], 1, 40, dt, 3))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_regime_table_equals_cadlag_lookup(self, data):
+        ell, T = 3, 1.0
+        n_steps = data.draw(st.integers(1, 8))
+        dt = T / n_steps
+        times = dt * np.arange(n_steps)
+        i0 = data.draw(st.integers(1, ell))
+        # a step index plus a fraction of a step: fraction 0 is a grid time,
+        # and few steps put several jumps in one step
+        fraction = st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True)
+        jump_time = st.tuples(st.integers(0, n_steps - 1), fraction) \
+            .map(lambda kf: (kf[0] + kf[1]) * dt).filter(lambda t: 0.0 < t < T)
+        chains = []
+        for _ in range(data.draw(st.integers(1, 6))):
+            jumps = sorted(data.draw(st.lists(jump_time, unique=True, max_size=6)))
+            states = [i0]
+            for _ in jumps:
+                states.append(data.draw(st.sampled_from([s for s in range(1, ell + 1)
+                                                         if s != states[-1]])))
+            chains.append((jumps, states))
+        table = control._regime_table(times, i0, chains)
+        assert table.shape == (n_steps + 1, len(chains))
+        for p, (jumps, states) in enumerate(chains):
+            path = RegimePath(T=T, states=states, jump_times=np.array(jumps))
+            assert np.array_equal(table[:, p] + 1, path.regime_at(np.append(times, T)))
+
+
+class TestStartState:
+    """The start state is checked before any path is sampled."""
+
+    @pytest.fixture(autouse=True)
+    def no_sampling(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a path was sampled")
+        monkeypatch.setattr(control, "sample_jumps", fail)
+        monkeypatch.setattr(control, "sample_chain_path", fail)
+
+    @pytest.mark.parametrize("x0, i0, error", [
+        ([1.0, 2.0], 1, DimensionMismatch),
+        ([], 1, DimensionMismatch),
+        ([np.nan], 1, OutOfRange),
+        ([np.inf], 1, OutOfRange),
+        ([1.0], 1.5, OutOfRange),
+        ([1.0], True, OutOfRange),
+    ])
+    def test_mc_cost(self, e1, x0, i0, error):
+        with pytest.raises(error):
+            mc_cost(e1, None, x0, i0, 100, 1e-2, 0)
+
+    @pytest.mark.parametrize("x0, i0, error", [
+        ([1.0, 2.0], 1, DimensionMismatch),
+        ([np.nan], 1, OutOfRange),
+        ([1.0], 1.5, OutOfRange),
+    ])
+    def test_simulate_closed_loop(self, e1, x0, i0, error):
+        with pytest.raises(error):
+            simulate_closed_loop(e1, None, x0, i0, 1e-2, path_substream(0, 0))
+
+    def test_optimality_gap(self, e1, e1_solution):
+        with pytest.raises(DimensionMismatch):
+            optimality_gap(e1, e1_solution, 0.5, 100, 1e-2, 0, x0=[1.0, 2.0])
+
+    @pytest.mark.parametrize("n_paths", [2.5, "100"])
+    def test_path_count(self, e1, n_paths):
+        with pytest.raises(StructuralError, match="n_paths"):
+            _batch_costs(e1, [None], [1.0], 1, n_paths, 1e-2, 0)
+        with pytest.raises(StructuralError, match="n_paths"):
+            mc_cost(e1, None, [1.0], 1, n_paths, 1e-2, 0)
 
 
 class TestOptimalityGap:

@@ -8,6 +8,7 @@ from regimelq.errors import NegativeOffDiagonal, OutOfRange, RowSumNonzero, TooF
 from regimelq.regime_chain import (
     RegimePath,
     path_substream,
+    rekeyed,
     sample_chain_path,
     transition_matrix,
     validate_generator,
@@ -146,3 +147,23 @@ def test_substreams_are_independent_of_order():
     _ = path_substream(5, 11).standard_normal(4)
     a2 = path_substream(5, 10).standard_normal(4)
     assert np.array_equal(a1, a2)
+
+
+def test_rekeyed_substream_draws_equal_fresh_substreams():
+    keys = [3, 0, 1, 4095, 2**40]
+    draws = (
+        lambda g: g.exponential(0.5, 5),
+        lambda g: g.random(3),
+        lambda g: g.standard_normal(9),
+        lambda g: g.integers(0, 2**32, size=4, dtype=np.uint32),
+    )
+    for k, rng in zip(keys, rekeyed(path_substream(11, 3), keys)):
+        fresh = path_substream(11, k)
+        for draw in draws:
+            assert np.array_equal(draw(rng), draw(fresh))
+        # leave a partly used buffer and a pending 32-bit half for the next key
+        rng.integers(0, 2**32, dtype=np.uint32)
+        if rng.bit_generator.state["buffer_pos"] == 4:
+            rng.random()
+        state = rng.bit_generator.state
+        assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
