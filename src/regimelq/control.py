@@ -23,8 +23,10 @@ Under an affine policy ``u = K X + e`` the closed loop is
 
 with running integrand ``X'(Q + K'S + S'K + K'RK)X + 2 e'(S + RK)X +
 e'Re``.  The batched engine tabulates these closed-loop matrices once per
-(step, regime), for every state and control dimension, and each Euler step
-reads them with one gather per path.
+(step, regime), for every state and control dimension.  Each Euler step
+gathers one packed row per path and holds the state as one vector per
+state entry, so every matrix-vector entry is a left-to-right float sum
+over the state entries, computed for all paths at once.
 
 Optimality is checked by perturbing the feedback, ``u = K X + e(t)``, and
 comparing against the completed-square prediction
@@ -50,7 +52,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 from scipy.integrate import trapezoid
@@ -181,10 +182,11 @@ def feedback_gain(solution: EsreSolution, spec: ProblemSpec) -> FeedbackGain:
 
 
 def value_at(solution: EsreSolution, x0, i0: int) -> float:
-    """Optimal value ``<P(0, i0) x0, x0>``."""
-    x = np.asarray(x0, dtype=float).ravel()
-    p = solution.P[0, i0 - 1]
-    return float(x @ p @ x)
+    """Optimal value ``<P(0, i0) x0, x0>``.  Raises DimensionMismatch or
+    OutOfRange for a start state that does not fit the solution."""
+    _, ell, n, _ = solution.P.shape
+    x, i0 = _start_state(n, ell, x0, i0)
+    return float(x @ solution.P[0, i0 - 1] @ x)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +224,7 @@ def simulate_closed_loop(spec: ProblemSpec, policy, x0, i0: int, dt: float,
     reproduces the engine's path bit for bit.
     """
     n_steps = _step_count(spec.T, dt)
-    x, i0 = _start_state(spec, x0, i0)
+    x, i0 = _start_state(spec.n, spec.ell, x0, i0)
 
     path = sample_chain_path(spec.generator, i0, spec.T, rng)
     xi = rng.standard_normal(n_steps)
@@ -277,17 +279,21 @@ def simulate_closed_loop(spec: ProblemSpec, policy, x0, i0: int, dt: float,
     )
 
 
-def _start_state(spec: ProblemSpec, x0, i0):
+def _start_state(n: int, ell: int, x0, i0):
     """The initial state as n finite floats and the initial regime as an
     int in 1..ell, checked before any path is sampled."""
     x = np.asarray(x0, dtype=float).ravel()
-    if x.size != spec.n:
-        raise DimensionMismatch(f"x0 has {x.size} entries, the state dimension is {spec.n}")
+    if x.size != n:
+        raise DimensionMismatch(f"x0 has {x.size} entries, the state dimension is {n}")
     if not np.all(np.isfinite(x)):
         raise OutOfRange(f"x0 must be finite, got {x.tolist()}")
-    if isinstance(i0, bool) or not isinstance(i0, numbers.Integral) or not 1 <= i0 <= spec.ell:
-        raise OutOfRange(f"initial regime {i0!r} is not an integer in 1..{spec.ell}")
-    return x, int(i0)
+    return x, _start_regime(ell, i0)
+
+
+def _start_regime(ell: int, i0) -> int:
+    if isinstance(i0, bool) or not isinstance(i0, numbers.Integral) or not 1 <= i0 <= ell:
+        raise OutOfRange(f"initial regime {i0!r} is not an integer in 1..{ell}")
+    return int(i0)
 
 
 def _check_path_count(n_paths, minimum: int):
@@ -365,7 +371,7 @@ def _simulate_chunk(tables: _BatchTables, x0, i0, master_seed, lo, hi, costs):
     count = hi - lo
     xi = np.empty((count, n_steps))
     q = spec.generator.q
-    cum = _jump_cumprobs(q)
+    q, cum = q.tolist(), _jump_cumprobs(q).tolist()
     chains = []
     for p, rng in enumerate(rekeyed(path_substream(master_seed, lo), range(lo, hi))):
         chains.append(sample_jumps(q, cum, i0, spec.T, rng))
@@ -412,35 +418,73 @@ def _regime_table(times, i0, chains) -> np.ndarray:
 
 
 def _run_paths(table, G, x0, reg, reg_T, dw, path_offset):
-    """Per-path costs under one closed-loop table: each step gathers one
-    packed row per path, then forms ``Wx``, ``Mx`` and ``Nx``."""
+    """Per-path costs under one closed-loop table.
+
+    The state is held as n vectors, one per state entry, over the paths.
+    Each step gathers one packed row per path and reads the gather's
+    transpose, so ``row[r]`` is packed entry r across all paths.  Every
+    entry of ``Wx``, ``Mx``, ``Nx`` and the terminal ``Gx`` is summed left
+    to right in plain float order, ``row[r] x[0] + row[r + 1] x[1] + ...``,
+    and each step is bracketed as
+
+        cost += (sum_i (wx_i + l_i) x_i) + c,
+        x_i <- (mx_i + a_i) + (nx_i + b_i) dW,
+
+    the sums again left to right.  Per-path costs therefore do not depend
+    on which SIMD kernel numpy dispatches.
+    """
     n_steps, count = reg.shape
     n = x0.size
-    cuts = list(accumulate([0] + [n * n] * 3 + [n] * 3))
-    w_, m_, nc_, l_, a_, b_ = map(slice, cuts[:-1], cuts[1:])
-    x = np.broadcast_to(x0, (count, n)).copy()
+    nn = n * n
+    l_, a_, b_ = 3 * nn, 3 * nn + n, 3 * nn + 2 * n      # W, M, N start at 0, nn, 2nn
+    x = [np.full(count, v) for v in x0]
     cost = np.zeros(count)
+    tmp = np.empty(count)
+    # in-place updates of new vectors, in the order of the brackets above
     for k in range(n_steps):
-        row = np.take(table[k], reg[k], axis=0)
-        wx = np.einsum("pij,pj->pi", row[:, w_].reshape(count, n, n), x)
-        mx = np.einsum("pij,pj->pi", row[:, m_].reshape(count, n, n), x)
-        nx = np.einsum("pij,pj->pi", row[:, nc_].reshape(count, n, n), x)
-        cost += np.einsum("pi,pi->p", wx + row[:, l_], x) + row[:, -1]
-        x = (mx + row[:, a_]) + (nx + row[:, b_]) * dw[k, :, None]
-        if np.abs(x).max() > 1e8:
-            raise BlowUp(
-                f"state norm exceeded 1e8 at step {k + 1}",
-                path_index=path_offset + int(np.argmax(np.abs(x).max(axis=1) > 1e8)),
-            )
-    gx = np.einsum("pij,pj->pi", G[reg_T], x)
-    return cost + np.einsum("pi,pi->p", gx, x)
+        row = np.take(table[k], reg[k], axis=0).T
+        for i in range(n):
+            wl = _dot(row, n * i, x, tmp)
+            wl += row[l_ + i]
+            wl *= x[i]
+            if i:
+                run += wl
+            else:
+                run = wl
+        run += row[-1]
+        cost += run
+        new = []
+        for i in range(n):
+            mx = _dot(row, nn + n * i, x, tmp)
+            mx += row[a_ + i]
+            nx = _dot(row, 2 * nn + n * i, x, tmp)
+            nx += row[b_ + i]
+            nx *= dw[k]
+            mx += nx
+            new.append(mx)
+        x = new
+        if any(np.abs(v).max() > 1e8 for v in x):
+            big = np.logical_or.reduce([np.abs(v) > 1e8 for v in x])
+            raise BlowUp(f"state norm exceeded 1e8 at step {k + 1}",
+                         path_index=path_offset + int(np.argmax(big)))
+    g = np.take(G.reshape(len(G), nn), reg_T, axis=0).T
+    return cost + _dot([_dot(g, n * i, x, tmp) for i in range(n)], 0, x, tmp)
+
+
+def _dot(row, r, x, tmp):
+    """``row[r] x[0] + row[r + 1] x[1] + ...`` over the n entries of ``x``,
+    summed left to right into a new vector; ``tmp`` is scratch."""
+    acc = row[r] * x[0]
+    for j in range(1, len(x)):
+        acc += np.multiply(row[r + j], x[j], out=tmp)
+    return acc
 
 
 def _batch_costs(spec, policies, x0, i0, n_paths, dt, master_seed) -> np.ndarray:
     """Per-path costs, shape (len(policies), n_paths).  Identical results
     for any chunking: substreams are per path and every chunk writes a
     disjoint slice."""
-    x0, i0 = _start_state(spec, x0, i0)
+    x0, i0 = _start_state(spec.n, spec.ell, x0, i0)
     _check_path_count(n_paths, 1)
     tables = _BatchTables(spec, policies, dt)
     costs = np.empty((len(policies), n_paths))
@@ -536,7 +580,8 @@ def predicted_gap(spec: ProblemSpec, solution: EsreSolution, perturbation,
                   i0: int) -> float:
     """Completed-square prediction for a deterministic offset:
     trapezoid of ``sum_i prob_i(t) e(t)'(R + D'P D)(t,i) e(t)`` on the
-    solution grid."""
+    solution grid.  Raises OutOfRange unless ``i0`` is a regime."""
+    i0 = _start_regime(spec.ell, i0)
     e = Perturbation.coerce(perturbation, spec.m)
     grid = solution.grid
     ev = e.sample_times(grid)                     # (K, m)

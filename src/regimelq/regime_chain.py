@@ -20,6 +20,7 @@ the usual notation for switching systems.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -151,8 +152,7 @@ def _jump_cumprobs(q: np.ndarray) -> np.ndarray:
     return cum
 
 
-def sample_jumps(q: np.ndarray, cum: np.ndarray, i0: int, T: float,
-                 rng: np.random.Generator):
+def sample_jumps(q, cum, i0: int, T: float, rng: np.random.Generator):
     """Raw jump times and visited states (1-based) of one exact chain path.
 
     Holding time in regime i is exponential with rate ``-q[i, i]``; the
@@ -160,13 +160,18 @@ def sample_jumps(q: np.ndarray, cum: np.ndarray, i0: int, T: float,
     ``cum`` (see :func:`_jump_cumprobs`).  A regime with zero exit rate is
     absorbing.  Shared by the single-path and the batched simulators so
     both consume a substream identically.
+
+    ``q`` and ``cum`` may be arrays or nested lists of floats
+    (``q.tolist()``); both draw the same path, and lists, made once for a
+    batch of paths, skip numpy's per-element indexing.
     """
+    last = len(q) - 1
     state = int(i0)
     t = 0.0
     jump_times = []
     states = [state]
     while True:
-        rate = -q[state - 1, state - 1]
+        rate = -q[state - 1][state - 1]
         if rate <= 0.0:
             break
         t += rng.exponential(1.0 / rate)
@@ -174,9 +179,7 @@ def sample_jumps(q: np.ndarray, cum: np.ndarray, i0: int, T: float,
             break
         u = rng.random()
         # clamp guards the measure-zero case u >= cum[-1] under roundoff
-        idx = min(int(np.searchsorted(cum[state - 1], u, side="right")),
-                  cum.shape[1] - 1)
-        state = idx + 1
+        state = min(bisect.bisect_right(cum[state - 1], u), last) + 1
         jump_times.append(t)
         states.append(state)
     return jump_times, states

@@ -1,6 +1,9 @@
 """Feedback synthesis, closed-loop simulation and Monte Carlo estimators."""
 
 import dataclasses
+import operator
+from functools import reduce
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -417,6 +420,110 @@ class TestChunkSampler:
             assert np.array_equal(table[:, p] + 1, path.regime_at(np.append(times, T)))
 
 
+def _packed_tables(n, ell=3, steps=30, count=40, seed=0):
+    """Random closed-loop tables in the packed layout of
+    ``_closed_loop_table`` with the arguments ``_run_paths`` takes."""
+    rng = np.random.default_rng(seed)
+    table = 0.3 * rng.standard_normal((steps, ell, 3 * n * n + 3 * n + 1))
+    table[:, :, n * n:2 * n * n] += np.eye(n).ravel()
+    G = rng.standard_normal((ell, n, n))
+    x0 = rng.standard_normal(n)
+    reg = rng.integers(0, ell, (steps, count)).astype(np.intp)
+    reg_T = rng.integers(0, ell, count).astype(np.intp)
+    dw = 0.1 * rng.standard_normal((steps, count))
+    return table, G, x0, reg, reg_T, dw
+
+
+def _entrywise_reference(table, G, x0, reg, reg_T, dw):
+    """The Euler recursion written out per path on Python floats, every
+    matrix-vector entry summed left to right."""
+    n = x0.size
+    nn = n * n
+
+    def left_sum(terms):
+        return reduce(operator.add, terms)
+
+    def matvec(mat, x):
+        return [left_sum(mat[i][j] * x[j] for j in range(n)) for i in range(n)]
+
+    costs = []
+    for p in range(reg.shape[1]):
+        x, cost = x0.tolist(), 0.0
+        for k in range(reg.shape[0]):
+            row = table[k, reg[k, p]].tolist()
+            W, M, N = ([row[b + n * i:b + n * (i + 1)] for i in range(n)]
+                       for b in (0, nn, 2 * nn))
+            l, a, b = (row[3 * nn + n * j:3 * nn + n * (j + 1)] for j in range(3))
+            wx, mx, nx = matvec(W, x), matvec(M, x), matvec(N, x)
+            cost += left_sum((wx[i] + l[i]) * x[i] for i in range(n)) + row[-1]
+            x = [(mx[i] + a[i]) + (nx[i] + b[i]) * dw[k, p] for i in range(n)]
+        gx = matvec(G[reg_T[p]].tolist(), x)
+        costs.append(cost + left_sum(gx[i] * x[i] for i in range(n)))
+    return np.array(costs)
+
+
+def _einsum_run_paths(table, G, x0, reg, reg_T, dw):
+    """The stepping loop that gathered ``(paths, n, n)`` blocks and formed
+    products with ``np.einsum``, kept to pin n <= 2 costs bit for bit."""
+    n_steps, count = reg.shape
+    n = x0.size
+    cuts = list(accumulate([0] + [n * n] * 3 + [n] * 3))
+    w_, m_, nc_, l_, a_, b_ = map(slice, cuts[:-1], cuts[1:])
+    x = np.broadcast_to(x0, (count, n)).copy()
+    cost = np.zeros(count)
+    for k in range(n_steps):
+        row = np.take(table[k], reg[k], axis=0)
+        wx = np.einsum("pij,pj->pi", row[:, w_].reshape(count, n, n), x)
+        mx = np.einsum("pij,pj->pi", row[:, m_].reshape(count, n, n), x)
+        nx = np.einsum("pij,pj->pi", row[:, nc_].reshape(count, n, n), x)
+        cost += np.einsum("pi,pi->p", wx + row[:, l_], x) + row[:, -1]
+        x = (mx + row[:, a_]) + (nx + row[:, b_]) * dw[k, :, None]
+    gx = np.einsum("pij,pj->pi", G[reg_T], x)
+    return cost + np.einsum("pi,pi->p", gx, x)
+
+
+class TestEntrywiseStepping:
+    """``_run_paths`` sums every state entry left to right in plain float
+    order."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_equals_written_out_recursion(self, n):
+        args = _packed_tables(n, seed=n)
+        costs = control._run_paths(*args, 0)
+        assert np.array_equal(costs, _entrywise_reference(*args))
+        assert np.unique(costs).size == costs.size
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_equals_einsum_loop_up_to_two_entries(self, n):
+        for seed in range(3):
+            args = _packed_tables(n, steps=200, count=500, seed=seed)
+            assert np.array_equal(control._run_paths(*args, 0), _einsum_run_paths(*args))
+
+    def test_zero_start_gives_no_negative_zero_cost(self):
+        # zero start, zero offsets: every product is a signed zero, none
+        # may reach the cost as -0.0
+        table, G, _, reg, reg_T, dw = _packed_tables(2)
+        table[:, :, 12:] = 0.0
+        table[:, :, :4] = -np.abs(table[:, :, :4])
+        for x0 in ([0.0, 0.0], [-0.0, 0.0]):
+            costs = control._run_paths(table, -np.abs(G), np.array(x0), reg, reg_T, dw, 0)
+            assert np.all(costs == 0.0) and not np.any(np.signbit(costs))
+
+    def test_blowup_reports_first_blowing_path_and_step(self):
+        # regime 2 multiplies state entry 2 by 10 per step; paths 3 and 6
+        # sit in it, so |x_2| = 10^9 > 1e8 first at step 9 on path 3
+        n, ell, steps, count = 2, 2, 20, 8
+        table = np.zeros((steps, ell, 3 * n * n + 3 * n + 1))
+        table[:, 0, 4:8] = [1.0, 0.0, 0.0, 1.0]
+        table[:, 1, 4:8] = [1.0, 0.0, 0.0, 10.0]
+        reg = np.zeros((steps, count), dtype=np.intp)
+        reg[:, [3, 6]] = 1
+        with pytest.raises(BlowUp, match="exceeded 1e8 at step 9$") as info:
+            control._run_paths(table, np.zeros((ell, n, n)), np.ones(n), reg,
+                               np.zeros(count, dtype=np.intp), np.ones((steps, count)), 100)
+        assert info.value.path_index == 103
+
+
 class TestStartState:
     """The start state is checked before any path is sampled."""
 
@@ -451,6 +558,22 @@ class TestStartState:
     def test_optimality_gap(self, e1, e1_solution):
         with pytest.raises(DimensionMismatch):
             optimality_gap(e1, e1_solution, 0.5, 100, 1e-2, 0, x0=[1.0, 2.0])
+
+    @pytest.mark.parametrize("x0, i0, error", [
+        ([1.0], 0, OutOfRange),          # would read regime ell's value
+        ([1.0], 3, OutOfRange),
+        ([1.0], 1.5, OutOfRange),
+        ([1.0, 2.0], 1, DimensionMismatch),
+        ([np.nan], 1, OutOfRange),
+    ])
+    def test_value_at(self, e1_solution, x0, i0, error):
+        with pytest.raises(error):
+            value_at(e1_solution, x0, i0)
+
+    @pytest.mark.parametrize("i0", [0, 3, 1.5])
+    def test_predicted_gap(self, e1, e1_solution, i0):
+        with pytest.raises(OutOfRange):
+            predicted_gap(e1, e1_solution, 0.5, i0)
 
     @pytest.mark.parametrize("n_paths", [2.5, "100"])
     def test_path_count(self, e1, n_paths):

@@ -7,9 +7,11 @@ import pytest
 from regimelq.errors import NegativeOffDiagonal, OutOfRange, RowSumNonzero, TooFewRegimes
 from regimelq.regime_chain import (
     RegimePath,
+    _jump_cumprobs,
     path_substream,
     rekeyed,
     sample_chain_path,
+    sample_jumps,
     transition_matrix,
     validate_generator,
 )
@@ -167,3 +169,45 @@ def test_rekeyed_substream_draws_equal_fresh_substreams():
             rng.random()
         state = rng.bit_generator.state
         assert state["buffer_pos"] < 4 and state["has_uint32"] == 1
+
+
+def _searchsorted_jumps(q, cum, i0, T, rng):
+    """Reference: the sampler on numpy scalars and ``np.searchsorted``."""
+    state = int(i0)
+    t = 0.0
+    jump_times = []
+    states = [state]
+    while True:
+        rate = -q[state - 1, state - 1]
+        if rate <= 0.0:
+            break
+        t += rng.exponential(1.0 / rate)
+        if t >= T:
+            break
+        u = rng.random()
+        idx = min(int(np.searchsorted(cum[state - 1], u, side="right")), cum.shape[1] - 1)
+        state = idx + 1
+        jump_times.append(t)
+        states.append(state)
+    return jump_times, states
+
+
+@pytest.mark.parametrize("q", [
+    [[-1.0, 1.0], [1.0, -1.0]],
+    # regime 2 absorbing; rows 1 and 3 have equal cumulative entries
+    [[-3.0, 3.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, -2.0]],
+    # fast switching with rates whose cumulative rows round
+    [[-0.7, 0.1, 0.6], [0.3, -0.4, 0.1], [30.0, 70.0, -100.0]],
+])
+def test_jumps_equal_searchsorted_reference(q):
+    q = np.array(q)
+    cum = _jump_cumprobs(q)
+    ell = len(q)
+    for i0 in range(1, ell + 1):
+        for p in range(1000):
+            ref_rng, rng = path_substream(21, p), path_substream(21, p)
+            want = _searchsorted_jumps(q, cum, i0, 2.0, ref_rng)
+            assert sample_jumps(q.tolist(), cum.tolist(), i0, 2.0, rng) == want
+            assert sample_jumps(q, cum, i0, 2.0, path_substream(21, p)) == want
+            # the same draws were consumed
+            assert np.array_equal(rng.random(4), ref_rng.random(4))
