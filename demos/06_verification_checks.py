@@ -47,7 +47,7 @@ print("2. coupled forward-backward oracle vs the Riccati sweep:")
 for depth in (4, 8, 12):
     opts = SolverOptions(backend="tree", tree_depth=depth)
     triple, dev = tree_fbsde_oracle(spec, 1, solve_p0(spec, opts), opts)
-    print(f"   depth {depth:2d}: max node deviation |Y X^-1 - Ptilde| = {dev:.4e}")
+    print(f"   depth {depth:2d}: max node deviation |Y X^-1 - P| = {dev:.4e}")
 
 print("3. inverse-state product drift:")
 gains = feedback_gain(solution, spec)

@@ -16,10 +16,12 @@ induction on the tree.
 
 Solution scheme
 ---------------
-Work in rescaled coordinates ``Ptilde(t,i) = exp(q_ii t) P(t,i)`` (see
-:mod:`regimelq.model`), which moves the diagonal coupling into the cost
-weights.  The iteration freezes the cross-regime coupling at the previous
-iterate:
+The grid backend works in rescaled coordinates
+``Ptilde(t,i) = exp(q_ii t) P(t,i)`` (see :mod:`regimelq.model`), which
+move the diagonal coupling into the cost weights; the tree backend keeps
+original coordinates and takes the diagonal coupling implicitly (see
+Backends).  The iteration freezes the cross-regime coupling at the
+previous iterate:
 
   * iterate 0 solves the *linear* coupled system (the quadratic term
     dropped);
@@ -62,16 +64,19 @@ Backends
     interpolation of the stored iterate (values + recorded derivatives), so
     each sweep retains 4th-order accuracy.
 ``tree``
-    Explicit backward induction on a recombining binomial lattice: the
-    driver is evaluated at the conditional expectation of the child values
-    and at the martingale increment ``Z = (V_up - V_down) / (2 sqrt(dt))``.
-    Handles coefficients that are functions of the lattice Brownian level.
-    The linear initial iterate is solved directly, one ell x ell inverse
-    per level: ``p_k = (I - dt W_k)^{-1} (pm + dt drift(pm, Z))``, with
-    ``W_k`` the rescaled coupling weights.  This needs
-    ``tree_depth > T rho(W)`` (``rho`` the spectral radius of the
-    generator's off-diagonal part), else :class:`StructuralError`;
-    ``picard_tol`` and ``picard_max_iter`` do not apply to this iterate.
+    Backward induction on a recombining binomial lattice, in original
+    coordinates (no rescaling): the drift is evaluated at the conditional
+    expectation ``pm`` of the child values and at the martingale increment
+    ``Z = (V_up - V_down) / (2 sqrt(dt))``, and the regime coupling is
+    taken at the level being solved.  Handles coefficients that are
+    functions of the lattice Brownian level.  The linear initial iterate is
+    solved directly with one constant ell x ell inverse,
+    ``p_k = (I - dt q)^{-1} (pm + dt drift(pm, Z))``; ``I - dt q`` is an
+    M-matrix with unit row sums, so this holds for every ``tree_depth``,
+    and ``picard_tol`` and ``picard_max_iter`` do not apply to it.  Each
+    sweep keeps the diagonal coupling implicit and freezes the
+    off-diagonal part ``q_off`` at the previous iterate,
+    ``p_k = proj((pm + dt (drift(pm, Z) + q_off p_prev)) / (1 - dt q_ii))``.
 
 :func:`direct_coupled_oracle` integrates the full coupled system in one go
 (no freezing, original coordinates) and serves as an independent
@@ -82,6 +87,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -206,7 +212,7 @@ class BinomialTree:
 
 @dataclass
 class TreeIterate:
-    """One fixed-point iterate on the lattice (rescaled coordinates).
+    """One fixed-point iterate on the lattice (original coordinates).
 
     ``levels[k]`` has shape (k+1, ell, n, n); ``lam_levels`` likewise, with
     zeros at the terminal level where no child difference exists.
@@ -222,10 +228,8 @@ class TreeSolution:
     """Full per-node solution values kept alongside the grid summary."""
 
     tree: BinomialTree
-    p_levels: tuple              # untransformed P per node
+    p_levels: tuple              # P per node
     lam_levels: tuple
-    ptilde_levels: tuple
-    lamtilde_levels: tuple
 
 
 @dataclass
@@ -248,7 +252,7 @@ class EsreSolution:
     residual_history: list
     diagnostics: Diagnostics
     options: SolverOptions
-    iterates: list = None        # list of Ptilde arrays when keep_iterates
+    iterates: list = None        # with keep_iterates: Ptilde arrays, or P level tuples (tree)
     tree: TreeSolution = None
 
 
@@ -433,9 +437,14 @@ class _GridEngine:
         self.has_C = not spec.C.is_zero()
         self.has_D = (not spec.D.is_zero()) or options.force_general_d
         self.has_S = not spec.S.is_zero()
-        if not self.has_D:
-            # constant inverse reused by every stage of every sweep
-            self.Rt_inv = matcore.sym_inverse(self.Rt, options.cond_threshold)
+
+    @cached_property
+    def Rt_inv(self) -> np.ndarray:
+        """Inverse of the rescaled R on the half grid, reused by every stage
+        of every sweep when D = 0.  Formed on first use: only the Picard
+        path reads it, and ``Rt`` can underflow where the direct oracle,
+        which shares this engine, needs no inverse of it."""
+        return matcore.sym_inverse(self.Rt, self.options.cond_threshold)
 
     # -- right-hand sides (dP/dt), batched over regimes -----------------
 
@@ -686,7 +695,7 @@ class _Members:
 
 
 class _TreeEngine:
-    """Backward induction on the binomial lattice (rescaled coordinates)."""
+    """Backward induction on the binomial lattice (original coordinates)."""
 
     def __init__(self, spec: ProblemSpec, options: SolverOptions):
         depth = options.tree_depth
@@ -699,18 +708,17 @@ class _TreeEngine:
         self.spec = spec
         self.options = options
         self.tree = BinomialTree(depth, spec.T)
-        self.tilde = tilde_transform(spec)
-        self.qdiag = np.diag(spec.q)
-        self.scale = np.exp(np.multiply.outer(self.tree.times, self.qdiag))
-        self.W = self.tilde.coupling_weights(self.tree.times)
+        q = spec.q
+        self.q_off = q - np.diag(np.diag(q))
+        # 1 - dt q_ii > 0 for every dt, since q_ii <= 0
+        self.denom = (1.0 - self.tree.dt * np.diag(q))[:, None, None]
         self.coef = {name: self._levels(spec.coefficient(name))
                      for name in ("A", "B", "C", "D", "Q", "S", "R")}
         self.has_C = not spec.C.is_zero()
         self.has_D = (not spec.D.is_zero()) or options.force_general_d
         self.has_S = not spec.S.is_zero()
         g = spec.G.levels[-1] if spec.G.is_random else spec.G.values
-        self.Gt = (np.broadcast_to(g, (depth + 1,) + g.shape[-3:])
-                   * self.scale[depth][None, :, None, None])
+        self.G = np.broadcast_to(g, (depth + 1,) + g.shape[-3:])
 
     def _levels(self, f):
         """Per-level values of a coefficient, level k broadcastable against
@@ -721,9 +729,8 @@ class _TreeEngine:
                include_h: bool) -> np.ndarray:
         """Driver at level k; pm, z, src have shape (k+1, ell, n, n)."""
         a = self.coef["A"][k]
-        sc = self.scale[k][None, :, None, None]
         pa = pm @ a
-        out = pa + np.swapaxes(pa, -1, -2) + self.coef["Q"][k] * sc + src
+        out = pa + np.swapaxes(pa, -1, -2) + self.coef["Q"][k] + src
         if self.has_C:
             c = self.coef["C"][k]
             pc = pm @ c
@@ -739,15 +746,14 @@ class _TreeEngine:
                     m = m + dt_ @ pc
                 m = m + dt_ @ z
             if self.has_S:
-                m = m + self.coef["S"][k] * sc
+                m = m + self.coef["S"][k]
             if self.has_D:
-                sigma = _sym(self.coef["R"][k] * sc + dt_ @ (pm @ d))
+                sigma = _sym(self.coef["R"][k] + dt_ @ (pm @ d))
                 sigma = np.broadcast_to(sigma, m.shape[:-2] + sigma.shape[-2:])
                 sigma_inv = matcore.sym_inverse(sigma, self.options.cond_threshold)
             else:
-                sigma_inv = matcore.sym_inverse(
-                    self.coef["R"][k] * sc, self.options.cond_threshold
-                )
+                sigma_inv = matcore.sym_inverse(self.coef["R"][k],
+                                                self.options.cond_threshold)
             out = out - np.swapaxes(m, -1, -2) @ (sigma_inv @ m)
         return _sym(out)
 
@@ -758,8 +764,8 @@ class _TreeEngine:
         depth = self.tree.depth
         levels = [None] * (depth + 1)
         lam_levels = [None] * (depth + 1)
-        levels[depth] = self.Gt.copy()
-        lam_levels[depth] = np.zeros_like(self.Gt)
+        levels[depth] = self.G.copy()
+        lam_levels[depth] = np.zeros_like(levels[depth])
         for k in range(depth - 1, -1, -1):
             child = levels[k + 1]
             up, down = child[1:], child[:-1]
@@ -771,28 +777,22 @@ class _TreeEngine:
 
     def solve_p0(self) -> TreeIterate:
         """Linear initial iterate with the live regime coupling.  Level k
-        solves ``p = pm + dt (drift(pm, z) + W_k p)``, which is linear
-        across regimes: ``p = (I - dt W_k)^{-1} (pm + dt drift(pm, z))``.
-        ``W_k`` is similar to the generator's off-diagonal part, so the
-        inverse exists and is nonnegative exactly when ``dt rho(W) < 1``."""
-        tree = self.tree
-        rho = float(np.max(np.abs(np.linalg.eigvals(self.W[0]))))
-        if tree.dt * rho >= 1.0:
-            raise StructuralError(
-                f"tree_depth {tree.depth} is too coarse for the regime coupling: "
-                f"dt*rho(W) = {tree.dt * rho:.6g} >= 1; the linear initial iterate "
-                f"needs tree_depth > T*rho(W) = {tree.T * rho:.6g}, "
-                f"i.e. tree_depth >= {int(np.floor(tree.T * rho)) + 1}"
-            )
-        inv = np.linalg.inv(np.eye(self.spec.ell) - tree.dt * self.W[:-1])
+        solves ``p = pm + dt (drift(pm, z) + q p)``, which is linear across
+        regimes: ``p = (I - dt q)^{-1} (pm + dt drift(pm, z))``.  ``I - dt q``
+        is an M-matrix with unit row sums, so the inverse exists and is
+        nonnegative for every dt."""
+        dt = self.tree.dt
+        inv = np.linalg.inv(np.eye(self.spec.ell) - dt * self.spec.q)
         return self._sweep(lambda k, pm, z: np.einsum(
-            "ij,njab->niab", inv[k], pm + tree.dt * self._drift(k, pm, z, 0.0, False)))
+            "ij,njab->niab", inv, pm + dt * self._drift(k, pm, z, 0.0, False)))
 
     def picard_sweep(self, prev: TreeIterate) -> TreeIterate:
-        """Frozen-coupling sweep with the quadratic term and the PSD clip."""
-        src = [np.einsum("ij,njab->niab", self.W[k], lv) for k, lv in enumerate(prev.levels)]
+        """Sweep with the off-diagonal coupling frozen at ``prev``, the
+        diagonal coupling implicit, the quadratic term and the PSD clip:
+        ``p = proj((pm + dt (drift(pm, z) + q_off p_prev)) / (1 - dt q_ii))``."""
+        src = [np.einsum("ij,njab->niab", self.q_off, lv) for lv in prev.levels[:-1]]
         return self._sweep(lambda k, pm, z: matcore.project_psd(
-            _sym(pm + self.tree.dt * self._drift(k, pm, z, src[k], True)),
+            _sym(pm + self.tree.dt * self._drift(k, pm, z, src[k], True)) / self.denom,
             self.options.psd_tol))
 
 
@@ -867,8 +867,6 @@ def solve_esre(spec: ProblemSpec, options: SolverOptions = None, **overrides) ->
         If the definiteness assumptions fail (the report is attached).
     NoConvergence
         After ``picard_max_iter`` sweeps; partial residual history attached.
-    StructuralError
-        On the tree backend, when ``tree_depth <= T rho(W)``.
     NearSingular, PsdViolation
         Propagated from the backward stepping guards.
     """
@@ -940,15 +938,7 @@ def _solve_tree(spec, options, smallness, smallness_ok) -> EsreSolution:
         )
 
     tree = engine.tree
-    inv_scale = np.exp(-np.multiply.outer(tree.times, np.diag(spec.q)))
-    p_levels, lam_levels = [], []
-    for k in range(tree.depth + 1):
-        f = inv_scale[k][None, :, None, None]
-        p_levels.append(prev.levels[k] * f)
-        lam_levels.append(prev.lam_levels[k] * f)
-    # terminal condition exact by assignment (the exp round trip is 1 ulp off)
-    p_levels[tree.depth][...] = spec.G.levels[-1] if spec.G.is_random else spec.G.values
-    for lv in p_levels:
+    for lv in prev.levels:
         _require_psd(lv, options.psd_tol)
 
     # grid summary: probability-weighted node means (exact when nodes agree)
@@ -956,22 +946,16 @@ def _solve_tree(spec, options, smallness, smallness_ok) -> EsreSolution:
     ell, n = spec.ell, spec.n
     P = np.empty((tree.depth + 1, ell, n, n))
     Lam = np.empty_like(P)
-    Pt = np.empty_like(P)
-    Lt = np.empty_like(P)
     for k in range(tree.depth + 1):
         wts = _node_weights(k)[:, None, None, None]
-        P[k] = (p_levels[k] * wts).sum(axis=0)
-        Lam[k] = (lam_levels[k] * wts).sum(axis=0)
-        Pt[k] = (prev.levels[k] * wts).sum(axis=0)
-        Lt[k] = (prev.lam_levels[k] * wts).sum(axis=0)
+        P[k] = (prev.levels[k] * wts).sum(axis=0)
+        Lam[k] = (prev.lam_levels[k] * wts).sum(axis=0)
+    scale = tilde_transform(spec).scale(grid)[:, :, None, None]
     diag = _diagnostics_tree(spec, tree, it0, prev,
                              smallness, options.smallness_threshold, smallness_ok)
-    sol_tree = TreeSolution(
-        tree=tree, p_levels=tuple(p_levels), lam_levels=tuple(lam_levels),
-        ptilde_levels=prev.levels, lamtilde_levels=prev.lam_levels,
-    )
+    sol_tree = TreeSolution(tree=tree, p_levels=prev.levels, lam_levels=prev.lam_levels)
     return EsreSolution(
-        grid=grid, P=P, Lambda=Lam, Ptilde=Pt, Lambdatilde=Lt,
+        grid=grid, P=P, Lambda=Lam, Ptilde=P * scale, Lambdatilde=Lam * scale,
         backend="tree", iterations=len(residuals), residual_history=residuals,
         diagnostics=diag, options=options, iterates=iterates, tree=sol_tree,
     )
@@ -1058,11 +1042,15 @@ def _diagnostics_tree(spec, tree, it0, final, smallness, thresh, ok) -> Diagnost
     k_est = growth_constant(spec)
     rho = _rho_of(spec, k_est)
     log_sup = -np.inf
+    qdiag = np.diag(spec.q)
     for k, lv in enumerate(it0.levels):
-        norms = np.linalg.norm(lv, axis=(-2, -1))
-        top = float(norms.max())
-        if top > 0.0 and (k > 0 or np.isfinite(rho)):
-            log_sup = max(log_sup, rho * tree.times[k] + 2.0 * np.log(top))
+        # the bound is on the rescaled |Ptilde_0| = exp(q_ii t) |P_0|, taken
+        # in logs so that no exp underflows
+        top = np.linalg.norm(lv, axis=(-2, -1)).max(axis=0)
+        with np.errstate(divide="ignore"):
+            log_top = float(np.max(np.log(top) + qdiag * tree.times[k]))
+        if log_top > -np.inf and (k > 0 or np.isfinite(rho)):
+            log_sup = max(log_sup, rho * tree.times[k] + 2.0 * log_top)
     sq_sum = np.zeros(spec.ell)
     for k in range(tree.depth):
         wts = _node_weights(k)[:, None]

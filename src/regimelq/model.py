@@ -20,7 +20,8 @@ Definiteness requirements checked by :func:`validate_assumptions`:
     R(t, i) >= delta * I,    Q(t, i) - S(t, i)' R(t, i)^{-1} S(t, i) >= 0,
     G(i) >= 0.
 
-The solver works in exponentially rescaled coordinates.  With q_ii the
+The solver's grid backend works in exponentially rescaled coordinates
+(the tree backend keeps original coordinates).  With q_ii the
 diagonal generator entry of regime i, the rescaling
 
     Ptilde(t, i) = exp(q_ii t) P(t, i)
@@ -426,11 +427,6 @@ class TildeTransform:
 
     def s_tilde(self, t: float, regime: int, node=None) -> np.ndarray:
         return np.exp(self.qdiag[regime - 1] * t) * self.spec.S.eval(t, regime, node)
-
-    def g_tilde(self, regime: int, node=None) -> np.ndarray:
-        return np.exp(self.qdiag[regime - 1] * self.spec.T) * self.spec.G.eval(
-            self.spec.T, regime, node
-        )
 
     def coupling_weights(self, t) -> np.ndarray:
         """Matrix ``w[i, j] = q_ij exp((q_ii - q_jj) t)`` for j != i, zero

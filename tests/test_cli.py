@@ -418,15 +418,6 @@ class TestMain:
         assert main(["validate", "--config", str(bad)]) == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: problem.x0")
 
-    def test_tree_too_coarse_for_coupling_maps_to_one(self, tmp_path, capsys):
-        text = E1_YAML.replace("generator: [[-1.0, 1.0], [1.0, -1.0]]",
-                               "generator: [[-8.0, 8.0], [8.0, -8.0]]")
-        cfg = write_cfg(tmp_path, text + "solver: {backend: tree, tree_depth: 8}\n")
-        assert main(["solve", "--config", str(cfg), "--output", str(tmp_path)]) == 1
-        err = capsys.readouterr().err.splitlines()[-1]
-        assert err.startswith("error: tree_depth 8 is too coarse")
-        assert "tree_depth >= 9" in err
-
     def test_python_dash_m_runs_the_cli(self):
         root = Path(__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

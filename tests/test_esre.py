@@ -13,6 +13,7 @@ Reference values used here:
   by an independent fine-grid integrator in ``_asym_oracle``.
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -55,13 +56,11 @@ ASYM_FULL_AT_0 = (0.897489, 0.626213)
 
 def _inner_fixed_point_p0(spec, depth, tol=1e-13, max_iter=200):
     """Reference for the tree's linear initial iterate, as a nested fixed
-    point: freeze the cross-regime coupling at the previous pass, re-solve
-    the whole lattice backward with the linear driver, repeat until
+    point: freeze the whole regime coupling ``q p`` at the previous pass,
+    re-solve the lattice backward with the linear drift, repeat until
     consecutive passes agree.  Coefficients are read node by node through
-    ``eval``; values are in rescaled coordinates."""
+    ``eval``; values are in original coordinates."""
     tree = BinomialTree(depth, spec.T)
-    tilde = tilde_transform(spec)
-    w = tilde.coupling_weights(tree.times)
 
     def nodes(fn, k):
         return np.array([[fn(tree.times[k], i, (k, j)) for i in range(1, spec.ell + 1)]
@@ -69,23 +68,23 @@ def _inner_fixed_point_p0(spec, depth, tol=1e-13, max_iter=200):
 
     a = [nodes(spec.A.eval, k) for k in range(depth)]
     c = [nodes(spec.C.eval, k) for k in range(depth)]
-    qt = [nodes(tilde.q_tilde, k) for k in range(depth)]
-    gt = nodes(lambda t, i, node: tilde.g_tilde(i, node), depth)
+    q = [nodes(spec.Q.eval, k) for k in range(depth)]
+    g = nodes(lambda t, i, node: spec.G.eval(spec.T, i, node), depth)
 
     def sweep(src):
-        levels = [None] * depth + [gt]
+        levels = [None] * depth + [g]
         for k in range(depth - 1, -1, -1):
             up, down = levels[k + 1][1:], levels[k + 1][:-1]
             pm = 0.5 * (up + down)
             z = symmetrize((up - down) / (2.0 * tree.sqrt_dt))
             drift = (pm @ a[k] + a[k].mT @ pm + c[k].mT @ pm @ c[k]
-                     + z @ c[k] + c[k].mT @ z + qt[k] + src[k])
+                     + z @ c[k] + c[k].mT @ z + q[k] + src[k])
             levels[k] = pm + tree.dt * symmetrize(drift)
         return levels
 
     prev = sweep([0.0] * depth)
     for _ in range(max_iter):
-        cur = sweep([np.einsum("ij,njab->niab", w[k], prev[k]) for k in range(depth)])
+        cur = sweep([np.einsum("ij,njab->niab", spec.q, prev[k]) for k in range(depth)])
         res = max(float(np.max(np.abs(x - y))) for x, y in zip(cur, prev))
         prev = cur
         if res <= tol:
@@ -367,15 +366,6 @@ class TestSolveP0:
         it0 = solve_p0(spec, opts)
         ref = _inner_fixed_point_p0(spec, opts.tree_depth)
         assert max(float(np.max(np.abs(a - b))) for a, b in zip(it0.levels, ref)) <= 1e-10
-
-    @pytest.mark.parametrize("rate, need", [(8.0, 9), (40.0, 41)])
-    def test_tree_too_coarse_for_coupling(self, rate, need):
-        spec = make_e1(generator=[[-rate, rate], [rate, -rate]])
-        with pytest.raises(StructuralError, match=rf"tree_depth >= {need}\b") as err:
-            solve_p0(spec, SolverOptions(backend="tree", tree_depth=8))
-        assert "dt*rho(W)" in str(err.value)
-        it0 = solve_p0(spec, SolverOptions(backend="tree", tree_depth=need))
-        assert all(float(lv.min()) > 0.0 for lv in it0.levels)
 
 
 # ---------------------------------------------------------------------------
@@ -750,25 +740,52 @@ class TestTreeBackend:
         assert all(float(np.max(np.abs(lv))) == 0.0 for lv in sol.tree.lam_levels)
 
     @pytest.mark.xfail(strict=True, reason=(
-        "fast switching breaks the tree's rescaled explicit scheme: at "
-        "depth 400 the sweeps stop at picard_max_iter = 60 (NoConvergence), "
-        "and with 300 allowed they settle at P(0) = 2.04; windowed, "
-        "re-centred Picard (ROADMAP item 5) is the fix"))
+        "at rate 40 and depth 400 the tree's Picard sequence needs 80 "
+        "sweeps and stops at picard_max_iter = 60 (NoConvergence); with "
+        "more allowed it settles at P(0) = 0.49957.  The one-sweep tree "
+        "solve (ROADMAP item 1) is the fix"))
     def test_tree_fast_switching_matches_closed_form(self):
         # e1's closed form P(0) = 1/2 holds for any symmetric switching rate
         spec = make_e1(generator=[[-40.0, 40.0], [40.0, -40.0]])
         sol = solve_esre(spec, SolverOptions(backend="tree", tree_depth=400))
         assert np.max(np.abs(sol.P[0] - E1_VALUE)) <= 1e-2
 
-    def test_tree_iterates_monotone_and_psd(self, e1):
-        sol = solve_esre(e1, SolverOptions(backend="tree", tree_depth=8,
-                                           keep_iterates=True))
+    @pytest.mark.parametrize("rate, max_iter", [(20.0, 60), (40.0, 200)])
+    def test_tree_fast_switching_at_depth_100(self, rate, max_iter):
+        spec = make_e1(generator=[[-rate, rate], [rate, -rate]])
+        sol = solve_esre(spec, SolverOptions(backend="tree", tree_depth=100,
+                                             picard_max_iter=max_iter))
+        assert np.max(np.abs(sol.P[0] - E1_VALUE)) <= 1e-2
+
+    def test_tree_e1_answer_does_not_depend_on_rate(self):
+        # with the regimes equal the coupling cancels at the fixed point, for
+        # any depth and rate; the tight picard_tol keeps the stopping error
+        # of the slower high-rate sequences well below the tolerance
+        p0 = []
+        for rate in (1.0, 8.0, 20.0):
+            spec = make_e1(generator=[[-rate, rate], [rate, -rate]])
+            sol = solve_esre(spec, SolverOptions(backend="tree", tree_depth=8,
+                                                 picard_tol=1e-12, picard_max_iter=200))
+            p0.append(sol.P[0])
+        assert all(np.max(np.abs(p - p0[0])) <= 1e-9 for p in p0[1:])
+
+    @staticmethod
+    def _assert_monotone_and_psd(sol):
         for prev, cur in zip(sol.iterates, sol.iterates[1:]):
             for lp, lc in zip(prev, cur):
                 assert float(np.min(np.linalg.eigvalsh(lp - lc))) >= -1e-8
         for it in sol.iterates:
             for lv in it:
                 assert float(np.min(np.linalg.eigvalsh(lv))) >= -1e-9
+
+    def test_tree_iterates_monotone_and_psd(self, e1):
+        self._assert_monotone_and_psd(solve_esre(
+            e1, SolverOptions(backend="tree", tree_depth=8, keep_iterates=True)))
+
+    def test_tree_iterates_monotone_and_psd_random_q(self):
+        cfg = parse_config(CONFIGS / "tree_random_q.yaml")
+        opts = dataclasses.replace(cfg.solver, keep_iterates=True)
+        self._assert_monotone_and_psd(solve_esre(cfg.problem, opts))
 
     def test_tree_terminal_exact_and_psd(self):
         from regimelq.model import CoefficientField
@@ -826,6 +843,16 @@ class TestDirectOracle:
         oracle = direct_coupled_oracle(e1, SolverOptions(grid_steps=2000))
         tol = max(1e-8, 10 * e1_solution.options.picard_tol)
         assert np.max(np.abs(oracle.P - e1_solution.P)) <= tol
+
+    @pytest.mark.parametrize("rate, T", [(800.0, 1.0), (50.0, 20.0)])
+    def test_fast_switching_closed_form(self, rate, T):
+        # the rescaled R underflows here; the oracle never inverts it, the
+        # fixed point still does (a typed error until it leaves the rescaling)
+        spec = make_e1(generator=[[-rate, rate], [rate, -rate]], T=T)
+        sol = direct_coupled_oracle(spec, SolverOptions(grid_steps=2000))
+        assert abs(sol.P[0, 0, 0, 0] - 1.0 / (1.0 + T)) <= 1e-8
+        with pytest.raises(NearSingular):
+            solve_esre(spec, SolverOptions(grid_steps=2000))
 
     def test_linear_scaling(self):
         base = scalar_spec(R=1.0, Q=0.4, G=0.8, delta=0.5)

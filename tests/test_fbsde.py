@@ -8,7 +8,6 @@ from regimelq.control import feedback_gain
 from regimelq.errors import StructuralError
 from regimelq.esre import SolverOptions, picard_step, solve_esre, solve_p0
 from regimelq.fbsde import tree_fbsde_oracle, xinv_product_check, ypx_residual
-from regimelq.model import tilde_transform
 from conftest import make_e1, scalar_spec
 
 
@@ -91,8 +90,8 @@ class TestTreeFbsdeOracle:
     def test_terminal_relation_holds(self, e1):
         opts = SolverOptions(backend="tree", tree_depth=6)
         triple, _ = tree_fbsde_oracle(e1, 1, solve_p0(e1, opts), opts)
-        gt = tilde_transform(e1).g_tilde(1)
-        assert np.allclose(triple.y[6], gt @ triple.x[6], atol=1e-12)
+        g = e1.G.eval(e1.T, 1)
+        assert np.allclose(triple.y[6], g @ triple.x[6], atol=1e-12)
 
     def test_requires_zero_control_noise(self):
         spec = scalar_spec(B=1.0, D=0.2, R=1.0, G=1.0, delta=0.5)

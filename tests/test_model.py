@@ -319,7 +319,7 @@ class TestTildeTransform:
                            generator=[[0.0, 0.0], [0.0, 0.0]])
         tilde = tilde_transform(spec)
         assert tilde.q_tilde(0.7, 1)[0, 0] == 2.0
-        assert tilde.g_tilde(2)[0, 0] == 1.0
+        assert np.array_equal(tilde.scale(spec.T), [1.0, 1.0])
 
     def test_scalar_rescaling(self):
         spec = scalar_spec(Q=2.0, R=1.0, G=1.0, delta=0.5)   # q_ii = -1
@@ -333,8 +333,9 @@ class TestTildeTransform:
             D=np.zeros((2, 2, 1)), Q=np.zeros((2, 2, 2)), S=np.zeros((2, 1, 2)),
             R=np.ones((2, 1, 1)), G=np.stack([np.eye(2)] * 2), delta=0.5,
         )
-        tilde = tilde_transform(spec)
-        assert np.allclose(tilde.g_tilde(1), np.exp(-1.0) * np.eye(2), rtol=1e-14)
+        # Gtilde = exp(q_ii T) G, as the grid backend forms it
+        gt = spec.G.eval(spec.T, 1) * tilde_transform(spec).scale(spec.T)[0]
+        assert np.allclose(gt, np.exp(-1.0) * np.eye(2), rtol=1e-14)
 
     def test_untilde_round_trip(self):
         spec = make_e1()
