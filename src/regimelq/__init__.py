@@ -48,11 +48,8 @@ from .regime_chain import (
 from .model import (
     CoefficientField,
     ProblemSpec,
-    TildeTransform,
     ValidationReport,
     check_smallness,
-    tilde_transform,
-    untilde_solution,
     validate_assumptions,
 )
 from .esre import (
@@ -108,9 +105,8 @@ __all__ = [
     "project_psd", "sym_inverse", "symmetrize",
     "Generator", "RegimePath", "path_substream", "sample_chain_path",
     "transition_matrix", "validate_generator",
-    "CoefficientField", "ProblemSpec", "TildeTransform", "ValidationReport",
-    "check_smallness", "tilde_transform",
-    "untilde_solution", "validate_assumptions",
+    "CoefficientField", "ProblemSpec", "ValidationReport",
+    "check_smallness", "validate_assumptions",
     "BinomialTree", "Diagnostics", "EsreSolution", "GridIterate",
     "SolverOptions", "TreeIterate", "direct_coupled_oracle", "drift_h",
     "drift_pi", "f_of_theta", "growth_constant", "picard_step", "solve_esre",

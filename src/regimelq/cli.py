@@ -285,11 +285,11 @@ def _cmd_simulate(config: RunConfig, paths, echo, seed) -> CommandResult:
     return CommandResult(EXIT_OK, {"estimates": str(paths["estimates"])})
 
 
-def _fit_order(dts, values) -> float:
+def _fit_order(dts, values, floor: float) -> float:
     dts = np.asarray(dts, dtype=float)
     values = np.maximum(np.asarray(values, dtype=float), 1e-300)
-    if np.all(values < 1e-13):
-        return np.inf        # residuals at roundoff level: order is moot
+    if np.all(values <= floor):
+        return np.inf        # residuals within the solver's tolerance: order is moot
     return float(np.polyfit(np.log(dts), np.log(values), 1)[0])
 
 
@@ -308,11 +308,15 @@ def _cmd_verify(config: RunConfig, paths, echo, seed) -> CommandResult:
     checks = []
     lines = ["verification report", "==================="]
 
-    # forward-backward identity on a dt ladder
+    # forward-backward identity on a dt ladder.  Its defect is first order
+    # in dt, with a dt^2 term that still bends the fit at 16 grid steps on
+    # some problems; where the solution makes the Euler step exact (e1:
+    # P(t+dt) - P(t) = dt P(t) P(t+dt)) only the solver's error is left
     dt_sol = solution.grid[1] - solution.grid[0]
-    dt_list = [16 * dt_sol, 8 * dt_sol, 4 * dt_sol]
+    dt_list = [8 * dt_sol, 4 * dt_sol, 2 * dt_sol]
     stats = ypx_residual(solution, spec, i0, dt_list)
-    order = _fit_order([s.dt for s in stats], [s.rms for s in stats])
+    order = _fit_order([s.dt for s in stats], [s.rms for s in stats],
+                       config.solver.picard_tol)
     ok = order >= 0.9
     checks.append(ok)
     lines.append(f"[{'PASS' if ok else 'FAIL'}] product-identity residual order "

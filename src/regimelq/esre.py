@@ -16,28 +16,28 @@ induction on the tree.
 
 Solution scheme
 ---------------
-The grid backend works in rescaled coordinates
-``Ptilde(t,i) = exp(q_ii t) P(t,i)`` (see :mod:`regimelq.model`), which
-move the diagonal coupling into the cost weights; the tree backend keeps
-original coordinates and takes the diagonal coupling implicitly (see
-Backends).  The iteration freezes the cross-regime coupling at the
-previous iterate:
+Both backends work on P itself.  Each regime's equation keeps its
+diagonal coupling ``q_ii P(t,i)``, and the iteration freezes the
+off-diagonal coupling at the previous iterate:
 
   * iterate 0 solves the *linear* coupled system (the quadratic term
     dropped);
   * iterate k+1 solves, regime by regime, the decoupled Riccati terminal
-    value problem with source ``sum_{j != i} q_ij exp((q_ii - q_jj) t)
-    Ptilde_k(t, j)``.
+    value problem with the term ``q_ii P`` and the source
+    ``sum_{j != i} q_ij P_k(t, j)``.
 
-Under the definiteness assumptions the iterates decrease monotonically in
-the Loewner order and stay positive semidefinite, which is asserted by the
-test suite; the driver stops when the sup-norm difference of consecutive
-iterates falls below ``picard_tol``.
+The paper proves this sequence monotone in the rescaled coordinates
+``exp(q_ii t) P``, where the source weights are nonnegative; the rescaling
+maps the sequence onto itself, so the iterates computed here decrease
+monotonically in the Loewner order and stay positive semidefinite under
+the definiteness assumptions, which is asserted by the test suite.  The
+driver stops when the sup-norm difference of consecutive iterates falls
+below ``picard_tol``.
 
 On the grid the sweeps run in lockstep (pipelined waveform relaxation).
 Sweep k+1 reads sweep k only at the grid times it steps across, so it can
 trail sweep k by a single step.  Sweep k+1 is *needed* once sweep k's
-running residual, the max so far of ``|Ptilde_k - Ptilde_{k-1}|_F`` over
+running residual, the max so far of ``|P_k - P_{k-1}|_F`` over
 the nodes it has reached, exceeds ``picard_tol``: the sweep-after-sweep
 loop is then certain to run it.  Near t = T consecutive iterates agree,
 so that certainty comes late; waiting for it would drain the pipeline
@@ -60,12 +60,15 @@ Backends
 ``ode``
     Classical fixed-step 4th-order backward stepping on a uniform grid,
     with symmetrization at every stage and a PSD eigenvalue clip per step.
+    The diagonal coupling is folded into the drift matrix,
+    ``A + (q_ii / 2) I``, so ``P A + A'P`` carries ``q_ii P``.  The step is
+    explicit, so a grid with ``dt max_i |q_ii| > 2`` is refused.
     The frozen source is evaluated at step midpoints through cubic Hermite
     interpolation of the stored iterate (values + recorded derivatives), so
     each sweep retains 4th-order accuracy.
 ``tree``
-    Backward induction on a recombining binomial lattice, in original
-    coordinates (no rescaling): the drift is evaluated at the conditional
+    Backward induction on a recombining binomial lattice: the drift is
+    evaluated at the conditional
     expectation ``pm`` of the child values and at the martingale increment
     ``Z = (V_up - V_down) / (2 sqrt(dt))``, and the regime coupling is
     taken at the level being solved.  Handles coefficients that are
@@ -79,15 +82,15 @@ Backends
     ``p_k = proj((pm + dt (drift(pm, Z) + q_off p_prev)) / (1 - dt q_ii))``.
 
 :func:`direct_coupled_oracle` integrates the full coupled system in one go
-(no freezing, original coordinates) and serves as an independent
-cross-check of the fixed-point limit.
+(no freezing) and serves as an independent cross-check of the fixed-point
+limit.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -102,21 +105,24 @@ from .errors import (
     StepFailure,
     StructuralError,
 )
-from .model import (
-    ProblemSpec,
-    TildeTransform,
-    check_smallness,
-    tilde_transform,
-    untilde_solution,
-    validate_assumptions,
-)
+from .model import ProblemSpec, check_smallness, validate_assumptions
 
 BLOWUP_GUARD = 1e8
+# largest dt max_i |q_ii| the grid's explicit RK4 step accepts: on e1 at
+# rate 20 a ratio of 2 leaves an error of about 1e-2 in P(0), and 2.5
+# already gives 0.669 for the closed form 0.5
+MAX_STEP_RATE = 2.0
 
 
 @dataclass
 class SolverOptions:
-    """Tunable knobs of :func:`solve_esre` with their defaults."""
+    """Tunable knobs of :func:`solve_esre` with their defaults.
+
+    ``picard_tol`` bounds the last sweep-to-sweep residual, the sup over
+    the grid or lattice of ``|P_k - P_{k-1}|_F``; it is not a bound on the
+    distance of the returned iterate to the fixed-point limit, which is
+    larger where the sequence contracts slowly.
+    """
 
     backend: str = "ode"          # "ode" | "tree"
     grid_steps: int = 2000
@@ -136,16 +142,24 @@ class SolverOptions:
             raise StructuralError(f"unknown backend {self.backend!r}")
         if self.grid_steps < 1 or self.tree_depth < 1:
             raise StructuralError("grid_steps and tree_depth must be >= 1")
+        if self.picard_max_iter < 1:
+            raise StructuralError(f"picard_max_iter must be >= 1, got {self.picard_max_iter}")
+        for name in ("picard_tol", "psd_tol", "cond_threshold"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0.0):
+                raise StructuralError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass
 class Diagnostics:
     """Solver-side certificates recorded with every solution.
 
-    ``rho`` and ``k_estimate`` parameterize the exponential a priori bound
-    ``sup_t e^{rho t} |Ptilde_0(t,i)|^2 <= 1.5 e^{rho T}(K^2 + 1/rho)``
-    for the linear initial iterate; the bound and the measured supremum are
-    stored in logs as well because e^{rho T} overflows quickly.
+    ``rho`` and ``k_estimate`` parameterize the paper's exponential a
+    priori bound ``sup_t e^{rho t} |Ptilde_0(t,i)|^2 <= 1.5 e^{rho T}(K^2 +
+    1/rho)`` for the linear initial iterate in its rescaled coordinates,
+    ``|Ptilde_0(t,i)| = exp(q_ii t) |P_0(t,i)|``.  The supremum is measured
+    in logs, and both it and the bound are also stored as logs, because
+    e^{rho T} overflows quickly.
     ``lambda_l2`` is the plain discrete L2 norm of the martingale integrand
     per regime (an informational quantity only).
     """
@@ -164,9 +178,9 @@ class Diagnostics:
 
 @dataclass
 class GridIterate:
-    """One fixed-point iterate on the uniform grid (rescaled coordinates).
+    """One fixed-point iterate on the uniform grid.
 
-    ``values[k, i-1]`` is Ptilde at (t_k, regime i); ``derivs`` holds the
+    ``values[k, i-1]`` is P at (t_k, regime i); ``derivs`` holds the
     recorded time derivatives used for midpoint interpolation.
     """
 
@@ -212,7 +226,7 @@ class BinomialTree:
 
 @dataclass
 class TreeIterate:
-    """One fixed-point iterate on the lattice (original coordinates).
+    """One fixed-point iterate on the lattice.
 
     ``levels[k]`` has shape (k+1, ell, n, n); ``lam_levels`` likewise, with
     zeros at the terminal level where no child difference exists.
@@ -245,14 +259,12 @@ class EsreSolution:
     grid: np.ndarray
     P: np.ndarray
     Lambda: np.ndarray
-    Ptilde: np.ndarray
-    Lambdatilde: np.ndarray
     backend: str
     iterations: int
     residual_history: list
     diagnostics: Diagnostics
     options: SolverOptions
-    iterates: list = None        # with keep_iterates: Ptilde arrays, or P level tuples (tree)
+    iterates: list = None        # with keep_iterates: P arrays, or P level tuples (tree)
     tree: TreeSolution = None
 
 
@@ -274,15 +286,14 @@ def drift_pi(t: float, i: int, p: np.ndarray, lam: np.ndarray, spec: ProblemSpec
     return matcore.symmetrize(out)
 
 
-def drift_h(t: float, i: int, p: np.ndarray, lam: np.ndarray, r_mat: np.ndarray,
-            s_mat: np.ndarray, spec: ProblemSpec, node=None,
-            cond_threshold: float = matcore.DEFAULT_COND_THRESHOLD) -> np.ndarray:
+def drift_h(t: float, i: int, p: np.ndarray, lam: np.ndarray, spec: ProblemSpec,
+            node=None, cond_threshold: float = matcore.DEFAULT_COND_THRESHOLD) -> np.ndarray:
     """Quadratic drift part
 
-        -(p B + C'p D + lam D + S') (R + D'p D)^{-1} (B'p + D'p C + D'lam + S)
+        -(p B + C'p D + lam D + S') (R + D'p D)^{-1} (B'p + D'p C + D'lam + S),
 
-    with the provided R and S matrices (rescaled or plain).  Negative
-    semidefinite whenever the inverted block is positive definite.
+    symmetrized.  Negative semidefinite whenever the inverted block is
+    positive definite.
 
     Raises
     ------
@@ -290,23 +301,18 @@ def drift_h(t: float, i: int, p: np.ndarray, lam: np.ndarray, r_mat: np.ndarray,
         If ``R + D'p D`` fails the guarded inversion; this is the runtime
         guard for the positivity the feedback formula requires.
     """
-    m, sigma = _gain_blocks_at(spec, t, i, node, p, lam, s_mat, r_mat)
+    m, sigma = _gain_blocks_at(spec, t, i, node, p, lam)
     sigma_inv = matcore.sym_inverse(sigma, cond_threshold)
     return matcore.symmetrize(-(m.T @ (sigma_inv @ m)))
 
 
-def theta_hat(t: float, i: int, ptilde: np.ndarray, lamtilde: np.ndarray,
-              tilde: TildeTransform, node=None,
-              cond_threshold: float = matcore.DEFAULT_COND_THRESHOLD) -> np.ndarray:
-    """Minimizing gain of the completed square,
+def theta_hat(t: float, i: int, p: np.ndarray, lam: np.ndarray, spec: ProblemSpec,
+              node=None, cond_threshold: float = matcore.DEFAULT_COND_THRESHOLD) -> np.ndarray:
+    """Minimizing gain of the completed square, the feedback gain
 
-        -(Rtilde + D'Ptilde D)^{-1} (B'Ptilde + D'Ptilde C + D'Lamtilde + Stilde).
-
-    The exponential rescaling cancels between the two factors, so this
-    equals the untransformed feedback gain pointwise.
+        -(R + D'p D)^{-1} (B'p + D'p C + D'lam + S).
     """
-    m, sigma = _gain_blocks_at(tilde.spec, t, i, node, ptilde, lamtilde,
-                               tilde.s_tilde(t, i, node), tilde.r_tilde(t, i, node))
+    m, sigma = _gain_blocks_at(spec, t, i, node, p, lam)
     return -(matcore.sym_inverse(sigma, cond_threshold) @ m)
 
 
@@ -321,49 +327,42 @@ def _gain_blocks(p, lam, b, c, d, s, r):
     return m, matcore.symmetrize(r + d_t @ (p @ d))
 
 
-def _gain_blocks_at(spec, t, i, node, p, lam, s, r):
-    """:func:`_gain_blocks` with B, C, D evaluated at (t, regime i, node)."""
+def _gain_blocks_at(spec, t, i, node, p, lam):
+    """:func:`_gain_blocks` with B, C, D, S, R evaluated at (t, regime i,
+    node)."""
     return _gain_blocks(
         np.asarray(p, dtype=float), np.asarray(lam, dtype=float),
-        spec.B.eval(t, i, node), spec.C.eval(t, i, node), spec.D.eval(t, i, node),
-        np.asarray(s, dtype=float), np.asarray(r, dtype=float),
+        *(spec.coefficient(name).eval(t, i, node) for name in "BCDSR"),
     )
 
 
-def f_of_theta(t: float, i: int, ptilde: np.ndarray, lamtilde: np.ndarray,
-               theta: np.ndarray, tilde: TildeTransform, node=None) -> np.ndarray:
+def f_of_theta(t: float, i: int, p: np.ndarray, lam: np.ndarray, theta: np.ndarray,
+               spec: ProblemSpec, node=None) -> np.ndarray:
     """Drift value at an arbitrary gain  theta  (m x n):
 
         (A + B theta)'P + P (A + B theta)
         + (C + D theta)'Lam + Lam (C + D theta)
         + (C + D theta)'P (C + D theta)
-        + theta'Stilde + Stilde'theta + theta'Rtilde theta + Qtilde,
+        + theta'S + S'theta + theta'R theta + Q,
 
-    evaluated in rescaled coordinates and symmetrized.  Minimized over
-    theta at :func:`theta_hat`, where it reduces to the Riccati drift.
+    symmetrized.  Minimized over theta at :func:`theta_hat`, where it
+    reduces to the Riccati drift.
     """
-    spec = tilde.spec
-    a = spec.A.eval(t, i, node)
-    b = spec.B.eval(t, i, node)
-    c = spec.C.eval(t, i, node)
-    d = spec.D.eval(t, i, node)
-    p = np.asarray(ptilde, dtype=float)
-    lam = np.asarray(lamtilde, dtype=float)
+    a, b, c, d, q, s, r = (spec.coefficient(name).eval(t, i, node) for name in "ABCDQSR")
+    p = np.asarray(p, dtype=float)
+    lam = np.asarray(lam, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (spec.m, spec.n):
         raise DimensionMismatch(f"theta must be {(spec.m, spec.n)}, got {theta.shape}")
-    st = tilde.s_tilde(t, i, node)
-    rt = tilde.r_tilde(t, i, node)
-    qt = tilde.q_tilde(t, i, node)
     acl = a + b @ theta
     ccl = c + d @ theta
     out = (
         acl.T @ p + p @ acl
         + ccl.T @ lam + lam @ ccl
         + ccl.T @ (p @ ccl)
-        + theta.T @ st + st.T @ theta
-        + theta.T @ (rt @ theta)
-        + qt
+        + theta.T @ s + s.T @ theta
+        + theta.T @ (r @ theta)
+        + q
     )
     return matcore.symmetrize(out)
 
@@ -393,9 +392,13 @@ class _GridEngine:
 
     The right-hand sides take the state either as one ``(ell, n, n)`` stack
     at an integer half-index or as ``(L, ell, n, n)`` with one half-index
-    per member.  ``h`` indexes the rescaled weights, which vary in time;
-    ``hc`` indexes A, B, C, D and their transposes, and is the single
-    index 0 shared by every member when those are constant.
+    per member.  ``h`` indexes Q, S and R; ``hc`` indexes A, B, C, D and
+    their transposes, and is the single index 0 shared by every member
+    when those are constant.
+
+    The sweeps read ``Aq = A + (q_ii / 2) I``, which carries the diagonal
+    coupling, and freeze the off-diagonal coupling ``q_off`` at the
+    previous iterate.  :func:`direct_coupled_oracle` reads the plain A.
     """
 
     def __init__(self, spec: ProblemSpec, options: SolverOptions):
@@ -410,10 +413,11 @@ class _GridEngine:
         self.grid = np.linspace(0.0, spec.T, n_steps + 1)
         half = np.linspace(0.0, spec.T, 2 * n_steps + 1)
         self.half_times = half
-        tilde = tilde_transform(spec)
-        self.tilde = tilde
+        qdiag = np.diag(spec.q)
+        self.q_off = spec.q - np.diag(qdiag)
 
         self.A = np.ascontiguousarray(spec.A.sample_times(half))
+        self.Aq = self.A + (0.5 * qdiag)[:, None, None] * np.eye(spec.n)
         self.B = np.ascontiguousarray(spec.B.sample_times(half))
         self.C = np.ascontiguousarray(spec.C.sample_times(half))
         self.D = np.ascontiguousarray(spec.D.sample_times(half))
@@ -425,26 +429,26 @@ class _GridEngine:
         self.constant_dynamics = all(
             spec.coefficient(name).kind == "constant" for name in ("A", "B", "C", "D")
         )
-        scale = tilde.scale(half)                       # (2N+1, ell)
-        sc = scale[:, :, None, None]
-        self.Qt = self.Q * sc
-        self.St = self.S * sc
-        self.Rt = self.R * sc
         self.G = np.stack([spec.G.eval(spec.T, i) for i in range(1, spec.ell + 1)])
-        self.Gt = self.G * tilde.scale(spec.T)[:, None, None]
-        self.W = tilde.coupling_weights(half)           # (2N+1, ell, ell)
 
         self.has_C = not spec.C.is_zero()
         self.has_D = (not spec.D.is_zero()) or options.force_general_d
         self.has_S = not spec.S.is_zero()
+        # R^{-1} on the half grid, read by every stage when D = 0
+        self.R_inv = None if self.has_D else matcore.sym_inverse(self.R, options.cond_threshold)
 
-    @cached_property
-    def Rt_inv(self) -> np.ndarray:
-        """Inverse of the rescaled R on the half grid, reused by every stage
-        of every sweep when D = 0.  Formed on first use: only the Picard
-        path reads it, and ``Rt`` can underflow where the direct oracle,
-        which shares this engine, needs no inverse of it."""
-        return matcore.sym_inverse(self.Rt, self.options.cond_threshold)
+    def _require_stable_step(self):
+        """Refuse a grid on which the explicit RK4 step cannot carry the
+        diagonal coupling: ``dt max_i |q_ii|`` must stay <= MAX_STEP_RATE."""
+        rate = float(np.max(-np.diag(self.spec.q)))
+        # T rate > MAX_STEP_RATE N  is  dt rate > MAX_STEP_RATE, free of roundoff in dt
+        if self.spec.T * rate > MAX_STEP_RATE * self.options.grid_steps:
+            need = math.ceil(self.spec.T * rate / MAX_STEP_RATE)
+            raise StructuralError(
+                f"grid too coarse for the switching rate: dt * max|q_ii| = "
+                f"{self.dt * rate:.4g} exceeds {MAX_STEP_RATE:g}; "
+                f"use grid_steps >= {need}"
+            )
 
     # -- right-hand sides (dP/dt), batched over regimes -----------------
 
@@ -457,9 +461,9 @@ class _GridEngine:
         if self.has_D and pc is not None:
             m = m + self.Dt[hc] @ pc
         if self.has_S:
-            m = m + self.St[h]
+            m = m + self.S[h]
         if self.has_D:
-            sigma = _sym(self.Rt[h] + self.Dt[hc] @ (p @ self.D[hc]))
+            sigma = _sym(self.R[h] + self.Dt[hc] @ (p @ self.D[hc]))
             if check_cond:
                 w = np.abs(np.linalg.eigvalsh(sigma))
                 lo, hi = w.min(axis=-1), w.max(axis=-1)
@@ -476,11 +480,12 @@ class _GridEngine:
             except np.linalg.LinAlgError as exc:
                 raise NearSingular("R + D'PD is singular") from exc
         else:
-            x = self.Rt_inv[h] @ m
+            x = self.R_inv[h] @ m
         return -m.mT @ x
 
     def _linear_term(self, hc, p: np.ndarray, pc) -> np.ndarray:
-        pa = p @ self.A[hc]
+        """P Aq + Aq'P + C'P C, which includes the diagonal coupling."""
+        pa = p @ self.Aq[hc]
         out = pa + pa.mT
         if pc is not None:
             out = out + self.Ct[hc] @ pc
@@ -488,17 +493,18 @@ class _GridEngine:
 
     def _rhs_picard(self, h, hc, p: np.ndarray, src: np.ndarray,
                     check_cond: bool) -> np.ndarray:
-        """Frozen-coupling rhs; ``src`` is the coupling source at ``h``."""
+        """Frozen-coupling rhs; ``src`` is the off-diagonal coupling
+        ``q_off P_prev`` at ``h``."""
         pc = p @ self.C[hc] if self.has_C else None
-        drift = self._linear_term(hc, p, pc) + self.Qt[h] + src
+        drift = self._linear_term(hc, p, pc) + self.Q[h] + src
         drift = drift + self._quadratic_term(h, hc, p, pc, check_cond)
         return -_sym(drift)
 
     def _rhs_linear(self, h: int, p: np.ndarray) -> np.ndarray:
         """Initial iterate: linear drift + live cross-regime coupling."""
         pc = p @ self.C[h] if self.has_C else None
-        drift = self._linear_term(h, p, pc) + self.Qt[h]
-        drift = drift + np.einsum("ij,jab->iab", self.W[h], p)
+        drift = self._linear_term(h, p, pc) + self.Q[h]
+        drift = drift + np.einsum("ij,jab->iab", self.q_off, p)
         return -_sym(drift)
 
     # -- sweeps ----------------------------------------------------------
@@ -525,16 +531,17 @@ class _GridEngine:
         return values, derivs
 
     def solve_p0(self) -> GridIterate:
+        self._require_stable_step()
         rhs = lambda h, p, chk: self._rhs_linear(h, p)
-        values, derivs = self._sweep(rhs, self.Gt, project=False)
+        values, derivs = self._sweep(rhs, self.G, project=False)
         zeros = np.zeros_like(values)
         return GridIterate(self.grid, values, derivs, zeros)
 
     def picard_sweep(self, prev: GridIterate) -> GridIterate:
-        prev_half = prev.half_values()
-        src = np.einsum("hij,hjab->hiab", self.W, prev_half)
+        self._require_stable_step()
+        src = np.einsum("ij,hjab->hiab", self.q_off, prev.half_values())
         rhs = lambda h, p, chk: self._rhs_picard(h, h, p, src[h], chk)
-        values, derivs = self._sweep(rhs, self.Gt, project=True)
+        values, derivs = self._sweep(rhs, self.G, project=True)
         return GridIterate(self.grid, values, derivs, np.zeros_like(values))
 
     # -- pipelined fixed point -------------------------------------------
@@ -543,7 +550,7 @@ class _GridEngine:
         """Run the sweeps of the fixed point from ``it0`` in lockstep, with
         the launch rule and error order described in the module docstring.
 
-        Returns ``(ptilde, residuals, iterates)``; ``iterates`` lists every
+        Returns ``(p, residuals, iterates)``; ``iterates`` lists every
         iterate from ``it0`` on when ``keep_iterates`` is set, else None.
         """
         opts = self.options
@@ -551,8 +558,8 @@ class _GridEngine:
         # store[j]: values and derivatives of sweep j, (N+1, 2, ell, n, n),
         # dropped once sweep j+1 has finished
         store = [np.stack([it0.values, it0.derivs], axis=1)]
-        src_T = np.einsum("hij,hjab->hiab", self.W[-1:], self.Gt[None])
-        live = _Members.empty(self.Gt.shape)
+        src_T = np.einsum("ij,jab->iab", self.q_off, self.G)[None]
+        live = _Members.empty(self.G.shape)
         residuals = []
         iterates = [it0.values.copy()] if opts.keep_iterates else None
         held = None
@@ -566,11 +573,11 @@ class _GridEngine:
                     certain += 1
             if held is None and newest < min(certain + SPECULATIVE_SWEEPS,
                                              opts.picard_max_iter):
-                store.append(np.empty((n_steps + 1, 2) + self.Gt.shape))
-                store[-1][n_steps, 0] = self.Gt
+                store.append(np.empty((n_steps + 1, 2) + self.G.shape))
+                store[-1][n_steps, 0] = self.G
                 launch = _Members(np.array([newest + 1]), np.array([n_steps]),
-                                  self.Gt[None], src_T, np.zeros(1))
-                live = _Members.join([live, launch], self.Gt.shape)
+                                  self.G[None], src_T, np.zeros(1))
+                live = _Members.join([live, launch], self.G.shape)
             if not len(live):
                 break
             try:
@@ -587,7 +594,7 @@ class _GridEngine:
                         break
                     finished = finished or done
                     parts.append(part)
-                stepped = _Members.join(parts, self.Gt.shape)
+                stepped = _Members.join(parts, self.G.shape)
             if finished:
                 j = int(live.sweep[0])
                 res = float(live.res[0])
@@ -633,8 +640,8 @@ class _GridEngine:
             [store[j - 1][k - 1:k + 1] for j, k in zip(sweeps, ks)], axis=2)
         mid = _hermite_midpoint(v0, v1, d0, d1, self.grid[1] - self.grid[0])
         h_mid, h_end = h - 1, h - 2
-        src_mid = np.einsum("hij,hjab->hiab", self.W[h_mid], mid)
-        src_end = np.einsum("hij,hjab->hiab", self.W[h_end], v0)
+        src_mid = np.einsum("ij,ljab->liab", self.q_off, mid)
+        src_end = np.einsum("ij,ljab->liab", self.q_off, v0)
         hc_mid = 0 if self.constant_dynamics else h_mid
         hc_end = 0 if self.constant_dynamics else h_end
         p = live.p
@@ -827,22 +834,30 @@ def solve_p0(spec: ProblemSpec, options: SolverOptions = None):
 def picard_step(spec: ProblemSpec, prev, options: SolverOptions = None):
     """One frozen-coupling sweep from the previous iterate.
 
-    ``prev`` must be on the same grid or tree as the options request and
-    positive semidefinite within ``psd_tol``.
+    ``prev`` must be on the same grid or tree as the options request, hold
+    ``(ell, n, n)`` matrices of ``spec`` per sample or node and be positive
+    semidefinite within ``psd_tol``.
     """
     options = options or SolverOptions()
     if isinstance(prev, GridIterate):
         if prev.values.shape[0] != options.grid_steps + 1:
             raise StructuralError("previous iterate lives on a different grid")
-        _require_psd(prev.values, options.psd_tol)
-        return _GridEngine(spec, options).picard_sweep(prev)
-    if isinstance(prev, TreeIterate):
+        stacks, engine = (prev.values,), _GridEngine
+    elif isinstance(prev, TreeIterate):
         if prev.tree.depth != options.tree_depth:
             raise StructuralError("previous iterate lives on a different tree")
-        for lv in prev.levels:
-            _require_psd(lv, options.psd_tol)
-        return _TreeEngine(spec, options).picard_sweep(prev)
-    raise StructuralError(f"unsupported iterate type {type(prev).__name__}")
+        stacks, engine = prev.levels, _TreeEngine
+    else:
+        raise StructuralError(f"unsupported iterate type {type(prev).__name__}")
+    want = (spec.ell, spec.n, spec.n)
+    for values in stacks:
+        if values.shape[1:] != want:
+            raise DimensionMismatch(
+                f"previous iterate holds {values.shape[1:]} matrices per sample, "
+                f"the problem needs (ell, n, n) = {want}"
+            )
+        _require_psd(values, options.psd_tol)
+    return engine(spec, options).picard_sweep(prev)
 
 
 def _require_psd(values: np.ndarray, psd_tol: float):
@@ -899,15 +914,13 @@ def solve_esre(spec: ProblemSpec, options: SolverOptions = None, **overrides) ->
 def _solve_grid(spec, options, smallness, smallness_ok) -> EsreSolution:
     engine = _GridEngine(spec, options)
     it0 = engine.solve_p0()
-    ptilde, residuals, iterates = engine.pipelined_sweeps(it0)
-    lamtilde = np.zeros_like(ptilde)
-    p, lam = untilde_solution(ptilde, lamtilde, spec.generator, engine.grid)
-    p[-1] = engine.G           # terminal condition exact by assignment
+    p, residuals, iterates = engine.pipelined_sweeps(it0)
     _require_psd(p, options.psd_tol)
-    diag = _diagnostics(spec, engine.grid, it0.values, lamtilde,
-                        smallness, options.smallness_threshold, smallness_ok)
+    diag = _diagnostics(spec, engine.grid, np.linalg.norm(it0.values, axis=(-2, -1)),
+                        np.zeros(spec.ell), smallness, options.smallness_threshold,
+                        smallness_ok)
     return EsreSolution(
-        grid=engine.grid, P=p, Lambda=lam, Ptilde=ptilde, Lambdatilde=lamtilde,
+        grid=engine.grid, P=p, Lambda=np.zeros_like(p),
         backend="ode", iterations=len(residuals), residual_history=residuals,
         diagnostics=diag, options=options, iterates=iterates,
     )
@@ -950,12 +963,18 @@ def _solve_tree(spec, options, smallness, smallness_ok) -> EsreSolution:
         wts = _node_weights(k)[:, None, None, None]
         P[k] = (prev.levels[k] * wts).sum(axis=0)
         Lam[k] = (prev.lam_levels[k] * wts).sum(axis=0)
-    scale = tilde_transform(spec).scale(grid)[:, :, None, None]
-    diag = _diagnostics_tree(spec, tree, it0, prev,
-                             smallness, options.smallness_threshold, smallness_ok)
+    # the lattice's largest |P_0| per level and regime, and the L2 norm of
+    # Lambda weighted by node probabilities
+    p0_norms = np.stack([np.linalg.norm(lv, axis=(-2, -1)).max(axis=0) for lv in it0.levels])
+    sq_sum = np.zeros(ell)
+    for k in range(tree.depth):
+        wts = _node_weights(k)[:, None]
+        sq_sum += (np.linalg.norm(prev.lam_levels[k], axis=(-2, -1)) ** 2 * wts).sum(axis=0)
+    diag = _diagnostics(spec, grid, p0_norms, np.sqrt(sq_sum * tree.dt),
+                        smallness, options.smallness_threshold, smallness_ok)
     sol_tree = TreeSolution(tree=tree, p_levels=prev.levels, lam_levels=prev.lam_levels)
     return EsreSolution(
-        grid=grid, P=P, Lambda=Lam, Ptilde=P * scale, Lambdatilde=Lam * scale,
+        grid=grid, P=P, Lambda=Lam,
         backend="tree", iterations=len(residuals), residual_history=residuals,
         diagnostics=diag, options=options, iterates=iterates, tree=sol_tree,
     )
@@ -1006,11 +1025,24 @@ def _rho_of(spec: ProblemSpec, k_est: float) -> float:
     return (3.0 * (spec.ell - 1) ** 2 * spec.T + 3.0) * _square(k_est) + 3.0 * k_est
 
 
-def _make_diagnostics(spec, k_est, rho, log_sup, lam_l2, smallness, thresh,
-                      ok) -> Diagnostics:
-    """Diagnostics from K, rho and the log of the measured supremum.  The
-    bound 1.5 e^{rho T}(K^2 + 1/rho) is kept as a log, which is ``inf``
-    unless rho > 0; both exponentials saturate to ``inf`` past e^709."""
+def _diagnostics(spec, times, p0_norms, lam_l2, smallness, thresh, ok) -> Diagnostics:
+    """Diagnostics of a solve; ``p0_norms[k, i]`` is the largest |P_0| at
+    ``times[k]`` in regime i+1, over the lattice nodes for the tree.
+
+    The measured supremum is taken in logs, ``rho t + 2 (q_ii t +
+    log|P_0|)``, so that no exponential under- or overflows.  The bound
+    1.5 e^{rho T}(K^2 + 1/rho) is kept as a log, which is ``inf`` unless
+    rho > 0; both exponentials saturate to ``inf`` past e^709.
+    """
+    k_est = growth_constant(spec)
+    rho = _rho_of(spec, k_est)
+    # rho = inf makes rho * 0 undefined at t = 0, and so is rho t plus the
+    # log of a zero norm; those samples are skipped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_top = np.max(np.log(p0_norms) + np.diag(spec.q) * times[:, None], axis=1)
+        logs = rho * times + 2.0 * log_top
+    logs = logs[~np.isnan(logs)]
+    log_sup = float(logs.max()) if logs.size else -np.inf
     if rho <= 0.0:
         log_bound = np.inf
     else:
@@ -1023,40 +1055,6 @@ def _make_diagnostics(spec, k_est, rho, log_sup, lam_l2, smallness, thresh,
         lambda_l2=lam_l2, smallness=smallness,
         smallness_threshold=thresh, smallness_ok=ok,
     )
-
-
-def _diagnostics(spec, grid, ptilde0, lamtilde, smallness, thresh, ok) -> Diagnostics:
-    k_est = growth_constant(spec)
-    rho = _rho_of(spec, k_est)
-    norms = np.linalg.norm(ptilde0, axis=(-2, -1))        # (N+1, ell)
-    # rho = inf makes rho * 0 undefined at t = 0; nanmax skips that sample
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = rho * grid[:, None] + 2.0 * np.log(norms)
-    log_sup = float(np.nanmax(logs)) if norms.size else -np.inf
-    dt = grid[1] - grid[0] if grid.size > 1 else 0.0
-    lam_l2 = np.sqrt((np.linalg.norm(lamtilde, axis=(-2, -1)) ** 2).sum(axis=0) * dt)
-    return _make_diagnostics(spec, k_est, rho, log_sup, lam_l2, smallness, thresh, ok)
-
-
-def _diagnostics_tree(spec, tree, it0, final, smallness, thresh, ok) -> Diagnostics:
-    k_est = growth_constant(spec)
-    rho = _rho_of(spec, k_est)
-    log_sup = -np.inf
-    qdiag = np.diag(spec.q)
-    for k, lv in enumerate(it0.levels):
-        # the bound is on the rescaled |Ptilde_0| = exp(q_ii t) |P_0|, taken
-        # in logs so that no exp underflows
-        top = np.linalg.norm(lv, axis=(-2, -1)).max(axis=0)
-        with np.errstate(divide="ignore"):
-            log_top = float(np.max(np.log(top) + qdiag * tree.times[k]))
-        if log_top > -np.inf and (k > 0 or np.isfinite(rho)):
-            log_sup = max(log_sup, rho * tree.times[k] + 2.0 * log_top)
-    sq_sum = np.zeros(spec.ell)
-    for k in range(tree.depth):
-        wts = _node_weights(k)[:, None]
-        sq_sum += (np.linalg.norm(final.lam_levels[k], axis=(-2, -1)) ** 2 * wts).sum(axis=0)
-    lam_l2 = np.sqrt(sq_sum * tree.dt)
-    return _make_diagnostics(spec, k_est, rho, log_sup, lam_l2, smallness, thresh, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -1080,10 +1078,6 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None,
     engine = _GridEngine(spec, options)
     q_full = spec.q
     has_D = engine.has_D
-    # plain-coordinate inverse of R when D is identically zero
-    r_inv = None
-    if not has_D:
-        r_inv = matcore.sym_inverse(engine.R, options.cond_threshold)
 
     def rhs(h, p):
         pa = p @ engine.A[h]
@@ -1105,7 +1099,7 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None,
             except np.linalg.LinAlgError as exc:
                 raise NearSingular("R + D'PD is singular") from exc
         else:
-            x = r_inv[h] @ m
+            x = engine.R_inv[h] @ m
         out = out - np.swapaxes(m, -1, -2) @ x
         return -_sym(out)
 
@@ -1125,13 +1119,11 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None,
             raise StepFailure(f"state norm exceeded {BLOWUP_GUARD:g} at t={engine.grid[k-1]:g}")
         values[k - 1] = p
 
-    lam = np.zeros_like(values)
-    scale = engine.tilde.scale(engine.grid)[:, :, None, None]
-    diag = _diagnostics(spec, engine.grid, values * scale, lam,
-                        check_smallness(spec), options.smallness_threshold, True)
+    diag = _diagnostics(spec, engine.grid, np.linalg.norm(values, axis=(-2, -1)),
+                        np.zeros(spec.ell), check_smallness(spec),
+                        options.smallness_threshold, True)
     return EsreSolution(
-        grid=engine.grid, P=values, Lambda=lam,
-        Ptilde=values * scale, Lambdatilde=lam,
+        grid=engine.grid, P=values, Lambda=np.zeros_like(values),
         backend="direct", iterations=0, residual_history=[],
         diagnostics=diag, options=options,
     )

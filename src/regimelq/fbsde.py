@@ -13,15 +13,12 @@ product ansatz
     Y = P X,        Z = Lam X + P C X + P D u,
 
 where (P, Lam) is the Riccati iterate fed by the same frozen coupling.
-This is the system in original coordinates, in which the tree backend and
-:func:`tree_fbsde_oracle` work.  The grid backend's iterate is rescaled,
-``Ptilde = exp(q_ii t) P``; :func:`ypx_residual` checks it against the
-same system with Q, S, R, G rescaled alike, coupling weights
-``q_ij exp((q_ii - q_jj) t)`` and no ``q_ii Y`` term.  The routines here
-measure how well computed solutions honor that identity:
+At the fixed point the coupling is the solution's own, and the terms
+``q_ii Y + coupling(t) X`` together read ``sum_j q_ij P(t, j) X``.  The
+routines here measure how well computed solutions honor that identity:
 
 :func:`ypx_residual`
-    sets Y := Ptilde X along the closed-loop forward dynamics and reports
+    sets Y := P X along the closed-loop forward dynamics and reports
     the one-step defect of the backward equation (per unit time), for a
     ladder of step sizes;
 :func:`tree_fbsde_oracle`
@@ -49,7 +46,7 @@ import numpy as np
 from .control import FeedbackGain, _step_count, feedback_gain
 from .errors import NoConvergence, SingularState, StructuralError
 from .esre import EsreSolution, SolverOptions, TreeIterate, picard_step
-from .model import ProblemSpec, tilde_transform
+from .model import ProblemSpec
 from .regime_chain import path_substream
 
 DET_GUARD = 1e-12
@@ -99,32 +96,31 @@ def _solution_samples(solution: EsreSolution, dt: float):
 
 def ypx_residual(solution: EsreSolution, spec: ProblemSpec, regime: int,
                  dt_list) -> list:
-    """One-step backward-equation defect of Y := Ptilde X, per dt.
+    """One-step backward-equation defect of Y := P X, per dt.
 
     The forward state follows the closed-loop Euler recursion; at every
-    grid time Y is *re-anchored* to ``Ptilde X`` and the defect
+    grid time Y is *re-anchored* to ``P X`` and the defect
 
         Y(t+dt) - Y(t) + f(t, X, Y, Z) dt
 
-    is recorded (deterministic coefficients, so no martingale term).  The
-    stats are normalized by dt, making the values step-size densities: a
-    consistent scheme shows them shrinking linearly in dt.
+    is recorded, with the regime coupling ``sum_j q_ij P(t, j)`` in f
+    (deterministic coefficients, so no martingale term).  The stats are
+    normalized by dt, making the values step-size densities: a consistent
+    scheme shows them shrinking linearly in dt.
     """
     if solution.backend == "tree":
         raise StructuralError("ypx_residual expects a grid-backend solution")
     if not 1 <= regime <= spec.ell:
         raise StructuralError(f"regime {regime} outside 1..{spec.ell}")
     gains = feedback_gain(solution, spec)
-    tilde = tilde_transform(spec)
     i = regime
     out = []
     for dt in dt_list:
         idx = _solution_samples(solution, dt)
         times = solution.grid[idx]
-        pt = solution.Ptilde[idx, i - 1]                 # (K, n, n)
+        pt = solution.P[idx, i - 1]                      # (K, n, n)
         ktab = gains.gains[idx, i - 1]                   # (K, m, n)
-        w = tilde.coupling_weights(times)                # (K, ell, ell)
-        src = np.einsum("kj,kjab->kab", w[:, i - 1, :], solution.Ptilde[idx])
+        src = np.einsum("j,kjab->kab", spec.q[i - 1], solution.P[idx])
         n_steps = len(idx) - 1
         res = np.empty(n_steps)
         x = np.eye(spec.n)
@@ -140,8 +136,8 @@ def ypx_residual(solution: EsreSolution, spec: ProblemSpec, regime: int,
             z = pt[k] @ (c @ x) + pt[k] @ (d @ u)
             f = (
                 a.T @ y + c.T @ z
-                + (tilde.q_tilde(t, i) + src[k]) @ x
-                + tilde.s_tilde(t, i).T @ u
+                + (spec.Q.eval(t, i) + src[k]) @ x
+                + spec.S.eval(t, i).T @ u
             )
             x_next = x + dt * (a @ x + b @ u)
             y_next = pt[k + 1] @ x_next

@@ -20,16 +20,11 @@ Definiteness requirements checked by :func:`validate_assumptions`:
     R(t, i) >= delta * I,    Q(t, i) - S(t, i)' R(t, i)^{-1} S(t, i) >= 0,
     G(i) >= 0.
 
-The solver's grid backend works in exponentially rescaled coordinates
-(the tree backend keeps original coordinates).  With q_ii the
-diagonal generator entry of regime i, the rescaling
-
-    Ptilde(t, i) = exp(q_ii t) P(t, i)
-
-absorbs the diagonal part of the regime coupling into the equation; the
-cost weights transform the same way (Qtilde = exp(q_ii t) Q, ..., Gtilde =
-exp(q_ii T) G) while A, B, C, D are unchanged.  :class:`TildeTransform`
-provides the rescaled fields, :func:`untilde_solution` maps solutions back.
+Both solver backends use the coefficients as given and compute P itself.
+The paper's rescaling ``exp(q_ii t) P``, with q_ii the diagonal generator
+entry of regime i, enters only its quantities: :func:`check_smallness`
+here, and the growth constant and a priori bound of the solver's
+diagnostics.
 """
 
 from __future__ import annotations
@@ -396,63 +391,3 @@ def check_smallness(spec: ProblemSpec) -> float:
     # the Frobenius norm as the dot product that np.linalg.norm takes on a
     # single matrix; its axis= form sums in another order
     return float(np.max(np.sqrt(np.vecdot(drr, drr)) * decay))
-
-
-# --- exponential rescaling ---------------------------------------------------
-
-
-class TildeTransform:
-    """Exponentially rescaled coefficients.
-
-    ``scale(t)[i-1] = exp(q_ii t)`` multiplies Q, S, R pointwise in time and
-    G at the horizon; A, B, C, D pass through unchanged.  The off-diagonal
-    regime coupling picks up the factor ``q_ij exp((q_ii - q_jj) t)``,
-    available as :meth:`coupling_weights`.
-    """
-
-    def __init__(self, spec: ProblemSpec):
-        self.spec = spec
-        self.qdiag = np.diag(spec.q).copy()
-
-    def scale(self, t) -> np.ndarray:
-        """exp(q_ii t) for all regimes; shape (ell,) or (K, ell)."""
-        t = np.asarray(t, dtype=float)
-        return np.exp(np.multiply.outer(t, self.qdiag))
-
-    def q_tilde(self, t: float, regime: int, node=None) -> np.ndarray:
-        return np.exp(self.qdiag[regime - 1] * t) * self.spec.Q.eval(t, regime, node)
-
-    def r_tilde(self, t: float, regime: int, node=None) -> np.ndarray:
-        return np.exp(self.qdiag[regime - 1] * t) * self.spec.R.eval(t, regime, node)
-
-    def s_tilde(self, t: float, regime: int, node=None) -> np.ndarray:
-        return np.exp(self.qdiag[regime - 1] * t) * self.spec.S.eval(t, regime, node)
-
-    def coupling_weights(self, t) -> np.ndarray:
-        """Matrix ``w[i, j] = q_ij exp((q_ii - q_jj) t)`` for j != i, zero
-        diagonal; shape (ell, ell) or (K, ell, ell) for a vector of times."""
-        t = np.asarray(t, dtype=float)
-        diff = self.qdiag[:, None] - self.qdiag[None, :]
-        w = self.spec.q * np.exp(np.multiply.outer(t, diff))
-        if w.ndim == 2:
-            w = w.copy()
-            np.fill_diagonal(w, 0.0)
-        else:
-            w[..., np.arange(self.spec.ell), np.arange(self.spec.ell)] = 0.0
-        return w
-
-
-def tilde_transform(spec: ProblemSpec) -> TildeTransform:
-    """Rescaled view of the coefficients (see :class:`TildeTransform`)."""
-    return TildeTransform(spec)
-
-
-def untilde_solution(ptilde: np.ndarray, lamtilde: np.ndarray, generator: Generator,
-                     grid: np.ndarray):
-    """Map rescaled grid solutions back: ``P = exp(-q_ii t) Ptilde`` and the
-    same for the martingale integrand.  Inputs share shape (K, ell, n, n)
-    with ``grid`` of length K."""
-    qdiag = np.diag(generator.q)
-    inv = np.exp(-np.multiply.outer(np.asarray(grid, dtype=float), qdiag))
-    f = inv[:, :, None, None]
-    return ptilde * f, lamtilde * f

@@ -17,7 +17,7 @@ from regimelq.control import feedback_gain, mc_cost, optimality_gap, value_at
 from regimelq.esre import SolverOptions, direct_coupled_oracle, solve_esre, solve_p0
 from regimelq.fbsde import tree_fbsde_oracle, ypx_residual
 from regimelq.regime_chain import path_substream, sample_chain_path, transition_matrix
-from conftest import make_e1
+from conftest import make_e1, scalar_spec
 
 E1_VALUE = 0.5
 SWITCH_P = (1.0 - np.exp(-2.0)) / 2.0
@@ -110,12 +110,19 @@ def test_criterion_05_forward_backward_relation(e1, e1_timed):
         _, dev = tree_fbsde_oracle(e1, 1, solve_p0(e1, opts), opts)
         devs.append(dev)
     ratio = devs[0] / devs[1]
-    stats = ypx_residual(e1_timed[0], e1, 1, [0.02, 0.01, 0.005])
+    # e1's closed form makes the Euler defect of Y = P X vanish exactly,
+    # P(t+dt) - P(t) = dt P(t) P(t+dt), so only the solver's error is left
+    # there; the first-order rate shows on the asymmetric scalar problem
+    e1_max = max(s.max for s in ypx_residual(e1_timed[0], e1, 1, [0.02, 0.01, 0.005]))
+    asym = scalar_spec(B=1.0, R=1.0, G=1.0, Q=[1.0, 0.0])
+    stats = ypx_residual(solve_esre(asym, SolverOptions(grid_steps=2000)), asym, 1,
+                         [0.02, 0.01, 0.005])
     order = float(np.polyfit(np.log([s.dt for s in stats]),
                              np.log([s.rms for s in stats]), 1)[0])
     report(5, "product identity holds at first order on both checks",
-           ratio >= 1.5 and order >= 0.9,
-           f"oracle deviation ratio={ratio:.2f}, residual order={order:.2f}")
+           ratio >= 1.5 and order >= 0.9 and e1_max <= 1e-8,
+           f"oracle deviation ratio={ratio:.2f}, residual order={order:.2f}, "
+           f"e1 residual max={e1_max:.1e}")
 
 
 def test_criterion_06_optimality(e1, e1_timed):

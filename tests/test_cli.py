@@ -406,6 +406,14 @@ class TestMain:
         assert meta["converged"] is True
         assert meta["diagnostics"]["apriori_bound"] == float("inf")
 
+    def test_coarse_grid_for_fast_switching_maps_to_one(self, tmp_path, capsys):
+        text = SMALL_RUN.replace("generator: [[-1.0, 1.0], [1.0, -1.0]]",
+                                 "generator: [[-20.0, 20.0], [20.0, -20.0]]")
+        text = text.replace("grid_steps: 200", "grid_steps: 7")
+        cfg = write_cfg(tmp_path, text)
+        assert main(["solve", "--config", str(cfg), "--output", str(tmp_path)]) == 1
+        assert "use grid_steps >= 10" in capsys.readouterr().err
+
     def test_parse_failure_maps_to_one(self, tmp_path, capsys):
         bad = write_cfg(tmp_path, E1_YAML.replace("generator:", "genrator:"))
         assert main(["validate", "--config", str(bad)]) == 1

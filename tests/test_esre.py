@@ -22,6 +22,7 @@ import pytest
 from regimelq import esre
 from regimelq.config import parse_config
 from regimelq.errors import (
+    DimensionMismatch,
     NearSingular,
     NoConvergence,
     PsdViolation,
@@ -43,7 +44,7 @@ from regimelq.esre import (
     theta_hat,
 )
 from regimelq.matcore import min_eigenvalue, symmetrize
-from regimelq.model import CoefficientField, ProblemSpec, tilde_transform, untilde_solution
+from regimelq.model import CoefficientField, ProblemSpec
 from conftest import FAMILY_SEEDS, make_e1, random_spec, scalar_spec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -187,38 +188,32 @@ class TestDriftPi:
 class TestDriftH:
     def test_scalar_substitution(self):
         spec = scalar_spec(B=1.0, R=1.0, G=1.0)
-        out = drift_h(0.0, 1, [[1.0]], [[0.0]], [[1.0]], [[0.0]], spec)
+        out = drift_h(0.0, 1, [[1.0]], [[0.0]], spec)
         assert out[0, 0] == pytest.approx(-1.0, abs=1e-14)
 
     def test_vanishing_numerator(self):
         spec = scalar_spec(R=1.0, G=1.0)      # B = D = S = 0
-        out = drift_h(0.0, 1, [[1.5]], [[0.2]], [[1.0]], [[0.0]], spec)
+        out = drift_h(0.0, 1, [[1.5]], [[0.2]], spec)
         assert out[0, 0] == 0.0
 
     def test_negative_semidefinite(self):
         rng = np.random.default_rng(31)
         for _ in range(100):
             n, m = int(rng.integers(1, 4)), int(rng.integers(1, 3))
-            spec_arrays = dict(
-                A=np.zeros((2, n, n)),
-                B=rng.standard_normal((2, n, m)),
-                C=rng.standard_normal((2, n, n)),
-                D=rng.standard_normal((2, n, m)) * 0.5,
-                Q=np.zeros((2, n, n)),
-                S=rng.standard_normal((2, m, n)),
-                R=np.stack([np.eye(m)] * 2),
-                G=np.zeros((2, n, n)),
-            )
-            from regimelq.model import ProblemSpec
-            spec = ProblemSpec(n=n, m=m, ell=2, T=1.0,
-                               generator=[[-1.0, 1.0], [1.0, -1.0]],
-                               delta=0.5, **spec_arrays)
+            b = rng.standard_normal((2, n, m))
+            c = rng.standard_normal((2, n, n))
+            d = rng.standard_normal((2, n, m)) * 0.5
             w = rng.standard_normal((n, n))
             p = w @ w.T
             lam = symmetrize(rng.standard_normal((n, n)))
             r = np.eye(m) + 0.1 * np.eye(m)
             s = rng.standard_normal((m, n))
-            out = drift_h(0.0, 1, p, lam, r, s, spec)
+            spec = ProblemSpec(n=n, m=m, ell=2, T=1.0,
+                               generator=[[-1.0, 1.0], [1.0, -1.0]], delta=0.5,
+                               A=np.zeros((2, n, n)), B=b, C=c, D=d,
+                               Q=np.zeros((2, n, n)), S=np.stack([s] * 2),
+                               R=np.stack([r] * 2), G=np.zeros((2, n, n)))
+            out = drift_h(0.0, 1, p, lam, spec)
             assert min_eigenvalue(out) <= 1e-10
 
     @pytest.mark.parametrize("seed", [101, 303])
@@ -227,24 +222,22 @@ class TestDriftH:
             r, s = spec.R.eval(t, i), spec.S.eval(t, i)
             m, sigma_inv = _written_out_blocks(spec, t, i, p, lam, s, r)
             ref = symmetrize(-(m.T @ (sigma_inv @ m)))
-            assert np.array_equal(drift_h(t, i, p, lam, r, s, spec), ref)
+            assert np.array_equal(drift_h(t, i, p, lam, spec), ref)
 
 
 class TestThetaHat:
     def test_scalar_substitution(self):
-        # zero generator keeps the rescaling trivial: Rtilde = R = 2
-        spec = scalar_spec(B=3.0, R=2.0, G=1.0,
-                           generator=[[0.0, 0.0], [0.0, 0.0]])
-        th = theta_hat(0.0, 1, [[1.0]], [[0.0]], tilde_transform(spec))
+        spec = scalar_spec(B=3.0, R=2.0, G=1.0)
+        th = theta_hat(0.7, 1, [[1.0]], [[0.0]], spec)
         assert th[0, 0] == pytest.approx(-1.5, abs=1e-14)
 
     def test_zero_numerator(self):
         spec = scalar_spec(B=3.0, R=2.0, G=1.0)
-        th = theta_hat(0.4, 2, [[0.0]], [[0.0]], tilde_transform(spec))
+        th = theta_hat(0.4, 2, [[0.0]], [[0.0]], spec)
         assert th[0, 0] == 0.0
 
     def test_relates_to_quadratic_drift(self):
-        # H == -theta' (Rtilde + D'PD) theta at theta = theta_hat
+        # H == -theta' (R + D'PD) theta at theta = theta_hat
         rng = np.random.default_rng(37)
         from regimelq.model import ProblemSpec
         for _ in range(50):
@@ -261,40 +254,36 @@ class TestThetaHat:
                 G=np.zeros((2, n, n)),
                 delta=0.5,
             )
-            tilde = tilde_transform(spec)
             w = rng.standard_normal((n, n))
             p = w @ w.T
             lam = symmetrize(0.3 * rng.standard_normal((n, n)))
             t, i = 0.3, 1
-            th = theta_hat(t, i, p, lam, tilde)
+            th = theta_hat(t, i, p, lam, spec)
             d = spec.D.eval(t, i)
-            sigma = tilde.r_tilde(t, i) + d.T @ (p @ d)
-            h = drift_h(t, i, p, lam, tilde.r_tilde(t, i), tilde.s_tilde(t, i), spec)
+            sigma = spec.R.eval(t, i) + d.T @ (p @ d)
+            h = drift_h(t, i, p, lam, spec)
             assert np.max(np.abs(h - (-(th.T @ sigma @ th)))) <= 1e-10
 
     @pytest.mark.parametrize("seed", [101, 303])
     def test_matches_written_out_expression(self, seed):
         for spec, t, i, p, lam in _random_points(seed):
-            tilde = tilde_transform(spec)
             m, sigma_inv = _written_out_blocks(
-                spec, t, i, p, lam, tilde.s_tilde(t, i), tilde.r_tilde(t, i))
-            assert np.array_equal(theta_hat(t, i, p, lam, tilde), -(sigma_inv @ m))
+                spec, t, i, p, lam, spec.S.eval(t, i), spec.R.eval(t, i))
+            assert np.array_equal(theta_hat(t, i, p, lam, spec), -(sigma_inv @ m))
 
 
 class TestFOfTheta:
     def test_zero_gain_reduces_to_linear_drift(self):
         spec = scalar_spec(A=0.5, C=0.3, Q=0.7, R=1.0, G=1.0)
-        tilde = tilde_transform(spec)
         p, lam = np.array([[1.2]]), np.array([[0.1]])
         t, i = 0.4, 1
-        out = f_of_theta(t, i, p, lam, np.zeros((1, 1)), tilde)
-        expected = drift_pi(t, i, p, lam, spec) + tilde.q_tilde(t, i)
+        out = f_of_theta(t, i, p, lam, np.zeros((1, 1)), spec)
+        expected = drift_pi(t, i, p, lam, spec) + spec.Q.eval(t, i)
         assert np.max(np.abs(out - expected)) <= 1e-14
 
     def test_scalar_substitution(self):
-        spec = scalar_spec(B=1.0, R=1.0, G=1.0,
-                           generator=[[0.0, 0.0], [0.0, 0.0]])
-        out = f_of_theta(0.0, 1, [[1.0]], [[0.0]], [[-1.0]], tilde_transform(spec))
+        spec = scalar_spec(B=1.0, R=1.0, G=1.0)
+        out = f_of_theta(0.7, 1, [[1.0]], [[0.0]], [[-1.0]], spec)
         assert out[0, 0] == pytest.approx(-1.0, abs=1e-14)
 
     def test_minimized_at_theta_hat(self):
@@ -312,16 +301,15 @@ class TestFOfTheta:
             G=np.stack([np.eye(2)] * 2),
             delta=0.5,
         )
-        tilde = tilde_transform(spec)
         w = rng.standard_normal((2, 2))
         p = w @ w.T
         lam = symmetrize(0.2 * rng.standard_normal((2, 2)))
         t, i = 0.6, 2
-        th_star = theta_hat(t, i, p, lam, tilde)
-        best = f_of_theta(t, i, p, lam, th_star, tilde)
+        th_star = theta_hat(t, i, p, lam, spec)
+        best = f_of_theta(t, i, p, lam, th_star, spec)
         for _ in range(100):
             theta = th_star + rng.standard_normal((1, 2))
-            other = f_of_theta(t, i, p, lam, theta, tilde)
+            other = f_of_theta(t, i, p, lam, theta, spec)
             assert min_eigenvalue(other - best) >= -1e-9
 
 
@@ -333,19 +321,16 @@ class TestFOfTheta:
 class TestSolveP0:
     def test_symmetric_case_is_constant_one(self, e1):
         it0 = solve_p0(e1, SolverOptions(grid_steps=400))
-        p0, _ = untilde_solution(it0.values, it0.lam, e1.generator, it0.grid)
-        assert np.max(np.abs(p0 - 1.0)) <= 1e-9
+        assert np.max(np.abs(it0.values - 1.0)) <= 1e-9
 
     def test_zero_generator_keeps_terminal_weight(self):
         spec = scalar_spec(R=1.0, G=0.7, Q=0.0,
                            generator=[[0.0, 0.0], [0.0, 0.0]])
         it0 = solve_p0(spec, SolverOptions(grid_steps=200))
-        p0, _ = untilde_solution(it0.values, it0.lam, spec.generator, it0.grid)
-        assert np.max(np.abs(p0 - 0.7)) <= 1e-12
+        assert np.max(np.abs(it0.values - 0.7)) <= 1e-12
 
     def test_asymmetric_matches_closed_form(self):
-        it0 = solve_p0(asym_spec(), SolverOptions(grid_steps=800))
-        p0, _ = untilde_solution(it0.values, it0.lam, asym_spec().generator, it0.grid)
+        p0 = solve_p0(asym_spec(), SolverOptions(grid_steps=800)).values
         assert p0[0, 0, 0, 0] == pytest.approx(ASYM_P0_AT_0[0], abs=1e-9)
         assert p0[0, 1, 0, 0] == pytest.approx(ASYM_P0_AT_0[1], abs=1e-9)
 
@@ -377,14 +362,12 @@ class TestPicardStep:
     def test_first_sweep_matches_scalar_riccati(self, e1):
         opts = SolverOptions(grid_steps=1000)
         it0 = solve_p0(e1, opts)
-        it1 = picard_step(e1, it0, opts)
-        p1, _ = untilde_solution(it1.values, it1.lam, e1.generator, it1.grid)
+        p1 = picard_step(e1, it0, opts).values
         assert p1[0, 0, 0, 0] == pytest.approx(_p1_closed_form(), abs=1e-6)
 
     def test_first_sweep_bracketed(self, e1):
         opts = SolverOptions(grid_steps=400)
-        it1 = picard_step(e1, solve_p0(e1, opts), opts)
-        p1, _ = untilde_solution(it1.values, it1.lam, e1.generator, it1.grid)
+        p1 = picard_step(e1, solve_p0(e1, opts), opts).values
         assert np.all(p1 >= 0.5 - 1e-9) and np.all(p1 <= 1.0 + 1e-9)
 
     def test_tree_sweep_deterministic_coefficients_kill_lambda(self, e1):
@@ -403,6 +386,54 @@ class TestPicardStep:
         it0.values[5] = -np.abs(it0.values[5]) - 1.0
         with pytest.raises(PsdViolation):
             picard_step(e1, it0, opts)
+
+
+    @pytest.mark.parametrize("backend", ["ode", "tree"])
+    def test_iterate_of_another_problem_rejected(self, e1, backend):
+        # e1 holds (ell, n, n) = (2, 1, 1) per sample, family 303 (3, 2, 2)
+        opts = SolverOptions(backend=backend, grid_steps=100, tree_depth=6)
+        it0 = solve_p0(e1, opts)
+        with pytest.raises(DimensionMismatch, match=r"\(3, 2, 2\)"):
+            picard_step(random_spec(303), it0, opts)
+
+
+class TestStepRateCheck:
+    """The grid's explicit RK4 step carries q_ii P, so every grid Picard
+    entry point refuses dt max|q_ii| > 2 and names the grid that works."""
+
+    FAST = [[-20.0, 20.0], [20.0, -20.0]]
+
+    def test_every_grid_entry_point_refuses(self):
+        spec = make_e1(generator=self.FAST)
+        opts = SolverOptions(grid_steps=7)                  # dt * 20 = 2.857
+        prev = solve_p0(make_e1(), opts)
+        calls = (lambda: solve_esre(spec, opts), lambda: solve_p0(spec, opts),
+                 lambda: picard_step(spec, prev, opts))
+        for call in calls:
+            with pytest.raises(StructuralError, match=r"2\.857 exceeds 2; use grid_steps >= 10"):
+                call()
+
+    def test_smallest_grid_named_is_accepted(self):
+        spec = make_e1(generator=self.FAST)
+        with pytest.raises(StructuralError, match="grid_steps >= 10"):
+            solve_p0(spec, SolverOptions(grid_steps=9))
+        solve_p0(spec, SolverOptions(grid_steps=10))        # dt * 20 = 2 exactly
+
+    def test_oracle_keeps_only_its_blowup_guard(self):
+        spec = make_e1(generator=self.FAST)
+        sol = direct_coupled_oracle(spec, SolverOptions(grid_steps=7))
+        assert np.all(np.isfinite(sol.P))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("picard_max_iter", 0), ("picard_max_iter", -2),
+    ("picard_tol", 0.0), ("picard_tol", -1e-9), ("picard_tol", np.inf),
+    ("picard_tol", np.nan), ("psd_tol", 0.0), ("psd_tol", np.nan),
+    ("cond_threshold", -1.0), ("cond_threshold", np.inf),
+])
+def test_solver_options_reject_bad_values(field, value):
+    with pytest.raises(StructuralError, match=field):
+        SolverOptions(**{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +536,7 @@ class TestPipelinedSweeps:
         _replay(spec, sol.options, values, residuals)
         assert sol.iterations == len(residuals)
         assert sol.residual_history == residuals
-        assert np.array_equal(sol.Ptilde, values[-1])
-        p, _ = untilde_solution(values[-1], np.zeros_like(values[-1]),
-                                spec.generator, sol.grid)
-        p[-1] = sol.P[-1]
-        assert np.array_equal(sol.P, p)
+        assert np.array_equal(sol.P, values[-1])
         assert len(sol.iterates) == len(values)
         assert all(np.array_equal(a, b) for a, b in zip(sol.iterates, values))
 
@@ -659,6 +686,12 @@ class TestSolveEsre:
         assert sol.P[0, 0, 0, 0] == pytest.approx(oracle[0], abs=1e-6)
         assert sol.P[0, 1, 0, 0] == pytest.approx(oracle[1], abs=1e-6)
 
+    def test_fast_switching_matches_closed_form(self):
+        # e1's closed form P(0) = 1/2 holds for any symmetric switching rate
+        spec = make_e1(generator=[[-20.0, 20.0], [20.0, -20.0]])
+        sol = solve_esre(spec, SolverOptions(grid_steps=80))
+        assert np.max(np.abs(sol.P[0] - E1_VALUE)) <= 1e-5
+
     def test_stationary_solution(self):
         g0 = np.array([[1.0, 0.2], [0.2, 0.5]])
         from regimelq.model import ProblemSpec
@@ -669,7 +702,7 @@ class TestSolveEsre:
             R=np.ones((2, 1, 1)), G=np.stack([g0, g0]), delta=0.5,
         )
         sol = solve_esre(spec, SolverOptions(grid_steps=200))
-        # constant up to the 4th-order truncation of the rescaling factor
+        # the diagonal and off-diagonal coupling cancel on equal regimes
         assert np.max(np.abs(sol.P - g0)) <= 1e-10
 
     def test_linear_regime_scales_linearly(self):
@@ -846,12 +879,12 @@ class TestDirectOracle:
 
     @pytest.mark.parametrize("rate, T", [(800.0, 1.0), (50.0, 20.0)])
     def test_fast_switching_closed_form(self, rate, T):
-        # the rescaled R underflows here; the oracle never inverts it, the
-        # fixed point still does (a typed error until it leaves the rescaling)
+        # the oracle integrates the coupling directly; the Picard sequence
+        # needs about rate * T sweeps here and stops at picard_max_iter
         spec = make_e1(generator=[[-rate, rate], [rate, -rate]], T=T)
         sol = direct_coupled_oracle(spec, SolverOptions(grid_steps=2000))
         assert abs(sol.P[0, 0, 0, 0] - 1.0 / (1.0 + T)) <= 1e-8
-        with pytest.raises(NearSingular):
+        with pytest.raises(NoConvergence):
             solve_esre(spec, SolverOptions(grid_steps=2000))
 
     def test_linear_scaling(self):

@@ -18,15 +18,29 @@ def static_spec():
                        generator=[[0.0, 0.0], [0.0, 0.0]])
 
 
+def asym_spec():
+    """State weight 1 in regime 1, 0 in regime 2: unlike e1's, its solution
+    leaves an O(dt) Euler defect in Y = P X."""
+    return scalar_spec(B=1.0, R=1.0, G=1.0, Q=[1.0, 0.0])
+
+
 class TestYpxResidual:
-    def test_first_order_scaling(self, e1, e1_solution):
-        stats = ypx_residual(e1_solution, e1, 1, [0.02, 0.01, 0.005, 0.0025])
+    def test_first_order_scaling(self):
+        spec = asym_spec()
+        sol = solve_esre(spec, SolverOptions(grid_steps=2000))
+        stats = ypx_residual(sol, spec, 1, [0.02, 0.01, 0.005, 0.0025])
         rms = [s.rms for s in stats]
         dts = [s.dt for s in stats]
         order = np.polyfit(np.log(dts), np.log(rms), 1)[0]
         assert order >= 0.9
         for a, b in zip(rms, rms[1:]):
             assert 1.5 <= a / b <= 3.0
+
+    def test_closed_form_defect_vanishes(self, e1, e1_solution):
+        # P = 1/(1 + T - t) makes the Euler step of Y = P X exact,
+        # P(t+dt) - P(t) = dt P(t) P(t+dt): only the solver's error is left
+        for s in ypx_residual(e1_solution, e1, 1, [0.02, 0.01, 0.005, 0.0025]):
+            assert s.max <= 1e-8
 
     def test_rms_below_max(self, e1, e1_solution):
         for s in ypx_residual(e1_solution, e1, 2, [0.01]):
@@ -40,8 +54,8 @@ class TestYpxResidual:
         assert stats[0].max <= 1e-12
 
     def test_initial_anchor_is_exact(self, e1, e1_solution):
-        # Y(0) = Ptilde(0, i) by construction since X(0) = I
-        pt0 = e1_solution.Ptilde[0, 0]
+        # Y(0) = P(0, i) by construction since X(0) = I
+        pt0 = e1_solution.P[0, 0]
         assert np.array_equal(pt0 @ np.eye(1), pt0)
 
     def test_dt_must_refine_grid(self, e1, e1_solution):

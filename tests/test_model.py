@@ -1,5 +1,5 @@
-"""Problem definition: coefficient fields, assumption validation, the
-diffusion-size measure and the exponential rescaling."""
+"""Problem definition: coefficient fields, assumption validation and the
+diffusion-size measure."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,6 @@ from regimelq.model import (
     ValidationReport,
     Violation,
     check_smallness,
-    tilde_transform,
-    untilde_solution,
     validate_assumptions,
 )
 from conftest import make_e1, scalar_spec
@@ -311,55 +309,3 @@ class TestCheckSmallness:
         c = 3.0
         scaled = scalar_spec(D=c, R=c * c * 2.0, G=1.0, delta=0.5)
         assert check_smallness(scaled) == pytest.approx(check_smallness(base), rel=1e-12)
-
-
-class TestTildeTransform:
-    def test_zero_generator_is_identity(self):
-        spec = scalar_spec(Q=2.0, R=1.0, G=1.0, delta=0.5,
-                           generator=[[0.0, 0.0], [0.0, 0.0]])
-        tilde = tilde_transform(spec)
-        assert tilde.q_tilde(0.7, 1)[0, 0] == 2.0
-        assert np.array_equal(tilde.scale(spec.T), [1.0, 1.0])
-
-    def test_scalar_rescaling(self):
-        spec = scalar_spec(Q=2.0, R=1.0, G=1.0, delta=0.5)   # q_ii = -1
-        tilde = tilde_transform(spec)
-        assert tilde.q_tilde(1.0, 1)[0, 0] == pytest.approx(2.0 * np.exp(-1.0), rel=1e-14)
-
-    def test_terminal_rescaling(self):
-        spec = ProblemSpec(
-            n=2, m=1, ell=2, T=0.5, generator=[[-2.0, 2.0], [2.0, -2.0]],
-            A=np.zeros((2, 2, 2)), B=np.zeros((2, 2, 1)), C=np.zeros((2, 2, 2)),
-            D=np.zeros((2, 2, 1)), Q=np.zeros((2, 2, 2)), S=np.zeros((2, 1, 2)),
-            R=np.ones((2, 1, 1)), G=np.stack([np.eye(2)] * 2), delta=0.5,
-        )
-        # Gtilde = exp(q_ii T) G, as the grid backend forms it
-        gt = spec.G.eval(spec.T, 1) * tilde_transform(spec).scale(spec.T)[0]
-        assert np.allclose(gt, np.exp(-1.0) * np.eye(2), rtol=1e-14)
-
-    def test_untilde_round_trip(self):
-        spec = make_e1()
-        tilde = tilde_transform(spec)
-        grid = np.linspace(0.0, 1.0, 11)
-        rng = np.random.default_rng(0)
-        p = rng.standard_normal((11, 2, 1, 1))
-        p = 0.5 * (p + p.transpose(0, 1, 3, 2))
-        lam = np.zeros_like(p)
-        ptilde = p * tilde.scale(grid)[:, :, None, None]
-        back, _ = untilde_solution(ptilde, lam, spec.generator, grid)
-        assert np.max(np.abs(back - p)) <= 1e-14
-
-    def test_untilde_scalar_value(self):
-        spec = make_e1()                       # q_ii = -1
-        grid = np.array([1.0])
-        ptilde = np.full((1, 2, 1, 1), np.exp(-1.0))
-        p, _ = untilde_solution(ptilde, np.zeros_like(ptilde), spec.generator, grid)
-        assert p[0, 0, 0, 0] == pytest.approx(1.0, rel=1e-14)
-
-    def test_coupling_weights(self):
-        spec = make_e1()
-        tilde = tilde_transform(spec)
-        w = tilde.coupling_weights(0.3)
-        assert w[0, 0] == 0.0 and w[1, 1] == 0.0
-        # symmetric generator: q_ii = q_jj, so the factor is exactly q_ij
-        assert w[0, 1] == pytest.approx(1.0, rel=1e-14)
