@@ -42,12 +42,7 @@ import numpy as np
 from . import matcore
 from .config import RunConfig, parse_config
 from .control import Policy, feedback_gain, mc_cost, optimality_gap, value_at
-from .errors import (
-    AssumptionViolation,
-    IoError,
-    NoConvergence,
-    RegimeLQError,
-)
+from .errors import IoError, NoConvergence, RegimeLQError
 from .esre import EsreSolution, SolverOptions, solve_esre, solve_p0
 from .fbsde import tree_fbsde_oracle, xinv_product_check, ypx_residual
 from .model import check_smallness, validate_assumptions
@@ -165,7 +160,11 @@ def _write_metadata(solution_path: Path, solution: EsreSolution = None,
 
 
 def read_solution_csv(path):
-    """Read back a solution file: (grid, P, Lambda) arrays."""
+    """Read back a solution file: (grid, P, Lambda) arrays.
+
+    Raises IoError naming the file when it cannot be read, is not a
+    solution file, or has a damaged, missing or extra row.
+    """
     path = Path(path)
     try:
         lines = path.read_text().strip().splitlines()
@@ -173,19 +172,24 @@ def read_solution_csv(path):
         raise IoError(f"cannot read solution from {path}: {exc}") from exc
     if not lines or lines[0] != "t,regime,row,col,P,Lambda":
         raise IoError(f"{path} is not a solution file")
-    rows = [line.split(",") for line in lines[1:]]
-    times = sorted({float(r[0]) for r in rows})
-    ell = max(int(r[1]) for r in rows)
-    n = max(int(r[2]) for r in rows)
-    t_index = {t: k for k, t in enumerate(times)}
+    try:
+        table = np.array([line.split(",") for line in lines[1:]], dtype=float)
+    except ValueError as exc:
+        raise IoError(f"{path} has a damaged row: {exc}") from exc
+    if table.ndim != 2 or table.shape[1] != 6 or not np.isfinite(table).all():
+        raise IoError(f"{path} does not hold rows of 6 finite numbers")
+    times, k = np.unique(table[:, 0], return_inverse=True)
+    idx = table[:, 1:4].astype(int)
+    ell, n = int(idx[:, 0].max()), int(idx[:, 1:].max())
+    if (idx.min() < 1 or np.any(idx != table[:, 1:4])
+            or len(table) != len(times) * ell * n * n):
+        raise IoError(f"{path} does not hold one row per sample, regime and entry")
     p = np.zeros((len(times), ell, n, n))
     lam = np.zeros_like(p)
-    for r in rows:
-        k = t_index[float(r[0])]
-        i, rr, cc = int(r[1]) - 1, int(r[2]) - 1, int(r[3]) - 1
-        p[k, i, rr, cc] = float(r[4])
-        lam[k, i, rr, cc] = float(r[5])
-    return np.asarray(times), p, lam
+    i, r, c = (idx - 1).T
+    p[k, i, r, c] = table[:, 4]
+    lam[k, i, r, c] = table[:, 5]
+    return times, p, lam
 
 
 # ---------------------------------------------------------------------------
@@ -386,25 +390,8 @@ def _cmd_verify(config: RunConfig, paths, echo, seed) -> CommandResult:
     )
 
 
-def _cmd_report(config: RunConfig, paths, echo) -> CommandResult:
-    sol_path = paths["solution"]
-    meta_path = Path(str(sol_path) + ".meta.json")
-    grid, p, lam = read_solution_csv(sol_path)
-    try:
-        meta = json.loads(meta_path.read_text())
-    except OSError as exc:
-        raise IoError(f"cannot read metadata {meta_path}: {exc}") from exc
-
-    series_path = Path(str(paths["report"]) + ".series.csv")
-    rows = ["t,regime,frob_P,min_eig_P,frob_Lambda"]
-    for k in range(len(grid)):
-        for i in range(p.shape[1]):
-            rows.append(
-                f"{_f17(grid[k])},{i + 1},"
-                f"{_f17(np.linalg.norm(p[k, i]))},"
-                f"{_f17(matcore.min_eigenvalue(p[k, i]))},"
-                f"{_f17(np.linalg.norm(lam[k, i]))}"
-            )
+def _meta_lines(meta: dict, grid: np.ndarray) -> list:
+    """Report header rendered from a solution's ``.meta.json`` payload."""
     lines = [
         "solution report",
         "===============",
@@ -429,15 +416,41 @@ def _cmd_report(config: RunConfig, paths, echo) -> CommandResult:
             f"(threshold {_f10(diag['smallness_threshold'])}, "
             f"{'ok' if diag['smallness_ok'] else 'warn'})",
         ]
+    return lines
+
+
+def _cmd_report(config: RunConfig, paths, echo) -> CommandResult:
+    sol_path = paths["solution"]
+    meta_path = Path(str(sol_path) + ".meta.json")
+    grid, p, lam = read_solution_csv(sol_path)
+    try:
+        lines = _meta_lines(json.loads(meta_path.read_text()), grid)
+    except OSError as exc:
+        raise IoError(f"cannot read metadata {meta_path}: {exc}") from exc
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise IoError(f"damaged metadata {meta_path}: "
+                      f"{type(exc).__name__}: {exc}") from exc
+
+    series_path = Path(str(paths["report"]) + ".series.csv")
+    rows = ["t,regime,frob_P,min_eig_P,frob_Lambda"]
+    for k in range(len(grid)):
+        for i in range(p.shape[1]):
+            rows.append(
+                f"{_f17(grid[k])},{i + 1},"
+                f"{_f17(np.linalg.norm(p[k, i]))},"
+                f"{_f17(matcore.min_eigenvalue(p[k, i]))},"
+                f"{_f17(np.linalg.norm(lam[k, i]))}"
+            )
     for i in range(p.shape[1]):
         lines.append(f"P(0,{i + 1}) = {np.array2string(p[0, i], precision=10)}")
-    lines.append(f"series written to {series_path}")
     try:
         paths["report"].write_text("\n".join(lines) + "\n")
         series_path.write_text("\n".join(rows) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write report: {exc}") from exc
-    for line in lines:
+    # the series path depends on --output, so it is echoed only and the
+    # report stays byte-identical across output directories
+    for line in lines + [f"series written to {series_path}"]:
         echo(line)
     return CommandResult(EXIT_OK, {
         "report": str(paths["report"]),
@@ -489,9 +502,6 @@ def main(argv=None) -> int:
     except NoConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except AssumptionViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except RegimeLQError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -108,6 +108,12 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _setting(section: dict, key: str, defaults):
+    """``section[key]``, else the default of field ``key`` of the dataclass
+    ``defaults``."""
+    return section.get(key, getattr(defaults, key))
+
+
 def _as_int(value, where: str, minimum=None) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise RangeError(f"{where} must be an integer, got {value!r}")
@@ -267,7 +273,7 @@ def parse_config(path) -> RunConfig:
     x0 = prob.get("x0")
     if x0 is not None:
         x0 = _as_floats(x0, "problem.x0", n)
-    i0 = _as_int(prob.get("i0", 1), "problem.i0", minimum=1)
+    i0 = _as_int(_setting(prob, "i0", ProblemSpec), "problem.i0", minimum=1)
     if i0 > ell:
         raise RangeError(f"problem.i0 must be in 1..{ell}, got {i0}")
     spec = ProblemSpec(
@@ -279,21 +285,15 @@ def parse_config(path) -> RunConfig:
     if not isinstance(sv, dict):
         raise ParseError("config.solver must be a mapping")
     _reject_unknown(sv, _SOLVER_KEYS, "solver")
-    backend = sv.get("backend", "ode")
+    backend = _setting(sv, "backend", SolverOptions)
     if backend not in ("ode", "tree"):
         raise RangeError(f"solver.backend must be 'ode' or 'tree', got {backend!r}")
     solver = SolverOptions(
         backend=backend,
-        grid_steps=_as_int(sv.get("grid_steps", 2000), "solver.grid_steps", minimum=1),
-        tree_depth=_as_int(sv.get("tree_depth", 10), "solver.tree_depth", minimum=1),
-        picard_tol=_as_float(sv.get("picard_tol", 1e-9), "solver.picard_tol", positive=True),
-        picard_max_iter=_as_int(sv.get("picard_max_iter", 60),
-                                "solver.picard_max_iter", minimum=1),
-        psd_tol=_as_float(sv.get("psd_tol", 1e-9), "solver.psd_tol", positive=True),
-        cond_threshold=_as_float(sv.get("cond_threshold", 1e12),
-                                 "solver.cond_threshold", positive=True),
-        smallness_threshold=_as_float(sv.get("smallness_threshold", 0.1),
-                                      "solver.smallness_threshold", positive=True),
+        **{key: _as_int(_setting(sv, key, SolverOptions), f"solver.{key}", minimum=1)
+           for key in ("grid_steps", "tree_depth", "picard_max_iter")},
+        **{key: _as_float(_setting(sv, key, SolverOptions), f"solver.{key}", positive=True)
+           for key in ("picard_tol", "psd_tol", "cond_threshold", "smallness_threshold")},
     )
 
     sm = data.get("simulate", {}) or {}
@@ -314,9 +314,10 @@ def parse_config(path) -> RunConfig:
     ]
     simulate = SimulateConfig(
         x0=sim_x0, i0=sim_i0,
-        n_paths=_as_int(sm.get("n_paths", 10000), "simulate.n_paths", minimum=2),
-        dt=_as_float(sm.get("dt", 1e-3), "simulate.dt", positive=True),
-        seed=_as_int(sm.get("seed", 0), "simulate.seed", minimum=0),
+        n_paths=_as_int(_setting(sm, "n_paths", SimulateConfig), "simulate.n_paths",
+                        minimum=2),
+        dt=_as_float(_setting(sm, "dt", SimulateConfig), "simulate.dt", positive=True),
+        seed=_as_int(_setting(sm, "seed", SimulateConfig), "simulate.seed", minimum=0),
         perturbations=perturbations,
     )
 
@@ -324,9 +325,6 @@ def parse_config(path) -> RunConfig:
     if not isinstance(out, dict):
         raise ParseError("config.output must be a mapping")
     _reject_unknown(out, _OUTPUT_KEYS, "output")
-    output = OutputConfig(
-        solution_path=str(out.get("solution_path", "solution.csv")),
-        report_path=str(out.get("report_path", "report.txt")),
-        estimates_path=str(out.get("estimates_path", "costs.csv")),
-    )
+    output = OutputConfig(**{key: str(_setting(out, key, OutputConfig))
+                             for key in _OUTPUT_KEYS})
     return RunConfig(problem=spec, solver=solver, simulate=simulate, output=output)

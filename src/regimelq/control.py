@@ -585,10 +585,8 @@ def predicted_gap(spec: ProblemSpec, solution: EsreSolution, perturbation,
     e = Perturbation.coerce(perturbation, spec.m)
     grid = solution.grid
     ev = e.sample_times(grid)                     # (K, m)
-    rs = spec.R.sample_times(grid)
-    ds = spec.D.sample_times(grid)
-    p = solution.P
-    sig = rs + np.swapaxes(ds, -1, -2) @ (p @ ds)  # (K, ell, m, m)
+    _, sig = _gain_blocks(solution.P, None, *(     # sig: (K, ell, m, m)
+        spec.coefficient(name).sample_times(grid) for name in "BCDSR"))
     quad = np.einsum("ka,kiab,kb->ki", ev, sig, ev)
     # regime distribution propagated step by step (time-homogeneous chain)
     probs = np.zeros((len(grid), spec.ell))

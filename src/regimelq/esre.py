@@ -81,6 +81,13 @@ Backends
     off-diagonal part ``q_off`` at the previous iterate,
     ``p_k = proj((pm + dt (drift(pm, Z) + q_off p_prev)) / (1 - dt q_ii))``.
 
+Both engines evaluate the driver ``P A + A'P + C'P C + Lam C + C'Lam + Q
++ src - M' Sigma^{-1} M`` through ``_Engine._driver``, with M and Sigma
+formed by :func:`_gain_blocks` and ``src`` the regime coupling.
+``Sigma^{-1} M`` is an LU inverse times M behind one condition test, or a
+product with R^{-1}, formed once per engine, when D = 0; a refusal raises
+:class:`NearSingular` naming t, the regime and the condition number.
+
 :func:`direct_coupled_oracle` integrates the full coupled system in one go
 (no freezing) and serves as an independent cross-check of the fixed-point
 limit.
@@ -187,7 +194,6 @@ class GridIterate:
     grid: np.ndarray
     values: np.ndarray           # (N+1, ell, n, n)
     derivs: np.ndarray           # (N+1, ell, n, n)
-    lam: np.ndarray              # (N+1, ell, n, n), zero for the ODE backend
 
     def half_values(self) -> np.ndarray:
         """Values on the half grid (2N+1 samples): nodes interleaved with
@@ -316,15 +322,29 @@ def theta_hat(t: float, i: int, p: np.ndarray, lam: np.ndarray, spec: ProblemSpe
     return -(matcore.sym_inverse(sigma, cond_threshold) @ m)
 
 
-def _gain_blocks(p, lam, b, c, d, s, r):
+def _sym(m):
+    return 0.5 * (m + m.mT)
+
+
+def _gain_blocks(p, lam, b, c, d, s, r, pc=None):
     """The two blocks of the feedback formula ``K = -Sigma^{-1} M``,
 
         M = B'P + D'(P C) + D'Lam + S,    Sigma = sym(R + D'P D),
 
-    for one matrix each or for stacks that broadcast together."""
+    for one matrix each or for stacks that broadcast together.  ``lam``,
+    ``c``, ``d`` and ``s`` may be None where they are identically zero;
+    without D, Sigma is R itself.  ``pc`` is P C where the caller has it."""
+    m = b.mT @ p
+    if d is None:
+        return (m if s is None else m + s), r
     d_t = d.mT
-    m = b.mT @ p + d_t @ (p @ c) + d_t @ lam + s
-    return m, matcore.symmetrize(r + d_t @ (p @ d))
+    if c is not None:
+        m = m + d_t @ (p @ c if pc is None else pc)
+    if lam is not None:
+        m = m + d_t @ lam
+    if s is not None:
+        m = m + s
+    return m, _sym(r + d_t @ (p @ d))
 
 
 def _gain_blocks_at(spec, t, i, node, p, lam):
@@ -368,12 +388,95 @@ def f_of_theta(t: float, i: int, p: np.ndarray, lam: np.ndarray, theta: np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# grid backend engine
+# the Riccati driver shared by both engines
 # ---------------------------------------------------------------------------
 
 
-def _sym(m):
-    return 0.5 * (m + m.mT)
+class _Engine:
+    """The Riccati driver shared by the grid and tree engines.
+
+    Each coefficient is held as ``load(field)``, indexed by sample: ``h``
+    indexes Q, S, R and ``R_inv`` (R^{-1}, formed once when D = 0), ``hc``
+    indexes A, B, C and D, and ``times[h]`` is the time of sample ``h``.
+    ``A_drift`` is the A the driver reads.
+    """
+
+    def __init__(self, spec: ProblemSpec, options: SolverOptions, times, load):
+        self.spec, self.options, self.times = spec, options, times
+        self.A, self.B, self.C, self.D, self.Q, self.S, self.R = (
+            load(spec.coefficient(name)) for name in "ABCDQSR")
+        self.q_off = spec.q - np.diag(np.diag(spec.q))
+        self.has_C = not spec.C.is_zero()
+        self.has_D = (not spec.D.is_zero()) or options.force_general_d
+        self.has_S = not spec.S.is_zero()
+        self.R_inv = None
+        if not self.has_D:
+            # one stacked inverse, or one per lattice level of a random R
+            self.R_inv = (self._guarded_inverse(self.R, np.arange(len(self.R)))
+                          if isinstance(self.R, np.ndarray) else
+                          [self._guarded_inverse(r, k) for k, r in enumerate(self.R)])
+
+    def _guarded_inverse(self, r, h):
+        self._require_conditioned(r, h)
+        return matcore.sym_inverse(r, self.options.cond_threshold)
+
+    def _require_conditioned(self, sigma, h):
+        """Refuse a stack of Sigma = R + D'PD at sample ``h`` (one index,
+        or one per leading member) whose spectral condition number exceeds
+        ``cond_threshold``, naming t, the regime and the number."""
+        w = np.abs(np.linalg.eigvalsh(sigma))
+        lo, hi = w.min(axis=-1), w.max(axis=-1)
+        bad = (lo == 0.0) | (hi > self.options.cond_threshold * lo)
+        if np.any(bad):
+            first = np.unravel_index(np.argmax(bad), bad.shape)
+            t = self.times[h if np.ndim(h) == 0 else h[first[0]]]
+            cond = hi[first] / lo[first] if lo[first] > 0.0 else np.inf
+            raise NearSingular(
+                f"R + D'PD is ill-conditioned at t = {t:.6g} in regime "
+                f"{first[-1] + 1}: condition number {cond:.3e} exceeds "
+                f"threshold {self.options.cond_threshold:.3e}"
+            )
+
+    def _driver(self, h, hc, p, lam, src, check_cond=False, quadratic=True):
+        """The Riccati driver, symmetrized,
+
+            P A + A'P + C'P C + Lam C + C'Lam + Q + src - M' Sigma^{-1} M,
+
+        with M and Sigma from :func:`_gain_blocks`; ``lam`` is None for
+        Lambda = 0 and ``src`` is the engine's regime coupling.  Without
+        ``quadratic`` the last term is dropped.  ``check_cond`` runs the
+        condition test on Sigma before its LU inverse."""
+        pa = p @ self.A_drift[hc]
+        out = pa + pa.mT + self.Q[h] + src
+        c = pc = None
+        if self.has_C:
+            c = self.C[hc]
+            pc = p @ c
+            out = out + c.mT @ pc
+            if lam is not None:
+                out = out + lam @ c + c.mT @ lam
+        if quadratic:
+            s = self.S[h] if self.has_S else None
+            if self.has_D:
+                m, sigma = _gain_blocks(p, lam, self.B[hc], c, self.D[hc], s, self.R[h], pc)
+                if check_cond:
+                    self._require_conditioned(sigma, h)
+                # LU inverse and product: on these stacks of small blocks it
+                # costs less than np.linalg.solve with several columns
+                try:
+                    x = np.linalg.inv(sigma) @ m
+                except np.linalg.LinAlgError as exc:
+                    raise NearSingular("R + D'PD is singular") from exc
+            else:
+                m, _ = _gain_blocks(p, lam, self.B[hc], c, None, s, None)
+                x = self.R_inv[h] @ m
+            out = out - m.mT @ x
+        return _sym(out)
+
+
+# ---------------------------------------------------------------------------
+# grid backend engine
+# ---------------------------------------------------------------------------
 
 
 # sweeps the grid pipeline may launch beyond the last one known to be
@@ -383,7 +486,7 @@ def _sym(m):
 SPECULATIVE_SWEEPS = 8
 
 
-class _GridEngine:
+class _GridEngine(_Engine):
     """Sampled coefficients and backward sweeps for the ODE backend.
 
     Everything is precomputed on the half grid (step dt/2) so the four
@@ -392,13 +495,14 @@ class _GridEngine:
 
     The right-hand sides take the state either as one ``(ell, n, n)`` stack
     at an integer half-index or as ``(L, ell, n, n)`` with one half-index
-    per member.  ``h`` indexes Q, S and R; ``hc`` indexes A, B, C, D and
-    their transposes, and is the single index 0 shared by every member
-    when those are constant.
+    per member.  ``h`` indexes Q, S and R; ``hc`` indexes A, B, C and D,
+    and is the single index 0 shared by every member when those are
+    constant.
 
-    The sweeps read ``Aq = A + (q_ii / 2) I``, which carries the diagonal
-    coupling, and freeze the off-diagonal coupling ``q_off`` at the
-    previous iterate.  :func:`direct_coupled_oracle` reads the plain A.
+    The driver reads ``A_drift = A + (q_ii / 2) I``, which carries the
+    diagonal coupling; the sweeps freeze the off-diagonal coupling
+    ``q_off`` at the previous iterate.  :func:`direct_coupled_oracle`
+    reads the plain A.
     """
 
     def __init__(self, spec: ProblemSpec, options: SolverOptions):
@@ -406,36 +510,17 @@ class _GridEngine:
             raise StructuralError(
                 "ODE backend requires deterministic coefficients; use backend='tree'"
             )
-        self.spec = spec
-        self.options = options
         n_steps = options.grid_steps
         self.dt = spec.T / n_steps
         self.grid = np.linspace(0.0, spec.T, n_steps + 1)
         half = np.linspace(0.0, spec.T, 2 * n_steps + 1)
-        self.half_times = half
-        qdiag = np.diag(spec.q)
-        self.q_off = spec.q - np.diag(qdiag)
-
-        self.A = np.ascontiguousarray(spec.A.sample_times(half))
-        self.Aq = self.A + (0.5 * qdiag)[:, None, None] * np.eye(spec.n)
-        self.B = np.ascontiguousarray(spec.B.sample_times(half))
-        self.C = np.ascontiguousarray(spec.C.sample_times(half))
-        self.D = np.ascontiguousarray(spec.D.sample_times(half))
-        self.Q = np.ascontiguousarray(spec.Q.sample_times(half))
-        self.S = np.ascontiguousarray(spec.S.sample_times(half))
-        self.R = np.ascontiguousarray(spec.R.sample_times(half))
-        self.Ct = np.ascontiguousarray(self.C.mT)
-        self.Dt = np.ascontiguousarray(self.D.mT)
+        super().__init__(spec, options, half,
+                         lambda f: np.ascontiguousarray(f.sample_times(half)))
+        self.A_drift = self.A + (0.5 * np.diag(spec.q))[:, None, None] * np.eye(spec.n)
         self.constant_dynamics = all(
             spec.coefficient(name).kind == "constant" for name in ("A", "B", "C", "D")
         )
         self.G = np.stack([spec.G.eval(spec.T, i) for i in range(1, spec.ell + 1)])
-
-        self.has_C = not spec.C.is_zero()
-        self.has_D = (not spec.D.is_zero()) or options.force_general_d
-        self.has_S = not spec.S.is_zero()
-        # R^{-1} on the half grid, read by every stage when D = 0
-        self.R_inv = None if self.has_D else matcore.sym_inverse(self.R, options.cond_threshold)
 
     def _require_stable_step(self):
         """Refuse a grid on which the explicit RK4 step cannot carry the
@@ -449,63 +534,6 @@ class _GridEngine:
                 f"{self.dt * rate:.4g} exceeds {MAX_STEP_RATE:g}; "
                 f"use grid_steps >= {need}"
             )
-
-    # -- right-hand sides (dP/dt), batched over regimes -----------------
-
-    def _quadratic_term(self, h, hc, p: np.ndarray, pc, check_cond: bool) -> np.ndarray:
-        """H = -M' Sigma^{-1} M; ``pc`` is P C (None when C = 0)."""
-        # M starts from (P B)' here, in the tree engine and in the oracle,
-        # but from B'P in _gain_blocks: the two orders differ in the last
-        # bit, and each path keeps its own so its results stay unchanged
-        m = (p @ self.B[hc]).mT
-        if self.has_D and pc is not None:
-            m = m + self.Dt[hc] @ pc
-        if self.has_S:
-            m = m + self.S[h]
-        if self.has_D:
-            sigma = _sym(self.R[h] + self.Dt[hc] @ (p @ self.D[hc]))
-            if check_cond:
-                w = np.abs(np.linalg.eigvalsh(sigma))
-                lo, hi = w.min(axis=-1), w.max(axis=-1)
-                bad = (lo == 0.0) | (hi > self.options.cond_threshold * lo)
-                if np.any(bad):
-                    first = np.unravel_index(np.argmax(bad), bad.shape)
-                    t = self.half_times[h if np.ndim(h) == 0 else h[first[0]]]
-                    raise NearSingular(
-                        "R + D'PD became ill-conditioned during backward stepping "
-                        f"at t = {t:.6g} in regime {first[-1] + 1}"
-                    )
-            try:
-                x = np.linalg.solve(sigma, m)
-            except np.linalg.LinAlgError as exc:
-                raise NearSingular("R + D'PD is singular") from exc
-        else:
-            x = self.R_inv[h] @ m
-        return -m.mT @ x
-
-    def _linear_term(self, hc, p: np.ndarray, pc) -> np.ndarray:
-        """P Aq + Aq'P + C'P C, which includes the diagonal coupling."""
-        pa = p @ self.Aq[hc]
-        out = pa + pa.mT
-        if pc is not None:
-            out = out + self.Ct[hc] @ pc
-        return out
-
-    def _rhs_picard(self, h, hc, p: np.ndarray, src: np.ndarray,
-                    check_cond: bool) -> np.ndarray:
-        """Frozen-coupling rhs; ``src`` is the off-diagonal coupling
-        ``q_off P_prev`` at ``h``."""
-        pc = p @ self.C[hc] if self.has_C else None
-        drift = self._linear_term(hc, p, pc) + self.Q[h] + src
-        drift = drift + self._quadratic_term(h, hc, p, pc, check_cond)
-        return -_sym(drift)
-
-    def _rhs_linear(self, h: int, p: np.ndarray) -> np.ndarray:
-        """Initial iterate: linear drift + live cross-regime coupling."""
-        pc = p @ self.C[h] if self.has_C else None
-        drift = self._linear_term(h, p, pc) + self.Q[h]
-        drift = drift + np.einsum("ij,jab->iab", self.q_off, p)
-        return -_sym(drift)
 
     # -- sweeps ----------------------------------------------------------
 
@@ -531,18 +559,18 @@ class _GridEngine:
         return values, derivs
 
     def solve_p0(self) -> GridIterate:
+        """Linear initial iterate: the driver without its quadratic term,
+        with the live off-diagonal coupling ``q_off P`` as its source."""
         self._require_stable_step()
-        rhs = lambda h, p, chk: self._rhs_linear(h, p)
-        values, derivs = self._sweep(rhs, self.G, project=False)
-        zeros = np.zeros_like(values)
-        return GridIterate(self.grid, values, derivs, zeros)
+        rhs = lambda h, p, chk: -self._driver(
+            h, h, p, None, np.einsum("ij,jab->iab", self.q_off, p), quadratic=False)
+        return GridIterate(self.grid, *self._sweep(rhs, self.G, project=False))
 
     def picard_sweep(self, prev: GridIterate) -> GridIterate:
         self._require_stable_step()
         src = np.einsum("ij,hjab->hiab", self.q_off, prev.half_values())
-        rhs = lambda h, p, chk: self._rhs_picard(h, h, p, src[h], chk)
-        values, derivs = self._sweep(rhs, self.G, project=True)
-        return GridIterate(self.grid, values, derivs, np.zeros_like(values))
+        rhs = lambda h, p, chk: -self._driver(h, h, p, None, src[h], chk)
+        return GridIterate(self.grid, *self._sweep(rhs, self.G, project=True))
 
     # -- pipelined fixed point -------------------------------------------
 
@@ -625,8 +653,8 @@ class _GridEngine:
         """
         dt = self.dt
         h = 2 * live.k
-        k1 = self._rhs_picard(h, 0 if self.constant_dynamics else h,
-                              live.p, live.src, True)
+        k1 = -self._driver(h, 0 if self.constant_dynamics else h,
+                           live.p, None, live.src, True)
         for j, k, d in zip(live.sweep.tolist(), live.k.tolist(), k1):
             store[j][k, 1] = d
         finished = bool(live.k[0] == 0)
@@ -645,9 +673,9 @@ class _GridEngine:
         hc_mid = 0 if self.constant_dynamics else h_mid
         hc_end = 0 if self.constant_dynamics else h_end
         p = live.p
-        k2 = self._rhs_picard(h_mid, hc_mid, p - 0.5 * dt * k1, src_mid, False)
-        k3 = self._rhs_picard(h_mid, hc_mid, p - 0.5 * dt * k2, src_mid, False)
-        k4 = self._rhs_picard(h_end, hc_end, p - dt * k3, src_end, False)
+        k2 = -self._driver(h_mid, hc_mid, p - 0.5 * dt * k1, None, src_mid)
+        k3 = -self._driver(h_mid, hc_mid, p - 0.5 * dt * k2, None, src_mid)
+        k4 = -self._driver(h_end, hc_end, p - dt * k3, None, src_end)
         p = _sym(p - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         out = matcore.project_psd(p, self.options.psd_tol)
         if out is not p and len(p) > 1:
@@ -701,8 +729,15 @@ class _Members:
 # ---------------------------------------------------------------------------
 
 
-class _TreeEngine:
-    """Backward induction on the binomial lattice (original coordinates)."""
+class _TreeEngine(_Engine):
+    """Backward induction on the binomial lattice (original coordinates).
+
+    Coefficients are indexed by level, ``h = hc = k``: a random field's own
+    levels, else one sample per level, level k broadcasting against
+    (k+1, ell, ., .).  The driver reads Lambda as the martingale increment
+    ``z`` and A itself: each sweep divides by ``1 - dt q_ii``, which keeps
+    the diagonal coupling implicit.
+    """
 
     def __init__(self, spec: ProblemSpec, options: SolverOptions):
         depth = options.tree_depth
@@ -712,57 +747,14 @@ class _TreeEngine:
                 raise StructuralError(
                     f"{name}: tree field depth {f.depth} != solver tree_depth {depth}"
                 )
-        self.spec = spec
-        self.options = options
         self.tree = BinomialTree(depth, spec.T)
-        q = spec.q
-        self.q_off = q - np.diag(np.diag(q))
+        super().__init__(spec, options, self.tree.times, lambda f: (
+            f.levels if f.is_random else f.sample_times(self.tree.times)[:, None]))
+        self.A_drift = self.A
         # 1 - dt q_ii > 0 for every dt, since q_ii <= 0
-        self.denom = (1.0 - self.tree.dt * np.diag(q))[:, None, None]
-        self.coef = {name: self._levels(spec.coefficient(name))
-                     for name in ("A", "B", "C", "D", "Q", "S", "R")}
-        self.has_C = not spec.C.is_zero()
-        self.has_D = (not spec.D.is_zero()) or options.force_general_d
-        self.has_S = not spec.S.is_zero()
+        self.denom = (1.0 - self.tree.dt * np.diag(spec.q))[:, None, None]
         g = spec.G.levels[-1] if spec.G.is_random else spec.G.values
         self.G = np.broadcast_to(g, (depth + 1,) + g.shape[-3:])
-
-    def _levels(self, f):
-        """Per-level values of a coefficient, level k broadcastable against
-        (k+1, ell, ., .): a random field's own levels, else one sample."""
-        return f.levels if f.is_random else f.sample_times(self.tree.times)[:, None]
-
-    def _drift(self, k: int, pm: np.ndarray, z: np.ndarray, src: np.ndarray,
-               include_h: bool) -> np.ndarray:
-        """Driver at level k; pm, z, src have shape (k+1, ell, n, n)."""
-        a = self.coef["A"][k]
-        pa = pm @ a
-        out = pa + np.swapaxes(pa, -1, -2) + self.coef["Q"][k] + src
-        if self.has_C:
-            c = self.coef["C"][k]
-            pc = pm @ c
-            ct = np.swapaxes(c, -1, -2)
-            out = out + ct @ pc + z @ c + ct @ z
-        if include_h:
-            b = self.coef["B"][k]
-            m = np.swapaxes(pm @ b, -1, -2)
-            if self.has_D:
-                d = self.coef["D"][k]
-                dt_ = np.swapaxes(d, -1, -2)
-                if self.has_C:
-                    m = m + dt_ @ pc
-                m = m + dt_ @ z
-            if self.has_S:
-                m = m + self.coef["S"][k]
-            if self.has_D:
-                sigma = _sym(self.coef["R"][k] + dt_ @ (pm @ d))
-                sigma = np.broadcast_to(sigma, m.shape[:-2] + sigma.shape[-2:])
-                sigma_inv = matcore.sym_inverse(sigma, self.options.cond_threshold)
-            else:
-                sigma_inv = matcore.sym_inverse(self.coef["R"][k],
-                                                self.options.cond_threshold)
-            out = out - np.swapaxes(m, -1, -2) @ (sigma_inv @ m)
-        return _sym(out)
 
     def _sweep(self, level_step) -> TreeIterate:
         """One backward induction from the terminal level; ``level_step(k,
@@ -791,7 +783,7 @@ class _TreeEngine:
         dt = self.tree.dt
         inv = np.linalg.inv(np.eye(self.spec.ell) - dt * self.spec.q)
         return self._sweep(lambda k, pm, z: np.einsum(
-            "ij,njab->niab", inv, pm + dt * self._drift(k, pm, z, 0.0, False)))
+            "ij,njab->niab", inv, pm + dt * self._driver(k, k, pm, z, 0.0, quadratic=False)))
 
     def picard_sweep(self, prev: TreeIterate) -> TreeIterate:
         """Sweep with the off-diagonal coupling frozen at ``prev``, the
@@ -799,7 +791,7 @@ class _TreeEngine:
         ``p = proj((pm + dt (drift(pm, z) + q_off p_prev)) / (1 - dt q_ii))``."""
         src = [np.einsum("ij,njab->niab", self.q_off, lv) for lv in prev.levels[:-1]]
         return self._sweep(lambda k, pm, z: matcore.project_psd(
-            _sym(pm + self.tree.dt * self._drift(k, pm, z, src[k], True)) / self.denom,
+            _sym(pm + self.tree.dt * self._driver(k, k, pm, z, src[k], True)) / self.denom,
             self.options.psd_tol))
 
 

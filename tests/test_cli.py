@@ -347,6 +347,19 @@ class TestCommands:
         assert series[0] == "t,regime,frob_P,min_eig_P,frob_Lambda"
         assert len(series) == 1 + 201 * 2
 
+    def test_report_bytes_do_not_depend_on_output_dir(self, tmp_path):
+        cfg = parse_config(CONFIGS / "tree_random_q.yaml")
+        quiet = lambda line: None
+        first, second = tmp_path / "a", tmp_path / "another"
+        run_command("solve", cfg, output_dir=first, echo=quiet)
+        second.mkdir()
+        for name in ("tree_solution.csv", "tree_solution.csv.meta.json"):
+            (second / name).write_bytes((first / name).read_bytes())
+        for out in (first, second):
+            assert run_command("report", cfg, output_dir=out, echo=quiet).exit_code == 0
+        for name in ("tree_report.txt", "tree_report.txt.series.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+
     def test_tree_backend_solve(self, tmp_path):
         text = E1_YAML + (
             "solver: {backend: tree, tree_depth: 8}\n"
@@ -386,6 +399,12 @@ class TestCommands:
         cfg = parse_config(write_cfg(tmp_path, text))
         assert main(["verify", "--config", str(write_cfg(tmp_path, text, "t.yaml")),
                      "--output", str(tmp_path)]) == 1
+
+
+def _edit_line(text, k, edit):
+    lines = text.splitlines()
+    lines[k] = edit(lines[k])
+    return "\n".join(lines) + "\n"
 
 
 class TestMain:
@@ -442,6 +461,27 @@ class TestMain:
         cfg = write_cfg(tmp_path, SMALL_RUN)
         assert main(["report", "--config", str(cfg),
                      "--output", str(tmp_path / "empty")]) == 4
+
+    @pytest.mark.parametrize("target, damage", [
+        ("s.csv", lambda text: _edit_line(text, 5, lambda ln: ln.rsplit(",", 3)[0])),
+        ("s.csv", lambda text: _edit_line(text, 5, lambda ln: ln.replace(
+            ln.split(",")[4] + ",", "abc,"))),
+        ("s.csv", lambda text: text.splitlines()[0] + "\n"),
+        ("s.csv", lambda text: "\n".join(text.splitlines()[:-1]) + "\n"),
+        ("s.csv.meta.json", lambda text: text[:len(text) // 2]),
+        ("s.csv.meta.json", lambda text: text.replace('"tolerances"', '"tolerance"')),
+        ("s.csv.meta.json", lambda text: "[1, 2]\n"),
+    ], ids=["truncated-row", "non-numeric-field", "header-only", "missing-row",
+            "malformed-json", "missing-key", "not-a-mapping"])
+    def test_damaged_artifact_report_maps_to_four(self, tmp_path, capsys, target, damage):
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+        assert main(["solve", "--config", str(cfg), "--output", str(tmp_path)]) == 0
+        path = tmp_path / target
+        path.write_text(damage(path.read_text()))
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg), "--output", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
 
     def test_io_failure_on_unwritable_path(self, tmp_path):
         text = SMALL_RUN.replace(

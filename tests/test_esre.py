@@ -313,6 +313,57 @@ class TestFOfTheta:
             assert min_eigenvalue(other - best) >= -1e-9
 
 
+class TestSharedDriver:
+    """Both engines evaluate the Riccati right-hand side through one
+    driver; at random (P, Lambda) points it is the pointwise functionals'
+    ``drift_pi + Q + drift_h`` (plus ``q_ii P`` on the grid, whose drift
+    matrix carries the diagonal coupling)."""
+
+    @staticmethod
+    def _engines(spec):
+        yield esre._GridEngine(spec, SolverOptions(grid_steps=50)), 37, True
+        yield esre._TreeEngine(spec, SolverOptions(backend="tree", tree_depth=50)), 19, False
+
+    @pytest.mark.parametrize("with_lambda", [True, False])
+    @pytest.mark.parametrize("seed", FAMILY_SEEDS)
+    def test_matches_pointwise_functionals(self, seed, with_lambda):
+        spec = random_spec(seed)
+        rng = np.random.default_rng(seed + 7)
+        for engine, h, grid in self._engines(spec):
+            t = engine.times[h]
+            w = rng.standard_normal((spec.ell, spec.n, spec.n))
+            p = w @ w.mT
+            lam = symmetrize(0.3 * rng.standard_normal(p.shape))
+            if not with_lambda:
+                lam[:] = 0.0
+            got = engine._driver(h, h, p, lam if with_lambda else None, 0.0, True)
+            for i in range(1, spec.ell + 1):
+                pi, li = p[i - 1], lam[i - 1]
+                ref = (drift_pi(t, i, pi, li, spec) + spec.Q.eval(t, i)
+                       + drift_h(t, i, pi, li, spec))
+                if grid:
+                    ref = ref + spec.q[i - 1, i - 1] * pi
+                got_i = got[0, i - 1] if got.ndim == 4 else got[i - 1]
+                assert np.max(np.abs(got_i - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.filterwarnings("ignore:measured diffusion size")
+    def test_tree_ill_conditioned_sigma_names_time_and_regime(self):
+        opts = SolverOptions(backend="tree", tree_depth=100, cond_threshold=3.9)
+        with pytest.raises(NearSingular, match=r"at t = 0\.9 in regime 1: "
+                           r"condition number 3\.9\d+e\+00 exceeds threshold 3\.900e\+00"):
+            solve_esre(_ill_conditioned_spec(), opts)
+
+    @pytest.mark.parametrize("backend", ["ode", "tree"])
+    def test_ill_conditioned_r_named_once_per_engine(self, backend):
+        # D = 0: R^{-1} is formed once, behind the same guard
+        spec = dataclasses.replace(_ill_conditioned_spec(), D=np.zeros((2, 1, 2)))
+        opts = SolverOptions(backend=backend, grid_steps=100, tree_depth=10,
+                             cond_threshold=10.0)
+        with pytest.raises(NearSingular, match=r"at t = 0 in regime 1: "
+                           r"condition number 2\.000e\+01 exceeds"):
+            solve_p0(spec, opts)
+
+
 # ---------------------------------------------------------------------------
 # initial iterate
 # ---------------------------------------------------------------------------
