@@ -30,12 +30,14 @@ spec = ProblemSpec(
 )
 
 solution = solve_esre(spec, SolverOptions(grid_steps=1000))
+# the gains are a time-table CoefficientField of m x n matrices, read
+# like the problem's coefficients
 gains = feedback_gain(solution, spec)
 print(f"P(0, .) = {solution.P[0, :, 0, 0]}")
-print(f"gain at t=0:   regime 1: {gains.at(0.0, 1)[0, 0]:+.5f}   "
-      f"regime 2: {gains.at(0.0, 2)[0, 0]:+.5f}")
-print(f"gain at t=0.9: regime 1: {gains.at(0.9, 1)[0, 0]:+.5f}   "
-      f"regime 2: {gains.at(0.9, 2)[0, 0]:+.5f}")
+print(f"gain at t=0:   regime 1: {gains.eval(0.0, 1)[0, 0]:+.5f}   "
+      f"regime 2: {gains.eval(0.0, 2)[0, 0]:+.5f}")
+print(f"gain at t=0.9: regime 1: {gains.eval(0.9, 1)[0, 0]:+.5f}   "
+      f"regime 2: {gains.eval(0.9, 2)[0, 0]:+.5f}")
 
 # one closed-loop trajectory, reproducible from its substream
 record = simulate_closed_loop(spec, gains, [1.0], 1, 1e-3, path_substream(31, 0))

@@ -27,12 +27,12 @@ spec = ProblemSpec(
 )
 
 solution = solve_esre(spec, SolverOptions(backend="tree", tree_depth=depth))
-tree = solution.tree
+tree = solution.tree          # the converged TreeIterate: P and Lambda per node
 print(f"converged in {solution.iterations} sweeps on a depth-{depth} lattice")
-print(f"P(0, 1) at the root: {tree.p_levels[0][0, 0, 0, 0]:.6f}")
+print(f"P(0, 1) at the root: {tree.levels[0][0, 0, 0, 0]:.6f}")
 
 k = depth // 2
-nodes = tree.p_levels[k][:, 0, 0, 0]
+nodes = tree.levels[k][:, 0, 0, 0]
 print(f"P at level {k} (t={tree.tree.times[k]:.1f}) across nodes:")
 print("  ", np.round(nodes, 5))
 lam = tree.lam_levels[k][:, 0, 0, 0]

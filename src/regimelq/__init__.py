@@ -71,7 +71,6 @@ from .esre import (
 )
 from .control import (
     CostEstimate,
-    FeedbackGain,
     GapEstimate,
     PathRecord,
     Perturbation,
@@ -111,9 +110,9 @@ __all__ = [
     "SolverOptions", "TreeIterate", "direct_coupled_oracle", "drift_h",
     "drift_pi", "f_of_theta", "growth_constant", "picard_step", "solve_esre",
     "solve_p0", "theta_hat",
-    "CostEstimate", "FeedbackGain", "GapEstimate", "PathRecord",
-    "Perturbation", "Policy", "feedback_gain", "mc_cost", "optimality_gap",
-    "predicted_gap", "simulate_closed_loop", "value_at",
+    "CostEstimate", "GapEstimate", "PathRecord", "Perturbation", "Policy",
+    "feedback_gain", "mc_cost", "optimality_gap", "predicted_gap",
+    "simulate_closed_loop", "value_at",
     "FbsdeTriple", "ResidualStats", "tree_fbsde_oracle", "xinv_product_check",
     "ypx_residual",
     "RunConfig", "parse_config",

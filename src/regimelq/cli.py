@@ -11,7 +11,8 @@ solve
     Run the Riccati solver and persist the solution as CSV plus a sibling
     ``.meta.json`` with tolerances, residual history and diagnostics.
     Exit 2 (history still persisted) when the fixed point does not
-    converge.
+    converge; a solution file of an earlier run at that path is removed,
+    so ``report`` cannot pair it with this run's metadata.
 simulate
     Estimate the feedback cost and the cost of each configured
     perturbation by Monte Carlo; write the estimates as CSV.
@@ -246,6 +247,10 @@ def _cmd_solve(config: RunConfig, paths, echo) -> CommandResult:
         solution = solve_esre(config.problem, config.solver)
     except NoConvergence as exc:
         echo(f"solver did not converge: {exc}")
+        try:
+            paths["solution"].unlink(missing_ok=True)
+        except OSError as err:
+            raise IoError(f"cannot remove the old solution {paths['solution']}: {err}") from err
         meta = _write_metadata(paths["solution"], options=config.solver,
                                converged=False,
                                residual_history=exc.residual_history)

@@ -6,8 +6,10 @@ From a solved Riccati pair the optimal control is the linear feedback
     K(t, i) = -(R + D'P D)^{-1} (B'P + D'P C + D'Lambda + S)(t, i),
 
 and the optimal value is the quadratic form ``<P(0, i0) x, x>``.  This
-module turns a solution into :class:`FeedbackGain`, simulates the
-closed-loop switching state with Euler-Maruyama (the regime path itself is
+module turns a solution into the gains K, a time-table
+:class:`~regimelq.model.CoefficientField` of m x n matrices read like the
+problem's coefficients (``gains.eval(t, i)``), simulates the closed-loop
+switching state with Euler-Maruyama (the regime path itself is
 sampled exactly and read by lookup), and estimates costs by Monte Carlo.
 
 Cost convention: left-endpoint quadrature of the running integrand
@@ -59,9 +61,10 @@ from scipy.integrate import trapezoid
 from . import matcore
 from .errors import BlowUp, DimensionMismatch, OutOfRange, StructuralError
 from .esre import EsreSolution, _gain_blocks
-from .model import ProblemSpec
+from .model import CoefficientField, ProblemSpec
 from .regime_chain import (
     _jump_cumprobs,
+    check_regime,
     path_substream,
     rekeyed,
     sample_chain_path,
@@ -76,33 +79,6 @@ _TRANSPOSE_BLOCK = 256
 # ---------------------------------------------------------------------------
 # policies
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class FeedbackGain:
-    """Time- and regime-indexed feedback matrices.
-
-    ``gains[k, i-1]`` is the m x n gain at ``grid[k]`` for regime i.  Time
-    lookup takes the nearest grid sample at or before t, matching the
-    piecewise-constant coefficient convention.
-    """
-
-    grid: np.ndarray
-    gains: np.ndarray            # (K, ell, m, n)
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.gains)):
-            raise StructuralError("feedback gains contain non-finite entries")
-
-    def at(self, t: float, regime: int) -> np.ndarray:
-        idx = int(np.searchsorted(self.grid, t, side="right")) - 1
-        idx = min(max(idx, 0), len(self.grid) - 1)
-        return self.gains[idx, regime - 1]
-
-    def sample_times(self, times: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.grid, times, side="right") - 1
-        idx = np.clip(idx, 0, len(self.grid) - 1)
-        return self.gains[idx]
 
 
 @dataclass
@@ -137,23 +113,31 @@ class Perturbation:
 @dataclass
 class Policy:
     """Affine control law ``u(t, i, x) = K(t, i) x + e(t)``; either part
-    may be absent."""
+    may be absent.  ``gains`` is a field of m x n matrices."""
 
-    gains: FeedbackGain = None
+    gains: CoefficientField = None
     offset: Perturbation = None
 
     @classmethod
-    def coerce(cls, policy, m: int) -> "Policy":
-        if isinstance(policy, Policy):
-            return policy
-        if isinstance(policy, FeedbackGain):
-            return cls(gains=policy)
-        if policy is None:
-            return cls()
-        raise StructuralError(
-            f"unsupported policy type {type(policy).__name__}; "
-            "pass a FeedbackGain or a Policy"
-        )
+    def coerce(cls, policy, spec: ProblemSpec) -> "Policy":
+        """The policy as a Policy; DimensionMismatch unless its gains hold
+        one m x n matrix per regime of ``spec``."""
+        if isinstance(policy, CoefficientField):
+            policy = cls(gains=policy)
+        elif policy is None:
+            policy = cls()
+        elif not isinstance(policy, Policy):
+            raise StructuralError(
+                f"unsupported policy type {type(policy).__name__}; "
+                "pass a CoefficientField of gains or a Policy"
+            )
+        gains = policy.gains
+        if gains is not None and (gains.ell, gains.shape) != (spec.ell, (spec.m, spec.n)):
+            raise DimensionMismatch(
+                f"gains hold {gains.ell} regimes of {gains.shape[0]} x {gains.shape[1]} "
+                f"matrices; the problem needs {spec.ell} of {spec.m} x {spec.n}"
+            )
+        return policy
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +145,9 @@ class Policy:
 # ---------------------------------------------------------------------------
 
 
-def feedback_gain(solution: EsreSolution, spec: ProblemSpec) -> FeedbackGain:
-    """Optimal feedback matrices on the solution grid.
+def feedback_gain(solution: EsreSolution, spec: ProblemSpec) -> CoefficientField:
+    """Optimal feedback matrices on the solution grid: a time table whose
+    sample k in regime i is the m x n gain ``K(grid[k], i)``.
 
     Raises NearSingular if ``R + D'P D`` fails the guarded inversion at any
     sample and regime, and StructuralError for random (lattice)
@@ -178,7 +163,7 @@ def feedback_gain(solution: EsreSolution, spec: ProblemSpec) -> FeedbackGain:
     m, sigma = _gain_blocks(solution.P, solution.Lambda, *(
         spec.coefficient(name).sample_times(grid) for name in ("B", "C", "D", "S", "R")))
     gains = -(matcore.sym_inverse(sigma, solution.options.cond_threshold) @ m)
-    return FeedbackGain(grid=grid, gains=gains)
+    return CoefficientField.from_table(grid, gains)
 
 
 def value_at(solution: EsreSolution, x0, i0: int) -> float:
@@ -217,7 +202,7 @@ def simulate_closed_loop(spec: ProblemSpec, policy, x0, i0: int, dt: float,
                          rng: np.random.Generator) -> PathRecord:
     """Simulate one path of the controlled switching state.
 
-    ``policy`` may be a :class:`FeedbackGain`, a :class:`Policy`, ``None``
+    ``policy`` may be a gain field, a :class:`Policy`, ``None``
     (zero control) or a callable ``u(t, regime, x)``.  The regime path is
     sampled exactly from ``rng`` first, then the Brownian increments; this
     order matches the batched Monte Carlo engine, so a path substream
@@ -235,13 +220,13 @@ def simulate_closed_loop(spec: ProblemSpec, policy, x0, i0: int, dt: float,
     if callable(policy):
         control_fn = policy
     else:
-        pol = Policy.coerce(policy, spec.m)
+        pol = Policy.coerce(policy, spec)
         off = Perturbation.coerce(pol.offset, spec.m)
 
         def control_fn(t, regime, xv):
             u = np.zeros(spec.m)
             if pol.gains is not None:
-                u = pol.gains.at(t, regime) @ xv
+                u = pol.gains.eval(t, regime) @ xv
             return u + off.sample_times(np.array([t]))[0]
 
     states = np.empty((n_steps + 1, spec.n))
@@ -287,13 +272,7 @@ def _start_state(n: int, ell: int, x0, i0):
         raise DimensionMismatch(f"x0 has {x.size} entries, the state dimension is {n}")
     if not np.all(np.isfinite(x)):
         raise OutOfRange(f"x0 must be finite, got {x.tolist()}")
-    return x, _start_regime(ell, i0)
-
-
-def _start_regime(ell: int, i0) -> int:
-    if isinstance(i0, bool) or not isinstance(i0, numbers.Integral) or not 1 <= i0 <= ell:
-        raise OutOfRange(f"initial regime {i0!r} is not an integer in 1..{ell}")
-    return int(i0)
+    return x, check_regime(i0, ell, "initial regime")
 
 
 def _check_path_count(n_paths, minimum: int):
@@ -302,6 +281,8 @@ def _check_path_count(n_paths, minimum: int):
 
 
 def _step_count(T: float, dt: float) -> int:
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise StructuralError(f"dt must be positive and finite, got {dt}")
     n = int(round(T / dt))
     if n < 1 or abs(n * dt - T) > 1e-12 * max(1.0, T):
         raise StructuralError(f"dt={dt} does not divide the horizon T={T}")
@@ -347,7 +328,7 @@ def _closed_loop_table(spec, policy, coef, times, dt) -> np.ndarray:
         cost += (Wx + l)'x + c,      x <- (Mx + a) + (Nx + b) dW.
     """
     a, b, c, d, q, s, r = coef
-    pol = Policy.coerce(policy, spec.m)
+    pol = Policy.coerce(policy, spec)
     gain = (np.zeros(q.shape[:2] + (spec.m, spec.n)) if pol.gains is None
             else pol.gains.sample_times(times))
     e = Perturbation.coerce(pol.offset, spec.m).sample_times(times)[:, None, :, None]
@@ -544,7 +525,7 @@ class GapEstimate:
 
 def optimality_gap(spec: ProblemSpec, solution: EsreSolution, perturbation,
                    n_paths: int, dt: float, seed: int,
-                   gains: FeedbackGain = None, x0=None, i0: int = None) -> GapEstimate:
+                   gains: CoefficientField = None, x0=None, i0: int = None) -> GapEstimate:
     """Cost excess of ``u = K X + e`` over the plain feedback.
 
     Both policies run on the same noise and regime paths, and the standard
@@ -581,7 +562,7 @@ def predicted_gap(spec: ProblemSpec, solution: EsreSolution, perturbation,
     """Completed-square prediction for a deterministic offset:
     trapezoid of ``sum_i prob_i(t) e(t)'(R + D'P D)(t,i) e(t)`` on the
     solution grid.  Raises OutOfRange unless ``i0`` is a regime."""
-    i0 = _start_regime(spec.ell, i0)
+    i0 = check_regime(i0, spec.ell, "initial regime")
     e = Perturbation.coerce(perturbation, spec.m)
     grid = solution.grid
     ev = e.sample_times(grid)                     # (K, m)

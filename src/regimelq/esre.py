@@ -96,6 +96,7 @@ limit.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -147,10 +148,10 @@ class SolverOptions:
     def __post_init__(self):
         if self.backend not in ("ode", "tree"):
             raise StructuralError(f"unknown backend {self.backend!r}")
-        if self.grid_steps < 1 or self.tree_depth < 1:
-            raise StructuralError("grid_steps and tree_depth must be >= 1")
-        if self.picard_max_iter < 1:
-            raise StructuralError(f"picard_max_iter must be >= 1, got {self.picard_max_iter}")
+        for name in ("grid_steps", "tree_depth", "picard_max_iter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise StructuralError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("picard_tol", "psd_tol", "cond_threshold"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0.0):
@@ -244,22 +245,13 @@ class TreeIterate:
 
 
 @dataclass
-class TreeSolution:
-    """Full per-node solution values kept alongside the grid summary."""
-
-    tree: BinomialTree
-    p_levels: tuple              # P per node
-    lam_levels: tuple
-
-
-@dataclass
 class EsreSolution:
     """Converged solution plus solver provenance.
 
     ``P``/``Lambda`` are indexed (sample, regime, row, col) on ``grid``.
     For the tree backend they hold the probability-weighted node means
     (which coincide with the node values whenever coefficients are
-    deterministic) and ``tree`` carries the full per-node data.
+    deterministic) and ``tree`` is the converged per-node iterate.
     """
 
     grid: np.ndarray
@@ -271,7 +263,7 @@ class EsreSolution:
     diagnostics: Diagnostics
     options: SolverOptions
     iterates: list = None        # with keep_iterates: P arrays, or P level tuples (tree)
-    tree: TreeSolution = None
+    tree: TreeIterate = None
 
 
 # ---------------------------------------------------------------------------
@@ -964,11 +956,10 @@ def _solve_tree(spec, options, smallness, smallness_ok) -> EsreSolution:
         sq_sum += (np.linalg.norm(prev.lam_levels[k], axis=(-2, -1)) ** 2 * wts).sum(axis=0)
     diag = _diagnostics(spec, grid, p0_norms, np.sqrt(sq_sum * tree.dt),
                         smallness, options.smallness_threshold, smallness_ok)
-    sol_tree = TreeSolution(tree=tree, p_levels=prev.levels, lam_levels=prev.lam_levels)
     return EsreSolution(
         grid=grid, P=P, Lambda=Lam,
         backend="tree", iterations=len(residuals), residual_history=residuals,
-        diagnostics=diag, options=options, iterates=iterates, tree=sol_tree,
+        diagnostics=diag, options=options, iterates=iterates, tree=prev,
     )
 
 

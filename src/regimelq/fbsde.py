@@ -43,11 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import FeedbackGain, _step_count, feedback_gain
+from .control import _step_count, feedback_gain
 from .errors import NoConvergence, SingularState, StructuralError
 from .esre import EsreSolution, SolverOptions, TreeIterate, picard_step
-from .model import ProblemSpec
-from .regime_chain import path_substream
+from .model import CoefficientField, ProblemSpec
+from .regime_chain import check_regime, path_substream
 
 DET_GUARD = 1e-12
 
@@ -110,16 +110,14 @@ def ypx_residual(solution: EsreSolution, spec: ProblemSpec, regime: int,
     """
     if solution.backend == "tree":
         raise StructuralError("ypx_residual expects a grid-backend solution")
-    if not 1 <= regime <= spec.ell:
-        raise StructuralError(f"regime {regime} outside 1..{spec.ell}")
+    i = check_regime(regime, spec.ell)
     gains = feedback_gain(solution, spec)
-    i = regime
     out = []
     for dt in dt_list:
         idx = _solution_samples(solution, dt)
         times = solution.grid[idx]
         pt = solution.P[idx, i - 1]                      # (K, n, n)
-        ktab = gains.gains[idx, i - 1]                   # (K, m, n)
+        ktab = gains.values[idx, i - 1]                  # (K, m, n)
         src = np.einsum("j,kjab->kab", spec.q[i - 1], solution.P[idx])
         n_steps = len(idx) - 1
         res = np.empty(n_steps)
@@ -188,12 +186,10 @@ def tree_fbsde_oracle(spec: ProblemSpec, regime: int, prev: TreeIterate,
     depth = prev.tree.depth
     if depth > 12:
         raise StructuralError("oracle restricted to tree depth <= 12")
-    if not 1 <= regime <= spec.ell:
-        raise StructuralError(f"regime {regime} outside 1..{spec.ell}")
+    i = check_regime(regime, spec.ell)
 
     nxt = picard_step(spec, prev, options)              # Riccati sweep to compare with
 
-    i = regime
     tree = prev.tree
     dt, sq = tree.dt, tree.sqrt_dt
     n, m = spec.n, spec.m
@@ -289,7 +285,7 @@ def tree_fbsde_oracle(spec: ProblemSpec, regime: int, prev: TreeIterate,
 # ---------------------------------------------------------------------------
 
 
-def xinv_product_check(spec: ProblemSpec, regime: int, gains: FeedbackGain,
+def xinv_product_check(spec: ProblemSpec, regime: int, gains: CoefficientField,
                        dt: float, seed: int = 0) -> ResidualStats:
     """Euler-integrate the closed-loop state and its inverse side by side
     and report the deviation of ``X^{-1} X`` from the identity.
@@ -298,17 +294,15 @@ def xinv_product_check(spec: ProblemSpec, regime: int, gains: FeedbackGain,
     is irrelevant; otherwise both recursions share the same Brownian
     increments drawn from ``path_substream(seed, 0)``.
     """
-    if not 1 <= regime <= spec.ell:
-        raise StructuralError(f"regime {regime} outside 1..{spec.ell}")
+    i = check_regime(regime, spec.ell)
     n_steps = _step_count(spec.T, dt)
-    i = regime
     n = spec.n
     times = dt * np.arange(n_steps + 1)
     acl = np.empty((n_steps, n, n))
     ccl = np.empty((n_steps, n, n))
     for k in range(n_steps):
         t = times[k]
-        kk = gains.at(t, i)
+        kk = gains.eval(t, i)
         acl[k] = spec.A.eval(t, i) + spec.B.eval(t, i) @ kk
         ccl[k] = spec.C.eval(t, i) + spec.D.eval(t, i) @ kk
     noisy = bool(np.any(ccl))

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import matcore
 from .errors import OutOfRange, StructuralError
-from .regime_chain import Generator, validate_generator
+from .regime_chain import Generator, check_regime, validate_generator
 
 COEFFICIENT_NAMES = ("A", "B", "C", "D", "Q", "S", "R")
 SYMMETRIC_COEFFICIENTS = ("Q", "R", "G")
@@ -57,9 +57,16 @@ class CoefficientField:
         one matrix per node of a recombining binomial lattice of a declared
         depth; node (k, j) is level k with j up-moves.  Used by the tree
         solver backend for randomly varying coefficients.
+
+    The constructors refuse NaN and infinite values with StructuralError.
+    The feedback gains of :func:`~regimelq.control.feedback_gain` are a
+    ``time_table`` field of m x n matrices.
     """
 
     def __init__(self, kind, shape, ell, values=None, times=None, levels=None, depth=None):
+        arrays = levels if kind == "tree_table" else (values,)
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise StructuralError(f"{kind} field has non-finite entries")
         self.kind = kind
         self.shape = (int(shape[0]), int(shape[1]))
         self.ell = int(ell)
@@ -139,8 +146,7 @@ class CoefficientField:
 
     def eval(self, t: float, regime: int, node=None) -> np.ndarray:
         """Value at time t for a 1-based regime (and tree node if random)."""
-        if not 1 <= regime <= self.ell:
-            raise OutOfRange(f"regime {regime} outside 1..{self.ell}")
+        regime = check_regime(regime, self.ell)
         if t < 0.0:
             raise OutOfRange(f"time {t} is negative")
         if self.kind == "constant":
@@ -188,7 +194,10 @@ def _as_field(value, ell, shape, name) -> CoefficientField:
         arr = np.asarray(value, dtype=float)
         if arr.ndim == 2:
             arr = np.repeat(arr[None], ell, axis=0)
-        f = CoefficientField.constant(arr)
+        try:
+            f = CoefficientField.constant(arr)
+        except StructuralError as exc:
+            raise StructuralError(f"{name}: {exc}") from exc
     if f.ell != ell:
         raise StructuralError(f"{name}: field declares {f.ell} regimes, spec has {ell}")
     if f.shape != tuple(shape):
@@ -255,8 +264,7 @@ class ProblemSpec:
             raise StructuralError("terminal weight G must be constant or a tree leaf field")
         if self.x0 is not None:
             self.x0 = np.asarray(self.x0, dtype=float).reshape(n)
-        if not 1 <= int(self.i0) <= ell:
-            raise StructuralError(f"initial regime {self.i0} outside 1..{ell}")
+        self.i0 = check_regime(self.i0, ell, "initial regime")
 
     def _symmetrize_field(self, name):
         f = getattr(self, name)

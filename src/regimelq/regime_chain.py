@@ -31,10 +31,20 @@ from .errors import (
     NegativeOffDiagonal,
     OutOfRange,
     RowSumNonzero,
+    StructuralError,
     TooFewRegimes,
 )
 
 ROW_SUM_TOL = 1e-12
+
+
+def check_regime(regime, ell: int, what: str = "regime") -> int:
+    """``regime`` as an int in 1..ell, the 1-based numbering of the public
+    interface.  Raises OutOfRange for anything else, bool included."""
+    if (not isinstance(regime, (int, np.integer)) or isinstance(regime, bool)
+            or not 1 <= regime <= ell):
+        raise OutOfRange(f"{what} {regime!r} is not an integer in 1..{ell}")
+    return int(regime)
 
 
 @dataclass(frozen=True)
@@ -65,6 +75,8 @@ def validate_generator(q) -> Generator:
     TooFewRegimes
         If the matrix is smaller than 2x2 (a single regime is not a
         switching problem).
+    StructuralError
+        If an entry is NaN or infinite.
     NegativeOffDiagonal, RowSumNonzero
         If the rate structure is invalid.
     """
@@ -74,6 +86,9 @@ def validate_generator(q) -> Generator:
     ell = q.shape[0]
     if ell < 2:
         raise TooFewRegimes("at least 2 regimes are required")
+    if not np.isfinite(q).all():
+        i, j = np.argwhere(~np.isfinite(q))[0]
+        raise StructuralError(f"q[{i + 1},{j + 1}] = {q[i, j]:g} is not finite")
     off = q.copy()
     np.fill_diagonal(off, 0.0)
     if np.any(off < 0.0):
@@ -187,8 +202,7 @@ def sample_jumps(q, cum, i0: int, T: float, rng: np.random.Generator):
 
 def sample_chain_path(g: Generator, i0: int, T: float, rng: np.random.Generator) -> RegimePath:
     """Exact simulation of one chain path started at regime ``i0``."""
-    if not 1 <= i0 <= g.ell:
-        raise OutOfRange(f"initial regime {i0} outside 1..{g.ell}")
+    i0 = check_regime(i0, g.ell, "initial regime")
     jump_times, states = sample_jumps(g.q, _jump_cumprobs(g.q), i0, T, rng)
     return RegimePath(T=T, states=tuple(states), jump_times=np.array(jump_times))
 

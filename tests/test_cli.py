@@ -483,6 +483,20 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
 
+    def test_report_after_failed_solve_maps_to_four(self, tmp_path, capsys):
+        # a failed solve removes the earlier run's solution file, so report
+        # cannot pair that file with the failed run's metadata
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+        assert main(["solve", "--config", str(cfg), "--output", str(tmp_path)]) == 0
+        failing = write_cfg(tmp_path, SMALL_RUN.replace(
+            "grid_steps: 200}", "grid_steps: 200, picard_max_iter: 2}"), "fail.yaml")
+        assert main(["solve", "--config", str(failing), "--output", str(tmp_path)]) == 2
+        assert not (tmp_path / "s.csv").exists()
+        capsys.readouterr()
+        assert main(["report", "--config", str(failing), "--output", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / "s.csv") in err
+
     def test_io_failure_on_unwritable_path(self, tmp_path):
         text = SMALL_RUN.replace(
             "output: {solution_path: s.csv, report_path: r.txt, estimates_path: c.csv}",

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from regimelq import control
 from regimelq.config import parse_config
 from regimelq.control import (
-    FeedbackGain,
     Perturbation,
     Policy,
     _batch_costs,
@@ -29,7 +28,7 @@ from regimelq.errors import BlowUp, DimensionMismatch, OutOfRange, StructuralErr
 from regimelq.esre import SolverOptions, solve_esre
 from regimelq.fbsde import xinv_product_check
 from regimelq.matcore import symmetrize
-from regimelq.model import ProblemSpec
+from regimelq.model import CoefficientField, ProblemSpec
 from regimelq.regime_chain import RegimePath, _jump_cumprobs, path_substream
 from conftest import make_e1, random_spec, scalar_spec
 
@@ -51,14 +50,14 @@ def noisy_solution(noisy_spec):
 class TestFeedbackGain:
     def test_e1_initial_gain(self, e1, e1_solution):
         gains = feedback_gain(e1_solution, e1)
-        assert gains.at(0.0, 1)[0, 0] == pytest.approx(-0.5, abs=1e-9)
-        assert gains.at(0.0, 2)[0, 0] == pytest.approx(-0.5, abs=1e-9)
+        assert gains.eval(0.0, 1)[0, 0] == pytest.approx(-0.5, abs=1e-9)
+        assert gains.eval(0.0, 2)[0, 0] == pytest.approx(-0.5, abs=1e-9)
 
     def test_zero_when_control_enters_nothing(self):
         spec = scalar_spec(A=-0.3, R=1.0, G=1.0, Q=0.5, delta=0.5)
         sol = solve_esre(spec, SolverOptions(grid_steps=200))
         gains = feedback_gain(sol, spec)
-        assert np.max(np.abs(gains.gains)) == 0.0
+        assert np.max(np.abs(gains.values)) == 0.0
 
     def test_zero_d_matches_reduced_formula(self, e1, e1_solution):
         gains = feedback_gain(e1_solution, e1)
@@ -69,7 +68,7 @@ class TestFeedbackGain:
                 s = e1.S.eval(grid[k], i)
                 r = e1.R.eval(grid[k], i)
                 reduced = -np.linalg.solve(r, b.T @ e1_solution.P[k, i - 1] + s)
-                assert np.max(np.abs(gains.gains[k, i - 1] - reduced)) <= 1e-14
+                assert np.max(np.abs(gains.values[k, i - 1] - reduced)) <= 1e-14
 
     def test_refuses_random_tree_coefficients(self):
         # only Q is random here, so every field samples on the grid; the
@@ -82,9 +81,9 @@ class TestFeedbackGain:
     def test_deterministic_tree_solution_gives_gains(self, e1):
         sol = solve_esre(e1, SolverOptions(backend="tree", tree_depth=8))
         gains = feedback_gain(sol, e1)
-        assert gains.gains.shape == (9, 2, 1, 1)
+        assert gains.values.shape == (9, 2, 1, 1)
         # B = R = 1, D = S = 0: K = -P
-        assert np.max(np.abs(gains.gains + sol.P)) <= 1e-15
+        assert np.max(np.abs(gains.values + sol.P)) <= 1e-15
 
     @pytest.mark.parametrize("problem", ["matrix-demo", "family-101", "family-303"])
     def test_matches_written_out_expression(self, problem):
@@ -106,20 +105,43 @@ class TestFeedbackGain:
         sigma = symmetrize(rs + ds.mT @ (p @ ds))
         w, v = np.linalg.eigh(sigma)
         sigma_inv = symmetrize((v / w[..., None, :]) @ v.mT)
-        assert np.array_equal(feedback_gain(sol, spec).gains, -(sigma_inv @ mrow))
+        assert np.array_equal(feedback_gain(sol, spec).values, -(sigma_inv @ mrow))
+
+    def test_gains_are_a_time_table_on_the_solution_grid(self):
+        spec = random_spec(101)
+        sol = solve_esre(spec, SolverOptions(grid_steps=200))
+        gains = feedback_gain(sol, spec)
+        assert isinstance(gains, CoefficientField) and gains.kind == "time_table"
+        assert (gains.shape, gains.ell) == ((spec.m, spec.n), spec.ell)
+        assert np.array_equal(gains.times, sol.grid)
+
+    @pytest.mark.parametrize("regime", [0, 3, 1.5, True])
+    def test_eval_refuses_a_bad_regime(self, e1, e1_solution, regime):
+        # regime 0 would read regime ell's gain through index -1
+        with pytest.raises(OutOfRange):
+            feedback_gain(e1_solution, e1).eval(0.0, regime)
 
     def test_symmetric_regimes_share_gains(self, e1, e1_solution):
         gains = feedback_gain(e1_solution, e1)
-        assert np.max(np.abs(gains.gains[:, 0] - gains.gains[:, 1])) <= 1e-12
+        assert np.max(np.abs(gains.values[:, 0] - gains.values[:, 1])) <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(2, 1, 2), (3, 1, 1)])
+    def test_gains_must_fit_the_problem(self, e1, shape):
+        # a 1 x 2 gain on e1 (n = m = 1) ran and returned a wrong cost
+        gains = CoefficientField.constant(np.zeros(shape))
+        with pytest.raises(DimensionMismatch, match="gains hold"):
+            mc_cost(e1, gains, [1.0], 1, 10, 0.1, 0)
+        with pytest.raises(DimensionMismatch, match="gains hold"):
+            simulate_closed_loop(e1, Policy(gains=gains), [1.0], 1, 0.1, path_substream(0, 0))
 
     def test_lookup_takes_sample_at_or_before(self):
-        gains = FeedbackGain(
-            grid=np.array([0.0, 0.5, 1.0]),
-            gains=np.arange(6, dtype=float).reshape(3, 2, 1, 1),
+        gains = CoefficientField.from_table(
+            np.array([0.0, 0.5, 1.0]),
+            np.arange(6, dtype=float).reshape(3, 2, 1, 1),
         )
-        assert gains.at(0.49, 1)[0, 0] == 0.0
-        assert gains.at(0.5, 1)[0, 0] == 2.0
-        assert gains.at(1.0, 2)[0, 0] == 5.0
+        assert gains.eval(0.49, 1)[0, 0] == 0.0
+        assert gains.eval(0.5, 1)[0, 0] == 2.0
+        assert gains.eval(1.0, 2)[0, 0] == 5.0
 
 
 class TestValueAt:
@@ -325,7 +347,7 @@ def _per_path_reference(spec, policies, x0, i0, n_paths, dt, seed):
 
 def _constant_policies(spec):
     grid = np.linspace(0.0, spec.T, 6)
-    gains = FeedbackGain(grid=grid, gains=np.full((6, spec.ell, spec.m, spec.n), -0.4))
+    gains = CoefficientField.from_table(grid, np.full((6, spec.ell, spec.m, spec.n), -0.4))
     return [Policy(gains=gains), Policy(gains=gains, offset=Perturbation.coerce(0.3, spec.m))]
 
 
@@ -574,6 +596,21 @@ class TestStartState:
     def test_predicted_gap(self, e1, e1_solution, i0):
         with pytest.raises(OutOfRange):
             predicted_gap(e1, e1_solution, 0.5, i0)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01, np.nan, np.inf])
+    @pytest.mark.parametrize("entry", ["mc_cost", "optimality_gap", "simulate_closed_loop",
+                                       "xinv_product_check"])
+    def test_step_size(self, e1, e1_solution, entry, dt):
+        calls = {
+            "mc_cost": lambda: mc_cost(e1, None, [1.0], 1, 10, dt, 0),
+            "optimality_gap": lambda: optimality_gap(e1, e1_solution, 0.5, 10, dt, 0),
+            "simulate_closed_loop": lambda: simulate_closed_loop(
+                e1, None, [1.0], 1, dt, path_substream(0, 0)),
+            "xinv_product_check": lambda: xinv_product_check(
+                e1, 1, feedback_gain(e1_solution, e1), dt),
+        }
+        with pytest.raises(StructuralError, match="dt must be positive and finite"):
+            calls[entry]()
 
     @pytest.mark.parametrize("n_paths", [2.5, "100"])
     def test_path_count(self, e1, n_paths):

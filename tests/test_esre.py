@@ -33,6 +33,7 @@ from regimelq.errors import (
 from regimelq.esre import (
     BinomialTree,
     SolverOptions,
+    TreeIterate,
     direct_coupled_oracle,
     drift_h,
     drift_pi,
@@ -481,10 +482,19 @@ class TestStepRateCheck:
     ("picard_tol", 0.0), ("picard_tol", -1e-9), ("picard_tol", np.inf),
     ("picard_tol", np.nan), ("psd_tol", 0.0), ("psd_tol", np.nan),
     ("cond_threshold", -1.0), ("cond_threshold", np.inf),
+    ("grid_steps", 2.5), ("grid_steps", 10.0), ("grid_steps", True),
+    ("tree_depth", 4.5), ("tree_depth", 0), ("picard_max_iter", 3.0),
+    ("picard_max_iter", True),
 ])
 def test_solver_options_reject_bad_values(field, value):
     with pytest.raises(StructuralError, match=field):
         SolverOptions(**{field: value})
+
+
+def test_solver_options_accept_numpy_integers():
+    opts = SolverOptions(grid_steps=np.int64(10), tree_depth=np.int32(4),
+                         picard_max_iter=np.uint8(60))
+    assert solve_esre(make_e1(), opts).P.shape == (11, 2, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -841,6 +851,11 @@ class TestTreeBackend:
                                              picard_max_iter=max_iter))
         assert np.max(np.abs(sol.P[0] - E1_VALUE)) <= 1e-2
 
+    def test_tree_solution_is_the_converged_iterate(self, e1):
+        sol = solve_esre(e1, SolverOptions(backend="tree", tree_depth=8, keep_iterates=True))
+        assert isinstance(sol.tree, TreeIterate) and sol.tree.tree.depth == 8
+        assert all(np.array_equal(a, b) for a, b in zip(sol.tree.levels, sol.iterates[-1]))
+
     def test_tree_e1_answer_does_not_depend_on_rate(self):
         # with the regimes equal the coupling cancels at the fixed point, for
         # any depth and rate; the tight picard_tol keeps the stopping error
@@ -885,8 +900,8 @@ class TestTreeBackend:
                            Q=qf, S=np.zeros((2, 1, 1)), R=np.ones((2, 1, 1)),
                            G=np.ones((2, 1, 1)), delta=0.5)
         sol = solve_esre(spec, SolverOptions(backend="tree", tree_depth=depth))
-        assert np.array_equal(sol.tree.p_levels[depth], np.ones((depth + 1, 2, 1, 1)))
-        for lv in sol.tree.p_levels:
+        assert np.array_equal(sol.tree.levels[depth], np.ones((depth + 1, 2, 1, 1)))
+        for lv in sol.tree.levels:
             assert float(np.min(np.linalg.eigvalsh(lv))) >= -1e-9
         # random running weight forces a nonzero martingale integrand
         assert any(float(np.max(np.abs(lv))) > 0.0 for lv in sol.tree.lam_levels)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from regimelq.control import feedback_gain
-from regimelq.errors import StructuralError
+from regimelq.errors import OutOfRange, StructuralError
 from regimelq.esre import SolverOptions, picard_step, solve_esre, solve_p0
 from regimelq.fbsde import tree_fbsde_oracle, xinv_product_check, ypx_residual
 from conftest import make_e1, scalar_spec
@@ -139,7 +139,7 @@ class TestXinvProduct:
         spec = scalar_spec(A=a, R=1.0, G=1.0, delta=0.5)
         sol = solve_esre(spec, SolverOptions(grid_steps=100))
         gains = feedback_gain(sol, spec)   # B = 0 so the gain is zero
-        assert np.max(np.abs(gains.gains)) == 0.0
+        assert np.max(np.abs(gains.values)) == 0.0
         st = xinv_product_check(spec, 1, gains, 1e-4)
         assert st.max <= 1e-8
         # cross-check the forward flow against the closed form
@@ -156,3 +156,15 @@ class TestXinvProduct:
         s1 = xinv_product_check(spec, 1, gains, 0.005, seed=3)
         s2 = xinv_product_check(spec, 1, gains, 0.005, seed=3)
         assert s1 == s2
+
+
+@pytest.mark.parametrize("regime", [0, 3, 1.5, True])
+def test_every_entry_point_checks_the_regime(e1, e1_solution, regime):
+    # 1.5 passed the old range test and failed as a raw IndexError
+    opts = SolverOptions(backend="tree", tree_depth=4)
+    with pytest.raises(OutOfRange):
+        ypx_residual(e1_solution, e1, regime, [0.01])
+    with pytest.raises(OutOfRange):
+        xinv_product_check(e1, regime, feedback_gain(e1_solution, e1), 0.01)
+    with pytest.raises(OutOfRange):
+        tree_fbsde_oracle(e1, regime, solve_p0(e1, opts), opts)

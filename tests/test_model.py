@@ -124,6 +124,24 @@ class TestCoefficientField:
         with pytest.raises(OutOfRange):
             f.eval(0.0, 3)
 
+    @pytest.mark.parametrize("regime", [0, -1, 1.0, True, "1"])
+    def test_regime_must_be_an_integer_in_range(self, regime):
+        f = CoefficientField.constant(np.arange(2.0).reshape(2, 1, 1))
+        with pytest.raises(OutOfRange, match="not an integer in 1..2"):
+            f.eval(0.0, regime)
+        assert f.eval(0.0, np.int64(2))[0, 0] == 1.0
+
+    @pytest.mark.parametrize("build", [
+        lambda bad: CoefficientField.constant(np.full((2, 1, 1), bad)),
+        lambda bad: CoefficientField.from_table([0.0, 0.5], np.full((2, 2, 1, 1), bad)),
+        lambda bad: CoefficientField.from_tree_function(
+            lambda t, w, i: [[bad if w > 0.0 else 1.0]], 3, 1.0, 2, (1, 1)),
+    ], ids=["constant", "time_table", "tree_table"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_refused(self, build, bad):
+        with pytest.raises(StructuralError, match="non-finite"):
+            build(bad)
+
     def test_tree_field_node_lookup(self):
         f = CoefficientField.from_tree_function(
             lambda t, w, i: [[w]], depth=3, T=1.0, ell=2, shape=(1, 1)
@@ -156,6 +174,16 @@ class TestProblemSpec:
                 D=np.zeros((2, 2, 1)), Q=bad_q, S=np.zeros((2, 1, 2)),
                 R=np.ones((2, 1, 1)), G=np.zeros((2, 2, 2)), delta=0.1,
             )
+
+    @pytest.mark.parametrize("name", ["A", "B", "D", "Q", "R", "G"])
+    def test_non_finite_coefficient_refused_by_name(self, name):
+        with pytest.raises(StructuralError, match=f"^{name}: .*non-finite"):
+            scalar_spec(**{"B": 1.0, "R": 1.0, "G": 1.0, name: [1.0, np.nan]})
+
+    @pytest.mark.parametrize("i0", [0, 3, 1.5, True])
+    def test_initial_regime_checked(self, i0):
+        with pytest.raises(OutOfRange, match="initial regime"):
+            make_e1(i0=i0)
 
     def test_nonpositive_horizon_rejected(self):
         with pytest.raises(StructuralError):

@@ -4,7 +4,13 @@ sampling and its agreement with the matrix-exponential oracle."""
 import numpy as np
 import pytest
 
-from regimelq.errors import NegativeOffDiagonal, OutOfRange, RowSumNonzero, TooFewRegimes
+from regimelq.errors import (
+    NegativeOffDiagonal,
+    OutOfRange,
+    RowSumNonzero,
+    StructuralError,
+    TooFewRegimes,
+)
 from regimelq.regime_chain import (
     RegimePath,
     _jump_cumprobs,
@@ -35,6 +41,17 @@ class TestValidateGenerator:
     def test_single_regime_rejected(self):
         with pytest.raises(TooFewRegimes):
             validate_generator([[0.0]])
+
+    @pytest.mark.parametrize("q, entry", [
+        ([[np.nan, 1.0], [1.0, -1.0]], r"q\[1,1\] = nan"),
+        ([[-np.inf, np.inf], [1.0, -1.0]], r"q\[1,1\] = -inf"),
+        ([[-1.0, 1.0], [1.0, np.inf]], r"q\[2,2\] = inf"),
+    ])
+    def test_non_finite_rate_refused(self, q, entry):
+        # NaN passes the sign and row-sum tests, and inf - inf makes a NaN
+        # row sum, so both would reach the solver
+        with pytest.raises(StructuralError, match=entry):
+            validate_generator(q)
 
 
 class TestTransitionMatrix:
@@ -99,6 +116,12 @@ class TestSampleChainPath:
         g = validate_generator([[-1.0, 1.0], [1.0, -1.0]])
         with pytest.raises(OutOfRange):
             sample_chain_path(g, 3, 1.0, path_substream(0, 0))
+
+    @pytest.mark.parametrize("i0", [0, 1.5, True])
+    def test_initial_regime_must_be_an_integer_in_range(self, i0):
+        g = validate_generator([[-1.0, 1.0], [1.0, -1.0]])
+        with pytest.raises(OutOfRange, match="not an integer"):
+            sample_chain_path(g, i0, 1.0, path_substream(0, 0))
 
     def test_path_invariants_hold_on_every_sample(self):
         q = np.array([[-1.5, 1.0, 0.5], [0.3, -0.8, 0.5], [1.0, 1.0, -2.0]])
