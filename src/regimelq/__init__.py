@@ -57,6 +57,7 @@ from .esre import (
     Diagnostics,
     EsreSolution,
     GridIterate,
+    PicardCertificate,
     SolverOptions,
     TreeIterate,
     direct_coupled_oracle,
@@ -64,6 +65,7 @@ from .esre import (
     drift_pi,
     f_of_theta,
     growth_constant,
+    picard_certificate,
     picard_step,
     solve_esre,
     solve_p0,
@@ -107,8 +109,9 @@ __all__ = [
     "CoefficientField", "ProblemSpec", "ValidationReport",
     "check_smallness", "validate_assumptions",
     "BinomialTree", "Diagnostics", "EsreSolution", "GridIterate",
-    "SolverOptions", "TreeIterate", "direct_coupled_oracle", "drift_h",
-    "drift_pi", "f_of_theta", "growth_constant", "picard_step", "solve_esre",
+    "PicardCertificate", "SolverOptions", "TreeIterate",
+    "direct_coupled_oracle", "drift_h", "drift_pi", "f_of_theta",
+    "growth_constant", "picard_certificate", "picard_step", "solve_esre",
     "solve_p0", "theta_hat",
     "CostEstimate", "GapEstimate", "PathRecord", "Perturbation", "Policy",
     "feedback_gain", "mc_cost", "optimality_gap", "predicted_gap",

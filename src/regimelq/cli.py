@@ -9,8 +9,9 @@ validate
     size; exit 0 iff the assumptions hold.
 solve
     Run the Riccati solver and persist the solution as CSV plus a sibling
-    ``.meta.json`` with tolerances, residual history and diagnostics.
-    Exit 2 (history still persisted) when the fixed point does not
+    ``.meta.json`` with tolerances, residual history and diagnostics (the
+    grid backend integrates directly: no sweeps, an empty history).
+    Exit 2 (history still persisted) when the tree's fixed point does not
     converge; a solution file of an earlier run at that path is removed,
     so ``report`` cannot pair it with this run's metadata.
 simulate
@@ -256,8 +257,11 @@ def _cmd_solve(config: RunConfig, paths, echo) -> CommandResult:
                                residual_history=exc.residual_history)
         return CommandResult(EXIT_NO_CONVERGENCE, {"metadata": str(meta)})
     write_solution_csv(solution, paths["solution"])
-    echo(f"converged in {solution.iterations} sweeps "
-         f"(final residual {_f10(solution.residual_history[-1])})")
+    if solution.backend == "ode":
+        echo(f"solved by direct integration on {config.solver.grid_steps} steps")
+    else:
+        echo(f"converged in {solution.iterations} sweeps "
+             f"(final residual {_f10(solution.residual_history[-1])})")
     for i in range(config.problem.ell):
         echo(f"P(0,{i + 1}) = {np.array2string(solution.P[0, i], precision=10)}")
     echo(f"solution written to {paths['solution']}")
@@ -408,7 +412,8 @@ def _meta_lines(meta: dict, grid: np.ndarray) -> list:
             f"{k}={_f10(v) if isinstance(v, float) else v}"
             for k, v in meta["tolerances"].items()
         ),
-        "residual history: " + " ".join(_f10(r) for r in meta["residual_history"]),
+        "residual history: " + (" ".join(_f10(r) for r in meta["residual_history"])
+                                 or "none"),
     ]
     diag = meta.get("diagnostics")
     if diag:

@@ -226,8 +226,11 @@ def _parse_perturbation(node, m: int, where: str) -> Perturbation:
     if not isinstance(table, dict) or set(table) != {"times", "values"}:
         raise ParseError(f"{where}.table needs 'times' and 'values'")
     times = _as_floats(table["times"], f"{where}.table.times")
-    if times.ndim != 1 or np.any(np.diff(times) <= 0.0):
-        raise RangeError(f"{where}.table times must increase strictly")
+    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0.0):
+        raise RangeError(f"{where}.table times must be nonempty and increase strictly")
+    if times[0] > 0.0:
+        raise RangeError(f"{where}.table starts at t = {times[0]:g}, after 0: "
+                         "give the offset from t = 0 on")
     values = _as_floats(table["values"], f"{where}.table.values", times.size * m)
     values = values.reshape(times.size, m)
     return Perturbation(values=values, times=times)

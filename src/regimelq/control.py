@@ -83,31 +83,58 @@ _TRANSPOSE_BLOCK = 256
 
 @dataclass
 class Perturbation:
-    """Deterministic control offset e(t), constant or piecewise-constant."""
+    """Deterministic control offset e(t), constant or piecewise-constant.
+
+    A table holds values (K, m) at K finite, strictly increasing times, the
+    first at or before 0, each value holding up to the next time.  Anything
+    else is refused at construction: a rank other than (m,) or (K, m) with
+    DimensionMismatch, a table starting after 0 (which would leave the
+    offset undefined on [0, times[0])) or bad times with StructuralError.
+    """
 
     values: np.ndarray           # (m,) or (K, m)
     times: np.ndarray = None     # table sample times when piecewise
 
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=float)
+        if self.times is None:
+            if self.values.ndim != 1:
+                raise DimensionMismatch(
+                    f"constant perturbation needs values (m,), got shape {self.values.shape}")
+            return
+        self.times = np.asarray(self.times, dtype=float)
+        k = self.times.size
+        if self.times.ndim != 1 or self.values.ndim != 2 or self.values.shape[0] != k:
+            raise DimensionMismatch(
+                f"perturbation table needs times (K,) and values (K, m), got "
+                f"{self.times.shape} and {self.values.shape}")
+        if k == 0 or not np.all(np.isfinite(self.times)) or np.any(np.diff(self.times) <= 0.0):
+            raise StructuralError("perturbation table times must be finite and increase strictly")
+        if self.times[0] > 0.0:
+            raise StructuralError(
+                f"perturbation table starts at t = {self.times[0]:g}, after 0: "
+                "give the offset from t = 0 on")
+
     @classmethod
     def coerce(cls, e, m: int) -> "Perturbation":
+        """The offset ``e`` (None, a scalar, m values, a ``(times, values)``
+        pair or a Perturbation) as a Perturbation of width m."""
         if e is None:
             return cls(values=np.zeros(m))
-        if isinstance(e, Perturbation):
-            return e
         if isinstance(e, tuple) and len(e) == 2:
-            times, vals = e
-            return cls(values=np.asarray(vals, dtype=float).reshape(len(times), m),
-                       times=np.asarray(times, dtype=float))
-        arr = np.asarray(e, dtype=float)
-        if arr.ndim == 0:
-            arr = np.full(m, float(arr))
-        return cls(values=arr.reshape(m))
+            e = cls(values=e[1], times=e[0])
+        elif not isinstance(e, Perturbation):
+            arr = np.asarray(e, dtype=float)
+            e = cls(values=np.full(m, float(arr)) if arr.ndim == 0 else arr)
+        if e.values.shape[-1] != m:
+            raise DimensionMismatch(
+                f"perturbation has {e.values.shape[-1]} components, the control has {m}")
+        return e
 
     def sample_times(self, times: np.ndarray) -> np.ndarray:
         if self.times is None:
             return np.broadcast_to(self.values, (len(times),) + self.values.shape)
-        idx = np.clip(np.searchsorted(self.times, times, side="right") - 1, 0, None)
-        return self.values[idx]
+        return self.values[np.searchsorted(self.times, times, side="right") - 1]
 
 
 @dataclass

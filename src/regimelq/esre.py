@@ -16,9 +16,17 @@ induction on the tree.
 
 Solution scheme
 ---------------
-Both backends work on P itself.  Each regime's equation keeps its
-diagonal coupling ``q_ii P(t,i)``, and the iteration freezes the
-off-diagonal coupling at the previous iterate:
+Both backends work on P itself.
+
+On the grid, :func:`solve_esre` integrates the coupled system directly:
+one backward RK4 sweep with the live coupling ``q P``, the quadratic term,
+the ``cond(R + D'PD)`` check at every step's first stage and a PSD clip
+per step.  It has no iteration count and no ``picard_tol``.
+
+The paper's monotone sequence is the existence proof, and
+:func:`picard_certificate` keeps it as a check of the grid solve.  Each
+regime's equation keeps its diagonal coupling ``q_ii P(t,i)``, and the
+iteration freezes the off-diagonal coupling at the previous iterate:
 
   * iterate 0 solves the *linear* coupled system (the quadratic term
     dropped);
@@ -28,26 +36,26 @@ off-diagonal coupling at the previous iterate:
 
 The paper proves this sequence monotone in the rescaled coordinates
 ``exp(q_ii t) P``, where the source weights are nonnegative; the rescaling
-maps the sequence onto itself, so the iterates computed here decrease
-monotonically in the Loewner order and stay positive semidefinite under
-the definiteness assumptions, which is asserted by the test suite.  The
-driver stops when the sup-norm difference of consecutive iterates falls
-below ``picard_tol``.
+maps the sequence onto itself, so the iterates decrease monotonically in
+the Loewner order and stay positive semidefinite under the definiteness
+assumptions.  The sweeps run until the sup-norm difference of
+consecutive iterates falls below ``picard_tol``.  The tree backend's
+:func:`solve_esre` still runs this sequence itself.
 
-On the grid the sweeps run in lockstep (pipelined waveform relaxation).
+The certificate's sweeps run in lockstep (pipelined waveform relaxation).
 Sweep k+1 reads sweep k only at the grid times it steps across, so it can
 trail sweep k by a single step.  Sweep k+1 is *needed* once sweep k's
 running residual, the max so far of ``|P_k - P_{k-1}|_F`` over
 the nodes it has reached, exceeds ``picard_tol``: the sweep-after-sweep
 loop is then certain to run it.  Near t = T consecutive iterates agree,
 so that certainty comes late; waiting for it would drain the pipeline
-and refill it several times per solve.  Instead a sweep is launched at
+and refill it several times per run.  Instead a sweep is launched at
 t = T on every lockstep step while fewer than ``SPECULATIVE_SWEEPS``
 sweeps beyond the last needed one have been launched, and never past
 ``picard_max_iter``.  Each lockstep step then advances every live sweep
 by one RK4 step with one stacked rhs evaluation per stage and one PSD
-projection.  A speculative sweep only adds work: the fixed point returns
-as soon as the oldest live sweep finishes within ``picard_tol``, and the
+projection.  A speculative sweep only adds work: the sequence stops as
+soon as the oldest live sweep finishes within ``picard_tol``, and the
 sweeps behind it are discarded unread.  So the iterates, residual
 history and iteration count equal those of repeated :func:`picard_step`
 bit for bit, and errors surface in the same order: a failure in a
@@ -61,11 +69,14 @@ Backends
     Classical fixed-step 4th-order backward stepping on a uniform grid,
     with symmetrization at every stage and a PSD eigenvalue clip per step.
     The diagonal coupling is folded into the drift matrix,
-    ``A + (q_ii / 2) I``, so ``P A + A'P`` carries ``q_ii P``.  The step is
-    explicit, so a grid with ``dt max_i |q_ii| > 2`` is refused.
-    The frozen source is evaluated at step midpoints through cubic Hermite
-    interpolation of the stored iterate (values + recorded derivatives), so
-    each sweep retains 4th-order accuracy.
+    ``A + (q_ii / 2) I``, so ``P A + A'P`` carries ``q_ii P``, and the
+    off-diagonal coupling ``q_off P`` is the source: the current state's
+    in the direct solve, the previous iterate's in a certificate sweep.
+    The step is explicit, so a grid with ``dt max_i |q_ii| > 2`` is
+    refused.  A certificate sweep evaluates its frozen source at step
+    midpoints through cubic Hermite interpolation of the stored iterate
+    (values + recorded derivatives), so each sweep retains 4th-order
+    accuracy.
 ``tree``
     Backward induction on a recombining binomial lattice: the drift is
     evaluated at the conditional
@@ -80,6 +91,8 @@ Backends
     sweep keeps the diagonal coupling implicit and freezes the
     off-diagonal part ``q_off`` at the previous iterate,
     ``p_k = proj((pm + dt (drift(pm, Z) + q_off p_prev)) / (1 - dt q_ii))``.
+    The solve runs these sweeps until the residual is at most
+    ``picard_tol``.
 
 Both engines evaluate the driver ``P A + A'P + C'P C + Lam C + C'Lam + Q
 + src - M' Sigma^{-1} M`` through ``_Engine._driver``, with M and Sigma
@@ -88,9 +101,9 @@ formed by :func:`_gain_blocks` and ``src`` the regime coupling.
 product with R^{-1}, formed once per engine, when D = 0; a refusal raises
 :class:`NearSingular` naming t, the regime and the condition number.
 
-:func:`direct_coupled_oracle` integrates the full coupled system in one go
-(no freezing) and serves as an independent cross-check of the fixed-point
-limit.
+:func:`direct_coupled_oracle` integrates the full coupled system in one go,
+written out apart from the engines' driver, and serves as an independent
+cross-check of the grid solve.
 """
 
 from __future__ import annotations
@@ -129,7 +142,9 @@ class SolverOptions:
     ``picard_tol`` bounds the last sweep-to-sweep residual, the sup over
     the grid or lattice of ``|P_k - P_{k-1}|_F``; it is not a bound on the
     distance of the returned iterate to the fixed-point limit, which is
-    larger where the sequence contracts slowly.
+    larger where the sequence contracts slowly.  ``picard_tol``,
+    ``picard_max_iter`` and ``keep_iterates`` govern the tree solve and
+    :func:`picard_certificate`; the grid solve runs no sweeps.
     """
 
     backend: str = "ode"          # "ode" | "tree"
@@ -165,9 +180,13 @@ class Diagnostics:
     ``rho`` and ``k_estimate`` parameterize the paper's exponential a
     priori bound ``sup_t e^{rho t} |Ptilde_0(t,i)|^2 <= 1.5 e^{rho T}(K^2 +
     1/rho)`` for the linear initial iterate in its rescaled coordinates,
-    ``|Ptilde_0(t,i)| = exp(q_ii t) |P_0(t,i)|``.  The supremum is measured
-    in logs, and both it and the bound are also stored as logs, because
-    e^{rho T} overflows quickly.
+    ``|Ptilde_0(t,i)| = exp(q_ii t) |P_0(t,i)|``.  ``measured_sup`` is that
+    supremum for the matrices the caller measured: the linear iterate on
+    the tree and in :func:`picard_certificate`, the returned P in the grid
+    solve and in :func:`direct_coupled_oracle`.  Since ``0 <= P <= P_0``,
+    the returned P lies under the linear iterate's bound.  The supremum is
+    measured in logs, and both it and the bound are also stored as logs,
+    because e^{rho T} overflows quickly.
     ``lambda_l2`` is the plain discrete L2 norm of the martingale integrand
     per regime (an informational quantity only).
     """
@@ -251,7 +270,9 @@ class EsreSolution:
     ``P``/``Lambda`` are indexed (sample, regime, row, col) on ``grid``.
     For the tree backend they hold the probability-weighted node means
     (which coincide with the node values whenever coefficients are
-    deterministic) and ``tree`` is the converged per-node iterate.
+    deterministic) and ``tree`` is the converged per-node iterate.  A grid
+    solve runs no sweeps: ``iterations`` is 0, ``residual_history`` empty
+    and ``iterates`` None (see :func:`picard_certificate`).
     """
 
     grid: np.ndarray
@@ -262,7 +283,7 @@ class EsreSolution:
     residual_history: list
     diagnostics: Diagnostics
     options: SolverOptions
-    iterates: list = None        # with keep_iterates: P arrays, or P level tuples (tree)
+    iterates: list = None        # tree with keep_iterates: P level tuples per iterate
     tree: TreeIterate = None
 
 
@@ -492,9 +513,10 @@ class _GridEngine(_Engine):
     constant.
 
     The driver reads ``A_drift = A + (q_ii / 2) I``, which carries the
-    diagonal coupling; the sweeps freeze the off-diagonal coupling
-    ``q_off`` at the previous iterate.  :func:`direct_coupled_oracle`
-    reads the plain A.
+    diagonal coupling; the direct solve reads the off-diagonal coupling
+    ``q_off P`` at the current state, the certificate's sweeps freeze it
+    at the previous iterate.  :func:`direct_coupled_oracle` reads the
+    plain A.
     """
 
     def __init__(self, spec: ProblemSpec, options: SolverOptions):
@@ -529,7 +551,11 @@ class _GridEngine(_Engine):
 
     # -- sweeps ----------------------------------------------------------
 
-    def _sweep(self, rhs, terminal: np.ndarray, project: bool):
+    def _sweep(self, rhs, terminal: np.ndarray, project: bool, explain=None):
+        """Backward RK4 from ``terminal``; returns values and derivatives
+        at the grid nodes.  With ``project`` each step ends in the PSD
+        clip; a clip failure at node k-1 is passed through
+        ``explain(exc, k, p_k)`` when given."""
         n_steps = self.options.grid_steps
         dt = self.dt
         values = np.empty((n_steps + 1,) + terminal.shape)
@@ -545,10 +571,45 @@ class _GridEngine(_Engine):
             k4 = rhs(h - 2, p - dt * k3, False)
             p = _sym(p - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
             if project:
-                p = matcore.project_psd(p, self.options.psd_tol)
+                try:
+                    p = matcore.project_psd(p, self.options.psd_tol)
+                except PsdViolation as exc:
+                    if explain is None:
+                        raise
+                    raise explain(exc, k, values[k]) from exc
             values[k - 1] = p
         derivs[0] = rhs(0, p, True)
         return values, derivs
+
+    def solve_direct(self) -> np.ndarray:
+        """The coupled system in one backward sweep: the driver with the
+        live coupling ``q_off P`` as its source, the quadratic term, the
+        condition check at stage 1 and the PSD clip per step."""
+        self._require_stable_step()
+        rhs = lambda h, p, chk: -self._driver(
+            h, h, p, None, np.einsum("ij,jab->iab", self.q_off, p), chk)
+        values, _ = self._sweep(rhs, self.G, project=True, explain=self._stiff_step)
+        _require_psd(values, self.options.psd_tol)
+        return values
+
+    def _stiff_step(self, exc: PsdViolation, k: int, p: np.ndarray) -> PsdViolation:
+        """The clip failure of the step from node k, with its time and the
+        RK4 stiffness ratio ``dt |2 B Sigma^{-1} B' P|`` at node k (Sigma = R
+        + D'PD), which explicit RK4 needs below about 2.8."""
+        h = 2 * k
+        b, r = self.B[h], self.R[h]
+        sigma = _sym(r + self.D[h].mT @ (p @ self.D[h])) if self.has_D else r
+        try:
+            gain = b @ np.linalg.solve(sigma, b.mT) @ p
+            ratio = self.dt * float(np.max(np.linalg.norm(2.0 * gain, ord=2, axis=(-2, -1))))
+        except np.linalg.LinAlgError:
+            ratio = np.inf
+        return PsdViolation(
+            f"{exc} at t = {self.grid[k - 1]:.6g}; the RK4 stiffness ratio "
+            f"dt |2 B Sigma^{{-1}} B' P| at the last accepted step (t = "
+            f"{self.grid[k]:.6g}) is {ratio:.3e}; explicit RK4 needs it below "
+            f"about 2.8, so refine the grid or rescale the problem"
+        )
 
     def solve_p0(self) -> GridIterate:
         """Linear initial iterate: the driver without its quadratic term,
@@ -566,12 +627,12 @@ class _GridEngine(_Engine):
 
     # -- pipelined fixed point -------------------------------------------
 
-    def pipelined_sweeps(self, it0: GridIterate):
+    def pipelined_sweeps(self, it0: GridIterate, on_sweep):
         """Run the sweeps of the fixed point from ``it0`` in lockstep, with
         the launch rule and error order described in the module docstring.
 
-        Returns ``(p, residuals, iterates)``; ``iterates`` lists every
-        iterate from ``it0`` on when ``keep_iterates`` is set, else None.
+        Calls ``on_sweep(prev, cur)`` with the node values of consecutive
+        iterates as each sweep finishes, and returns ``(p, residuals)``.
         """
         opts = self.options
         n_steps = opts.grid_steps
@@ -581,7 +642,6 @@ class _GridEngine(_Engine):
         src_T = np.einsum("ij,jab->iab", self.q_off, self.G)[None]
         live = _Members.empty(self.G.shape)
         residuals = []
-        iterates = [it0.values.copy()] if opts.keep_iterates else None
         held = None
         certain = 1
         while True:
@@ -619,11 +679,10 @@ class _GridEngine(_Engine):
                 j = int(live.sweep[0])
                 res = float(live.res[0])
                 residuals.append(res)
-                if opts.keep_iterates:
-                    iterates.append(store[j][:, 0].copy())
+                on_sweep(store[j - 1][:, 0], store[j][:, 0])
                 store[j - 1] = None
                 if res <= opts.picard_tol:
-                    return store[j][:, 0].copy(), residuals, iterates
+                    return store[j][:, 0].copy(), residuals
             live = stepped
         if held is not None:
             raise held
@@ -845,35 +904,50 @@ def picard_step(spec: ProblemSpec, prev, options: SolverOptions = None):
 
 
 def _require_psd(values: np.ndarray, psd_tol: float):
-    wmin = float(np.min(np.linalg.eigvalsh(values)))
-    if wmin < -psd_tol:
+    wmin = _min_eig(values)
+    if not wmin >= -psd_tol:
         raise PsdViolation(
             f"iterate has eigenvalue {wmin:.3e} below -psd_tol = {-psd_tol:.3e}"
         )
 
 
 def solve_esre(spec: ProblemSpec, options: SolverOptions = None, **overrides) -> EsreSolution:
-    """Solve the coupled system by the frozen-coupling fixed point.
+    """Solve the coupled system.
 
-    Runs the linear initial iterate, then sweeps until the sup-norm
-    difference of consecutive iterates is at most ``picard_tol``.  The
-    returned solution carries the residual history, the a priori
-    diagnostics and (optionally) every iterate.
+    The grid backend integrates it directly in one backward sweep; the
+    tree backend runs the linear initial iterate, then frozen-coupling
+    sweeps until the sup-norm difference of consecutive iterates is at
+    most ``picard_tol``, and carries the residual history and (optionally)
+    every iterate.  Both attach the a priori diagnostics.
 
     Raises
     ------
     AssumptionViolation
         If the definiteness assumptions fail (the report is attached).
     NoConvergence
-        After ``picard_max_iter`` sweeps; partial residual history attached.
+        Tree backend, after ``picard_max_iter`` sweeps; partial residual
+        history attached.
     NearSingular, PsdViolation
         Propagated from the backward stepping guards.
     """
-    if options is None:
-        options = SolverOptions(**overrides)
-    elif overrides:
-        raise TypeError("pass either options or keyword overrides, not both")
+    options = _options(options, overrides)
+    smallness, smallness_ok = _check_problem(spec, options)
+    if options.backend == "ode":
+        return _solve_grid(spec, options, smallness, smallness_ok)
+    return _solve_tree(spec, options, smallness, smallness_ok)
 
+
+def _options(options, overrides) -> SolverOptions:
+    if options is None:
+        return SolverOptions(**overrides)
+    if overrides:
+        raise TypeError("pass either options or keyword overrides, not both")
+    return options
+
+
+def _check_problem(spec, options):
+    """Refuse a problem that fails the definiteness assumptions and warn
+    when the diffusion is large; returns the smallness and its verdict."""
     report = validate_assumptions(spec, tol=options.psd_tol)
     if not report.passed:
         raise AssumptionViolation(
@@ -887,27 +961,100 @@ def solve_esre(spec: ProblemSpec, options: SolverOptions = None, **overrides) ->
             f"measured diffusion size {smallness:.4g} exceeds threshold "
             f"{options.smallness_threshold:.4g}; the fixed point may lose "
             "monotonicity",
-            stacklevel=2,
+            stacklevel=3,
         )
-
-    if options.backend == "ode":
-        return _solve_grid(spec, options, smallness, smallness_ok)
-    return _solve_tree(spec, options, smallness, smallness_ok)
+    return smallness, smallness_ok
 
 
 def _solve_grid(spec, options, smallness, smallness_ok) -> EsreSolution:
     engine = _GridEngine(spec, options)
-    it0 = engine.solve_p0()
-    p, residuals, iterates = engine.pipelined_sweeps(it0)
-    _require_psd(p, options.psd_tol)
-    diag = _diagnostics(spec, engine.grid, np.linalg.norm(it0.values, axis=(-2, -1)),
+    p = engine.solve_direct()
+    diag = _diagnostics(spec, engine.grid, np.linalg.norm(p, axis=(-2, -1)),
                         np.zeros(spec.ell), smallness, options.smallness_threshold,
                         smallness_ok)
     return EsreSolution(
         grid=engine.grid, P=p, Lambda=np.zeros_like(p),
-        backend="ode", iterations=len(residuals), residual_history=residuals,
-        diagnostics=diag, options=options, iterates=iterates,
+        backend="ode", iterations=0, residual_history=[],
+        diagnostics=diag, options=options,
     )
+
+
+@dataclass
+class PicardCertificate:
+    """The paper's monotone sequence on the grid, run to ``picard_tol``.
+
+    ``P`` is the last iterate, on the grid of :func:`solve_esre` with the
+    same options.  ``monotonicity_margin`` is the smallest
+    eigenvalue of ``P_k - P_{k+1}`` over all sweeps, nodes and regimes
+    (>= 0 up to roundoff for a decreasing sequence) and ``min_eigenvalue``
+    the smallest eigenvalue of any iterate.  ``diagnostics`` measure the
+    linear iterate P_0 against the paper's a priori bound, and
+    ``direct_distance`` is the sup over the grid of ``|P - P_direct|_F``
+    to the direct solve of :func:`solve_esre` on the same grid.
+    """
+
+    P: np.ndarray
+    iterations: int
+    residual_history: list
+    monotonicity_margin: float
+    min_eigenvalue: float
+    diagnostics: Diagnostics
+    direct_distance: float
+    options: SolverOptions
+    iterates: list = None        # with keep_iterates: P_0, P_1, ... on the grid
+
+
+def picard_certificate(spec: ProblemSpec, options: SolverOptions = None,
+                       **overrides) -> PicardCertificate:
+    """Run the monotone Picard sequence of the grid backend as a check of
+    its direct solve.
+
+    The linear initial iterate and the frozen-coupling sweeps (the same
+    iterates as :func:`solve_p0` and repeated :func:`picard_step`) run
+    until the residual is at most ``picard_tol``; then the direct solve
+    runs on the same grid.
+
+    Raises
+    ------
+    StructuralError
+        Unless ``options.backend`` is ``"ode"``.
+    AssumptionViolation, NoConvergence, NearSingular, PsdViolation
+        As :func:`solve_esre`; NoConvergence after ``picard_max_iter``
+        sweeps, with the residual history attached.
+    """
+    options = _options(options, overrides)
+    if options.backend != "ode":
+        raise StructuralError("the Picard certificate checks the grid backend; "
+                              "the tree solve runs the sequence itself")
+    smallness, smallness_ok = _check_problem(spec, options)
+    engine = _GridEngine(spec, options)
+    it0 = engine.solve_p0()
+    iterates = [it0.values.copy()] if options.keep_iterates else None
+    lowest = [_min_eig(it0.values)]
+    margins = []
+
+    def on_sweep(prev, cur):
+        margins.append(_min_eig(prev - cur))
+        lowest.append(_min_eig(cur))
+        if iterates is not None:
+            iterates.append(cur.copy())
+
+    p, residuals = engine.pipelined_sweeps(it0, on_sweep)
+    _require_psd(p, options.psd_tol)
+    direct = engine.solve_direct()
+    return PicardCertificate(
+        P=p, iterations=len(residuals), residual_history=residuals,
+        monotonicity_margin=min(margins), min_eigenvalue=min(lowest),
+        diagnostics=_diagnostics(spec, engine.grid, np.linalg.norm(it0.values, axis=(-2, -1)),
+                                 np.zeros(spec.ell), smallness,
+                                 options.smallness_threshold, smallness_ok),
+        direct_distance=float(np.max(np.linalg.norm(p - direct, axis=(-2, -1)))),
+        options=options, iterates=iterates,
+    )
+
+
+def _min_eig(values: np.ndarray) -> float:
+    return float(np.min(np.linalg.eigvalsh(values)))
 
 
 def _solve_tree(spec, options, smallness, smallness_ok) -> EsreSolution:

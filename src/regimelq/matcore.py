@@ -116,14 +116,14 @@ def project_psd(m: np.ndarray, psd_tol: float) -> np.ndarray:
     """Clip tiny negative eigenvalues of a (stack of) symmetric matrices.
 
     Eigenvalues in ``(-psd_tol, 0)`` are treated as roundoff and clipped to
-    zero; anything at or below ``-psd_tol`` is a genuine failure and raises
-    :class:`PsdViolation`.  The distinction keeps scheme bugs from being
-    silently papered over.
+    zero; anything at or below ``-psd_tol``, or NaN from an overflowed
+    step, is a genuine failure and raises :class:`PsdViolation`.  The
+    distinction keeps scheme bugs from being silently papered over.
     """
     m = np.asarray(m, dtype=float)
     w, v = np.linalg.eigh(m)
     wmin = float(w.min())
-    if wmin <= -psd_tol:
+    if not wmin > -psd_tol:
         raise PsdViolation(
             f"min eigenvalue {wmin:.3e} at or below -psd_tol = {-psd_tol:.3e}"
         )

@@ -16,7 +16,7 @@ run sees the same family.
 import numpy as np
 import pytest
 
-from regimelq.esre import SolverOptions, solve_esre
+from regimelq.esre import SolverOptions, picard_certificate, solve_esre
 from regimelq.model import ProblemSpec, check_smallness
 
 FAMILY_SEEDS = (101, 303, 404)
@@ -92,8 +92,14 @@ def e1():
 
 @pytest.fixture(scope="session")
 def e1_solution(e1):
-    """E1 solved at the default production grid, iterates retained."""
-    return solve_esre(e1, SolverOptions(grid_steps=2000, keep_iterates=True))
+    """E1 solved at the default production grid."""
+    return solve_esre(e1, SolverOptions(grid_steps=2000))
+
+
+@pytest.fixture(scope="session")
+def e1_certificate(e1):
+    """The Picard certificate of E1 at the production grid, iterates kept."""
+    return picard_certificate(e1, SolverOptions(grid_steps=2000, keep_iterates=True))
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 from regimelq.control import feedback_gain, mc_cost, optimality_gap, value_at
-from regimelq.esre import SolverOptions, direct_coupled_oracle, solve_esre, solve_p0
+from regimelq.esre import (
+    SolverOptions,
+    direct_coupled_oracle,
+    picard_certificate,
+    solve_esre,
+    solve_p0,
+)
 from regimelq.fbsde import tree_fbsde_oracle, ypx_residual
 from regimelq.regime_chain import path_substream, sample_chain_path, transition_matrix
 from conftest import make_e1, scalar_spec
@@ -34,19 +40,21 @@ def report(num: int, desc: str, ok: bool, detail: str = ""):
 @pytest.fixture(scope="module")
 def e1_timed(e1):
     t0 = time.perf_counter()
-    sol = solve_esre(e1, SolverOptions(grid_steps=2000, keep_iterates=True))
+    sol = solve_esre(e1, SolverOptions(grid_steps=2000))
     return sol, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def family_solutions(random_family):
+    """(spec, direct solve, Picard certificate, oracle) per family member."""
     t0 = time.perf_counter()
     out = []
     for spec in random_family:
         opts = SolverOptions(grid_steps=800, keep_iterates=True)
         sol = solve_esre(spec, opts)
+        cert = picard_certificate(spec, opts)
         oracle = direct_coupled_oracle(spec, SolverOptions(grid_steps=800))
-        out.append((spec, sol, oracle))
+        out.append((spec, sol, cert, oracle))
     return out, time.perf_counter() - t0
 
 
@@ -58,30 +66,37 @@ def test_criterion_01_closed_form_value(e1_timed):
            f"|P(0,i)-0.5|={err:.2e}, runtime={elapsed:.2f}s")
 
 
-def test_criterion_02_monotone_iterates(e1_timed, family_solutions):
+def test_criterion_02_monotone_iterates(e1_certificate, family_solutions):
     solved, _ = family_solutions
     worst_step = np.inf
     worst_psd = np.inf
-    for sol in [e1_timed[0]] + [s for _, s, _ in solved]:
-        its = sol.iterates
+    certs = [e1_certificate] + [c for _, _, c, _ in solved]
+    for cert in certs:
+        its = cert.iterates
         for prev, cur in zip(its, its[1:]):
             worst_step = min(worst_step,
                              float(np.min(np.linalg.eigvalsh(prev - cur))))
         for it in its:
             worst_psd = min(worst_psd, float(np.min(np.linalg.eigvalsh(it))))
+    reported = (min(c.monotonicity_margin for c in certs),
+                min(c.min_eigenvalue for c in certs))
     report(2, "iterates decrease in the Loewner order and stay PSD",
-           worst_step >= -1e-8 and worst_psd >= -1e-9,
+           worst_step >= -1e-8 and worst_psd >= -1e-9
+           and reported == (worst_step, worst_psd),
            f"min step eig={worst_step:.2e}, min iterate eig={worst_psd:.2e}")
 
 
-def test_criterion_03_cross_oracle_agreement(family_solutions):
+def test_criterion_03_cross_oracle_agreement(e1_certificate, e1_timed, family_solutions):
+    # the Picard limit against the direct solve of the coupled system; the
+    # family's limits also against the written-out oracle
     solved, elapsed = family_solutions
-    worst = max(
-        float(np.max(np.linalg.norm(sol.P - oracle.P, axis=(-2, -1))))
-        for _, sol, oracle in solved
-    )
+    pairs = [(e1_certificate.P, e1_timed[0].P)]
+    pairs += [(cert.P, p) for _, sol, cert, oracle in solved for p in (sol.P, oracle.P)]
+    worst = max(float(np.max(np.linalg.norm(a - b, axis=(-2, -1)))) for a, b in pairs)
+    reported = max([e1_certificate.direct_distance]
+                   + [cert.direct_distance for _, _, cert, _ in solved])
     report(3, "fixed point matches the direct coupled integration",
-           worst <= 1e-7 and elapsed < 30.0,
+           worst <= 1e-7 and reported <= 1e-7 and elapsed < 30.0,
            f"sup distance={worst:.2e}, runtime={elapsed:.1f}s")
 
 
@@ -142,9 +157,10 @@ def test_criterion_06_optimality(e1, e1_timed):
            f"runtime={elapsed:.1f}s")
 
 
-def test_criterion_07_apriori_bound(e1_timed, family_solutions):
+def test_criterion_07_apriori_bound(e1_certificate, family_solutions):
+    # the bound is on the linear initial iterate, which the certificate measures
     solved, _ = family_solutions
-    sols = [e1_timed[0]] + [s for _, s, _ in solved]
+    sols = [e1_certificate] + [c for _, _, c, _ in solved]
     ok = all(s.diagnostics.log_measured_sup <= s.diagnostics.log_apriori_bound
              for s in sols)
     margins = [s.diagnostics.log_apriori_bound - s.diagnostics.log_measured_sup

@@ -159,6 +159,7 @@ class TestParseConfig:
         ("simulate: {dt: .nan}", RangeError),
         ("solver: {picard_tol: .nan}", RangeError),
         ("simulate: {perturbations: [{constant: [.inf]}]}", RangeError),
+        ("simulate: {perturbations: [{table: {times: [], values: []}}]}", RangeError),
     ])
     def test_out_of_range_values(self, tmp_path, patch, err):
         with pytest.raises(err):
@@ -209,6 +210,13 @@ class TestParseConfig:
         )
         cfg = parse_config(write_cfg(tmp_path, text))
         assert len(cfg.simulate.perturbations) == 2
+
+    def test_perturbation_table_starting_after_zero(self, tmp_path):
+        text = E1_YAML + ("simulate: {perturbations: [{table: "
+                          "{times: [0.5, 0.8], values: [[1.0], [2.0]]}}]}\n")
+        with pytest.raises(RangeError, match=r"perturbations\[0\]\.table starts at "
+                                             r"t = 0\.5, after 0"):
+            parse_config(write_cfg(tmp_path, text))
 
     def test_perturbation_wrong_width(self, tmp_path):
         text = E1_YAML + "simulate: {perturbations: [{constant: [0.1, 0.2]}]}\n"
@@ -267,7 +275,8 @@ class TestSolutionFiles:
         assert meta["tolerances"]["picard_tol"] == 1e-7
         assert meta["tolerances"]["psd_tol"] == 1e-8
         assert meta["tolerances"]["cond_threshold"] == 1e10
-        assert meta["residual_history"][-1] <= 1e-7
+        # the grid solve integrates directly: no sweeps, no residuals
+        assert meta["iterations"] == 0 and meta["residual_history"] == []
 
 
 class TestCommands:
@@ -284,14 +293,17 @@ class TestCommands:
 
     def test_solve_writes_artifacts(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, SMALL_RUN))
-        res = run_command("solve", cfg, output_dir=tmp_path)
+        lines = []
+        res = run_command("solve", cfg, output_dir=tmp_path, echo=lines.append)
         assert res.exit_code == 0
+        assert lines[0] == "solved by direct integration on 200 steps"
         grid, p, _ = read_solution_csv(tmp_path / "s.csv")
         assert abs(p[0, 0, 0, 0] - 0.5) <= 1e-6
 
     def test_solve_nonconvergence_persists_history(self, tmp_path):
+        # only the tree solve iterates, so only it can stop unconverged
         text = SMALL_RUN.replace("solver: {backend: ode, grid_steps: 200}",
-                                 "solver: {backend: ode, grid_steps: 200, picard_max_iter: 1}")
+                                 "solver: {backend: tree, tree_depth: 8, picard_max_iter: 1}")
         cfg = parse_config(write_cfg(tmp_path, text))
         res = run_command("solve", cfg, output_dir=tmp_path)
         assert res.exit_code == 2
@@ -489,7 +501,8 @@ class TestMain:
         cfg = write_cfg(tmp_path, SMALL_RUN)
         assert main(["solve", "--config", str(cfg), "--output", str(tmp_path)]) == 0
         failing = write_cfg(tmp_path, SMALL_RUN.replace(
-            "grid_steps: 200}", "grid_steps: 200, picard_max_iter: 2}"), "fail.yaml")
+            "{backend: ode, grid_steps: 200}",
+            "{backend: tree, tree_depth: 8, picard_max_iter: 2}"), "fail.yaml")
         assert main(["solve", "--config", str(failing), "--output", str(tmp_path)]) == 2
         assert not (tmp_path / "s.csv").exists()
         capsys.readouterr()

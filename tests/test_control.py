@@ -663,6 +663,32 @@ class TestPerturbation:
         out = p.sample_times(np.array([0.0, 0.49, 0.5, 1.0]))
         assert np.array_equal(out[:, 0], [0.1, 0.1, 0.2, 0.2])
 
+    def test_table_starting_after_zero_refused(self, e1, e1_solution):
+        # applied from t = 0 it gave predicted_gap 1.0 where the offset on
+        # [0.5, 1] alone gives 0.5
+        with pytest.raises(StructuralError, match=r"starts at t = 0\.5, after 0"):
+            Perturbation.coerce(([0.5], [[1.0]]), 1)
+        with pytest.raises(StructuralError, match=r"starts at t = 0\.5"):
+            predicted_gap(e1, e1_solution, Perturbation(values=[[1.0]], times=[0.5]), 1)
+        late = Perturbation(values=[[0.0], [1.0]], times=[0.0, 0.5])
+        # the trapezoid ramps the step over one grid interval (dt = 5e-4)
+        assert predicted_gap(e1, e1_solution, late, 1) == pytest.approx(0.5, abs=5e-4)
+
+    @pytest.mark.parametrize("values, times", [
+        (np.zeros((2, 1, 1)), [0.0, 0.5]),       # rank 3 table
+        ([0.1, 0.2], [0.0, 0.5]),                # rank 1 table
+        (np.zeros((1, 1)), None),                # rank 2 constant
+        (np.zeros((3, 1)), [0.0, 0.5]),          # rows do not match the times
+    ])
+    def test_wrong_rank_refused(self, e1, values, times):
+        with pytest.raises(DimensionMismatch, match="perturbation"):
+            mc_cost(e1, Policy(offset=Perturbation(values=values, times=times)),
+                    [1.0], 1, 4, 0.01, 0)
+
+    def test_wrong_width_refused(self, e1):
+        with pytest.raises(DimensionMismatch, match="2 components, the control has 1"):
+            mc_cost(e1, Policy(offset=Perturbation(values=[0.1, 0.2])), [1.0], 1, 4, 0.01, 0)
+
     def test_policy_requires_known_type(self):
         with pytest.raises(StructuralError):
             Policy.coerce(object(), 1)

@@ -14,10 +14,13 @@ Reference values used here:
 """
 
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from regimelq import esre
 from regimelq.config import parse_config
@@ -39,6 +42,7 @@ from regimelq.esre import (
     drift_pi,
     f_of_theta,
     growth_constant,
+    picard_certificate,
     picard_step,
     solve_esre,
     solve_p0,
@@ -575,54 +579,55 @@ def _ill_conditioned_spec():
 
 
 def _same_error(spec, options):
-    """Assert the solve raises exactly what the replay raises; return the
-    number of sweeps the replay completed first."""
+    """Assert the certificate raises exactly what the replay raises; return
+    the number of sweeps the replay completed first."""
     values, residuals = [], []
     with pytest.raises(RegimeLQError) as ref:
         _replay(spec, options, values, residuals)
     with pytest.raises(RegimeLQError) as got:
-        solve_esre(spec, options)
+        picard_certificate(spec, options)
     assert type(got.value) is type(ref.value)
     assert str(got.value) == str(ref.value)
     return len(residuals)
 
 
 class TestPipelinedSweeps:
-    """``solve_esre`` runs its sweeps in lockstep; every iterate, residual
-    and error must be bit for bit those of the sequential replay."""
+    """:func:`picard_certificate` runs its sweeps in lockstep; every
+    iterate, residual and error must be bit for bit those of the
+    sequential replay."""
 
     @staticmethod
-    def _assert_replayed(spec, sol):
+    def _assert_replayed(spec, cert):
         values, residuals = [], []
-        _replay(spec, sol.options, values, residuals)
-        assert sol.iterations == len(residuals)
-        assert sol.residual_history == residuals
-        assert np.array_equal(sol.P, values[-1])
-        assert len(sol.iterates) == len(values)
-        assert all(np.array_equal(a, b) for a, b in zip(sol.iterates, values))
+        _replay(spec, cert.options, values, residuals)
+        assert cert.iterations == len(residuals)
+        assert cert.residual_history == residuals
+        assert np.array_equal(cert.P, values[-1])
+        assert len(cert.iterates) == len(values)
+        assert all(np.array_equal(a, b) for a, b in zip(cert.iterates, values))
 
-    def test_e1(self, e1, e1_solution):
-        self._assert_replayed(e1, e1_solution)
+    def test_e1(self, e1, e1_certificate):
+        self._assert_replayed(e1, e1_certificate)
 
     def test_e1_general_d_algebra(self, e1):
         opts = SolverOptions(grid_steps=800, force_general_d=True, keep_iterates=True)
-        self._assert_replayed(e1, solve_esre(e1, opts))
+        self._assert_replayed(e1, picard_certificate(e1, opts))
 
     @pytest.mark.parametrize("seed", FAMILY_SEEDS)
     def test_family(self, seed):
         spec = random_spec(seed)
-        sol = solve_esre(spec, SolverOptions(grid_steps=800, keep_iterates=True))
-        self._assert_replayed(spec, sol)
+        cert = picard_certificate(spec, SolverOptions(grid_steps=800, keep_iterates=True))
+        self._assert_replayed(spec, cert)
 
     def test_time_table_coefficients(self):
         spec = _table_spec()
-        sol = solve_esre(spec, SolverOptions(grid_steps=500, keep_iterates=True))
-        self._assert_replayed(spec, sol)
+        cert = picard_certificate(spec, SolverOptions(grid_steps=500, keep_iterates=True))
+        self._assert_replayed(spec, cert)
 
     def test_psd_clips_in_some_sweeps_only(self):
         spec = _rank_one_spec()
-        sol = solve_esre(spec, SolverOptions(grid_steps=300, keep_iterates=True))
-        self._assert_replayed(spec, sol)
+        cert = picard_certificate(spec, SolverOptions(grid_steps=300, keep_iterates=True))
+        self._assert_replayed(spec, cert)
 
     def test_no_convergence_history(self, e1):
         opts = SolverOptions(grid_steps=400, picard_max_iter=3)
@@ -630,7 +635,7 @@ class TestPipelinedSweeps:
         with pytest.raises(NoConvergence):
             _replay(e1, opts, values, residuals)
         with pytest.raises(NoConvergence) as err:
-            solve_esre(e1, opts)
+            picard_certificate(e1, opts)
         assert err.value.residual_history == residuals
 
     def test_stiff_terminal_weight_fails_in_sweep_one(self):
@@ -684,20 +689,20 @@ class TestPipelinedSweeps:
                 raise NearSingular("injected failure of a speculative sweep")
 
         self._wrap_lockstep(monkeypatch, fail_in_sweep_13)
-        sol = solve_esre(e1, opts)
+        cert = picard_certificate(e1, opts)
         assert raised, "the speculative sweep never reached the failing node"
-        assert sol.iterations == 12
-        self._assert_replayed(e1, sol)
+        assert cert.iterations == 12
+        self._assert_replayed(e1, cert)
 
     def test_convergence_at_the_sweep_cap(self, e1, monkeypatch):
         # the last sweep allowed is the one that converges: speculation
         # launches no sweep past picard_max_iter
         opts = SolverOptions(grid_steps=400, picard_max_iter=12, keep_iterates=True)
         calls = self._wrap_lockstep(monkeypatch)
-        sol = solve_esre(e1, opts)
+        cert = picard_certificate(e1, opts)
         assert max(int(live.sweep.max()) for live in calls) == 12
-        assert sol.iterations == 12
-        self._assert_replayed(e1, sol)
+        assert cert.iterations == 12
+        self._assert_replayed(e1, cert)
 
     def test_pipeline_never_drains(self, e1, monkeypatch):
         # one lockstep step per grid step and per sweep launch, plus the
@@ -705,8 +710,9 @@ class TestPipelinedSweeps:
         # takes about 1500 steps here
         n_steps = 400
         calls = self._wrap_lockstep(monkeypatch)
-        sol = solve_esre(e1, SolverOptions(grid_steps=n_steps))
-        assert len(calls) <= n_steps + sol.iterations + esre.SPECULATIVE_SWEEPS + 2
+        cert = picard_certificate(e1, SolverOptions(grid_steps=n_steps))
+        assert calls
+        assert len(calls) <= n_steps + cert.iterations + esre.SPECULATIVE_SWEEPS + 2
 
 
 # ---------------------------------------------------------------------------
@@ -723,21 +729,64 @@ class TestSolveEsre:
         g = np.stack([e1.G.eval(1.0, i) for i in (1, 2)])
         assert np.array_equal(e1_solution.P[-1], g)
 
-    def test_residual_history_contracts_to_tolerance(self, e1_solution):
-        hist = e1_solution.residual_history
-        assert hist[-1] <= e1_solution.options.picard_tol
+    def test_direct_solve_runs_no_sweeps(self, e1):
+        sol = solve_esre(e1, SolverOptions(grid_steps=200, keep_iterates=True))
+        assert (sol.iterations, sol.residual_history, sol.iterates) == (0, [], None)
+
+    def test_residual_history_contracts_to_tolerance(self, e1_certificate):
+        hist = e1_certificate.residual_history
+        assert hist[-1] <= e1_certificate.options.picard_tol
         assert all(b <= a for a, b in zip(hist, hist[1:]))
 
-    def test_iterates_monotone_and_psd(self, e1_solution):
-        its = e1_solution.iterates
-        assert len(its) == e1_solution.iterations + 1
-        for prev, cur in zip(its, its[1:]):
-            assert float(np.min(np.linalg.eigvalsh(prev - cur))) >= -1e-8
-        for it in its:
-            assert float(np.min(np.linalg.eigvalsh(it))) >= -1e-9
+    def test_iterates_monotone_and_psd(self, e1_certificate):
+        its = e1_certificate.iterates
+        assert len(its) == e1_certificate.iterations + 1
+        steps = [float(np.min(np.linalg.eigvalsh(prev - cur)))
+                 for prev, cur in zip(its, its[1:])]
+        lowest = [float(np.min(np.linalg.eigvalsh(it))) for it in its]
+        assert min(steps) >= -1e-8 and min(lowest) >= -1e-9
+        # the certificate's margins are those of its iterates
+        assert e1_certificate.monotonicity_margin == min(steps)
+        assert e1_certificate.min_eigenvalue == min(lowest)
         # every iterate sits below the initial one
         for it in its[1:]:
             assert float(np.min(np.linalg.eigvalsh(its[0] - it))) >= -1e-8
+
+    def test_certificate_refuses_the_tree_backend(self, e1):
+        with pytest.raises(StructuralError, match="grid backend"):
+            picard_certificate(e1, SolverOptions(backend="tree", tree_depth=8))
+
+    def test_long_horizon_reaches_the_steady_state(self):
+        # the linear iterate grows to about 1e22 here (the certificate fails
+        # in sweep 1); the direct solve reaches the root of P^2 = P + 1
+        spec = scalar_spec(A=0.5, Q=1.0, B=1.0, R=1.0, G=1.0, T=50.0)
+        sol = solve_esre(spec, SolverOptions(grid_steps=2000))
+        assert np.max(np.abs(sol.P[0] - (1.0 + np.sqrt(5.0)) / 2.0)) <= 1e-8
+
+    @pytest.mark.parametrize("R, G, steps, t, ratio", [
+        # dt |2 B R^{-1} B' G| = 2e13 / 2000 at t = T: RK4 leaves the PSD
+        # cone in the first step
+        (1e-6, 1e7, 2000, r"0\.9995", r"1\.000e\+10"),
+        # the first step overflows to NaN, which the clip must not pass on
+        (1e-8, 1e100, 10, r"0\.9", r"2\.000e\+107"),
+    ])
+    def test_stiff_step_names_time_and_ratio(self, R, G, steps, t, ratio):
+        spec = scalar_spec(B=1.0, R=R, G=G, delta=R / 10.0)
+        with pytest.raises(PsdViolation, match=(
+                rf"min eigenvalue \S+ at or below -psd_tol = -1\.000e-09 at t = {t}; "
+                r"the RK4 stiffness ratio dt \|2 B Sigma\^\{-1\} B' P\| at the last "
+                rf"accepted step \(t = 1\) is {ratio}; explicit RK4 needs it")):
+            solve_esre(spec, SolverOptions(grid_steps=steps))
+
+    def test_grid_diagnostics_measure_the_returned_p(self, e1, e1_solution, e1_certificate):
+        # 0 <= P <= P_0, so the solve's measured sup lies under the linear
+        # iterate's, which the certificate measures
+        d, d0 = e1_solution.diagnostics, e1_certificate.diagnostics
+        top = np.max(np.log(np.linalg.norm(e1_solution.P, axis=(-2, -1)))
+                     + np.diag(e1.q) * e1_solution.grid[:, None], axis=1)
+        assert d.log_measured_sup == pytest.approx(
+            float(np.max(d.rho * e1_solution.grid + 2.0 * top)), abs=1e-12)
+        assert d.log_measured_sup <= d0.log_measured_sup <= d0.log_apriori_bound
 
     def test_asymmetric_values_match_independent_integrator(self):
         sol = solve_esre(asym_spec(), SolverOptions(grid_steps=800))
@@ -783,7 +832,7 @@ class TestSolveEsre:
 
     def test_no_convergence_carries_history(self, e1):
         with pytest.raises(NoConvergence) as err:
-            solve_esre(e1, SolverOptions(grid_steps=100, picard_max_iter=1))
+            picard_certificate(e1, SolverOptions(grid_steps=100, picard_max_iter=1))
         assert len(err.value.residual_history) == 1
 
     def test_assumption_gate(self):
@@ -818,7 +867,8 @@ class TestSolveEsre:
         with pytest.warns(UserWarning, match="diffusion size"):
             sol = solve_esre(spec, SolverOptions(grid_steps=300))
         assert not sol.diagnostics.smallness_ok
-        assert sol.residual_history[-1] <= sol.options.picard_tol
+        oracle = direct_coupled_oracle(spec, SolverOptions(grid_steps=300))
+        assert np.max(np.abs(sol.P - oracle.P)) <= 1e-12
 
 
 class TestTreeBackend:
@@ -933,25 +983,51 @@ class TestTreeBackend:
             solve_esre(spec, SolverOptions(backend="ode", grid_steps=100))
 
 
+class TestRobustnessEnvelope:
+    """e1 at any symmetric rate and horizon has the closed form
+    P(0) = 1/(1 + T).  The grid solve must give it or refuse the grid with
+    the typed step-rate error, naming a grid on which it then gives it."""
+
+    @settings(max_examples=12, deadline=None, database=None, derandomize=True)
+    @given(rate=st.floats(0.0, 1e3), T=st.floats(0.0, 50.0, exclude_min=True),
+           steps=st.integers(40, 4000))
+    def test_e1_solves_or_names_a_grid(self, rate, T, steps):
+        spec = make_e1(generator=[[-rate, rate], [rate, -rate]], T=T)
+        try:
+            sol = solve_esre(spec, SolverOptions(grid_steps=steps))
+        except StructuralError as exc:
+            named = re.search(r"dt \* max\|q_ii\| = \S+ exceeds 2; use grid_steps >= (\d+)$",
+                              str(exc))
+            assert named, str(exc)
+            steps = int(named.group(1))
+            sol = solve_esre(spec, SolverOptions(grid_steps=steps))
+        # RK4's own error on P' = P^2 is below 1e-6 up to dt = 0.5 and
+        # reaches 1.3e-4 at dt = 1.25 (T = 50, 40 steps)
+        dt = T / steps
+        assert np.max(np.abs(sol.P[0] - 1.0 / (1.0 + T))) <= 1e-6 + 1e-4 * dt**4
+
+
 class TestDirectOracle:
     def test_closed_form(self, e1):
         sol = direct_coupled_oracle(e1, SolverOptions(grid_steps=2000))
         assert abs(sol.P[0, 0, 0, 0] - E1_VALUE) <= 1e-8
 
-    def test_agrees_with_fixed_point(self, e1, e1_solution):
+    def test_agrees_with_fixed_point(self, e1, e1_certificate):
         oracle = direct_coupled_oracle(e1, SolverOptions(grid_steps=2000))
-        tol = max(1e-8, 10 * e1_solution.options.picard_tol)
-        assert np.max(np.abs(oracle.P - e1_solution.P)) <= tol
+        tol = max(1e-8, 10 * e1_certificate.options.picard_tol)
+        assert np.max(np.abs(oracle.P - e1_certificate.P)) <= tol
 
     @pytest.mark.parametrize("rate, T", [(800.0, 1.0), (50.0, 20.0)])
     def test_fast_switching_closed_form(self, rate, T):
-        # the oracle integrates the coupling directly; the Picard sequence
-        # needs about rate * T sweeps here and stops at picard_max_iter
+        # the oracle and the grid solve integrate the coupling directly; the
+        # Picard sequence needs about rate * T sweeps here and stops at
+        # picard_max_iter
         spec = make_e1(generator=[[-rate, rate], [rate, -rate]], T=T)
-        sol = direct_coupled_oracle(spec, SolverOptions(grid_steps=2000))
-        assert abs(sol.P[0, 0, 0, 0] - 1.0 / (1.0 + T)) <= 1e-8
+        opts = SolverOptions(grid_steps=2000)
+        for sol in (direct_coupled_oracle(spec, opts), solve_esre(spec, opts)):
+            assert np.max(np.abs(sol.P[0] - 1.0 / (1.0 + T))) <= 1e-8
         with pytest.raises(NoConvergence):
-            solve_esre(spec, SolverOptions(grid_steps=2000))
+            picard_certificate(spec, opts)
 
     def test_linear_scaling(self):
         base = scalar_spec(R=1.0, Q=0.4, G=0.8, delta=0.5)

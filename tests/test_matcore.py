@@ -187,6 +187,11 @@ class TestProjectPsd:
         with pytest.raises(PsdViolation):
             project_psd(np.diag([1.0, -1e-6]), 1e-9)
 
+    def test_nan_raises(self):
+        # NaN is what an overflowed RK4 step leaves; it must not be clipped
+        with pytest.raises(PsdViolation):
+            project_psd(np.diag([1.0, np.nan]), 1e-9)
+
     def test_batched(self):
         stack = np.stack([np.diag([1.0, -1e-13]), np.eye(2)])
         out = project_psd(stack, 1e-9)
