@@ -56,7 +56,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import trapezoid
 
 from . import matcore
 from .errors import BlowUp, DimensionMismatch, OutOfRange, StructuralError
@@ -604,4 +603,4 @@ def predicted_gap(spec: ProblemSpec, solution: EsreSolution, perturbation,
         for k in range(1, len(grid)):
             probs[k] = probs[k - 1] @ step
     integrand = (quad * probs).sum(axis=1)
-    return float(trapezoid(integrand, grid))
+    return float(np.trapezoid(integrand, grid))

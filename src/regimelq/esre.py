@@ -1245,8 +1245,10 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None,
         k3 = rhs(h - 1, p - 0.5 * dt * k2)
         k4 = rhs(h - 2, p - dt * k3)
         p = _sym(p - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        if float(np.max(np.abs(p))) > BLOWUP_GUARD:
-            raise StepFailure(f"state norm exceeded {BLOWUP_GUARD:g} at t={engine.grid[k-1]:g}")
+        size = float(np.max(np.abs(p)))
+        if not size <= BLOWUP_GUARD:   # NaN fails too
+            raise StepFailure(f"state norm {size:g} is not within {BLOWUP_GUARD:g} "
+                              f"at t={engine.grid[k-1]:g}")
         values[k - 1] = p
 
     diag = _diagnostics(spec, engine.grid, np.linalg.norm(values, axis=(-2, -1)),

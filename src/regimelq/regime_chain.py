@@ -21,10 +21,10 @@ the usual notation for switching systems.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     DimensionMismatch,
@@ -36,6 +36,7 @@ from .errors import (
 )
 
 ROW_SUM_TOL = 1e-12
+POISSON_CUTOFF = 1e-18
 
 
 def check_regime(regime, ell: int, what: str = "regime") -> int:
@@ -105,19 +106,40 @@ def validate_generator(q) -> Generator:
 def transition_matrix(g: Generator, t: float) -> np.ndarray:
     """Transition probability matrix ``exp(q t)``.
 
-    Computed by scaling-and-squaring matrix exponential.  Entries are
-    clamped to [0, 1] after removing roundoff no larger than 1e-12; rows sum
-    to 1 within 1e-10.
+    Computed by uniformization (Jensen 1953) and squaring: with
+    ``lam = max_i(-q_ii)``, ``U = I + q/lam`` is a stochastic matrix and
+    ``exp(q t) = sum_k e^{-lam t} (lam t)^k/k! U^k``.  The Poisson series is
+    summed at ``x = lam t / 2^s <= 1``, up to the first weight below
+    ``POISSON_CUTOFF`` and smallest term first, then squared ``s`` times;
+    every row is divided by its sum after the series and after each
+    squaring.  All terms are nonnegative, so entries are nonnegative and
+    rows sum to 1 within a few ulps.  Raises OutOfRange unless ``t`` is
+    finite and nonnegative.
     """
-    if t < 0.0:
-        raise OutOfRange(f"time must be nonnegative, got {t}")
-    p = expm(g.q * float(t))
-    if np.any(p < -1e-12):
-        raise ArithmeticError("matrix exponential produced entries below -1e-12")
-    p = np.clip(p, 0.0, 1.0)
-    err = float(np.max(np.abs(p.sum(axis=1) - 1.0)))
-    if err > 1e-10:
-        raise ArithmeticError(f"transition matrix rows sum to 1 only within {err:.3e}")
+    t = float(t)
+    if not (math.isfinite(t) and t >= 0.0):
+        raise OutOfRange(f"time must be finite and nonnegative, got {t!r}")
+    eye = np.eye(g.ell)
+    lam = float(np.max(-np.diag(g.q)))
+    if lam == 0.0 or t == 0.0:
+        return eye
+    # log2 of the factors, so lam * t cannot overflow
+    s = max(0, math.ceil(math.log2(lam) + math.log2(t)))
+    x = math.ldexp(lam, -s) * t
+    u = eye + g.q / lam
+    weight = math.exp(-x)
+    power = eye
+    terms = [weight * eye]
+    k = 1
+    while (weight := weight * x / k) >= POISSON_CUTOFF:
+        power = power @ u
+        terms.append(weight * power)
+        k += 1
+    p = sum(reversed(terms))      # smallest terms first, for accuracy
+    p /= p.sum(axis=1, keepdims=True)
+    for _ in range(s):
+        p = p @ p
+        p /= p.sum(axis=1, keepdims=True)
     return p
 
 

@@ -20,6 +20,16 @@ from regimelq.model import CoefficientField
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
+
+def _run_python(*args):
+    """A fresh interpreter in the repository root with ``src`` importable."""
+    root = CONFIGS.parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 E1_YAML = """\
 problem:
   n: 1
@@ -458,16 +468,20 @@ class TestMain:
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: problem.x0")
 
     def test_python_dash_m_runs_the_cli(self):
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "regimelq", "validate",
-             "--config", "demos/configs/e1_scalar.yaml"],
-            cwd=root, env=env, capture_output=True, text=True, timeout=120)
+        proc = _run_python("-m", "regimelq", "validate",
+                           "--config", "demos/configs/e1_scalar.yaml")
         assert proc.returncode == 0, proc.stderr
         assert "RuntimeWarning" not in proc.stderr
         assert proc.stdout.startswith("assumptions: PASS")
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy is a test-only dependency; loading it roughly quintuples
+        # the start-up time of every command
+        proc = _run_python("-c", "import sys, regimelq, regimelq.cli, regimelq.config, "
+                           "regimelq.control, regimelq.esre; print(sorted(m for m in "
+                           "sys.modules if m.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_missing_artifacts_map_to_four(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_RUN)

@@ -652,6 +652,26 @@ class TestOptimalityGap:
         assert predicted_gap(e1, e1_solution, 0.25, 1) == pytest.approx(
             0.0625, abs=1e-12)
 
+    @pytest.mark.parametrize("demo", ["matrix_two_regime.yaml", "asym_two_regime.yaml"])
+    def test_predicted_gap_matches_scipy_reference(self, demo):
+        # independent evaluation of the same integrand: the regime law from
+        # scipy's expm at each grid time, R + D'PD written out, scipy's
+        # trapezoid (scipy is a test-only dependency)
+        from scipy.integrate import trapezoid
+        from scipy.linalg import expm
+
+        cfg = parse_config(MATRIX_DEMO.with_name(demo))
+        spec = cfg.problem
+        sol = solve_esre(spec, cfg.solver)
+        e = cfg.simulate.perturbations[0]
+        ev = e.sample_times(sol.grid)
+        d, r = (spec.coefficient(name).sample_times(sol.grid) for name in "DR")
+        sigma = r + np.swapaxes(d, -1, -2) @ sol.P @ d
+        probs = np.array([expm(spec.generator.q * t)[spec.i0 - 1] for t in sol.grid])
+        integrand = np.einsum("ka,kiab,kb,ki->k", ev, sigma, ev, probs)
+        want = trapezoid(integrand, sol.grid)
+        assert predicted_gap(spec, sol, e, spec.i0) == pytest.approx(want, rel=1e-13)
+
 
 class TestPerturbation:
     def test_coerce_scalar(self):

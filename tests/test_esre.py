@@ -1044,6 +1044,14 @@ class TestDirectOracle:
         with pytest.raises(StepFailure):
             direct_coupled_oracle(spec, SolverOptions(grid_steps=2000))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blowup_guard_catches_nan(self):
+        # a huge terminal weight overflows the first step to NaN, which a
+        # plain `norm > guard` test lets through
+        spec = scalar_spec(B=1.0, R=1e-8, G=1e100, delta=1e-9)
+        with pytest.raises(StepFailure, match="state norm nan"):
+            direct_coupled_oracle(spec, SolverOptions(grid_steps=10))
+
     def test_time_table_coefficients_cross_check(self):
         # piecewise-constant control weight, sampled identically by the
         # fixed point and the direct integration

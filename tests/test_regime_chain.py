@@ -58,6 +58,9 @@ class TestTransitionMatrix:
     def test_time_zero_is_identity(self):
         g = validate_generator([[-1.0, 1.0], [1.0, -1.0]])
         assert np.allclose(transition_matrix(g, 0.0), np.eye(2), atol=1e-14)
+        # every regime absorbing: the chain never moves
+        still = validate_generator(np.zeros((3, 3)))
+        assert np.array_equal(transition_matrix(still, 5.0), np.eye(3))
 
     def test_two_state_closed_form(self):
         g = validate_generator([[-1.0, 1.0], [1.0, -1.0]])
@@ -94,8 +97,42 @@ class TestTransitionMatrix:
 
     def test_negative_time_rejected(self):
         g = validate_generator([[-1.0, 1.0], [1.0, -1.0]])
-        with pytest.raises(OutOfRange):
+        with pytest.raises(OutOfRange, match="got -0.1"):
             transition_matrix(g, -0.1)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, t):
+        # NaN passes `t < 0`; both NaN and inf once gave a NaN matrix
+        g = validate_generator([[-1.0, 1.0], [1.0, -1.0]])
+        with pytest.raises(OutOfRange, match=f"got {float(t)!r}"):
+            transition_matrix(g, t)
+
+    def test_rate_times_time_beyond_float_range(self):
+        # lam * t overflows to inf; the squaring count is taken from the
+        # logarithms of the factors instead
+        g = validate_generator([[-1e300, 1e300], [1e300, -1e300]])
+        assert np.array_equal(transition_matrix(g, 1e10), np.full((2, 2), 0.5))
+
+    def test_matches_scipy_expm(self):
+        # seeded sweep against an independent matrix exponential (scipy is
+        # a test-only dependency): ell 2-5, rates 1e-2..1e3 with some zero,
+        # an absorbing row in a third of the draws, t from 1e-4 to 50
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(20231)
+        for _ in range(600):
+            ell = int(rng.integers(2, 6))
+            q = 10.0 ** rng.uniform(-2.0, 3.0, (ell, ell)) * (rng.random((ell, ell)) < 0.7)
+            if rng.random() < 1.0 / 3.0:
+                q[rng.integers(ell)] = 0.0
+            np.fill_diagonal(q, 0.0)
+            q[np.diag_indices(ell)] = -q.sum(axis=1)
+            g = validate_generator(q)
+            t = 10.0 ** rng.uniform(-4.0, np.log10(50.0))
+            p = transition_matrix(g, t)
+            assert np.max(np.abs(p - expm(g.q * t))) <= 1e-10, (q, t)
+            assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-14, (q, t)
+            assert np.all(p >= 0.0), (q, t)
 
 
 class TestSampleChainPath:
