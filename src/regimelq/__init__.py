@@ -31,7 +31,6 @@ from .errors import (
 from .matcore import (
     loewner_leq,
     make_symmetric,
-    max_eigenvalue,
     min_eigenvalue,
     project_psd,
     sym_inverse,
@@ -102,8 +101,8 @@ __all__ = [
     "NoConvergence", "OutOfRange", "ParseError", "PsdViolation", "RangeError",
     "RegimeLQError", "RowSumNonzero", "SingularState", "StepFailure",
     "StructuralError", "TooFewRegimes", "UnknownKey",
-    "loewner_leq", "make_symmetric", "max_eigenvalue", "min_eigenvalue",
-    "project_psd", "sym_inverse", "symmetrize",
+    "loewner_leq", "make_symmetric", "min_eigenvalue", "project_psd",
+    "sym_inverse", "symmetrize",
     "Generator", "RegimePath", "path_substream", "sample_chain_path",
     "transition_matrix", "validate_generator",
     "CoefficientField", "ProblemSpec", "ValidationReport",

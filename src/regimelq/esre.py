@@ -38,30 +38,12 @@ The paper proves this sequence monotone in the rescaled coordinates
 ``exp(q_ii t) P``, where the source weights are nonnegative; the rescaling
 maps the sequence onto itself, so the iterates decrease monotonically in
 the Loewner order and stay positive semidefinite under the definiteness
-assumptions.  The sweeps run until the sup-norm difference of
-consecutive iterates falls below ``picard_tol``.  The tree backend's
-:func:`solve_esre` still runs this sequence itself.
-
-The certificate's sweeps run in lockstep (pipelined waveform relaxation).
-Sweep k+1 reads sweep k only at the grid times it steps across, so it can
-trail sweep k by a single step.  Sweep k+1 is *needed* once sweep k's
-running residual, the max so far of ``|P_k - P_{k-1}|_F`` over
-the nodes it has reached, exceeds ``picard_tol``: the sweep-after-sweep
-loop is then certain to run it.  Near t = T consecutive iterates agree,
-so that certainty comes late; waiting for it would drain the pipeline
-and refill it several times per run.  Instead a sweep is launched at
-t = T on every lockstep step while fewer than ``SPECULATIVE_SWEEPS``
-sweeps beyond the last needed one have been launched, and never past
-``picard_max_iter``.  Each lockstep step then advances every live sweep
-by one RK4 step with one stacked rhs evaluation per stage and one PSD
-projection.  A speculative sweep only adds work: the sequence stops as
-soon as the oldest live sweep finishes within ``picard_tol``, and the
-sweeps behind it are discarded unread.  So the iterates, residual
-history and iteration count equal those of repeated :func:`picard_step`
-bit for bit, and errors surface in the same order: a failure in a
-trailing sweep is held until every earlier sweep has finished (and is
-dropped if one of them converges), and an error from an earlier sweep
-replaces it.
+assumptions.  The sweeps run one after another until the sup-norm
+difference of consecutive iterates falls below ``picard_tol``.  The tree
+backend's :func:`solve_esre` and the grid's certificate run this one
+loop, ``_picard_sequence``, so their iterates, residual history and
+errors are those of :func:`solve_p0` followed by repeated
+:func:`picard_step`.
 
 Backends
 --------
@@ -122,7 +104,6 @@ from .errors import (
     NearSingular,
     NoConvergence,
     PsdViolation,
-    RegimeLQError,
     StepFailure,
     StructuralError,
 )
@@ -156,9 +137,6 @@ class SolverOptions:
     cond_threshold: float = 1e12
     smallness_threshold: float = 0.1
     keep_iterates: bool = False
-    # test hook: route identically-zero D through the general
-    # (R + D'PD)-inverse algebra instead of the plain R-inverse shortcut
-    force_general_d: bool = False
 
     def __post_init__(self):
         if self.backend not in ("ode", "tree"):
@@ -217,19 +195,13 @@ class GridIterate:
 
     def half_values(self) -> np.ndarray:
         """Values on the half grid (2N+1 samples): nodes interleaved with
-        cubic-Hermite midpoints."""
+        the cubic-Hermite midpoints of the node values and derivatives."""
         v, d = self.values, self.derivs
-        mids = _hermite_midpoint(v[:-1], v[1:], d[:-1], d[1:], self.grid[1] - self.grid[0])
+        dt = self.grid[1] - self.grid[0]
         out = np.empty((2 * (v.shape[0] - 1) + 1,) + v.shape[1:])
         out[0::2] = v
-        out[1::2] = mids
+        out[1::2] = 0.5 * (v[:-1] + v[1:]) + (dt / 8.0) * (d[:-1] - d[1:])
         return out
-
-
-def _hermite_midpoint(v0, v1, d0, d1, dt):
-    """Cubic-Hermite value halfway between two nodes dt apart, from the
-    node values v and time derivatives d."""
-    return 0.5 * (v0 + v1) + (dt / 8.0) * (d0 - d1)
 
 
 class BinomialTree:
@@ -408,10 +380,9 @@ def f_of_theta(t: float, i: int, p: np.ndarray, lam: np.ndarray, theta: np.ndarr
 class _Engine:
     """The Riccati driver shared by the grid and tree engines.
 
-    Each coefficient is held as ``load(field)``, indexed by sample: ``h``
-    indexes Q, S, R and ``R_inv`` (R^{-1}, formed once when D = 0), ``hc``
-    indexes A, B, C and D, and ``times[h]`` is the time of sample ``h``.
-    ``A_drift`` is the A the driver reads.
+    Each coefficient is held as ``load(field)``, indexed by sample ``h``,
+    as is ``R_inv`` (R^{-1}, formed once when D = 0); ``times[h]`` is the
+    time of sample ``h``.  ``A_drift`` is the A the driver reads.
     """
 
     def __init__(self, spec: ProblemSpec, options: SolverOptions, times, load):
@@ -420,7 +391,7 @@ class _Engine:
             load(spec.coefficient(name)) for name in "ABCDQSR")
         self.q_off = spec.q - np.diag(np.diag(spec.q))
         self.has_C = not spec.C.is_zero()
-        self.has_D = (not spec.D.is_zero()) or options.force_general_d
+        self.has_D = not spec.D.is_zero()
         self.has_S = not spec.S.is_zero()
         self.R_inv = None
         if not self.has_D:
@@ -450,7 +421,7 @@ class _Engine:
                 f"threshold {self.options.cond_threshold:.3e}"
             )
 
-    def _driver(self, h, hc, p, lam, src, check_cond=False, quadratic=True):
+    def _driver(self, h, p, lam, src, check_cond=False, quadratic=True):
         """The Riccati driver, symmetrized,
 
             P A + A'P + C'P C + Lam C + C'Lam + Q + src - M' Sigma^{-1} M,
@@ -459,11 +430,11 @@ class _Engine:
         Lambda = 0 and ``src`` is the engine's regime coupling.  Without
         ``quadratic`` the last term is dropped.  ``check_cond`` runs the
         condition test on Sigma before its LU inverse."""
-        pa = p @ self.A_drift[hc]
+        pa = p @ self.A_drift[h]
         out = pa + pa.mT + self.Q[h] + src
         c = pc = None
         if self.has_C:
-            c = self.C[hc]
+            c = self.C[h]
             pc = p @ c
             out = out + c.mT @ pc
             if lam is not None:
@@ -471,7 +442,7 @@ class _Engine:
         if quadratic:
             s = self.S[h] if self.has_S else None
             if self.has_D:
-                m, sigma = _gain_blocks(p, lam, self.B[hc], c, self.D[hc], s, self.R[h], pc)
+                m, sigma = _gain_blocks(p, lam, self.B[h], c, self.D[h], s, self.R[h], pc)
                 if check_cond:
                     self._require_conditioned(sigma, h)
                 # LU inverse and product: on these stacks of small blocks it
@@ -481,7 +452,7 @@ class _Engine:
                 except np.linalg.LinAlgError as exc:
                     raise NearSingular("R + D'PD is singular") from exc
             else:
-                m, _ = _gain_blocks(p, lam, self.B[hc], c, None, s, None)
+                m, _ = _gain_blocks(p, lam, self.B[h], c, None, s, None)
                 x = self.R_inv[h] @ m
             out = out - m.mT @ x
         return _sym(out)
@@ -492,25 +463,14 @@ class _Engine:
 # ---------------------------------------------------------------------------
 
 
-# sweeps the grid pipeline may launch beyond the last one known to be
-# needed (see the module docstring): at 8 no sweep of e1 or of the frozen
-# random family (seeds 101, 303, 404) waits for its launch, and more would
-# only add discarded work
-SPECULATIVE_SWEEPS = 8
-
-
 class _GridEngine(_Engine):
     """Sampled coefficients and backward sweeps for the ODE backend.
 
     Everything is precomputed on the half grid (step dt/2) so the four
     stages of every backward step hit exact samples.  Per-regime data are
-    stacked on the leading axis and processed with batched matmul.
-
-    The right-hand sides take the state either as one ``(ell, n, n)`` stack
-    at an integer half-index or as ``(L, ell, n, n)`` with one half-index
-    per member.  ``h`` indexes Q, S and R; ``hc`` indexes A, B, C and D,
-    and is the single index 0 shared by every member when those are
-    constant.
+    stacked on the leading axis and processed with batched matmul.  The
+    right-hand sides take the state as one ``(ell, n, n)`` stack at an
+    integer half-index ``h``.
 
     The driver reads ``A_drift = A + (q_ii / 2) I``, which carries the
     diagonal coupling; the direct solve reads the off-diagonal coupling
@@ -531,9 +491,6 @@ class _GridEngine(_Engine):
         super().__init__(spec, options, half,
                          lambda f: np.ascontiguousarray(f.sample_times(half)))
         self.A_drift = self.A + (0.5 * np.diag(spec.q))[:, None, None] * np.eye(spec.n)
-        self.constant_dynamics = all(
-            spec.coefficient(name).kind == "constant" for name in ("A", "B", "C", "D")
-        )
         self.G = np.stack([spec.G.eval(spec.T, i) for i in range(1, spec.ell + 1)])
 
     def _require_stable_step(self):
@@ -587,7 +544,7 @@ class _GridEngine(_Engine):
         condition check at stage 1 and the PSD clip per step."""
         self._require_stable_step()
         rhs = lambda h, p, chk: -self._driver(
-            h, h, p, None, np.einsum("ij,jab->iab", self.q_off, p), chk)
+            h, p, None, np.einsum("ij,jab->iab", self.q_off, p), chk)
         values, _ = self._sweep(rhs, self.G, project=True, explain=self._stiff_step)
         _require_psd(values, self.options.psd_tol)
         return values
@@ -616,163 +573,14 @@ class _GridEngine(_Engine):
         with the live off-diagonal coupling ``q_off P`` as its source."""
         self._require_stable_step()
         rhs = lambda h, p, chk: -self._driver(
-            h, h, p, None, np.einsum("ij,jab->iab", self.q_off, p), quadratic=False)
+            h, p, None, np.einsum("ij,jab->iab", self.q_off, p), quadratic=False)
         return GridIterate(self.grid, *self._sweep(rhs, self.G, project=False))
 
     def picard_sweep(self, prev: GridIterate) -> GridIterate:
         self._require_stable_step()
         src = np.einsum("ij,hjab->hiab", self.q_off, prev.half_values())
-        rhs = lambda h, p, chk: -self._driver(h, h, p, None, src[h], chk)
+        rhs = lambda h, p, chk: -self._driver(h, p, None, src[h], chk)
         return GridIterate(self.grid, *self._sweep(rhs, self.G, project=True))
-
-    # -- pipelined fixed point -------------------------------------------
-
-    def pipelined_sweeps(self, it0: GridIterate, on_sweep):
-        """Run the sweeps of the fixed point from ``it0`` in lockstep, with
-        the launch rule and error order described in the module docstring.
-
-        Calls ``on_sweep(prev, cur)`` with the node values of consecutive
-        iterates as each sweep finishes, and returns ``(p, residuals)``.
-        """
-        opts = self.options
-        n_steps = opts.grid_steps
-        # store[j]: values and derivatives of sweep j, (N+1, 2, ell, n, n),
-        # dropped once sweep j+1 has finished
-        store = [np.stack([it0.values, it0.derivs], axis=1)]
-        src_T = np.einsum("ij,jab->iab", self.q_off, self.G)[None]
-        live = _Members.empty(self.G.shape)
-        residuals = []
-        held = None
-        certain = 1
-        while True:
-            newest = len(store) - 1
-            # sweep j+1 is needed once sweep j's running residual exceeds
-            # picard_tol (live members are consecutive sweeps, oldest first)
-            for j, res in zip(live.sweep.tolist(), live.res.tolist()):
-                if j == certain and not res <= opts.picard_tol:
-                    certain += 1
-            if held is None and newest < min(certain + SPECULATIVE_SWEEPS,
-                                             opts.picard_max_iter):
-                store.append(np.empty((n_steps + 1, 2) + self.G.shape))
-                store[-1][n_steps, 0] = self.G
-                launch = _Members(np.array([newest + 1]), np.array([n_steps]),
-                                  self.G[None], src_T, np.zeros(1))
-                live = _Members.join([live, launch], self.G.shape)
-            if not len(live):
-                break
-            try:
-                finished, stepped = self._lockstep(store, live)
-            except _SWEEP_ERRORS:
-                # replay this step member by member, oldest first, to find
-                # the oldest failing sweep and keep the ones before it
-                finished, parts = False, []
-                for j in range(len(live)):
-                    try:
-                        done, part = self._lockstep(store, live[j:j + 1])
-                    except _SWEEP_ERRORS as exc:
-                        held = exc
-                        break
-                    finished = finished or done
-                    parts.append(part)
-                stepped = _Members.join(parts, self.G.shape)
-            if finished:
-                j = int(live.sweep[0])
-                res = float(live.res[0])
-                residuals.append(res)
-                on_sweep(store[j - 1][:, 0], store[j][:, 0])
-                store[j - 1] = None
-                if res <= opts.picard_tol:
-                    return store[j][:, 0].copy(), residuals
-            live = stepped
-        if held is not None:
-            raise held
-        raise NoConvergence(
-            f"no convergence after {opts.picard_max_iter} sweeps "
-            f"(last residual {residuals[-1]:.3e})",
-            residual_history=residuals,
-        )
-
-    def _lockstep(self, store: list, live: "_Members"):
-        """One backward RK4 step of every member of ``live``.
-
-        Stage 1 of every member runs first and records its derivative, so
-        a member one step behind its predecessor interpolates with the
-        derivative just computed.  A member at node 0 only records that
-        derivative and finishes; only the oldest can be there.  Returns
-        ``(finished, stepped)``: whether the oldest member finished, and the
-        members that took a step, at their new node.
-        """
-        dt = self.dt
-        h = 2 * live.k
-        k1 = -self._driver(h, 0 if self.constant_dynamics else h,
-                           live.p, None, live.src, True)
-        for j, k, d in zip(live.sweep.tolist(), live.k.tolist(), k1):
-            store[j][k, 1] = d
-        finished = bool(live.k[0] == 0)
-        if finished:
-            live, k1, h = live[1:], k1[1:], h[1:]
-            if not len(live):
-                return finished, live
-        sweeps, ks = live.sweep.tolist(), live.k.tolist()
-        # the predecessors' values and derivatives at nodes k-1 and k
-        (v0, d0), (v1, d1) = np.stack(
-            [store[j - 1][k - 1:k + 1] for j, k in zip(sweeps, ks)], axis=2)
-        mid = _hermite_midpoint(v0, v1, d0, d1, self.grid[1] - self.grid[0])
-        h_mid, h_end = h - 1, h - 2
-        src_mid = np.einsum("ij,ljab->liab", self.q_off, mid)
-        src_end = np.einsum("ij,ljab->liab", self.q_off, v0)
-        hc_mid = 0 if self.constant_dynamics else h_mid
-        hc_end = 0 if self.constant_dynamics else h_end
-        p = live.p
-        k2 = -self._driver(h_mid, hc_mid, p - 0.5 * dt * k1, None, src_mid)
-        k3 = -self._driver(h_mid, hc_mid, p - 0.5 * dt * k2, None, src_mid)
-        k4 = -self._driver(h_end, hc_end, p - dt * k3, None, src_end)
-        p = _sym(p - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        out = matcore.project_psd(p, self.options.psd_tol)
-        if out is not p and len(p) > 1:
-            # a clip in one member re-forms the whole stack; clip member by
-            # member, as each sweep on its own does
-            out = np.stack([matcore.project_psd(m, self.options.psd_tol) for m in p])
-        for j, k, v in zip(sweeps, ks, out):
-            store[j][k - 1, 0] = v
-        res = np.linalg.norm(out - v0, axis=(-2, -1)).max(axis=-1)
-        return finished, _Members(live.sweep, live.k - 1, out, src_end,
-                                  np.maximum(live.res, res))
-
-
-_SWEEP_ERRORS = (RegimeLQError, np.linalg.LinAlgError, FloatingPointError)
-
-
-@dataclass
-class _Members:
-    """Live sweeps of the pipelined fixed point, oldest first."""
-
-    sweep: np.ndarray            # (L,) sweep number, from 1
-    k: np.ndarray                # (L,) grid node the member stands at
-    p: np.ndarray                # (L, ell, n, n) state at node k
-    src: np.ndarray              # (L, ell, n, n) frozen source at node k
-    res: np.ndarray              # (L,) running residual
-
-    def __len__(self) -> int:
-        return len(self.sweep)
-
-    def __getitem__(self, sel) -> "_Members":
-        return _Members(self.sweep[sel], self.k[sel], self.p[sel], self.src[sel],
-                        self.res[sel])
-
-    @classmethod
-    def empty(cls, shape) -> "_Members":
-        ints = np.empty(0, dtype=np.intp)
-        mats = np.empty((0,) + shape)
-        return cls(ints, ints, mats, mats, np.empty(0))
-
-    @classmethod
-    def join(cls, parts, shape) -> "_Members":
-        if not parts:
-            return cls.empty(shape)
-        return cls(*(np.concatenate([getattr(m, f) for m in parts])
-                     for f in ("sweep", "k", "p", "src", "res")))
-
 
 
 # ---------------------------------------------------------------------------
@@ -783,7 +591,7 @@ class _Members:
 class _TreeEngine(_Engine):
     """Backward induction on the binomial lattice (original coordinates).
 
-    Coefficients are indexed by level, ``h = hc = k``: a random field's own
+    Coefficients are indexed by level, ``h = k``: a random field's own
     levels, else one sample per level, level k broadcasting against
     (k+1, ell, ., .).  The driver reads Lambda as the martingale increment
     ``z`` and A itself: each sweep divides by ``1 - dt q_ii``, which keeps
@@ -834,7 +642,7 @@ class _TreeEngine(_Engine):
         dt = self.tree.dt
         inv = np.linalg.inv(np.eye(self.spec.ell) - dt * self.spec.q)
         return self._sweep(lambda k, pm, z: np.einsum(
-            "ij,njab->niab", inv, pm + dt * self._driver(k, k, pm, z, 0.0, quadratic=False)))
+            "ij,njab->niab", inv, pm + dt * self._driver(k, pm, z, 0.0, quadratic=False)))
 
     def picard_sweep(self, prev: TreeIterate) -> TreeIterate:
         """Sweep with the off-diagonal coupling frozen at ``prev``, the
@@ -842,15 +650,8 @@ class _TreeEngine(_Engine):
         ``p = proj((pm + dt (drift(pm, z) + q_off p_prev)) / (1 - dt q_ii))``."""
         src = [np.einsum("ij,njab->niab", self.q_off, lv) for lv in prev.levels[:-1]]
         return self._sweep(lambda k, pm, z: matcore.project_psd(
-            _sym(pm + self.tree.dt * self._driver(k, k, pm, z, src[k], True)) / self.denom,
+            _sym(pm + self.tree.dt * self._driver(k, pm, z, src[k], True)) / self.denom,
             self.options.psd_tol))
-
-
-def _tree_residual(levels_a, levels_b) -> float:
-    return max(
-        float(np.max(np.linalg.norm(a - b, axis=(-2, -1))))
-        for a, b in zip(levels_a, levels_b)
-    )
 
 
 def _node_weights(k: int) -> np.ndarray:
@@ -885,15 +686,15 @@ def picard_step(spec: ProblemSpec, prev, options: SolverOptions = None):
     if isinstance(prev, GridIterate):
         if prev.values.shape[0] != options.grid_steps + 1:
             raise StructuralError("previous iterate lives on a different grid")
-        stacks, engine = (prev.values,), _GridEngine
+        engine = _GridEngine
     elif isinstance(prev, TreeIterate):
         if prev.tree.depth != options.tree_depth:
             raise StructuralError("previous iterate lives on a different tree")
-        stacks, engine = prev.levels, _TreeEngine
+        engine = _TreeEngine
     else:
         raise StructuralError(f"unsupported iterate type {type(prev).__name__}")
     want = (spec.ell, spec.n, spec.n)
-    for values in stacks:
+    for values in _stacks(prev):
         if values.shape[1:] != want:
             raise DimensionMismatch(
                 f"previous iterate holds {values.shape[1:]} matrices per sample, "
@@ -901,6 +702,41 @@ def picard_step(spec: ProblemSpec, prev, options: SolverOptions = None):
             )
         _require_psd(values, options.psd_tol)
     return engine(spec, options).picard_sweep(prev)
+
+
+def _stacks(it) -> tuple:
+    """The node-value stacks of an iterate: the grid's values, or the
+    tree's levels."""
+    return (it.values,) if isinstance(it, GridIterate) else it.levels
+
+
+def _picard_sequence(engine, it0, options: SolverOptions, on_sweep=None):
+    """The paper's monotone sequence from the linear iterate ``it0``: one
+    ``engine.picard_sweep`` after another until the residual, the max over
+    every node of ``|P_k - P_{k-1}|_F``, is at most ``picard_tol``.  Calls
+    ``on_sweep(prev, cur)`` after each sweep; returns the last iterate and
+    the residual history.
+
+    Raises
+    ------
+    NoConvergence
+        After ``picard_max_iter`` sweeps, with the residual history.
+    """
+    prev, residuals = it0, []
+    for _ in range(options.picard_max_iter):
+        cur = engine.picard_sweep(prev)
+        residuals.append(max(float(np.max(np.linalg.norm(a - b, axis=(-2, -1))))
+                             for a, b in zip(_stacks(cur), _stacks(prev))))
+        if on_sweep is not None:
+            on_sweep(prev, cur)
+        if residuals[-1] <= options.picard_tol:
+            return cur, residuals
+        prev = cur
+    raise NoConvergence(
+        f"no convergence after {options.picard_max_iter} sweeps "
+        f"(last residual {residuals[-1]:.3e})",
+        residual_history=residuals,
+    )
 
 
 def _require_psd(values: np.ndarray, psd_tol: float):
@@ -1029,17 +865,18 @@ def picard_certificate(spec: ProblemSpec, options: SolverOptions = None,
     smallness, smallness_ok = _check_problem(spec, options)
     engine = _GridEngine(spec, options)
     it0 = engine.solve_p0()
-    iterates = [it0.values.copy()] if options.keep_iterates else None
+    iterates = [it0.values] if options.keep_iterates else None
     lowest = [_min_eig(it0.values)]
     margins = []
 
     def on_sweep(prev, cur):
-        margins.append(_min_eig(prev - cur))
-        lowest.append(_min_eig(cur))
+        margins.append(_min_eig(prev.values - cur.values))
+        lowest.append(_min_eig(cur.values))
         if iterates is not None:
-            iterates.append(cur.copy())
+            iterates.append(cur.values)
 
-    p, residuals = engine.pipelined_sweeps(it0, on_sweep)
+    last, residuals = _picard_sequence(engine, it0, options, on_sweep)
+    p = last.values
     _require_psd(p, options.psd_tol)
     direct = engine.solve_direct()
     return PicardCertificate(
@@ -1060,29 +897,14 @@ def _min_eig(values: np.ndarray) -> float:
 def _solve_tree(spec, options, smallness, smallness_ok) -> EsreSolution:
     engine = _TreeEngine(spec, options)
     it0 = engine.solve_p0()
-    iterates = [tuple(lv.copy() for lv in it0.levels)] if options.keep_iterates else None
-    prev = it0
-    residuals = []
-    converged = False
-    for _ in range(options.picard_max_iter):
-        cur = engine.picard_sweep(prev)
-        res = _tree_residual(cur.levels, prev.levels)
-        residuals.append(res)
-        if options.keep_iterates:
-            iterates.append(tuple(lv.copy() for lv in cur.levels))
-        prev = cur
-        if res <= options.picard_tol:
-            converged = True
-            break
-    if not converged:
-        raise NoConvergence(
-            f"no convergence after {options.picard_max_iter} sweeps "
-            f"(last residual {residuals[-1]:.3e})",
-            residual_history=residuals,
-        )
+    iterates = on_sweep = None
+    if options.keep_iterates:
+        iterates = [it0.levels]
+        on_sweep = lambda prev, cur: iterates.append(cur.levels)
+    last, residuals = _picard_sequence(engine, it0, options, on_sweep)
 
     tree = engine.tree
-    for lv in prev.levels:
+    for lv in last.levels:
         _require_psd(lv, options.psd_tol)
 
     # grid summary: probability-weighted node means (exact when nodes agree)
@@ -1092,21 +914,21 @@ def _solve_tree(spec, options, smallness, smallness_ok) -> EsreSolution:
     Lam = np.empty_like(P)
     for k in range(tree.depth + 1):
         wts = _node_weights(k)[:, None, None, None]
-        P[k] = (prev.levels[k] * wts).sum(axis=0)
-        Lam[k] = (prev.lam_levels[k] * wts).sum(axis=0)
+        P[k] = (last.levels[k] * wts).sum(axis=0)
+        Lam[k] = (last.lam_levels[k] * wts).sum(axis=0)
     # the lattice's largest |P_0| per level and regime, and the L2 norm of
     # Lambda weighted by node probabilities
     p0_norms = np.stack([np.linalg.norm(lv, axis=(-2, -1)).max(axis=0) for lv in it0.levels])
     sq_sum = np.zeros(ell)
     for k in range(tree.depth):
         wts = _node_weights(k)[:, None]
-        sq_sum += (np.linalg.norm(prev.lam_levels[k], axis=(-2, -1)) ** 2 * wts).sum(axis=0)
+        sq_sum += (np.linalg.norm(last.lam_levels[k], axis=(-2, -1)) ** 2 * wts).sum(axis=0)
     diag = _diagnostics(spec, grid, p0_norms, np.sqrt(sq_sum * tree.dt),
                         smallness, options.smallness_threshold, smallness_ok)
     return EsreSolution(
         grid=grid, P=P, Lambda=Lam,
         backend="tree", iterations=len(residuals), residual_history=residuals,
-        diagnostics=diag, options=options, iterates=iterates, tree=prev,
+        diagnostics=diag, options=options, iterates=iterates, tree=last,
     )
 
 

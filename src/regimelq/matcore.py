@@ -73,11 +73,6 @@ def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(np.asarray(m, dtype=float))[0])
 
 
-def max_eigenvalue(m: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric matrix."""
-    return float(np.linalg.eigvalsh(np.asarray(m, dtype=float))[-1])
-
-
 def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float = 0.0) -> bool:
     """Loewner-order test ``a <= b``: true iff ``min_eig(b - a) >= -tol``."""
     a = np.asarray(a, dtype=float)

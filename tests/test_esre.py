@@ -341,7 +341,7 @@ class TestSharedDriver:
             lam = symmetrize(0.3 * rng.standard_normal(p.shape))
             if not with_lambda:
                 lam[:] = 0.0
-            got = engine._driver(h, h, p, lam if with_lambda else None, 0.0, True)
+            got = engine._driver(h, p, lam if with_lambda else None, 0.0, True)
             for i in range(1, spec.ell + 1):
                 pi, li = p[i - 1], lam[i - 1]
                 ref = (drift_pi(t, i, pi, li, spec) + spec.Q.eval(t, i)
@@ -502,7 +502,7 @@ def test_solver_options_accept_numpy_integers():
 
 
 # ---------------------------------------------------------------------------
-# pipelined sweeps against the sweep-after-sweep replay
+# the Picard sequence of the tree solve and the grid certificate
 # ---------------------------------------------------------------------------
 
 
@@ -523,42 +523,6 @@ def _replay(spec, options, values, residuals):
         if residuals[-1] <= options.picard_tol:
             return
     raise NoConvergence("replay did not converge", residual_history=residuals)
-
-
-def _table_spec():
-    """Family member 303 with time-table A, C and Q (three pieces)."""
-    from regimelq.model import CoefficientField, ProblemSpec
-
-    base = random_spec(303)
-    times = [0.0, 0.3, 0.7]
-
-    def table(field, factors):
-        return CoefficientField.from_table(times, np.stack([field.values * f for f in factors]))
-
-    return ProblemSpec(
-        n=base.n, m=base.m, ell=base.ell, T=base.T, generator=base.q,
-        A=table(base.A, (1.0, 0.5, -0.3)), B=base.B.values,
-        C=table(base.C, (1.0, 0.2, 0.7)), D=base.D.values,
-        Q=table(base.Q, (1.0, 2.0, 0.5)), S=base.S.values, R=base.R.values,
-        G=base.G.values, delta=base.delta, x0=np.ones(base.n), i0=1,
-    )
-
-
-def _rank_one_spec():
-    """Weights of rank one along a rotated direction: P keeps an exact null
-    direction, so roundoff leaves eigenvalues of about -1e-17 that the PSD
-    projection clips in some sweeps but not in others."""
-    from regimelq.model import ProblemSpec
-
-    c, s = np.cos(0.7), np.sin(0.7)
-    u = np.array([[c, -s], [s, c]])
-    w = u @ np.diag([1.0, 0.0]) @ u.T
-    return ProblemSpec(
-        n=2, m=1, ell=2, T=1.0, generator=[[-1.0, 1.0], [2.0, -2.0]],
-        A=np.zeros((2, 2, 2)), B=np.stack([u[:, :1]] * 2), C=np.zeros((2, 2, 2)),
-        D=np.zeros((2, 2, 1)), Q=np.stack([w, 2.0 * w]), S=np.zeros((2, 1, 2)),
-        R=np.ones((2, 1, 1)), G=np.stack([w, 0.5 * w]), delta=0.5,
-    )
 
 
 def _ill_conditioned_spec():
@@ -591,10 +555,10 @@ def _same_error(spec, options):
     return len(residuals)
 
 
-class TestPipelinedSweeps:
-    """:func:`picard_certificate` runs its sweeps in lockstep; every
-    iterate, residual and error must be bit for bit those of the
-    sequential replay."""
+class TestPicardSequence:
+    """The tree solve and :func:`picard_certificate` run one loop of
+    frozen-coupling sweeps; the certificate's iterates, residuals and
+    errors are those of the public ``solve_p0`` + ``picard_step`` replay."""
 
     @staticmethod
     def _assert_replayed(spec, cert):
@@ -605,29 +569,6 @@ class TestPipelinedSweeps:
         assert np.array_equal(cert.P, values[-1])
         assert len(cert.iterates) == len(values)
         assert all(np.array_equal(a, b) for a, b in zip(cert.iterates, values))
-
-    def test_e1(self, e1, e1_certificate):
-        self._assert_replayed(e1, e1_certificate)
-
-    def test_e1_general_d_algebra(self, e1):
-        opts = SolverOptions(grid_steps=800, force_general_d=True, keep_iterates=True)
-        self._assert_replayed(e1, picard_certificate(e1, opts))
-
-    @pytest.mark.parametrize("seed", FAMILY_SEEDS)
-    def test_family(self, seed):
-        spec = random_spec(seed)
-        cert = picard_certificate(spec, SolverOptions(grid_steps=800, keep_iterates=True))
-        self._assert_replayed(spec, cert)
-
-    def test_time_table_coefficients(self):
-        spec = _table_spec()
-        cert = picard_certificate(spec, SolverOptions(grid_steps=500, keep_iterates=True))
-        self._assert_replayed(spec, cert)
-
-    def test_psd_clips_in_some_sweeps_only(self):
-        spec = _rank_one_spec()
-        cert = picard_certificate(spec, SolverOptions(grid_steps=300, keep_iterates=True))
-        self._assert_replayed(spec, cert)
 
     def test_no_convergence_history(self, e1):
         opts = SolverOptions(grid_steps=400, picard_max_iter=3)
@@ -647,72 +588,38 @@ class TestPipelinedSweeps:
         assert _same_error(spec, SolverOptions(grid_steps=2000)) == 0
 
     @pytest.mark.filterwarnings("ignore:measured diffusion size")
-    def test_trailing_sweep_error_is_held(self):
-        # sweep 3 fails at t = 0.89 while sweeps 1 and 2 are still stepping;
-        # its error waits for them and the sweeps behind it are dropped
+    def test_ill_conditioned_fails_in_sweep_three(self):
+        # cond(R + D'PD) first exceeds 3.99 in sweep 3, at t = 0.89
         opts = SolverOptions(grid_steps=400, cond_threshold=3.99)
         assert _same_error(_ill_conditioned_spec(), opts) == 2
 
     @pytest.mark.filterwarnings("ignore:measured diffusion size")
-    def test_earlier_sweep_error_replaces_held_one(self):
-        # sweep 3 fails first in lockstep order (t = 0.895), sweep 2 two
-        # steps later (t = 0.89); the replay only ever meets sweep 2's error
+    def test_ill_conditioned_fails_in_sweep_two(self):
+        # cond(R + D'PD) first exceeds 3.985 in sweep 2, at t = 0.89
         opts = SolverOptions(grid_steps=400, cond_threshold=3.985)
         assert _same_error(_ill_conditioned_spec(), opts) == 1
 
-    @staticmethod
-    def _wrap_lockstep(monkeypatch, before=None):
-        """Route ``_GridEngine._lockstep`` through ``before(live)`` and
-        return the list of members it was called with."""
-        calls = []
-        step = esre._GridEngine._lockstep
-
-        def wrapped(self, store, live):
-            calls.append(live)
-            if before is not None:
-                before(live)
-            return step(self, store, live)
-
-        monkeypatch.setattr(esre._GridEngine, "_lockstep", wrapped)
-        return calls
-
-    def test_speculative_sweep_error_is_dropped(self, e1, monkeypatch):
-        # e1 at N = 400 converges in sweep 12; sweep 13 only runs ahead of
-        # the residual rule, and its failure halfway down the grid must not
-        # reach the caller
-        opts = SolverOptions(grid_steps=400, keep_iterates=True)
-        raised = []
-
-        def fail_in_sweep_13(live):
-            if np.any((live.sweep == 13) & (live.k == 200)):
-                raised.append(live)
-                raise NearSingular("injected failure of a speculative sweep")
-
-        self._wrap_lockstep(monkeypatch, fail_in_sweep_13)
-        cert = picard_certificate(e1, opts)
-        assert raised, "the speculative sweep never reached the failing node"
-        assert cert.iterations == 12
-        self._assert_replayed(e1, cert)
-
-    def test_convergence_at_the_sweep_cap(self, e1, monkeypatch):
-        # the last sweep allowed is the one that converges: speculation
-        # launches no sweep past picard_max_iter
+    def test_convergence_at_the_sweep_cap(self, e1):
+        # the last sweep allowed is the one that converges
         opts = SolverOptions(grid_steps=400, picard_max_iter=12, keep_iterates=True)
-        calls = self._wrap_lockstep(monkeypatch)
         cert = picard_certificate(e1, opts)
-        assert max(int(live.sweep.max()) for live in calls) == 12
         assert cert.iterations == 12
         self._assert_replayed(e1, cert)
 
-    def test_pipeline_never_drains(self, e1, monkeypatch):
-        # one lockstep step per grid step and per sweep launch, plus the
-        # speculative tail: a launch rule that waits on the residual again
-        # takes about 1500 steps here
-        n_steps = 400
-        calls = self._wrap_lockstep(monkeypatch)
-        cert = picard_certificate(e1, SolverOptions(grid_steps=n_steps))
-        assert calls
-        assert len(calls) <= n_steps + cert.iterations + esre.SPECULATIVE_SWEEPS + 2
+    @pytest.mark.parametrize("backend, sweeps", [("ode", 12), ("tree", 14)])
+    def test_one_sweep_short_of_convergence(self, e1, backend, sweeps):
+        # e1 converges in exactly `sweeps` sweeps at N = 400 and at depth 8;
+        # one sweep fewer raises, with the same message on both backends
+        run = picard_certificate if backend == "ode" else solve_esre
+        opts = SolverOptions(backend=backend, grid_steps=400, tree_depth=8,
+                             picard_max_iter=sweeps)
+        done = run(e1, opts)
+        assert done.iterations == sweeps
+        with pytest.raises(NoConvergence, match=(
+                rf"^no convergence after {sweeps - 1} sweeps "
+                r"\(last residual \d\.\d{3}e-\d\d\)$")) as err:
+            run(e1, dataclasses.replace(opts, picard_max_iter=sweeps - 1))
+        assert err.value.residual_history == done.residual_history[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -823,11 +730,12 @@ class TestSolveEsre:
         b = solve_esre(scaled, opts)
         assert np.max(np.abs(3.0 * a.P - b.P)) <= 1e-10
 
-    def test_zero_d_general_algebra_identical(self, e1):
-        opts_fast = SolverOptions(grid_steps=300)
-        opts_gen = SolverOptions(grid_steps=300, force_general_d=True)
-        a = solve_esre(e1, opts_fast)
-        b = solve_esre(e1, opts_gen)
+    def test_zero_d_general_algebra_identical(self, e1, monkeypatch):
+        opts = SolverOptions(grid_steps=300)
+        a = solve_esre(e1, opts)
+        # route the zero D through the general (R + D'PD)-inverse algebra
+        monkeypatch.setattr(e1.D, "is_zero", lambda: False)
+        b = solve_esre(e1, opts)
         assert np.max(np.abs(a.P - b.P)) <= 1e-12
 
     def test_no_convergence_carries_history(self, e1):
@@ -1026,8 +934,10 @@ class TestDirectOracle:
         opts = SolverOptions(grid_steps=2000)
         for sol in (direct_coupled_oracle(spec, opts), solve_esre(spec, opts)):
             assert np.max(np.abs(sol.P[0] - 1.0 / (1.0 + T))) <= 1e-8
+        # on the coarsest grid the step rule accepts the residual at sweep
+        # 60 is 1.082e-3 (rate 800) and 4.191e-3 (rate 50), as at N = 2000
         with pytest.raises(NoConvergence):
-            picard_certificate(spec, opts)
+            picard_certificate(spec, SolverOptions(grid_steps=int(rate * T / 2)))
 
     def test_linear_scaling(self):
         base = scalar_spec(R=1.0, Q=0.4, G=0.8, delta=0.5)

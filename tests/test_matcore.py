@@ -8,7 +8,6 @@ from regimelq.errors import AsymmetryExceeded, DimensionMismatch, NearSingular, 
 from regimelq.matcore import (
     loewner_leq,
     make_symmetric,
-    max_eigenvalue,
     min_eigenvalue,
     project_psd,
     sym_inverse,
@@ -159,7 +158,8 @@ class TestSymInverse:
 
 
 def test_trace_bound_for_psd_factor():
-    # tr(A B) <= max_eig(A) tr(B) for symmetric A and PSD B
+    # tr(A B) <= max_eig(A) tr(B) for symmetric A and PSD B, with
+    # max_eig(A) = -min_eig(-A)
     rng = np.random.default_rng(29)
     for _ in range(200):
         n = int(rng.integers(1, 6))
@@ -167,7 +167,7 @@ def test_trace_bound_for_psd_factor():
         mb = rng.standard_normal((n, n))
         b = mb @ mb.T
         lhs = float(np.trace(a @ b))
-        rhs = max_eigenvalue(a) * float(np.trace(b))
+        rhs = -min_eigenvalue(-a) * float(np.trace(b))
         slack = 1e-10 * (1.0 + np.linalg.norm(a) * np.linalg.norm(b))
         assert lhs <= rhs + slack
 
