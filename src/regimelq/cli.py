@@ -48,6 +48,7 @@ from .errors import IoError, NoConvergence, RegimeLQError
 from .esre import EsreSolution, SolverOptions, solve_esre, solve_p0
 from .fbsde import tree_fbsde_oracle, xinv_product_check, ypx_residual
 from .model import check_smallness, validate_assumptions
+from .regime_chain import check_seed
 
 COMMANDS = ("validate", "solve", "simulate", "verify", "report")
 
@@ -472,11 +473,14 @@ def run_command(command: str, config: RunConfig, *, seed: int = None,
                 output_dir=None, echo=print) -> CommandResult:
     """Execute one CLI command against a parsed configuration.
 
-    ``seed`` overrides the configured simulation seed; ``output_dir``
-    redirects all artifact files into one directory.
+    ``seed`` overrides the configured simulation seed and must be an
+    integer in [0, 2^64) (OutOfRange otherwise); ``output_dir`` redirects
+    all artifact files into one directory.
     """
     if command not in COMMANDS:
         raise RegimeLQError(f"unknown command {command!r}")
+    if seed is not None:
+        check_seed(seed)
     paths = _resolve_paths(config, output_dir)
     if command == "validate":
         return _cmd_validate(config, paths, echo)

@@ -114,12 +114,14 @@ def _setting(section: dict, key: str, defaults):
     return section.get(key, getattr(defaults, key))
 
 
-def _as_int(value, where: str, minimum=None) -> int:
+def _as_int(value, where: str, minimum=None, bound=None) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise RangeError(f"{where} must be an integer, got {value!r}")
     value = int(value)
     if minimum is not None and value < minimum:
         raise RangeError(f"{where} must be >= {minimum}, got {value}")
+    if bound is not None and value >= bound:
+        raise RangeError(f"{where} must be < {bound}, got {value}")
     return value
 
 
@@ -320,7 +322,8 @@ def parse_config(path) -> RunConfig:
         n_paths=_as_int(_setting(sm, "n_paths", SimulateConfig), "simulate.n_paths",
                         minimum=2),
         dt=_as_float(_setting(sm, "dt", SimulateConfig), "simulate.dt", positive=True),
-        seed=_as_int(_setting(sm, "seed", SimulateConfig), "simulate.seed", minimum=0),
+        seed=_as_int(_setting(sm, "seed", SimulateConfig), "simulate.seed", minimum=0,
+                     bound=2**64),
         perturbations=perturbations,
     )
 

@@ -43,10 +43,14 @@ Every path draws from its own counter-based substream keyed by
 ``(master_seed, path_index)`` - chain jumps first, then the Brownian
 increments - so estimates are bit-reproducible regardless of chunking.
 The engine builds one Philox per chunk of paths and re-keys it for each
-path, which draws the same streams as one new substream per path, and
-reads every path's regimes off one step-major table per chunk.  Streams
-and estimates are the same as with a new substream and a separate regime
-lookup per path; only the set-up cost differs.
+path, which draws the same streams as one new substream per path.  Each
+path draws its normals into a small block of paths, and every full block
+is scaled into the chunk's step-major increments, so a chunk holds one
+paths-by-steps float array (8 bytes per path-step) and reads every path's
+regimes off one step-major table of the narrowest integer type (1 byte
+per path-step up to 128 regimes).  Streams and estimates are the same as
+with a new substream, one array of normals and a separate regime lookup
+per path; only the set-up cost and the working set differ.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ from .regime_chain import (
 )
 
 CHUNK_PATHS = 4096
-_TRANSPOSE_BLOCK = 256
+_DRAW_BLOCK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -372,41 +376,46 @@ def _simulate_chunk(tables: _BatchTables, x0, i0, master_seed, lo, hi, costs):
     """Simulate paths [lo, hi) for every policy; write into costs[:, lo:hi].
 
     One substream is built per chunk and re-keyed for each path, so every
-    path draws from its own ``(master_seed, path_index)`` stream."""
+    path draws from its own ``(master_seed, path_index)`` stream: its chain
+    jumps, then its normals into one row of a small block of
+    ``_DRAW_BLOCK`` paths.  Each full block is scaled by ``sqrt(dt)`` into
+    the step-major increments ``dw`` (steps, paths), so each step reads
+    contiguous increments and regimes, and ``dw`` is the chunk's only
+    paths-by-steps float array."""
     spec = tables.spec
     n_steps, dt = tables.n_steps, tables.dt
     count = hi - lo
-    xi = np.empty((count, n_steps))
     q = spec.generator.q
     q, cum = q.tolist(), _jump_cumprobs(q).tolist()
     chains = []
-    for p, rng in enumerate(rekeyed(path_substream(master_seed, lo), range(lo, hi))):
-        chains.append(sample_jumps(q, cum, i0, spec.T, rng))
-        xi[p] = rng.standard_normal(n_steps)
-    reg = _regime_table(tables.times, i0, chains)
-    # step-major, so each step reads contiguous increments and regimes;
-    # transposed in blocks of paths to stay in cache
     dw = np.empty((n_steps, count))
+    block = np.empty((min(_DRAW_BLOCK, count), n_steps))
     sq = np.sqrt(dt)
-    for b in range(0, count, _TRANSPOSE_BLOCK):
-        np.multiply(sq, xi[b:b + _TRANSPOSE_BLOCK].T, out=dw[:, b:b + _TRANSPOSE_BLOCK])
-    del xi
+    for p, rng in enumerate(rekeyed(path_substream(master_seed, lo), range(lo, hi))):
+        j = p % _DRAW_BLOCK
+        chains.append(sample_jumps(q, cum, i0, spec.T, rng))
+        rng.standard_normal(out=block[j])
+        if j == len(block) - 1 or p == count - 1:
+            np.multiply(sq, block[:j + 1].T, out=dw[:, p - j:p + 1])
+    reg = _regime_table(tables.times, i0, chains, spec.ell)
     for ip, table in enumerate(tables.loops):
         costs[ip, lo:hi] = _run_paths(table, tables.G, x0, reg[:n_steps], reg[n_steps], dw, lo)
 
 
-def _regime_table(times, i0, chains) -> np.ndarray:
+def _regime_table(times, i0, chains, ell) -> np.ndarray:
     """0-based regimes of a chunk of chain paths, step-major: array
     (len(times) + 1, paths) whose row k is the regime at ``times[k]`` and
     whose last row is the regime at T.  ``chains`` holds each path's
     ``(jump_times, states)`` from :func:`sample_jumps`, all started at
-    ``i0``.
+    ``i0`` in one of ``ell`` regimes.  The table has the narrowest signed
+    integer type that holds ``-ell`` (int8 up to 128 regimes), so every
+    regime and every state change fits.
 
     Jump j counts from the first step with ``times[k] >= t_j``, the cadlag
     lookup of :meth:`RegimePath.regime_at`: each jump's state change is
     added to the row of that step, then rows are summed in step order.
     """
-    table = np.zeros((len(times) + 1, len(chains)), dtype=np.intp)
+    table = np.zeros((len(times) + 1, len(chains)), dtype=np.min_scalar_type(-ell))
     table[0] = i0 - 1
     jump_times, jump_paths, before, after = [], [], [], []
     for p, (jumps, states) in enumerate(chains):
@@ -518,12 +527,9 @@ class CostEstimate:
 def _estimate(per_path: np.ndarray, dt: float, seed: int) -> CostEstimate:
     n = per_path.size
     mean = math.fsum(per_path) / n
-    if n > 1:
-        var = math.fsum((per_path - mean) ** 2) / (n - 1)
-        se = math.sqrt(var / n)
-    else:
-        se = 0.0
-    return CostEstimate(mean=mean, std_error=se, n_paths=n, dt=dt, seed=seed)
+    var = math.fsum((per_path - mean) ** 2) / (n - 1)
+    return CostEstimate(mean=mean, std_error=math.sqrt(var / n), n_paths=n, dt=dt,
+                        seed=seed)
 
 
 def mc_cost(spec: ProblemSpec, policy, x0, i0: int, n_paths: int, dt: float,
@@ -562,6 +568,7 @@ def optimality_gap(spec: ProblemSpec, solution: EsreSolution, perturbation,
     paths start from ``x0`` and ``i0``, by default the spec's (``x0 = 0``
     when the spec has none).
     """
+    _check_path_count(n_paths, 2)       # a standard error needs two paths
     if gains is None:
         gains = feedback_gain(solution, spec)
     e = Perturbation.coerce(perturbation, spec.m)

@@ -229,13 +229,25 @@ def sample_chain_path(g: Generator, i0: int, T: float, rng: np.random.Generator)
     return RegimePath(T=T, states=tuple(states), jump_times=np.array(jump_times))
 
 
+def check_seed(seed) -> int:
+    """``seed`` as an int in [0, 2^64), the range of one Philox key word.
+    Raises OutOfRange for anything else, bool included."""
+    if (not isinstance(seed, (int, np.integer)) or isinstance(seed, bool)
+            or not 0 <= seed < 2**64):
+        raise OutOfRange(f"seed {seed!r} is not an integer in [0, 2^64)")
+    return int(seed)
+
+
 def path_substream(master_seed: int, path_index: int) -> np.random.Generator:
     """Counter-based substream for one simulated path.
 
     Philox is keyed with ``(master_seed, path_index)``, so path k always
     sees the same randomness no matter how paths are batched or scheduled.
+    The key is built as uint64 words, so every seed in [0, 2^64) keys its
+    own stream; any other seed raises OutOfRange (see :func:`check_seed`).
     """
-    return np.random.Generator(np.random.Philox(key=[master_seed, path_index]))
+    key = np.array([check_seed(master_seed), path_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def rekeyed(rng: np.random.Generator, path_indices):

@@ -167,6 +167,8 @@ class TestParseConfig:
          RangeError),
         ("simulate: {x0: [null]}", RangeError),
         ("simulate: {dt: .nan}", RangeError),
+        ("simulate: {seed: -1}", RangeError),
+        ("simulate: {seed: 18446744073709551616}", RangeError),
         ("solver: {picard_tol: .nan}", RangeError),
         ("simulate: {perturbations: [{constant: [.inf]}]}", RangeError),
         ("simulate: {perturbations: [{table: {times: [], values: []}}]}", RangeError),
@@ -547,6 +549,25 @@ class TestMain:
         a = (tmp_path / "a" / "c.csv").read_text()
         b = (tmp_path / "b" / "c.csv").read_text()
         assert a != b
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_philox_key_range_exits_1(self, tmp_path, seed, capsys):
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+        assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path),
+                     "--seed", seed]) == 1
+        assert f"seed {seed} is not an integer in [0, 2^64)" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
+    def test_largest_seed_is_its_own_stream(self, tmp_path):
+        # 2^64 - 1 once went through float64 and keyed the stream of seed 0
+        noisy = SMALL_RUN.replace("C: [[0.0]]", "C: [[0.5]]")
+        cfg = write_cfg(tmp_path, noisy)
+        for d, seed in (("a", "0"), ("b", str(2**64 - 1))):
+            assert main(["simulate", "--config", str(cfg), "--output", str(tmp_path / d),
+                         "--seed", seed]) == 0
+        a = (tmp_path / "a" / "c.csv").read_text()
+        b = (tmp_path / "b" / "c.csv").read_text()
+        assert a.split("\n")[1].split(",")[1] != b.split("\n")[1].split(",")[1]
 
     def test_end_to_end_determinism(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_RUN)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import operator
+import tracemalloc
 from functools import reduce
 from itertools import accumulate
 from pathlib import Path
@@ -359,7 +360,8 @@ class TestChunkSampler:
     regime table) against the per-path sampler it replaced, bit for bit."""
 
     @pytest.mark.parametrize("problem", ["noisy-scalar", "matrix-demo", "fast-switching",
-                                         "absorbing", "uneven-chunks"])
+                                         "absorbing", "uneven-chunks", "block-of-one",
+                                         "uneven-blocks"])
     def test_costs_equal_per_path_sampler(self, problem, request, monkeypatch):
         dt, n_paths, i0 = 1e-2, 300, 1
         if problem == "noisy-scalar":
@@ -375,8 +377,13 @@ class TestChunkSampler:
                                C=[0.2, 0.5, 0.1], Q=[1.0, 0.0, 2.0], R=1.0,
                                G=[1.0, 2.0, 0.5])
             i0 = 2
-        if problem == "uneven-chunks":
+        if problem in ("uneven-chunks", "uneven-blocks"):
             monkeypatch.setattr(control, "CHUNK_PATHS", 97)
+        if problem == "block-of-one":
+            monkeypatch.setattr(control, "_DRAW_BLOCK", 1)
+        elif problem == "uneven-blocks":
+            # 7 divides neither the chunk of 97 nor the last chunk of 9
+            monkeypatch.setattr(control, "_DRAW_BLOCK", 7)
         x0 = np.linspace(1.0, -0.5, spec.n)
         policies = _constant_policies(spec)
         costs = _batch_costs(spec, policies, x0, i0, n_paths, dt, 17)
@@ -390,6 +397,23 @@ class TestChunkSampler:
                 spec.generator.q, cum, i0, spec.T, path_substream(17, p))[0])
                 for p in range(20)]
             assert any(np.unique(s).size < s.size for s in steps)
+
+    def test_chunk_holds_one_paths_by_steps_float_array(self):
+        # a full chunk at 1000 steps: the step-major increments (8 bytes per
+        # path-step) and a one-byte regime table, not normals, a transposed
+        # copy and an intp table
+        spec = scalar_spec(A=[0.2, -0.3], B=1.0, C=0.4, Q=[1.0, 0.0], R=1.0, G=[1.0, 2.0])
+        gains = CoefficientField.from_table(np.array([0.0, 1.0]),
+                                            np.full((2, 2, 1, 1), -0.4))
+        n_paths, dt = control.CHUNK_PATHS, 1e-3
+        _batch_costs(spec, [Policy(gains=gains)], [1.0], 1, 8, dt, 0)
+        tracemalloc.start()
+        try:
+            _batch_costs(spec, [Policy(gains=gains)], [1.0], 1, n_paths, dt, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 8 * n_paths * round(spec.T / dt)
 
     def test_jump_on_a_grid_time_counts_from_that_step(self, monkeypatch):
         spec = scalar_spec(A=[0.2, -0.3], B=1.0, C=0.4, Q=[1.0, 0.0], R=1.0, G=[1.0, 2.0])
@@ -417,7 +441,7 @@ class TestChunkSampler:
     @settings(max_examples=200, deadline=None, database=None)
     @given(data=st.data())
     def test_regime_table_equals_cadlag_lookup(self, data):
-        ell, T = 3, 1.0
+        ell, T = data.draw(st.sampled_from([2, 3, 128, 130])), 1.0
         n_steps = data.draw(st.integers(1, 8))
         dt = T / n_steps
         times = dt * np.arange(n_steps)
@@ -435,11 +459,12 @@ class TestChunkSampler:
                 states.append(data.draw(st.sampled_from([s for s in range(1, ell + 1)
                                                          if s != states[-1]])))
             chains.append((jumps, states))
-        table = control._regime_table(times, i0, chains)
+        table = control._regime_table(times, i0, chains, ell)
         assert table.shape == (n_steps + 1, len(chains))
+        assert table.dtype == (np.int8 if ell <= 128 else np.int16)
         for p, (jumps, states) in enumerate(chains):
             path = RegimePath(T=T, states=states, jump_times=np.array(jumps))
-            assert np.array_equal(table[:, p] + 1, path.regime_at(np.append(times, T)))
+            assert np.array_equal(table[:, p], path.regime_at(np.append(times, T)) - 1)
 
 
 def _packed_tables(n, ell=3, steps=30, count=40, seed=0):
@@ -612,12 +637,22 @@ class TestStartState:
         with pytest.raises(StructuralError, match="dt must be positive and finite"):
             calls[entry]()
 
-    @pytest.mark.parametrize("n_paths", [2.5, "100"])
-    def test_path_count(self, e1, n_paths):
-        with pytest.raises(StructuralError, match="n_paths"):
-            _batch_costs(e1, [None], [1.0], 1, n_paths, 1e-2, 0)
+    @pytest.mark.parametrize("n_paths", [1, 2.5, "100"])
+    def test_path_count(self, e1, e1_solution, n_paths):
+        if n_paths != 1:        # one path has costs but no standard error
+            with pytest.raises(StructuralError, match="n_paths"):
+                _batch_costs(e1, [None], [1.0], 1, n_paths, 1e-2, 0)
         with pytest.raises(StructuralError, match="n_paths"):
             mc_cost(e1, None, [1.0], 1, n_paths, 1e-2, 0)
+        with pytest.raises(StructuralError, match="n_paths"):
+            optimality_gap(e1, e1_solution, 0.5, n_paths, 1e-2, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    def test_seed(self, e1, e1_solution, seed):
+        with pytest.raises(OutOfRange, match="seed"):
+            mc_cost(e1, None, [1.0], 1, 10, 1e-2, seed)
+        with pytest.raises(OutOfRange, match="seed"):
+            optimality_gap(e1, e1_solution, 0.5, 10, 1e-2, seed)
 
 
 class TestOptimalityGap:

@@ -211,6 +211,27 @@ def test_substreams_are_independent_of_order():
     assert np.array_equal(a1, a2)
 
 
+@pytest.mark.parametrize("seed", [0, 5, 2**32, 2**63 - 1])
+def test_substream_below_2_63_keeps_its_stream(seed):
+    # the key list that numpy read before seeds became uint64 key words
+    old = np.random.Generator(np.random.Philox(key=[seed, 7]))
+    assert np.array_equal(path_substream(seed, 7).random(6), old.random(6))
+
+
+def test_every_seed_below_2_64_keys_its_own_stream():
+    seeds = [0, 2**63, 2**63 + 1, 2**64 - 1, np.uint64(2**64 - 2)]
+    draws = [path_substream(s, 3).random(4) for s in seeds]
+    for s, d in zip(seeds, draws):
+        assert path_substream(s, 3).bit_generator.state["state"]["key"].tolist() == [s, 3]
+        assert sum(np.array_equal(d, other) for other in draws) == 1
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 1.5, 2.0, True, "3", None])
+def test_seed_outside_key_range_is_refused(seed):
+    with pytest.raises(OutOfRange, match=r"not an integer in \[0, 2\^64\)"):
+        path_substream(seed, 0)
+
+
 def test_rekeyed_substream_draws_equal_fresh_substreams():
     keys = [3, 0, 1, 4095, 2**40]
     draws = (
