@@ -20,7 +20,10 @@ simulate
 verify
     Run the forward-backward identity checks and the optimality gaps and
     write a PASS/FAIL report; exit 3 when a check fails.  Requires the ODE
-    backend (deterministic coefficients).
+    backend (deterministic coefficients).  Each configured perturbation is
+    one Monte Carlo batch of the feedback and the perturbed policy on
+    common paths; the value match reads the first batch's feedback
+    estimate (a batch of the feedback alone without perturbations).
 report
     Render previously written artifacts into a human-readable summary and
     a plot-ready CSV series.
@@ -361,19 +364,22 @@ def _cmd_verify(config: RunConfig, paths, echo, seed) -> CommandResult:
                      f"shrinks x{_f10(ratio)} (>= 1.5) when depth doubles "
                      f"({_f10(devs[0])} -> {_f10(devs[1])})")
 
-    # value match and optimality gaps
+    # value match and optimality gaps.  Each gap batch steps the feedback
+    # on the same paths as mc_cost would, so the first one's feedback
+    # estimate is the value match's, bit for bit
     val = value_at(solution, x0, i0)
-    est = mc_cost(spec, gains, x0, i0, sim.n_paths, sim.dt, use_seed)
+    gaps = [optimality_gap(spec, solution, pert, sim.n_paths, sim.dt,
+                           use_seed, gains=gains, x0=x0, i0=i0)
+            for pert in sim.perturbations]
+    est = (gaps[0].feedback if gaps
+           else mc_cost(spec, gains, x0, i0, sim.n_paths, sim.dt, use_seed))
     tol = max(3.0 * est.std_error, 0.01 * (1.0 + abs(val)))
     ok = abs(est.mean - val) <= tol
     checks.append(ok)
     lines.append(f"[{'PASS' if ok else 'FAIL'}] feedback cost {_f10(est.mean)} "
                  f"matches value {_f10(val)} within {_f10(tol)}")
 
-    perturbations = sim.perturbations
-    for k, pert in enumerate(perturbations):
-        gap = optimality_gap(spec, solution, pert, sim.n_paths, sim.dt,
-                             use_seed, gains=gains, x0=x0, i0=i0)
+    for k, gap in enumerate(gaps):
         not_below = gap.gap >= -3.0 * gap.std_error
         pred_tol = max(3.0 * gap.std_error,
                        0.02 * (1.0 + abs(gap.theoretical_gap)))

@@ -602,12 +602,15 @@ def predicted_gap(spec: ProblemSpec, solution: EsreSolution, perturbation,
     _, sig = _gain_blocks(solution.P, None, *(     # sig: (K, ell, m, m)
         spec.coefficient(name).sample_times(grid) for name in "BCDSR"))
     quad = np.einsum("ka,kiab,kb->ki", ev, sig, ev)
-    # regime distribution propagated step by step (time-homogeneous chain)
+    # regime distribution propagated step by step (time-homogeneous chain),
+    # each row divided by its sum so the step's rounding cannot compound
+    # into the law's total mass
     probs = np.zeros((len(grid), spec.ell))
     probs[0, i0 - 1] = 1.0
     if len(grid) > 1:
         step = transition_matrix(spec.generator, float(grid[1] - grid[0]))
         for k in range(1, len(grid)):
-            probs[k] = probs[k - 1] @ step
+            row = probs[k - 1] @ step
+            probs[k] = row / row.sum()
     integrand = (quad * probs).sum(axis=1)
     return float(np.trapezoid(integrand, grid))

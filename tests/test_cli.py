@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 import yaml
 
-from regimelq import config
+from regimelq import config, control
 from regimelq.cli import main, read_solution_csv, run_command, write_solution_csv
 from regimelq.config import parse_config
-from regimelq.control import predicted_gap
+from regimelq.control import feedback_gain, mc_cost, predicted_gap
 from regimelq.errors import ParseError, RangeError, UnknownKey
 from regimelq.esre import SolverOptions, solve_esre
 from regimelq.model import CoefficientField
@@ -81,6 +81,31 @@ problem:
   G: [[1.0]]
 solver: {backend: ode, grid_steps: 200}
 simulate: {n_paths: 4000, dt: 0.25, seed: 12345}
+output: {solution_path: s.csv, report_path: r.txt}
+"""
+
+
+# zero dynamics and no perturbation: every residual sits at roundoff
+STATIC_RUN = """\
+problem:
+  n: 1
+  m: 1
+  ell: 2
+  T: 1.0
+  delta: 0.5
+  generator: [[0.0, 0.0], [0.0, 0.0]]
+  x0: [1.0]
+  i0: 1
+  A: [[0.0]]
+  B: [[0.0]]
+  C: [[0.0]]
+  D: [[0.0]]
+  Q: [[0.0]]
+  S: [[0.0]]
+  R: [[1.0]]
+  G: [[0.8]]
+solver: {backend: ode, grid_steps: 100}
+simulate: {n_paths: 200, dt: 0.01, seed: 1}
 output: {solution_path: s.csv, report_path: r.txt}
 """
 
@@ -395,20 +420,35 @@ class TestCommands:
     def test_verify_handles_static_problem(self, tmp_path):
         # zero dynamics: every residual sits at roundoff and all checks
         # must still come out as passes
-        text = (
-            "problem:\n"
-            "  n: 1\n  m: 1\n  ell: 2\n  T: 1.0\n  delta: 0.5\n"
-            "  generator: [[0.0, 0.0], [0.0, 0.0]]\n"
-            "  x0: [1.0]\n  i0: 1\n"
-            "  A: [[0.0]]\n  B: [[0.0]]\n  C: [[0.0]]\n  D: [[0.0]]\n"
-            "  Q: [[0.0]]\n  S: [[0.0]]\n  R: [[1.0]]\n  G: [[0.8]]\n"
-            "solver: {backend: ode, grid_steps: 100}\n"
-            "simulate: {n_paths: 200, dt: 0.01, seed: 1}\n"
-            "output: {solution_path: s.csv, report_path: r.txt}\n"
-        )
-        cfg = parse_config(write_cfg(tmp_path, text))
+        cfg = parse_config(write_cfg(tmp_path, STATIC_RUN))
         res = run_command("verify", cfg, output_dir=tmp_path)
         assert res.exit_code == 0
+
+    @pytest.mark.parametrize("run, policies", [(SMALL_RUN, 2), (STATIC_RUN, 1)],
+                             ids=["one-perturbation", "static"])
+    def test_verify_samples_once_per_perturbation(self, tmp_path, monkeypatch, run, policies):
+        # the value match reads the first gap batch's feedback estimate; a
+        # separate mc_cost batch is run only when there is no perturbation
+        # (the inverse-state drift check draws its path outside the batches)
+        calls = []
+        batch_costs = control._batch_costs
+
+        def spy(spec, pols, *args):
+            calls.append(len(pols))
+            return batch_costs(spec, pols, *args)
+
+        monkeypatch.setattr(control, "_batch_costs", spy)
+        cfg = parse_config(write_cfg(tmp_path, run))
+        assert run_command("verify", cfg, output_dir=tmp_path).exit_code == 0
+        assert calls == [policies]
+        monkeypatch.undo()
+        sim = cfg.simulate
+        gains = feedback_gain(solve_esre(cfg.problem, cfg.solver), cfg.problem)
+        est = mc_cost(cfg.problem, gains, cfg.problem.x0, cfg.problem.i0,
+                      sim.n_paths, sim.dt, sim.seed)
+        line = next(ln for ln in (tmp_path / "r.txt").read_text().splitlines()
+                    if ln.startswith("[PASS] feedback cost "))
+        assert line.split()[3] == format(est.mean, ".10g")
 
     def test_bundled_configs_solve(self, tmp_path):
         base = Path(__file__).resolve().parents[1] / "demos" / "configs"

@@ -48,6 +48,13 @@ def noisy_solution(noisy_spec):
     return solve_esre(noisy_spec, SolverOptions(grid_steps=500))
 
 
+@pytest.fixture(scope="module")
+def matrix_demo():
+    """The 2x2 demo run file and its solution."""
+    cfg = parse_config(MATRIX_DEMO)
+    return cfg, solve_esre(cfg.problem, cfg.solver)
+
+
 class TestFeedbackGain:
     def test_e1_initial_gain(self, e1, e1_solution):
         gains = feedback_gain(e1_solution, e1)
@@ -681,6 +688,43 @@ class TestOptimalityGap:
     def test_nonzero_perturbation_strictly_worse(self, noisy_spec, noisy_solution):
         gap = optimality_gap(noisy_spec, noisy_solution, 0.5, 4000, 2e-3, 29)
         assert gap.gap > 3.0 * gap.std_error
+
+    @pytest.mark.parametrize("case", ["matrix-demo", "table", "start", "uneven-chunks"])
+    def test_feedback_estimate_is_mc_cost(self, case, matrix_demo, noisy_spec,
+                                          noisy_solution, monkeypatch):
+        # the gap batch steps the feedback on the same paths as mc_cost, so
+        # its feedback estimate is mc_cost's to the last bit of every field
+        cfg, solution = matrix_demo
+        spec, pert, x0, i0 = cfg.problem, cfg.simulate.perturbations[0], None, None
+        if case == "table":
+            spec, solution = noisy_spec, noisy_solution
+            times = np.linspace(0.0, 1.0, 11)
+            pert = Perturbation(values=(0.5 - times)[:, None], times=times)
+        elif case == "start":
+            x0, i0 = [-0.3, 2.0], 2
+        elif case == "uneven-chunks":
+            monkeypatch.setattr(control, "CHUNK_PATHS", 97)
+        gains = feedback_gain(solution, spec)
+        gap = optimality_gap(spec, solution, pert, 300, 1e-2, 41, gains=gains, x0=x0, i0=i0)
+        want = mc_cost(spec, gains, spec.x0 if x0 is None else x0,
+                       spec.i0 if i0 is None else i0, 300, 1e-2, 41)
+        assert gap.feedback == want
+        assert gap.perturbed != want
+
+    @pytest.mark.parametrize("demo", ["matrix_two_regime.yaml", "asym_two_regime.yaml"])
+    def test_predicted_gap_of_demos_is_exact(self, demo):
+        # both demos have a regime-free R and D = 0, so the exact gap is
+        # e'Re T whatever the regime law; propagating that law by one step
+        # matrix without renormalizing drifted by 33 and 67 ulps
+        cfg = parse_config(MATRIX_DEMO.with_name(demo))
+        spec = cfg.problem
+        assert spec.D.is_zero()
+        e = cfg.simulate.perturbations[0].values
+        r = spec.R.sample_times(np.zeros(1))[0]
+        assert np.array_equal(r[0], r[1])
+        want = float(e @ r[0] @ e) * spec.T
+        got = predicted_gap(spec, solve_esre(spec, cfg.solver), e, spec.i0)
+        assert abs(got - want) <= 4 * np.spacing(want)
 
     def test_predicted_gap_constant_case(self, e1, e1_solution):
         # R + D'PD = 1 throughout, so the prediction integrates e^2 exactly
