@@ -19,11 +19,13 @@ simulate
     perturbation by Monte Carlo; write the estimates as CSV.
 verify
     Run the forward-backward identity checks and the optimality gaps and
-    write a PASS/FAIL report; exit 3 when a check fails.  Requires the ODE
-    backend (deterministic coefficients).  Each configured perturbation is
-    one Monte Carlo batch of the feedback and the perturbed policy on
-    common paths; the value match reads the first batch's feedback
-    estimate (a batch of the feedback alone without perturbations).
+    write a PASS/FAIL report to ``<report_path>.verify.txt``, beside the
+    solution report of ``report``; exit 3 when a check fails.  Requires
+    the ODE backend (deterministic coefficients).  Each configured
+    perturbation is one Monte Carlo batch of the feedback and the
+    perturbed policy on common paths; the value match reads the first
+    batch's feedback estimate (a batch of the feedback alone without
+    perturbations).
 report
     Render previously written artifacts into a human-readable summary and
     a plot-ready CSV series.
@@ -220,6 +222,7 @@ def _resolve_paths(config: RunConfig, output_dir) -> dict:
         base = Path(output_dir)
         base.mkdir(parents=True, exist_ok=True)
         paths = {k: base / p.name for k, p in paths.items()}
+    paths["verify"] = Path(str(paths["report"]) + ".verify.txt")
     return paths
 
 
@@ -395,14 +398,14 @@ def _cmd_verify(config: RunConfig, paths, echo, seed) -> CommandResult:
     lines.append(f"result: {'PASS' if passed else 'FAIL'} "
                  f"({sum(checks)}/{len(checks)} checks)")
     try:
-        paths["report"].write_text("\n".join(lines) + "\n")
+        paths["verify"].write_text("\n".join(lines) + "\n")
     except OSError as exc:
         raise IoError(f"cannot write report: {exc}") from exc
     for line in lines:
         echo(line)
     return CommandResult(
         EXIT_OK if passed else EXIT_VERIFICATION,
-        {"report": str(paths["report"])},
+        {"report": str(paths["verify"])},
     )
 
 

@@ -51,6 +51,20 @@ regimes off one step-major table of the narrowest integer type (1 byte
 per path-step up to 128 regimes).  Streams and estimates are the same as
 with a new substream, one array of normals and a separate regime lookup
 per path; only the set-up cost and the working set differ.
+
+Without diffusion (``C`` and ``D`` identically zero) the noise term
+``(Nx + b) dW`` is ``0 dW``: a path then reads only its chain jumps off
+its substream and its chunk holds no increments, just the regime table.
+The normals come after the jumps in every substream, so the chains are
+the same, and so are the per-path costs, bit for bit: ``mx + 0 dW`` is
+``mx`` but for the sign of an exact zero, which a quadratic cost cannot
+show.  Such a path is also a function of its chain alone, so until its
+first jump it has the state and cost of the path that never leaves
+``i0``: a chunk steps that one start path and each other path only from
+its first jump on, copying the start path's state and cost then (with
+exit rate 1 on [0, 1], as in both scalar demos, a path is stepped over
+37% of the horizon on average).  Holding 1 byte per path-step, a
+noise-free chunk takes eight times the paths of a noisy one.
 """
 
 from __future__ import annotations
@@ -339,6 +353,8 @@ class _BatchTables:
         self.times = dt * np.arange(self.n_steps)
         self.G = np.stack([spec.G.eval(spec.T, i) for i in range(1, spec.ell + 1)])
         coef = [spec.coefficient(name).sample_times(self.times) for name in "ABCDQSR"]
+        # without diffusion every path is random only through its chain
+        self.noisy = not (spec.C.is_zero() and spec.D.is_zero())
         self.loops = [_closed_loop_table(spec, p, coef, self.times, dt) for p in policies]
 
 
@@ -381,25 +397,56 @@ def _simulate_chunk(tables: _BatchTables, x0, i0, master_seed, lo, hi, costs):
     ``_DRAW_BLOCK`` paths.  Each full block is scaled by ``sqrt(dt)`` into
     the step-major increments ``dw`` (steps, paths), so each step reads
     contiguous increments and regimes, and ``dw`` is the chunk's only
-    paths-by-steps float array."""
+    paths-by-steps float array.  Without diffusion a path draws its chain
+    jumps only, the chunk's one paths-by-steps array is the regime table,
+    and each path is stepped from its first jump on (see
+    :func:`_shared_start`)."""
     spec = tables.spec
     n_steps, dt = tables.n_steps, tables.dt
     count = hi - lo
     q = spec.generator.q
     q, cum = q.tolist(), _jump_cumprobs(q).tolist()
     chains = []
-    dw = np.empty((n_steps, count))
-    block = np.empty((min(_DRAW_BLOCK, count), n_steps))
+    dw = block = None
+    if tables.noisy:
+        dw = np.empty((n_steps, count))
+        block = np.empty((min(_DRAW_BLOCK, count), n_steps))
     sq = np.sqrt(dt)
     for p, rng in enumerate(rekeyed(path_substream(master_seed, lo), range(lo, hi))):
-        j = p % _DRAW_BLOCK
         chains.append(sample_jumps(q, cum, i0, spec.T, rng))
+        if dw is None:
+            continue
+        j = p % _DRAW_BLOCK
         rng.standard_normal(out=block[j])
         if j == len(block) - 1 or p == count - 1:
             np.multiply(sq, block[:j + 1].T, out=dw[:, p - j:p + 1])
+    shared = None
+    if dw is None:
+        chains, shared = _shared_start(tables.times, i0, chains)
     reg = _regime_table(tables.times, i0, chains, spec.ell)
     for ip, table in enumerate(tables.loops):
-        costs[ip, lo:hi] = _run_paths(table, tables.G, x0, reg[:n_steps], reg[n_steps], dw, lo)
+        costs[ip, lo:hi] = _run_paths(table, tables.G, x0, reg[:n_steps], reg[n_steps], dw,
+                                      lo, shared)
+
+
+def _shared_start(times, i0, chains):
+    """Noise-free chains ordered so that :func:`_run_paths` steps each path
+    only from its first jump on: returns ``([start] + sorted chains, (live,
+    column))``.
+
+    Without diffusion a path's state and cost are those of ``start``, the
+    chain that never leaves ``i0``, up to the step its first jump counts
+    from in the regime table.  The chains follow ``start`` in the order of
+    that step; ``live[k]`` counts the columns that step k reads, and
+    ``column[p]`` is the column of chain p.
+    """
+    first = np.array([jumps[0] if jumps else np.inf for jumps, _ in chains])
+    order = np.argsort(first, kind="stable")
+    steps = np.searchsorted(times, first[order], side="left")
+    live = 1 + np.searchsorted(steps, np.arange(len(times)), side="right")
+    column = np.empty(len(chains), dtype=np.intp)
+    column[order] = np.arange(1, len(chains) + 1)
+    return [([], [i0])] + [chains[p] for p in order], (live, column)
 
 
 def _regime_table(times, i0, chains, ell) -> np.ndarray:
@@ -433,7 +480,7 @@ def _regime_table(times, i0, chains, ell) -> np.ndarray:
     return table
 
 
-def _run_paths(table, G, x0, reg, reg_T, dw, path_offset):
+def _run_paths(table, G, x0, reg, reg_T, dw, path_offset, shared=None):
     """Per-path costs under one closed-loop table.
 
     The state is held as n vectors, one per state entry, over the paths.
@@ -447,18 +494,31 @@ def _run_paths(table, G, x0, reg, reg_T, dw, path_offset):
         x_i <- (mx_i + a_i) + (nx_i + b_i) dW,
 
     the sums again left to right.  Per-path costs therefore do not depend
-    on which SIMD kernel numpy dispatches.
+    on which SIMD kernel numpy dispatches.  ``dw`` is None for a problem
+    without diffusion, whose noise term ``(nx_i + b_i) dW`` is skipped.
+
+    ``shared`` is None or, without diffusion, the ``(live, column)`` of
+    :func:`_shared_start`: step k then reads the first ``live[k]`` columns
+    only.  The others are still in the start regime of column 0 and take
+    its state and cost when they join, so every column's arithmetic is the
+    same as when all are stepped.  Costs are returned in path order.
     """
     n_steps, count = reg.shape
     n = x0.size
     nn = n * n
     l_, a_, b_ = 3 * nn, 3 * nn + n, 3 * nn + 2 * n      # W, M, N start at 0, nn, 2nn
-    x = [np.full(count, v) for v in x0]
+    live, column = (None, None) if shared is None else shared
+    m = count if live is None else live[0]
+    x = [np.full(m, v) for v in x0]
     cost = np.zeros(count)
-    tmp = np.empty(count)
+    scratch = np.empty(count)
+    tmp = scratch[:m]
     # in-place updates of new vectors, in the order of the brackets above
     for k in range(n_steps):
-        row = np.take(table[k], reg[k], axis=0).T
+        if live is not None and live[k] > m:
+            x, m = _join(x, cost, m, live[k]), live[k]
+            tmp = scratch[:m]
+        row = np.take(table[k], reg[k, :m], axis=0).T
         for i in range(n):
             wl = _dot(row, n * i, x, tmp)
             wl += row[l_ + i]
@@ -468,23 +528,37 @@ def _run_paths(table, G, x0, reg, reg_T, dw, path_offset):
             else:
                 run = wl
         run += row[-1]
-        cost += run
+        cost[:m] += run
         new = []
         for i in range(n):
             mx = _dot(row, nn + n * i, x, tmp)
             mx += row[a_ + i]
-            nx = _dot(row, 2 * nn + n * i, x, tmp)
-            nx += row[b_ + i]
-            nx *= dw[k]
-            mx += nx
+            if dw is not None:
+                nx = _dot(row, 2 * nn + n * i, x, tmp)
+                nx += row[b_ + i]
+                nx *= dw[k]
+                mx += nx
             new.append(mx)
         x = new
         if any(np.abs(v).max() > 1e8 for v in x):
             big = np.logical_or.reduce([np.abs(v) > 1e8 for v in x])
+            if column is not None:      # column 0 stands for the columns yet to join
+                big = np.append(big, np.full(count - m, big[0]))[column]
             raise BlowUp(f"state norm exceeded 1e8 at step {k + 1}",
                          path_index=path_offset + int(np.argmax(big)))
+    x = _join(x, cost, m, count)
     g = np.take(G.reshape(len(G), nn), reg_T, axis=0).T
-    return cost + _dot([_dot(g, n * i, x, tmp) for i in range(n)], 0, x, tmp)
+    cost += _dot([_dot(g, n * i, x, scratch) for i in range(n)], 0, x, scratch)
+    return cost if column is None else cost[column]
+
+
+def _join(x, cost, m, to):
+    """State vectors over columns [0, to): columns m..to-1, which have not
+    left the start regime, take the state and cost of column 0."""
+    if to == m:
+        return x
+    cost[m:to] = cost[0]
+    return [np.concatenate((v, np.full(to - m, v[0]))) for v in x]
 
 
 def _dot(row, r, x, tmp):
@@ -504,8 +578,11 @@ def _batch_costs(spec, policies, x0, i0, n_paths, dt, master_seed) -> np.ndarray
     _check_path_count(n_paths, 1)
     tables = _BatchTables(spec, policies, dt)
     costs = np.empty((len(policies), n_paths))
-    for lo in range(0, n_paths, CHUNK_PATHS):
-        hi = min(lo + CHUNK_PATHS, n_paths)
+    # a noise-free chunk holds 1 byte per path-step instead of 8 + 1, so
+    # eight times the paths fit in the bytes of a noisy chunk's increments
+    width = CHUNK_PATHS if tables.noisy else 8 * CHUNK_PATHS
+    for lo in range(0, n_paths, width):
+        hi = min(lo + width, n_paths)
         _simulate_chunk(tables, x0, i0, master_seed, lo, hi, costs)
     return costs
 

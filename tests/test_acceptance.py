@@ -235,7 +235,7 @@ def test_criterion_10_deterministic_artifacts(tmp_path):
             assert code == 0, f"{command} failed in determinism run"
         outputs[tag] = {
             name: (outdir / name).read_bytes()
-            for name in ("s.csv", "s.csv.meta.json", "r.txt", "c.csv")
+            for name in ("s.csv", "s.csv.meta.json", "r.txt.verify.txt", "c.csv")
         }
     identical = all(outputs["first"][k] == outputs["second"][k]
                     for k in outputs["first"])

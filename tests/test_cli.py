@@ -361,7 +361,7 @@ class TestCommands:
         cfg = parse_config(write_cfg(tmp_path, SMALL_RUN))
         res = run_command("verify", cfg, output_dir=tmp_path)
         assert res.exit_code == 0
-        assert "result: PASS" in (tmp_path / "r.txt").read_text()
+        assert "result: PASS" in (tmp_path / "r.txt.verify.txt").read_text()
 
     def test_verify_gap_starts_from_simulate_regime(self, tmp_path):
         # R differs by regime, so the predicted gap depends on the initial
@@ -377,7 +377,7 @@ class TestCommands:
         pert = cfg.simulate.perturbations[0]
         want = predicted_gap(cfg.problem, solution, pert, 2)
         assert want != predicted_gap(cfg.problem, solution, pert, 1)
-        line = next(ln for ln in (tmp_path / "r.txt").read_text().splitlines()
+        line = next(ln for ln in (tmp_path / "r.txt.verify.txt").read_text().splitlines()
                     if ln.startswith("[PASS] perturbation[0] gap"))
         assert line.split(" vs predicted ")[1].split()[0] == format(want, ".10g")
 
@@ -385,7 +385,17 @@ class TestCommands:
         cfg = parse_config(write_cfg(tmp_path, BIASED_RUN))
         res = run_command("verify", cfg, output_dir=tmp_path)
         assert res.exit_code == 3
-        assert "FAIL" in (tmp_path / "r.txt").read_text()
+        assert "FAIL" in (tmp_path / "r.txt.verify.txt").read_text()
+
+    def test_verify_and_report_keep_their_own_files(self, tmp_path):
+        # verify writes beside the solution report, so running both into
+        # one directory leaves the PASS lines and the solution summary
+        cfg = parse_config(write_cfg(tmp_path, SMALL_RUN))
+        for command in ("solve", "verify", "report"):
+            assert run_command(command, cfg, output_dir=tmp_path).exit_code == 0
+        assert "result: PASS" in (tmp_path / "r.txt.verify.txt").read_text()
+        report = (tmp_path / "r.txt").read_text()
+        assert report.startswith("solution report\n") and "PASS" not in report
 
     def test_report_renders_solution(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, SMALL_RUN))
@@ -446,7 +456,7 @@ class TestCommands:
         gains = feedback_gain(solve_esre(cfg.problem, cfg.solver), cfg.problem)
         est = mc_cost(cfg.problem, gains, cfg.problem.x0, cfg.problem.i0,
                       sim.n_paths, sim.dt, sim.seed)
-        line = next(ln for ln in (tmp_path / "r.txt").read_text().splitlines()
+        line = next(ln for ln in (tmp_path / "r.txt.verify.txt").read_text().splitlines()
                     if ln.startswith("[PASS] feedback cost "))
         assert line.split()[3] == format(est.mean, ".10g")
 
@@ -614,6 +624,6 @@ class TestMain:
         for d in ("x", "y"):
             main(["solve", "--config", str(cfg), "--output", str(tmp_path / d)])
             main(["verify", "--config", str(cfg), "--output", str(tmp_path / d)])
-        for name in ("s.csv", "s.csv.meta.json", "r.txt"):
+        for name in ("s.csv", "s.csv.meta.json", "r.txt.verify.txt"):
             assert ((tmp_path / "x" / name).read_bytes()
                     == (tmp_path / "y" / name).read_bytes())

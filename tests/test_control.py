@@ -35,6 +35,7 @@ from conftest import make_e1, random_spec, scalar_spec
 
 MATRIX_DEMO = Path(__file__).resolve().parent.parent / "demos/configs/matrix_two_regime.yaml"
 TREE_DEMO = MATRIX_DEMO.with_name("tree_random_q.yaml")
+ASYM_DEMO = MATRIX_DEMO.with_name("asym_two_regime.yaml")
 
 
 @pytest.fixture(scope="module")
@@ -311,7 +312,7 @@ class TestMcCost:
         monkeypatch.setattr(control, "_run_paths",
                             lambda *args: drawn.append(args) or run_paths(*args))
         costs = _batch_costs(spec, [policy], [1.0], 1, 50, 1e-2, 8)
-        _, _, _, reg, reg_T, dw, _ = drawn[0]
+        reg, reg_T, dw = drawn[0][3:6]
         dt = 1e-2
         times = dt * np.arange(reg.shape[0])
         a, b, c, d, q, s, r = (spec.coefficient(name).sample_times(times)[:, :, 0, 0]
@@ -368,7 +369,8 @@ class TestChunkSampler:
 
     @pytest.mark.parametrize("problem", ["noisy-scalar", "matrix-demo", "fast-switching",
                                          "absorbing", "uneven-chunks", "block-of-one",
-                                         "uneven-blocks"])
+                                         "uneven-blocks", "no-diffusion",
+                                         "control-noise-only"])
     def test_costs_equal_per_path_sampler(self, problem, request, monkeypatch):
         dt, n_paths, i0 = 1e-2, 300, 1
         if problem == "noisy-scalar":
@@ -379,6 +381,14 @@ class TestChunkSampler:
             # regime 2 has zero exit rate
             spec = scalar_spec(generator=[[-3.0, 3.0], [0.0, 0.0]], A=[0.2, -0.3], B=1.0,
                                C=0.4, Q=[1.0, 0.0], R=1.0, G=[1.0, 2.0])
+        elif problem in ("no-diffusion", "control-noise-only"):
+            # C = 0: the engine draws no normals unless D != 0, where the
+            # perturbed policy's b = D e and N = D K are not zero
+            d = [0.3, 0.1] if problem == "control-noise-only" else 0.0
+            spec = scalar_spec(A=[0.2, -0.3], B=1.0, D=d, Q=[1.0, 0.0], R=1.0,
+                               G=[1.0, 2.0])
+            noisy = control._BatchTables(spec, [], dt).noisy
+            assert noisy == (problem == "control-noise-only")
         else:
             spec = scalar_spec(ell=3, generator=FAST_SWITCHING, A=[0.1, -0.5, 0.3], B=1.0,
                                C=[0.2, 0.5, 0.1], Q=[1.0, 0.0, 2.0], R=1.0,
@@ -421,6 +431,25 @@ class TestChunkSampler:
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * 8 * n_paths * round(spec.T / dt)
+
+    def test_noise_free_chunk_holds_only_its_regime_table(self):
+        # without diffusion a full chunk, eight times as many paths as a
+        # noisy one, at 1000 steps draws no increments: its one
+        # paths-by-steps array is the one-byte regime table, far below the
+        # 8 bytes per path-step of a noisy chunk's increments
+        spec = scalar_spec(A=[0.2, -0.3], B=1.0, Q=[1.0, 0.0], R=1.0, G=[1.0, 2.0])
+        gains = CoefficientField.from_table(np.array([0.0, 1.0]),
+                                            np.full((2, 2, 1, 1), -0.4))
+        n_paths, dt = 8 * control.CHUNK_PATHS, 1e-3
+        _batch_costs(spec, [Policy(gains=gains)], [1.0], 1, 8, dt, 0)
+        tracemalloc.start()
+        try:
+            costs = _batch_costs(spec, [Policy(gains=gains)], [1.0], 1, n_paths, dt, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.unique(costs).size > 1
+        assert peak <= 0.25 * 8 * n_paths * round(spec.T / dt)
 
     def test_jump_on_a_grid_time_counts_from_that_step(self, monkeypatch):
         spec = scalar_spec(A=[0.2, -0.3], B=1.0, C=0.4, Q=[1.0, 0.0], R=1.0, G=[1.0, 2.0])
@@ -472,6 +501,100 @@ class TestChunkSampler:
         for p, (jumps, states) in enumerate(chains):
             path = RegimePath(T=T, states=states, jump_times=np.array(jumps))
             assert np.array_equal(table[:, p], path.regime_at(np.append(times, T)) - 1)
+
+
+def _no_diffusion_spec(problem):
+    """A problem with C = D = 0: e1, the asymmetric scalar demo or a 2x2
+    problem whose A, B and Q are time tables."""
+    if problem == "e1":
+        return make_e1()
+    if problem == "asym-demo":
+        return parse_config(ASYM_DEMO).problem
+    times = np.array([0.0, 0.4, 0.7])
+    ramp = (1.0 + times)[:, None, None, None]
+    a = np.array([[[0.1, 0.2], [0.0, -0.3]], [[-0.2, 0.0], [0.1, 0.1]]])
+    b = np.array([[[1.0], [0.5]], [[0.8], [1.0]]])
+    q = np.array([[[1.0, 0.1], [0.1, 0.5]], [[2.0, 0.0], [0.0, 1.0]]])
+    return ProblemSpec(
+        n=2, m=1, ell=2, T=1.0, generator=[[-0.8, 0.8], [0.5, -0.5]], delta=0.2,
+        A=CoefficientField.from_table(times, ramp * a),
+        B=CoefficientField.from_table(times, ramp * b),
+        C=np.zeros((2, 2, 2)), D=np.zeros((2, 2, 1)),
+        Q=CoefficientField.from_table(times, ramp * q),
+        S=np.zeros((2, 1, 2)), R=np.ones((2, 1, 1)), G=0.5 * np.stack([np.eye(2)] * 2),
+        x0=[1.0, -0.5], i0=1)
+
+
+class TestNoDiffusion:
+    """Without diffusion the engine draws no normals and skips ``0 dW``;
+    per-path costs equal those of the drawing path bit for bit."""
+
+    @pytest.mark.parametrize("chunking", ["default", "uneven"])
+    @pytest.mark.parametrize("problem", ["e1", "asym-demo", "time-table"])
+    def test_costs_equal_drawing_path(self, problem, chunking, monkeypatch):
+        spec = _no_diffusion_spec(problem)
+        gains = feedback_gain(solve_esre(spec, SolverOptions(grid_steps=200)), spec)
+        offset = Perturbation(values=np.array([[0.3], [-0.2]]), times=np.array([0.0, 0.35]))
+        policies = [Policy(gains=gains), Policy(gains=gains, offset=offset)]
+        if chunking == "uneven":
+            # noisy chunks of 97 paths, the last of 29, with draw blocks of
+            # 7; noise-free chunks of 8 x 97 = 776, the last of 320
+            monkeypatch.setattr(control, "CHUNK_PATHS", 97)
+            monkeypatch.setattr(control, "_DRAW_BLOCK", 7)
+        args = (np.linspace(1.0, -0.5, spec.n), 1, 4200, 1e-2, 23)
+        assert not control._BatchTables(spec, policies, 1e-2).noisy
+        quiet = _batch_costs(spec, policies, *args)
+        # force the drawing path: normals drawn, 0 dW added at every step
+        monkeypatch.setattr(spec.C, "is_zero", lambda: False)
+        assert control._BatchTables(spec, policies, 1e-2).noisy
+        assert np.array_equal(quiet, _batch_costs(spec, policies, *args))
+        assert not np.array_equal(quiet[0], quiet[1])
+
+    def test_blowup_names_step_and_path_of_drawing_path(self, monkeypatch):
+        # regime 2 doubles the state each step, regime 1 holds it: a path
+        # blows up 27 steps after it first jumps, long after the start path
+        # it shared until then; the error names the step and the path that
+        # stepping every path from the start names
+        spec = scalar_spec(A=[0.0, 100.0], R=1.0, G=1.0)
+        with pytest.raises(BlowUp) as quiet:
+            _batch_costs(spec, [None], [1.0], 1, 300, 1e-2, 5)
+        monkeypatch.setattr(spec.C, "is_zero", lambda: False)
+        with pytest.raises(BlowUp) as drawn:
+            _batch_costs(spec, [None], [1.0], 1, 300, 1e-2, 5)
+        assert str(quiet.value) == str(drawn.value)
+        assert quiet.value.path_index == drawn.value.path_index > 0
+
+
+class TestGoldenEstimates:
+    """Monte Carlo estimates pinned to 17 significant digits at 512 paths,
+    as the engine gave them before it skipped the normals of noise-free
+    problems.  A change that moves them moves every Monte Carlo answer
+    (or the solver's feedback gains)."""
+
+    def test_e1_mc_cost(self, e1, e1_solution):
+        est = mc_cost(e1, feedback_gain(e1_solution, e1), [1.0], 1, 512, 1e-3, 20240901)
+        assert (format(est.mean, ".17g"), format(est.std_error, ".17g")) == (
+            "0.50000000000000044", "0")
+
+    def test_asymmetric_demo_mc_cost(self):
+        cfg = parse_config(ASYM_DEMO)
+        spec, sim = cfg.problem, cfg.simulate
+        gains = feedback_gain(solve_esre(spec, cfg.solver), spec)
+        est = mc_cost(spec, gains, spec.x0, spec.i0, 512, sim.dt, sim.seed)
+        assert (format(est.mean, ".17g"), format(est.std_error, ".17g")) == (
+            "0.89655725190168145", "0.0061635776710071265")
+
+    def test_matrix_demo_optimality_gap(self, matrix_demo):
+        cfg, solution = matrix_demo
+        sim = cfg.simulate
+        gap = optimality_gap(cfg.problem, solution, sim.perturbations[0], 512, sim.dt,
+                             sim.seed)
+        got = [format(v, ".17g") for v in (
+            gap.gap, gap.std_error, gap.feedback.mean, gap.feedback.std_error,
+            gap.perturbed.mean, gap.perturbed.std_error)]
+        assert got == ["0.24708522422921053", "0.0035634030499190079",
+                       "1.3111955235091262", "0.016756205263840793",
+                       "1.5582807477383367", "0.019490710755022071"]
 
 
 def _packed_tables(n, ell=3, steps=30, count=40, seed=0):
