@@ -58,13 +58,15 @@ its substream and its chunk holds no increments, just the regime table.
 The normals come after the jumps in every substream, so the chains are
 the same, and so are the per-path costs, bit for bit: ``mx + 0 dW`` is
 ``mx`` but for the sign of an exact zero, which a quadratic cost cannot
-show.  Such a path is also a function of its chain alone, so until its
-first jump it has the state and cost of the path that never leaves
-``i0``: a chunk steps that one start path and each other path only from
-its first jump on, copying the start path's state and cost then (with
-exit rate 1 on [0, 1], as in both scalar demos, a path is stepped over
-37% of the horizon on average).  Holding 1 byte per path-step, a
-noise-free chunk takes eight times the paths of a noisy one.
+show.  Such a path is also a function of its regime rows on the grid
+alone, so paths whose rows agree up to a step have the same state and
+cost there: a chunk steps one column per distinct grid history, and a
+column joins at the first step where its history parts from those
+already stepped, copying then the state and cost of a column that shared
+its history so far.  With exit rate 1 on [0, 1] and 1000 steps, as in
+both scalar demos, 20000 paths hold about 6400 distinct histories, of
+which a step reads 2600 on average.  Holding at most 1 byte per
+path-step, a noise-free chunk takes eight times the paths of a noisy one.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -398,9 +401,10 @@ def _simulate_chunk(tables: _BatchTables, x0, i0, master_seed, lo, hi, costs):
     the step-major increments ``dw`` (steps, paths), so each step reads
     contiguous increments and regimes, and ``dw`` is the chunk's only
     paths-by-steps float array.  Without diffusion a path draws its chain
-    jumps only, the chunk's one paths-by-steps array is the regime table,
-    and each path is stepped from its first jump on (see
-    :func:`_shared_start`)."""
+    jumps only, and the chunk's one paths-by-steps array is the regime
+    table of one column per distinct grid history, each stepped from the
+    step its history parts from the others' on (see
+    :func:`_shared_prefixes`)."""
     spec = tables.spec
     n_steps, dt = tables.n_steps, tables.dt
     count = hi - lo
@@ -420,62 +424,106 @@ def _simulate_chunk(tables: _BatchTables, x0, i0, master_seed, lo, hi, costs):
         rng.standard_normal(out=block[j])
         if j == len(block) - 1 or p == count - 1:
             np.multiply(sq, block[:j + 1].T, out=dw[:, p - j:p + 1])
+    jumps = _flat_jumps(tables.times, chains)
     shared = None
     if dw is None:
-        chains, shared = _shared_start(tables.times, i0, chains)
-    reg = _regime_table(tables.times, i0, chains, spec.ell)
+        jumps, shared = _shared_prefixes(n_steps, spec.ell, *jumps)
+    reg = _regime_table(n_steps + 1, i0, spec.ell, *jumps)
     for ip, table in enumerate(tables.loops):
         costs[ip, lo:hi] = _run_paths(table, tables.G, x0, reg[:n_steps], reg[n_steps], dw,
                                       lo, shared)
 
 
-def _shared_start(times, i0, chains):
-    """Noise-free chains ordered so that :func:`_run_paths` steps each path
-    only from its first jump on: returns ``([start] + sorted chains, (live,
-    column))``.
-
-    Without diffusion a path's state and cost are those of ``start``, the
-    chain that never leaves ``i0``, up to the step its first jump counts
-    from in the regime table.  The chains follow ``start`` in the order of
-    that step; ``live[k]`` counts the columns that step k reads, and
-    ``column[p]`` is the column of chain p.
-    """
-    first = np.array([jumps[0] if jumps else np.inf for jumps, _ in chains])
-    order = np.argsort(first, kind="stable")
-    steps = np.searchsorted(times, first[order], side="left")
-    live = 1 + np.searchsorted(steps, np.arange(len(times)), side="right")
-    column = np.empty(len(chains), dtype=np.intp)
-    column[order] = np.arange(1, len(chains) + 1)
-    return [([], [i0])] + [chains[p] for p in order], (live, column)
-
-
-def _regime_table(times, i0, chains, ell) -> np.ndarray:
-    """0-based regimes of a chunk of chain paths, step-major: array
-    (len(times) + 1, paths) whose row k is the regime at ``times[k]`` and
-    whose last row is the regime at T.  ``chains`` holds each path's
-    ``(jump_times, states)`` from :func:`sample_jumps`, all started at
-    ``i0`` in one of ``ell`` regimes.  The table has the narrowest signed
-    integer type that holds ``-ell`` (int8 up to 128 regimes), so every
-    regime and every state change fits.
+def _flat_jumps(times, chains):
+    """The jumps of ``chains``, each a ``(jump_times, states)`` pair from
+    :func:`sample_jumps`, as flat arrays in chain order: ``(counts, rows,
+    after)`` holds each chain's jump count and, per jump, the regime-table
+    row it counts from and the 0-based regime it leads to.
 
     Jump j counts from the first step with ``times[k] >= t_j``, the cadlag
-    lookup of :meth:`RegimePath.regime_at`: each jump's state change is
-    added to the row of that step, then rows are summed in step order.
+    lookup of :meth:`RegimePath.regime_at`; row ``len(times)`` is the
+    regime at T, the only row a jump after ``times[-1]`` moves.
     """
-    table = np.zeros((len(times) + 1, len(chains)), dtype=np.min_scalar_type(-ell))
+    counts = np.fromiter(map(len, (jumps for jumps, _ in chains)), np.intp, len(chains))
+    total = int(counts.sum())
+    rows = np.searchsorted(times, np.fromiter(
+        chain.from_iterable(jumps for jumps, _ in chains), float, total), side="left")
+    after = np.fromiter(chain.from_iterable(states[1:] for _, states in chains), np.intp, total)
+    return counts, rows, after - 1
+
+
+def _shared_prefixes(n_steps, ell, counts, rows, after):
+    """Noise-free chains, given as :func:`_flat_jumps`, grouped so that
+    :func:`_run_paths` steps each distinct grid regime history once:
+    returns the flat jumps of one chain per column and ``(live, source,
+    column)``.
+
+    A chain's grid key is its jumps as ``(row, regime)`` pairs.  Without
+    diffusion chains whose keys agree on the jumps before step k have the
+    same state and cost at the start of step k.  The keys are sorted with a
+    shorter key first and, among the branches of one prefix, the later jump
+    first; equal keys share one column, and every other column is born at
+    the step of its first jump that differs from the key before it.
+    Columns are ordered by birth: ``live[k]`` counts the columns that step
+    k reads, ``source[c]`` is a column born before ``c`` with the same jumps
+    before c's birth, whose state and cost c copies then, and ``column[p]``
+    is the column of chain p.  The keys take raw jumps: merging jumps that
+    land on one step could only add sharing.
+    """
+    # one code per jump, larger for an earlier row, then for a higher
+    # regime; 0 pads a shorter key, so lexicographic order is the order above
+    key = np.zeros((len(counts), max(counts.max(), 1)),
+                   dtype=np.min_scalar_type((n_steps + 1) * ell))
+    entry = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    key[np.repeat(np.arange(len(counts)), counts), entry] = (n_steps - rows) * ell + after + 1
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
+    new = np.ones(len(counts), dtype=bool)
+    new[1:] = (key[1:] != key[:-1]).any(axis=1)
+    key = key[new]
+    # common prefix with the key before, and the row of the jump after it
+    lcp = np.argmax(key[1:] != key[:-1], axis=1)
+    birth = np.zeros(len(key), dtype=np.intp)
+    birth[1:] = n_steps - (key[1:][np.arange(len(lcp)), lcp].astype(np.intp) - 1) // ell
+    # the source heads the run of keys sharing the jumps before the birth
+    depth = np.zeros(len(key), dtype=np.intp)
+    depth[1:] = (key[1:] > ((n_steps - birth[1:]) * ell + ell)[:, None]).sum(axis=1)
+    lcp = np.concatenate(([-1], lcp))
+    index = np.arange(len(key))
+    source = np.zeros(len(key), dtype=np.intp)
+    for d in range(1, depth.max() + 1):
+        heads = np.maximum.accumulate(np.where(lcp < d, index, 0))
+        source[depth == d] = heads[depth == d]
+    by_birth = np.argsort(birth, kind="stable")
+    rank = np.empty_like(by_birth)
+    rank[by_birth] = index
+    column = np.empty(len(counts), dtype=np.intp)
+    column[order] = rank[np.cumsum(new) - 1]
+    live = np.searchsorted(birth[by_birth], np.arange(n_steps), side="right")
+    key = key[by_birth]
+    code = key[key > 0].astype(np.intp) - 1
+    jumps = (key > 0).sum(axis=1), n_steps - code // ell, code % ell
+    return jumps, (live, rank[source[by_birth]], column)
+
+
+def _regime_table(n_rows, i0, ell, counts, rows, after) -> np.ndarray:
+    """0-based regimes of a chunk of chain paths, step-major: array
+    (n_rows, paths) whose row k is the regime at grid time k and whose last
+    row is the regime at T.  The jumps come as :func:`_flat_jumps` gives
+    them, every path started at ``i0`` in one of ``ell`` regimes.  The table has the narrowest signed integer
+    type that holds ``-ell`` (int8 up to 128 regimes), so every regime and
+    every state change fits.
+
+    Each jump's state change is added to the row it counts from, then rows
+    are summed in step order.
+    """
+    table = np.zeros((n_rows, len(counts)), dtype=np.min_scalar_type(-ell))
     table[0] = i0 - 1
-    jump_times, jump_paths, before, after = [], [], [], []
-    for p, (jumps, states) in enumerate(chains):
-        if jumps:
-            jump_times += jumps
-            jump_paths += [p] * len(jumps)
-            before += states[:-1]
-            after += states[1:]
-    if jump_times:
-        rows = np.searchsorted(times, jump_times, side="left")
-        np.add.at(table, (rows, jump_paths), np.subtract(after, before))
+    before = np.roll(after, 1)
+    before[(np.cumsum(counts) - counts)[counts > 0]] = i0 - 1
+    np.add.at(table, (rows, np.repeat(np.arange(len(counts)), counts)), after - before)
     # row by row: cumsum along axis 0 of a wide table is far slower
-    for k in range(len(times)):
+    for k in range(n_rows - 1):
         np.add(table[k + 1], table[k], out=table[k + 1])
     return table
 
@@ -497,17 +545,20 @@ def _run_paths(table, G, x0, reg, reg_T, dw, path_offset, shared=None):
     on which SIMD kernel numpy dispatches.  ``dw`` is None for a problem
     without diffusion, whose noise term ``(nx_i + b_i) dW`` is skipped.
 
-    ``shared`` is None or, without diffusion, the ``(live, column)`` of
-    :func:`_shared_start`: step k then reads the first ``live[k]`` columns
-    only.  The others are still in the start regime of column 0 and take
-    its state and cost when they join, so every column's arithmetic is the
-    same as when all are stepped.  Costs are returned in path order.
+    ``shared`` is None or, without diffusion, the ``(live, source,
+    column)`` of :func:`_shared_prefixes`, ``reg`` and ``reg_T`` then
+    holding one column per distinct grid history: step k reads the first
+    ``live[k]`` columns only.  A column joins at the step its history parts
+    from the others' and takes the state and cost of its source, a live
+    column with the same history so far, so every column's arithmetic is
+    the same as when each path is stepped on its own.  Costs are returned
+    in path order.
     """
     n_steps, count = reg.shape
     n = x0.size
     nn = n * n
     l_, a_, b_ = 3 * nn, 3 * nn + n, 3 * nn + 2 * n      # W, M, N start at 0, nn, 2nn
-    live, column = (None, None) if shared is None else shared
+    live, source, column = (None, None, None) if shared is None else shared
     m = count if live is None else live[0]
     x = [np.full(m, v) for v in x0]
     cost = np.zeros(count)
@@ -516,7 +567,7 @@ def _run_paths(table, G, x0, reg, reg_T, dw, path_offset, shared=None):
     # in-place updates of new vectors, in the order of the brackets above
     for k in range(n_steps):
         if live is not None and live[k] > m:
-            x, m = _join(x, cost, m, live[k]), live[k]
+            x, m = _join(x, cost, source, m, live[k]), live[k]
             tmp = scratch[:m]
         row = np.take(table[k], reg[k, :m], axis=0).T
         for i in range(n):
@@ -542,23 +593,35 @@ def _run_paths(table, G, x0, reg, reg_T, dw, path_offset, shared=None):
         x = new
         if any(np.abs(v).max() > 1e8 for v in x):
             big = np.logical_or.reduce([np.abs(v) > 1e8 for v in x])
-            if column is not None:      # column 0 stands for the columns yet to join
-                big = np.append(big, np.full(count - m, big[0]))[column]
+            if column is not None:
+                big = big[_live_column(column, source, m)]
             raise BlowUp(f"state norm exceeded 1e8 at step {k + 1}",
                          path_index=path_offset + int(np.argmax(big)))
-    x = _join(x, cost, m, count)
+    x = _join(x, cost, source, m, count)
     g = np.take(G.reshape(len(G), nn), reg_T, axis=0).T
     cost += _dot([_dot(g, n * i, x, scratch) for i in range(n)], 0, x, scratch)
     return cost if column is None else cost[column]
 
 
-def _join(x, cost, m, to):
-    """State vectors over columns [0, to): columns m..to-1, which have not
-    left the start regime, take the state and cost of column 0."""
+def _join(x, cost, source, m, to):
+    """State vectors over columns [0, to): columns m..to-1, born now, take
+    the state and cost of their live sources."""
     if to == m:
         return x
-    cost[m:to] = cost[0]
-    return [np.concatenate((v, np.full(to - m, v[0]))) for v in x]
+    fed = source[m:to]
+    cost[m:to] = cost[fed]
+    return [np.concatenate((v, v[fed])) for v in x]
+
+
+def _live_column(column, source, m):
+    """The column among the first m that holds each path's history: a
+    column not yet born is represented by its source, and so on."""
+    column = column.copy()
+    late = column >= m
+    while late.any():
+        column[late] = source[column[late]]
+        late = column >= m
+    return column
 
 
 def _dot(row, r, x, tmp):

@@ -495,7 +495,7 @@ class TestChunkSampler:
                 states.append(data.draw(st.sampled_from([s for s in range(1, ell + 1)
                                                          if s != states[-1]])))
             chains.append((jumps, states))
-        table = control._regime_table(times, i0, chains, ell)
+        table = control._regime_table(n_steps + 1, i0, ell, *control._flat_jumps(times, chains))
         assert table.shape == (n_steps + 1, len(chains))
         assert table.dtype == (np.int8 if ell <= 128 else np.int16)
         for p, (jumps, states) in enumerate(chains):
@@ -504,12 +504,21 @@ class TestChunkSampler:
 
 
 def _no_diffusion_spec(problem):
-    """A problem with C = D = 0: e1, the asymmetric scalar demo or a 2x2
-    problem whose A, B and Q are time tables."""
+    """A problem with C = D = 0: e1, the asymmetric scalar demo, a 2x2
+    problem whose A, B and Q are time tables or a fast three-regime
+    scalar problem."""
     if problem == "e1":
         return make_e1()
     if problem == "asym-demo":
         return parse_config(ASYM_DEMO).problem
+    if problem == "three-fast":
+        # exit rates 20 to 40: a quarter of the paths leave the start
+        # regime in the first step of 1e-2, into regime 2 or 3, and
+        # histories keep parting at every step
+        return scalar_spec(ell=3, generator=[[-30.0, 15.0, 15.0], [20.0, -40.0, 20.0],
+                                             [10.0, 10.0, -20.0]],
+                           A=[0.1, -0.5, 0.3], B=1.0, Q=[1.0, 0.0, 2.0], R=1.0,
+                           G=[1.0, 2.0, 0.5])
     times = np.array([0.0, 0.4, 0.7])
     ramp = (1.0 + times)[:, None, None, None]
     a = np.array([[[0.1, 0.2], [0.0, -0.3]], [[-0.2, 0.0], [0.1, 0.1]]])
@@ -530,7 +539,7 @@ class TestNoDiffusion:
     per-path costs equal those of the drawing path bit for bit."""
 
     @pytest.mark.parametrize("chunking", ["default", "uneven"])
-    @pytest.mark.parametrize("problem", ["e1", "asym-demo", "time-table"])
+    @pytest.mark.parametrize("problem", ["e1", "asym-demo", "time-table", "three-fast"])
     def test_costs_equal_drawing_path(self, problem, chunking, monkeypatch):
         spec = _no_diffusion_spec(problem)
         gains = feedback_gain(solve_esre(spec, SolverOptions(grid_steps=200)), spec)
@@ -563,6 +572,104 @@ class TestNoDiffusion:
             _batch_costs(spec, [None], [1.0], 1, 300, 1e-2, 5)
         assert str(quiet.value) == str(drawn.value)
         assert quiet.value.path_index == drawn.value.path_index > 0
+
+    @pytest.mark.parametrize("generator, seed, born", [
+        ([[-3.0, 3.0, 0.0], [0.0, -3.0, 3.0], [2.0, 2.0, -4.0]], 2, True),
+        ([[-2.0, 1.0, 1.0], [1.0, -2.0, 1.0], [1.0, 1.0, -2.0]], 1, False),
+    ])
+    def test_blowup_names_path_of_column_fed_by_another(self, generator, seed, born,
+                                                         monkeypatch):
+        # regime 3 doubles the state each step, regimes 1 and 2 hold it.
+        # The lowest blown path's column copied its start from a column
+        # other than 0; in the second case it is not yet born when the
+        # state blows up, and the live column it would copy stands for it
+        spec = scalar_spec(ell=3, generator=generator, A=[0.0, 0.0, 100.0], R=1.0, G=1.0)
+        call = ([None], [1.0], 1, 300, 1e-2, seed)
+        drawn = []
+        run_paths = control._run_paths
+        monkeypatch.setattr(control, "_run_paths",
+                            lambda *args: drawn.append(args) or run_paths(*args))
+        with pytest.raises(BlowUp) as quiet:
+            _batch_costs(spec, *call)
+        live, source, column = drawn[0][7]
+        p = quiet.value.path_index
+        step = int(str(quiet.value).rsplit(" ", 1)[1])
+        assert source[column[p]] > 0
+        assert (column[p] < live[step - 1]) == born
+        monkeypatch.setattr(spec.C, "is_zero", lambda: False)
+        with pytest.raises(BlowUp) as noisy:
+            _batch_costs(spec, *call)
+        assert str(quiet.value) == str(noisy.value)
+        assert p == noisy.value.path_index > 0
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(data=st.data())
+    def test_shared_prefixes_read_each_paths_rows(self, data):
+        ell, T = data.draw(st.sampled_from([2, 3, 130])), 1.0
+        n_steps = data.draw(st.integers(1, 6))
+        dt = T / n_steps
+        times = dt * np.arange(n_steps)
+        i0 = data.draw(st.integers(1, ell))
+        # few jump times and regimes, so that chains share prefixes; few
+        # steps put several jumps in one step, a jump and its return among
+        # them, and a jump after times[-1] moves only the T row
+        fraction = st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True)
+        jump_time = st.tuples(st.integers(0, n_steps - 1), fraction) \
+            .map(lambda kf: (kf[0] + kf[1]) * dt).filter(lambda t: 0.0 < t < T)
+        pool = data.draw(st.lists(jump_time, min_size=1, max_size=6, unique=True))
+        regimes = data.draw(st.lists(st.integers(1, ell), min_size=2, max_size=3,
+                                     unique=True)) + [i0]
+        chains = []
+        for _ in range(data.draw(st.integers(1, 12))):
+            jumps = sorted(data.draw(st.lists(st.sampled_from(pool), unique=True, max_size=5)))
+            states = [i0]
+            for _ in jumps:
+                states.append(data.draw(st.sampled_from([s for s in regimes
+                                                         if s != states[-1]])))
+            chains.append((jumps, states))
+        chains += [chains[p] for p in data.draw(st.lists(st.integers(0, len(chains) - 1),
+                                                         max_size=4))]
+        _check_shared_prefixes(times, T, i0, ell, chains)
+
+    def test_shared_prefixes_of_hand_drawn_chunk(self):
+        # steps of 0.25: a stay, a jump, two jumps in one step, a jump and
+        # its return in one step, a duplicate, a jump on a grid time, a
+        # jump after times[-1] and a branch that parts only at the T row
+        chains = [([], [1]), ([0.3], [1, 2]), ([0.3, 0.4], [1, 2, 3]),
+                  ([0.3, 0.45], [1, 2, 1]), ([0.3], [1, 2]), ([0.25], [1, 3]),
+                  ([0.8], [1, 3]), ([0.3, 0.8], [1, 2, 3])]
+        live = _check_shared_prefixes(0.25 * np.arange(4), 1.0, 1, 3, chains)
+        assert live.tolist() == [1, 2, 5, 5]
+
+
+def _check_shared_prefixes(times, T, i0, ell, chains):
+    """Check ``_shared_prefixes`` on a chunk of chains; returns ``live``."""
+    n_steps = len(times)
+    jumps, (live, source, column) = control._shared_prefixes(
+        n_steps, ell, *control._flat_jumps(times, chains))
+    table = control._regime_table(n_steps + 1, i0, ell, *jumps)
+    assert np.all(np.diff(live) >= 0) and 1 <= live[0] and live[-1] <= table.shape[1]
+    birth = np.searchsorted(live, np.arange(table.shape[1]), side="right")
+    rows = [RegimePath(T=T, states=states, jump_times=np.array(jumps))
+            .regime_at(np.append(times, T)) - 1 for jumps, states in chains]
+    for p, c in enumerate(column):
+        # from its birth to the T row a path's column reads the path's rows
+        assert np.array_equal(table[birth[c]:, c], rows[p][birth[c]:])
+    for c, s in enumerate(source):
+        if birth[c]:
+            # a source is live before the birth of the column it feeds and
+            # has the same rows up to then
+            assert birth[s] < birth[c]
+            assert np.array_equal(table[:birth[c], s], table[:birth[c], c])
+    # equal grid histories, and only they, share a column, and each step
+    # reads one column per distinct history so far
+    keys = [tuple(zip(np.searchsorted(times, jumps, side="left").tolist(), states[1:]))
+            for jumps, states in chains]
+    assert all((column[p] == column[q]) == (keys[p] == keys[q])
+               for p in range(len(keys)) for q in range(len(keys)))
+    assert live.tolist() == [len({tuple(j for j in key if j[0] <= k) for key in keys})
+                             for k in range(n_steps)]
+    return live
 
 
 class TestGoldenEstimates:
