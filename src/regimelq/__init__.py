@@ -29,7 +29,6 @@ from .errors import (
     UnknownKey,
 )
 from .matcore import (
-    loewner_leq,
     make_symmetric,
     min_eigenvalue,
     project_psd,
@@ -60,15 +59,11 @@ from .esre import (
     SolverOptions,
     TreeIterate,
     direct_coupled_oracle,
-    drift_h,
-    drift_pi,
-    f_of_theta,
     growth_constant,
     picard_certificate,
     picard_step,
     solve_esre,
     solve_p0,
-    theta_hat,
 )
 from .control import (
     CostEstimate,
@@ -101,17 +96,16 @@ __all__ = [
     "NoConvergence", "OutOfRange", "ParseError", "PsdViolation", "RangeError",
     "RegimeLQError", "RowSumNonzero", "SingularState", "StepFailure",
     "StructuralError", "TooFewRegimes", "UnknownKey",
-    "loewner_leq", "make_symmetric", "min_eigenvalue", "project_psd",
-    "sym_inverse", "symmetrize",
+    "make_symmetric", "min_eigenvalue", "project_psd", "sym_inverse",
+    "symmetrize",
     "Generator", "RegimePath", "path_substream", "sample_chain_path",
     "transition_matrix", "validate_generator",
     "CoefficientField", "ProblemSpec", "ValidationReport",
     "check_smallness", "validate_assumptions",
     "BinomialTree", "Diagnostics", "EsreSolution", "GridIterate",
     "PicardCertificate", "SolverOptions", "TreeIterate",
-    "direct_coupled_oracle", "drift_h", "drift_pi", "f_of_theta",
-    "growth_constant", "picard_certificate", "picard_step", "solve_esre",
-    "solve_p0", "theta_hat",
+    "direct_coupled_oracle", "growth_constant", "picard_certificate",
+    "picard_step", "solve_esre", "solve_p0",
     "CostEstimate", "GapEstimate", "PathRecord", "Perturbation", "Policy",
     "feedback_gain", "mc_cost", "optimality_gap", "predicted_gap",
     "simulate_closed_loop", "value_at",

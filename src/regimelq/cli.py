@@ -5,8 +5,9 @@
 Commands
 --------
 validate
-    Check the definiteness assumptions and print the measured diffusion
-    size; exit 0 iff the assumptions hold.
+    Check the definiteness assumptions within ``solver.psd_tol``, the
+    tolerance at which ``solve`` refuses them, and print the measured
+    diffusion size; exit 0 iff the assumptions hold.
 solve
     Run the Riccati solver and persist the solution as CSV plus a sibling
     ``.meta.json`` with tolerances, residual history and diagnostics (the
@@ -236,7 +237,7 @@ def _sim_inputs(config: RunConfig):
 
 
 def _cmd_validate(config: RunConfig, paths, echo) -> CommandResult:
-    report = validate_assumptions(config.problem)
+    report = validate_assumptions(config.problem, tol=config.solver.psd_tol)
     smallness = check_smallness(config.problem)
     flag = "ok" if smallness <= config.solver.smallness_threshold else "warn"
     echo(f"assumptions: {'PASS' if report.passed else 'FAIL'}")

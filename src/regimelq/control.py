@@ -137,13 +137,11 @@ class Perturbation:
 
     @classmethod
     def coerce(cls, e, m: int) -> "Perturbation":
-        """The offset ``e`` (None, a scalar, m values, a ``(times, values)``
-        pair or a Perturbation) as a Perturbation of width m."""
+        """The offset ``e`` (None, a scalar, m values or a Perturbation) as
+        a Perturbation of width m; a table is given as a Perturbation."""
         if e is None:
             return cls(values=np.zeros(m))
-        if isinstance(e, tuple) and len(e) == 2:
-            e = cls(values=e[1], times=e[0])
-        elif not isinstance(e, Perturbation):
+        if not isinstance(e, Perturbation):
             arr = np.asarray(e, dtype=float)
             e = cls(values=np.full(m, float(arr)) if arr.ndim == 0 else arr)
         if e.values.shape[-1] != m:
@@ -249,11 +247,11 @@ def simulate_closed_loop(spec: ProblemSpec, policy, x0, i0: int, dt: float,
                          rng: np.random.Generator) -> PathRecord:
     """Simulate one path of the controlled switching state.
 
-    ``policy`` may be a gain field, a :class:`Policy`, ``None``
-    (zero control) or a callable ``u(t, regime, x)``.  The regime path is
+    ``policy`` is what the batched Monte Carlo engine takes: a gain field,
+    a :class:`Policy` or ``None`` (zero control).  The regime path is
     sampled exactly from ``rng`` first, then the Brownian increments; this
-    order matches the batched Monte Carlo engine, so a path substream
-    reproduces the engine's path bit for bit.
+    order matches the engine, so a path substream reproduces the engine's
+    path bit for bit.
     """
     n_steps = _step_count(spec.T, dt)
     x, i0 = _start_state(spec.n, spec.ell, x0, i0)
@@ -264,17 +262,8 @@ def simulate_closed_loop(spec: ProblemSpec, policy, x0, i0: int, dt: float,
     regimes = path.regime_at(times)
     regimes[-1] = path.states[-1]
 
-    if callable(policy):
-        control_fn = policy
-    else:
-        pol = Policy.coerce(policy, spec)
-        off = Perturbation.coerce(pol.offset, spec.m)
-
-        def control_fn(t, regime, xv):
-            u = np.zeros(spec.m)
-            if pol.gains is not None:
-                u = pol.gains.eval(t, regime) @ xv
-            return u + off.sample_times(np.array([t]))[0]
+    pol = Policy.coerce(policy, spec)
+    offsets = Perturbation.coerce(pol.offset, spec.m).sample_times(times)
 
     states = np.empty((n_steps + 1, spec.n))
     controls = np.empty((n_steps, spec.m))
@@ -293,7 +282,10 @@ def simulate_closed_loop(spec: ProblemSpec, policy, x0, i0: int, dt: float,
         q = spec.Q.eval(t, i)
         s = spec.S.eval(t, i)
         r = spec.R.eval(t, i)
-        u = np.asarray(control_fn(t, i, x), dtype=float).reshape(spec.m)
+        u = np.zeros(spec.m)
+        if pol.gains is not None:
+            u = pol.gains.eval(t, i) @ x
+        u = u + offsets[k]
         acc += float(x @ q @ x + 2.0 * (u @ (s @ x)) + u @ r @ u) * dt
         dw = sq * xi[k]
         x = x + (a @ x + b @ u) * dt + (c @ x + d @ u) * dw

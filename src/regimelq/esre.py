@@ -218,9 +218,6 @@ class BinomialTree:
         self.sqrt_dt = np.sqrt(self.dt)
         self.times = np.linspace(0.0, self.T, self.depth + 1)
 
-    def w(self, k: int, j: int) -> float:
-        return (2 * j - k) * self.sqrt_dt
-
 
 @dataclass
 class TreeIterate:
@@ -260,51 +257,8 @@ class EsreSolution:
 
 
 # ---------------------------------------------------------------------------
-# pointwise Riccati functionals (public, single (t, i) surface)
+# the Riccati driver shared by both engines
 # ---------------------------------------------------------------------------
-
-
-def drift_pi(t: float, i: int, p: np.ndarray, lam: np.ndarray, spec: ProblemSpec,
-             node=None) -> np.ndarray:
-    """Linear drift part  p A + A'p + C'p C + lam C + C'lam,  symmetrized."""
-    a = spec.A.eval(t, i, node)
-    c = spec.C.eval(t, i, node)
-    p = np.asarray(p, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if p.shape != (spec.n, spec.n) or lam.shape != (spec.n, spec.n):
-        raise DimensionMismatch("p and lam must be n x n")
-    out = p @ a + a.T @ p + c.T @ (p @ c) + lam @ c + c.T @ lam
-    return matcore.symmetrize(out)
-
-
-def drift_h(t: float, i: int, p: np.ndarray, lam: np.ndarray, spec: ProblemSpec,
-            node=None, cond_threshold: float = matcore.DEFAULT_COND_THRESHOLD) -> np.ndarray:
-    """Quadratic drift part
-
-        -(p B + C'p D + lam D + S') (R + D'p D)^{-1} (B'p + D'p C + D'lam + S),
-
-    symmetrized.  Negative semidefinite whenever the inverted block is
-    positive definite.
-
-    Raises
-    ------
-    NearSingular
-        If ``R + D'p D`` fails the guarded inversion; this is the runtime
-        guard for the positivity the feedback formula requires.
-    """
-    m, sigma = _gain_blocks_at(spec, t, i, node, p, lam)
-    sigma_inv = matcore.sym_inverse(sigma, cond_threshold)
-    return matcore.symmetrize(-(m.T @ (sigma_inv @ m)))
-
-
-def theta_hat(t: float, i: int, p: np.ndarray, lam: np.ndarray, spec: ProblemSpec,
-              node=None, cond_threshold: float = matcore.DEFAULT_COND_THRESHOLD) -> np.ndarray:
-    """Minimizing gain of the completed square, the feedback gain
-
-        -(R + D'p D)^{-1} (B'p + D'p C + D'lam + S).
-    """
-    m, sigma = _gain_blocks_at(spec, t, i, node, p, lam)
-    return -(matcore.sym_inverse(sigma, cond_threshold) @ m)
 
 
 def _sym(m):
@@ -330,51 +284,6 @@ def _gain_blocks(p, lam, b, c, d, s, r, pc=None):
     if s is not None:
         m = m + s
     return m, _sym(r + d_t @ (p @ d))
-
-
-def _gain_blocks_at(spec, t, i, node, p, lam):
-    """:func:`_gain_blocks` with B, C, D, S, R evaluated at (t, regime i,
-    node)."""
-    return _gain_blocks(
-        np.asarray(p, dtype=float), np.asarray(lam, dtype=float),
-        *(spec.coefficient(name).eval(t, i, node) for name in "BCDSR"),
-    )
-
-
-def f_of_theta(t: float, i: int, p: np.ndarray, lam: np.ndarray, theta: np.ndarray,
-               spec: ProblemSpec, node=None) -> np.ndarray:
-    """Drift value at an arbitrary gain  theta  (m x n):
-
-        (A + B theta)'P + P (A + B theta)
-        + (C + D theta)'Lam + Lam (C + D theta)
-        + (C + D theta)'P (C + D theta)
-        + theta'S + S'theta + theta'R theta + Q,
-
-    symmetrized.  Minimized over theta at :func:`theta_hat`, where it
-    reduces to the Riccati drift.
-    """
-    a, b, c, d, q, s, r = (spec.coefficient(name).eval(t, i, node) for name in "ABCDQSR")
-    p = np.asarray(p, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (spec.m, spec.n):
-        raise DimensionMismatch(f"theta must be {(spec.m, spec.n)}, got {theta.shape}")
-    acl = a + b @ theta
-    ccl = c + d @ theta
-    out = (
-        acl.T @ p + p @ acl
-        + ccl.T @ lam + lam @ ccl
-        + ccl.T @ (p @ ccl)
-        + theta.T @ s + s.T @ theta
-        + theta.T @ (r @ theta)
-        + q
-    )
-    return matcore.symmetrize(out)
-
-
-# ---------------------------------------------------------------------------
-# the Riccati driver shared by both engines
-# ---------------------------------------------------------------------------
 
 
 class _Engine:
@@ -747,7 +656,7 @@ def _require_psd(values: np.ndarray, psd_tol: float):
         )
 
 
-def solve_esre(spec: ProblemSpec, options: SolverOptions = None, **overrides) -> EsreSolution:
+def solve_esre(spec: ProblemSpec, options: SolverOptions = None) -> EsreSolution:
     """Solve the coupled system.
 
     The grid backend integrates it directly in one backward sweep; the
@@ -766,19 +675,11 @@ def solve_esre(spec: ProblemSpec, options: SolverOptions = None, **overrides) ->
     NearSingular, PsdViolation
         Propagated from the backward stepping guards.
     """
-    options = _options(options, overrides)
+    options = options or SolverOptions()
     smallness, smallness_ok = _check_problem(spec, options)
     if options.backend == "ode":
         return _solve_grid(spec, options, smallness, smallness_ok)
     return _solve_tree(spec, options, smallness, smallness_ok)
-
-
-def _options(options, overrides) -> SolverOptions:
-    if options is None:
-        return SolverOptions(**overrides)
-    if overrides:
-        raise TypeError("pass either options or keyword overrides, not both")
-    return options
 
 
 def _check_problem(spec, options):
@@ -840,8 +741,7 @@ class PicardCertificate:
     iterates: list = None        # with keep_iterates: P_0, P_1, ... on the grid
 
 
-def picard_certificate(spec: ProblemSpec, options: SolverOptions = None,
-                       **overrides) -> PicardCertificate:
+def picard_certificate(spec: ProblemSpec, options: SolverOptions = None) -> PicardCertificate:
     """Run the monotone Picard sequence of the grid backend as a check of
     its direct solve.
 
@@ -858,7 +758,7 @@ def picard_certificate(spec: ProblemSpec, options: SolverOptions = None,
         As :func:`solve_esre`; NoConvergence after ``picard_max_iter``
         sweeps, with the residual history attached.
     """
-    options = _options(options, overrides)
+    options = options or SolverOptions()
     if options.backend != "ode":
         raise StructuralError("the Picard certificate checks the grid backend; "
                               "the tree solve runs the sequence itself")
@@ -1014,8 +914,7 @@ def _diagnostics(spec, times, p0_norms, lam_l2, smallness, thresh, ok) -> Diagno
 # ---------------------------------------------------------------------------
 
 
-def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None,
-                          **overrides) -> EsreSolution:
+def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None) -> EsreSolution:
     """Integrate the full coupled system directly (no coupling freeze,
     original coordinates, martingale part zero).  Deterministic
     coefficients only.  Used to cross-check the fixed-point limit.
@@ -1025,8 +924,7 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None,
     StepFailure
         If the state norm exceeds the blow-up guard (1e8).
     """
-    if options is None:
-        options = SolverOptions(**overrides)
+    options = options or SolverOptions()
     engine = _GridEngine(spec, options)
     q_full = spec.q
     has_D = engine.has_D

@@ -50,6 +50,10 @@ from .model import CoefficientField, ProblemSpec
 from .regime_chain import check_regime, path_substream
 
 DET_GUARD = 1e-12
+# the forward-backward sweeps stop once no entry of X or Y moves by more
+# than FP_TOL, and fail after MAX_SWEEPS
+FP_TOL = 1e-10
+MAX_SWEEPS = 200
 
 
 @dataclass(frozen=True)
@@ -159,8 +163,7 @@ def _upcounts(level: int) -> np.ndarray:
 
 
 def tree_fbsde_oracle(spec: ProblemSpec, regime: int, prev: TreeIterate,
-                      options: SolverOptions = None, fp_tol: float = 1e-10,
-                      max_sweeps: int = 200):
+                      options: SolverOptions = None):
     """Solve the coupled forward-backward system for one regime and compare
     against the Riccati sweep fed by the same frozen coupling.
 
@@ -173,7 +176,7 @@ def tree_fbsde_oracle(spec: ProblemSpec, regime: int, prev: TreeIterate,
     ------
     NoConvergence
         If alternating forward/backward sweeps fail to settle to
-        ``fp_tol``.
+        ``FP_TOL`` within ``MAX_SWEEPS``.
     SingularState
         If a forward state matrix loses invertibility (determinant below
         1e-12).
@@ -219,7 +222,7 @@ def tree_fbsde_oracle(spec: ProblemSpec, regime: int, prev: TreeIterate,
     z = [np.zeros((2**k, n, n)) for k in range(depth)]
     u = [np.zeros((2**k, m, n)) for k in range(depth)]
 
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         # forward sweep given (y, z)
         x_new = [x[0]]
         for k in range(depth):
@@ -258,7 +261,7 @@ def tree_fbsde_oracle(spec: ProblemSpec, regime: int, prev: TreeIterate,
             diff = max(diff, float(np.max(np.abs(x_new[k] - x[k]))))
             diff = max(diff, float(np.max(np.abs(y_new[k] - y[k]))))
         x, y, z, u = x_new, y_new, z_new, u_new
-        if diff <= fp_tol:
+        if diff <= FP_TOL:
             break
     else:
         raise NoConvergence(

@@ -3,13 +3,13 @@
 All matrices handled here are small (n <= 16) dense ``numpy`` arrays.  A
 "symmetric matrix" in this package is a plain ``float64`` ndarray that is
 *exactly* symmetric; :func:`make_symmetric` is the validating constructor
-that turns raw data into one.  Spectral queries (:func:`min_eigenvalue`),
-Loewner-order comparisons (:func:`loewner_leq`) and guarded inversion
-(:func:`sym_inverse`) all operate on such arrays.  :func:`make_symmetric`,
-:func:`symmetrize`, :func:`sym_inverse` and :func:`project_psd` also take a
-stack of matrices (any leading axes, the matrices on the last two) and
-treat each member as its own matrix, so the solver calls them once per
-time step or lattice level rather than once per regime.
+that turns raw data into one.  Spectral queries (:func:`min_eigenvalue`)
+and guarded inversion (:func:`sym_inverse`) operate on such arrays.
+:func:`make_symmetric`, :func:`symmetrize`, :func:`sym_inverse` and
+:func:`project_psd` also take a stack of matrices (any leading axes, the
+matrices on the last two) and treat each member as its own matrix, so the
+solver calls them once per time step or lattice level rather than once per
+regime.
 
 Every product that is symmetric in exact arithmetic is explicitly
 re-symmetrized after computation; this keeps roundoff from accumulating into
@@ -71,15 +71,6 @@ def make_symmetric(raw, asym_tol: float = DEFAULT_ASYM_TOL) -> np.ndarray:
 def min_eigenvalue(m: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
     return float(np.linalg.eigvalsh(np.asarray(m, dtype=float))[0])
-
-
-def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float = 0.0) -> bool:
-    """Loewner-order test ``a <= b``: true iff ``min_eig(b - a) >= -tol``."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch {a.shape} vs {b.shape}")
-    return min_eigenvalue(symmetrize(b - a)) >= -tol
 
 
 def sym_inverse(m: np.ndarray, cond_threshold: float = DEFAULT_COND_THRESHOLD) -> np.ndarray:

@@ -176,7 +176,7 @@ class CoefficientField:
             return self.values[idx]
         raise StructuralError("tree_table field cannot be sampled on a plain grid")
 
-    def max_norm(self, times=None) -> float:
+    def max_norm(self) -> float:
         """Largest Frobenius norm over all samples (or tree nodes)."""
         if self.kind == "tree_table":
             return max(
@@ -240,10 +240,10 @@ class ProblemSpec:
             raise StructuralError(
                 f"generator has {self.generator.ell} regimes, spec declares {ell}"
             )
-        if self.T <= 0.0:
-            raise StructuralError("horizon T must be positive")
-        if self.delta <= 0.0:
-            raise StructuralError("delta must be positive")
+        if not (np.isfinite(self.T) and self.T > 0.0):
+            raise StructuralError(f"horizon T must be positive and finite, got {self.T}")
+        if not (np.isfinite(self.delta) and self.delta > 0.0):
+            raise StructuralError(f"delta must be positive and finite, got {self.delta}")
         shapes = {
             "A": (n, n), "B": (n, m), "C": (n, n), "D": (n, m),
             "Q": (n, n), "S": (m, n), "R": (m, m), "G": (n, n),

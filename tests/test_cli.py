@@ -328,6 +328,15 @@ class TestCommands:
         cfg = parse_config(write_cfg(tmp_path, text))
         assert run_command("validate", cfg, output_dir=tmp_path).exit_code == 1
 
+    @pytest.mark.parametrize("solver, code", [
+        ("solver: {psd_tol: 1.0e-6}\n", 0),     # G = -1e-7 is within psd_tol
+        ("", 1),                                # the default psd_tol is 1e-9
+    ])
+    def test_validate_and_solve_agree_at_psd_tol(self, tmp_path, solver, code):
+        cfg = write_cfg(tmp_path, E1_YAML.replace("G: [[1.0]]", "G: [[-1.0e-7]]") + solver)
+        for command in ("validate", "solve"):
+            assert main([command, "--config", str(cfg), "--output", str(tmp_path)]) == code
+
     def test_solve_writes_artifacts(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, SMALL_RUN))
         lines = []

@@ -193,9 +193,14 @@ class TestSimulateClosedLoop:
         assert rec.states[-1, 0] == pytest.approx(np.exp(-1.0), abs=1e-3)
 
     def test_callable_policy(self, e1):
-        rec = simulate_closed_loop(
-            e1, lambda t, i, x: np.array([-0.5 * x[0]]), [1.0], 1, 0.01,
-            path_substream(1, 1))
+        # the reference takes the batch engine's policy forms only: a
+        # callable u(t, i, x) is refused, and the same law as a gain field
+        # drives the path
+        with pytest.raises(StructuralError, match="unsupported policy type"):
+            simulate_closed_loop(e1, lambda t, i, x: -0.5 * x, [1.0], 1, 0.01,
+                                 path_substream(1, 1))
+        gains = CoefficientField.constant(np.full((e1.ell, 1, 1), -0.5))
+        rec = simulate_closed_loop(e1, gains, [1.0], 1, 0.01, path_substream(1, 1))
         assert np.all(np.abs(rec.controls[:, 0] + 0.5 * rec.states[:-1, 0]) <= 1e-14)
 
     def test_blowup_guard(self):
@@ -988,15 +993,20 @@ class TestPerturbation:
         assert p.values.shape == (1,)
 
     def test_coerce_table(self):
-        p = Perturbation.coerce(([0.0, 0.5], [[0.1], [0.2]]), 1)
+        p = Perturbation.coerce(Perturbation(values=[[0.1], [0.2]], times=[0.0, 0.5]), 1)
         out = p.sample_times(np.array([0.0, 0.49, 0.5, 1.0]))
         assert np.array_equal(out[:, 0], [0.1, 0.1, 0.2, 0.2])
+
+    def test_coerce_tuple_of_m_values_is_constant(self):
+        # a tuple is m values, as a list is, not a (times, values) table
+        p = Perturbation.coerce((0.1, 0.2), 2)
+        assert p.times is None and np.array_equal(p.values, [0.1, 0.2])
 
     def test_table_starting_after_zero_refused(self, e1, e1_solution):
         # applied from t = 0 it gave predicted_gap 1.0 where the offset on
         # [0.5, 1] alone gives 0.5
         with pytest.raises(StructuralError, match=r"starts at t = 0\.5, after 0"):
-            Perturbation.coerce(([0.5], [[1.0]]), 1)
+            Perturbation(values=[[1.0]], times=[0.5])
         with pytest.raises(StructuralError, match=r"starts at t = 0\.5"):
             predicted_gap(e1, e1_solution, Perturbation(values=[[1.0]], times=[0.5]), 1)
         late = Perturbation(values=[[0.0], [1.0]], times=[0.0, 0.5])

@@ -1,12 +1,11 @@
-"""Symmetric-matrix algebra: constructors, spectral queries, ordering,
-guarded inversion."""
+"""Symmetric-matrix algebra: constructors, spectral queries, guarded
+inversion."""
 
 import numpy as np
 import pytest
 
 from regimelq.errors import AsymmetryExceeded, DimensionMismatch, NearSingular, PsdViolation
 from regimelq.matcore import (
-    loewner_leq,
     make_symmetric,
     min_eigenvalue,
     project_psd,
@@ -73,36 +72,6 @@ class TestMinEigenvalue:
             c = float(rng.standard_normal())
             shifted = min_eigenvalue(c * np.eye(n) + m)
             assert shifted == pytest.approx(c + min_eigenvalue(m), abs=1e-10)
-
-
-class TestLoewnerLeq:
-    def test_zero_below_identity(self):
-        assert loewner_leq(np.zeros((2, 2)), np.eye(2), 0.0)
-
-    def test_indefinite_difference(self):
-        assert not loewner_leq(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 0.0)
-
-    def test_reflexive(self):
-        rng = np.random.default_rng(3)
-        a = symmetrize(rng.standard_normal((3, 3)))
-        assert loewner_leq(a, a, 0.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            loewner_leq(np.eye(2), np.eye(3), 0.0)
-
-    def test_transitive_with_tolerance_accumulation(self):
-        rng = np.random.default_rng(11)
-        tau = 1e-9
-        for _ in range(50):
-            n = int(rng.integers(1, 5))
-            a = symmetrize(rng.standard_normal((n, n)))
-            step1 = rng.standard_normal((n, n))
-            step2 = rng.standard_normal((n, n))
-            b = a + step1 @ step1.T
-            c = b + step2 @ step2.T
-            assert loewner_leq(a, b, tau) and loewner_leq(b, c, tau)
-            assert loewner_leq(a, c, 2 * tau)
 
 
 class TestSymInverse:

@@ -189,6 +189,14 @@ class TestProblemSpec:
         with pytest.raises(StructuralError):
             scalar_spec(R=1.0, T=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field, words", [("T", "horizon T"), ("delta", "delta")])
+    def test_non_finite_horizon_and_margin_refused(self, field, words, bad):
+        # unrefused, T = inf overflows in the solve, T = nan fails as a PSD
+        # violation at t = nan, and delta = nan passes every R - delta I test
+        with pytest.raises(StructuralError, match=f"{words} must be positive and finite"):
+            make_e1(**{field: bad})
+
     def test_tree_fields_must_share_depth(self):
         q4 = CoefficientField.from_tree_function(lambda t, w, i: [[1.0]], 4, 1.0, 2, (1, 1))
         r5 = CoefficientField.from_tree_function(lambda t, w, i: [[1.0]], 5, 1.0, 2, (1, 1))
