@@ -34,6 +34,16 @@ Matrices are row-major nested lists; time tables map sample times to
 values (piecewise constant from the left); regimes are numbered 1..ell.
 Unknown keys anywhere are rejected rather than ignored, so typos fail
 loudly.
+
+This module only converts YAML: numbers (numeric strings too), array
+shapes and finite array entries.  Every other rule has one owner, which
+library callers meet too: ``validate_generator`` (the generator, at least
+2 regimes), ``ProblemSpec`` (n, m, ell, T, delta, coefficients, x0),
+``check_regime`` (both i0), ``SolverOptions`` (every ``solver`` key),
+``control._check_path_count`` (n_paths), ``model._check_positive`` (dt),
+``check_seed`` (seed) and ``Perturbation`` (its tables).  An owner's typed
+error reaches the caller as a RangeError whose message starts with the
+run-file key.
 """
 
 from __future__ import annotations
@@ -44,31 +54,23 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .control import Perturbation
-from .errors import ParseError, RangeError, UnknownKey
+from .control import Perturbation, _check_path_count
+from .errors import ParseError, RangeError, RegimeLQError, UnknownKey
 from .esre import SolverOptions
-from .model import CoefficientField, ProblemSpec
+from .model import COEFFICIENT_NAMES, CoefficientField, ProblemSpec, _check_positive
+from .regime_chain import check_regime, check_seed, validate_generator
 
 # libyaml's parser where PyYAML was built with it: the same constructors and
 # resolver as SafeLoader, several times faster on large node tables
 YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
-_PROBLEM_KEYS = {
-    "n", "m", "ell", "T", "delta", "generator", "x0", "i0",
-    "A", "B", "C", "D", "Q", "S", "R", "G",
-}
-_SOLVER_KEYS = {
-    "backend", "grid_steps", "tree_depth", "picard_tol", "picard_max_iter",
-    "psd_tol", "cond_threshold", "smallness_threshold",
-}
+_COEFFICIENT_KEYS = COEFFICIENT_NAMES + ("G",)
+_PROBLEM_KEYS = {"n", "m", "ell", "T", "delta", "generator", "x0", "i0", *_COEFFICIENT_KEYS}
+_SOLVER_FLOATS = {"picard_tol", "psd_tol", "cond_threshold", "smallness_threshold"}
+_SOLVER_KEYS = {"backend", "grid_steps", "tree_depth", "picard_max_iter"} | _SOLVER_FLOATS
 _SIMULATE_KEYS = {"x0", "i0", "n_paths", "dt", "seed", "perturbations"}
 _OUTPUT_KEYS = {"solution_path", "report_path", "estimates_path"}
 _TOP_KEYS = {"problem", "solver", "simulate", "output"}
-
-_COEF_SHAPES = {
-    "A": ("n", "n"), "B": ("n", "m"), "C": ("n", "n"), "D": ("n", "m"),
-    "Q": ("n", "n"), "S": ("m", "n"), "R": ("m", "m"), "G": ("n", "n"),
-}
 
 
 @dataclass
@@ -108,24 +110,32 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _section(data: dict, name: str, allowed: set) -> dict:
+    """The mapping under top-level ``name``, {} when absent or empty."""
+    section = data.get(name) or {}
+    if not isinstance(section, dict):
+        raise ParseError(f"config.{name} must be a mapping")
+    _reject_unknown(section, allowed, name)
+    return section
+
+
 def _setting(section: dict, key: str, defaults):
     """``section[key]``, else the default of field ``key`` of the dataclass
     ``defaults``."""
     return section.get(key, getattr(defaults, key))
 
 
-def _as_int(value, where: str, minimum=None, bound=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise RangeError(f"{where} must be an integer, got {value!r}")
-    value = int(value)
-    if minimum is not None and value < minimum:
-        raise RangeError(f"{where} must be >= {minimum}, got {value}")
-    if bound is not None and value >= bound:
-        raise RangeError(f"{where} must be < {bound}, got {value}")
-    return value
+def _owned(key: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, the owner's typed error re-raised as
+    RangeError with run-file ``key`` before its message; a key ending in a
+    dot takes the field name that leads the message, as ``solver.`` does."""
+    try:
+        return build(*args, **kwargs)
+    except RegimeLQError as exc:
+        raise RangeError(f"{key}{exc}") from exc
 
 
-def _as_float(value, where: str, positive=False) -> float:
+def _as_float(value, where: str) -> float:
     # YAML 1.1 reads exponents without a sign ("1.0e12") as strings, so a
     # cleanly parseable numeric string is accepted here
     if isinstance(value, str):
@@ -135,12 +145,7 @@ def _as_float(value, where: str, positive=False) -> float:
             raise RangeError(f"{where} must be a number, got {value!r}") from None
     if isinstance(value, bool) or not isinstance(value, (int, float, np.floating)):
         raise RangeError(f"{where} must be a number, got {value!r}")
-    value = float(value)
-    if not np.isfinite(value):
-        raise RangeError(f"{where} must be finite, got {value}")
-    if positive and value <= 0.0:
-        raise RangeError(f"{where} must be positive, got {value}")
-    return value
+    return float(value)
 
 
 def _as_floats(node, where: str, size: int = None) -> np.ndarray:
@@ -173,7 +178,7 @@ def _as_matrix_stack(node, ell: int, where: str) -> np.ndarray:
     raise ParseError(f"{where}: expected a matrix or a list of matrices")
 
 
-def _parse_coefficient(node, name: str, ell: int, where: str) -> CoefficientField:
+def _parse_coefficient(node, ell: int, where: str) -> CoefficientField:
     if isinstance(node, dict):
         _reject_unknown(node, {"time_table", "tree_table"}, where)
         if len(node) != 1:
@@ -228,14 +233,8 @@ def _parse_perturbation(node, m: int, where: str) -> Perturbation:
     if not isinstance(table, dict) or set(table) != {"times", "values"}:
         raise ParseError(f"{where}.table needs 'times' and 'values'")
     times = _as_floats(table["times"], f"{where}.table.times")
-    if times.ndim != 1 or times.size == 0 or np.any(np.diff(times) <= 0.0):
-        raise RangeError(f"{where}.table times must be nonempty and increase strictly")
-    if times[0] > 0.0:
-        raise RangeError(f"{where}.table starts at t = {times[0]:g}, after 0: "
-                         "give the offset from t = 0 on")
     values = _as_floats(table["values"], f"{where}.table.values", times.size * m)
-    values = values.reshape(times.size, m)
-    return Perturbation(values=values, times=times)
+    return _owned(f"{where}.", Perturbation, values=values.reshape(times.size, m), times=times)
 
 
 def parse_config(path) -> RunConfig:
@@ -243,9 +242,8 @@ def parse_config(path) -> RunConfig:
 
     Raises :class:`ParseError` for unreadable or malformed files,
     :class:`UnknownKey` for unrecognized keys and :class:`RangeError` for
-    out-of-range values; structural inconsistencies between matrices
-    surface as :class:`~regimelq.errors.StructuralError` from the problem
-    constructor.
+    values that break a rule, its own or an owner's (see the module
+    docstring); the owner's typed error is the RangeError's ``__cause__``.
     """
     path = Path(path)
     try:
@@ -260,77 +258,53 @@ def parse_config(path) -> RunConfig:
         raise ParseError(f"config {path} must be a mapping at top level")
     _reject_unknown(data, _TOP_KEYS, "config")
 
-    prob = _require(data, "problem", "config")
-    if not isinstance(prob, dict):
-        raise ParseError("config.problem must be a mapping")
-    _reject_unknown(prob, _PROBLEM_KEYS, "problem")
-    n = _as_int(_require(prob, "n", "problem"), "problem.n", minimum=1)
-    m = _as_int(_require(prob, "m", "problem"), "problem.m", minimum=1)
-    ell = _as_int(_require(prob, "ell", "problem"), "problem.ell", minimum=2)
-    T = _as_float(_require(prob, "T", "problem"), "problem.T", positive=True)
-    delta = _as_float(_require(prob, "delta", "problem"), "problem.delta", positive=True)
-    generator = _require(prob, "generator", "problem")
-    coeffs = {}
-    for name in _COEF_SHAPES:
-        coeffs[name] = _parse_coefficient(
-            _require(prob, name, "problem"), name, ell, f"problem.{name}"
-        )
+    _require(data, "problem", "config")
+    prob = _section(data, "problem", _PROBLEM_KEYS)
+    generator = _owned("problem.generator: ", validate_generator, _as_floats(
+        _require(prob, "generator", "problem"), "problem.generator"))
+    ell = generator.ell
+    coeffs = {
+        name: _parse_coefficient(_require(prob, name, "problem"), ell, f"problem.{name}")
+        for name in _COEFFICIENT_KEYS
+    }
     x0 = prob.get("x0")
     if x0 is not None:
-        x0 = _as_floats(x0, "problem.x0", n)
-    i0 = _as_int(_setting(prob, "i0", ProblemSpec), "problem.i0", minimum=1)
-    if i0 > ell:
-        raise RangeError(f"problem.i0 must be in 1..{ell}, got {i0}")
-    spec = ProblemSpec(
-        n=n, m=m, ell=ell, T=T, generator=_as_floats(generator, "problem.generator"),
-        delta=delta, x0=x0, i0=i0, **coeffs,
+        x0 = _as_floats(x0, "problem.x0")
+    i0 = _owned("problem.i0: ", check_regime, _setting(prob, "i0", ProblemSpec), ell)
+    spec = _owned(
+        "problem: ", ProblemSpec,
+        n=_require(prob, "n", "problem"), m=_require(prob, "m", "problem"),
+        ell=_require(prob, "ell", "problem"),
+        T=_as_float(_require(prob, "T", "problem"), "problem.T"),
+        delta=_as_float(_require(prob, "delta", "problem"), "problem.delta"),
+        generator=generator, x0=x0, i0=i0, **coeffs,
     )
 
-    sv = data.get("solver", {}) or {}
-    if not isinstance(sv, dict):
-        raise ParseError("config.solver must be a mapping")
-    _reject_unknown(sv, _SOLVER_KEYS, "solver")
-    backend = _setting(sv, "backend", SolverOptions)
-    if backend not in ("ode", "tree"):
-        raise RangeError(f"solver.backend must be 'ode' or 'tree', got {backend!r}")
-    solver = SolverOptions(
-        backend=backend,
-        **{key: _as_int(_setting(sv, key, SolverOptions), f"solver.{key}", minimum=1)
-           for key in ("grid_steps", "tree_depth", "picard_max_iter")},
-        **{key: _as_float(_setting(sv, key, SolverOptions), f"solver.{key}", positive=True)
-           for key in ("picard_tol", "psd_tol", "cond_threshold", "smallness_threshold")},
-    )
+    sv = _section(data, "solver", _SOLVER_KEYS)
+    solver = _owned("solver.", SolverOptions, **{
+        key: _as_float(value, f"solver.{key}") if key in _SOLVER_FLOATS else value
+        for key, value in sv.items()})
 
-    sm = data.get("simulate", {}) or {}
-    if not isinstance(sm, dict):
-        raise ParseError("config.simulate must be a mapping")
-    _reject_unknown(sm, _SIMULATE_KEYS, "simulate")
+    sm = _section(data, "simulate", _SIMULATE_KEYS)
     sim_x0 = sm.get("x0")
     if sim_x0 is not None:
-        sim_x0 = _as_floats(sim_x0, "simulate.x0", n)
+        sim_x0 = _as_floats(sim_x0, "simulate.x0", spec.n)
     sim_i0 = sm.get("i0")
     if sim_i0 is not None:
-        sim_i0 = _as_int(sim_i0, "simulate.i0", minimum=1)
-        if sim_i0 > ell:
-            raise RangeError(f"simulate.i0 must be in 1..{ell}, got {sim_i0}")
+        sim_i0 = _owned("simulate.i0: ", check_regime, sim_i0, ell)
     perturbations = [
-        _parse_perturbation(p, m, f"simulate.perturbations[{k}]")
+        _parse_perturbation(p, spec.m, f"simulate.perturbations[{k}]")
         for k, p in enumerate(sm.get("perturbations", []) or [])
     ]
+    dt = _as_float(_setting(sm, "dt", SimulateConfig), "simulate.dt")
     simulate = SimulateConfig(
-        x0=sim_x0, i0=sim_i0,
-        n_paths=_as_int(_setting(sm, "n_paths", SimulateConfig), "simulate.n_paths",
-                        minimum=2),
-        dt=_as_float(_setting(sm, "dt", SimulateConfig), "simulate.dt", positive=True),
-        seed=_as_int(_setting(sm, "seed", SimulateConfig), "simulate.seed", minimum=0,
-                     bound=2**64),
+        x0=sim_x0, i0=sim_i0, dt=_owned("simulate.", _check_positive, "dt", dt),
+        n_paths=_owned("simulate.", _check_path_count, _setting(sm, "n_paths", SimulateConfig)),
+        seed=_owned("simulate.", check_seed, _setting(sm, "seed", SimulateConfig)),
         perturbations=perturbations,
     )
 
-    out = data.get("output", {}) or {}
-    if not isinstance(out, dict):
-        raise ParseError("config.output must be a mapping")
-    _reject_unknown(out, _OUTPUT_KEYS, "output")
+    out = _section(data, "output", _OUTPUT_KEYS)
     output = OutputConfig(**{key: str(_setting(out, key, OutputConfig))
                              for key in _OUTPUT_KEYS})
     return RunConfig(problem=spec, solver=solver, simulate=simulate, output=output)

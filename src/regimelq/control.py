@@ -72,16 +72,15 @@ path-step, a noise-free chunk takes eight times the paths of a noisy one.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from . import matcore
-from .errors import BlowUp, DimensionMismatch, OutOfRange, StructuralError
+from .errors import BlowUp, DimensionMismatch, StructuralError
 from .esre import EsreSolution, _gain_blocks
-from .model import CoefficientField, ProblemSpec
+from .model import CoefficientField, ProblemSpec, _check_count, _check_positive, _start_state
 from .regime_chain import (
     _jump_cumprobs,
     check_regime,
@@ -105,11 +104,13 @@ _DRAW_BLOCK = 128
 class Perturbation:
     """Deterministic control offset e(t), constant or piecewise-constant.
 
-    A table holds values (K, m) at K finite, strictly increasing times, the
-    first at or before 0, each value holding up to the next time.  Anything
-    else is refused at construction: a rank other than (m,) or (K, m) with
-    DimensionMismatch, a table starting after 0 (which would leave the
-    offset undefined on [0, times[0])) or bad times with StructuralError.
+    A table holds finite values (K, m) at K finite, strictly increasing
+    times, the first at or before 0, each value holding up to the next
+    time.  Anything else is refused at construction: a rank other than (m,)
+    or (K, m) with DimensionMismatch, non-finite values, bad times or a
+    table starting after 0 (which would leave the offset undefined on
+    [0, times[0])) with StructuralError, the table's messages led by
+    ``table``, its run-file key.
     """
 
     values: np.ndarray           # (m,) or (K, m)
@@ -117,6 +118,8 @@ class Perturbation:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
+        if not np.all(np.isfinite(self.values)):
+            raise StructuralError("perturbation values must be finite")
         if self.times is None:
             if self.values.ndim != 1:
                 raise DimensionMismatch(
@@ -126,13 +129,13 @@ class Perturbation:
         k = self.times.size
         if self.times.ndim != 1 or self.values.ndim != 2 or self.values.shape[0] != k:
             raise DimensionMismatch(
-                f"perturbation table needs times (K,) and values (K, m), got "
+                f"table needs times (K,) and perturbation values (K, m), got "
                 f"{self.times.shape} and {self.values.shape}")
         if k == 0 or not np.all(np.isfinite(self.times)) or np.any(np.diff(self.times) <= 0.0):
-            raise StructuralError("perturbation table times must be finite and increase strictly")
+            raise StructuralError("table times must be nonempty, finite and increase strictly")
         if self.times[0] > 0.0:
             raise StructuralError(
-                f"perturbation table starts at t = {self.times[0]:g}, after 0: "
+                f"table starts at t = {self.times[0]:g}, after 0: "
                 "give the offset from t = 0 on")
 
     @classmethod
@@ -303,26 +306,13 @@ def simulate_closed_loop(spec: ProblemSpec, policy, x0, i0: int, dt: float,
     )
 
 
-def _start_state(n: int, ell: int, x0, i0):
-    """The initial state as n finite floats and the initial regime as an
-    int in 1..ell, checked before any path is sampled."""
-    x = np.asarray(x0, dtype=float).ravel()
-    if x.size != n:
-        raise DimensionMismatch(f"x0 has {x.size} entries, the state dimension is {n}")
-    if not np.all(np.isfinite(x)):
-        raise OutOfRange(f"x0 must be finite, got {x.tolist()}")
-    return x, check_regime(i0, ell, "initial regime")
-
-
-def _check_path_count(n_paths, minimum: int):
-    if isinstance(n_paths, bool) or not isinstance(n_paths, numbers.Integral) or n_paths < minimum:
-        raise StructuralError(f"n_paths must be an integer >= {minimum}, got {n_paths!r}")
+def _check_path_count(n_paths, minimum: int = 2):
+    """A standard error needs two paths, a batch of costs one."""
+    return _check_count("n_paths", n_paths, minimum)
 
 
 def _step_count(T: float, dt: float) -> int:
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise StructuralError(f"dt must be positive and finite, got {dt}")
-    n = int(round(T / dt))
+    n = int(round(T / _check_positive("dt", dt)))
     if n < 1 or abs(n * dt - T) > 1e-12 * max(1.0, T):
         raise StructuralError(f"dt={dt} does not divide the horizon T={T}")
     return n
@@ -671,7 +661,7 @@ def mc_cost(spec: ProblemSpec, policy, x0, i0: int, n_paths: int, dt: float,
     Per-path costs are accumulated with compensated summation in path-index
     order, so the estimate does not depend on chunking.
     """
-    _check_path_count(n_paths, 2)       # a standard error needs two paths
+    _check_path_count(n_paths)
     costs = _batch_costs(spec, [policy], x0, i0, n_paths, dt, master_seed)
     return _estimate(costs[0], dt, master_seed)
 
@@ -700,7 +690,7 @@ def optimality_gap(spec: ProblemSpec, solution: EsreSolution, perturbation,
     paths start from ``x0`` and ``i0``, by default the spec's (``x0 = 0``
     when the spec has none).
     """
-    _check_path_count(n_paths, 2)       # a standard error needs two paths
+    _check_path_count(n_paths)
     if gains is None:
         gains = feedback_gain(solution, spec)
     e = Perturbation.coerce(perturbation, spec.m)

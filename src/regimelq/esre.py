@@ -91,7 +91,6 @@ cross-check of the grid solve.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -107,7 +106,9 @@ from .errors import (
     StepFailure,
     StructuralError,
 )
-from .model import ProblemSpec, check_smallness, validate_assumptions
+from .model import (
+    ProblemSpec, _check_count, _check_positive, check_smallness, validate_assumptions,
+)
 
 BLOWUP_GUARD = 1e8
 # largest dt max_i |q_ii| the grid's explicit RK4 step accepts: on e1 at
@@ -140,15 +141,11 @@ class SolverOptions:
 
     def __post_init__(self):
         if self.backend not in ("ode", "tree"):
-            raise StructuralError(f"unknown backend {self.backend!r}")
+            raise StructuralError(f"backend must be 'ode' or 'tree', got {self.backend!r}")
         for name in ("grid_steps", "tree_depth", "picard_max_iter"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise StructuralError(f"{name} must be an integer >= 1, got {value!r}")
-        for name in ("picard_tol", "psd_tol", "cond_threshold"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise StructuralError(f"{name} must be positive and finite, got {value}")
+            _check_count(name, getattr(self, name))
+        for name in ("picard_tol", "psd_tol", "cond_threshold", "smallness_threshold"):
+            _check_positive(name, getattr(self, name))
 
 
 @dataclass
@@ -310,23 +307,24 @@ class _Engine:
                           [self._guarded_inverse(r, k) for k, r in enumerate(self.R)])
 
     def _guarded_inverse(self, r, h):
-        self._require_conditioned(r, h)
-        return matcore.sym_inverse(r, self.options.cond_threshold)
+        try:
+            return matcore.sym_inverse(r, self.options.cond_threshold)
+        except NearSingular:
+            self._require_conditioned(r, h)     # the same test, to name t and regime
+            raise
 
     def _require_conditioned(self, sigma, h):
         """Refuse a stack of Sigma = R + D'PD at sample ``h`` (one index,
-        or one per leading member) whose spectral condition number exceeds
-        ``cond_threshold``, naming t, the regime and the number."""
-        w = np.abs(np.linalg.eigvalsh(sigma))
-        lo, hi = w.min(axis=-1), w.max(axis=-1)
-        bad = (lo == 0.0) | (hi > self.options.cond_threshold * lo)
-        if np.any(bad):
-            first = np.unravel_index(np.argmax(bad), bad.shape)
+        or one per leading member) that :func:`matcore._conditioning`
+        refuses, naming t, the regime and the condition number."""
+        failed = matcore._conditioning(np.linalg.eigvalsh(sigma), self.options.cond_threshold)
+        if failed is not None:
+            refused, cond = failed
+            first = np.unravel_index(np.argmax(refused), refused.shape)
             t = self.times[h if np.ndim(h) == 0 else h[first[0]]]
-            cond = hi[first] / lo[first] if lo[first] > 0.0 else np.inf
             raise NearSingular(
                 f"R + D'PD is ill-conditioned at t = {t:.6g} in regime "
-                f"{first[-1] + 1}: condition number {cond:.3e} exceeds "
+                f"{first[-1] + 1}: condition number {cond[first]:.3e} exceeds "
                 f"threshold {self.options.cond_threshold:.3e}"
             )
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import AsymmetryExceeded, DimensionMismatch, NearSingular, PsdViolation
 
-DEFAULT_ASYM_TOL = 1e-10
+# largest entrywise asymmetry max|M - M^T| that make_symmetric accepts
+ASYM_TOL = 1e-10
 DEFAULT_COND_THRESHOLD = 1e12
 
 
@@ -35,15 +36,12 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def make_symmetric(raw, asym_tol: float = DEFAULT_ASYM_TOL) -> np.ndarray:
+def make_symmetric(raw) -> np.ndarray:
     """Validate and symmetrize a raw square matrix or a stack of them.
 
     Parameters
     ----------
     raw : array_like, shape (..., n, n)
-    asym_tol : float
-        Largest tolerated entrywise deviation ``max|raw - raw^T|`` over
-        every member.
 
     Returns
     -------
@@ -55,15 +53,16 @@ def make_symmetric(raw, asym_tol: float = DEFAULT_ASYM_TOL) -> np.ndarray:
     DimensionMismatch
         If the last two axes of ``raw`` are not square.
     AsymmetryExceeded
-        If the asymmetry of any member is larger than ``asym_tol``.
+        If the asymmetry ``max|raw - raw^T|`` of any member is larger than
+        ``ASYM_TOL``.
     """
     m = np.asarray(raw, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected square matrices, got shape {m.shape}")
     asym = float(np.max(np.abs(m - np.swapaxes(m, -1, -2)))) if m.size else 0.0
-    if asym > asym_tol:
+    if asym > ASYM_TOL:
         raise AsymmetryExceeded(
-            f"max|M - M^T| = {asym:.3e} exceeds tolerance {asym_tol:.3e}"
+            f"max|M - M^T| = {asym:.3e} exceeds tolerance {ASYM_TOL:.3e}"
         )
     return symmetrize(m)
 
@@ -73,6 +72,18 @@ def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(np.asarray(m, dtype=float))[0])
 
 
+def _conditioning(w: np.ndarray, cond_threshold: float):
+    """The one condition test: None if the eigenvalues ``w`` (last axis) of
+    every member are nonzero with ``max|w| <= c min|w|``, else the mask of
+    refused members and the condition numbers (inf at a zero eigenvalue)."""
+    aw = np.abs(w)
+    lo, hi = aw.min(axis=-1), aw.max(axis=-1)
+    refused = (lo == 0.0) | (hi > cond_threshold * lo)
+    if refused.any():
+        return refused, np.divide(hi, lo, out=np.full_like(hi, np.inf), where=lo > 0.0)
+    return None
+
+
 def sym_inverse(m: np.ndarray, cond_threshold: float = DEFAULT_COND_THRESHOLD) -> np.ndarray:
     """Inverse of a symmetric matrix, or of each member of a stack (the
     last two axes), via its spectral factorization.
@@ -80,19 +91,15 @@ def sym_inverse(m: np.ndarray, cond_threshold: float = DEFAULT_COND_THRESHOLD) -
     Raises
     ------
     NearSingular
-        If an eigenvalue is exactly zero or the spectral condition number
-        exceeds ``cond_threshold`` for any member; the message names the
+        If :func:`_conditioning` refuses any member; the message names the
         worst condition number.
     """
     w, v = np.linalg.eigh(np.asarray(m, dtype=float))
-    aw = np.abs(w)
-    lo = aw.min(axis=-1)
-    hi = aw.max(axis=-1)
-    if np.any((lo == 0.0) | (hi > cond_threshold * lo)):
-        cond = float(np.max(np.divide(hi, lo, out=np.full_like(hi, np.inf),
-                                      where=lo > 0.0)))
+    failed = _conditioning(w, cond_threshold)
+    if failed is not None:
         raise NearSingular(
-            f"condition number {cond:.3e} exceeds threshold {cond_threshold:.3e}"
+            f"condition number {float(np.max(failed[1])):.3e} exceeds threshold "
+            f"{cond_threshold:.3e}"
         )
     inv = (v / w[..., None, :]) @ np.swapaxes(v, -1, -2)
     return symmetrize(inv)

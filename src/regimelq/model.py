@@ -29,16 +29,43 @@ diagnostics.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matcore
-from .errors import OutOfRange, StructuralError
+from .errors import DimensionMismatch, OutOfRange, StructuralError
 from .regime_chain import Generator, check_regime, validate_generator
 
 COEFFICIENT_NAMES = ("A", "B", "C", "D", "Q", "S", "R")
 SYMMETRIC_COEFFICIENTS = ("Q", "R", "G")
+
+
+def _check_count(name: str, value, minimum: int = 1):
+    """``value`` if an integer >= ``minimum``, bool excluded, else StructuralError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise StructuralError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _check_positive(name: str, value):
+    """``value`` if a positive finite real, else StructuralError."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
+        raise StructuralError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _start_state(n: int, ell: int, x0, i0):
+    """The initial state as n finite floats (else DimensionMismatch or
+    OutOfRange) and the initial regime as an int in 1..ell."""
+    x = np.asarray(x0, dtype=float).ravel()
+    if x.size != n:
+        raise DimensionMismatch(f"x0 has {x.size} entries, the state dimension is {n}")
+    if not np.all(np.isfinite(x)):
+        raise OutOfRange(f"x0 must be finite, got {x.tolist()}")
+    return x, check_regime(i0, ell, "initial regime")
 
 
 class CoefficientField:
@@ -233,6 +260,8 @@ class ProblemSpec:
     i0: int = 1
 
     def __post_init__(self):
+        for name in ("n", "m", "ell"):
+            _check_count(name, getattr(self, name))
         if not isinstance(self.generator, Generator):
             self.generator = validate_generator(self.generator)
         n, m, ell = int(self.n), int(self.m), int(self.ell)
@@ -240,10 +269,8 @@ class ProblemSpec:
             raise StructuralError(
                 f"generator has {self.generator.ell} regimes, spec declares {ell}"
             )
-        if not (np.isfinite(self.T) and self.T > 0.0):
-            raise StructuralError(f"horizon T must be positive and finite, got {self.T}")
-        if not (np.isfinite(self.delta) and self.delta > 0.0):
-            raise StructuralError(f"delta must be positive and finite, got {self.delta}")
+        _check_positive("horizon T", self.T)
+        _check_positive("delta", self.delta)
         shapes = {
             "A": (n, n), "B": (n, m), "C": (n, n), "D": (n, m),
             "Q": (n, n), "S": (m, n), "R": (m, m), "G": (n, n),
@@ -262,9 +289,10 @@ class ProblemSpec:
                 raise StructuralError(f"{name}: table sample beyond the horizon T={self.T}")
         if self.G.kind == "time_table":
             raise StructuralError("terminal weight G must be constant or a tree leaf field")
-        if self.x0 is not None:
-            self.x0 = np.asarray(self.x0, dtype=float).reshape(n)
-        self.i0 = check_regime(self.i0, ell, "initial regime")
+        if self.x0 is None:
+            self.i0 = check_regime(self.i0, ell, "initial regime")
+        else:
+            self.x0, self.i0 = _start_state(n, ell, self.x0, self.i0)
 
     def _symmetrize_field(self, name):
         f = getattr(self, name)

@@ -150,7 +150,7 @@ class RegimePath:
     ``states[0]`` is the initial regime; ``states[k]`` holds on
     ``[jump_times[k-1], jump_times[k])`` and the final state holds up to T.
     Jump times are strictly increasing and lie in (0, T); consecutive states
-    differ.
+    differ.  Other data is refused with StructuralError.
     """
 
     T: float
@@ -162,12 +162,12 @@ class RegimePath:
         object.__setattr__(self, "jump_times", jt)
         object.__setattr__(self, "states", tuple(int(s) for s in self.states))
         if len(self.states) != jt.size + 1:
-            raise ValueError("need exactly one more state than jump times")
+            raise StructuralError("need exactly one more state than jump times")
         if jt.size:
             if not (np.all(np.diff(jt) > 0.0) and jt[0] > 0.0 and jt[-1] < self.T):
-                raise ValueError("jump times must be strictly increasing in (0, T)")
+                raise StructuralError("jump times must be strictly increasing in (0, T)")
             if any(a == b for a, b in zip(self.states, self.states[1:])):
-                raise ValueError("consecutive states must differ")
+                raise StructuralError("consecutive states must differ")
 
     def regime_at(self, t) -> np.ndarray:
         """Regime (1-based) at one or many times in [0, T]; cadlag lookup."""

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +15,7 @@ from regimelq import config, control
 from regimelq.cli import main, read_solution_csv, run_command, write_solution_csv
 from regimelq.config import parse_config
 from regimelq.control import feedback_gain, mc_cost, predicted_gap
-from regimelq.errors import ParseError, RangeError, UnknownKey
+from regimelq.errors import OutOfRange, ParseError, RangeError, StructuralError, UnknownKey
 from regimelq.esre import SolverOptions, solve_esre
 from regimelq.model import CoefficientField
 
@@ -201,6 +202,35 @@ class TestParseConfig:
     def test_out_of_range_values(self, tmp_path, patch, err):
         with pytest.raises(err):
             parse_config(write_cfg(tmp_path, E1_YAML + patch + "\n"))
+
+    @pytest.mark.parametrize("patch, owner, words", [
+        ("solver: {smallness_threshold: .nan}", StructuralError,
+         "solver.smallness_threshold must be positive and finite, got nan"),
+        ("solver: {backend: magic}", StructuralError,
+         "solver.backend must be 'ode' or 'tree', got 'magic'"),
+        ("simulate: {i0: 7}", OutOfRange, r"simulate.i0: regime 7 is not an integer in 1..2"),
+        ("simulate: {n_paths: 1}", StructuralError, "simulate.n_paths must be an integer >= 2"),
+        ("simulate: {seed: -1}", OutOfRange, r"simulate.seed -1 is not an integer in \[0"),
+        ("simulate: {dt: -0.5}", StructuralError, "simulate.dt must be positive and finite"),
+    ])
+    def test_owner_error_names_the_key(self, tmp_path, patch, owner, words):
+        with pytest.raises(RangeError, match=words) as info:
+            parse_config(write_cfg(tmp_path, E1_YAML + patch + "\n"))
+        assert isinstance(info.value.__cause__, owner)
+
+    @pytest.mark.parametrize("old, new, words", [
+        ("n: 1", "n: 0", "problem: n must be an integer >= 1, got 0"),
+        ("m: 1", "m: 1.5", "problem: m must be an integer >= 1, got 1.5"),
+        ("T: 1.0", "T: -1.0", "problem: horizon T must be positive and finite"),
+        ("delta: 0.5", "delta: .inf", "problem: delta must be positive and finite"),
+        ("i0: 1", "i0: 7", "problem.i0: regime 7 is not an integer in 1..2"),
+        ("x0: [1.0]", "x0: [1.0, 2.0]", "problem: x0 has 2 entries"),
+        ("generator: [[-1.0, 1.0], [1.0, -1.0]]", "generator: [[-1.0, 1.0], [2.0, -1.0]]",
+         "problem.generator: row 2 sums to"),
+    ])
+    def test_problem_rule_names_the_key(self, tmp_path, old, new, words):
+        with pytest.raises(RangeError, match=re.escape(words)):
+            parse_config(write_cfg(tmp_path, E1_YAML.replace(old, new, 1)))
 
     @pytest.mark.parametrize("old, new", [
         ("x0: [1.0]", "x0: [abc]"),
@@ -527,6 +557,23 @@ class TestMain:
         bad = write_cfg(tmp_path, E1_YAML.replace("x0: [1.0]", "x0: [null]"), "x0.yaml")
         assert main(["validate", "--config", str(bad)]) == 1
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: problem.x0")
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("  i0: 1\n", "  i0: 7\n", "problem.i0"),
+        ("  grid_steps: 2000\n", "  grid_steps: 2000\n  smallness_threshold: .nan\n",
+         "solver.smallness_threshold"),
+        ("    - constant: [0.5]\n",
+         "    - table: {times: [0.5, 0.8], values: [[1.0], [2.0]]}\n",
+         "simulate.perturbations[0].table"),
+    ])
+    def test_owner_refusal_is_one_error_line(self, tmp_path, capsys, old, new, key):
+        # the three bad copies of the e1 demo that CI feeds to validate
+        text = (CONFIGS / "e1_scalar.yaml").read_text()
+        assert old in text
+        bad = write_cfg(tmp_path, text.replace(old, new))
+        assert main(["validate", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}") and "Traceback" not in err
 
     def test_python_dash_m_runs_the_cli(self):
         proc = _run_python("-m", "regimelq", "validate",

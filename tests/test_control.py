@@ -1002,6 +1002,16 @@ class TestPerturbation:
         p = Perturbation.coerce((0.1, 0.2), 2)
         assert p.times is None and np.array_equal(p.values, [0.1, 0.2])
 
+    @pytest.mark.parametrize("values, times", [
+        ([np.nan], None), ([np.inf], None), ([[0.1], [np.nan]], [0.0, 0.5]),
+    ])
+    def test_non_finite_values_refused(self, e1, e1_solution, values, times):
+        # accepted, a NaN offset made optimality_gap return a gap of nan
+        with pytest.raises(StructuralError, match="perturbation values must be finite"):
+            Perturbation(values=values, times=times)
+        with pytest.raises(StructuralError, match="perturbation values must be finite"):
+            optimality_gap(e1, e1_solution, np.nan, 10, 1e-2, 0)
+
     def test_table_starting_after_zero_refused(self, e1, e1_solution):
         # applied from t = 0 it gave predicted_gap 1.0 where the offset on
         # [0.5, 1] alone gives 0.5

@@ -486,11 +486,32 @@ class TestStepRateCheck:
     ("cond_threshold", -1.0), ("cond_threshold", np.inf),
     ("grid_steps", 2.5), ("grid_steps", 10.0), ("grid_steps", True),
     ("tree_depth", 4.5), ("tree_depth", 0), ("picard_max_iter", 3.0),
-    ("picard_max_iter", True),
+    ("picard_max_iter", True), ("smallness_threshold", np.nan),
+    ("smallness_threshold", np.inf), ("smallness_threshold", 0.0),
+    ("smallness_threshold", -0.1), ("backend", "magic"),
 ])
 def test_solver_options_reject_bad_values(field, value):
     with pytest.raises(StructuralError, match=field):
         SolverOptions(**{field: value})
+
+
+def test_grid_engine_decomposes_r_once(monkeypatch):
+    # D = 0: R^{-1} comes from one eigh, and the condition test reads its
+    # eigenvalues instead of running eigvalsh on the same stack
+    calls = []
+
+    def counted(name):
+        fn = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    esre._GridEngine(make_e1(), SolverOptions())
+    assert calls == ["eigh"]
 
 
 def test_solver_options_accept_numpy_integers():

@@ -16,17 +16,17 @@ from regimelq.matcore import (
 
 class TestMakeSymmetric:
     def test_already_symmetric_unchanged(self):
-        m = make_symmetric([[1.0, 2.0], [2.0, 3.0]], asym_tol=1e-12)
+        m = make_symmetric([[1.0, 2.0], [2.0, 3.0]])
         assert np.array_equal(m, [[1.0, 2.0], [2.0, 3.0]])
 
     def test_subtolerance_noise_is_averaged(self):
-        m = make_symmetric([[1.0, 2.0 + 1e-13], [2.0, 3.0]], asym_tol=1e-12)
+        m = make_symmetric([[1.0, 2.0 + 1e-13], [2.0, 3.0]])
         assert np.allclose(m, [[1.0, 2.0], [2.0, 3.0]], atol=1e-13)
         assert np.array_equal(m, m.T)
 
     def test_gross_asymmetry_rejected(self):
         with pytest.raises(AsymmetryExceeded):
-            make_symmetric([[1.0, 2.0], [5.0, 3.0]], asym_tol=1e-12)
+            make_symmetric([[1.0, 2.0], [5.0, 3.0]])
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -36,16 +36,16 @@ class TestMakeSymmetric:
         rng = np.random.default_rng(1)
         m = rng.standard_normal((4, 3, 2, 2))
         m = m + np.swapaxes(m, -1, -2) + 1e-13 * rng.standard_normal(m.shape)
-        out = make_symmetric(m, asym_tol=1e-12)
+        out = make_symmetric(m)
         assert out.shape == m.shape
         for idx in np.ndindex(4, 3):
-            assert np.array_equal(out[idx], make_symmetric(m[idx], asym_tol=1e-12))
+            assert np.array_equal(out[idx], make_symmetric(m[idx]))
 
     def test_stack_rejects_one_asymmetric_member(self):
         m = np.stack([np.eye(2)] * 5)
         m[3, 0, 1] = 0.5
         with pytest.raises(AsymmetryExceeded):
-            make_symmetric(m, asym_tol=1e-12)
+            make_symmetric(m)
 
     @pytest.mark.parametrize("shape", [(3, 2, 3), (2, 2, 3, 2), (4,)])
     def test_stack_non_square_rejected(self, shape):

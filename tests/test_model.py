@@ -4,7 +4,7 @@ diffusion-size measure."""
 import numpy as np
 import pytest
 
-from regimelq.errors import OutOfRange, StructuralError
+from regimelq.errors import DimensionMismatch, OutOfRange, StructuralError
 from regimelq.matcore import min_eigenvalue, sym_inverse, symmetrize
 from regimelq.model import (
     CoefficientField,
@@ -216,6 +216,28 @@ class TestProblemSpec:
                         C=np.zeros((2, 2, 2)), D=np.zeros((2, 2, 1)), Q=qf,
                         S=np.zeros((2, 1, 2)), R=np.ones((2, 1, 1)),
                         G=np.stack([np.eye(2)] * 2), delta=0.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 0), ("m", 0), ("n", -1), ("m", 1.0), ("ell", True),
+    ])
+    def test_dimensions_must_be_positive_integers(self, field, value):
+        # n = 0 used to pass and end the solve in a raw IndexError
+        dims = dict(n=1, m=1, ell=2)
+        dims[field] = value
+        with pytest.raises(StructuralError, match=f"{field} must be an integer >= 1"):
+            ProblemSpec(**dims, T=1.0, generator=[[-1.0, 1.0], [1.0, -1.0]],
+                        A=np.zeros((1, 1)), B=np.ones((1, 1)), C=np.zeros((1, 1)),
+                        D=np.zeros((1, 1)), Q=np.zeros((1, 1)), S=np.zeros((1, 1)),
+                        R=np.ones((1, 1)), G=np.ones((1, 1)), delta=0.5)
+
+    @pytest.mark.parametrize("x0", [np.nan, np.inf])
+    def test_non_finite_x0_refused(self, x0):
+        with pytest.raises(OutOfRange, match="x0 must be finite"):
+            make_e1(x0=x0)
+
+    def test_x0_of_another_size_refused(self):
+        with pytest.raises(DimensionMismatch, match="x0 has 2 entries"):
+            scalar_spec(B=1.0, R=1.0, x0=[1.0, 2.0])
 
     def test_shared_matrix_broadcasts_over_regimes(self):
         spec = make_e1()

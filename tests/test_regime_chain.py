@@ -171,6 +171,16 @@ class TestSampleChainPath:
                 assert path.jump_times[0] > 0.0 and path.jump_times[-1] < 2.0
                 assert all(a != b for a, b in zip(path.states, path.states[1:]))
 
+    @pytest.mark.parametrize("states, jump_times", [
+        ((1, 1), [0.4]),                  # repeated state
+        ((1, 2), [1.0]),                  # jump at T
+        ((1, 2, 1), [0.6, 0.4]),          # times not increasing
+        ((1, 2), []),                     # one state too many
+    ])
+    def test_bad_path_refused_with_a_typed_error(self, states, jump_times):
+        with pytest.raises(StructuralError):
+            RegimePath(T=1.0, states=states, jump_times=jump_times)
+
     def test_regime_lookup_is_cadlag(self):
         path = RegimePath(T=1.0, states=(1, 2), jump_times=np.array([0.4]))
         assert path.regime_at(0.0) == 1
