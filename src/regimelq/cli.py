@@ -88,20 +88,15 @@ def write_solution_csv(solution: EsreSolution, path) -> None:
     counts, the residual history and the diagnostics.
     """
     path = Path(path)
-    ksamples, ell, n, _ = solution.P.shape
-    lines = ["t,regime,row,col,P,Lambda"]
-    for k in range(ksamples):
-        t = _f17(solution.grid[k])
-        for i in range(ell):
-            for r in range(n):
-                for c in range(n):
-                    lines.append(
-                        f"{t},{i + 1},{r + 1},{c + 1},"
-                        f"{_f17(solution.P[k, i, r, c])},"
-                        f"{_f17(solution.Lambda[k, i, r, c])}"
-                    )
+    _, ell, n, _ = solution.P.shape
+    keys = [f",{i + 1},{r + 1},{c + 1},"
+            for i in range(ell) for r in range(n) for c in range(n)]
+    heads = (t + key for t in map(_f17, solution.grid.tolist()) for key in keys)
     try:
-        path.write_text("\n".join(lines) + "\n")
+        with path.open("w") as f:
+            f.write("t,regime,row,col,P,Lambda\n")
+            f.writelines(f"{head}{p:.17g},{lam:.17g}\n" for head, p, lam in zip(
+                heads, solution.P.ravel().tolist(), solution.Lambda.ravel().tolist()))
     except OSError as exc:
         raise IoError(f"cannot write solution to {path}: {exc}") from exc
     _write_metadata(path, solution=solution)

@@ -80,6 +80,7 @@ import numpy as np
 from . import matcore
 from .errors import BlowUp, DimensionMismatch, StructuralError
 from .esre import EsreSolution, _gain_blocks
+from .matcore import _floats
 from .model import CoefficientField, ProblemSpec, _check_count, _check_positive, _start_state
 from .regime_chain import (
     _jump_cumprobs,
@@ -107,17 +108,17 @@ class Perturbation:
     A table holds finite values (K, m) at K finite, strictly increasing
     times, the first at or before 0, each value holding up to the next
     time.  Anything else is refused at construction: a rank other than (m,)
-    or (K, m) with DimensionMismatch, non-finite values, bad times or a
-    table starting after 0 (which would leave the offset undefined on
-    [0, times[0])) with StructuralError, the table's messages led by
-    ``table``, its run-file key.
+    or (K, m) with DimensionMismatch; non-numeric or non-finite values, bad
+    times or a table starting after 0 (which would leave the offset
+    undefined on [0, times[0])) with StructuralError, the table's messages
+    led by ``table``, its run-file key.
     """
 
     values: np.ndarray           # (m,) or (K, m)
     times: np.ndarray = None     # table sample times when piecewise
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = _floats(self.values, "perturbation values")
         if not np.all(np.isfinite(self.values)):
             raise StructuralError("perturbation values must be finite")
         if self.times is None:
@@ -125,7 +126,7 @@ class Perturbation:
                 raise DimensionMismatch(
                     f"constant perturbation needs values (m,), got shape {self.values.shape}")
             return
-        self.times = np.asarray(self.times, dtype=float)
+        self.times = _floats(self.times, "table times")
         k = self.times.size
         if self.times.ndim != 1 or self.values.ndim != 2 or self.values.shape[0] != k:
             raise DimensionMismatch(
@@ -145,7 +146,7 @@ class Perturbation:
         if e is None:
             return cls(values=np.zeros(m))
         if not isinstance(e, Perturbation):
-            arr = np.asarray(e, dtype=float)
+            arr = _floats(e, "perturbation")
             e = cls(values=np.full(m, float(arr)) if arr.ndim == 0 else arr)
         if e.values.shape[-1] != m:
             raise DimensionMismatch(

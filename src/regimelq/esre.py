@@ -81,7 +81,11 @@ Both engines evaluate the driver ``P A + A'P + C'P C + Lam C + C'Lam + Q
 formed by :func:`_gain_blocks` and ``src`` the regime coupling.
 ``Sigma^{-1} M`` is an LU inverse times M behind one condition test, or a
 product with R^{-1}, formed once per engine, when D = 0; a refusal raises
-:class:`NearSingular` naming t, the regime and the condition number.
+:class:`NearSingular` naming t, the regime and the condition number.  With
+one control (m = 1) the LU inverse of each 1 x 1 Sigma is the division
+``1 / Sigma`` it comes to.  The condition test and the PSD checks take
+their verdict from the disc bound of :mod:`regimelq.matcore` and run an
+eigendecomposition only where that bound cannot decide.
 
 :func:`direct_coupled_oracle` integrates the full coupled system in one go,
 written out apart from the engines' driver, and serves as an independent
@@ -115,6 +119,8 @@ BLOWUP_GUARD = 1e8
 # rate 20 a ratio of 2 leaves an error of about 1e-2 in P(0), and 2.5
 # already gives 0.669 for the closed form 0.5
 MAX_STEP_RATE = 2.0
+# smallest positive normal float: 1 / x cannot overflow at or above it
+_NORMAL_MIN = np.finfo(float).tiny
 
 
 @dataclass
@@ -316,8 +322,10 @@ class _Engine:
     def _require_conditioned(self, sigma, h):
         """Refuse a stack of Sigma = R + D'PD at sample ``h`` (one index,
         or one per leading member) that :func:`matcore._conditioning`
-        refuses, naming t, the regime and the condition number."""
-        failed = matcore._conditioning(np.linalg.eigvalsh(sigma), self.options.cond_threshold)
+        refuses, naming t, the regime and the condition number.  The disc
+        bound of :func:`matcore._conditioning_of` passes most stacks without
+        an eigendecomposition."""
+        failed = matcore._conditioning_of(sigma, self.options.cond_threshold)
         if failed is not None:
             refused, cond = failed
             first = np.unravel_index(np.argmax(refused), refused.shape)
@@ -353,11 +361,15 @@ class _Engine:
                 if check_cond:
                     self._require_conditioned(sigma, h)
                 # LU inverse and product: on these stacks of small blocks it
-                # costs less than np.linalg.solve with several columns
+                # costs less than np.linalg.solve with several columns.  LU
+                # inverts a 1 x 1 block by the division 1 / sigma, done here
+                # where it cannot overflow; LU refuses a zero block
                 try:
-                    x = np.linalg.inv(sigma) @ m
+                    inv = (1.0 / sigma if sigma.shape[-1] == 1
+                           and np.abs(sigma).min() >= _NORMAL_MIN else np.linalg.inv(sigma))
                 except np.linalg.LinAlgError as exc:
                     raise NearSingular("R + D'PD is singular") from exc
+                x = inv @ m
             else:
                 m, _ = _gain_blocks(p, lam, self.B[h], c, None, s, None)
                 x = self.R_inv[h] @ m
@@ -647,6 +659,8 @@ def _picard_sequence(engine, it0, options: SolverOptions, on_sweep=None):
 
 
 def _require_psd(values: np.ndarray, psd_tol: float):
+    if matcore._eigenvalue_floor(values) >= -psd_tol:
+        return
     wmin = _min_eig(values)
     if not wmin >= -psd_tol:
         raise PsdViolation(

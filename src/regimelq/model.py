@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
+from .matcore import _floats
 from .errors import DimensionMismatch, OutOfRange, StructuralError
 from .regime_chain import Generator, check_regime, validate_generator
 
@@ -60,7 +61,7 @@ def _check_positive(name: str, value):
 def _start_state(n: int, ell: int, x0, i0):
     """The initial state as n finite floats (else DimensionMismatch or
     OutOfRange) and the initial regime as an int in 1..ell."""
-    x = np.asarray(x0, dtype=float).ravel()
+    x = _floats(x0, "x0").ravel()
     if x.size != n:
         raise DimensionMismatch(f"x0 has {x.size} entries, the state dimension is {n}")
     if not np.all(np.isfinite(x)):
@@ -85,7 +86,8 @@ class CoefficientField:
         depth; node (k, j) is level k with j up-moves.  Used by the tree
         solver backend for randomly varying coefficients.
 
-    The constructors refuse NaN and infinite values with StructuralError.
+    The constructors refuse non-numeric, NaN and infinite values with
+    StructuralError.
     The feedback gains of :func:`~regimelq.control.feedback_gain` are a
     ``time_table`` field of m x n matrices.
     """
@@ -107,7 +109,7 @@ class CoefficientField:
     @classmethod
     def constant(cls, mats) -> "CoefficientField":
         """Constant field from per-regime matrices, shape (ell, r, c)."""
-        vals = np.asarray(mats, dtype=float)
+        vals = _floats(mats, "constant field")
         if vals.ndim != 3:
             raise StructuralError(
                 f"constant field needs per-regime matrices (ell, r, c), got shape {vals.shape}"
@@ -117,8 +119,8 @@ class CoefficientField:
     @classmethod
     def from_table(cls, times, mats) -> "CoefficientField":
         """Time table from sample times (K,) and values (K, ell, r, c)."""
-        times = np.asarray(times, dtype=float)
-        vals = np.asarray(mats, dtype=float)
+        times = _floats(times, "time table times")
+        vals = _floats(mats, "time table values")
         if vals.ndim != 4 or times.ndim != 1 or times.size != vals.shape[0]:
             raise StructuralError("time table needs times (K,) and values (K, ell, r, c)")
         if times.size == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
@@ -128,7 +130,7 @@ class CoefficientField:
     @classmethod
     def from_tree(cls, levels) -> "CoefficientField":
         """Tree field from per-level arrays, level k of shape (k+1, ell, r, c)."""
-        levels = [np.asarray(lv, dtype=float) for lv in levels]
+        levels = [_floats(lv, f"tree level {k}") for k, lv in enumerate(levels)]
         depth = len(levels) - 1
         for k, lv in enumerate(levels):
             if lv.ndim != 4 or lv.shape[0] != k + 1:
@@ -155,7 +157,8 @@ class CoefficientField:
             lv = np.empty((k + 1, ell) + tuple(shape))
             for j in range(k + 1):
                 for i in range(1, ell + 1):
-                    lv[j, i - 1] = np.asarray(fn(k * dt, (2 * j - k) * sq, i), dtype=float)
+                    lv[j, i - 1] = _floats(fn(k * dt, (2 * j - k) * sq, i),
+                                           "tree function value")
             levels.append(lv)
         return cls.from_tree(levels)
 
@@ -218,7 +221,7 @@ def _as_field(value, ell, shape, name) -> CoefficientField:
     if isinstance(value, CoefficientField):
         f = value
     else:
-        arr = np.asarray(value, dtype=float)
+        arr = _floats(value, name)
         if arr.ndim == 2:
             arr = np.repeat(arr[None], ell, axis=0)
         try:

@@ -34,6 +34,7 @@ from .errors import (
     StructuralError,
     TooFewRegimes,
 )
+from .matcore import _floats
 
 ROW_SUM_TOL = 1e-12
 POISSON_CUTOFF = 1e-18
@@ -149,8 +150,9 @@ class RegimePath:
 
     ``states[0]`` is the initial regime; ``states[k]`` holds on
     ``[jump_times[k-1], jump_times[k])`` and the final state holds up to T.
-    Jump times are strictly increasing and lie in (0, T); consecutive states
-    differ.  Other data is refused with StructuralError.
+    States are integers >= 1 (bool refused), jump times are strictly
+    increasing and lie in (0, T), and consecutive states differ.  Other
+    data is refused with StructuralError.
     """
 
     T: float
@@ -158,9 +160,17 @@ class RegimePath:
     jump_times: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def __post_init__(self):
-        jt = np.asarray(self.jump_times, dtype=float)
+        jt = _floats(self.jump_times, "jump times")
         object.__setattr__(self, "jump_times", jt)
-        object.__setattr__(self, "states", tuple(int(s) for s in self.states))
+        try:
+            states = tuple(self.states)
+        except TypeError as exc:
+            raise StructuralError(
+                f"states must be a sequence of regimes, got {self.states!r}") from exc
+        for s in states:
+            if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 1:
+                raise StructuralError(f"states must be integers >= 1, got {s!r}")
+        object.__setattr__(self, "states", tuple(int(s) for s in states))
         if len(self.states) != jt.size + 1:
             raise StructuralError("need exactly one more state than jump times")
         if jt.size:

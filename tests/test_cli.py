@@ -18,6 +18,7 @@ from regimelq.control import feedback_gain, mc_cost, predicted_gap
 from regimelq.errors import OutOfRange, ParseError, RangeError, StructuralError, UnknownKey
 from regimelq.esre import SolverOptions, solve_esre
 from regimelq.model import CoefficientField
+from conftest import random_spec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -309,6 +310,26 @@ class TestSolutionFiles:
         assert np.array_equal(grid, sol.grid)
         assert np.array_equal(p, sol.P)
         assert np.array_equal(lam, sol.Lambda)
+
+    @pytest.mark.parametrize("backend", ["ode", "tree"])
+    def test_lines_equal_written_out_loop(self, tmp_path, backend):
+        if backend == "ode":
+            sol = solve_esre(random_spec(303), SolverOptions(grid_steps=40))
+        else:
+            cfg = parse_config(CONFIGS / "tree_random_q.yaml")
+            sol = solve_esre(cfg.problem, cfg.solver)
+        f17 = lambda x: format(float(x), ".17g")
+        lines = ["t,regime,row,col,P,Lambda"]
+        ksamples, ell, n, _ = sol.P.shape
+        for k in range(ksamples):
+            for i in range(ell):
+                for r in range(n):
+                    for c in range(n):
+                        lines.append(f"{f17(sol.grid[k])},{i + 1},{r + 1},{c + 1},"
+                                     f"{f17(sol.P[k, i, r, c])},{f17(sol.Lambda[k, i, r, c])}")
+        out = tmp_path / "sol.csv"
+        write_solution_csv(sol, out)
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_rewrite_is_byte_identical(self, tmp_path, e1):
         a = tmp_path / "a.csv"

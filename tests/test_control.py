@@ -1012,6 +1012,17 @@ class TestPerturbation:
         with pytest.raises(StructuralError, match="perturbation values must be finite"):
             optimality_gap(e1, e1_solution, np.nan, 10, 1e-2, 0)
 
+    @pytest.mark.parametrize("kwargs, what", [
+        (dict(values="abc"), "perturbation values"),
+        (dict(values=[[0.1], [0.2]], times=["0", "b"]), "table times"),
+    ])
+    def test_non_numeric_input_refused(self, kwargs, what):
+        with pytest.raises(StructuralError, match=f"^{what} must be an array of numbers: "):
+            Perturbation(**kwargs)
+        with pytest.raises(StructuralError,
+                           match="^perturbation must be an array of numbers: "):
+            Perturbation.coerce("abc", 1)
+
     def test_table_starting_after_zero_refused(self, e1, e1_solution):
         # applied from t = 0 it gave predicted_gap 1.0 where the offset on
         # [0.5, 1] alone gives 0.5

@@ -16,6 +16,7 @@ Reference values used here:
 
 import dataclasses
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1021,3 +1022,58 @@ def test_fixed_point_reintegration(e1, e1_solution):
         rhs = -(np.einsum("ij,jab->iab", q, p_next) - p_next @ p_next)
         stepped = p_next - dt * rhs
         assert np.max(np.abs(stepped - p_here)) <= 10 * dt**2
+
+
+class TestGoldenTree:
+    """Tree answers pinned to 17 significant digits, taken before the
+    guards read the disc bound and before the 1 x 1 Sigma became a
+    division.  A change that moves them moves every tree answer."""
+
+    def test_tree_random_q_config(self):
+        cfg = parse_config(CONFIGS / "tree_random_q.yaml")
+        p0 = solve_esre(cfg.problem, cfg.solver).P[0]
+        got = [format(x, ".17g") for x in p0.ravel().tolist()]
+        assert got == ["0.99875731394428791", "0.99875731394428791"]
+
+    def test_two_states_with_control_noise(self):
+        # n = 2, m = 1, D != 0: the 2 x 2 discs clip the levels and each
+        # 1 x 1 Sigma is inverted by division
+        rng = np.random.default_rng(5)
+        spec = dataclasses.replace(_random_q_spec(24), D=0.08 * rng.standard_normal((3, 2, 1)))
+        sol = solve_esre(spec, SolverOptions(backend="tree", tree_depth=24))
+        assert sol.iterations == 14
+        assert [format(x, ".17g") for x in sol.P[0].ravel().tolist()] == [
+            "0.82833606737307031", "-0.37760348160936807", "-0.37760348160936807",
+            "2.4418674809011041", "2.941229982099224", "-2.0745937794605029",
+            "-2.0745937794605029", "3.9454578711373007", "1.2233754422968852",
+            "-1.1532603366437117", "-1.1532603366437117", "3.2020651168488334"]
+
+
+def _sigma_engine(m, r):
+    """Grid engine of a problem with m controls, D = the first m unit
+    vectors and R = r I, so that Sigma = r I + P[:m, :m]."""
+    ell, n = 2, 2
+    spec = ProblemSpec(
+        n=n, m=m, ell=ell, T=1.0, generator=[[-1.0, 1.0], [1.0, -1.0]],
+        A=np.zeros((ell, n, n)), B=np.ones((ell, n, m)), C=np.zeros((ell, n, n)),
+        D=np.stack([np.eye(n)[:, :m]] * ell), Q=np.stack([np.eye(n)] * ell),
+        S=np.zeros((ell, m, n)), R=np.stack([r * np.eye(m)] * ell),
+        G=np.stack([np.eye(n)] * ell), delta=0.5,
+    )
+    return esre._GridEngine(spec, SolverOptions(grid_steps=10))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_exactly_singular_sigma_is_refused(m):
+    # Sigma = 1 - 1 = 0 exactly: the 1 x 1 division and the LU inverse
+    # refuse it alike
+    with pytest.raises(NearSingular, match=r"^R \+ D'PD is singular$"):
+        _sigma_engine(m, 1.0)._driver(0, -np.stack([np.eye(2)] * 2), None, 0.0)
+
+
+def test_subnormal_one_by_one_sigma_goes_to_lu():
+    # 1 / 1e-310 overflows with a RuntimeWarning that LU's inverse does not give
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _sigma_engine(1, 1e-310)._driver(0, np.zeros((2, 2, 2)), None, 0.0)
+    assert not [w for w in caught if "divide" in str(w.message)]

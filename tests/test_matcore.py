@@ -1,10 +1,17 @@
 """Symmetric-matrix algebra: constructors, spectral queries, guarded
 inversion."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from regimelq.errors import AsymmetryExceeded, DimensionMismatch, NearSingular, PsdViolation
+from regimelq import matcore
+from regimelq.errors import (
+    AsymmetryExceeded, DimensionMismatch, NearSingular, PsdViolation, StructuralError,
+)
 from regimelq.matcore import (
     make_symmetric,
     min_eigenvalue,
@@ -31,6 +38,10 @@ class TestMakeSymmetric:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
             make_symmetric(np.zeros((2, 3)))
+
+    def test_non_numeric_rejected(self):
+        with pytest.raises(StructuralError, match="^matrix must be an array of numbers: "):
+            make_symmetric([["a", 1.0], [1.0, 2.0]])
 
     def test_stack_matches_members(self):
         rng = np.random.default_rng(1)
@@ -166,3 +177,187 @@ class TestProjectPsd:
         out = project_psd(stack, 1e-9)
         assert out.shape == stack.shape
         assert float(np.min(np.linalg.eigvalsh(out))) >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# the disc bound: verdicts without an eigendecomposition
+# ---------------------------------------------------------------------------
+
+
+def _project_psd_eigh(m, psd_tol):
+    """project_psd as it was before the disc bound: eigh on every call."""
+    m = np.asarray(m, dtype=float)
+    w, v = np.linalg.eigh(m)
+    wmin = float(w.min())
+    if not wmin > -psd_tol:
+        raise PsdViolation(
+            f"min eigenvalue {wmin:.3e} at or below -psd_tol = {-psd_tol:.3e}"
+        )
+    if wmin >= 0.0:
+        return m
+    w = np.clip(w, 0.0, None)
+    return symmetrize((v * w[..., None, :]) @ np.swapaxes(v, -1, -2))
+
+
+def _outcome(fn, *args):
+    """What a guard gives: its result, or its error type and text (a NaN
+    can stop LAPACK's eigensolver with LinAlgError)."""
+    try:
+        return fn(*args)
+    except (PsdViolation, np.linalg.LinAlgError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _same(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        return False
+    if want is None or got is None:
+        return got is want
+    if isinstance(want, tuple) and isinstance(want[0], str):
+        return got == want
+    if isinstance(want, tuple):                # _conditioning's (refused, cond)
+        return (isinstance(got, tuple) and len(got) == len(want)
+                and all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want)))
+    return (isinstance(got, np.ndarray) and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+def _reference(m, psd_tol, cond):
+    """The PSD clip and the condition verdict from the eigendecomposition."""
+    w = _outcome(np.linalg.eigvalsh, m)
+    return (_outcome(_project_psd_eigh, m, psd_tol),
+            w if isinstance(w, tuple) else matcore._conditioning(w, cond))
+
+
+def _guards(m, psd_tol, cond):
+    return _outcome(project_psd, m, psd_tol), _outcome(matcore._conditioning_of, m, cond)
+
+
+def _with_warnings(fn, *args):
+    """``fn(*args)`` and the texts of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught]
+
+
+def _member(rng, n, kind):
+    """One n x n symmetric member of the given kind, at a random scale and
+    with a random sign pattern (which keeps |m| and the spectrum)."""
+    scale = 10.0 ** rng.uniform(-3, 3)
+    lap = np.zeros((n, n))                   # weighted graph Laplacian: eigenvalue 0,
+    for i in range(n):                       # every Gershgorin disc touches 0
+        for j in range(i):
+            lap[i, j] = lap[j, i] = -rng.uniform(0.1, 1.0)
+    np.fill_diagonal(lap, -lap.sum(axis=1))
+    if kind == "dominant":
+        m = lap + rng.uniform(0.5, 2.0) * np.eye(n)
+    elif kind == "near":
+        # smallest eigenvalue within +-1e3 margins of 0, disc bound tight
+        margin = matcore.DISC_MARGIN * n * max(np.abs(lap).max(), 1.0)
+        m = lap + rng.uniform(-1e3, 1e3) * margin * np.eye(n)
+        if n == 1:
+            m = np.array([[rng.uniform(-1e3, 1e3) * matcore.DISC_MARGIN]])
+    elif kind == "singular":
+        m = lap if rng.random() < 0.5 else np.zeros((n, n))
+    elif kind == "triangular":
+        # eigh reads the lower triangle alone: its discs are those of lap + c I
+        m = np.tril(lap + rng.uniform(0.0, 1.0) * np.eye(n))
+    elif kind == "general":
+        x = rng.standard_normal((n, n))
+        m = x @ x.T
+    elif kind == "negative":
+        x = rng.standard_normal((n, n))
+        m = x @ x.T - rng.uniform(1e-12, 1.0) * np.eye(n)
+    else:                                    # "nan" or "inf"
+        m = lap + np.eye(n)
+        i, j = rng.integers(0, n, 2)
+        m[i, j] = m[j, i] = np.nan if kind == "nan" else rng.choice([np.inf, -np.inf])
+    sign = rng.choice([-1.0, 1.0], n)
+    return scale * (sign[:, None] * m * sign[None, :])
+
+
+MIXES = [("dominant",), ("dominant", "near"), ("near",), ("singular", "dominant"),
+         ("general", "dominant"), ("negative", "dominant"), ("nan", "dominant"),
+         ("inf", "dominant"), ("triangular",),
+         ("dominant", "near", "singular", "triangular", "general", "negative", "nan", "inf")]
+
+
+class TestDiscBound:
+    """Where the disc bound decides, a guard must give exactly what its
+    eigendecomposition gives; elsewhere it must defer to it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+           size=st.integers(1, 300), mix=st.sampled_from(MIXES),
+           psd_tol=st.sampled_from([1e-9, 1e-6, 1e-300]),
+           cond=st.sampled_from([1e12, 1e3, 4.0, 1.0]))
+    def test_verdicts_equal_eigendecomposition(self, seed, n, size, mix, psd_tol, cond):
+        rng = np.random.default_rng(seed)
+        stack = np.stack([_member(rng, n, mix[k]) for k in rng.integers(0, len(mix), size)])
+        shape = (size,) if rng.random() < 0.5 else (1, size)
+        # the whole stack, then its first members alone, where one member
+        # near the margin decides the verdict
+        for m in [stack.reshape(shape + (n, n))] + list(stack[:20]):
+            want, want_warnings = _with_warnings(_reference, m, psd_tol, cond)
+            got, got_warnings = _with_warnings(_guards, m, psd_tol, cond)
+            assert _same(got[0], want[0]) and _same(got[1], want[1])
+            assert got_warnings == want_warnings
+            floor = matcore._eigenvalue_floor(m)
+            w = _outcome(np.linalg.eigvalsh, m)
+            if not (np.isnan(floor) or isinstance(w, tuple)):
+                assert floor <= float(np.min(w))
+
+    def test_decided_stacks_run_no_eigendecomposition(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        psd = np.stack([_member(rng, 3, "dominant") for _ in range(50)])
+        psd = np.abs(psd)                     # positive diagonal: every disc in (0, inf)
+        sigma = rng.uniform(0.5, 2.0, (101, 2, 1, 1))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigendecomposition ran")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert project_psd(psd, 1e-9) is psd
+        assert matcore._conditioning_of(psd, 1e12) is None
+        assert matcore._conditioning_of(sigma, 1e12) is None
+        assert project_psd(sigma, 1e-9) is sigma
+
+    def test_one_by_one_premise(self):
+        # dsyevd returns A(1,1) for N = 1, and LU inverts a 1 x 1 block by
+        # one division: the 1 x 1 shortcuts rest on both
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            shape = (64, 3, 1, 1)
+            s = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-300, 300, shape)
+            s[0, 0] = -0.0
+            s[1, 0] = np.inf
+            m = rng.standard_normal((64, 3, 1, 4))
+            assert np.array_equal(np.linalg.eigvalsh(s), s[..., 0])
+            assert np.array_equal(np.linalg.eigh(s)[0], s[..., 0])
+            assert np.array_equal(np.linalg.inv(s[2:]) @ m[2:], (1.0 / s[2:]) @ m[2:])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_empty_stack_as_eigendecomposition(self, n):
+        empty = np.zeros((0, n, n))
+        assert matcore._conditioning_of(empty, 1e12) is None
+        with pytest.raises(ValueError):
+            project_psd(empty, 1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_no_warning_from_bound(self, bad, n):
+        stack = np.stack([np.eye(n)] * 4)
+        stack[2, n - 1, 0] = stack[2, 0, n - 1] = bad
+        stack[3, 0, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            floor = matcore._eigenvalue_floor(stack)
+            if n > 1:
+                assert matcore._discs(stack) is None
+                assert np.isnan(floor)
+        want, want_warnings = _with_warnings(_reference, stack, 1e-9, 1e12)
+        got, got_warnings = _with_warnings(_guards, stack, 1e-9, 1e12)
+        assert got_warnings == want_warnings
+        assert _same(got[0], want[0]) and _same(got[1], want[1])

@@ -142,6 +142,18 @@ class TestCoefficientField:
         with pytest.raises(StructuralError, match="non-finite"):
             build(bad)
 
+    @pytest.mark.parametrize("build, what", [
+        (lambda: CoefficientField.constant("abc"), "constant field"),
+        (lambda: CoefficientField.constant([[[1.0]], [[1.0, 2.0]]]), "constant field"),
+        (lambda: CoefficientField.from_table([0.0, "x"], np.ones((2, 2, 1, 1))),
+         "time table times"),
+        (lambda: CoefficientField.from_tree([np.ones((1, 2, 1, 1)), "ab"]), "tree level 1"),
+    ], ids=["string", "ragged", "table-times", "tree-level"])
+    def test_non_numeric_values_refused(self, build, what):
+        # numpy's own ValueError used to reach library callers
+        with pytest.raises(StructuralError, match=f"^{what} must be an array of numbers: "):
+            build()
+
     def test_tree_field_node_lookup(self):
         f = CoefficientField.from_tree_function(
             lambda t, w, i: [[w]], depth=3, T=1.0, ell=2, shape=(1, 1)

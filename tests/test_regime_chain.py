@@ -176,10 +176,21 @@ class TestSampleChainPath:
         ((1, 2), [1.0]),                  # jump at T
         ((1, 2, 1), [0.6, 0.4]),          # times not increasing
         ((1, 2), []),                     # one state too many
+        ((1.5, 2), [0.4]),                # not an integer (was stored as 1)
+        ((0, -3), [0.4]),                 # not >= 1 (regime_at gave -3)
+        (("a",), []),                     # not a number (was a raw ValueError)
+        ((True, 2), [0.4]),               # bool, refused as check_regime does
+        (3, []),                          # not a sequence
+        ((1, 2), ["x"]),                  # jump time not a number
     ])
     def test_bad_path_refused_with_a_typed_error(self, states, jump_times):
         with pytest.raises(StructuralError):
             RegimePath(T=1.0, states=states, jump_times=jump_times)
+
+    def test_numpy_integer_states_accepted(self):
+        path = RegimePath(T=1.0, states=np.array([2, 1]), jump_times=[0.4])
+        assert path.states == (2, 1) and all(type(s) is int for s in path.states)
+        assert path.regime_at(0.7) == 1
 
     def test_regime_lookup_is_cadlag(self):
         path = RegimePath(T=1.0, states=(1, 2), jump_times=np.array([0.4]))
