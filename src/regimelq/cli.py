@@ -42,7 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,7 @@ from . import matcore
 from .config import RunConfig, parse_config
 from .control import Policy, feedback_gain, mc_cost, optimality_gap, value_at
 from .errors import IoError, NoConvergence, RegimeLQError
-from .esre import EsreSolution, SolverOptions, solve_esre, solve_p0
+from .esre import EsreSolution, solve_esre, solve_p0
 from .fbsde import tree_fbsde_oracle, xinv_product_check, ypx_residual
 from .model import check_smallness, validate_assumptions
 from .regime_chain import check_seed
@@ -349,9 +349,7 @@ def _cmd_verify(config: RunConfig, paths, echo, seed) -> CommandResult:
     if spec.D.is_zero() and spec.n <= 2:
         devs = []
         for depth in (4, 8):
-            opts = SolverOptions(backend="tree", tree_depth=depth,
-                                 picard_tol=config.solver.picard_tol,
-                                 picard_max_iter=config.solver.picard_max_iter)
+            opts = replace(config.solver, backend="tree", tree_depth=depth)
             p0 = solve_p0(spec, opts)
             _, dev = tree_fbsde_oracle(spec, i0, p0, opts)
             devs.append(dev)

@@ -79,7 +79,7 @@ import numpy as np
 
 from . import matcore
 from .errors import BlowUp, DimensionMismatch, StructuralError
-from .esre import EsreSolution, _gain_blocks
+from .esre import BLOWUP_GUARD, EsreSolution, _gain_blocks, _guarded
 from .matcore import _floats
 from .model import CoefficientField, ProblemSpec, _check_count, _check_positive, _start_state
 from .regime_chain import (
@@ -94,6 +94,7 @@ from .regime_chain import (
 
 CHUNK_PATHS = 4096
 _DRAW_BLOCK = 128
+_GUARD_TEXT = f"{BLOWUP_GUARD:.0e}".replace("e+0", "e")    # 1e8, as the messages write it
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +199,8 @@ def feedback_gain(solution: EsreSolution, spec: ProblemSpec) -> CoefficientField
     """Optimal feedback matrices on the solution grid: a time table whose
     sample k in regime i is the m x n gain ``K(grid[k], i)``.
 
-    Raises NearSingular if ``R + D'P D`` fails the guarded inversion at any
-    sample and regime, and StructuralError for random (lattice)
+    Raises NearSingular, naming the time and regime, if ``R + D'P D`` fails
+    the guarded inversion at any sample, and StructuralError for random (lattice)
     coefficients: their optimal gain differs from node to node, which one
     gain per (time, regime) cannot hold.
     """
@@ -211,7 +212,7 @@ def feedback_gain(solution: EsreSolution, spec: ProblemSpec) -> CoefficientField
     grid = solution.grid
     m, sigma = _gain_blocks(solution.P, solution.Lambda, *(
         spec.coefficient(name).sample_times(grid) for name in ("B", "C", "D", "S", "R")))
-    gains = -(matcore.sym_inverse(sigma, solution.options.cond_threshold) @ m)
+    gains = -(_guarded(matcore.sym_inverse, sigma, grid, solution.options.cond_threshold) @ m)
     return CoefficientField.from_table(grid, gains)
 
 
@@ -293,8 +294,8 @@ def simulate_closed_loop(spec: ProblemSpec, policy, x0, i0: int, dt: float,
         acc += float(x @ q @ x + 2.0 * (u @ (s @ x)) + u @ r @ u) * dt
         dw = sq * xi[k]
         x = x + (a @ x + b @ u) * dt + (c @ x + d @ u) * dw
-        if float(np.max(np.abs(x))) > 1e8:
-            raise BlowUp(f"state norm exceeded 1e8 at t={t + dt:g}", path_index=0)
+        if float(np.max(np.abs(x))) > BLOWUP_GUARD:
+            raise BlowUp(f"state norm exceeded {_GUARD_TEXT} at t={t + dt:g}", path_index=0)
         controls[k] = u
         states[k + 1] = x
         running[k + 1] = acc
@@ -574,11 +575,11 @@ def _run_paths(table, G, x0, reg, reg_T, dw, path_offset, shared=None):
                 mx += nx
             new.append(mx)
         x = new
-        if any(np.abs(v).max() > 1e8 for v in x):
-            big = np.logical_or.reduce([np.abs(v) > 1e8 for v in x])
+        if any(np.abs(v).max() > BLOWUP_GUARD for v in x):
+            big = np.logical_or.reduce([np.abs(v) > BLOWUP_GUARD for v in x])
             if column is not None:
                 big = big[_live_column(column, source, m)]
-            raise BlowUp(f"state norm exceeded 1e8 at step {k + 1}",
+            raise BlowUp(f"state norm exceeded {_GUARD_TEXT} at step {k + 1}",
                          path_index=path_offset + int(np.argmax(big)))
     x = _join(x, cost, source, m, count)
     g = np.take(G.reshape(len(G), nn), reg_T, axis=0).T

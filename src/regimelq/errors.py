@@ -15,14 +15,22 @@ class AsymmetryExceeded(RegimeLQError):
     """A matrix required to be symmetric deviates beyond the tolerance."""
 
 
-class NearSingular(RegimeLQError):
+class _SpectralRefusal(RegimeLQError):
+    """A spectral guard's refusal; ``member`` indexes its matrix in a stack."""
+
+    def __init__(self, message, member=None):
+        super().__init__(message)
+        self.member = member
+
+
+class NearSingular(_SpectralRefusal):
     """A matrix inversion was refused: zero eigenvalue or condition number
     above the configured threshold."""
 
 
-class PsdViolation(RegimeLQError):
-    """A matrix required to be positive semidefinite has an eigenvalue below
-    the negative tolerance."""
+class PsdViolation(_SpectralRefusal):
+    """A matrix required to be positive semidefinite has an eigenvalue at
+    or below the negative tolerance."""
 
 
 # --- problem definition ---------------------------------------------------

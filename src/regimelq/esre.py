@@ -80,12 +80,11 @@ Both engines evaluate the driver ``P A + A'P + C'P C + Lam C + C'Lam + Q
 + src - M' Sigma^{-1} M`` through ``_Engine._driver``, with M and Sigma
 formed by :func:`_gain_blocks` and ``src`` the regime coupling.
 ``Sigma^{-1} M`` is an LU inverse times M behind one condition test, or a
-product with R^{-1}, formed once per engine, when D = 0; a refusal raises
-:class:`NearSingular` naming t, the regime and the condition number.  With
-one control (m = 1) the LU inverse of each 1 x 1 Sigma is the division
-``1 / Sigma`` it comes to.  The condition test and the PSD checks take
-their verdict from the disc bound of :mod:`regimelq.matcore` and run an
-eigendecomposition only where that bound cannot decide.
+product with R^{-1}, formed once per engine, when D = 0.  With one
+control (m = 1) the LU inverse of each 1 x 1 Sigma is the division ``1 /
+Sigma`` it comes to.  :mod:`regimelq.matcore` decides every guard, and
+:func:`_guarded` names the time (on the tree, the level's) and the regime
+of the member a refusal names.
 
 :func:`direct_coupled_oracle` integrates the full coupled system in one go,
 written out apart from the engines' driver, and serves as an independent
@@ -101,6 +100,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
+from .matcore import symmetrize
 from .errors import (
     DimensionMismatch,
     AssumptionViolation,
@@ -141,7 +141,7 @@ class SolverOptions:
     picard_tol: float = 1e-9
     picard_max_iter: int = 60
     psd_tol: float = 1e-9
-    cond_threshold: float = 1e12
+    cond_threshold: float = matcore.DEFAULT_COND_THRESHOLD
     smallness_threshold: float = 0.1
     keep_iterates: bool = False
 
@@ -264,10 +264,6 @@ class EsreSolution:
 # ---------------------------------------------------------------------------
 
 
-def _sym(m):
-    return 0.5 * (m + m.mT)
-
-
 def _gain_blocks(p, lam, b, c, d, s, r, pc=None):
     """The two blocks of the feedback formula ``K = -Sigma^{-1} M``,
 
@@ -286,7 +282,20 @@ def _gain_blocks(p, lam, b, c, d, s, r, pc=None):
         m = m + d_t @ lam
     if s is not None:
         m = m + s
-    return m, _sym(r + d_t @ (p @ d))
+    return m, symmetrize(r + d_t @ (p @ d))
+
+
+def _guarded(guard, m, times, tol):
+    """``guard(m, tol)``, its refusal naming the time and regime of the
+    member refused: ``times`` is the stack's time, or one per member."""
+    try:
+        return guard(m, tol)
+    except (NearSingular, PsdViolation) as exc:
+        t = times if np.ndim(times) == 0 else times[exc.member[0]]
+        where = f"t = {t:.6g} in regime {exc.member[-1] + 1}"
+        text = (f"R + D'PD is ill-conditioned at {where}: {exc}"
+                if isinstance(exc, NearSingular) else f"{exc} at {where}")
+        raise type(exc)(text, exc.member) from exc
 
 
 class _Engine:
@@ -308,33 +317,11 @@ class _Engine:
         self.R_inv = None
         if not self.has_D:
             # one stacked inverse, or one per lattice level of a random R
-            self.R_inv = (self._guarded_inverse(self.R, np.arange(len(self.R)))
+            cond = self.options.cond_threshold
+            self.R_inv = (_guarded(matcore.sym_inverse, self.R, times, cond)
                           if isinstance(self.R, np.ndarray) else
-                          [self._guarded_inverse(r, k) for k, r in enumerate(self.R)])
-
-    def _guarded_inverse(self, r, h):
-        try:
-            return matcore.sym_inverse(r, self.options.cond_threshold)
-        except NearSingular:
-            self._require_conditioned(r, h)     # the same test, to name t and regime
-            raise
-
-    def _require_conditioned(self, sigma, h):
-        """Refuse a stack of Sigma = R + D'PD at sample ``h`` (one index,
-        or one per leading member) that :func:`matcore._conditioning`
-        refuses, naming t, the regime and the condition number.  The disc
-        bound of :func:`matcore._conditioning_of` passes most stacks without
-        an eigendecomposition."""
-        failed = matcore._conditioning_of(sigma, self.options.cond_threshold)
-        if failed is not None:
-            refused, cond = failed
-            first = np.unravel_index(np.argmax(refused), refused.shape)
-            t = self.times[h if np.ndim(h) == 0 else h[first[0]]]
-            raise NearSingular(
-                f"R + D'PD is ill-conditioned at t = {t:.6g} in regime "
-                f"{first[-1] + 1}: condition number {cond[first]:.3e} exceeds "
-                f"threshold {self.options.cond_threshold:.3e}"
-            )
+                          [_guarded(matcore.sym_inverse, r, t, cond)
+                           for t, r in zip(times, self.R)])
 
     def _driver(self, h, p, lam, src, check_cond=False, quadratic=True):
         """The Riccati driver, symmetrized,
@@ -359,7 +346,8 @@ class _Engine:
             if self.has_D:
                 m, sigma = _gain_blocks(p, lam, self.B[h], c, self.D[h], s, self.R[h], pc)
                 if check_cond:
-                    self._require_conditioned(sigma, h)
+                    _guarded(matcore.require_conditioned, sigma, self.times[h],
+                             self.options.cond_threshold)
                 # LU inverse and product: on these stacks of small blocks it
                 # costs less than np.linalg.solve with several columns.  LU
                 # inverts a 1 x 1 block by the division 1 / sigma, done here
@@ -374,7 +362,7 @@ class _Engine:
                 m, _ = _gain_blocks(p, lam, self.B[h], c, None, s, None)
                 x = self.R_inv[h] @ m
             out = out - m.mT @ x
-        return _sym(out)
+        return symmetrize(out)
 
 
 # ---------------------------------------------------------------------------
@@ -427,33 +415,28 @@ class _GridEngine(_Engine):
 
     # -- sweeps ----------------------------------------------------------
 
-    def _sweep(self, rhs, terminal: np.ndarray, project: bool, explain=None):
-        """Backward RK4 from ``terminal``; returns values and derivatives
-        at the grid nodes.  With ``project`` each step ends in the PSD
-        clip; a clip failure at node k-1 is passed through
-        ``explain(exc, k, p_k)`` when given."""
+    def _sweep(self, rhs, terminal: np.ndarray, finish=None):
+        """Backward RK4 from ``terminal``: values and derivatives at the grid
+        nodes.  ``finish(p, k, values)`` ends the step from node k, the PSD clip
+        or the blow-up guard; it refuses overflow, so numpy warns of none."""
         n_steps = self.options.grid_steps
         dt = self.dt
         values = np.empty((n_steps + 1,) + terminal.shape)
         derivs = np.empty_like(values)
         p = terminal.copy()
         values[n_steps] = p
-        for k in range(n_steps, 0, -1):
-            h = 2 * k
-            k1 = rhs(h, p, True)
-            derivs[k] = k1
-            k2 = rhs(h - 1, p - 0.5 * dt * k1, False)
-            k3 = rhs(h - 1, p - 0.5 * dt * k2, False)
-            k4 = rhs(h - 2, p - dt * k3, False)
-            p = _sym(p - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-            if project:
-                try:
-                    p = matcore.project_psd(p, self.options.psd_tol)
-                except PsdViolation as exc:
-                    if explain is None:
-                        raise
-                    raise explain(exc, k, values[k]) from exc
-            values[k - 1] = p
+        with np.errstate(**({} if finish is None else {"over": "ignore", "invalid": "ignore"})):
+            for k in range(n_steps, 0, -1):
+                h = 2 * k
+                k1 = rhs(h, p, True)
+                derivs[k] = k1
+                k2 = rhs(h - 1, p - 0.5 * dt * k1, False)
+                k3 = rhs(h - 1, p - 0.5 * dt * k2, False)
+                k4 = rhs(h - 2, p - dt * k3, False)
+                p = symmetrize(p - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+                if finish is not None:
+                    p = finish(p, k, values)
+                values[k - 1] = p
         derivs[0] = rhs(0, p, True)
         return values, derivs
 
@@ -464,28 +447,32 @@ class _GridEngine(_Engine):
         self._require_stable_step()
         rhs = lambda h, p, chk: -self._driver(
             h, p, None, np.einsum("ij,jab->iab", self.q_off, p), chk)
-        values, _ = self._sweep(rhs, self.G, project=True, explain=self._stiff_step)
-        _require_psd(values, self.options.psd_tol)
+        values, _ = self._sweep(rhs, self.G, self._stiff_clip)
+        _guarded(matcore.require_psd, values, self.grid, self.options.psd_tol)
         return values
 
-    def _stiff_step(self, exc: PsdViolation, k: int, p: np.ndarray) -> PsdViolation:
-        """The clip failure of the step from node k, with its time and the
-        RK4 stiffness ratio ``dt |2 B Sigma^{-1} B' P|`` at node k (Sigma = R
-        + D'PD), which explicit RK4 needs below about 2.8."""
-        h = 2 * k
-        b, r = self.B[h], self.R[h]
-        sigma = _sym(r + self.D[h].mT @ (p @ self.D[h])) if self.has_D else r
+    def _stiff_clip(self, p: np.ndarray, k: int, values: np.ndarray) -> np.ndarray:
+        """The PSD clip of the direct solve's step from node k, its refusal
+        naming the time, the regime and the RK4 stiffness ratio ``dt |2 B
+        Sigma^{-1} B' P|`` at node k, which explicit RK4 needs below 2.8."""
         try:
-            gain = b @ np.linalg.solve(sigma, b.mT) @ p
-            ratio = self.dt * float(np.max(np.linalg.norm(2.0 * gain, ord=2, axis=(-2, -1))))
-        except np.linalg.LinAlgError:
-            ratio = np.inf
-        return PsdViolation(
-            f"{exc} at t = {self.grid[k - 1]:.6g}; the RK4 stiffness ratio "
-            f"dt |2 B Sigma^{{-1}} B' P| at the last accepted step (t = "
-            f"{self.grid[k]:.6g}) is {ratio:.3e}; explicit RK4 needs it below "
-            f"about 2.8, so refine the grid or rescale the problem"
-        )
+            return matcore.project_psd(p, self.options.psd_tol)
+        except PsdViolation as exc:
+            h = 2 * k
+            b = self.B[h]
+            _, sigma = _gain_blocks(values[k], None, b, None, self.D[h], None, self.R[h])
+            try:
+                gain = 2.0 * (b @ np.linalg.solve(sigma, b.mT) @ values[k])
+                ratio = self.dt * float(np.max(np.linalg.norm(gain, ord=2, axis=(-2, -1))))
+            except np.linalg.LinAlgError:
+                ratio = np.inf
+            raise PsdViolation(
+                f"{exc} at t = {self.grid[k - 1]:.6g}; the RK4 stiffness ratio "
+                f"dt |2 B Sigma^{{-1}} B' P| at the last accepted step (t = "
+                f"{self.grid[k]:.6g}) is {ratio:.3e}; explicit RK4 needs it below "
+                f"about 2.8, so refine the grid or rescale the problem; the clip "
+                f"refused regime {exc.member[-1] + 1}", exc.member
+            ) from exc
 
     def solve_p0(self) -> GridIterate:
         """Linear initial iterate: the driver without its quadratic term,
@@ -493,13 +480,14 @@ class _GridEngine(_Engine):
         self._require_stable_step()
         rhs = lambda h, p, chk: -self._driver(
             h, p, None, np.einsum("ij,jab->iab", self.q_off, p), quadratic=False)
-        return GridIterate(self.grid, *self._sweep(rhs, self.G, project=False))
+        return GridIterate(self.grid, *self._sweep(rhs, self.G))
 
     def picard_sweep(self, prev: GridIterate) -> GridIterate:
         self._require_stable_step()
         src = np.einsum("ij,hjab->hiab", self.q_off, prev.half_values())
         rhs = lambda h, p, chk: -self._driver(h, p, None, src[h], chk)
-        return GridIterate(self.grid, *self._sweep(rhs, self.G, project=True))
+        return GridIterate(self.grid, *self._sweep(rhs, self.G, lambda p, k, _: _guarded(
+            matcore.project_psd, p, self.grid[k - 1], self.options.psd_tol)))
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +535,7 @@ class _TreeEngine(_Engine):
             child = levels[k + 1]
             up, down = child[1:], child[:-1]
             pm = 0.5 * (up + down)
-            z = _sym((up - down) / (2.0 * self.tree.sqrt_dt))
+            z = symmetrize((up - down) / (2.0 * self.tree.sqrt_dt))
             levels[k] = level_step(k, pm, z)
             lam_levels[k] = z
         return TreeIterate(self.tree, tuple(levels), tuple(lam_levels))
@@ -568,9 +556,10 @@ class _TreeEngine(_Engine):
         diagonal coupling implicit, the quadratic term and the PSD clip:
         ``p = proj((pm + dt (drift(pm, z) + q_off p_prev)) / (1 - dt q_ii))``."""
         src = [np.einsum("ij,njab->niab", self.q_off, lv) for lv in prev.levels[:-1]]
-        return self._sweep(lambda k, pm, z: matcore.project_psd(
-            _sym(pm + self.tree.dt * self._driver(k, pm, z, src[k], True)) / self.denom,
-            self.options.psd_tol))
+        with np.errstate(over="ignore", invalid="ignore"):      # the clip refuses overflow
+            return self._sweep(lambda k, pm, z: _guarded(matcore.project_psd, symmetrize(
+                pm + self.tree.dt * self._driver(k, pm, z, src[k], True)) / self.denom,
+                self.tree.times[k], self.options.psd_tol))
 
 
 def _node_weights(k: int) -> np.ndarray:
@@ -612,15 +601,17 @@ def picard_step(spec: ProblemSpec, prev, options: SolverOptions = None):
         engine = _TreeEngine
     else:
         raise StructuralError(f"unsupported iterate type {type(prev).__name__}")
+    engine = engine(spec, options)
+    times = (engine.grid,) if isinstance(prev, GridIterate) else engine.tree.times
     want = (spec.ell, spec.n, spec.n)
-    for values in _stacks(prev):
+    for t, values in zip(times, _stacks(prev)):
         if values.shape[1:] != want:
             raise DimensionMismatch(
                 f"previous iterate holds {values.shape[1:]} matrices per sample, "
                 f"the problem needs (ell, n, n) = {want}"
             )
-        _require_psd(values, options.psd_tol)
-    return engine(spec, options).picard_sweep(prev)
+        _guarded(matcore.require_psd, values, t, options.psd_tol)
+    return engine.picard_sweep(prev)
 
 
 def _stacks(it) -> tuple:
@@ -656,16 +647,6 @@ def _picard_sequence(engine, it0, options: SolverOptions, on_sweep=None):
         f"(last residual {residuals[-1]:.3e})",
         residual_history=residuals,
     )
-
-
-def _require_psd(values: np.ndarray, psd_tol: float):
-    if matcore._eigenvalue_floor(values) >= -psd_tol:
-        return
-    wmin = _min_eig(values)
-    if not wmin >= -psd_tol:
-        raise PsdViolation(
-            f"iterate has eigenvalue {wmin:.3e} below -psd_tol = {-psd_tol:.3e}"
-        )
 
 
 def solve_esre(spec: ProblemSpec, options: SolverOptions = None) -> EsreSolution:
@@ -778,18 +759,18 @@ def picard_certificate(spec: ProblemSpec, options: SolverOptions = None) -> Pica
     engine = _GridEngine(spec, options)
     it0 = engine.solve_p0()
     iterates = [it0.values] if options.keep_iterates else None
-    lowest = [_min_eig(it0.values)]
+    lowest = [matcore.min_eigenvalue(it0.values)]
     margins = []
 
     def on_sweep(prev, cur):
-        margins.append(_min_eig(prev.values - cur.values))
-        lowest.append(_min_eig(cur.values))
+        margins.append(matcore.min_eigenvalue(prev.values - cur.values))
+        lowest.append(matcore.min_eigenvalue(cur.values))
         if iterates is not None:
             iterates.append(cur.values)
 
     last, residuals = _picard_sequence(engine, it0, options, on_sweep)
     p = last.values
-    _require_psd(p, options.psd_tol)
+    _guarded(matcore.require_psd, p, engine.grid, options.psd_tol)
     direct = engine.solve_direct()
     return PicardCertificate(
         P=p, iterations=len(residuals), residual_history=residuals,
@@ -802,10 +783,6 @@ def picard_certificate(spec: ProblemSpec, options: SolverOptions = None) -> Pica
     )
 
 
-def _min_eig(values: np.ndarray) -> float:
-    return float(np.min(np.linalg.eigvalsh(values)))
-
-
 def _solve_tree(spec, options, smallness, smallness_ok) -> EsreSolution:
     engine = _TreeEngine(spec, options)
     it0 = engine.solve_p0()
@@ -816,8 +793,8 @@ def _solve_tree(spec, options, smallness, smallness_ok) -> EsreSolution:
     last, residuals = _picard_sequence(engine, it0, options, on_sweep)
 
     tree = engine.tree
-    for lv in last.levels:
-        _require_psd(lv, options.psd_tol)
+    for t, lv in zip(tree.times, last.levels):
+        _guarded(matcore.require_psd, lv, t, options.psd_tol)
 
     # grid summary: probability-weighted node means (exact when nodes agree)
     grid = tree.times
@@ -938,24 +915,22 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None) -> E
     """
     options = options or SolverOptions()
     engine = _GridEngine(spec, options)
-    q_full = spec.q
-    has_D = engine.has_D
 
-    def rhs(h, p):
+    def rhs(h, p, _):
         pa = p @ engine.A[h]
         out = pa + np.swapaxes(pa, -1, -2) + engine.Q[h]
         pc = None
         if engine.has_C:
             pc = p @ engine.C[h]
             out = out + np.swapaxes(engine.C[h], -1, -2) @ pc
-        out = out + np.einsum("ij,jab->iab", q_full, p)
+        out = out + np.einsum("ij,jab->iab", spec.q, p)
         m = np.swapaxes(p @ engine.B[h], -1, -2)
-        if has_D and pc is not None:
+        if engine.has_D and pc is not None:
             m = m + np.swapaxes(engine.D[h], -1, -2) @ pc
         if engine.has_S:
             m = m + engine.S[h]
-        if has_D:
-            sigma = _sym(engine.R[h] + np.swapaxes(engine.D[h], -1, -2) @ (p @ engine.D[h]))
+        if engine.has_D:
+            sigma = symmetrize(engine.R[h] + engine.D[h].mT @ (p @ engine.D[h]))
             try:
                 x = np.linalg.solve(sigma, m)
             except np.linalg.LinAlgError as exc:
@@ -963,29 +938,20 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None) -> E
         else:
             x = engine.R_inv[h] @ m
         out = out - np.swapaxes(m, -1, -2) @ x
-        return -_sym(out)
+        return -symmetrize(out)
 
-    n_steps = options.grid_steps
-    dt = engine.dt
-    values = np.empty((n_steps + 1,) + engine.G.shape)
-    p = engine.G.copy()
-    values[n_steps] = p
-    for k in range(n_steps, 0, -1):
-        h = 2 * k
-        k1 = rhs(h, p)
-        k2 = rhs(h - 1, p - 0.5 * dt * k1)
-        k3 = rhs(h - 1, p - 0.5 * dt * k2)
-        k4 = rhs(h - 2, p - dt * k3)
-        p = _sym(p - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    def guard(p, k, _):
         size = float(np.max(np.abs(p)))
         if not size <= BLOWUP_GUARD:   # NaN fails too
             raise StepFailure(f"state norm {size:g} is not within {BLOWUP_GUARD:g} "
                               f"at t={engine.grid[k-1]:g}")
-        values[k - 1] = p
+        return p
 
+    values, _ = engine._sweep(rhs, engine.G, guard)
+    smallness = check_smallness(spec)
     diag = _diagnostics(spec, engine.grid, np.linalg.norm(values, axis=(-2, -1)),
-                        np.zeros(spec.ell), check_smallness(spec),
-                        options.smallness_threshold, True)
+                        np.zeros(spec.ell), smallness, options.smallness_threshold,
+                        smallness <= options.smallness_threshold)
     return EsreSolution(
         grid=engine.grid, P=values, Lambda=np.zeros_like(values),
         backend="direct", iterations=0, residual_history=[],

@@ -3,35 +3,33 @@
 All matrices handled here are small (n <= 16) dense ``numpy`` arrays.  A
 "symmetric matrix" in this package is a plain ``float64`` ndarray that is
 *exactly* symmetric; :func:`make_symmetric` is the validating constructor
-that turns raw data into one.  Spectral queries (:func:`min_eigenvalue`)
-and guarded inversion (:func:`sym_inverse`) operate on such arrays.
-:func:`make_symmetric`, :func:`symmetrize`, :func:`sym_inverse` and
-:func:`project_psd` also take a stack of matrices (any leading axes, the
-matrices on the last two) and treat each member as its own matrix, so the
-solver calls them once per time step or lattice level rather than once per
-regime.
+that turns raw data into one.  Every spectral verdict of the package is
+decided here: the PSD verdict (:func:`project_psd`, :func:`require_psd`),
+the condition verdict (:func:`sym_inverse`, :func:`require_conditioned`)
+and :func:`min_eigenvalue`.  Each function also takes a stack of matrices
+(any leading axes, the matrices on the last two) and treats each member as
+its own matrix, so the solver calls them once per time step or lattice
+level rather than once per regime; a refusal names its ``member``.
 
 Every product that is symmetric in exact arithmetic is explicitly
 re-symmetrized after computation; this keeps roundoff from accumulating into
 asymmetry over thousands of backward-integration steps.
 
-Guards that need only a verdict on the spectrum read it from a disc
-bound before any eigendecomposition: :func:`project_psd` when nothing
-needs clipping, and the solver's condition test on ``R + D'PD`` and PSD
-check of finished iterates.  Each member's eigenvalues lie in the union of
-its Gershgorin discs ``[d_i - r_i, d_i + r_i]`` (diagonal entry, sum of
-the off-diagonal ``|m_ij|`` in row i of the lower triangle reflected,
-which is what ``eigh`` reads), widened by ``DISC_MARGIN n max|m|``.  The
-widened discs also hold the eigenvalues that LAPACK computes: ``eigh``
-returns the exact eigenvalues of a matrix within ``p(n) eps |m|_2`` of the
-input, with ``|m|_2 <= n max|m|`` and ``eps = 2.2e-16``, so the margin
-``1e-12 n max|m|`` covers any ``p(n)`` up to about 4000, far above its
-size for n <= 16, plus the bound's own rounding of about ``n eps
-max|m|``.  A 1 x 1 member needs no margin: ``dsyevd`` returns A(1,1) when
-N = 1.  Where the bound decides, the verdict, and every returned array,
-is the one the eigendecomposition gives.  Where it cannot (a disc reaching
-past the threshold, a NaN or infinite entry), the eigendecomposition runs
-on the whole stack.
+A verdict reads a disc bound first, and refuses before LAPACK sees it a
+member with a NaN entry or, beyond 1 x 1, an infinite one.  Each member's
+eigenvalues lie in the union of its Gershgorin discs ``[d_i - r_i, d_i +
+r_i]`` (diagonal entry, sum of the off-diagonal ``|m_ij|`` in row i of the
+lower triangle reflected, which is what ``eigh`` reads), widened by
+``DISC_MARGIN n max|m|``.  The widened discs also hold the eigenvalues
+that LAPACK computes: ``eigh`` returns the exact eigenvalues of a matrix
+within ``p(n) eps |m|_2`` of the input, with ``|m|_2 <= n max|m|`` and
+``eps = 2.2e-16``, so the margin ``1e-12 n max|m|`` covers any ``p(n)``
+up to about 4000, far above its size for n <= 16, plus the bound's own
+rounding of about ``n eps max|m|``.  A 1 x 1 member needs no margin:
+``dsyevd`` returns A(1,1) when N = 1.  Where the bound decides, the
+verdict, and every returned array, is the one the eigendecomposition
+gives.  Where it cannot (a disc reaching past the threshold, an entry
+too large for the discs), the eigendecomposition runs on the whole stack.
 
 All functions are pure and reentrant.
 """
@@ -66,10 +64,9 @@ def _floats(value, what: str) -> np.ndarray:
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return ``(m + m^T) / 2``.  Works on stacks: only the last two axes
-    are transposed."""
-    m = np.asarray(m, dtype=float)
-    return 0.5 * (m + np.swapaxes(m, -1, -2))
+    """Return ``(m + m^T) / 2`` for an ndarray ``m``.  Works on stacks:
+    only the last two axes are transposed."""
+    return 0.5 * (m + m.mT)
 
 
 def make_symmetric(raw) -> np.ndarray:
@@ -106,8 +103,9 @@ def make_symmetric(raw) -> np.ndarray:
 
 
 def min_eigenvalue(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix."""
-    return float(np.linalg.eigvalsh(np.asarray(m, dtype=float))[0])
+    """Smallest eigenvalue of a symmetric matrix, or of any member of a
+    stack."""
+    return float(np.linalg.eigvalsh(np.asarray(m, dtype=float)).min())
 
 
 @functools.cache
@@ -152,36 +150,76 @@ def _eigenvalue_floor(m: np.ndarray) -> float:
     return float((d - r).min()) - pad
 
 
-def _conditioning(w: np.ndarray, cond_threshold: float):
-    """The one condition test: None if the eigenvalues ``w`` (last axis) of
-    every member are nonzero with ``max|w| <= c min|w|``, else the mask of
-    refused members and the condition numbers (inf at a zero eigenvalue)."""
-    aw = np.abs(w)
-    lo, hi = aw.min(axis=-1), aw.max(axis=-1)
-    refused = (lo == 0.0) | (hi > cond_threshold * lo)
-    if refused.any():
-        return refused, np.divide(hi, lo, out=np.full_like(hi, np.inf), where=lo > 0.0)
-    return None
+def _unreadable(m: np.ndarray):
+    """Index of the first member of the stack ``m`` with a NaN entry or,
+    beyond 1 x 1, an infinite one, whose spectrum LAPACK garbles, or None."""
+    bad = (np.isnan(m) if m.shape[-1] == 1 else ~np.isfinite(m)).any(axis=(-2, -1))
+    return np.unravel_index(np.argmax(bad), bad.shape) if bad.any() else None
 
 
-def _conditioning_of(m: np.ndarray, cond_threshold: float):
-    """:func:`_conditioning` of the eigenvalues of the members of ``m``.
-    None at once when every member's eigenvalue interval ``[lo, hi]``
-    certifies it, ``lo > 0`` and ``hi <= cond_threshold lo``; else the
-    verdict on ``eigvalsh`` of the whole stack.  A 1 x 1 member is its own
-    interval, a larger one's comes from :func:`_discs`."""
+def _psd_verdict(m: np.ndarray, psd_tol: float, floor: float, eig) -> tuple:
+    """Where the disc ``floor`` did not pass the stack ``m``: ``eig(m)``
+    (eigh, or eigvalsh in a tuple) and its smallest eigenvalue, or
+    PsdViolation naming the lowest member, a garbled one (NaN floor) first."""
+    member = _unreadable(m) if floor != floor else None
+    wmin = math.nan
+    if member is None:
+        out = eig(m)
+        wmin = float(out[0].min())
+        if wmin > -psd_tol:
+            return *out, wmin
+        low = out[0].min(axis=-1)
+        member = np.unravel_index(np.argmin(low), low.shape)
+    raise PsdViolation(f"min eigenvalue {wmin:.3e} at or below -psd_tol = {-psd_tol:.3e}",
+                       member)
+
+
+def require_psd(m: np.ndarray, psd_tol: float) -> None:
+    """The verdict of :func:`project_psd` without its clip."""
+    floor = _eigenvalue_floor(m)
+    if not floor > -psd_tol:
+        _psd_verdict(m, psd_tol, floor, lambda m: (np.linalg.eigvalsh(m),))
+
+
+def _certified(lo, hi, cond_threshold: float):
+    """The condition verdict per member from bounds ``lo <= |w| <= hi``:
+    ``lo > 0``, ``hi`` finite and ``hi / cond_threshold <= lo``."""
+    return (lo > 0.0) & (hi / cond_threshold <= lo) & (hi < np.inf)
+
+
+def _conditioning(m: np.ndarray, cond_threshold: float, eig) -> tuple:
+    """``eig(m)`` (eigh, or eigvalsh in a tuple), or NearSingular naming the
+    worst member of the stack ``m`` and its condition number, a garbled one first."""
+    member, cond = _unreadable(m), np.inf
+    if member is None:
+        out = eig(m)
+        aw = np.abs(out[0])
+        lo, hi = aw.min(axis=-1), aw.max(axis=-1)
+        refused = ~_certified(lo, hi, cond_threshold)
+        if not refused.any():
+            return out
+        with np.errstate(over="ignore"):
+            ratio = np.divide(hi, lo, out=np.where(refused, np.inf, 0.0),
+                              where=refused & (lo > 0.0) & (lo < np.inf))
+        member = np.unravel_index(np.argmax(ratio), ratio.shape)
+        cond = ratio[member]
+    raise NearSingular(f"condition number {cond:.3e} exceeds threshold {cond_threshold:.3e}",
+                       member)
+
+
+def require_conditioned(m: np.ndarray, cond_threshold: float) -> None:
+    """The verdict of :func:`sym_inverse` without the inverse.  A 1 x 1
+    member is its own eigenvalue interval, a larger one's is its discs'."""
     if m.shape[-1] == 1:
         lo = hi = m[..., 0, 0]
-    else:
-        discs = _discs(m)
-        if discs is None:
-            return _conditioning(np.linalg.eigvalsh(m), cond_threshold)
+    elif (discs := _discs(m)) is not None:
         d, r, pad = discs
         lo = np.minimum.reduce(d - r, axis=-1) - pad
         hi = np.maximum.reduce(d + r, axis=-1) + pad
-    if np.all(lo > 0.0) and np.all(hi <= cond_threshold * lo):
-        return None
-    return _conditioning(np.linalg.eigvalsh(m), cond_threshold)
+    else:
+        lo = hi = np.float64(np.nan)
+    if not _certified(lo, hi, cond_threshold).all():
+        _conditioning(m, cond_threshold, lambda m: (np.linalg.eigvalsh(m),))
 
 
 def sym_inverse(m: np.ndarray, cond_threshold: float = DEFAULT_COND_THRESHOLD) -> np.ndarray:
@@ -191,18 +229,10 @@ def sym_inverse(m: np.ndarray, cond_threshold: float = DEFAULT_COND_THRESHOLD) -
     Raises
     ------
     NearSingular
-        If :func:`_conditioning` refuses any member; the message names the
-        worst condition number.
+        If the condition verdict refuses any member, naming the worst.
     """
-    w, v = np.linalg.eigh(np.asarray(m, dtype=float))
-    failed = _conditioning(w, cond_threshold)
-    if failed is not None:
-        raise NearSingular(
-            f"condition number {float(np.max(failed[1])):.3e} exceeds threshold "
-            f"{cond_threshold:.3e}"
-        )
-    inv = (v / w[..., None, :]) @ np.swapaxes(v, -1, -2)
-    return symmetrize(inv)
+    w, v = _conditioning(np.asarray(m, dtype=float), cond_threshold, np.linalg.eigh)
+    return symmetrize((v / w[..., None, :]) @ v.mT)
 
 
 def project_psd(m: np.ndarray, psd_tol: float) -> np.ndarray:
@@ -219,14 +249,8 @@ def project_psd(m: np.ndarray, psd_tol: float) -> np.ndarray:
     floor = _eigenvalue_floor(m)
     if floor >= 0.0 and floor > -psd_tol:
         return m
-    w, v = np.linalg.eigh(m)
-    wmin = float(w.min())
-    if not wmin > -psd_tol:
-        raise PsdViolation(
-            f"min eigenvalue {wmin:.3e} at or below -psd_tol = {-psd_tol:.3e}"
-        )
+    w, v, wmin = _psd_verdict(m, psd_tol, floor, np.linalg.eigh)
     if wmin >= 0.0:
         return m
     w = np.clip(w, 0.0, None)
-    out = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
-    return symmetrize(out)
+    return symmetrize((v * w[..., None, :]) @ v.mT)

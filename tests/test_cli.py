@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from regimelq import config, control
+from regimelq import cli, config, control
 from regimelq.cli import main, read_solution_csv, run_command, write_solution_csv
 from regimelq.config import parse_config
 from regimelq.control import feedback_gain, mc_cost, predicted_gap
@@ -422,6 +422,28 @@ class TestCommands:
         res = run_command("verify", cfg, output_dir=tmp_path)
         assert res.exit_code == 0
         assert "result: PASS" in (tmp_path / "r.txt.verify.txt").read_text()
+
+    def test_verify_tree_oracle_reads_the_run_files_solver(self, tmp_path, monkeypatch):
+        # the coupled tree oracle runs at depths 4 and 8 with the run
+        # file's tolerances and thresholds
+        seen = []
+        real = cli.solve_p0
+
+        def spy(spec, options):
+            seen.append(options)
+            return real(spec, options)
+
+        monkeypatch.setattr(cli, "solve_p0", spy)
+        text = SMALL_RUN.replace(
+            "solver: {backend: ode, grid_steps: 200}",
+            "solver: {backend: ode, grid_steps: 200, psd_tol: 1.0e-7, "
+            "cond_threshold: 1.0e+9, picard_tol: 1.0e-10, picard_max_iter: 80}")
+        cfg = parse_config(write_cfg(tmp_path, text))
+        assert run_command("verify", cfg, output_dir=tmp_path).exit_code == 0
+        assert [(o.backend, o.tree_depth) for o in seen] == [("tree", 4), ("tree", 8)]
+        for o in seen:
+            assert (o.psd_tol, o.cond_threshold, o.picard_tol, o.picard_max_iter) == (
+                1e-7, 1e9, 1e-10, 80)
 
     def test_verify_gap_starts_from_simulate_regime(self, tmp_path):
         # R differs by regime, so the predicted gap depends on the initial

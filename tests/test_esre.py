@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from regimelq import esre
 from regimelq.config import parse_config
+from regimelq.control import feedback_gain
 from regimelq.errors import (
     DimensionMismatch,
     NearSingular,
@@ -357,6 +358,19 @@ class TestSharedDriver:
                            r"condition number 3\.9\d+e\+00 exceeds threshold 3\.900e\+00"):
             solve_esre(_ill_conditioned_spec(), opts)
 
+    @pytest.mark.filterwarnings("ignore:measured diffusion size")
+    def test_feedback_gain_names_time_and_regime(self):
+        # the worst of the refused samples: cond(R + D'PD) peaks at 3.994
+        # at t = 0.88 in regime 1
+        spec = _ill_conditioned_spec()
+        sol = solve_esre(spec, SolverOptions(grid_steps=400))
+        sol = dataclasses.replace(sol, options=dataclasses.replace(sol.options,
+                                                                    cond_threshold=3.9))
+        with pytest.raises(NearSingular, match=r"^R \+ D'PD is ill-conditioned at t = 0\.88 "
+                           r"in regime 1: condition number 3\.994e\+00 exceeds threshold "
+                           r"3\.900e\+00$"):
+            feedback_gain(sol, spec)
+
     @pytest.mark.parametrize("backend", ["ode", "tree"])
     def test_ill_conditioned_r_named_once_per_engine(self, backend):
         # D = 0: R^{-1} is formed once, behind the same guard
@@ -439,8 +453,19 @@ class TestPicardStep:
         opts = SolverOptions(grid_steps=100)
         it0 = solve_p0(e1, opts)
         it0.values[5] = -np.abs(it0.values[5]) - 1.0
-        with pytest.raises(PsdViolation):
+        with pytest.raises(PsdViolation, match=r"-2\.000e\+00 at or below -psd_tol = "
+                           r"-1\.000e-09 at t = 0\.05 in regime 1$"):
             picard_step(e1, it0, opts)
+
+    def test_non_psd_tree_level_named_by_its_time(self, e1):
+        opts = SolverOptions(backend="tree", tree_depth=6)
+        it0 = solve_p0(e1, opts)
+        levels = list(it0.levels)
+        levels[3] = levels[3].copy()
+        levels[3][2, 1] = -1.0                      # node 2 of level 3, regime 2
+        with pytest.raises(PsdViolation, match=r"at t = 0\.5 in regime 2$") as err:
+            picard_step(e1, dataclasses.replace(it0, levels=tuple(levels)), opts)
+        assert err.value.member == (2, 1)
 
 
     @pytest.mark.parametrize("backend", ["ode", "tree"])
@@ -603,6 +628,17 @@ class TestPicardSequence:
         spec = scalar_spec(B=1.0, R=1e-6, G=1e7, delta=1e-7)
         assert _same_error(spec, SolverOptions(grid_steps=400)) == 0
 
+    def test_stiff_terminal_weight_names_time_and_regime(self):
+        # the tree's first sweep and the certificate's leave the PSD cone
+        # in the first level or step below T, both in regime 1
+        spec = scalar_spec(B=1.0, R=1e-6, G=1e7, delta=1e-7)
+        for options, t in [(SolverOptions(backend="tree", tree_depth=10), r"0\.9"),
+                           (SolverOptions(grid_steps=400), r"0\.9975")]:
+            run = solve_esre if options.backend == "tree" else picard_certificate
+            with pytest.raises(PsdViolation, match=rf"^min eigenvalue -\S+ at or below "
+                               rf"-psd_tol = -1\.000e-09 at t = {t} in regime 1$"):
+                run(spec, options)
+
     def test_long_horizon_fails_in_sweep_one(self):
         spec = scalar_spec(A=0.5, Q=1.0, B=1.0, R=1.0, G=1.0, T=50.0)
         assert _same_error(spec, SolverOptions(grid_steps=2000)) == 0
@@ -702,7 +738,9 @@ class TestSolveEsre:
         with pytest.raises(PsdViolation, match=(
                 rf"min eigenvalue \S+ at or below -psd_tol = -1\.000e-09 at t = {t}; "
                 r"the RK4 stiffness ratio dt \|2 B Sigma\^\{-1\} B' P\| at the last "
-                rf"accepted step \(t = 1\) is {ratio}; explicit RK4 needs it")):
+                rf"accepted step \(t = 1\) is {ratio}; explicit RK4 needs it below about "
+                r"2\.8, so refine the grid or rescale the problem; the clip refused "
+                r"regime 1$")):
             solve_esre(spec, SolverOptions(grid_steps=steps))
 
     def test_grid_diagnostics_measure_the_returned_p(self, e1, e1_solution, e1_certificate):
@@ -972,13 +1010,23 @@ class TestDirectOracle:
         with pytest.raises(StepFailure):
             direct_coupled_oracle(spec, SolverOptions(grid_steps=2000))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blowup_guard_catches_nan(self):
         # a huge terminal weight overflows the first step to NaN, which a
         # plain `norm > guard` test lets through
         spec = scalar_spec(B=1.0, R=1e-8, G=1e100, delta=1e-9)
         with pytest.raises(StepFailure, match="state norm nan"):
             direct_coupled_oracle(spec, SolverOptions(grid_steps=10))
+
+    @pytest.mark.filterwarnings("ignore:measured diffusion size")
+    def test_smallness_verdict_is_the_solves(self):
+        # smallness e^1 = 2.718 against the threshold 0.1
+        spec = scalar_spec(B=1.0, R=1.0, G=1.0, D=1.0)
+        opts = SolverOptions(grid_steps=200)
+        oracle = direct_coupled_oracle(spec, opts).diagnostics
+        solved = solve_esre(spec, opts).diagnostics
+        assert oracle.smallness == solved.smallness > opts.smallness_threshold
+        assert not oracle.smallness_ok and not solved.smallness_ok
 
     def test_time_table_coefficients_cross_check(self):
         # piecewise-constant control weight, sampled identically by the

@@ -68,6 +68,10 @@ class TestMinEigenvalue:
     def test_identity(self):
         assert min_eigenvalue(np.eye(2)) == pytest.approx(1.0, abs=1e-12)
 
+    def test_stack(self):
+        stack = np.stack([np.eye(2), np.diag([3.0, -2.0]), np.diag([-1.0, 5.0])])
+        assert min_eigenvalue(stack) == -2.0
+
     def test_diagonal(self):
         assert min_eigenvalue(np.diag([2.0, -3.0])) == pytest.approx(-3.0, abs=1e-12)
 
@@ -137,6 +141,75 @@ class TestSymInverse:
             sym_inverse(stack)
 
 
+class TestRefusals:
+    """Each verdict names the member of a stack it refused, and refuses a
+    NaN or infinite entry, never by a warning."""
+
+    @staticmethod
+    def _stack(members):
+        stack = np.stack([np.eye(2)] * 6).reshape(2, 3, 2, 2)
+        for index, diag in members.items():
+            stack[index] = np.diag(diag)
+        return stack
+
+    def test_psd_refusal_names_the_lowest_member(self):
+        stack = self._stack({(0, 1): [1.0, -0.5], (1, 2): [1.0, -1.0]})
+        for check in (project_psd, matcore.require_psd):
+            with pytest.raises(PsdViolation, match=r"^min eigenvalue -1\.000e\+00 at or") as err:
+                check(stack, 1e-9)
+            assert err.value.member == (1, 2)
+
+    def test_condition_refusal_names_the_worst_member(self):
+        stack = self._stack({(0, 2): [1.0, 1e-3], (1, 0): [1.0, 1e-14]})
+        for check in (sym_inverse, matcore.require_conditioned):
+            with pytest.raises(NearSingular, match=r"^condition number 1\.000e\+14 ") as err:
+                check(stack, 1e12)
+            assert err.value.member == (1, 0)
+
+    # LAPACK's eigenvalues of these: [nan, nan], [nan], [inf] and [0], [0, -0],
+    # [inf], the finite [-1.67, 1.67] and no convergence
+    NON_FINITE = {
+        "inf-2x2": [[[1.0, 0.0], [0.0, np.inf]]],
+        "nan-1x1": [[[np.nan]]],
+        "inf-beside-zero": [[[np.inf]], [[0.0]]],
+        "nan-2x2": [[[1.0, 0.0], [0.0, np.nan]]],
+        "inf-1x1": [[[np.inf]]],
+        "finite-garbage": [[[3.932316053018142, 1.1834112785227204],
+                            [1.1834112785227204, np.nan]]],
+        "no-convergence": [[[2.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, np.nan]]],
+    }
+    # an infinite 1 x 1 member is its own eigenvalue, inf >= 0, and is PSD
+    PSD_NON_FINITE = {k: v for k, v in NON_FINITE.items()
+                      if k not in ("inf-beside-zero", "inf-1x1")}
+
+    @pytest.mark.parametrize("m", list(NON_FINITE.values()), ids=list(NON_FINITE))
+    def test_non_finite_spectrum_is_not_conditioned(self, m):
+        m = np.array(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for check in (sym_inverse, matcore.require_conditioned):
+                with pytest.raises(NearSingular, match=r"^condition number inf ") as err:
+                    check(m, 1e12)
+                assert err.value.member == (0,)
+
+    @pytest.mark.parametrize("m", list(PSD_NON_FINITE.values()), ids=list(PSD_NON_FINITE))
+    def test_non_finite_entry_is_not_psd(self, m):
+        m = np.concatenate([np.stack([np.eye(len(m[0]))]), np.array(m)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for check in (project_psd, matcore.require_psd):
+                with pytest.raises(PsdViolation, match=r"^min eigenvalue nan ") as err:
+                    check(m, 1e-9)
+                assert err.value.member == (1,)
+
+    def test_huge_entries_pass_without_overflow(self):
+        m = np.array([[[1e300]], [[2e300]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matcore.require_conditioned(m, 1e12)
+            assert np.array_equal(sym_inverse(m, 1e12), 1.0 / m)
+
+
 def test_trace_bound_for_psd_factor():
     # tr(A B) <= max_eig(A) tr(B) for symmetric A and PSD B, with
     # max_eig(A) = -min_eig(-A)
@@ -184,28 +257,74 @@ class TestProjectPsd:
 # ---------------------------------------------------------------------------
 
 
+def _unreadable_member(m):
+    """The first member with a NaN entry or, beyond 1 x 1, an infinite one:
+    the guards refuse it before any eigendecomposition."""
+    for index in np.ndindex(m.shape[:-2]):
+        a = m[index]
+        if np.isnan(a).any() or (a.shape[-1] > 1 and not np.isfinite(a).all()):
+            return index
+    return None
+
+
+def _psd_refusal(wmin, psd_tol, member):
+    return PsdViolation(f"min eigenvalue {wmin:.3e} at or below -psd_tol = {-psd_tol:.3e}",
+                        member=member)
+
+
 def _project_psd_eigh(m, psd_tol):
-    """project_psd as it was before the disc bound: eigh on every call."""
+    """project_psd without the disc bound: eigh on every call."""
     m = np.asarray(m, dtype=float)
+    if (member := _unreadable_member(m)) is not None:
+        raise _psd_refusal(np.nan, psd_tol, member)
     w, v = np.linalg.eigh(m)
-    wmin = float(w.min())
+    low = w.min(axis=-1)
+    wmin = float(low.min())
     if not wmin > -psd_tol:
-        raise PsdViolation(
-            f"min eigenvalue {wmin:.3e} at or below -psd_tol = {-psd_tol:.3e}"
-        )
+        raise _psd_refusal(wmin, psd_tol, np.unravel_index(np.argmin(low), low.shape))
     if wmin >= 0.0:
         return m
     w = np.clip(w, 0.0, None)
     return symmetrize((v * w[..., None, :]) @ np.swapaxes(v, -1, -2))
 
 
+def _require_psd_eigvalsh(m, psd_tol):
+    """require_psd without the disc bound: the verdict of project_psd on
+    the eigenvalues ``eigvalsh`` gives."""
+    if (member := _unreadable_member(m)) is not None:
+        raise _psd_refusal(np.nan, psd_tol, member)
+    low = np.linalg.eigvalsh(m).min(axis=-1)
+    if not float(low.min()) > -psd_tol:
+        raise _psd_refusal(float(low.min()), psd_tol,
+                           np.unravel_index(np.argmin(low), low.shape))
+
+
+def _require_conditioned_eigvalsh(m, cond):
+    """require_conditioned without the disc bound: every member's
+    eigenvalue magnitudes nonzero, finite and within a factor ``cond``,
+    else NearSingular naming the largest condition number."""
+    if (member := _unreadable_member(m)) is not None:
+        raise NearSingular(f"condition number inf exceeds threshold {cond:.3e}", member=member)
+    aw = np.abs(np.linalg.eigvalsh(m))
+    lo, hi = aw.min(axis=-1), aw.max(axis=-1)
+    ok = (lo > 0.0) & (hi / cond <= lo) & (hi < np.inf)
+    if ok.all():
+        return
+    with np.errstate(over="ignore"):
+        ratio = np.divide(hi, lo, out=np.where(ok, 0.0, np.inf),
+                          where=~ok & (lo > 0.0) & (lo < np.inf))
+    worst = np.unravel_index(np.argmax(ratio), ratio.shape)
+    raise NearSingular(f"condition number {ratio[worst]:.3e} exceeds threshold {cond:.3e}",
+                       member=worst)
+
+
 def _outcome(fn, *args):
-    """What a guard gives: its result, or its error type and text (a NaN
-    can stop LAPACK's eigensolver with LinAlgError)."""
+    """What a guard gives: its result, or its error type, text and member
+    (LAPACK's eigensolver can also stop with LinAlgError)."""
     try:
         return fn(*args)
-    except (PsdViolation, np.linalg.LinAlgError) as exc:
-        return (type(exc).__name__, str(exc))
+    except (PsdViolation, NearSingular, np.linalg.LinAlgError) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "member", None))
 
 
 def _same(got, want):
@@ -213,24 +332,22 @@ def _same(got, want):
         return False
     if want is None or got is None:
         return got is want
-    if isinstance(want, tuple) and isinstance(want[0], str):
+    if isinstance(want, tuple):
         return got == want
-    if isinstance(want, tuple):                # _conditioning's (refused, cond)
-        return (isinstance(got, tuple) and len(got) == len(want)
-                and all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want)))
     return (isinstance(got, np.ndarray) and got.shape == want.shape
             and got.tobytes() == want.tobytes())
 
 
 def _reference(m, psd_tol, cond):
-    """The PSD clip and the condition verdict from the eigendecomposition."""
-    w = _outcome(np.linalg.eigvalsh, m)
-    return (_outcome(_project_psd_eigh, m, psd_tol),
-            w if isinstance(w, tuple) else matcore._conditioning(w, cond))
+    """The PSD clip, the PSD check and the condition verdict from the
+    eigendecomposition."""
+    return (_outcome(_project_psd_eigh, m, psd_tol), _outcome(_require_psd_eigvalsh, m, psd_tol),
+            _outcome(_require_conditioned_eigvalsh, m, cond))
 
 
 def _guards(m, psd_tol, cond):
-    return _outcome(project_psd, m, psd_tol), _outcome(matcore._conditioning_of, m, cond)
+    return (_outcome(project_psd, m, psd_tol), _outcome(matcore.require_psd, m, psd_tol),
+            _outcome(matcore.require_conditioned, m, cond))
 
 
 def _with_warnings(fn, *args):
@@ -301,7 +418,7 @@ class TestDiscBound:
         for m in [stack.reshape(shape + (n, n))] + list(stack[:20]):
             want, want_warnings = _with_warnings(_reference, m, psd_tol, cond)
             got, got_warnings = _with_warnings(_guards, m, psd_tol, cond)
-            assert _same(got[0], want[0]) and _same(got[1], want[1])
+            assert all(_same(a, b) for a, b in zip(got, want))
             assert got_warnings == want_warnings
             floor = matcore._eigenvalue_floor(m)
             w = _outcome(np.linalg.eigvalsh, m)
@@ -320,8 +437,9 @@ class TestDiscBound:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
         assert project_psd(psd, 1e-9) is psd
-        assert matcore._conditioning_of(psd, 1e12) is None
-        assert matcore._conditioning_of(sigma, 1e12) is None
+        matcore.require_psd(psd, 1e-9)
+        matcore.require_conditioned(psd, 1e12)
+        matcore.require_conditioned(sigma, 1e12)
         assert project_psd(sigma, 1e-9) is sigma
 
     def test_one_by_one_premise(self):
@@ -341,7 +459,7 @@ class TestDiscBound:
     @pytest.mark.parametrize("n", [1, 2])
     def test_empty_stack_as_eigendecomposition(self, n):
         empty = np.zeros((0, n, n))
-        assert matcore._conditioning_of(empty, 1e12) is None
+        matcore.require_conditioned(empty, 1e12)
         with pytest.raises(ValueError):
             project_psd(empty, 1e-9)
 
@@ -359,5 +477,5 @@ class TestDiscBound:
                 assert np.isnan(floor)
         want, want_warnings = _with_warnings(_reference, stack, 1e-9, 1e12)
         got, got_warnings = _with_warnings(_guards, stack, 1e-9, 1e12)
-        assert got_warnings == want_warnings
-        assert _same(got[0], want[0]) and _same(got[1], want[1])
+        assert got_warnings == want_warnings == []
+        assert all(_same(a, b) for a, b in zip(got, want))
