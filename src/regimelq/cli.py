@@ -111,14 +111,10 @@ def _metadata_payload(solution: EsreSolution = None, options=None,
         diag = {
             "rho": float(d.rho),
             "k_estimate": float(d.k_estimate),
-            "apriori_bound": float(d.apriori_bound),
-            "measured_sup": float(d.measured_sup),
             "log_apriori_bound": float(d.log_apriori_bound),
             "log_measured_sup": float(d.log_measured_sup),
             "lambda_l2": [float(v) for v in np.atleast_1d(d.lambda_l2)],
             "smallness": float(d.smallness),
-            "smallness_threshold": float(d.smallness_threshold),
-            "smallness_ok": bool(d.smallness_ok),
         }
         grid = {
             "samples": int(len(solution.grid)),
@@ -126,16 +122,15 @@ def _metadata_payload(solution: EsreSolution = None, options=None,
             "t_end": float(solution.grid[-1]),
         }
         backend = solution.backend
-        iterations = int(solution.iterations)
     else:
         diag = None
         grid = None
         backend = options.backend
-        iterations = len(residual_history or [])
+    residual_history = residual_history or []
     return {
         "backend": backend,
         "converged": bool(converged),
-        "iterations": iterations,
+        "iterations": len(residual_history),
         "grid": grid,
         "tolerances": {
             "grid_steps": int(options.grid_steps),
@@ -146,7 +141,7 @@ def _metadata_payload(solution: EsreSolution = None, options=None,
             "cond_threshold": float(options.cond_threshold),
             "smallness_threshold": float(options.smallness_threshold),
         },
-        "residual_history": [float(r) for r in (residual_history or [])],
+        "residual_history": [float(r) for r in residual_history],
         "diagnostics": diag,
     }
 
@@ -421,14 +416,15 @@ def _meta_lines(meta: dict, grid: np.ndarray) -> list:
     ]
     diag = meta.get("diagnostics")
     if diag:
+        threshold = meta["tolerances"]["smallness_threshold"]
         lines += [
             f"growth constant K: {_f10(diag['k_estimate'])}",
             f"exponential rate rho: {_f10(diag['rho'])}",
             f"a priori bound (log): {_f10(diag['log_apriori_bound'])}, "
             f"measured sup (log): {_f10(diag['log_measured_sup'])}",
             f"diffusion size: {_f10(diag['smallness'])} "
-            f"(threshold {_f10(diag['smallness_threshold'])}, "
-            f"{'ok' if diag['smallness_ok'] else 'warn'})",
+            f"(threshold {_f10(threshold)}, "
+            f"{'ok' if diag['smallness'] <= threshold else 'warn'})",
         ]
     return lines
 

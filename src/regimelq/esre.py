@@ -86,9 +86,10 @@ Sigma`` it comes to.  :mod:`regimelq.matcore` decides every guard, and
 :func:`_guarded` names the time (on the tree, the level's) and the regime
 of the member a refusal names.
 
-:func:`direct_coupled_oracle` integrates the full coupled system in one go,
-written out apart from the engines' driver, and serves as an independent
-cross-check of the grid solve.
+:func:`direct_coupled_oracle` integrates the full coupled system with the
+grid solve's backward RK4 sweep, ``_GridEngine._sweep``, on the same
+half-grid coefficient samples; only its driver is written out apart from
+``_Engine._driver``, so it cross-checks that driver and the PSD clip.
 """
 
 from __future__ import annotations
@@ -130,9 +131,10 @@ class SolverOptions:
     ``picard_tol`` bounds the last sweep-to-sweep residual, the sup over
     the grid or lattice of ``|P_k - P_{k-1}|_F``; it is not a bound on the
     distance of the returned iterate to the fixed-point limit, which is
-    larger where the sequence contracts slowly.  ``picard_tol``,
-    ``picard_max_iter`` and ``keep_iterates`` govern the tree solve and
-    :func:`picard_certificate`; the grid solve runs no sweeps.
+    larger where the sequence contracts slowly.  ``picard_tol`` and
+    ``picard_max_iter`` govern the tree solve and :func:`picard_certificate`;
+    the grid solve runs no sweeps.  No record keeps the iterates: replay
+    them with :func:`solve_p0` and repeated :func:`picard_step`.
     """
 
     backend: str = "ode"          # "ode" | "tree"
@@ -143,7 +145,6 @@ class SolverOptions:
     psd_tol: float = 1e-9
     cond_threshold: float = matcore.DEFAULT_COND_THRESHOLD
     smallness_threshold: float = 0.1
-    keep_iterates: bool = False
 
     def __post_init__(self):
         if self.backend not in ("ode", "tree"):
@@ -161,27 +162,24 @@ class Diagnostics:
     ``rho`` and ``k_estimate`` parameterize the paper's exponential a
     priori bound ``sup_t e^{rho t} |Ptilde_0(t,i)|^2 <= 1.5 e^{rho T}(K^2 +
     1/rho)`` for the linear initial iterate in its rescaled coordinates,
-    ``|Ptilde_0(t,i)| = exp(q_ii t) |P_0(t,i)|``.  ``measured_sup`` is that
-    supremum for the matrices the caller measured: the linear iterate on
-    the tree and in :func:`picard_certificate`, the returned P in the grid
-    solve and in :func:`direct_coupled_oracle`.  Since ``0 <= P <= P_0``,
-    the returned P lies under the linear iterate's bound.  The supremum is
-    measured in logs, and both it and the bound are also stored as logs,
-    because e^{rho T} overflows quickly.
-    ``lambda_l2`` is the plain discrete L2 norm of the martingale integrand
-    per regime (an informational quantity only).
+    ``|Ptilde_0(t,i)| = exp(q_ii t) |P_0(t,i)|``.  ``log_measured_sup`` is
+    the log of that supremum for the matrices the caller measured: the
+    linear iterate on the tree and in :func:`picard_certificate`, the
+    returned P in the grid solve and in :func:`direct_coupled_oracle`.
+    Since ``0 <= P <= P_0``, the returned P lies under the linear iterate's
+    bound.  Both are held only as logs, because e^{rho T} overflows
+    quickly.  ``lambda_l2`` is the plain discrete L2 norm of the martingale
+    integrand per regime (an informational quantity only).  ``smallness``
+    is :func:`check_smallness` of the problem; its verdict is the
+    comparison with ``options.smallness_threshold``.
     """
 
     rho: float
     k_estimate: float
-    apriori_bound: float
-    measured_sup: float
     log_apriori_bound: float
     log_measured_sup: float
     lambda_l2: np.ndarray
     smallness: float
-    smallness_threshold: float
-    smallness_ok: bool
 
 
 @dataclass
@@ -242,21 +240,24 @@ class EsreSolution:
     ``P``/``Lambda`` are indexed (sample, regime, row, col) on ``grid``.
     For the tree backend they hold the probability-weighted node means
     (which coincide with the node values whenever coefficients are
-    deterministic) and ``tree`` is the converged per-node iterate.  A grid
-    solve runs no sweeps: ``iterations`` is 0, ``residual_history`` empty
-    and ``iterates`` None (see :func:`picard_certificate`).
+    deterministic) and ``tree`` is the converged per-node iterate.
+    ``iterations`` is the number of sweeps, the length of
+    ``residual_history``.  A grid solve runs no sweeps: its history is
+    empty (see :func:`picard_certificate`).
     """
 
     grid: np.ndarray
     P: np.ndarray
     Lambda: np.ndarray
     backend: str
-    iterations: int
     residual_history: list
     diagnostics: Diagnostics
     options: SolverOptions
-    iterates: list = None        # tree with keep_iterates: P level tuples per iterate
     tree: TreeIterate = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history)
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +357,20 @@ class _Engine:
                     inv = (1.0 / sigma if sigma.shape[-1] == 1
                            and np.abs(sigma).min() >= _NORMAL_MIN else np.linalg.inv(sigma))
                 except np.linalg.LinAlgError as exc:
-                    raise NearSingular("R + D'PD is singular") from exc
+                    raise self._singular(h, sigma) from exc
                 x = inv @ m
             else:
                 m, _ = _gain_blocks(p, lam, self.B[h], c, None, s, None)
                 x = self.R_inv[h] @ m
             out = out - m.mT @ x
         return symmetrize(out)
+
+    def _singular(self, h, sigma) -> NearSingular:
+        """The refusal of the stack ``sigma`` at sample ``h``, which LU found
+        singular: the condition test's, naming the time and the regime, or,
+        where a huge ``cond_threshold`` passes it, one naming the time."""
+        _guarded(matcore.require_conditioned, sigma, self.times[h], self.options.cond_threshold)
+        return NearSingular(f"R + D'PD is singular at t = {self.times[h]:.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +663,8 @@ def solve_esre(spec: ProblemSpec, options: SolverOptions = None) -> EsreSolution
     The grid backend integrates it directly in one backward sweep; the
     tree backend runs the linear initial iterate, then frozen-coupling
     sweeps until the sup-norm difference of consecutive iterates is at
-    most ``picard_tol``, and carries the residual history and (optionally)
-    every iterate.  Both attach the a priori diagnostics.
+    most ``picard_tol``, and carries the residual history.  Both attach
+    the a priori diagnostics.
 
     Raises
     ------
@@ -669,15 +677,15 @@ def solve_esre(spec: ProblemSpec, options: SolverOptions = None) -> EsreSolution
         Propagated from the backward stepping guards.
     """
     options = options or SolverOptions()
-    smallness, smallness_ok = _check_problem(spec, options)
+    smallness = _check_problem(spec, options)
     if options.backend == "ode":
-        return _solve_grid(spec, options, smallness, smallness_ok)
-    return _solve_tree(spec, options, smallness, smallness_ok)
+        return _solve_grid(spec, options, smallness)
+    return _solve_tree(spec, options, smallness)
 
 
 def _check_problem(spec, options):
     """Refuse a problem that fails the definiteness assumptions and warn
-    when the diffusion is large; returns the smallness and its verdict."""
+    when the diffusion is large; returns the smallness."""
     report = validate_assumptions(spec, tol=options.psd_tol)
     if not report.passed:
         raise AssumptionViolation(
@@ -685,27 +693,24 @@ def _check_problem(spec, options):
             report=report,
         )
     smallness = check_smallness(spec)
-    smallness_ok = smallness <= options.smallness_threshold
-    if not smallness_ok:
+    if not smallness <= options.smallness_threshold:
         warnings.warn(
             f"measured diffusion size {smallness:.4g} exceeds threshold "
             f"{options.smallness_threshold:.4g}; the fixed point may lose "
             "monotonicity",
             stacklevel=3,
         )
-    return smallness, smallness_ok
+    return smallness
 
 
-def _solve_grid(spec, options, smallness, smallness_ok) -> EsreSolution:
+def _solve_grid(spec, options, smallness) -> EsreSolution:
     engine = _GridEngine(spec, options)
     p = engine.solve_direct()
     diag = _diagnostics(spec, engine.grid, np.linalg.norm(p, axis=(-2, -1)),
-                        np.zeros(spec.ell), smallness, options.smallness_threshold,
-                        smallness_ok)
+                        np.zeros(spec.ell), smallness)
     return EsreSolution(
-        grid=engine.grid, P=p, Lambda=np.zeros_like(p),
-        backend="ode", iterations=0, residual_history=[],
-        diagnostics=diag, options=options,
+        grid=engine.grid, P=p, Lambda=np.zeros_like(p), backend="ode",
+        residual_history=[], diagnostics=diag, options=options,
     )
 
 
@@ -714,7 +719,10 @@ class PicardCertificate:
     """The paper's monotone sequence on the grid, run to ``picard_tol``.
 
     ``P`` is the last iterate, on the grid of :func:`solve_esre` with the
-    same options.  ``monotonicity_margin`` is the smallest
+    same options, and ``iterations`` the number of sweeps, the length of
+    ``residual_history``.  The iterates are not kept: :func:`solve_p0`
+    and repeated :func:`picard_step` replay them bit for bit.
+    ``monotonicity_margin`` is the smallest
     eigenvalue of ``P_k - P_{k+1}`` over all sweeps, nodes and regimes
     (>= 0 up to roundoff for a decreasing sequence) and ``min_eigenvalue``
     the smallest eigenvalue of any iterate.  ``diagnostics`` measure the
@@ -724,14 +732,16 @@ class PicardCertificate:
     """
 
     P: np.ndarray
-    iterations: int
     residual_history: list
     monotonicity_margin: float
     min_eigenvalue: float
     diagnostics: Diagnostics
     direct_distance: float
     options: SolverOptions
-    iterates: list = None        # with keep_iterates: P_0, P_1, ... on the grid
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history)
 
 
 def picard_certificate(spec: ProblemSpec, options: SolverOptions = None) -> PicardCertificate:
@@ -755,42 +765,34 @@ def picard_certificate(spec: ProblemSpec, options: SolverOptions = None) -> Pica
     if options.backend != "ode":
         raise StructuralError("the Picard certificate checks the grid backend; "
                               "the tree solve runs the sequence itself")
-    smallness, smallness_ok = _check_problem(spec, options)
+    smallness = _check_problem(spec, options)
     engine = _GridEngine(spec, options)
     it0 = engine.solve_p0()
-    iterates = [it0.values] if options.keep_iterates else None
     lowest = [matcore.min_eigenvalue(it0.values)]
     margins = []
 
     def on_sweep(prev, cur):
         margins.append(matcore.min_eigenvalue(prev.values - cur.values))
         lowest.append(matcore.min_eigenvalue(cur.values))
-        if iterates is not None:
-            iterates.append(cur.values)
 
     last, residuals = _picard_sequence(engine, it0, options, on_sweep)
     p = last.values
     _guarded(matcore.require_psd, p, engine.grid, options.psd_tol)
     direct = engine.solve_direct()
     return PicardCertificate(
-        P=p, iterations=len(residuals), residual_history=residuals,
+        P=p, residual_history=residuals,
         monotonicity_margin=min(margins), min_eigenvalue=min(lowest),
         diagnostics=_diagnostics(spec, engine.grid, np.linalg.norm(it0.values, axis=(-2, -1)),
-                                 np.zeros(spec.ell), smallness,
-                                 options.smallness_threshold, smallness_ok),
+                                 np.zeros(spec.ell), smallness),
         direct_distance=float(np.max(np.linalg.norm(p - direct, axis=(-2, -1)))),
-        options=options, iterates=iterates,
+        options=options,
     )
 
 
-def _solve_tree(spec, options, smallness, smallness_ok) -> EsreSolution:
+def _solve_tree(spec, options, smallness) -> EsreSolution:
     engine = _TreeEngine(spec, options)
     it0 = engine.solve_p0()
-    iterates = on_sweep = None
-    if options.keep_iterates:
-        iterates = [it0.levels]
-        on_sweep = lambda prev, cur: iterates.append(cur.levels)
-    last, residuals = _picard_sequence(engine, it0, options, on_sweep)
+    last, residuals = _picard_sequence(engine, it0, options)
 
     tree = engine.tree
     for t, lv in zip(tree.times, last.levels):
@@ -812,12 +814,10 @@ def _solve_tree(spec, options, smallness, smallness_ok) -> EsreSolution:
     for k in range(tree.depth):
         wts = _node_weights(k)[:, None]
         sq_sum += (np.linalg.norm(last.lam_levels[k], axis=(-2, -1)) ** 2 * wts).sum(axis=0)
-    diag = _diagnostics(spec, grid, p0_norms, np.sqrt(sq_sum * tree.dt),
-                        smallness, options.smallness_threshold, smallness_ok)
+    diag = _diagnostics(spec, grid, p0_norms, np.sqrt(sq_sum * tree.dt), smallness)
     return EsreSolution(
-        grid=grid, P=P, Lambda=Lam,
-        backend="tree", iterations=len(residuals), residual_history=residuals,
-        diagnostics=diag, options=options, iterates=iterates, tree=last,
+        grid=grid, P=P, Lambda=Lam, backend="tree", residual_history=residuals,
+        diagnostics=diag, options=options, tree=last,
     )
 
 
@@ -866,14 +866,14 @@ def _rho_of(spec: ProblemSpec, k_est: float) -> float:
     return (3.0 * (spec.ell - 1) ** 2 * spec.T + 3.0) * _square(k_est) + 3.0 * k_est
 
 
-def _diagnostics(spec, times, p0_norms, lam_l2, smallness, thresh, ok) -> Diagnostics:
+def _diagnostics(spec, times, p0_norms, lam_l2, smallness) -> Diagnostics:
     """Diagnostics of a solve; ``p0_norms[k, i]`` is the largest |P_0| at
     ``times[k]`` in regime i+1, over the lattice nodes for the tree.
 
     The measured supremum is taken in logs, ``rho t + 2 (q_ii t +
     log|P_0|)``, so that no exponential under- or overflows.  The bound
     1.5 e^{rho T}(K^2 + 1/rho) is kept as a log, which is ``inf`` unless
-    rho > 0; both exponentials saturate to ``inf`` past e^709.
+    rho > 0.
     """
     k_est = growth_constant(spec)
     rho = _rho_of(spec, k_est)
@@ -889,12 +889,8 @@ def _diagnostics(spec, times, p0_norms, lam_l2, smallness, thresh, ok) -> Diagno
     else:
         log_bound = np.log(1.5) + rho * spec.T + np.log(_square(k_est) + 1.0 / rho)
     return Diagnostics(
-        rho=rho, k_estimate=k_est,
-        apriori_bound=float(np.exp(min(log_bound, 709.0))) if np.isfinite(log_bound) else np.inf,
-        measured_sup=float(np.exp(log_sup)) if log_sup < 709.0 else np.inf,
-        log_apriori_bound=log_bound, log_measured_sup=log_sup,
-        lambda_l2=lam_l2, smallness=smallness,
-        smallness_threshold=thresh, smallness_ok=ok,
+        rho=rho, k_estimate=k_est, log_apriori_bound=log_bound,
+        log_measured_sup=log_sup, lambda_l2=lam_l2, smallness=smallness,
     )
 
 
@@ -906,12 +902,20 @@ def _diagnostics(spec, times, p0_norms, lam_l2, smallness, thresh, ok) -> Diagno
 def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None) -> EsreSolution:
     """Integrate the full coupled system directly (no coupling freeze,
     original coordinates, martingale part zero).  Deterministic
-    coefficients only.  Used to cross-check the fixed-point limit.
+    coefficients only.
+
+    It runs the grid solve's backward RK4 sweep, ``_GridEngine._sweep``,
+    on the same half-grid coefficient samples; only its driver is written
+    out apart, with the plain A, the whole ``q P`` coupling and
+    ``np.linalg.solve``, and a blow-up guard replaces the PSD clip.  It
+    cross-checks that driver and the clip of :func:`solve_esre`.
 
     Raises
     ------
     StepFailure
         If the state norm exceeds the blow-up guard (1e8).
+    NearSingular
+        If ``R + D'PD`` is singular, naming the time and regime.
     """
     options = options or SolverOptions()
     engine = _GridEngine(spec, options)
@@ -934,7 +938,7 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None) -> E
             try:
                 x = np.linalg.solve(sigma, m)
             except np.linalg.LinAlgError as exc:
-                raise NearSingular("R + D'PD is singular") from exc
+                raise engine._singular(h, sigma) from exc
         else:
             x = engine.R_inv[h] @ m
         out = out - np.swapaxes(m, -1, -2) @ x
@@ -948,12 +952,9 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None) -> E
         return p
 
     values, _ = engine._sweep(rhs, engine.G, guard)
-    smallness = check_smallness(spec)
     diag = _diagnostics(spec, engine.grid, np.linalg.norm(values, axis=(-2, -1)),
-                        np.zeros(spec.ell), smallness, options.smallness_threshold,
-                        smallness <= options.smallness_threshold)
+                        np.zeros(spec.ell), check_smallness(spec))
     return EsreSolution(
-        grid=engine.grid, P=values, Lambda=np.zeros_like(values),
-        backend="direct", iterations=0, residual_history=[],
-        diagnostics=diag, options=options,
+        grid=engine.grid, P=values, Lambda=np.zeros_like(values), backend="direct",
+        residual_history=[], diagnostics=diag, options=options,
     )

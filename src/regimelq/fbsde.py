@@ -63,7 +63,6 @@ class ResidualStats:
     rms: float
     max: float
     dt: float
-    sample_count: int
 
 
 @dataclass
@@ -146,10 +145,8 @@ def ypx_residual(solution: EsreSolution, spec: ProblemSpec, regime: int,
             res[k] = np.linalg.norm(y_next - y + dt * f)
             x = x_next
         res /= dt
-        out.append(ResidualStats(
-            rms=float(np.sqrt(np.mean(res**2))), max=float(res.max()),
-            dt=float(dt), sample_count=n_steps,
-        ))
+        out.append(ResidualStats(rms=float(np.sqrt(np.mean(res**2))),
+                                 max=float(res.max()), dt=float(dt)))
     return out
 
 
@@ -322,7 +319,5 @@ def xinv_product_check(spec: ProblemSpec, regime: int, gains: CoefficientField,
         x = x + (a @ x) * dt + (c @ x) * dw[k]
         xinv = xinv - (xinv @ (a - c @ c)) * dt - (xinv @ c) * dw[k]
         devs[k + 1] = np.linalg.norm(xinv @ x - np.eye(n))
-    return ResidualStats(
-        rms=float(np.sqrt(np.mean(devs**2))), max=float(devs.max()),
-        dt=float(dt), sample_count=n_steps + 1,
-    )
+    return ResidualStats(rms=float(np.sqrt(np.mean(devs**2))),
+                         max=float(devs.max()), dt=float(dt))

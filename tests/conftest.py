@@ -16,7 +16,10 @@ run sees the same family.
 import numpy as np
 import pytest
 
-from regimelq.esre import SolverOptions, picard_certificate, solve_esre
+from regimelq.errors import NoConvergence
+from regimelq.esre import (
+    SolverOptions, TreeIterate, picard_certificate, picard_step, solve_esre, solve_p0,
+)
 from regimelq.model import ProblemSpec, check_smallness
 
 FAMILY_SEEDS = (101, 303, 404)
@@ -98,8 +101,17 @@ def e1_solution(e1):
 
 @pytest.fixture(scope="session")
 def e1_certificate(e1):
-    """The Picard certificate of E1 at the production grid, iterates kept."""
-    return picard_certificate(e1, SolverOptions(grid_steps=2000, keep_iterates=True))
+    """The Picard certificate of E1 at the production grid."""
+    return picard_certificate(e1, SolverOptions(grid_steps=2000))
+
+
+@pytest.fixture(scope="session")
+def e1_replay(e1, e1_certificate):
+    """The iterates and residuals of ``e1_certificate``, replayed by
+    :func:`replay_picard`."""
+    values, residuals = [], []
+    replay_picard(e1, e1_certificate.options, values, residuals)
+    return values, residuals
 
 
 @pytest.fixture(scope="session")
@@ -110,3 +122,28 @@ def e1_solution_coarse(e1):
 @pytest.fixture(scope="session")
 def random_family():
     return [random_spec(seed) for seed in FAMILY_SEEDS]
+
+
+def replay_picard(spec, options, values, residuals):
+    """The paper's monotone sequence as public ``solve_p0`` + repeated
+    ``picard_step``, on the grid or the tree that ``options`` request.
+
+    Fills ``values`` (iterate 0 on: the grid's values array, or the tree's
+    tuple of levels) and ``residuals`` (the max over every node of
+    ``|P_k - P_{k-1}|_F``) as it goes, so both hold the completed sweeps
+    when a sweep raises; stops once the residual is at most ``picard_tol``.
+    """
+    def stacks(it):
+        return it.levels if isinstance(it, TreeIterate) else (it.values,)
+
+    prev = solve_p0(spec, options)
+    values.append(prev.values if options.backend == "ode" else prev.levels)
+    for _ in range(options.picard_max_iter):
+        cur = picard_step(spec, prev, options)
+        residuals.append(max(float(np.max(np.linalg.norm(a - b, axis=(-2, -1))))
+                             for a, b in zip(stacks(cur), stacks(prev))))
+        values.append(cur.values if options.backend == "ode" else cur.levels)
+        prev = cur
+        if residuals[-1] <= options.picard_tol:
+            return
+    raise NoConvergence("replay did not converge", residual_history=residuals)

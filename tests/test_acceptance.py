@@ -23,7 +23,7 @@ from regimelq.esre import (
 )
 from regimelq.fbsde import tree_fbsde_oracle, ypx_residual
 from regimelq.regime_chain import path_substream, sample_chain_path, transition_matrix
-from conftest import make_e1, scalar_spec
+from conftest import make_e1, replay_picard, scalar_spec
 
 E1_VALUE = 0.5
 SWITCH_P = (1.0 - np.exp(-2.0)) / 2.0
@@ -50,7 +50,7 @@ def family_solutions(random_family):
     t0 = time.perf_counter()
     out = []
     for spec in random_family:
-        opts = SolverOptions(grid_steps=800, keep_iterates=True)
+        opts = SolverOptions(grid_steps=800)
         sol = solve_esre(spec, opts)
         cert = picard_certificate(spec, opts)
         oracle = direct_coupled_oracle(spec, SolverOptions(grid_steps=800))
@@ -66,13 +66,19 @@ def test_criterion_01_closed_form_value(e1_timed):
            f"|P(0,i)-0.5|={err:.2e}, runtime={elapsed:.2f}s")
 
 
-def test_criterion_02_monotone_iterates(e1_certificate, family_solutions):
+def test_criterion_02_monotone_iterates(e1_certificate, e1_replay, family_solutions):
+    # the certificates keep no iterates: the public solve_p0 + picard_step
+    # replay gives them
     solved, _ = family_solutions
     worst_step = np.inf
     worst_psd = np.inf
     certs = [e1_certificate] + [c for _, _, c, _ in solved]
-    for cert in certs:
-        its = cert.iterates
+    replays = [e1_replay[0]]
+    for spec, _, cert, _ in solved:
+        its, residuals = [], []
+        replay_picard(spec, cert.options, its, residuals)
+        replays.append(its)
+    for its in replays:
         for prev, cur in zip(its, its[1:]):
             worst_step = min(worst_step,
                              float(np.min(np.linalg.eigvalsh(prev - cur))))

@@ -118,6 +118,16 @@ def write_cfg(tmp_path, text, name="run.yaml"):
     return p
 
 
+# the keys of solution.csv.meta.json, in the order written
+META_KEYS = ["backend", "converged", "iterations", "grid", "tolerances",
+             "residual_history", "diagnostics"]
+GRID_KEYS = ["samples", "t0", "t_end"]
+TOLERANCE_KEYS = ["grid_steps", "tree_depth", "picard_tol", "picard_max_iter",
+                  "psd_tol", "cond_threshold", "smallness_threshold"]
+DIAGNOSTIC_KEYS = ["rho", "k_estimate", "log_apriori_bound", "log_measured_sup",
+                   "lambda_l2", "smallness"]
+
+
 class TestParseConfig:
     def test_minimal_gets_defaults(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, E1_YAML))
@@ -351,6 +361,31 @@ class TestSolutionFiles:
         assert len(meta["residual_history"]) == sol.iterations
         assert meta["diagnostics"]["k_estimate"] == 1.0
 
+    @pytest.mark.parametrize("solver", [
+        "{backend: ode, grid_steps: 200}", "{backend: tree, tree_depth: 8}"])
+    def test_metadata_keys(self, tmp_path, solver):
+        text = SMALL_RUN.replace("{backend: ode, grid_steps: 200}", solver)
+        cfg = parse_config(write_cfg(tmp_path, text))
+        assert run_command("solve", cfg, output_dir=tmp_path, echo=lambda line: None
+                           ).exit_code == 0
+        meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
+        assert list(meta) == META_KEYS
+        assert list(meta["grid"]) == GRID_KEYS
+        assert list(meta["tolerances"]) == TOLERANCE_KEYS
+        assert list(meta["diagnostics"]) == DIAGNOSTIC_KEYS
+
+    def test_unconverged_metadata_keys(self, tmp_path):
+        text = SMALL_RUN.replace("{backend: ode, grid_steps: 200}",
+                                 "{backend: tree, tree_depth: 8, picard_max_iter: 1}")
+        cfg = parse_config(write_cfg(tmp_path, text))
+        assert run_command("solve", cfg, output_dir=tmp_path, echo=lambda line: None
+                           ).exit_code == 2
+        meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
+        assert list(meta) == META_KEYS
+        assert list(meta["tolerances"]) == TOLERANCE_KEYS
+        assert meta["grid"] is None and meta["diagnostics"] is None
+        assert meta["iterations"] == len(meta["residual_history"]) == 1
+
     def test_configured_tolerances_reach_the_metadata(self, tmp_path):
         # no hidden defaults: what the config says is what the artifact says
         text = SMALL_RUN.replace(
@@ -488,6 +523,27 @@ class TestCommands:
         assert series[0] == "t,regime,frob_P,min_eig_P,frob_Lambda"
         assert len(series) == 1 + 201 * 2
 
+    @pytest.mark.filterwarnings("ignore:measured diffusion size")
+    @pytest.mark.parametrize("d, threshold, flag", [
+        ("0.0", "0.1", "ok"),
+        # smallness e^1 = 2.718 against the threshold 0.1
+        ("1.0", "0.1", "warn"),
+        # the flag compares with the threshold in the tolerances
+        ("1.0", "5", "ok"),
+    ])
+    def test_report_smallness_flag_reads_the_tolerances(self, tmp_path, d, threshold, flag):
+        cfg = parse_config(write_cfg(tmp_path, SMALL_RUN.replace("D: [[0.0]]", f"D: [[{d}]]")))
+        run_command("solve", cfg, output_dir=tmp_path, echo=lambda line: None)
+        meta_path = tmp_path / "s.csv.meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["tolerances"]["smallness_threshold"] = float(threshold)
+        meta_path.write_text(json.dumps(meta, indent=2) + "\n")
+        run_command("report", cfg, output_dir=tmp_path, echo=lambda line: None)
+        lines = (tmp_path / "r.txt").read_text().splitlines()
+        assert [line for line in lines if line.startswith("diffusion size: ")] == [
+            f"diffusion size: {meta['diagnostics']['smallness']:.10g} "
+            f"(threshold {threshold}, {flag})"]
+
     def test_report_bytes_do_not_depend_on_output_dir(self, tmp_path):
         cfg = parse_config(CONFIGS / "tree_random_q.yaml")
         quiet = lambda line: None
@@ -579,7 +635,7 @@ class TestMain:
         assert main(["solve", "--config", str(cfg), "--output", str(tmp_path)]) == 0
         meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
         assert meta["converged"] is True
-        assert meta["diagnostics"]["apriori_bound"] == float("inf")
+        assert meta["diagnostics"]["log_apriori_bound"] == float("inf")
 
     def test_coarse_grid_for_fast_switching_maps_to_one(self, tmp_path, capsys):
         text = SMALL_RUN.replace("generator: [[-1.0, 1.0], [1.0, -1.0]]",
