@@ -53,7 +53,7 @@ from .control import Policy, feedback_gain, mc_cost, optimality_gap, value_at
 from .errors import IoError, NoConvergence, RegimeLQError
 from .esre import EsreSolution, solve_esre, solve_p0
 from .fbsde import tree_fbsde_oracle, xinv_product_check, ypx_residual
-from .model import check_smallness, validate_assumptions
+from .model import _smallness_ok, check_smallness, validate_assumptions
 from .regime_chain import check_seed
 
 COMMANDS = ("validate", "solve", "simulate", "verify", "report")
@@ -229,7 +229,7 @@ def _sim_inputs(config: RunConfig):
 def _cmd_validate(config: RunConfig, paths, echo) -> CommandResult:
     report = validate_assumptions(config.problem, tol=config.solver.psd_tol)
     smallness = check_smallness(config.problem)
-    flag = "ok" if smallness <= config.solver.smallness_threshold else "warn"
+    flag = "ok" if _smallness_ok(smallness, config.solver.smallness_threshold) else "warn"
     echo(f"assumptions: {'PASS' if report.passed else 'FAIL'}")
     for v in report.violations:
         echo(
@@ -424,7 +424,7 @@ def _meta_lines(meta: dict, grid: np.ndarray) -> list:
             f"measured sup (log): {_f10(diag['log_measured_sup'])}",
             f"diffusion size: {_f10(diag['smallness'])} "
             f"(threshold {_f10(threshold)}, "
-            f"{'ok' if diag['smallness'] <= threshold else 'warn'})",
+            f"{'ok' if _smallness_ok(diag['smallness'], threshold) else 'warn'})",
         ]
     return lines
 

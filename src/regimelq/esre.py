@@ -112,7 +112,8 @@ from .errors import (
     StructuralError,
 )
 from .model import (
-    ProblemSpec, _check_count, _check_positive, check_smallness, validate_assumptions,
+    ProblemSpec, _check_count, _check_positive, _smallness_ok, check_smallness,
+    validate_assumptions,
 )
 
 BLOWUP_GUARD = 1e8
@@ -170,8 +171,8 @@ class Diagnostics:
     bound.  Both are held only as logs, because e^{rho T} overflows
     quickly.  ``lambda_l2`` is the plain discrete L2 norm of the martingale
     integrand per regime (an informational quantity only).  ``smallness``
-    is :func:`check_smallness` of the problem; its verdict is the
-    comparison with ``options.smallness_threshold``.
+    is :func:`check_smallness` of the problem; its verdict is
+    ``model._smallness_ok`` against ``options.smallness_threshold``.
     """
 
     rho: float
@@ -693,7 +694,7 @@ def _check_problem(spec, options):
             report=report,
         )
     smallness = check_smallness(spec)
-    if not smallness <= options.smallness_threshold:
+    if not _smallness_ok(smallness, options.smallness_threshold):
         warnings.warn(
             f"measured diffusion size {smallness:.4g} exceeds threshold "
             f"{options.smallness_threshold:.4g}; the fixed point may lose "

@@ -414,9 +414,9 @@ def check_smallness(spec: ProblemSpec) -> float:
 
     The exponential factor is increasing in t (q_ii <= 0), so on each
     piecewise-constant interval the supremum sits at the right endpoint;
-    the scan below is exact for constant and table coefficients.  Callers
-    compare the value against a configured threshold: it is a solvability
-    indicator, not a hard gate.  Identically zero D gives 0, and R is only
+    the scan below is exact for constant and table coefficients.
+    :func:`_smallness_ok` compares the value with a configured threshold:
+    it is a solvability indicator, not a hard gate.  Identically zero D gives 0, and R is only
     inverted where D is nonzero.
     """
     times, t_right, _ = _check_points(spec, (spec.D, spec.R))
@@ -430,3 +430,9 @@ def check_smallness(spec: ProblemSpec) -> float:
     # the Frobenius norm as the dot product that np.linalg.norm takes on a
     # single matrix; its axis= form sums in another order
     return float(np.max(np.sqrt(np.vecdot(drr, drr)) * decay))
+
+
+def _smallness_ok(smallness: float, threshold: float) -> bool:
+    """The verdict on a :func:`check_smallness` value: within the
+    threshold (a NaN value is not)."""
+    return smallness <= threshold

@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +114,29 @@ output: {solution_path: s.csv, report_path: r.txt}
 """
 
 
+LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
+def typed(x):
+    """Loaded YAML in a form whose equality also tells 1 from 1.0, True
+    from 1, -0.0 from 0.0 and the key order of mappings, and takes NaN
+    as equal to itself."""
+    if isinstance(x, dict):
+        return [(typed(k), typed(v)) for k, v in x.items()]
+    if isinstance(x, list):
+        return [typed(v) for v in x]
+    return type(x), repr(x) if isinstance(x, float) else x
+
+
+def tree_table_yaml(depth: int) -> str:
+    """The e1 run file with a state weight given node by node on a
+    depth-``depth`` lattice: the large ``tree_table`` form of run file."""
+    rows = [f'      "{k},{j}": [[{1.0 + 0.5 * np.tanh((2 * j - k) / np.sqrt(depth))!r}]]'
+            for k in range(depth + 1) for j in range(k + 1)]
+    return (E1_YAML.replace("  Q: [[0.0]]\n", "  Q:\n    tree_table:\n" + "\n".join(rows) + "\n")
+            + f"solver: {{backend: tree, tree_depth: {depth}}}\n")
+
+
 def write_cfg(tmp_path, text, name="run.yaml"):
     p = tmp_path / name
     p.write_text(text)
@@ -176,21 +201,15 @@ class TestParseConfig:
             parse_config(write_cfg(tmp_path, text))
 
     @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.yaml")))
-    def test_bundled_configs_parse_equal_under_both_loaders(self, name):
+    def test_bundled_configs_parse_equal_under_both_loaders(self, name, monkeypatch):
         text = (CONFIGS / name).read_text()
-
-        def typed(x):
-            # equality that also tells 1 from 1.0 and True from 1
-            if isinstance(x, dict):
-                return {k: typed(v) for k, v in x.items()}
-            if isinstance(x, list):
-                return [typed(v) for v in x]
-            return type(x), x
-
         pure = yaml.load(text, Loader=yaml.SafeLoader)
         assert typed(yaml.load(text, Loader=config.YAML_LOADER)) == typed(pure)
         if yaml.__with_libyaml__:
             assert config.YAML_LOADER is yaml.CSafeLoader
+        for loader in LOADERS:
+            monkeypatch.setattr(config, "YAML_LOADER", loader)
+            assert typed(config._load_yaml(text)) == typed(pure), loader.__name__
 
     @pytest.mark.parametrize("patch, err", [
         ("simulate: {n_paths: 1}", RangeError),
@@ -300,6 +319,118 @@ class TestParseConfig:
         text = E1_YAML + "simulate: {perturbations: [{constant: [0.1, 0.2]}]}\n"
         with pytest.raises(RangeError):
             parse_config(write_cfg(tmp_path, text))
+
+
+@pytest.fixture(params=LOADERS, ids=lambda loader: loader.__name__)
+def yaml_loader(request, monkeypatch):
+    """Run ``config._load_yaml`` on each available parser: the runtime-only
+    install may lack libyaml."""
+    monkeypatch.setattr(config, "YAML_LOADER", request.param)
+    return request.param
+
+
+class TestYamlLoader:
+    """``config._load_yaml`` gives ``yaml.load(..., SafeLoader)``'s data
+    and errors without building a node graph."""
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "---\n",
+        "a: &x [1, 2]\nb: *x\nc: &y {k: v}\nd: *y\n",
+        "base: &b {x: 1, y: 2}\nd: {<<: *b, y: 3}\n",
+        "a: &a {x: 1}\nb: &b {x: 2, z: 5}\nc: {w: 0, <<: [*a, *b], x: 9}\nd: {<<: [*a, *b]}\n",
+        "m: {<<: {a: 1}, <<: {a: 2, b: 3}}\n",
+        "x: &m {<<: {a: 1}, b: 2}\ny: {<<: *m, c: 3}\n",
+        "a: !!str 1\nb: !!float 1\nc: !!int '7'\nd: !!bool yes\ne: !!null ''\nf: !!binary aGk=\n",
+        "[yes, no, on, off, y, n, True, FALSE, ~, null, Null, '', 'yes', \"1\"]",
+        "[0x1F, -0x1f, 017, 0o17, 0b101, 1_000, 190:20:30, -1:30, 1:30.5]",
+        "[.inf, -.inf, .NaN, 1e3, 1.0e3, 1.0e+3, 6.8523015e+5, 685.230_15e+03, -0.0]",
+        "[2001-12-14, 2001-12-14t21:59:43.10-05:00, 2001-12-14 21:59:43.10]",
+        "=: 1\nb: 2\n",
+        "a: 1\nb: 3\na: 2\n",
+        "{1: a, 2.5: b, null: c, true: d, 2001-12-14: e}",
+        "? a\n? b\n",
+        "just a string",
+    ], ids=["empty", "empty-document", "aliases", "merge-one", "merge-list-override",
+            "merge-twice", "merge-nested", "scalar-tags", "bools-nulls", "ints",
+            "floats", "timestamps", "equals-key", "duplicate-key", "scalar-keys",
+            "keys-without-values", "root-scalar"])
+    def test_snippet_loads_as_safe_loader(self, yaml_loader, text):
+        assert typed(config._load_yaml(text)) == typed(yaml.load(text, Loader=yaml.SafeLoader))
+
+    def test_generated_tree_table_loads_as_safe_loader(self, yaml_loader):
+        text = tree_table_yaml(30)
+        assert typed(config._load_yaml(text)) == typed(yaml.load(text, Loader=yaml.SafeLoader))
+
+    def test_aliases_share_and_may_recurse(self, yaml_loader):
+        shared = config._load_yaml("a: &x [1]\nb: *x\n")
+        assert shared["a"] is shared["b"] == [1]
+        rec = config._load_yaml("&a [1, *a]")
+        assert len(rec) == 2 and rec[0] == 1 and rec[1] is rec
+        rec = config._load_yaml("&a {x: 1, self: *a}")
+        assert rec["self"] is rec and rec["x"] == 1
+
+    @pytest.mark.parametrize("text, message", [
+        ("a: 1\n---\nb: 2\n", "expected a single document"),
+        ("a: *nope\n", "found undefined alias 'nope'"),
+        ("a: &x 1\nb: &x 2\n", "found duplicate anchor 'x'"),
+        ("? [1]\n: 2\n", "found unhashable key"),
+        ("? {a: 1}\n: 2\n", "found unhashable key"),
+        ("{<<: 1}", "expected a mapping or list of mappings for merging"),
+        ("{<<: [{a: 1}, 2]}", "expected a mapping for merging"),
+        ("- <<\n", "could not determine a constructor"),
+        ("- =\n", "could not determine a constructor"),
+        ("a: !foo bar\n", "could not determine a constructor"),
+        ("!!map x", "expected a mapping node"),
+        ("[1, 2", "expected ',' or ']'"),
+    ], ids=["second-document", "undefined-alias", "duplicate-anchor", "list-key",
+            "mapping-key", "scalar-merge", "list-merge-of-scalar", "merge-as-item",
+            "equals-as-item", "unknown-tag", "map-tag-on-scalar", "unclosed"])
+    def test_refusal_is_safe_loaders(self, yaml_loader, text, message):
+        with pytest.raises(yaml.YAMLError, match=message) as safe:
+            yaml.load(text, Loader=yaml.SafeLoader)
+        with pytest.raises(type(safe.value), match=message):
+            config._load_yaml(text)
+
+    @pytest.mark.parametrize("tag", ["set", "omap", "pairs"])
+    def test_collection_tags_beyond_map_and_seq_are_refused(self, yaml_loader, tmp_path, tag):
+        value = "{x}" if tag == "set" else "[{x: 1}]"
+        text = E1_YAML.replace("  Q: [[0.0]]\n", f"  Q: !!{tag} {value}\n")
+        with pytest.raises(ParseError, match=rf"^problem\.Q \(line 14\): the collection "
+                                             rf"tag !!{tag} is not supported$"):
+            parse_config(write_cfg(tmp_path, text))
+
+    @pytest.mark.parametrize("tagged", [
+        "!!int abc", "!!float abc", "!!timestamp 2001-99-99", "!!bool maybe"])
+    def test_unreadable_tagged_scalar_names_its_key(self, yaml_loader, tmp_path, tagged):
+        text = E1_YAML.replace("  T: 1.0\n", f"  T: {tagged}\n")
+        value = tagged.split()[1]
+        with pytest.raises(ParseError, match=rf"^problem\.T \(line 5\): cannot read "
+                                             rf"'{value}' as {tagged.split()[0]}$"):
+            parse_config(write_cfg(tmp_path, text))
+
+    def test_key_path_counts_list_items(self, yaml_loader):
+        text = "simulate:\n  perturbations:\n    - constant: [0.5, !!int x]\n"
+        with pytest.raises(ParseError, match=r"^simulate\.perturbations\[0\]\.constant\[1\] "
+                                             r"\(line 3\)"):
+            config._load_yaml(text)
+
+    def test_yaml_errors_reach_the_caller_as_invalid_yaml(self, yaml_loader, tmp_path):
+        text = E1_YAML + "extra: *nope\n"
+        with pytest.raises(ParseError, match="invalid YAML .*undefined alias"):
+            parse_config(write_cfg(tmp_path, text))
+
+    def test_peak_memory_stays_near_the_result(self, yaml_loader):
+        # yaml.load's node graph peaks near 9x the data on such a file
+        text = tree_table_yaml(60)
+        tracemalloc.start()
+        try:
+            data = config._load_yaml(text)
+            size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data["problem"]["Q"]["tree_table"]["60,60"]
+        assert peak < 3 * size, (peak, size)
 
 
 class TestSolutionFiles:
@@ -673,6 +804,40 @@ class TestMain:
         assert main(["validate", "--config", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}") and "Traceback" not in err
+
+    @pytest.mark.parametrize("tagged", [
+        "!!int abc", "!!float abc", "!!timestamp 2001-99-99", "!!bool maybe"])
+    def test_unreadable_tagged_scalar_is_one_error_line(self, tmp_path, capsys, tagged):
+        # the first of these is the fourth bad copy of the e1 demo in CI
+        text = (CONFIGS / "e1_scalar.yaml").read_text()
+        bad = write_cfg(tmp_path, text.replace("  T: 1.0\n", f"  T: {tagged}\n"))
+        assert main(["validate", "--config", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: problem.T (line 8): cannot read '{tagged.split()[1]}' " \
+                      f"as {tagged.split()[0]}\n"
+
+    @pytest.mark.parametrize("nudge, verdict", [(0, "ok"), (-1, "warn")])
+    def test_smallness_verdict_is_the_same_everywhere(self, tmp_path, capsys, nudge, verdict):
+        # threshold at the smallness e^1 |D R^-1 D'| itself, then one ulp below
+        smallness = float(np.e)
+        threshold = float(np.nextafter(smallness, 0.0)) if nudge else smallness
+        text = SMALL_RUN.replace("D: [[0.0]]", "D: [[1.0]]").replace(
+            "grid_steps: 200}", f"grid_steps: 200, smallness_threshold: {threshold!r}}}")
+        cfg = parse_config(write_cfg(tmp_path, text))
+        assert cli.check_smallness(cfg.problem) == smallness
+        lines = []
+        run_command("validate", cfg, output_dir=tmp_path, echo=lines.append)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_command("solve", cfg, output_dir=tmp_path, echo=lambda line: None)
+        run_command("report", cfg, output_dir=tmp_path, echo=lambda line: None)
+        report = (tmp_path / "r.txt").read_text().splitlines()
+        assert f"diffusion size: {smallness:.10g} ({verdict}, threshold {threshold:.10g})" \
+            in lines
+        assert f"diffusion size: {smallness:.10g} (threshold {threshold:.10g}, {verdict})" \
+            in report
+        assert [str(w.message).startswith("measured diffusion size") for w in caught] == (
+            [True] if verdict == "warn" else [])
 
     def test_python_dash_m_runs_the_cli(self):
         proc = _run_python("-m", "regimelq", "validate",
