@@ -43,15 +43,15 @@ large ``tree_table``'s data.  Collection tags other than map and seq
 read (``T: !!int abc``) are refused with a ParseError naming the key and
 line.
 
-This module only converts YAML: numbers (numeric strings too), array
-shapes and finite array entries.  Every other rule has one owner, which
-library callers meet too: ``validate_generator`` (the generator, at least
-2 regimes), ``ProblemSpec`` (n, m, ell, T, delta, coefficients, x0),
-``check_regime`` (both i0), ``SolverOptions`` (every ``solver`` key),
-``control._check_path_count`` (n_paths), ``model._check_positive`` (dt),
-``check_seed`` (seed) and ``Perturbation`` (its tables).  An owner's typed
-error reaches the caller as a RangeError whose message starts with the
-run-file key.
+This module only reads YAML: sections, unknown and missing keys, numbers
+in scalars (numeric strings too) and the two table forms, into plain
+lists.  Every array goes as given to its owner, as every other rule does,
+and library callers meet the same owners (README's table says which key
+each owns): ``validate_generator``, ``CoefficientField``, ``ProblemSpec``,
+``model._start_state`` (both x0), ``check_regime``, ``SolverOptions``,
+``control._check_path_count``, ``model._check_positive``, ``check_seed``
+and ``Perturbation``.  An owner's typed error reaches the caller as a
+RangeError whose message starts with the run-file key.
 """
 
 from __future__ import annotations
@@ -69,7 +69,9 @@ from yaml.constructor import ConstructorError
 from .control import Perturbation, _check_path_count
 from .errors import ParseError, RangeError, RegimeLQError, UnknownKey
 from .esre import SolverOptions
-from .model import COEFFICIENT_NAMES, CoefficientField, ProblemSpec, _check_positive
+from .model import (
+    COEFFICIENT_NAMES, CoefficientField, ProblemSpec, _check_positive, _start_state,
+)
 from .regime_chain import check_regime, check_seed, validate_generator
 
 # libyaml's parser where PyYAML was built with it: the same constructors and
@@ -298,77 +300,45 @@ def _as_float(value, where: str) -> float:
     return float(value)
 
 
-def _as_floats(node, where: str, size: int = None) -> np.ndarray:
-    """Float array of a (nested) list; with ``size``, flattened and
-    required to hold exactly that many entries."""
-    try:
-        arr = np.asarray(node, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: not a numeric array: {exc}") from exc
-    if not np.all(np.isfinite(arr)):
-        raise RangeError(f"{where} must be finite, got {arr[~np.isfinite(arr)][0]}")
-    if size is not None:
-        arr = arr.reshape(-1)
-        if arr.size != size:
-            raise RangeError(f"{where} must have {size} entries, got {arr.size}")
-    return arr
-
-
-def _as_matrix_stack(node, ell: int, where: str) -> np.ndarray:
-    """Nested-list matrix (shared) or list of ell matrices -> (ell, r, c)."""
-    arr = _as_floats(node, where)
-    if arr.ndim == 2:
-        return np.repeat(arr[None], ell, axis=0)
-    if arr.ndim == 3:
-        if arr.shape[0] != ell:
-            raise RangeError(
-                f"{where}: expected {ell} per-regime matrices, got {arr.shape[0]}"
-            )
-        return arr
-    raise ParseError(f"{where}: expected a matrix or a list of matrices")
-
-
-def _parse_coefficient(node, ell: int, where: str) -> CoefficientField:
-    if isinstance(node, dict):
-        _reject_unknown(node, {"time_table", "tree_table"}, where)
-        if len(node) != 1:
-            raise ParseError(f"{where}: give exactly one of time_table / tree_table")
-        if "time_table" in node:
-            table = node["time_table"]
-            if not isinstance(table, dict) or not table:
-                raise ParseError(f"{where}.time_table must map times to matrices")
-            try:
-                items = sorted((float(t), v) for t, v in table.items())
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{where}.time_table keys must be numbers") from exc
-            times = [t for t, _ in items]
-            stacks = [_as_matrix_stack(v, ell, f"{where}.time_table[{t:g}]")
-                      for t, v in items]
-            return CoefficientField.from_table(times, np.stack(stacks))
-        table = node["tree_table"]
+def _parse_coefficient(node, ell: int, key: str) -> CoefficientField:
+    """Coefficient ``key`` as CoefficientField builds it from a matrix or
+    per-regime matrices, or from a table of them: a time table's keys as
+    sorted float times, a tree table's ``"k,j"`` nodes as one list per level."""
+    if not isinstance(node, dict):
+        return _owned(f"{key}: ", CoefficientField.constant, node, ell)
+    _reject_unknown(node, {"time_table", "tree_table"}, key)
+    if len(node) != 1:
+        raise ParseError(f"{key}: give exactly one of time_table / tree_table")
+    if "time_table" in node:
+        table = node["time_table"]
         if not isinstance(table, dict) or not table:
-            raise ParseError(f"{where}.tree_table must map 'level,ups' to matrices")
-        nodes = {}
-        for key, v in table.items():
-            try:
-                k_s, j_s = str(key).split(",")
-                k, j = int(k_s), int(j_s)
-            except ValueError as exc:
-                raise ParseError(
-                    f"{where}.tree_table key {key!r} is not 'level,ups'"
-                ) from exc
-            nodes[(k, j)] = _as_matrix_stack(v, ell, f"{where}.tree_table[{key}]")
-        depth = max(k for k, _ in nodes)
-        levels = []
-        for k in range(depth + 1):
-            rows = []
-            for j in range(k + 1):
-                if (k, j) not in nodes:
-                    raise ParseError(f"{where}.tree_table misses node {k},{j}")
-                rows.append(nodes[(k, j)])
-            levels.append(np.stack(rows))
-        return CoefficientField.from_tree(levels)
-    return CoefficientField.constant(_as_matrix_stack(node, ell, where))
+            raise ParseError(f"{key}.time_table must map times to matrices")
+        try:
+            times, mats = zip(*sorted(((float(t), v) for t, v in table.items()),
+                                      key=lambda item: item[0]))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{key}.time_table keys must be numbers") from exc
+        return _owned(f"{key}: ", CoefficientField.from_table, times, mats, ell)
+    table = node["tree_table"]
+    if not isinstance(table, dict) or not table:
+        raise ParseError(f"{key}.tree_table must map 'level,ups' to matrices")
+    nodes = {}
+    for name, v in table.items():
+        try:
+            k_s, j_s = str(name).split(",")
+            nodes[int(k_s), int(j_s)] = v
+        except ValueError as exc:
+            raise ParseError(f"{key}.tree_table key {name!r} is not 'level,ups'") from exc
+    try:
+        levels = [[nodes[k, j] for j in range(k + 1)]
+                  for k in range(max(k for k, _ in nodes) + 1)]
+    except KeyError as exc:
+        k, j = exc.args[0]
+        raise ParseError(f"{key}.tree_table misses node {k},{j}") from None
+    if len(nodes) != sum(map(len, levels)):
+        k, j = next((k, j) for k, j in nodes if not 0 <= j <= k)
+        raise ParseError(f"{key}.tree_table node {k},{j} is off the lattice")
+    return _owned(f"{key}: ", CoefficientField.from_tree, levels, ell)
 
 
 def _parse_perturbation(node, m: int, where: str) -> Perturbation:
@@ -378,13 +348,12 @@ def _parse_perturbation(node, m: int, where: str) -> Perturbation:
     if len(node) != 1:
         raise ParseError(f"{where}: give exactly one of constant / table")
     if "constant" in node:
-        return Perturbation(values=_as_floats(node["constant"], f"{where}.constant", m))
+        return _owned(f"{where}.constant: ", Perturbation.coerce, node["constant"], m)
     table = node["table"]
     if not isinstance(table, dict) or set(table) != {"times", "values"}:
         raise ParseError(f"{where}.table needs 'times' and 'values'")
-    times = _as_floats(table["times"], f"{where}.table.times")
-    values = _as_floats(table["values"], f"{where}.table.values", times.size * m)
-    return _owned(f"{where}.", Perturbation, values=values.reshape(times.size, m), times=times)
+    pert = _owned(f"{where}.", Perturbation, values=table["values"], times=table["times"])
+    return _owned(f"{where}.table: ", Perturbation.coerce, pert, m)
 
 
 def parse_config(path) -> RunConfig:
@@ -410,16 +379,13 @@ def parse_config(path) -> RunConfig:
 
     _require(data, "problem", "config")
     prob = _section(data, "problem", _PROBLEM_KEYS)
-    generator = _owned("problem.generator: ", validate_generator, _as_floats(
-        _require(prob, "generator", "problem"), "problem.generator"))
+    generator = _owned("problem.generator: ", validate_generator,
+                       _require(prob, "generator", "problem"))
     ell = generator.ell
     coeffs = {
         name: _parse_coefficient(_require(prob, name, "problem"), ell, f"problem.{name}")
         for name in _COEFFICIENT_KEYS
     }
-    x0 = prob.get("x0")
-    if x0 is not None:
-        x0 = _as_floats(x0, "problem.x0")
     i0 = _owned("problem.i0: ", check_regime, _setting(prob, "i0", ProblemSpec), ell)
     spec = _owned(
         "problem: ", ProblemSpec,
@@ -427,8 +393,12 @@ def parse_config(path) -> RunConfig:
         ell=_require(prob, "ell", "problem"),
         T=_as_float(_require(prob, "T", "problem"), "problem.T"),
         delta=_as_float(_require(prob, "delta", "problem"), "problem.delta"),
-        generator=generator, x0=x0, i0=i0, **coeffs,
+        generator=generator, i0=i0, **coeffs,
     )
+    # x0 goes to ProblemSpec's own check once n is known, so its errors
+    # start with the key as simulate.x0's do
+    if prob.get("x0") is not None:
+        spec.x0, _ = _owned("problem.", _start_state, spec.n, ell, prob["x0"], i0)
 
     sv = _section(data, "solver", _SOLVER_KEYS)
     solver = _owned("solver.", SolverOptions, **{
@@ -436,12 +406,11 @@ def parse_config(path) -> RunConfig:
         for key, value in sv.items()})
 
     sm = _section(data, "simulate", _SIMULATE_KEYS)
-    sim_x0 = sm.get("x0")
-    if sim_x0 is not None:
-        sim_x0 = _as_floats(sim_x0, "simulate.x0", spec.n)
-    sim_i0 = sm.get("i0")
+    sim_x0, sim_i0 = sm.get("x0"), sm.get("i0")
     if sim_i0 is not None:
         sim_i0 = _owned("simulate.i0: ", check_regime, sim_i0, ell)
+    if sim_x0 is not None:
+        sim_x0, _ = _owned("simulate.", _start_state, spec.n, ell, sim_x0, spec.i0)
     perturbations = [
         _parse_perturbation(p, spec.m, f"simulate.perturbations[{k}]")
         for k, p in enumerate(sm.get("perturbations", []) or [])

@@ -119,9 +119,11 @@ class Perturbation:
     times: np.ndarray = None     # table sample times when piecewise
 
     def __post_init__(self):
-        self.values = _floats(self.values, "perturbation values")
+        what = "perturbation values" if self.times is None else "table perturbation values"
+        self.values = _floats(self.values, what)
         if not np.all(np.isfinite(self.values)):
-            raise StructuralError("perturbation values must be finite")
+            raise StructuralError(
+                f"{what} must be finite, got {self.values[~np.isfinite(self.values)][0]}")
         if self.times is None:
             if self.values.ndim != 1:
                 raise DimensionMismatch(

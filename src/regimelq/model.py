@@ -29,6 +29,7 @@ diagnostics.
 
 from __future__ import annotations
 
+import copy
 import math
 import numbers
 from dataclasses import dataclass
@@ -56,6 +57,14 @@ def _check_positive(name: str, value):
     if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
         raise StructuralError(f"{name} must be positive and finite, got {value}")
     return value
+
+
+def _per_regime(vals: np.ndarray, lead: int, ell) -> np.ndarray:
+    """``vals`` with a regime axis after its ``lead`` leading axes: given
+    ``ell``, one matrix per leading index is repeated over the ell regimes."""
+    if ell is not None and vals.ndim == lead + 2:
+        return np.repeat(np.expand_dims(vals, lead), ell, axis=lead)
+    return vals
 
 
 def _start_state(n: int, ell: int, x0, i0):
@@ -86,16 +95,24 @@ class CoefficientField:
         depth; node (k, j) is level k with j up-moves.  Used by the tree
         solver backend for randomly varying coefficients.
 
-    The constructors refuse non-numeric, NaN and infinite values with
-    StructuralError.
+    Given ``ell``, the constructors also take one (r, c) matrix shared by
+    the ell regimes wherever they take per-regime matrices (ell, r, c),
+    in one form per call: per level for a tree.  They refuse non-numeric
+    values, and NaN and infinite ones naming the regime and the sample
+    time or node, with StructuralError.
     The feedback gains of :func:`~regimelq.control.feedback_gain` are a
     ``time_table`` field of m x n matrices.
     """
 
     def __init__(self, kind, shape, ell, values=None, times=None, levels=None, depth=None):
         arrays = levels if kind == "tree_table" else (values,)
-        if not all(np.isfinite(a).all() for a in arrays):
-            raise StructuralError(f"{kind} field has non-finite entries")
+        for k, a in enumerate(arrays):
+            if not np.isfinite(a).all():
+                at = tuple(np.argwhere(~np.isfinite(a))[0])
+                place = (f"node ({k}, {at[0]}), " if kind == "tree_table"
+                         else f"time {times[at[0]]:g}, " if kind == "time_table" else "")
+                raise StructuralError(f"{kind} field has a non-finite entry {a[at]} at "
+                                      f"{place}regime {at[-3] + 1}")
         self.kind = kind
         self.shape = (int(shape[0]), int(shape[1]))
         self.ell = int(ell)
@@ -107,9 +124,10 @@ class CoefficientField:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, mats) -> "CoefficientField":
-        """Constant field from per-regime matrices, shape (ell, r, c)."""
-        vals = _floats(mats, "constant field")
+    def constant(cls, mats, ell=None) -> "CoefficientField":
+        """Constant field from per-regime matrices, shape (ell, r, c), or
+        given ``ell``, one (r, c) matrix."""
+        vals = _per_regime(_floats(mats, "constant field"), 0, ell)
         if vals.ndim != 3:
             raise StructuralError(
                 f"constant field needs per-regime matrices (ell, r, c), got shape {vals.shape}"
@@ -117,20 +135,23 @@ class CoefficientField:
         return cls("constant", vals.shape[1:], vals.shape[0], values=vals)
 
     @classmethod
-    def from_table(cls, times, mats) -> "CoefficientField":
-        """Time table from sample times (K,) and values (K, ell, r, c)."""
+    def from_table(cls, times, mats, ell=None) -> "CoefficientField":
+        """Time table from sample times (K,) and values (K, ell, r, c), or
+        given ``ell``, (K, r, c)."""
         times = _floats(times, "time table times")
-        vals = _floats(mats, "time table values")
+        vals = _per_regime(_floats(mats, "time table values"), 1, ell)
         if vals.ndim != 4 or times.ndim != 1 or times.size != vals.shape[0]:
             raise StructuralError("time table needs times (K,) and values (K, ell, r, c)")
-        if times.size == 0 or times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
+        if times.size == 0 or times[0] != 0.0 or not np.all(np.diff(times) > 0.0):
             raise StructuralError("table times must start at 0 and increase strictly")
         return cls("time_table", vals.shape[2:], vals.shape[1], values=vals, times=times)
 
     @classmethod
-    def from_tree(cls, levels) -> "CoefficientField":
-        """Tree field from per-level arrays, level k of shape (k+1, ell, r, c)."""
-        levels = [_floats(lv, f"tree level {k}") for k, lv in enumerate(levels)]
+    def from_tree(cls, levels, ell=None) -> "CoefficientField":
+        """Tree field from per-level arrays, level k of shape (k+1, ell, r, c),
+        or given ``ell``, (k+1, r, c)."""
+        levels = [_per_regime(_floats(lv, f"tree level {k}"), 1, ell)
+                  for k, lv in enumerate(levels)]
         depth = len(levels) - 1
         for k, lv in enumerate(levels):
             if lv.ndim != 4 or lv.shape[0] != k + 1:
@@ -216,18 +237,12 @@ class CoefficientField:
 
 
 def _as_field(value, ell, shape, name) -> CoefficientField:
-    """Coerce raw input (field, array of per-regime matrices, or a single
-    matrix shared by all regimes) into a CoefficientField."""
-    if isinstance(value, CoefficientField):
-        f = value
-    else:
-        arr = _floats(value, name)
-        if arr.ndim == 2:
-            arr = np.repeat(arr[None], ell, axis=0)
-        try:
-            f = CoefficientField.constant(arr)
-        except StructuralError as exc:
-            raise StructuralError(f"{name}: {exc}") from exc
+    """``value``, a field or what :meth:`CoefficientField.constant` reads
+    with ``ell``, as a field of ``ell`` regimes and matrices of ``shape``."""
+    try:
+        f = value if isinstance(value, CoefficientField) else CoefficientField.constant(value, ell)
+    except StructuralError as exc:
+        raise StructuralError(f"{name}: {exc}") from exc
     if f.ell != ell:
         raise StructuralError(f"{name}: field declares {f.ell} regimes, spec has {ell}")
     if f.shape != tuple(shape):
@@ -281,7 +296,7 @@ class ProblemSpec:
         for name, shape in shapes.items():
             setattr(self, name, _as_field(getattr(self, name), ell, shape, name))
         for name in SYMMETRIC_COEFFICIENTS:
-            self._symmetrize_field(name)
+            setattr(self, name, self._symmetrized(name))
         depths = {f.depth for f in map(self.coefficient, COEFFICIENT_NAMES + ("G",))
                   if f.is_random}
         if len(depths) > 1:
@@ -297,8 +312,10 @@ class ProblemSpec:
         else:
             self.x0, self.i0 = _start_state(n, ell, self.x0, self.i0)
 
-    def _symmetrize_field(self, name):
-        f = getattr(self, name)
+    def _symmetrized(self, name) -> CoefficientField:
+        """A copy of field ``name`` with exactly symmetric matrices; the
+        caller's field, which may also be another coefficient, is kept."""
+        f = copy.copy(getattr(self, name))
         try:
             if f.kind == "tree_table":
                 f.levels = tuple(matcore.make_symmetric(lv) for lv in f.levels)
@@ -306,6 +323,7 @@ class ProblemSpec:
                 f.values = matcore.make_symmetric(f.values)
         except Exception as exc:
             raise StructuralError(f"{name} must be symmetric per regime: {exc}") from exc
+        return f
 
     @property
     def q(self) -> np.ndarray:

@@ -65,7 +65,7 @@ class Generator:
     q: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
+        object.__setattr__(self, "q", np.array(self.q, dtype=float))
         self.q.setflags(write=False)
 
 
@@ -78,11 +78,14 @@ def validate_generator(q) -> Generator:
         If the matrix is smaller than 2x2 (a single regime is not a
         switching problem).
     StructuralError
-        If an entry is NaN or infinite.
+        If the matrix is not an array of numbers or an entry is NaN or
+        infinite.
+    DimensionMismatch
+        If the matrix is not square.
     NegativeOffDiagonal, RowSumNonzero
         If the rate structure is invalid.
     """
-    q = np.asarray(q, dtype=float)
+    q = _floats(q, "q")
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise DimensionMismatch(f"generator must be square, got shape {q.shape}")
     ell = q.shape[0]

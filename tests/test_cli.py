@@ -16,11 +16,14 @@ import yaml
 from regimelq import cli, config, control
 from regimelq.cli import main, read_solution_csv, run_command, write_solution_csv
 from regimelq.config import parse_config
-from regimelq.control import feedback_gain, mc_cost, predicted_gap
-from regimelq.errors import OutOfRange, ParseError, RangeError, StructuralError, UnknownKey
+from regimelq.control import Perturbation, feedback_gain, mc_cost, predicted_gap
+from regimelq.errors import (
+    DimensionMismatch, OutOfRange, ParseError, RangeError, StructuralError, UnknownKey,
+)
 from regimelq.esre import SolverOptions, solve_esre
-from regimelq.model import CoefficientField
-from conftest import random_spec
+from regimelq.model import CoefficientField, _check_positive
+from regimelq.regime_chain import check_regime, check_seed, validate_generator
+from conftest import make_e1, random_spec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
@@ -131,10 +134,54 @@ def typed(x):
 def tree_table_yaml(depth: int) -> str:
     """The e1 run file with a state weight given node by node on a
     depth-``depth`` lattice: the large ``tree_table`` form of run file."""
-    rows = [f'      "{k},{j}": [[{1.0 + 0.5 * np.tanh((2 * j - k) / np.sqrt(depth))!r}]]'
+    rows = [f'      "{k},{j}": [[{float(1.0 + 0.5 * np.tanh((2 * j - k) / np.sqrt(depth)))!r}]]'
             for k in range(depth + 1) for j in range(k + 1)]
     return (E1_YAML.replace("  Q: [[0.0]]\n", "  Q:\n    tree_table:\n" + "\n".join(rows) + "\n")
             + f"solver: {{backend: tree, tree_depth: {depth}}}\n")
+
+
+def e1_patched(patch: str) -> str:
+    """E1_YAML with ``patch`` in place of the line of the same problem key
+    when it is one ("  key: value"), else appended."""
+    if patch.startswith("  "):
+        key = patch.split(":")[0]
+        return re.sub(rf"^{key}:.*$", lambda _: patch, E1_YAML, count=1, flags=re.M)
+    return E1_YAML + patch + "\n"
+
+
+NAN, INF = float("nan"), float("inf")
+# the key a parse error starts with, and the library call that raises the
+# same owner's error, for each row of test_owner_error_names_the_key
+OWNED = {
+    "solver: {smallness_threshold: .nan}":
+        ("solver.", lambda: SolverOptions(smallness_threshold=NAN)),
+    "solver: {backend: magic}": ("solver.", lambda: SolverOptions(backend="magic")),
+    "simulate: {i0: 7}": ("simulate.i0: ", lambda: check_regime(7, 2)),
+    "simulate: {n_paths: 1}": ("simulate.", lambda: control._check_path_count(1)),
+    "simulate: {seed: -1}": ("simulate.", lambda: check_seed(-1)),
+    "simulate: {dt: -0.5}": ("simulate.", lambda: _check_positive("dt", -0.5)),
+    "  generator: [[-1.0, x], [1.0, -1.0]]":
+        ("problem.generator: ", lambda: validate_generator([[-1.0, "x"], [1.0, -1.0]])),
+    "  Q: [[.nan]]": ("problem.Q: ", lambda: CoefficientField.constant([[NAN]], 2)),
+    "  Q: {time_table: {0.0: [[1.0]], 0.5: [[.inf]]}}":
+        ("problem.Q: ", lambda: CoefficientField.from_table([0.0, 0.5], [[[1.0]], [[INF]]], 2)),
+    "  Q: {time_table: {0.0: [[1.0]], 0.5: [[[1.0]], [[2.0]]]}}":
+        ("problem.Q: ", lambda: CoefficientField.from_table(
+            [0.0, 0.5], [[[1.0]], [[[1.0]], [[2.0]]]], 2)),
+    '  Q: {tree_table: {"0,0": [[1.0]], "1,0": [[1.0]], "1,1": [[.nan]]}}':
+        ("problem.Q: ", lambda: CoefficientField.from_tree([[[[1.0]]], [[[1.0]], [[NAN]]]], 2)),
+    "  x0: [.nan]": ("problem.", lambda: make_e1(x0=[NAN])),
+    "simulate: {x0: [1.0, 2.0]}": ("simulate.", lambda: make_e1(x0=[1.0, 2.0])),
+    "simulate: {perturbations: [{constant: [[0.5]]}]}":
+        ("simulate.perturbations[0].constant: ", lambda: Perturbation.coerce([[0.5]], 1)),
+    "simulate: {perturbations: [{table: {times: [0.0, 0.5], values: [0.1, 0.2]}}]}":
+        ("simulate.perturbations[0].",
+         lambda: Perturbation(values=[0.1, 0.2], times=[0.0, 0.5])),
+    "simulate: {perturbations: [{table: {times: [0.0, 0.5], "
+    "values: [[0.1, 0.2], [0.3, 0.4]]}}]}":
+        ("simulate.perturbations[0].table: ", lambda: Perturbation.coerce(
+            Perturbation(values=[[0.1, 0.2], [0.3, 0.4]], times=[0.0, 0.5]), 1)),
+}
 
 
 def write_cfg(tmp_path, text, name="run.yaml"):
@@ -217,8 +264,8 @@ class TestParseConfig:
         ("simulate: {i0: 7}", RangeError),
         ("solver: {backend: magic}", RangeError),
         ("solver: {grid_steps: 0}", RangeError),
-        ("simulate: {x0: [abc]}", ParseError),
-        ("simulate: {perturbations: [{constant: [abc]}]}", ParseError),
+        ("simulate: {x0: [abc]}", RangeError),
+        ("simulate: {perturbations: [{constant: [abc]}]}", RangeError),
         ("simulate: {perturbations: [{table: {times: [0.0, 0.5], values: [[0.1]]}}]}",
          RangeError),
         ("simulate: {x0: [null]}", RangeError),
@@ -242,11 +289,78 @@ class TestParseConfig:
         ("simulate: {n_paths: 1}", StructuralError, "simulate.n_paths must be an integer >= 2"),
         ("simulate: {seed: -1}", OutOfRange, r"simulate.seed -1 is not an integer in \[0"),
         ("simulate: {dt: -0.5}", StructuralError, "simulate.dt must be positive and finite"),
+        ("  generator: [[-1.0, x], [1.0, -1.0]]", StructuralError,
+         "problem.generator: q must be an array of numbers: could not convert"),
+        ("  Q: [[.nan]]", StructuralError,
+         r"problem.Q: constant field has a non-finite entry nan at regime 1$"),
+        ("  Q: {time_table: {0.0: [[1.0]], 0.5: [[.inf]]}}", StructuralError,
+         r"problem.Q: time_table field has a non-finite entry inf at time 0.5, regime 1$"),
+        ("  Q: {time_table: {0.0: [[1.0]], 0.5: [[[1.0]], [[2.0]]]}}", StructuralError,
+         "problem.Q: time table values must be an array of numbers: .*inhomogeneous"),
+        ('  Q: {tree_table: {"0,0": [[1.0]], "1,0": [[1.0]], "1,1": [[.nan]]}}',
+         StructuralError,
+         r"problem.Q: tree_table field has a non-finite entry nan at node \(1, 1\), regime 1$"),
+        ("  x0: [.nan]", OutOfRange, r"problem.x0 must be finite, got \[nan\]"),
+        ("simulate: {x0: [1.0, 2.0]}", DimensionMismatch,
+         "simulate.x0 has 2 entries, the state dimension is 1"),
+        ("simulate: {perturbations: [{constant: [[0.5]]}]}", DimensionMismatch,
+         r"simulate.perturbations\[0\].constant: constant perturbation needs values \(m,\)"),
+        ("simulate: {perturbations: [{table: {times: [0.0, 0.5], values: [0.1, 0.2]}}]}",
+         DimensionMismatch,
+         r"simulate.perturbations\[0\].table needs times \(K,\) and perturbation values"),
+        ("simulate: {perturbations: [{table: {times: [0.0, 0.5], "
+         "values: [[0.1, 0.2], [0.3, 0.4]]}}]}", DimensionMismatch,
+         r"simulate.perturbations\[0\].table: perturbation has 2 components, the control has 1"),
     ])
     def test_owner_error_names_the_key(self, tmp_path, patch, owner, words):
         with pytest.raises(RangeError, match=words) as info:
-            parse_config(write_cfg(tmp_path, E1_YAML + patch + "\n"))
+            parse_config(write_cfg(tmp_path, e1_patched(patch)))
         assert isinstance(info.value.__cause__, owner)
+        # the owner raises the same error for the same value from a library call
+        key, library_call = OWNED[patch]
+        with pytest.raises(owner) as library:
+            library_call()
+        assert type(info.value.__cause__) is type(library.value)
+        assert str(info.value) == key + str(library.value)
+
+    def test_non_finite_tree_node_is_named(self, tmp_path):
+        text, count = re.subn(r'"3,1": \[\[[^]]*\]\]', '"3,1": [[.nan]]', tree_table_yaml(3))
+        assert count == 1
+        with pytest.raises(RangeError, match=r"^problem\.Q: tree_table field has a non-finite "
+                                             r"entry nan at node \(3, 1\), regime 1$"):
+            parse_config(write_cfg(tmp_path, text))
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.yaml")) + ["tree30"])
+    def test_fields_are_the_library_constructors(self, tmp_path, name):
+        # each coefficient as CoefficientField builds it from the run file's
+        # data put in per-regime form: the same dtype, shape and bits
+        text = tree_table_yaml(30) if name == "tree30" else (CONFIGS / name).read_text()
+        spec = parse_config(write_cfg(tmp_path, text)).problem
+        prob = yaml.safe_load(text)["problem"]
+
+        def per_regime(node):
+            arr = np.array(node, dtype=float)
+            return np.stack([arr] * spec.ell) if arr.ndim == 2 else arr
+
+        for key in ("A", "B", "C", "D", "Q", "S", "R", "G"):
+            node = prob[key]
+            if not isinstance(node, dict):
+                ref = CoefficientField.constant(per_regime(node))
+            elif "time_table" in node:
+                times = sorted(node["time_table"])
+                ref = CoefficientField.from_table(
+                    times, np.stack([per_regime(node["time_table"][t]) for t in times]))
+            else:
+                table = node["tree_table"]
+                ref = CoefficientField.from_tree(
+                    [np.stack([per_regime(table[f"{k},{j}"]) for j in range(k + 1)])
+                     for k in range(spec.coefficient(key).depth + 1)])
+            got = spec.coefficient(key)
+            assert (got.kind, got.shape, got.ell, got.depth) == \
+                (ref.kind, ref.shape, ref.ell, ref.depth), key
+            pairs = zip(got.levels, ref.levels) if got.is_random else [(got.values, ref.values)]
+            for a, b in pairs:
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), key
 
     @pytest.mark.parametrize("old, new, words", [
         ("n: 1", "n: 0", "problem: n must be an integer >= 1, got 0"),
@@ -254,7 +368,7 @@ class TestParseConfig:
         ("T: 1.0", "T: -1.0", "problem: horizon T must be positive and finite"),
         ("delta: 0.5", "delta: .inf", "problem: delta must be positive and finite"),
         ("i0: 1", "i0: 7", "problem.i0: regime 7 is not an integer in 1..2"),
-        ("x0: [1.0]", "x0: [1.0, 2.0]", "problem: x0 has 2 entries"),
+        ("x0: [1.0]", "x0: [1.0, 2.0]", "problem.x0 has 2 entries"),
         ("generator: [[-1.0, 1.0], [1.0, -1.0]]", "generator: [[-1.0, 1.0], [2.0, -1.0]]",
          "problem.generator: row 2 sums to"),
     ])
@@ -267,7 +381,7 @@ class TestParseConfig:
         ("generator: [[-1.0, 1.0], [1.0, -1.0]]", "generator: [[-1.0, 1.0], [1.0]]"),
     ])
     def test_malformed_problem_numbers(self, tmp_path, old, new):
-        with pytest.raises(ParseError):
+        with pytest.raises(RangeError):
             parse_config(write_cfg(tmp_path, E1_YAML.replace(old, new)))
 
     def test_time_table_coefficient(self, tmp_path):
@@ -296,6 +410,17 @@ class TestParseConfig:
             "  Q: [[0.0]]",
             '  Q: {tree_table: {"0,0": [[1.0]], "1,1": [[1.5]]}}')
         with pytest.raises(ParseError):
+            parse_config(write_cfg(tmp_path, text))
+
+    @pytest.mark.parametrize("stray", ["1,2", "-1,0"])
+    def test_tree_node_off_the_lattice_refused(self, tmp_path, stray):
+        # such a node used to be dropped without a word
+        text = E1_YAML.replace(
+            "  Q: [[0.0]]",
+            f'  Q: {{tree_table: {{"0,0": [[1.0]], "1,0": [[0.5]], "1,1": [[1.5]], '
+            f'"{stray}": [[9.0]]}}}}')
+        with pytest.raises(ParseError, match=rf"^problem\.Q\.tree_table node {stray} is off "
+                                             rf"the lattice$"):
             parse_config(write_cfg(tmp_path, text))
 
     def test_perturbation_forms(self, tmp_path):
@@ -795,9 +920,12 @@ class TestMain:
         ("    - constant: [0.5]\n",
          "    - table: {times: [0.5, 0.8], values: [[1.0], [2.0]]}\n",
          "simulate.perturbations[0].table"),
+        ("  Q: [[0.0]]\n", "  Q: [[.nan]]\n", "problem.Q"),
+        ("  generator: [[-1.0, 1.0], [1.0, -1.0]]\n",
+         "  generator: [[-1.0, x], [1.0, -1.0]]\n", "problem.generator"),
     ])
     def test_owner_refusal_is_one_error_line(self, tmp_path, capsys, old, new, key):
-        # the three bad copies of the e1 demo that CI feeds to validate
+        # bad copies of the e1 demo that CI feeds to validate
         text = (CONFIGS / "e1_scalar.yaml").read_text()
         assert old in text
         bad = write_cfg(tmp_path, text.replace(old, new))

@@ -1,6 +1,8 @@
 """Problem definition: coefficient fields, assumption validation and the
 diffusion-size measure."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,52 @@ class TestCoefficientField:
             CoefficientField.from_table([0.1, 0.5], vals)
         with pytest.raises(StructuralError):
             CoefficientField.from_table([0.0, 0.0], vals)
+
+    def test_table_times_must_be_numbers_in_order(self):
+        # a NaN time passed the increase test, as every comparison with NaN fails
+        with pytest.raises(StructuralError, match="increase strictly"):
+            CoefficientField.from_table([0.0, np.nan], np.zeros((2, 2, 1, 1)))
+
+    def test_shared_matrix_form_given_ell(self):
+        m = [[1.0, 2.0], [3.0, 4.0]]
+        per_regime = np.array([m, m, m])
+        for shared, full in [
+            (CoefficientField.constant(m, 3), CoefficientField.constant(per_regime)),
+            (CoefficientField.from_table([0.0, 0.5], [m, m], 3),
+             CoefficientField.from_table([0.0, 0.5], [per_regime, per_regime])),
+            (CoefficientField.from_tree([[m], [m, m]], 3),
+             CoefficientField.from_tree([[per_regime], [per_regime, per_regime]])),
+        ]:
+            assert (shared.kind, shared.shape, shared.ell) == (full.kind, full.shape, 3)
+            for a, b in zip(shared.levels or (shared.values,), full.levels or (full.values,)):
+                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+        # per-regime matrices pass through, and without ell a matrix is no field
+        assert CoefficientField.constant(per_regime, 3).ell == 3
+        with pytest.raises(StructuralError, match="per-regime matrices"):
+            CoefficientField.constant(m)
+
+    @pytest.mark.parametrize("build, what", [
+        (lambda: CoefficientField.from_table([0.0, 0.5], [[[1.0]], [[[1.0]], [[2.0]]]], 2),
+         "time table values"),
+        (lambda: CoefficientField.from_tree([[[[1.0]]], [[[1.0]], [[[1.0]], [[2.0]]]]], 2),
+         "tree level 1"),
+    ], ids=["time_table", "tree_level"])
+    def test_one_form_per_conversion(self, build, what):
+        with pytest.raises(StructuralError, match=f"^{what} must be an array of numbers: "):
+            build()
+
+    @pytest.mark.parametrize("build, place", [
+        (lambda: CoefficientField.constant([[[1.0]], [[np.nan]]]), "at regime 2"),
+        (lambda: CoefficientField.constant([[np.inf]], 2), "entry inf at regime 1"),
+        (lambda: CoefficientField.from_table([0.0, 0.5], [[[1.0]], [[-np.inf]]], 2),
+         "entry -inf at time 0.5, regime 1"),
+        (lambda: CoefficientField.from_tree(
+            [[[[[1.0]], [[1.0]]]], [[[[1.0]], [[1.0]]], [[[1.0]], [[np.nan]]]]]),
+         "entry nan at node (1, 1), regime 2"),
+    ], ids=["constant", "shared", "time_table", "tree_table"])
+    def test_non_finite_entry_names_its_place(self, build, place):
+        with pytest.raises(StructuralError, match=re.escape(place) + "$"):
+            build()
 
     def test_bad_regime_rejected(self):
         f = CoefficientField.constant(np.zeros((2, 1, 1)))
@@ -254,6 +302,20 @@ class TestProblemSpec:
     def test_shared_matrix_broadcasts_over_regimes(self):
         spec = make_e1()
         assert spec.B.eval(0.0, 1) == spec.B.eval(0.0, 2)
+
+    def test_caller_field_is_kept(self):
+        # symmetrizing Q used to rewrite the caller's field, here also C,
+        # which no rule asks to be symmetric
+        mats = np.array([[[1.0, 5e-11], [0.0, 1.0]]] * 2)
+        field = CoefficientField.constant(mats.copy())
+        before = field.values
+        spec = ProblemSpec(n=2, m=1, ell=2, T=1.0, generator=[[-1.0, 1.0], [1.0, -1.0]],
+                           A=np.zeros((2, 2)), B=np.ones((2, 1)), C=field,
+                           D=np.zeros((2, 1)), Q=field, S=np.zeros((1, 2)),
+                           R=np.ones((1, 1)), G=np.eye(2), delta=0.5)
+        assert field.values is before and np.array_equal(field.values, mats)
+        assert spec.C.values[0, 0, 1] - spec.C.values[0, 1, 0] == 5e-11
+        assert spec.Q is not field and np.array_equal(spec.Q.values, spec.Q.values.mT)
 
 
 class TestValidateAssumptions:

@@ -53,6 +53,22 @@ class TestValidateGenerator:
         with pytest.raises(StructuralError, match=entry):
             validate_generator(q)
 
+    @pytest.mark.parametrize("q", [
+        [["x", 1.0], [1.0, -1.0]],
+        [[-1.0, 1.0], [1.0]],
+    ], ids=["string", "ragged"])
+    def test_non_numeric_rates_refused(self, q):
+        # numpy's own ValueError used to reach library callers
+        with pytest.raises(StructuralError, match="^q must be an array of numbers: "):
+            validate_generator(q)
+
+    def test_caller_array_stays_writable(self):
+        q = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        g = validate_generator(q)
+        assert q.flags.writeable and not g.q.flags.writeable
+        q[0, 0] = -2.0
+        assert g.q[0, 0] == -1.0
+
 
 class TestTransitionMatrix:
     def test_time_zero_is_identity(self):
