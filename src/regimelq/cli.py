@@ -5,7 +5,7 @@
 Commands
 --------
 validate
-    Check the definiteness assumptions within ``solver.psd_tol``, the
+    Check the definiteness assumptions within ``matcore.PSD_TOL``, the
     tolerance at which ``solve`` refuses them, and print the measured
     diffusion size; exit 0 iff the assumptions hold.
 solve
@@ -31,6 +31,8 @@ report
     Render previously written artifacts into a human-readable summary and
     a plot-ready CSV series.
 
+``simulate`` and ``verify`` start from ``problem.x0`` and ``problem.i0``.
+
 Exit codes: 0 success, 1 validation/configuration failure, 2 solver
 non-convergence, 3 verification failure, 4 I/O error.  All artifacts are
 byte-deterministic given the config and seed: no timestamps, fixed float
@@ -47,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import matcore
+from . import matcore, model
 from .config import RunConfig, parse_config
 from .control import Policy, feedback_gain, mc_cost, optimality_gap, value_at
 from .errors import IoError, NoConvergence, RegimeLQError
@@ -63,6 +65,7 @@ EXIT_VALIDATION = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_VERIFICATION = 3
 EXIT_IO = 4
+ORDER_FLOOR = 1e-9     # verify's residual order is moot where every rms is at or below it
 
 
 def _f17(x) -> str:
@@ -137,9 +140,6 @@ def _metadata_payload(solution: EsreSolution = None, options=None,
             "tree_depth": int(options.tree_depth),
             "picard_tol": float(options.picard_tol),
             "picard_max_iter": int(options.picard_max_iter),
-            "psd_tol": float(options.psd_tol),
-            "cond_threshold": float(options.cond_threshold),
-            "smallness_threshold": float(options.smallness_threshold),
         },
         "residual_history": [float(r) for r in residual_history],
         "diagnostics": diag,
@@ -162,7 +162,7 @@ def read_solution_csv(path):
     """Read back a solution file: (grid, P, Lambda) arrays.
 
     Raises IoError naming the file when it cannot be read, is not a
-    solution file, or has a damaged, missing or extra row.
+    solution file, or has a damaged, missing, extra or repeated row.
     """
     path = Path(path)
     try:
@@ -180,12 +180,16 @@ def read_solution_csv(path):
     times, k = np.unique(table[:, 0], return_inverse=True)
     idx = table[:, 1:4].astype(int)
     ell, n = int(idx[:, 0].max()), int(idx[:, 1:].max())
-    if (idx.min() < 1 or np.any(idx != table[:, 1:4])
-            or len(table) != len(times) * ell * n * n):
-        raise IoError(f"{path} does not hold one row per sample, regime and entry")
-    p = np.zeros((len(times), ell, n, n))
-    lam = np.zeros_like(p)
+    shape = (len(times), ell, n, n)
     i, r, c = (idx - 1).T
+    # as many rows as cells, and each cell once: none repeated in place of
+    # another (the count goes first, so no bincount outgrows the table)
+    if (idx.min() < 1 or np.any(idx != table[:, 1:4])
+            or len(table) != len(times) * ell * n * n
+            or np.any(np.bincount(np.ravel_multi_index((k, i, r, c), shape)) != 1)):
+        raise IoError(f"{path} does not hold one row per sample, regime and entry")
+    p = np.zeros(shape)
+    lam = np.zeros_like(p)
     p[k, i, r, c] = table[:, 4]
     lam[k, i, r, c] = table[:, 5]
     return times, p, lam
@@ -217,19 +221,17 @@ def _resolve_paths(config: RunConfig, output_dir) -> dict:
     return paths
 
 
-def _sim_inputs(config: RunConfig):
-    sim = config.simulate
-    x0 = sim.x0 if sim.x0 is not None else config.problem.x0
-    if x0 is None:
-        raise RegimeLQError("simulation needs x0 (set problem.x0 or simulate.x0)")
-    i0 = sim.i0 if sim.i0 is not None else config.problem.i0
-    return np.asarray(x0, dtype=float), int(i0)
+def _start(spec):
+    """The start state ``(problem.x0, problem.i0)`` of simulate and verify."""
+    if spec.x0 is None:
+        raise RegimeLQError("simulation needs x0: set problem.x0")
+    return spec.x0, spec.i0
 
 
 def _cmd_validate(config: RunConfig, paths, echo) -> CommandResult:
-    report = validate_assumptions(config.problem, tol=config.solver.psd_tol)
+    report = validate_assumptions(config.problem)
     smallness = check_smallness(config.problem)
-    flag = "ok" if _smallness_ok(smallness, config.solver.smallness_threshold) else "warn"
+    flag = "ok" if _smallness_ok(smallness) else "warn"
     echo(f"assumptions: {'PASS' if report.passed else 'FAIL'}")
     for v in report.violations:
         echo(
@@ -237,7 +239,7 @@ def _cmd_validate(config: RunConfig, paths, echo) -> CommandResult:
             f"min_eig={_f10(v.margin)}"
         )
     echo(f"diffusion size: {_f10(smallness)} ({flag}, threshold "
-         f"{_f10(config.solver.smallness_threshold)})")
+         f"{_f10(model.SMALLNESS_THRESHOLD)})")
     return CommandResult(EXIT_OK if report.passed else EXIT_VALIDATION, {})
 
 
@@ -272,7 +274,7 @@ def _cmd_solve(config: RunConfig, paths, echo) -> CommandResult:
 def _cmd_simulate(config: RunConfig, paths, echo, seed) -> CommandResult:
     solution = solve_esre(config.problem, config.solver)
     gains = feedback_gain(solution, config.problem)
-    x0, i0 = _sim_inputs(config)
+    x0, i0 = _start(config.problem)
     sim = config.simulate
     use_seed = sim.seed if seed is None else seed
     rows = ["policy,mean,std_error,n_paths,dt,seed"]
@@ -296,11 +298,11 @@ def _cmd_simulate(config: RunConfig, paths, echo, seed) -> CommandResult:
     return CommandResult(EXIT_OK, {"estimates": str(paths["estimates"])})
 
 
-def _fit_order(dts, values, floor: float) -> float:
+def _fit_order(dts, values) -> float:
     dts = np.asarray(dts, dtype=float)
     values = np.maximum(np.asarray(values, dtype=float), 1e-300)
-    if np.all(values <= floor):
-        return np.inf        # residuals within the solver's tolerance: order is moot
+    if np.all(values <= ORDER_FLOOR):
+        return np.inf        # residuals at roundoff level: the order is moot
     return float(np.polyfit(np.log(dts), np.log(values), 1)[0])
 
 
@@ -313,7 +315,7 @@ def _cmd_verify(config: RunConfig, paths, echo, seed) -> CommandResult:
     spec = config.problem
     solution = solve_esre(spec, config.solver)
     gains = feedback_gain(solution, spec)
-    x0, i0 = _sim_inputs(config)
+    x0, i0 = _start(spec)
     sim = config.simulate
     use_seed = sim.seed if seed is None else seed
     checks = []
@@ -326,8 +328,7 @@ def _cmd_verify(config: RunConfig, paths, echo, seed) -> CommandResult:
     dt_sol = solution.grid[1] - solution.grid[0]
     dt_list = [8 * dt_sol, 4 * dt_sol, 2 * dt_sol]
     stats = ypx_residual(solution, spec, i0, dt_list)
-    order = _fit_order([s.dt for s in stats], [s.rms for s in stats],
-                       config.solver.picard_tol)
+    order = _fit_order([s.dt for s in stats], [s.rms for s in stats])
     ok = order >= 0.9
     checks.append(ok)
     lines.append(f"[{'PASS' if ok else 'FAIL'}] product-identity residual order "
@@ -416,15 +417,14 @@ def _meta_lines(meta: dict, grid: np.ndarray) -> list:
     ]
     diag = meta.get("diagnostics")
     if diag:
-        threshold = meta["tolerances"]["smallness_threshold"]
         lines += [
             f"growth constant K: {_f10(diag['k_estimate'])}",
             f"exponential rate rho: {_f10(diag['rho'])}",
             f"a priori bound (log): {_f10(diag['log_apriori_bound'])}, "
             f"measured sup (log): {_f10(diag['log_measured_sup'])}",
             f"diffusion size: {_f10(diag['smallness'])} "
-            f"(threshold {_f10(threshold)}, "
-            f"{'ok' if _smallness_ok(diag['smallness'], threshold) else 'warn'})",
+            f"(threshold {_f10(model.SMALLNESS_THRESHOLD)}, "
+            f"{'ok' if _smallness_ok(diag['smallness']) else 'warn'})",
         ]
     return lines
 

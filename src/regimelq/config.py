@@ -9,7 +9,7 @@ A run file has four sections; only ``problem`` is mandatory::
       T: 1.0
       delta: 0.5
       generator: [[-1.0, 1.0], [1.0, -1.0]]
-      x0: [1.0]          # optional defaults for simulation
+      x0: [1.0]          # the start state of simulate and verify
       i0: 1
       A: [[0.0]]         # one matrix shared by all regimes ...
       Q: [[[1.0]], [[0.0]]]   # ... or one per regime
@@ -19,8 +19,7 @@ A run file has four sections; only ``problem`` is mandatory::
       # Q: {tree_table: {"0,0": [[1.0]], "1,0": [[0.6]], "1,1": [[1.4]]}}
     solver:
       backend: ode       # or tree
-      grid_steps: 2000
-      ...
+      grid_steps: 2000   # also tree_depth, picard_tol, picard_max_iter
     simulate:
       n_paths: 100000
       dt: 0.001
@@ -48,7 +47,7 @@ in scalars (numeric strings too) and the two table forms, into plain
 lists.  Every array goes as given to its owner, as every other rule does,
 and library callers meet the same owners (README's table says which key
 each owns): ``validate_generator``, ``CoefficientField``, ``ProblemSpec``,
-``model._start_state`` (both x0), ``check_regime``, ``SolverOptions``,
+``model._start_state`` (x0), ``check_regime``, ``SolverOptions``,
 ``control._check_path_count``, ``model._check_positive``, ``check_seed``
 and ``Perturbation``.  An owner's typed error reaches the caller as a
 RangeError whose message starts with the run-file key.
@@ -218,17 +217,14 @@ def _load_yaml(text: str):
 
 _COEFFICIENT_KEYS = COEFFICIENT_NAMES + ("G",)
 _PROBLEM_KEYS = {"n", "m", "ell", "T", "delta", "generator", "x0", "i0", *_COEFFICIENT_KEYS}
-_SOLVER_FLOATS = {"picard_tol", "psd_tol", "cond_threshold", "smallness_threshold"}
-_SOLVER_KEYS = {"backend", "grid_steps", "tree_depth", "picard_max_iter"} | _SOLVER_FLOATS
-_SIMULATE_KEYS = {"x0", "i0", "n_paths", "dt", "seed", "perturbations"}
+_SOLVER_KEYS = {"backend", "grid_steps", "tree_depth", "picard_tol", "picard_max_iter"}
+_SIMULATE_KEYS = {"n_paths", "dt", "seed", "perturbations"}
 _OUTPUT_KEYS = {"solution_path", "report_path", "estimates_path"}
 _TOP_KEYS = {"problem", "solver", "simulate", "output"}
 
 
 @dataclass
 class SimulateConfig:
-    x0: np.ndarray = None
-    i0: int = None
     n_paths: int = 10000
     dt: float = 1e-3
     seed: int = 0
@@ -396,28 +392,23 @@ def parse_config(path) -> RunConfig:
         generator=generator, i0=i0, **coeffs,
     )
     # x0 goes to ProblemSpec's own check once n is known, so its errors
-    # start with the key as simulate.x0's do
+    # start with the key
     if prob.get("x0") is not None:
         spec.x0, _ = _owned("problem.", _start_state, spec.n, ell, prob["x0"], i0)
 
     sv = _section(data, "solver", _SOLVER_KEYS)
     solver = _owned("solver.", SolverOptions, **{
-        key: _as_float(value, f"solver.{key}") if key in _SOLVER_FLOATS else value
+        key: _as_float(value, f"solver.{key}") if key == "picard_tol" else value
         for key, value in sv.items()})
 
     sm = _section(data, "simulate", _SIMULATE_KEYS)
-    sim_x0, sim_i0 = sm.get("x0"), sm.get("i0")
-    if sim_i0 is not None:
-        sim_i0 = _owned("simulate.i0: ", check_regime, sim_i0, ell)
-    if sim_x0 is not None:
-        sim_x0, _ = _owned("simulate.", _start_state, spec.n, ell, sim_x0, spec.i0)
     perturbations = [
         _parse_perturbation(p, spec.m, f"simulate.perturbations[{k}]")
         for k, p in enumerate(sm.get("perturbations", []) or [])
     ]
     dt = _as_float(_setting(sm, "dt", SimulateConfig), "simulate.dt")
     simulate = SimulateConfig(
-        x0=sim_x0, i0=sim_i0, dt=_owned("simulate.", _check_positive, "dt", dt),
+        dt=_owned("simulate.", _check_positive, "dt", dt),
         n_paths=_owned("simulate.", _check_path_count, _setting(sm, "n_paths", SimulateConfig)),
         seed=_owned("simulate.", check_seed, _setting(sm, "seed", SimulateConfig)),
         perturbations=perturbations,

@@ -214,7 +214,7 @@ def feedback_gain(solution: EsreSolution, spec: ProblemSpec) -> CoefficientField
     grid = solution.grid
     m, sigma = _gain_blocks(solution.P, solution.Lambda, *(
         spec.coefficient(name).sample_times(grid) for name in ("B", "C", "D", "S", "R")))
-    gains = -(_guarded(matcore.sym_inverse, sigma, grid, solution.options.cond_threshold) @ m)
+    gains = -(_guarded(matcore.sym_inverse, sigma, grid) @ m)
     return CoefficientField.from_table(grid, gains)
 
 

@@ -100,7 +100,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
+from . import matcore, model
 from .matcore import symmetrize
 from .errors import (
     DimensionMismatch,
@@ -127,7 +127,10 @@ _NORMAL_MIN = np.finfo(float).tiny
 
 @dataclass
 class SolverOptions:
-    """Tunable knobs of :func:`solve_esre` with their defaults.
+    """Tunable knobs of :func:`solve_esre` with their defaults.  The
+    verdicts' tolerances are module constants, not options:
+    ``matcore.PSD_TOL``, ``matcore.COND_THRESHOLD`` and
+    ``model.SMALLNESS_THRESHOLD``.
 
     ``picard_tol`` bounds the last sweep-to-sweep residual, the sup over
     the grid or lattice of ``|P_k - P_{k-1}|_F``; it is not a bound on the
@@ -143,17 +146,13 @@ class SolverOptions:
     tree_depth: int = 10
     picard_tol: float = 1e-9
     picard_max_iter: int = 60
-    psd_tol: float = 1e-9
-    cond_threshold: float = matcore.DEFAULT_COND_THRESHOLD
-    smallness_threshold: float = 0.1
 
     def __post_init__(self):
         if self.backend not in ("ode", "tree"):
             raise StructuralError(f"backend must be 'ode' or 'tree', got {self.backend!r}")
         for name in ("grid_steps", "tree_depth", "picard_max_iter"):
             _check_count(name, getattr(self, name))
-        for name in ("picard_tol", "psd_tol", "cond_threshold", "smallness_threshold"):
-            _check_positive(name, getattr(self, name))
+        _check_positive("picard_tol", self.picard_tol)
 
 
 @dataclass
@@ -172,7 +171,7 @@ class Diagnostics:
     quickly.  ``lambda_l2`` is the plain discrete L2 norm of the martingale
     integrand per regime (an informational quantity only).  ``smallness``
     is :func:`check_smallness` of the problem; its verdict is
-    ``model._smallness_ok`` against ``options.smallness_threshold``.
+    ``model._smallness_ok``, against ``model.SMALLNESS_THRESHOLD``.
     """
 
     rho: float
@@ -287,11 +286,11 @@ def _gain_blocks(p, lam, b, c, d, s, r, pc=None):
     return m, symmetrize(r + d_t @ (p @ d))
 
 
-def _guarded(guard, m, times, tol):
-    """``guard(m, tol)``, its refusal naming the time and regime of the
+def _guarded(guard, m, times):
+    """``guard(m)``, its refusal naming the time and regime of the
     member refused: ``times`` is the stack's time, or one per member."""
     try:
-        return guard(m, tol)
+        return guard(m)
     except (NearSingular, PsdViolation) as exc:
         t = times if np.ndim(times) == 0 else times[exc.member[0]]
         where = f"t = {t:.6g} in regime {exc.member[-1] + 1}"
@@ -319,11 +318,9 @@ class _Engine:
         self.R_inv = None
         if not self.has_D:
             # one stacked inverse, or one per lattice level of a random R
-            cond = self.options.cond_threshold
-            self.R_inv = (_guarded(matcore.sym_inverse, self.R, times, cond)
+            self.R_inv = (_guarded(matcore.sym_inverse, self.R, times)
                           if isinstance(self.R, np.ndarray) else
-                          [_guarded(matcore.sym_inverse, r, t, cond)
-                           for t, r in zip(times, self.R)])
+                          [_guarded(matcore.sym_inverse, r, t) for t, r in zip(times, self.R)])
 
     def _driver(self, h, p, lam, src, check_cond=False, quadratic=True):
         """The Riccati driver, symmetrized,
@@ -348,8 +345,7 @@ class _Engine:
             if self.has_D:
                 m, sigma = _gain_blocks(p, lam, self.B[h], c, self.D[h], s, self.R[h], pc)
                 if check_cond:
-                    _guarded(matcore.require_conditioned, sigma, self.times[h],
-                             self.options.cond_threshold)
+                    _guarded(matcore.require_conditioned, sigma, self.times[h])
                 # LU inverse and product: on these stacks of small blocks it
                 # costs less than np.linalg.solve with several columns.  LU
                 # inverts a 1 x 1 block by the division 1 / sigma, done here
@@ -369,8 +365,8 @@ class _Engine:
     def _singular(self, h, sigma) -> NearSingular:
         """The refusal of the stack ``sigma`` at sample ``h``, which LU found
         singular: the condition test's, naming the time and the regime, or,
-        where a huge ``cond_threshold`` passes it, one naming the time."""
-        _guarded(matcore.require_conditioned, sigma, self.times[h], self.options.cond_threshold)
+        where a huge ``matcore.COND_THRESHOLD`` passes it, one naming the time."""
+        _guarded(matcore.require_conditioned, sigma, self.times[h])
         return NearSingular(f"R + D'PD is singular at t = {self.times[h]:.6g}")
 
 
@@ -457,7 +453,7 @@ class _GridEngine(_Engine):
         rhs = lambda h, p, chk: -self._driver(
             h, p, None, np.einsum("ij,jab->iab", self.q_off, p), chk)
         values, _ = self._sweep(rhs, self.G, self._stiff_clip)
-        _guarded(matcore.require_psd, values, self.grid, self.options.psd_tol)
+        _guarded(matcore.require_psd, values, self.grid)
         return values
 
     def _stiff_clip(self, p: np.ndarray, k: int, values: np.ndarray) -> np.ndarray:
@@ -465,7 +461,7 @@ class _GridEngine(_Engine):
         naming the time, the regime and the RK4 stiffness ratio ``dt |2 B
         Sigma^{-1} B' P|`` at node k, which explicit RK4 needs below 2.8."""
         try:
-            return matcore.project_psd(p, self.options.psd_tol)
+            return matcore.project_psd(p)
         except PsdViolation as exc:
             h = 2 * k
             b = self.B[h]
@@ -496,7 +492,7 @@ class _GridEngine(_Engine):
         src = np.einsum("ij,hjab->hiab", self.q_off, prev.half_values())
         rhs = lambda h, p, chk: -self._driver(h, p, None, src[h], chk)
         return GridIterate(self.grid, *self._sweep(rhs, self.G, lambda p, k, _: _guarded(
-            matcore.project_psd, p, self.grid[k - 1], self.options.psd_tol)))
+            matcore.project_psd, p, self.grid[k - 1])))
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +564,7 @@ class _TreeEngine(_Engine):
         with np.errstate(over="ignore", invalid="ignore"):      # the clip refuses overflow
             return self._sweep(lambda k, pm, z: _guarded(matcore.project_psd, symmetrize(
                 pm + self.tree.dt * self._driver(k, pm, z, src[k], True)) / self.denom,
-                self.tree.times[k], self.options.psd_tol))
+                self.tree.times[k]))
 
 
 def _node_weights(k: int) -> np.ndarray:
@@ -597,7 +593,7 @@ def picard_step(spec: ProblemSpec, prev, options: SolverOptions = None):
 
     ``prev`` must be on the same grid or tree as the options request, hold
     ``(ell, n, n)`` matrices of ``spec`` per sample or node and be positive
-    semidefinite within ``psd_tol``.
+    semidefinite within ``matcore.PSD_TOL``.
     """
     options = options or SolverOptions()
     if isinstance(prev, GridIterate):
@@ -619,7 +615,7 @@ def picard_step(spec: ProblemSpec, prev, options: SolverOptions = None):
                 f"previous iterate holds {values.shape[1:]} matrices per sample, "
                 f"the problem needs (ell, n, n) = {want}"
             )
-        _guarded(matcore.require_psd, values, t, options.psd_tol)
+        _guarded(matcore.require_psd, values, t)
     return engine.picard_sweep(prev)
 
 
@@ -678,26 +674,26 @@ def solve_esre(spec: ProblemSpec, options: SolverOptions = None) -> EsreSolution
         Propagated from the backward stepping guards.
     """
     options = options or SolverOptions()
-    smallness = _check_problem(spec, options)
+    smallness = _check_problem(spec)
     if options.backend == "ode":
         return _solve_grid(spec, options, smallness)
     return _solve_tree(spec, options, smallness)
 
 
-def _check_problem(spec, options):
+def _check_problem(spec):
     """Refuse a problem that fails the definiteness assumptions and warn
     when the diffusion is large; returns the smallness."""
-    report = validate_assumptions(spec, tol=options.psd_tol)
+    report = validate_assumptions(spec)
     if not report.passed:
         raise AssumptionViolation(
             f"definiteness assumptions fail at {len(report.violations)} point(s)",
             report=report,
         )
     smallness = check_smallness(spec)
-    if not _smallness_ok(smallness, options.smallness_threshold):
+    if not _smallness_ok(smallness):
         warnings.warn(
             f"measured diffusion size {smallness:.4g} exceeds threshold "
-            f"{options.smallness_threshold:.4g}; the fixed point may lose "
+            f"{model.SMALLNESS_THRESHOLD:.4g}; the fixed point may lose "
             "monotonicity",
             stacklevel=3,
         )
@@ -766,7 +762,7 @@ def picard_certificate(spec: ProblemSpec, options: SolverOptions = None) -> Pica
     if options.backend != "ode":
         raise StructuralError("the Picard certificate checks the grid backend; "
                               "the tree solve runs the sequence itself")
-    smallness = _check_problem(spec, options)
+    smallness = _check_problem(spec)
     engine = _GridEngine(spec, options)
     it0 = engine.solve_p0()
     lowest = [matcore.min_eigenvalue(it0.values)]
@@ -778,7 +774,7 @@ def picard_certificate(spec: ProblemSpec, options: SolverOptions = None) -> Pica
 
     last, residuals = _picard_sequence(engine, it0, options, on_sweep)
     p = last.values
-    _guarded(matcore.require_psd, p, engine.grid, options.psd_tol)
+    _guarded(matcore.require_psd, p, engine.grid)
     direct = engine.solve_direct()
     return PicardCertificate(
         P=p, residual_history=residuals,
@@ -797,7 +793,7 @@ def _solve_tree(spec, options, smallness) -> EsreSolution:
 
     tree = engine.tree
     for t, lv in zip(tree.times, last.levels):
-        _guarded(matcore.require_psd, lv, t, options.psd_tol)
+        _guarded(matcore.require_psd, lv, t)
 
     # grid summary: probability-weighted node means (exact when nodes agree)
     grid = tree.times

@@ -47,7 +47,10 @@ from .errors import (
 
 # largest entrywise asymmetry max|M - M^T| that make_symmetric accepts
 ASYM_TOL = 1e-10
-DEFAULT_COND_THRESHOLD = 1e12
+# eigenvalues in (-PSD_TOL, 0) are roundoff; at or below -PSD_TOL, not PSD
+PSD_TOL = 1e-9
+# largest condition number |w|max / |w|min that the condition verdict passes
+COND_THRESHOLD = 1e12
 # rounding margin of the disc bound, in units of n max|m| over the stack
 DISC_MARGIN = 1e-12
 # largest n max|m| whose disc ends cannot overflow
@@ -157,7 +160,7 @@ def _unreadable(m: np.ndarray):
     return np.unravel_index(np.argmax(bad), bad.shape) if bad.any() else None
 
 
-def _psd_verdict(m: np.ndarray, psd_tol: float, floor: float, eig) -> tuple:
+def _psd_verdict(m: np.ndarray, floor: float, eig) -> tuple:
     """Where the disc ``floor`` did not pass the stack ``m``: ``eig(m)``
     (eigh, or eigvalsh in a tuple) and its smallest eigenvalue, or
     PsdViolation naming the lowest member, a garbled one (NaN floor) first."""
@@ -166,28 +169,28 @@ def _psd_verdict(m: np.ndarray, psd_tol: float, floor: float, eig) -> tuple:
     if member is None:
         out = eig(m)
         wmin = float(out[0].min())
-        if wmin > -psd_tol:
+        if wmin > -PSD_TOL:
             return *out, wmin
         low = out[0].min(axis=-1)
         member = np.unravel_index(np.argmin(low), low.shape)
-    raise PsdViolation(f"min eigenvalue {wmin:.3e} at or below -psd_tol = {-psd_tol:.3e}",
+    raise PsdViolation(f"min eigenvalue {wmin:.3e} at or below -psd_tol = {-PSD_TOL:.3e}",
                        member)
 
 
-def require_psd(m: np.ndarray, psd_tol: float) -> None:
+def require_psd(m: np.ndarray) -> None:
     """The verdict of :func:`project_psd` without its clip."""
     floor = _eigenvalue_floor(m)
-    if not floor > -psd_tol:
-        _psd_verdict(m, psd_tol, floor, lambda m: (np.linalg.eigvalsh(m),))
+    if not floor > -PSD_TOL:
+        _psd_verdict(m, floor, lambda m: (np.linalg.eigvalsh(m),))
 
 
-def _certified(lo, hi, cond_threshold: float):
+def _certified(lo, hi):
     """The condition verdict per member from bounds ``lo <= |w| <= hi``:
-    ``lo > 0``, ``hi`` finite and ``hi / cond_threshold <= lo``."""
-    return (lo > 0.0) & (hi / cond_threshold <= lo) & (hi < np.inf)
+    ``lo > 0``, ``hi`` finite and ``hi / COND_THRESHOLD <= lo``."""
+    return (lo > 0.0) & (hi / COND_THRESHOLD <= lo) & (hi < np.inf)
 
 
-def _conditioning(m: np.ndarray, cond_threshold: float, eig) -> tuple:
+def _conditioning(m: np.ndarray, eig) -> tuple:
     """``eig(m)`` (eigh, or eigvalsh in a tuple), or NearSingular naming the
     worst member of the stack ``m`` and its condition number, a garbled one first."""
     member, cond = _unreadable(m), np.inf
@@ -195,7 +198,7 @@ def _conditioning(m: np.ndarray, cond_threshold: float, eig) -> tuple:
         out = eig(m)
         aw = np.abs(out[0])
         lo, hi = aw.min(axis=-1), aw.max(axis=-1)
-        refused = ~_certified(lo, hi, cond_threshold)
+        refused = ~_certified(lo, hi)
         if not refused.any():
             return out
         with np.errstate(over="ignore"):
@@ -203,11 +206,11 @@ def _conditioning(m: np.ndarray, cond_threshold: float, eig) -> tuple:
                               where=refused & (lo > 0.0) & (lo < np.inf))
         member = np.unravel_index(np.argmax(ratio), ratio.shape)
         cond = ratio[member]
-    raise NearSingular(f"condition number {cond:.3e} exceeds threshold {cond_threshold:.3e}",
+    raise NearSingular(f"condition number {cond:.3e} exceeds threshold {COND_THRESHOLD:.3e}",
                        member)
 
 
-def require_conditioned(m: np.ndarray, cond_threshold: float) -> None:
+def require_conditioned(m: np.ndarray) -> None:
     """The verdict of :func:`sym_inverse` without the inverse.  A 1 x 1
     member is its own eigenvalue interval, a larger one's is its discs'."""
     if m.shape[-1] == 1:
@@ -218,11 +221,11 @@ def require_conditioned(m: np.ndarray, cond_threshold: float) -> None:
         hi = np.maximum.reduce(d + r, axis=-1) + pad
     else:
         lo = hi = np.float64(np.nan)
-    if not _certified(lo, hi, cond_threshold).all():
-        _conditioning(m, cond_threshold, lambda m: (np.linalg.eigvalsh(m),))
+    if not _certified(lo, hi).all():
+        _conditioning(m, lambda m: (np.linalg.eigvalsh(m),))
 
 
-def sym_inverse(m: np.ndarray, cond_threshold: float = DEFAULT_COND_THRESHOLD) -> np.ndarray:
+def sym_inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric matrix, or of each member of a stack (the
     last two axes), via its spectral factorization.
 
@@ -231,15 +234,15 @@ def sym_inverse(m: np.ndarray, cond_threshold: float = DEFAULT_COND_THRESHOLD) -
     NearSingular
         If the condition verdict refuses any member, naming the worst.
     """
-    w, v = _conditioning(np.asarray(m, dtype=float), cond_threshold, np.linalg.eigh)
+    w, v = _conditioning(np.asarray(m, dtype=float), np.linalg.eigh)
     return symmetrize((v / w[..., None, :]) @ v.mT)
 
 
-def project_psd(m: np.ndarray, psd_tol: float) -> np.ndarray:
+def project_psd(m: np.ndarray) -> np.ndarray:
     """Clip tiny negative eigenvalues of a (stack of) symmetric matrices.
 
-    Eigenvalues in ``(-psd_tol, 0)`` are treated as roundoff and clipped to
-    zero; anything at or below ``-psd_tol``, or NaN from an overflowed
+    Eigenvalues in ``(-PSD_TOL, 0)`` are treated as roundoff and clipped to
+    zero; anything at or below ``-PSD_TOL``, or NaN from an overflowed
     step, is a genuine failure and raises :class:`PsdViolation`.  The
     distinction keeps scheme bugs from being silently papered over.  A
     stack whose disc bound is nonnegative is returned as it is, without an
@@ -247,9 +250,9 @@ def project_psd(m: np.ndarray, psd_tol: float) -> np.ndarray:
     """
     m = np.asarray(m, dtype=float)
     floor = _eigenvalue_floor(m)
-    if floor >= 0.0 and floor > -psd_tol:
+    if floor >= 0.0 and floor > -PSD_TOL:
         return m
-    w, v, wmin = _psd_verdict(m, psd_tol, floor, np.linalg.eigh)
+    w, v, wmin = _psd_verdict(m, floor, np.linalg.eigh)
     if wmin >= 0.0:
         return m
     w = np.clip(w, 0.0, None)

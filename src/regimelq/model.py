@@ -43,6 +43,8 @@ from .regime_chain import Generator, check_regime, validate_generator
 
 COEFFICIENT_NAMES = ("A", "B", "C", "D", "Q", "S", "R")
 SYMMETRIC_COEFFICIENTS = ("Q", "R", "G")
+# largest check_smallness value that _smallness_ok passes
+SMALLNESS_THRESHOLD = 0.1
 
 
 def _check_count(name: str, value, minimum: int = 1):
@@ -389,8 +391,9 @@ def _stack(f: CoefficientField, times: np.ndarray) -> np.ndarray:
     return np.concatenate(f.levels) if f.is_random else f.sample_times(times)
 
 
-def validate_assumptions(spec: ProblemSpec, tol: float = 1e-9) -> ValidationReport:
-    """Check the definiteness assumptions at every sample point and regime.
+def validate_assumptions(spec: ProblemSpec) -> ValidationReport:
+    """Check the definiteness assumptions at every sample point and regime,
+    within ``matcore.PSD_TOL``, the tolerance of the solver's PSD verdict.
 
     Collects all failures instead of stopping at the first, regime by
     regime and point by point; structural problems (handled at
@@ -411,7 +414,7 @@ def validate_assumptions(spec: ProblemSpec, tol: float = 1e-9) -> ValidationRepo
         Violation(("R_lower", "Q_schur")[c], int(i) + 1,
                   float(times[p]) if nodes is None else tuple(map(int, nodes[p])),
                   float(margins[i, p, c]))
-        for i, p, c in np.argwhere(margins < -tol)
+        for i, p, c in np.argwhere(margins < -matcore.PSD_TOL)
     ]
     g = spec.G.levels[-1] if spec.G.is_random else spec.G.values[None]
     g_min = np.linalg.eigvalsh(g)[..., 0].T                   # (ell, J)
@@ -419,7 +422,7 @@ def validate_assumptions(spec: ProblemSpec, tol: float = 1e-9) -> ValidationRepo
         Violation("G_psd", int(i) + 1,
                   (spec.G.depth, int(j)) if spec.G.is_random else spec.T,
                   float(g_min[i, j]))
-        for i, j in np.argwhere(g_min < -tol)
+        for i, j in np.argwhere(g_min < -matcore.PSD_TOL)
     ]
     return ValidationReport(passed=not violations, violations=tuple(violations))
 
@@ -433,9 +436,10 @@ def check_smallness(spec: ProblemSpec) -> float:
     The exponential factor is increasing in t (q_ii <= 0), so on each
     piecewise-constant interval the supremum sits at the right endpoint;
     the scan below is exact for constant and table coefficients.
-    :func:`_smallness_ok` compares the value with a configured threshold:
-    it is a solvability indicator, not a hard gate.  Identically zero D gives 0, and R is only
-    inverted where D is nonzero.
+    :func:`_smallness_ok` compares the value with ``SMALLNESS_THRESHOLD``:
+    it is a solvability indicator, not a hard gate.  Identically zero D
+    gives 0, and R is only inverted where D is nonzero.  Where the
+    exponential factor overflows, the value saturates to ``inf``.
     """
     times, t_right, _ = _check_points(spec, (spec.D, spec.R))
     d = _stack(spec.D, times)
@@ -444,13 +448,14 @@ def check_smallness(spec: ProblemSpec) -> float:
         return 0.0
     d = d[live]
     drr = (d @ matcore.sym_inverse(_stack(spec.R, times)[live]) @ d.mT).reshape(len(d), -1)
-    decay = np.exp(-np.diag(spec.q)[None, :] * t_right[:, None])[live]
+    with np.errstate(over="ignore"):
+        decay = np.exp(-np.diag(spec.q)[None, :] * t_right[:, None])[live]
     # the Frobenius norm as the dot product that np.linalg.norm takes on a
     # single matrix; its axis= form sums in another order
     return float(np.max(np.sqrt(np.vecdot(drr, drr)) * decay))
 
 
-def _smallness_ok(smallness: float, threshold: float) -> bool:
-    """The verdict on a :func:`check_smallness` value: within the
-    threshold (a NaN value is not)."""
-    return smallness <= threshold
+def _smallness_ok(smallness: float) -> bool:
+    """The verdict on a :func:`check_smallness` value: within
+    ``SMALLNESS_THRESHOLD`` (a NaN value is not)."""
+    return smallness <= SMALLNESS_THRESHOLD

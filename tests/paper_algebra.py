@@ -30,7 +30,7 @@ def drift_pi(t: float, i: int, p: np.ndarray, lam: np.ndarray, spec: ProblemSpec
 
 
 def drift_h(t: float, i: int, p: np.ndarray, lam: np.ndarray, spec: ProblemSpec,
-            node=None, cond_threshold: float = matcore.DEFAULT_COND_THRESHOLD) -> np.ndarray:
+            node=None) -> np.ndarray:
     """Quadratic drift part
 
         -(p B + C'p D + lam D + S') (R + D'p D)^{-1} (B'p + D'p C + D'lam + S),
@@ -45,18 +45,18 @@ def drift_h(t: float, i: int, p: np.ndarray, lam: np.ndarray, spec: ProblemSpec,
         guard for the positivity the feedback formula requires.
     """
     m, sigma = _gain_blocks_at(spec, t, i, node, p, lam)
-    sigma_inv = matcore.sym_inverse(sigma, cond_threshold)
+    sigma_inv = matcore.sym_inverse(sigma)
     return matcore.symmetrize(-(m.T @ (sigma_inv @ m)))
 
 
 def theta_hat(t: float, i: int, p: np.ndarray, lam: np.ndarray, spec: ProblemSpec,
-              node=None, cond_threshold: float = matcore.DEFAULT_COND_THRESHOLD) -> np.ndarray:
+              node=None) -> np.ndarray:
     """Minimizing gain of the completed square, the feedback gain
 
         -(R + D'p D)^{-1} (B'p + D'p C + D'lam + S).
     """
     m, sigma = _gain_blocks_at(spec, t, i, node, p, lam)
-    return -(matcore.sym_inverse(sigma, cond_threshold) @ m)
+    return -(matcore.sym_inverse(sigma) @ m)
 
 
 def _gain_blocks_at(spec, t, i, node, p, lam):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from regimelq import cli, config, control
+from regimelq import cli, config, control, model
 from regimelq.cli import main, read_solution_csv, run_command, write_solution_csv
 from regimelq.config import parse_config
 from regimelq.control import Perturbation, feedback_gain, mc_cost, predicted_gap
@@ -22,7 +22,7 @@ from regimelq.errors import (
 )
 from regimelq.esre import SolverOptions, solve_esre
 from regimelq.model import CoefficientField, _check_positive
-from regimelq.regime_chain import check_regime, check_seed, validate_generator
+from regimelq.regime_chain import check_seed, validate_generator
 from conftest import make_e1, random_spec
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -153,10 +153,7 @@ NAN, INF = float("nan"), float("inf")
 # the key a parse error starts with, and the library call that raises the
 # same owner's error, for each row of test_owner_error_names_the_key
 OWNED = {
-    "solver: {smallness_threshold: .nan}":
-        ("solver.", lambda: SolverOptions(smallness_threshold=NAN)),
     "solver: {backend: magic}": ("solver.", lambda: SolverOptions(backend="magic")),
-    "simulate: {i0: 7}": ("simulate.i0: ", lambda: check_regime(7, 2)),
     "simulate: {n_paths: 1}": ("simulate.", lambda: control._check_path_count(1)),
     "simulate: {seed: -1}": ("simulate.", lambda: check_seed(-1)),
     "simulate: {dt: -0.5}": ("simulate.", lambda: _check_positive("dt", -0.5)),
@@ -171,7 +168,6 @@ OWNED = {
     '  Q: {tree_table: {"0,0": [[1.0]], "1,0": [[1.0]], "1,1": [[.nan]]}}':
         ("problem.Q: ", lambda: CoefficientField.from_tree([[[[1.0]]], [[[1.0]], [[NAN]]]], 2)),
     "  x0: [.nan]": ("problem.", lambda: make_e1(x0=[NAN])),
-    "simulate: {x0: [1.0, 2.0]}": ("simulate.", lambda: make_e1(x0=[1.0, 2.0])),
     "simulate: {perturbations: [{constant: [[0.5]]}]}":
         ("simulate.perturbations[0].constant: ", lambda: Perturbation.coerce([[0.5]], 1)),
     "simulate: {perturbations: [{table: {times: [0.0, 0.5], values: [0.1, 0.2]}}]}":
@@ -194,8 +190,7 @@ def write_cfg(tmp_path, text, name="run.yaml"):
 META_KEYS = ["backend", "converged", "iterations", "grid", "tolerances",
              "residual_history", "diagnostics"]
 GRID_KEYS = ["samples", "t0", "t_end"]
-TOLERANCE_KEYS = ["grid_steps", "tree_depth", "picard_tol", "picard_max_iter",
-                  "psd_tol", "cond_threshold", "smallness_threshold"]
+TOLERANCE_KEYS = ["grid_steps", "tree_depth", "picard_tol", "picard_max_iter"]
 DIAGNOSTIC_KEYS = ["rho", "k_estimate", "log_apriori_bound", "log_measured_sup",
                    "lambda_l2", "smallness"]
 
@@ -261,14 +256,11 @@ class TestParseConfig:
     @pytest.mark.parametrize("patch, err", [
         ("simulate: {n_paths: 1}", RangeError),
         ("simulate: {dt: -0.5}", RangeError),
-        ("simulate: {i0: 7}", RangeError),
         ("solver: {backend: magic}", RangeError),
         ("solver: {grid_steps: 0}", RangeError),
-        ("simulate: {x0: [abc]}", RangeError),
         ("simulate: {perturbations: [{constant: [abc]}]}", RangeError),
         ("simulate: {perturbations: [{table: {times: [0.0, 0.5], values: [[0.1]]}}]}",
          RangeError),
-        ("simulate: {x0: [null]}", RangeError),
         ("simulate: {dt: .nan}", RangeError),
         ("simulate: {seed: -1}", RangeError),
         ("simulate: {seed: 18446744073709551616}", RangeError),
@@ -281,11 +273,8 @@ class TestParseConfig:
             parse_config(write_cfg(tmp_path, E1_YAML + patch + "\n"))
 
     @pytest.mark.parametrize("patch, owner, words", [
-        ("solver: {smallness_threshold: .nan}", StructuralError,
-         "solver.smallness_threshold must be positive and finite, got nan"),
         ("solver: {backend: magic}", StructuralError,
          "solver.backend must be 'ode' or 'tree', got 'magic'"),
-        ("simulate: {i0: 7}", OutOfRange, r"simulate.i0: regime 7 is not an integer in 1..2"),
         ("simulate: {n_paths: 1}", StructuralError, "simulate.n_paths must be an integer >= 2"),
         ("simulate: {seed: -1}", OutOfRange, r"simulate.seed -1 is not an integer in \[0"),
         ("simulate: {dt: -0.5}", StructuralError, "simulate.dt must be positive and finite"),
@@ -301,8 +290,6 @@ class TestParseConfig:
          StructuralError,
          r"problem.Q: tree_table field has a non-finite entry nan at node \(1, 1\), regime 1$"),
         ("  x0: [.nan]", OutOfRange, r"problem.x0 must be finite, got \[nan\]"),
-        ("simulate: {x0: [1.0, 2.0]}", DimensionMismatch,
-         "simulate.x0 has 2 entries, the state dimension is 1"),
         ("simulate: {perturbations: [{constant: [[0.5]]}]}", DimensionMismatch,
          r"simulate.perturbations\[0\].constant: constant perturbation needs values \(m,\)"),
         ("simulate: {perturbations: [{table: {times: [0.0, 0.5], values: [0.1, 0.2]}}]}",
@@ -647,13 +634,12 @@ class TestSolutionFiles:
         text = SMALL_RUN.replace(
             "solver: {backend: ode, grid_steps: 200}",
             "solver: {backend: ode, grid_steps: 200, picard_tol: 1.0e-7, "
-            "psd_tol: 1.0e-8, cond_threshold: 1.0e10}")
+            "picard_max_iter: 7}")
         cfg = parse_config(write_cfg(tmp_path, text))
         run_command("solve", cfg, output_dir=tmp_path)
         meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
         assert meta["tolerances"]["picard_tol"] == 1e-7
-        assert meta["tolerances"]["psd_tol"] == 1e-8
-        assert meta["tolerances"]["cond_threshold"] == 1e10
+        assert meta["tolerances"]["picard_max_iter"] == 7
         # the grid solve integrates directly: no sweeps, no residuals
         assert meta["iterations"] == 0 and meta["residual_history"] == []
 
@@ -670,12 +656,12 @@ class TestCommands:
         cfg = parse_config(write_cfg(tmp_path, text))
         assert run_command("validate", cfg, output_dir=tmp_path).exit_code == 1
 
-    @pytest.mark.parametrize("solver, code", [
-        ("solver: {psd_tol: 1.0e-6}\n", 0),     # G = -1e-7 is within psd_tol
-        ("", 1),                                # the default psd_tol is 1e-9
+    @pytest.mark.parametrize("g_line, code", [
+        ("  G: [[-1.0e-10]]", 0),       # within matcore.PSD_TOL = 1e-9
+        ("", 1),                        # G = -1e-7 is beyond it
     ])
-    def test_validate_and_solve_agree_at_psd_tol(self, tmp_path, solver, code):
-        cfg = write_cfg(tmp_path, E1_YAML.replace("G: [[1.0]]", "G: [[-1.0e-7]]") + solver)
+    def test_validate_and_solve_agree_at_psd_tol(self, tmp_path, g_line, code):
+        cfg = write_cfg(tmp_path, E1_YAML.replace("  G: [[1.0]]", g_line or "  G: [[-1.0e-7]]"))
         for command in ("validate", "solve"):
             assert main([command, "--config", str(cfg), "--output", str(tmp_path)]) == code
 
@@ -716,7 +702,7 @@ class TestCommands:
 
     def test_verify_tree_oracle_reads_the_run_files_solver(self, tmp_path, monkeypatch):
         # the coupled tree oracle runs at depths 4 and 8 with the run
-        # file's tolerances and thresholds
+        # file's Picard settings
         seen = []
         real = cli.solve_p0
 
@@ -727,23 +713,22 @@ class TestCommands:
         monkeypatch.setattr(cli, "solve_p0", spy)
         text = SMALL_RUN.replace(
             "solver: {backend: ode, grid_steps: 200}",
-            "solver: {backend: ode, grid_steps: 200, psd_tol: 1.0e-7, "
-            "cond_threshold: 1.0e+9, picard_tol: 1.0e-10, picard_max_iter: 80}")
+            "solver: {backend: ode, grid_steps: 200, picard_tol: 1.0e-10, "
+            "picard_max_iter: 80}")
         cfg = parse_config(write_cfg(tmp_path, text))
         assert run_command("verify", cfg, output_dir=tmp_path).exit_code == 0
         assert [(o.backend, o.tree_depth) for o in seen] == [("tree", 4), ("tree", 8)]
         for o in seen:
-            assert (o.psd_tol, o.cond_threshold, o.picard_tol, o.picard_max_iter) == (
-                1e-7, 1e9, 1e-10, 80)
+            assert (o.picard_tol, o.picard_max_iter) == (1e-10, 80)
 
     def test_verify_gap_starts_from_simulate_regime(self, tmp_path):
         # R differs by regime, so the predicted gap depends on the initial
-        # regime; verify's value match starts from simulate.i0, and so
-        # must its optimality gaps
+        # regime; verify's value match starts from problem.i0, the regime
+        # simulate starts from, and so must its optimality gaps
         text = SMALL_RUN.replace("  R: [[1.0]]", "  R: [[[1.0]], [[3.0]]]").replace(
-            "  seed: 5\n", "  seed: 5\n  i0: 2\n")
+            "  i0: 1\n", "  i0: 2\n")
         cfg = parse_config(write_cfg(tmp_path, text))
-        assert (cfg.problem.i0, cfg.simulate.i0) == (1, 2)
+        assert cfg.problem.i0 == 2
         res = run_command("verify", cfg, output_dir=tmp_path)
         assert res.exit_code == 0
         solution = solve_esre(cfg.problem, cfg.solver)
@@ -753,6 +738,17 @@ class TestCommands:
         line = next(ln for ln in (tmp_path / "r.txt.verify.txt").read_text().splitlines()
                     if ln.startswith("[PASS] perturbation[0] gap"))
         assert line.split(" vs predicted ")[1].split()[0] == format(want, ".10g")
+
+    def test_verify_order_floor_is_not_picard_tol(self, tmp_path):
+        # the e1 demo's product-identity residuals sit at roundoff (2e-14 to
+        # 8e-14), below cli.ORDER_FLOOR, so the order check passes whatever
+        # picard_tol says; the grid solve does not read picard_tol
+        text = (CONFIGS / "e1_scalar.yaml").read_text().replace(
+            "  grid_steps: 2000\n", "  grid_steps: 2000\n  picard_tol: 1.0e-15\n")
+        cfg = parse_config(write_cfg(tmp_path, text))
+        lines = []
+        assert run_command("verify", cfg, output_dir=tmp_path, echo=lines.append).exit_code == 0
+        assert "[PASS] product-identity residual order inf >= 0.9" in lines
 
     def test_verify_detects_biased_simulation(self, tmp_path):
         cfg = parse_config(write_cfg(tmp_path, BIASED_RUN))
@@ -784,16 +780,15 @@ class TestCommands:
         ("0.0", "0.1", "ok"),
         # smallness e^1 = 2.718 against the threshold 0.1
         ("1.0", "0.1", "warn"),
-        # the flag compares with the threshold in the tolerances
+        # the flag compares with model.SMALLNESS_THRESHOLD when report runs
         ("1.0", "5", "ok"),
     ])
-    def test_report_smallness_flag_reads_the_tolerances(self, tmp_path, d, threshold, flag):
+    def test_report_smallness_flag_reads_the_tolerances(self, tmp_path, monkeypatch,
+                                                         d, threshold, flag):
         cfg = parse_config(write_cfg(tmp_path, SMALL_RUN.replace("D: [[0.0]]", f"D: [[{d}]]")))
         run_command("solve", cfg, output_dir=tmp_path, echo=lambda line: None)
-        meta_path = tmp_path / "s.csv.meta.json"
-        meta = json.loads(meta_path.read_text())
-        meta["tolerances"]["smallness_threshold"] = float(threshold)
-        meta_path.write_text(json.dumps(meta, indent=2) + "\n")
+        meta = json.loads((tmp_path / "s.csv.meta.json").read_text())
+        monkeypatch.setattr(model, "SMALLNESS_THRESHOLD", float(threshold))
         run_command("report", cfg, output_dir=tmp_path, echo=lambda line: None)
         lines = (tmp_path / "r.txt").read_text().splitlines()
         assert [line for line in lines if line.startswith("diffusion size: ")] == [
@@ -915,8 +910,7 @@ class TestMain:
 
     @pytest.mark.parametrize("old, new, key", [
         ("  i0: 1\n", "  i0: 7\n", "problem.i0"),
-        ("  grid_steps: 2000\n", "  grid_steps: 2000\n  smallness_threshold: .nan\n",
-         "solver.smallness_threshold"),
+        ("  grid_steps: 2000\n", "  grid_steps: 0\n", "solver.grid_steps"),
         ("    - constant: [0.5]\n",
          "    - table: {times: [0.5, 0.8], values: [[1.0], [2.0]]}\n",
          "simulate.perturbations[0].table"),
@@ -933,6 +927,41 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key}") and "Traceback" not in err
 
+    @pytest.mark.parametrize("setting, key", [
+        ("  psd_tol: 1.0e-6", "solver.'psd_tol'"),
+        ("  cond_threshold: 1.0e+10", "solver.'cond_threshold'"),
+        ("  smallness_threshold: 0.5", "solver.'smallness_threshold'"),
+        ("  x0: [1.0]", "simulate.'x0'"),
+        ("  i0: 2", "simulate.'i0'"),
+    ])
+    def test_removed_setting_is_one_error_line(self, tmp_path, capsys, setting, key):
+        # the tolerances are matcore and model constants, and the start state
+        # is problem.x0 and problem.i0 alone; CI feeds the psd_tol and x0 rows
+        text = (CONFIGS / "e1_scalar.yaml").read_text()
+        after = "  grid_steps: 2000\n" if key.startswith("solver") else "  dt: 0.001\n"
+        assert after in text
+        bad = write_cfg(tmp_path, text.replace(after, after + setting + "\n"))
+        assert main(["validate", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: unknown key {key}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_missing_start_state_names_its_key(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, SMALL_RUN.replace("  x0: [1.0]\n", ""))
+        assert main([command, "--config", str(cfg), "--output", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: simulation needs x0: set problem.x0\n"
+
+    def test_overflowing_smallness_is_inf_without_a_warning(self, tmp_path, capsys):
+        # exp(-q_ii T) = e^1000 overflows: the diffusion size saturates to inf
+        text = (CONFIGS / "e1_scalar.yaml").read_text().replace(
+            "[[-1.0, 1.0], [1.0, -1.0]]", "[[-1000.0, 1000.0], [1000.0, -1000.0]]").replace(
+            "  D: [[0.0]]\n", "  D: [[0.01]]\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["validate", "--config", str(write_cfg(tmp_path, text))]) == 0
+        out = capsys.readouterr()
+        assert out.out == "assumptions: PASS\ndiffusion size: inf (warn, threshold 0.1)\n"
+        assert out.err == ""
+
     @pytest.mark.parametrize("tagged", [
         "!!int abc", "!!float abc", "!!timestamp 2001-99-99", "!!bool maybe"])
     def test_unreadable_tagged_scalar_is_one_error_line(self, tmp_path, capsys, tagged):
@@ -945,13 +974,13 @@ class TestMain:
                       f"as {tagged.split()[0]}\n"
 
     @pytest.mark.parametrize("nudge, verdict", [(0, "ok"), (-1, "warn")])
-    def test_smallness_verdict_is_the_same_everywhere(self, tmp_path, capsys, nudge, verdict):
+    def test_smallness_verdict_is_the_same_everywhere(self, tmp_path, monkeypatch, nudge,
+                                                      verdict):
         # threshold at the smallness e^1 |D R^-1 D'| itself, then one ulp below
         smallness = float(np.e)
         threshold = float(np.nextafter(smallness, 0.0)) if nudge else smallness
-        text = SMALL_RUN.replace("D: [[0.0]]", "D: [[1.0]]").replace(
-            "grid_steps: 200}", f"grid_steps: 200, smallness_threshold: {threshold!r}}}")
-        cfg = parse_config(write_cfg(tmp_path, text))
+        monkeypatch.setattr(model, "SMALLNESS_THRESHOLD", threshold)
+        cfg = parse_config(write_cfg(tmp_path, SMALL_RUN.replace("D: [[0.0]]", "D: [[1.0]]")))
         assert cli.check_smallness(cfg.problem) == smallness
         lines = []
         run_command("validate", cfg, output_dir=tmp_path, echo=lines.append)
@@ -997,8 +1026,9 @@ class TestMain:
         ("s.csv.meta.json", lambda text: text[:len(text) // 2]),
         ("s.csv.meta.json", lambda text: text.replace('"tolerances"', '"tolerance"')),
         ("s.csv.meta.json", lambda text: "[1, 2]\n"),
+        ("s.csv", lambda text: _edit_line(text, 2, lambda ln: text.splitlines()[1])),
     ], ids=["truncated-row", "non-numeric-field", "header-only", "missing-row",
-            "malformed-json", "missing-key", "not-a-mapping"])
+            "malformed-json", "missing-key", "not-a-mapping", "repeated-row"])
     def test_damaged_artifact_report_maps_to_four(self, tmp_path, capsys, target, damage):
         cfg = write_cfg(tmp_path, SMALL_RUN)
         assert main(["solve", "--config", str(cfg), "--output", str(tmp_path)]) == 0

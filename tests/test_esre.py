@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regimelq import esre
+from regimelq import esre, matcore, model
 from regimelq.config import parse_config
 from regimelq.control import feedback_gain
 from regimelq.errors import (
@@ -352,31 +352,32 @@ class TestSharedDriver:
                 assert np.max(np.abs(got_i - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.filterwarnings("ignore:measured diffusion size")
-    def test_tree_ill_conditioned_sigma_names_time_and_regime(self):
-        opts = SolverOptions(backend="tree", tree_depth=100, cond_threshold=3.9)
+    def test_tree_ill_conditioned_sigma_names_time_and_regime(self, monkeypatch):
+        spec = _ill_conditioned_spec()
+        _lower_sigma_threshold(monkeypatch, spec, 3.9)
+        opts = SolverOptions(backend="tree", tree_depth=100)
         with pytest.raises(NearSingular, match=r"at t = 0\.9 in regime 1: "
                            r"condition number 3\.9\d+e\+00 exceeds threshold 3\.900e\+00"):
-            solve_esre(_ill_conditioned_spec(), opts)
+            solve_esre(spec, opts)
 
     @pytest.mark.filterwarnings("ignore:measured diffusion size")
-    def test_feedback_gain_names_time_and_regime(self):
+    def test_feedback_gain_names_time_and_regime(self, monkeypatch):
         # the worst of the refused samples: cond(R + D'PD) peaks at 3.994
         # at t = 0.88 in regime 1
         spec = _ill_conditioned_spec()
         sol = solve_esre(spec, SolverOptions(grid_steps=400))
-        sol = dataclasses.replace(sol, options=dataclasses.replace(sol.options,
-                                                                    cond_threshold=3.9))
+        monkeypatch.setattr(matcore, "COND_THRESHOLD", 3.9)
         with pytest.raises(NearSingular, match=r"^R \+ D'PD is ill-conditioned at t = 0\.88 "
                            r"in regime 1: condition number 3\.994e\+00 exceeds threshold "
                            r"3\.900e\+00$"):
             feedback_gain(sol, spec)
 
     @pytest.mark.parametrize("backend", ["ode", "tree"])
-    def test_ill_conditioned_r_named_once_per_engine(self, backend):
+    def test_ill_conditioned_r_named_once_per_engine(self, backend, monkeypatch):
         # D = 0: R^{-1} is formed once, behind the same guard
         spec = dataclasses.replace(_ill_conditioned_spec(), D=np.zeros((2, 1, 2)))
-        opts = SolverOptions(backend=backend, grid_steps=100, tree_depth=10,
-                             cond_threshold=10.0)
+        monkeypatch.setattr(matcore, "COND_THRESHOLD", 10.0)
+        opts = SolverOptions(backend=backend, grid_steps=100, tree_depth=10)
         with pytest.raises(NearSingular, match=r"at t = 0 in regime 1: "
                            r"condition number 2\.000e\+01 exceeds"):
             solve_p0(spec, opts)
@@ -508,13 +509,10 @@ class TestStepRateCheck:
 @pytest.mark.parametrize("field, value", [
     ("picard_max_iter", 0), ("picard_max_iter", -2),
     ("picard_tol", 0.0), ("picard_tol", -1e-9), ("picard_tol", np.inf),
-    ("picard_tol", np.nan), ("psd_tol", 0.0), ("psd_tol", np.nan),
-    ("cond_threshold", -1.0), ("cond_threshold", np.inf),
+    ("picard_tol", np.nan),
     ("grid_steps", 2.5), ("grid_steps", 10.0), ("grid_steps", True),
     ("tree_depth", 4.5), ("tree_depth", 0), ("picard_max_iter", 3.0),
-    ("picard_max_iter", True), ("smallness_threshold", np.nan),
-    ("smallness_threshold", np.inf), ("smallness_threshold", 0.0),
-    ("smallness_threshold", -0.1), ("backend", "magic"),
+    ("picard_max_iter", True), ("backend", "magic"),
 ])
 def test_solver_options_reject_bad_values(field, value):
     with pytest.raises(StructuralError, match=field):
@@ -566,6 +564,17 @@ def _ill_conditioned_spec():
         R=np.array([np.diag([1.0, 0.05]), np.eye(2)]),
         G=np.array([[[1.0]], [[0.0]]]), delta=0.01,
     )
+
+
+def _lower_sigma_threshold(monkeypatch, spec, threshold):
+    """Set ``matcore.COND_THRESHOLD`` to ``threshold`` for the guards on
+    Sigma = R + D'PD.  The smallness measure inverts R itself, and the
+    condition number of R (20 in regime 1 of :func:`_ill_conditioned_spec`)
+    is above every threshold these tests choose, so the solves read the
+    smallness taken at the default threshold."""
+    smallness = esre.check_smallness(spec)
+    monkeypatch.setattr(esre, "check_smallness", lambda _: smallness)
+    monkeypatch.setattr(matcore, "COND_THRESHOLD", threshold)
 
 
 def _same_error(spec, options):
@@ -626,16 +635,18 @@ class TestPicardSequence:
         assert _same_error(spec, SolverOptions(grid_steps=2000)) == 0
 
     @pytest.mark.filterwarnings("ignore:measured diffusion size")
-    def test_ill_conditioned_fails_in_sweep_three(self):
+    def test_ill_conditioned_fails_in_sweep_three(self, monkeypatch):
         # cond(R + D'PD) first exceeds 3.99 in sweep 3, at t = 0.89
-        opts = SolverOptions(grid_steps=400, cond_threshold=3.99)
-        assert _same_error(_ill_conditioned_spec(), opts) == 2
+        spec = _ill_conditioned_spec()
+        _lower_sigma_threshold(monkeypatch, spec, 3.99)
+        assert _same_error(spec, SolverOptions(grid_steps=400)) == 2
 
     @pytest.mark.filterwarnings("ignore:measured diffusion size")
-    def test_ill_conditioned_fails_in_sweep_two(self):
+    def test_ill_conditioned_fails_in_sweep_two(self, monkeypatch):
         # cond(R + D'PD) first exceeds 3.985 in sweep 2, at t = 0.89
-        opts = SolverOptions(grid_steps=400, cond_threshold=3.985)
-        assert _same_error(_ill_conditioned_spec(), opts) == 1
+        spec = _ill_conditioned_spec()
+        _lower_sigma_threshold(monkeypatch, spec, 3.985)
+        assert _same_error(spec, SolverOptions(grid_steps=400)) == 1
 
     def test_convergence_at_the_sweep_cap(self, e1):
         # the last sweep allowed is the one that converges
@@ -813,7 +824,7 @@ class TestSolveEsre:
         spec = scalar_spec(B=1.0, D=1.0, R=1.0, G=1.0, delta=0.5)
         with pytest.warns(UserWarning, match="diffusion size"):
             sol = solve_esre(spec, SolverOptions(grid_steps=300))
-        assert sol.diagnostics.smallness > sol.options.smallness_threshold
+        assert sol.diagnostics.smallness > model.SMALLNESS_THRESHOLD
         oracle = direct_coupled_oracle(spec, SolverOptions(grid_steps=300))
         assert np.max(np.abs(sol.P - oracle.P)) <= 1e-12
 
@@ -933,6 +944,60 @@ class TestTreeBackend:
             solve_esre(spec, SolverOptions(backend="ode", grid_steps=100))
 
 
+def _pair_extrapolated(p_by_depth):
+    """``2 P(2d) - P(d)`` for each depth d whose double is in the dict:
+    the tree is first order, so this removes its leading error term."""
+    return {d: 2.0 * p_by_depth[2 * d] - p_by_depth[d]
+            for d in p_by_depth if 2 * d in p_by_depth}
+
+
+class TestTreeAgainstOtherSchemes:
+    """The tree against references outside its lattice: a closed form whose
+    Lambda is nonzero, and the grid solve of a matrix problem.  The tree is
+    first order in dt, so each error halves when the depth doubles, and
+    the pair extrapolation is second order."""
+
+    def test_closed_form_with_nonzero_lambda(self):
+        # identical scalar regimes with B = D = S = 0 and Q = q0 + q1 exp(W_t):
+        # -dP = (a P + b Lam + Q) dt - Lam dW with a = 2A + C^2, b = 2C, so
+        # by Girsanov P(0) = e^{aT} G + int_0^T e^{as} (q0 + q1 e^{(b + 1/2) s}) ds
+        A, C, G, q0, q1 = 0.3, 0.4, 1.0, 1.0, 0.5
+        a, b = 2.0 * A + C * C, 2.0 * C
+        exact = (np.exp(a) * G + q0 * np.expm1(a) / a
+                 + q1 * np.expm1(a + b + 0.5) / (a + b + 0.5))
+        assert exact == pytest.approx(5.297651247, abs=1e-9)
+        p0 = {}
+        for depth in (100, 200, 400):
+            q = CoefficientField.from_tree_function(
+                lambda t, w, i: [[q0 + q1 * np.exp(w)]], depth, 1.0, 2, (1, 1))
+            spec = ProblemSpec(n=1, m=1, ell=2, T=1.0, delta=0.5,
+                               generator=[[-1.0, 1.0], [1.0, -1.0]], A=[[A]], B=[[0.0]],
+                               C=[[C]], D=[[0.0]], Q=q, S=[[0.0]], R=[[1.0]], G=[[G]])
+            sol = solve_esre(spec, SolverOptions(backend="tree", tree_depth=depth))
+            assert sol.P[0, 1, 0, 0] == pytest.approx(sol.P[0, 0, 0, 0], rel=1e-14)
+            p0[depth] = sol.P[0, 0, 0, 0]
+        err = {d: p - exact for d, p in p0.items()}          # -4.79e-2, -2.41e-2, -1.21e-2
+        for d in (100, 200):
+            assert 1.9 <= err[d] / err[2 * d] <= 2.1
+        extra = {d: p - exact for d, p in _pair_extrapolated(p0).items()}
+        assert abs(extra[200]) <= 1e-4                         # -3.70e-4, -9.39e-5
+        assert 3.5 <= extra[100] / extra[200] <= 4.5
+
+    def test_matrix_problem_against_the_grid(self):
+        # n = 3, ell = 3, D = 0: both backends solve one ODE, the grid to
+        # RK4 accuracy at N = 4000
+        spec = random_spec(404)
+        ref = solve_esre(spec, SolverOptions(grid_steps=4000)).P[0]
+        p0 = {depth: solve_esre(spec, SolverOptions(backend="tree", tree_depth=depth)).P[0]
+              for depth in (50, 100, 200)}
+        err = {d: float(np.max(np.abs(p - ref))) for d, p in p0.items()}
+        for d in (50, 100):                                    # 2.85e-1, 1.38e-1, 6.84e-2
+            assert 1.8 <= err[d] / err[2 * d] <= 2.2
+        extra = {d: float(np.max(np.abs(p - ref))) for d, p in _pair_extrapolated(p0).items()}
+        assert extra[100] <= extra[50] / 3.0                   # 8.86e-3, 1.40e-3
+        assert extra[100] <= 2e-3
+
+
 class TestRobustnessEnvelope:
     """e1 at any symmetric rate and horizon has the closed form
     P(0) = 1/(1 + T).  The grid solve must give it or refuse the grid with
@@ -1012,7 +1077,7 @@ class TestDirectOracle:
         opts = SolverOptions(grid_steps=200)
         oracle = direct_coupled_oracle(spec, opts).diagnostics
         solved = solve_esre(spec, opts).diagnostics
-        assert oracle.smallness == solved.smallness > opts.smallness_threshold
+        assert oracle.smallness == solved.smallness > model.SMALLNESS_THRESHOLD
         assert not hasattr(oracle, "smallness_ok") and not hasattr(solved, "smallness_ok")
 
     def test_time_table_coefficients_cross_check(self):
@@ -1111,7 +1176,7 @@ def test_exactly_singular_sigma_is_refused(m):
 
 def test_singular_sigma_passing_the_condition_test_names_the_time(monkeypatch):
     # a zero pivot in a Sigma whose rounded eigenvalues pass the condition
-    # test (a cond_threshold above its condition number) leaves only the
+    # test (a COND_THRESHOLD above its condition number) leaves only the
     # time to name; LU is made to fail on Sigma = I to show it
     def zero_pivot(a):
         raise np.linalg.LinAlgError("Singular matrix")

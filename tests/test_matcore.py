@@ -2,6 +2,7 @@
 inversion."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,7 +92,7 @@ class TestMinEigenvalue:
 
 class TestSymInverse:
     def test_diagonal(self):
-        inv = sym_inverse(np.diag([2.0, 4.0]), cond_threshold=1e12)
+        inv = sym_inverse(np.diag([2.0, 4.0]))
         assert np.allclose(inv, np.diag([0.5, 0.25]), atol=1e-14)
 
     def test_identity(self):
@@ -100,7 +101,7 @@ class TestSymInverse:
 
     def test_near_singular_rejected(self):
         with pytest.raises(NearSingular):
-            sym_inverse(np.diag([1.0, 1e-15]), cond_threshold=1e12)
+            sym_inverse(np.diag([1.0, 1e-15]))
 
     def test_zero_eigenvalue_rejected(self):
         with pytest.raises(NearSingular):
@@ -135,7 +136,7 @@ class TestSymInverse:
         stack = np.stack([np.eye(2)] * 5)
         stack[3] = np.diag([1.0, 1e-15])
         with pytest.raises(NearSingular, match="condition number 1.000e"):
-            sym_inverse(stack, cond_threshold=1e12)
+            sym_inverse(stack)
         stack[3] = np.diag([1.0, 0.0])
         with pytest.raises(NearSingular, match="condition number inf"):
             sym_inverse(stack)
@@ -156,14 +157,14 @@ class TestRefusals:
         stack = self._stack({(0, 1): [1.0, -0.5], (1, 2): [1.0, -1.0]})
         for check in (project_psd, matcore.require_psd):
             with pytest.raises(PsdViolation, match=r"^min eigenvalue -1\.000e\+00 at or") as err:
-                check(stack, 1e-9)
+                check(stack)
             assert err.value.member == (1, 2)
 
     def test_condition_refusal_names_the_worst_member(self):
         stack = self._stack({(0, 2): [1.0, 1e-3], (1, 0): [1.0, 1e-14]})
         for check in (sym_inverse, matcore.require_conditioned):
             with pytest.raises(NearSingular, match=r"^condition number 1\.000e\+14 ") as err:
-                check(stack, 1e12)
+                check(stack)
             assert err.value.member == (1, 0)
 
     # LAPACK's eigenvalues of these: [nan, nan], [nan], [inf] and [0], [0, -0],
@@ -189,7 +190,7 @@ class TestRefusals:
             warnings.simplefilter("error")
             for check in (sym_inverse, matcore.require_conditioned):
                 with pytest.raises(NearSingular, match=r"^condition number inf ") as err:
-                    check(m, 1e12)
+                    check(m)
                 assert err.value.member == (0,)
 
     @pytest.mark.parametrize("m", list(PSD_NON_FINITE.values()), ids=list(PSD_NON_FINITE))
@@ -199,15 +200,15 @@ class TestRefusals:
             warnings.simplefilter("error")
             for check in (project_psd, matcore.require_psd):
                 with pytest.raises(PsdViolation, match=r"^min eigenvalue nan ") as err:
-                    check(m, 1e-9)
+                    check(m)
                 assert err.value.member == (1,)
 
     def test_huge_entries_pass_without_overflow(self):
         m = np.array([[[1e300]], [[2e300]]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            matcore.require_conditioned(m, 1e12)
-            assert np.array_equal(sym_inverse(m, 1e12), 1.0 / m)
+            matcore.require_conditioned(m)
+            assert np.array_equal(sym_inverse(m), 1.0 / m)
 
 
 def test_trace_bound_for_psd_factor():
@@ -228,26 +229,26 @@ def test_trace_bound_for_psd_factor():
 class TestProjectPsd:
     def test_psd_input_untouched(self):
         a = np.diag([1.0, 2.0])
-        assert np.array_equal(project_psd(a, 1e-9), a)
+        assert np.array_equal(project_psd(a), a)
 
     def test_tiny_negative_clipped(self):
         a = np.diag([1.0, -1e-12])
-        out = project_psd(a, 1e-9)
+        out = project_psd(a)
         assert min_eigenvalue(out) >= 0.0
         assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_genuine_violation_raises(self):
         with pytest.raises(PsdViolation):
-            project_psd(np.diag([1.0, -1e-6]), 1e-9)
+            project_psd(np.diag([1.0, -1e-6]))
 
     def test_nan_raises(self):
         # NaN is what an overflowed RK4 step leaves; it must not be clipped
         with pytest.raises(PsdViolation):
-            project_psd(np.diag([1.0, np.nan]), 1e-9)
+            project_psd(np.diag([1.0, np.nan]))
 
     def test_batched(self):
         stack = np.stack([np.diag([1.0, -1e-13]), np.eye(2)])
-        out = project_psd(stack, 1e-9)
+        out = project_psd(stack)
         assert out.shape == stack.shape
         assert float(np.min(np.linalg.eigvalsh(out))) >= 0.0
 
@@ -346,8 +347,12 @@ def _reference(m, psd_tol, cond):
 
 
 def _guards(m, psd_tol, cond):
-    return (_outcome(project_psd, m, psd_tol), _outcome(matcore.require_psd, m, psd_tol),
-            _outcome(matcore.require_conditioned, m, cond))
+    """The three verdicts of the package with its tolerances set to
+    ``psd_tol`` and ``cond``."""
+    with mock.patch.object(matcore, "PSD_TOL", psd_tol), \
+            mock.patch.object(matcore, "COND_THRESHOLD", cond):
+        return (_outcome(project_psd, m), _outcome(matcore.require_psd, m),
+                _outcome(matcore.require_conditioned, m))
 
 
 def _with_warnings(fn, *args):
@@ -436,11 +441,11 @@ class TestDiscBound:
 
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        assert project_psd(psd, 1e-9) is psd
-        matcore.require_psd(psd, 1e-9)
-        matcore.require_conditioned(psd, 1e12)
-        matcore.require_conditioned(sigma, 1e12)
-        assert project_psd(sigma, 1e-9) is sigma
+        assert project_psd(psd) is psd
+        matcore.require_psd(psd)
+        matcore.require_conditioned(psd)
+        matcore.require_conditioned(sigma)
+        assert project_psd(sigma) is sigma
 
     def test_one_by_one_premise(self):
         # dsyevd returns A(1,1) for N = 1, and LU inverts a 1 x 1 block by
@@ -459,9 +464,9 @@ class TestDiscBound:
     @pytest.mark.parametrize("n", [1, 2])
     def test_empty_stack_as_eigendecomposition(self, n):
         empty = np.zeros((0, n, n))
-        matcore.require_conditioned(empty, 1e12)
+        matcore.require_conditioned(empty)
         with pytest.raises(ValueError):
-            project_psd(empty, 1e-9)
+            project_psd(empty)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e308])
     @pytest.mark.parametrize("n", [1, 2, 3])

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from regimelq import matcore
 from regimelq.errors import DimensionMismatch, OutOfRange, StructuralError
 from regimelq.matcore import min_eigenvalue, sym_inverse, symmetrize
 from regimelq.model import (
@@ -343,11 +344,12 @@ class TestValidateAssumptions:
         report = validate_assumptions(spec)
         assert any(v.assumption == "G_psd" for v in report.violations)
 
-    def test_monotone_in_tolerance(self):
+    def test_monotone_in_tolerance(self, monkeypatch):
         spec = scalar_spec(R=1.0, Q=1.0, S=2.0, G=1.0, delta=0.5)
-        # fails at tight tolerance, passes once tol exceeds the margin
-        assert not validate_assumptions(spec, tol=1e-9).passed
-        assert validate_assumptions(spec, tol=3.5).passed
+        # fails at the PSD tolerance, passes once it exceeds the margin
+        assert not validate_assumptions(spec).passed
+        monkeypatch.setattr(matcore, "PSD_TOL", 3.5)
+        assert validate_assumptions(spec).passed
 
     def test_reports_every_failure(self):
         spec = scalar_spec(R=0.1, Q=-1.0, G=-1.0, delta=0.5)
