@@ -54,8 +54,12 @@ Backends
     ``A + (q_ii / 2) I``, so ``P A + A'P`` carries ``q_ii P``, and the
     off-diagonal coupling ``q_off P`` is the source: the current state's
     in the direct solve, the previous iterate's in a certificate sweep.
-    The step is explicit, so a grid with ``dt max_i |q_ii| > 2`` is
-    refused.  A certificate sweep evaluates its frozen source at step
+    The coefficients are piecewise constant in time, sampled once per
+    piece between coefficient table times, and all four stages of a step
+    read the piece of its interior, so the top stage reads their left
+    limit; a table time strictly between two nodes is refused.  The step
+    is explicit, so a grid with ``dt max_i |q_ii| > 2`` is refused.  A
+    certificate sweep evaluates its frozen source at step
     midpoints through cubic Hermite interpolation of the stored iterate
     (values + recorded derivatives), so each sweep retains 4th-order
     accuracy.
@@ -88,7 +92,7 @@ of the member a refusal names.
 
 :func:`direct_coupled_oracle` integrates the full coupled system with the
 grid solve's backward RK4 sweep, ``_GridEngine._sweep``, on the same
-half-grid coefficient samples; only its driver is written out apart from
+coefficient pieces; only its driver is written out apart from
 ``_Engine._driver``, so it cross-checks that driver and the PSD clip.
 """
 
@@ -112,8 +116,8 @@ from .errors import (
     StructuralError,
 )
 from .model import (
-    ProblemSpec, _check_count, _check_positive, _smallness_ok, check_smallness,
-    validate_assumptions,
+    ProblemSpec, _check_count, _check_points, _check_positive, _smallness_ok,
+    check_smallness, validate_assumptions,
 )
 
 BLOWUP_GUARD = 1e8
@@ -322,15 +326,17 @@ class _Engine:
                           if isinstance(self.R, np.ndarray) else
                           [_guarded(matcore.sym_inverse, r, t) for t, r in zip(times, self.R)])
 
-    def _driver(self, h, p, lam, src, check_cond=False, quadratic=True):
+    def _driver(self, h, p, lam, src, check_cond=False, quadratic=True, t=None):
         """The Riccati driver, symmetrized,
 
             P A + A'P + C'P C + Lam C + C'Lam + Q + src - M' Sigma^{-1} M,
 
-        with M and Sigma from :func:`_gain_blocks`; ``lam`` is None for
-        Lambda = 0 and ``src`` is the engine's regime coupling.  Without
-        ``quadratic`` the last term is dropped.  ``check_cond`` runs the
-        condition test on Sigma before its LU inverse."""
+        with M and Sigma from :func:`_gain_blocks` and the coefficients of
+        sample ``h``; ``lam`` is None for Lambda = 0 and ``src`` is the
+        engine's regime coupling.  Without ``quadratic`` the last term is
+        dropped.  ``check_cond`` runs the condition test on Sigma before its
+        LU inverse.  A refusal names the time ``t``, by default
+        ``times[h]``."""
         pa = p @ self.A_drift[h]
         out = pa + pa.mT + self.Q[h] + src
         c = pc = None
@@ -345,7 +351,8 @@ class _Engine:
             if self.has_D:
                 m, sigma = _gain_blocks(p, lam, self.B[h], c, self.D[h], s, self.R[h], pc)
                 if check_cond:
-                    _guarded(matcore.require_conditioned, sigma, self.times[h])
+                    _guarded(matcore.require_conditioned, sigma,
+                             self.times[h] if t is None else t)
                 # LU inverse and product: on these stacks of small blocks it
                 # costs less than np.linalg.solve with several columns.  LU
                 # inverts a 1 x 1 block by the division 1 / sigma, done here
@@ -354,7 +361,7 @@ class _Engine:
                     inv = (1.0 / sigma if sigma.shape[-1] == 1
                            and np.abs(sigma).min() >= _NORMAL_MIN else np.linalg.inv(sigma))
                 except np.linalg.LinAlgError as exc:
-                    raise self._singular(h, sigma) from exc
+                    raise self._singular(self.times[h] if t is None else t, sigma) from exc
                 x = inv @ m
             else:
                 m, _ = _gain_blocks(p, lam, self.B[h], c, None, s, None)
@@ -362,12 +369,13 @@ class _Engine:
             out = out - m.mT @ x
         return symmetrize(out)
 
-    def _singular(self, h, sigma) -> NearSingular:
-        """The refusal of the stack ``sigma`` at sample ``h``, which LU found
+    @staticmethod
+    def _singular(t, sigma) -> NearSingular:
+        """The refusal of the stack ``sigma`` at time ``t``, which LU found
         singular: the condition test's, naming the time and the regime, or,
         where a huge ``matcore.COND_THRESHOLD`` passes it, one naming the time."""
-        _guarded(matcore.require_conditioned, sigma, self.times[h])
-        return NearSingular(f"R + D'PD is singular at t = {self.times[h]:.6g}")
+        _guarded(matcore.require_conditioned, sigma, t)
+        return NearSingular(f"R + D'PD is singular at t = {t:.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +384,20 @@ class _Engine:
 
 
 class _GridEngine(_Engine):
-    """Sampled coefficients and backward sweeps for the ODE backend.
+    """Coefficient pieces and backward sweeps for the ODE backend.
 
-    Everything is precomputed on the half grid (step dt/2) so the four
-    stages of every backward step hit exact samples.  Per-regime data are
-    stacked on the leading axis and processed with batched matmul.  The
-    right-hand sides take the state as one ``(ell, n, n)`` stack at an
-    integer half-index ``h``.
+    Deterministic coefficients are piecewise constant in time.  ``times``
+    holds 0 and every coefficient table time in (0, T), and each
+    coefficient is sampled once per piece ``[times[j], times[j + 1])``;
+    the piece ``j`` is the sample the driver reads.  Per-regime data are
+    stacked on the leading axis and processed with batched matmul, and the
+    right-hand sides take the state as one ``(ell, n, n)`` stack.
 
     The driver reads ``A_drift = A + (q_ii / 2) I``, which carries the
-    diagonal coupling; the direct solve reads the off-diagonal coupling
-    ``q_off P`` at the current state, the certificate's sweeps freeze it
-    at the previous iterate.  :func:`direct_coupled_oracle` reads the
-    plain A.
+    diagonal coupling; the direct solve and the linear iterate read the
+    off-diagonal coupling ``q_off P`` at the current state, the
+    certificate's sweeps freeze it at the previous iterate.
+    :func:`direct_coupled_oracle` reads the plain A.
     """
 
     def __init__(self, spec: ProblemSpec, options: SolverOptions):
@@ -399,9 +408,10 @@ class _GridEngine(_Engine):
         n_steps = options.grid_steps
         self.dt = spec.T / n_steps
         self.grid = np.linspace(0.0, spec.T, n_steps + 1)
-        half = np.linspace(0.0, spec.T, 2 * n_steps + 1)
-        super().__init__(spec, options, half,
-                         lambda f: np.ascontiguousarray(f.sample_times(half)))
+        starts, _, _ = _check_points(spec, [spec.coefficient(name) for name in "ABCDQSR"])
+        starts = starts[starts < spec.T]
+        super().__init__(spec, options, starts,
+                         lambda f: np.ascontiguousarray(f.sample_times(starts)))
         self.A_drift = self.A + (0.5 * np.diag(spec.q))[:, None, None] * np.eye(spec.n)
         self.G = np.stack([spec.G.eval(spec.T, i) for i in range(1, spec.ell + 1)])
 
@@ -420,10 +430,38 @@ class _GridEngine(_Engine):
 
     # -- sweeps ----------------------------------------------------------
 
+    def _half_time(self, h) -> float:
+        """The time of half-grid index ``h``, the stage times of a sweep."""
+        return self.spec.T * h / (2 * self.options.grid_steps)
+
+    def _step_pieces(self) -> np.ndarray:
+        """The coefficient piece of each step of the grid.  A fixed step
+        reads one piece, the one of its interior, so a coefficient table
+        time must fall on a node: StructuralError where one lies strictly
+        between two nodes, naming a ``grid_steps`` that puts it on one."""
+        n_steps = self.options.grid_steps
+        at = self.times[1:] * (n_steps / self.spec.T)      # in units of the step
+        off = np.abs(at - np.round(at)) > 1e-9
+        if off.any():
+            from fractions import Fraction          # only a refusal needs it
+
+            lcm = math.lcm(*(Fraction(float(t / self.spec.T)).limit_denominator(10**6).denominator
+                             for t in self.times[1:]))
+            raise StructuralError(
+                f"coefficient table time {self.times[1:][off][0]:.6g} lies strictly "
+                f"between two nodes of the grid, and a fixed-step sweep reads one "
+                f"coefficient value per step; use grid_steps = {lcm} or a multiple of it")
+        mids = (np.arange(n_steps) + 0.5) * self.dt
+        return np.searchsorted(self.times, mids, side="right") - 1
+
     def _sweep(self, rhs, terminal: np.ndarray, finish=None):
         """Backward RK4 from ``terminal``: values and derivatives at the grid
-        nodes.  ``finish(p, k, values)`` ends the step from node k, the PSD clip
-        or the blow-up guard; it refuses overflow, so numpy warns of none."""
+        nodes.  ``rhs(j, h, p, check)`` is the slope on piece ``j`` at
+        half-grid index ``h``; the four stages of a step read the piece of
+        its interior, so the top stage reads the coefficients' left limit.
+        ``finish(p, k, values)`` ends the step from node k, the PSD clip or
+        the blow-up guard; it refuses overflow, so numpy warns of none."""
+        pieces = self._step_pieces()
         n_steps = self.options.grid_steps
         dt = self.dt
         values = np.empty((n_steps + 1,) + terminal.shape)
@@ -432,17 +470,17 @@ class _GridEngine(_Engine):
         values[n_steps] = p
         with np.errstate(**({} if finish is None else {"over": "ignore", "invalid": "ignore"})):
             for k in range(n_steps, 0, -1):
-                h = 2 * k
-                k1 = rhs(h, p, True)
+                j, h = pieces[k - 1], 2 * k
+                k1 = rhs(j, h, p, True)
                 derivs[k] = k1
-                k2 = rhs(h - 1, p - 0.5 * dt * k1, False)
-                k3 = rhs(h - 1, p - 0.5 * dt * k2, False)
-                k4 = rhs(h - 2, p - dt * k3, False)
+                k2 = rhs(j, h - 1, p - 0.5 * dt * k1, False)
+                k3 = rhs(j, h - 1, p - 0.5 * dt * k2, False)
+                k4 = rhs(j, h - 2, p - dt * k3, False)
                 p = symmetrize(p - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
                 if finish is not None:
                     p = finish(p, k, values)
                 values[k - 1] = p
-        derivs[0] = rhs(0, p, True)
+        derivs[0] = rhs(pieces[0], 0, p, True)
         return values, derivs
 
     def solve_direct(self) -> np.ndarray:
@@ -450,8 +488,8 @@ class _GridEngine(_Engine):
         live coupling ``q_off P`` as its source, the quadratic term, the
         condition check at stage 1 and the PSD clip per step."""
         self._require_stable_step()
-        rhs = lambda h, p, chk: -self._driver(
-            h, p, None, np.einsum("ij,jab->iab", self.q_off, p), chk)
+        rhs = lambda j, h, p, chk: -self._driver(
+            j, p, None, np.einsum("ij,jab->iab", self.q_off, p), chk, t=self._half_time(h))
         values, _ = self._sweep(rhs, self.G, self._stiff_clip)
         _guarded(matcore.require_psd, values, self.grid)
         return values
@@ -463,9 +501,9 @@ class _GridEngine(_Engine):
         try:
             return matcore.project_psd(p)
         except PsdViolation as exc:
-            h = 2 * k
-            b = self.B[h]
-            _, sigma = _gain_blocks(values[k], None, b, None, self.D[h], None, self.R[h])
+            j = self._step_pieces()[k - 1]
+            b = self.B[j]
+            _, sigma = _gain_blocks(values[k], None, b, None, self.D[j], None, self.R[j])
             try:
                 gain = 2.0 * (b @ np.linalg.solve(sigma, b.mT) @ values[k])
                 ratio = self.dt * float(np.max(np.linalg.norm(gain, ord=2, axis=(-2, -1))))
@@ -483,14 +521,14 @@ class _GridEngine(_Engine):
         """Linear initial iterate: the driver without its quadratic term,
         with the live off-diagonal coupling ``q_off P`` as its source."""
         self._require_stable_step()
-        rhs = lambda h, p, chk: -self._driver(
-            h, p, None, np.einsum("ij,jab->iab", self.q_off, p), quadratic=False)
+        rhs = lambda j, h, p, chk: -self._driver(
+            j, p, None, np.einsum("ij,jab->iab", self.q_off, p), quadratic=False)
         return GridIterate(self.grid, *self._sweep(rhs, self.G))
 
     def picard_sweep(self, prev: GridIterate) -> GridIterate:
         self._require_stable_step()
         src = np.einsum("ij,hjab->hiab", self.q_off, prev.half_values())
-        rhs = lambda h, p, chk: -self._driver(h, p, None, src[h], chk)
+        rhs = lambda j, h, p, chk: -self._driver(j, p, None, src[h], chk, t=self._half_time(h))
         return GridIterate(self.grid, *self._sweep(rhs, self.G, lambda p, k, _: _guarded(
             matcore.project_psd, p, self.grid[k - 1])))
 
@@ -902,7 +940,7 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None) -> E
     coefficients only.
 
     It runs the grid solve's backward RK4 sweep, ``_GridEngine._sweep``,
-    on the same half-grid coefficient samples; only its driver is written
+    on the same coefficient pieces; only its driver is written
     out apart, with the plain A, the whole ``q P`` coupling and
     ``np.linalg.solve``, and a blow-up guard replaces the PSD clip.  It
     cross-checks that driver and the clip of :func:`solve_esre`.
@@ -917,27 +955,27 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None) -> E
     options = options or SolverOptions()
     engine = _GridEngine(spec, options)
 
-    def rhs(h, p, _):
-        pa = p @ engine.A[h]
-        out = pa + np.swapaxes(pa, -1, -2) + engine.Q[h]
+    def rhs(j, h, p, _):
+        pa = p @ engine.A[j]
+        out = pa + np.swapaxes(pa, -1, -2) + engine.Q[j]
         pc = None
         if engine.has_C:
-            pc = p @ engine.C[h]
-            out = out + np.swapaxes(engine.C[h], -1, -2) @ pc
+            pc = p @ engine.C[j]
+            out = out + np.swapaxes(engine.C[j], -1, -2) @ pc
         out = out + np.einsum("ij,jab->iab", spec.q, p)
-        m = np.swapaxes(p @ engine.B[h], -1, -2)
+        m = np.swapaxes(p @ engine.B[j], -1, -2)
         if engine.has_D and pc is not None:
-            m = m + np.swapaxes(engine.D[h], -1, -2) @ pc
+            m = m + np.swapaxes(engine.D[j], -1, -2) @ pc
         if engine.has_S:
-            m = m + engine.S[h]
+            m = m + engine.S[j]
         if engine.has_D:
-            sigma = symmetrize(engine.R[h] + engine.D[h].mT @ (p @ engine.D[h]))
+            sigma = symmetrize(engine.R[j] + engine.D[j].mT @ (p @ engine.D[j]))
             try:
                 x = np.linalg.solve(sigma, m)
             except np.linalg.LinAlgError as exc:
-                raise engine._singular(h, sigma) from exc
+                raise engine._singular(engine._half_time(h), sigma) from exc
         else:
-            x = engine.R_inv[h] @ m
+            x = engine.R_inv[j] @ m
         out = out - np.swapaxes(m, -1, -2) @ x
         return -symmetrize(out)
 

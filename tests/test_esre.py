@@ -38,6 +38,7 @@ from regimelq.errors import (
 )
 from regimelq.esre import (
     BinomialTree,
+    GridIterate,
     SolverOptions,
     TreeIterate,
     direct_coupled_oracle,
@@ -326,7 +327,8 @@ class TestSharedDriver:
 
     @staticmethod
     def _engines(spec):
-        yield esre._GridEngine(spec, SolverOptions(grid_steps=50)), 37, True
+        # the grid samples constant coefficients once, as piece 0 at t = 0
+        yield esre._GridEngine(spec, SolverOptions(grid_steps=50)), 0, True
         yield esre._TreeEngine(spec, SolverOptions(backend="tree", tree_depth=50)), 19, False
 
     @pytest.mark.parametrize("with_lambda", [True, False])
@@ -1081,25 +1083,77 @@ class TestDirectOracle:
         assert not hasattr(oracle, "smallness_ok") and not hasattr(solved, "smallness_ok")
 
     def test_time_table_coefficients_cross_check(self):
-        # piecewise-constant control weight, sampled identically by the
-        # fixed point and the direct integration
-        from regimelq.model import CoefficientField, ProblemSpec
-        r_field = CoefficientField.from_table(
-            [0.0, 0.5],
-            np.array([[[[1.0]], [[1.0]]], [[[2.0]], [[2.0]]]]),
-        )
-        spec = ProblemSpec(
-            n=1, m=1, ell=2, T=1.0, generator=[[-1.0, 1.0], [1.0, -1.0]],
-            A=np.zeros((2, 1, 1)), B=np.ones((2, 1, 1)), C=np.zeros((2, 1, 1)),
-            D=np.zeros((2, 1, 1)), Q=np.full((2, 1, 1), 0.3),
-            S=np.zeros((2, 1, 1)), R=r_field, G=np.ones((2, 1, 1)), delta=0.5,
-        )
+        # piecewise-constant control weight, on a node of the grid, which
+        # every step of the solve and of the oracle reads on its interior
+        spec = _weight_table_spec([0.0, 0.5], [1.0, 2.0])
         opts = SolverOptions(grid_steps=500)
         sol = solve_esre(spec, opts)
         oracle = direct_coupled_oracle(spec, opts)
         assert np.max(np.abs(sol.P - oracle.P)) <= 1e-7
         # cheaper control on [0, 0.5) means more aggressive early damping
         assert sol.P[0, 0, 0, 0] < sol.P[len(sol.grid) // 2, 0, 0, 0] + 0.5
+
+
+def _weight_table_spec(times, weights, T=1.0, G=1.0):
+    """The time-table cross-check's problem: scalar state, two equal
+    regimes, B = 1, Q = 0.3 and the control weight ``weights[k]`` from
+    ``times[k]`` on, a time table where there are two."""
+    r = np.repeat(np.reshape(weights, (-1, 1, 1, 1)), 2, axis=1)
+    return ProblemSpec(
+        n=1, m=1, ell=2, T=T, generator=[[-1.0, 1.0], [1.0, -1.0]],
+        A=np.zeros((2, 1, 1)), B=np.ones((2, 1, 1)), C=np.zeros((2, 1, 1)),
+        D=np.zeros((2, 1, 1)), Q=np.full((2, 1, 1), 0.3), S=np.zeros((2, 1, 1)),
+        R=CoefficientField.from_table(times, r) if len(weights) > 1 else r[0],
+        G=np.broadcast_to(G, (2, 1, 1)), delta=0.5,
+    )
+
+
+def _joined_solves(t1, steps_before, steps_after):
+    """P of the weight table 1 on [0, t1), 2 on [t1, 1], from two
+    constant-weight solves joined at t1: the solve after t1 from G = 1,
+    the one before from its P(t1).  Grids of the given step counts."""
+    after = solve_esre(_weight_table_spec([0.0], [2.0], T=1.0 - t1),
+                       SolverOptions(grid_steps=steps_after))
+    before = solve_esre(_weight_table_spec([0.0], [1.0], T=t1, G=after.P[0]),
+                        SolverOptions(grid_steps=steps_before))
+    return np.concatenate([before.P, after.P[1:]])
+
+
+class TestTimeTables:
+    """A coefficient table time is a jump of the right-hand side.  A
+    fixed-step sweep reads each step's coefficients on the step's
+    interior, so its top stage reads the left limit, and it refuses a
+    table time strictly between two nodes."""
+
+    @pytest.mark.parametrize("steps", [500, 1000])
+    def test_solve_and_oracle_match_joined_constant_solves(self, steps):
+        # before the sweeps read left limits, the solve and the oracle were
+        # both 6.248e-5 / 3.124e-5 off at P(0) (first order)
+        spec = _weight_table_spec([0.0, 0.5], [1.0, 2.0])
+        opts = SolverOptions(grid_steps=steps)
+        exact = _joined_solves(0.5, steps // 2, steps // 2)
+        for p in (solve_esre(spec, opts).P, direct_coupled_oracle(spec, opts).P):
+            assert np.max(np.abs(p - exact)) <= 1e-10
+
+    def test_table_time_between_nodes(self):
+        # t1 = 1/3 is no node of a 500-step grid: every fixed-step sweep
+        # refuses it and names a grid that has it
+        spec = _weight_table_spec([0.0, 1.0 / 3.0], [1.0, 2.0])
+        opts = SolverOptions(grid_steps=500)
+        prev = GridIterate(np.linspace(0.0, 1.0, 501), np.ones((501, 2, 1, 1)),
+                           np.zeros((501, 2, 1, 1)))
+        for call in (lambda: solve_esre(spec, opts), lambda: direct_coupled_oracle(spec, opts),
+                     lambda: solve_p0(spec, opts), lambda: picard_step(spec, prev, opts),
+                     lambda: picard_certificate(spec, opts)):
+            with pytest.raises(StructuralError, match=(
+                    r"^coefficient table time 0\.333333 lies strictly between two nodes "
+                    r"of the grid, and a fixed-step sweep reads one coefficient value per "
+                    r"step; use grid_steps = 3 or a multiple of it$")):
+                call()
+        exact = _joined_solves(1.0 / 3.0, 200, 400)[0]
+        for sol in (solve_esre(spec, SolverOptions(grid_steps=501)),
+                    direct_coupled_oracle(spec, SolverOptions(grid_steps=501))):
+            assert np.max(np.abs(sol.P[0] - exact)) <= 1e-10
 
 
 def test_growth_constant_on_e1(e1):
@@ -1151,8 +1205,8 @@ class TestGoldenTree:
 
 def _sigma_engine(m, r):
     """Grid engine of a problem with m controls, D = the first m unit
-    vectors and R = r I, so that Sigma = r I + P[:m, :m]; 10 steps on
-    [0, 1], so that half-index h is the time h / 20."""
+    vectors and R = r I, so that Sigma = r I + P[:m, :m]; its
+    coefficients are constant, one piece, which the driver reads as h = 0."""
     ell, n = 2, 2
     spec = ProblemSpec(
         n=n, m=m, ell=ell, T=1.0, generator=[[-1.0, 1.0], [1.0, -1.0]],
@@ -1166,12 +1220,13 @@ def _sigma_engine(m, r):
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_exactly_singular_sigma_is_refused(m):
-    # Sigma = 1 - 1 = 0 exactly in regime 2 at a stage midpoint: the 1 x 1
+    # Sigma = 1 - 1 = 0 exactly in regime 2 at a stage time: the 1 x 1
     # division and the LU inverse refuse it alike, naming the place
     with pytest.raises(NearSingular, match=(
             r"^R \+ D'PD is ill-conditioned at t = 0\.15 in regime 2: "
             r"condition number inf exceeds threshold 1\.000e\+12$")):
-        _sigma_engine(m, 1.0)._driver(3, np.stack([np.eye(2), -np.eye(2)]), None, 0.0)
+        _sigma_engine(m, 1.0)._driver(0, np.stack([np.eye(2), -np.eye(2)]), None, 0.0,
+                                      t=0.15)
 
 
 def test_singular_sigma_passing_the_condition_test_names_the_time(monkeypatch):
@@ -1183,7 +1238,7 @@ def test_singular_sigma_passing_the_condition_test_names_the_time(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", zero_pivot)
     with pytest.raises(NearSingular, match=r"^R \+ D'PD is singular at t = 0\.15$"):
-        _sigma_engine(2, 1.0)._driver(3, np.zeros((2, 2, 2)), None, 0.0)
+        _sigma_engine(2, 1.0)._driver(0, np.zeros((2, 2, 2)), None, 0.0, t=0.15)
 
 
 def test_oracle_names_the_singular_sigma():
