@@ -258,7 +258,8 @@ def _cmd_solve(config: RunConfig, paths, echo) -> CommandResult:
         return CommandResult(EXIT_NO_CONVERGENCE, {"metadata": str(meta)})
     write_solution_csv(solution, paths["solution"])
     if solution.backend == "ode":
-        echo(f"solved by direct integration on {config.solver.grid_steps} steps")
+        echo(f"solved by error-controlled DOP853 integration, output on "
+             f"{config.solver.grid_steps} grid steps")
     else:
         echo(f"converged in {solution.iterations} sweeps "
              f"(final residual {_f10(solution.residual_history[-1])})")

@@ -18,10 +18,14 @@ Solution scheme
 ---------------
 Both backends work on P itself.
 
-On the grid, :func:`solve_esre` integrates the coupled system directly:
-one backward RK4 sweep with the live coupling ``q P``, the quadratic term,
-the ``cond(R + D'PD)`` check at every step's first stage and a PSD clip
-per step.  It has no iteration count and no ``picard_tol``.
+On the grid, :func:`solve_esre` integrates the coupled system directly,
+backward with the live coupling ``q P`` and the quadratic term, by the
+error-controlled Dormand-Prince 8(5,3) pair with its 7th-order dense
+output (DOP853; Hairer, Norsett and Wanner, *Solving Ordinary
+Differential Equations I*, sections II.5-6; the tableau is in
+:mod:`regimelq._dop853`).  It runs the ``cond(R + D'PD)`` check at every
+step's first stage and a PSD clip per accepted step, and has no
+iteration count and no ``picard_tol``.
 
 The paper's monotone sequence is the existence proof, and
 :func:`picard_certificate` keeps it as a check of the grid solve.  Each
@@ -48,21 +52,30 @@ errors are those of :func:`solve_p0` followed by repeated
 Backends
 --------
 ``ode``
-    Classical fixed-step 4th-order backward stepping on a uniform grid,
-    with symmetrization at every stage and a PSD eigenvalue clip per step.
+    The coefficients are piecewise constant in time, sampled once per
+    piece between coefficient table times.  The direct solve steps
+    DOP853 under step control: a step is accepted when its error
+    estimate is within ``STEP_TOL (1 + |P|)`` in the root mean square,
+    the first step tried is the grid spacing, and steps end at every
+    table time.  ``grid_steps`` sets the output grid, whose nodes are
+    read off the dense output of the accepted steps.  A step whose error
+    estimate is not finite, or more than ``STEP_BUDGET * grid_steps``
+    steps tried, is refused with the time, the regime and the stiffness
+    ratio ``dt |2 B Sigma^{-1} B' P|``.  The linear iterate and the
+    certificate's sweeps are classical fixed-step 4th-order backward
+    stepping on the output grid, with symmetrization at every stage and
+    a PSD eigenvalue clip per step; all four stages of a step read the
+    coefficients of its interior, so the top stage reads their left
+    limit, and a table time strictly between two nodes is refused.
     The diagonal coupling is folded into the drift matrix,
     ``A + (q_ii / 2) I``, so ``P A + A'P`` carries ``q_ii P``, and the
     off-diagonal coupling ``q_off P`` is the source: the current state's
-    in the direct solve, the previous iterate's in a certificate sweep.
-    The coefficients are piecewise constant in time, sampled once per
-    piece between coefficient table times, and all four stages of a step
-    read the piece of its interior, so the top stage reads their left
-    limit; a table time strictly between two nodes is refused.  The step
-    is explicit, so a grid with ``dt max_i |q_ii| > 2`` is refused.  A
-    certificate sweep evaluates its frozen source at step
-    midpoints through cubic Hermite interpolation of the stored iterate
-    (values + recorded derivatives), so each sweep retains 4th-order
-    accuracy.
+    in the direct solve and the linear iterate, the previous iterate's
+    in a certificate sweep.  The RK4 step is explicit, so a grid with
+    ``dt max_i |q_ii| > 2`` is refused on every grid path.  A
+    certificate sweep evaluates its frozen source at step midpoints
+    through cubic Hermite interpolation of the stored iterate (values +
+    recorded derivatives), so each sweep retains 4th-order accuracy.
 ``tree``
     Backward induction on a recombining binomial lattice: the drift is
     evaluated at the conditional
@@ -91,20 +104,22 @@ Sigma`` it comes to.  :mod:`regimelq.matcore` decides every guard, and
 of the member a refusal names.
 
 :func:`direct_coupled_oracle` integrates the full coupled system with the
-grid solve's backward RK4 sweep, ``_GridEngine._sweep``, on the same
-coefficient pieces; only its driver is written out apart from
-``_Engine._driver``, so it cross-checks that driver and the PSD clip.
+certificate's fixed-step RK4 sweep, ``_GridEngine._sweep``, at twice the
+steps, and returns every second node; its driver is written out apart
+from ``_Engine._driver``.  So it shares neither the scheme nor the driver
+of the direct solve, and cross-checks both and the PSD clip.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore, model
+from . import _dop853 as dop, matcore, model
 from .matcore import symmetrize
 from .errors import (
     DimensionMismatch,
@@ -125,6 +140,14 @@ BLOWUP_GUARD = 1e8
 # rate 20 a ratio of 2 leaves an error of about 1e-2 in P(0), and 2.5
 # already gives 0.669 for the closed form 0.5
 MAX_STEP_RATE = 2.0
+# the direct solve's DOP853 step control: a step is accepted when its error
+# estimate is within STEP_TOL (1 + |P|), entry by entry in the root mean
+# square; at most STEP_BUDGET * grid_steps steps are tried
+STEP_TOL = 1e-12
+STEP_BUDGET = 16
+# the step-size controller of Hairer, Norsett and Wanner (and of scipy's DOP853)
+SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+ERROR_EXPONENT = -1.0 / 8.0
 # smallest positive normal float: 1 / x cannot overflow at or above it
 _NORMAL_MIN = np.finfo(float).tiny
 
@@ -135,6 +158,13 @@ class SolverOptions:
     verdicts' tolerances are module constants, not options:
     ``matcore.PSD_TOL``, ``matcore.COND_THRESHOLD`` and
     ``model.SMALLNESS_THRESHOLD``.
+
+    ``grid_steps`` sets the grid of the ODE backend: the direct solve
+    returns P at its ``grid_steps + 1`` nodes, read off the dense output of
+    its error-controlled steps, whose count the step control chooses (at
+    most ``STEP_BUDGET * grid_steps`` tried); the fixed-step sweeps of
+    :func:`solve_p0`, :func:`picard_step` and the certificate take one RK4
+    step per grid step, and :func:`direct_coupled_oracle` two.
 
     ``picard_tol`` bounds the last sweep-to-sweep residual, the sup over
     the grid or lattice of ``|P_k - P_{k-1}|_F``; it is not a bound on the
@@ -191,7 +221,8 @@ class GridIterate:
     """One fixed-point iterate on the uniform grid.
 
     ``values[k, i-1]`` is P at (t_k, regime i); ``derivs`` holds the
-    recorded time derivatives used for midpoint interpolation.
+    recorded time derivatives used for midpoint interpolation, each the
+    slope on the step below its node (at t_0, on the step above).
     """
 
     grid: np.ndarray
@@ -384,7 +415,8 @@ class _Engine:
 
 
 class _GridEngine(_Engine):
-    """Coefficient pieces and backward sweeps for the ODE backend.
+    """Coefficient pieces, the adaptive direct solve and the fixed-step
+    sweeps of the ODE backend.
 
     Deterministic coefficients are piecewise constant in time.  ``times``
     holds 0 and every coefficient table time in (0, T), and each
@@ -428,7 +460,158 @@ class _GridEngine(_Engine):
                 f"use grid_steps >= {need}"
             )
 
-    # -- sweeps ----------------------------------------------------------
+    def _slope(self, j, t, p, check_cond=False):
+        """dP/dt at time ``t`` on piece ``j``: minus the driver with the live
+        coupling ``q_off P`` as its source and the quadratic term."""
+        return -self._driver(j, p, None, np.einsum("ij,jab->iab", self.q_off, p),
+                             check_cond, t=t)
+
+    def _stiffness(self, j, p, dt):
+        """Per regime, the stiffness ratio ``dt |2 B Sigma^{-1} B' P|`` of a
+        step of size ``dt`` from ``p`` on piece ``j``: the spectral radius
+        the quadratic term puts on an explicit step (inf where Sigma is
+        singular)."""
+        b = self.B[j]
+        _, sigma = _gain_blocks(p, None, b, None, self.D[j], None, self.R[j])
+        try:
+            gain = 2.0 * (b @ np.linalg.solve(sigma, b.mT) @ p)
+        except np.linalg.LinAlgError:
+            return np.full(len(p), np.inf)
+        return dt * np.linalg.norm(gain, ord=2, axis=(-2, -1))
+
+    def _step_failure(self, why, j, t, p, dt) -> StepFailure:
+        """The refusal of the step of size ``dt`` from ``(t, p)`` on piece
+        ``j``, naming the regime of the largest stiffness ratio."""
+        ratio = self._stiffness(j, p, dt)
+        i = int(np.argmax(ratio))
+        return StepFailure(
+            f"{why} the DOP853 step from t = {t:.6g} to {t - dt:.6g}: its stiffness "
+            f"ratio dt |2 B Sigma^{{-1}} B' P| is {ratio[i]:.3e} in regime {i + 1}; "
+            f"refine the grid, whose spacing is the first step tried and which sets "
+            f"the budget, or rescale the problem")
+
+    # -- the direct solve --------------------------------------------------
+
+    def solve_direct(self) -> np.ndarray:
+        """The coupled system integrated backward by the DOP853 pair under
+        step control: the driver with the live coupling ``q_off P`` as its
+        source, the quadratic term, the condition check at each step's first
+        stage and the PSD clip per accepted step.
+
+        Steps end at every coefficient table time; the first step tried is
+        the grid spacing.  A step is accepted when its error estimate is
+        within ``STEP_TOL (1 + |P|)`` in the root mean square, and the step
+        size follows the estimate as in Hairer, Norsett and Wanner.  Every
+        grid node inside an accepted step is read off its 7th-order dense
+        output, one polynomial in the step fraction.
+
+        Raises
+        ------
+        StepFailure
+            If a step's error estimate is not finite, or after
+            ``STEP_BUDGET * grid_steps`` steps tried, naming the time, the
+            regime and the stiffness ratio of the step.
+        PsdViolation
+            If the clip refuses an accepted step.
+        NearSingular
+            As the driver's condition test, at a step's first stage.
+        """
+        self._require_stable_step()
+        grid, shape = self.grid, self.G.shape
+        c, a, b, e3, e5 = dop.C, dop.A, dop.B, dop.E3[:-1], dop.E5[:-1]
+        stages = dop.N_STAGES
+        out = np.empty((len(grid),) + shape)
+        out[-1] = self.G
+        below = len(grid) - 1                  # out[below:] is filled
+        k = np.empty((dop.N_STAGES_EXTENDED,) + shape)
+        kf = k.reshape(len(k), -1)
+        budget = STEP_BUDGET * self.options.grid_steps
+        tried = 0
+        t, p, size = self.spec.T, self.G, self.dt
+        # the refusals below report overflow, so numpy warns of none
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(len(self.times) - 1, -1, -1):
+                stop = self.times[j]
+                k[0] = self._slope(j, t, p, True)
+                rejected = False
+                while t > stop:
+                    tried += 1
+                    if tried > budget:
+                        raise self._step_failure(
+                            f"the budget of {budget} steps is spent before", j, t, p, size)
+                    # no step shorter than ten float spacings of t
+                    size = max(size, 10.0 * np.spacing(t))
+                    t_new = t - size if t - size > stop else stop
+                    h = t_new - t
+                    for s in range(1, stages):
+                        k[s] = self._slope(j, t + c[s] * h,
+                                           p + h * (a[s, :s] @ kf[:s]).reshape(shape))
+                    y = symmetrize(p + h * (b @ kf[:stages]).reshape(shape))
+                    err = _error_norm(kf[:stages], e3, e5, h,
+                                      STEP_TOL * (1.0 + np.maximum(np.abs(p), np.abs(y)).ravel()))
+                    if not np.isfinite(err):
+                        raise self._step_failure(
+                            "the error estimate is not finite for", j, t, p, -h)
+                    if err >= 1.0:
+                        size = -h * max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
+                        rejected = True
+                        continue
+                    t_old, p_old = t, p
+                    t, p = t_new, self._clip(y, j, t_old, p_old, t_new, -h)
+                    k[stages] = self._slope(j, t, p, True)
+                    # the nodes strictly inside the step, then those on its end
+                    at, inside = np.searchsorted(grid, t, side="left"), np.searchsorted(
+                        grid, t, side="right")
+                    if inside < below:
+                        out[inside:below] = self._dense_output(
+                            j, k, t_old, p_old, p, h, (grid[inside:below] - t_old) / h)
+                    out[at:inside] = p
+                    below = at
+                    factor = MAX_FACTOR if err == 0.0 else min(
+                        MAX_FACTOR, SAFETY * err ** ERROR_EXPONENT)
+                    size = -h * (min(1.0, factor) if rejected else factor)
+                    rejected = False
+                    k[0] = k[stages]
+        _guarded(matcore.require_psd, out, grid)
+        return out
+
+    def _clip(self, y, j, t_old, p_old, t, dt) -> np.ndarray:
+        """The PSD clip of the step of size ``dt`` from ``(t_old, p_old)`` on
+        piece ``j`` to ``(t, y)``, its refusal naming the time, the regime
+        and the step's stiffness ratio."""
+        try:
+            return matcore.project_psd(y)
+        except PsdViolation as exc:
+            ratio = self._stiffness(j, p_old, dt)[exc.member[-1]]
+            raise PsdViolation(
+                f"{exc} at t = {t:.6g}; the stiffness ratio dt |2 B Sigma^{{-1}} B' P| "
+                f"of the DOP853 step from t = {t_old:.6g} to {t:.6g} is {ratio:.3e}; the "
+                f"clip refused regime {exc.member[-1] + 1}", exc.member
+            ) from exc
+
+    def _dense_output(self, j, k, t_old, p_old, p, h, x) -> np.ndarray:
+        """The 7th-order dense output of the accepted step of size ``h`` from
+        ``(t_old, p_old)`` to ``p`` on piece ``j``, at the step fractions ``x``:
+        the three extra stages, then one polynomial in ``x`` for all of them.
+        ``k`` holds the step's twelve slopes and the slope at its end."""
+        shape = p.shape
+        kf = k.reshape(len(k), -1)
+        for s in range(dop.N_STAGES + 1, dop.N_STAGES_EXTENDED):
+            k[s] = self._slope(j, t_old + dop.C[s] * h,
+                                 p_old + h * (dop.A[s, :s] @ kf[:s]).reshape(shape))
+        dy = p - p_old
+        coef = np.empty((dop.INTERPOLATOR_POWER,) + shape)
+        coef[0] = dy
+        coef[1] = h * k[0] - dy
+        coef[2] = 2.0 * dy - h * (k[dop.N_STAGES] + k[0])
+        coef[3:] = h * (dop.D @ kf).reshape((-1,) + shape)
+        x = x[:, None, None, None]
+        y = 0.0
+        for i, f in enumerate(coef[::-1]):
+            y = (y + f) * (x if i % 2 == 0 else 1.0 - x)
+        return p_old + y
+
+    # -- fixed-step sweeps -------------------------------------------------
 
     def _half_time(self, h) -> float:
         """The time of half-grid index ``h``, the stage times of a sweep."""
@@ -459,8 +642,8 @@ class _GridEngine(_Engine):
         nodes.  ``rhs(j, h, p, check)`` is the slope on piece ``j`` at
         half-grid index ``h``; the four stages of a step read the piece of
         its interior, so the top stage reads the coefficients' left limit.
-        ``finish(p, k, values)`` ends the step from node k, the PSD clip or
-        the blow-up guard; it refuses overflow, so numpy warns of none."""
+        ``finish(p, k)`` ends the step from node k, the PSD clip or the
+        blow-up guard; it refuses overflow, so numpy warns of none."""
         pieces = self._step_pieces()
         n_steps = self.options.grid_steps
         dt = self.dt
@@ -478,44 +661,10 @@ class _GridEngine(_Engine):
                 k4 = rhs(j, h - 2, p - dt * k3, False)
                 p = symmetrize(p - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
                 if finish is not None:
-                    p = finish(p, k, values)
+                    p = finish(p, k)
                 values[k - 1] = p
         derivs[0] = rhs(pieces[0], 0, p, True)
         return values, derivs
-
-    def solve_direct(self) -> np.ndarray:
-        """The coupled system in one backward sweep: the driver with the
-        live coupling ``q_off P`` as its source, the quadratic term, the
-        condition check at stage 1 and the PSD clip per step."""
-        self._require_stable_step()
-        rhs = lambda j, h, p, chk: -self._driver(
-            j, p, None, np.einsum("ij,jab->iab", self.q_off, p), chk, t=self._half_time(h))
-        values, _ = self._sweep(rhs, self.G, self._stiff_clip)
-        _guarded(matcore.require_psd, values, self.grid)
-        return values
-
-    def _stiff_clip(self, p: np.ndarray, k: int, values: np.ndarray) -> np.ndarray:
-        """The PSD clip of the direct solve's step from node k, its refusal
-        naming the time, the regime and the RK4 stiffness ratio ``dt |2 B
-        Sigma^{-1} B' P|`` at node k, which explicit RK4 needs below 2.8."""
-        try:
-            return matcore.project_psd(p)
-        except PsdViolation as exc:
-            j = self._step_pieces()[k - 1]
-            b = self.B[j]
-            _, sigma = _gain_blocks(values[k], None, b, None, self.D[j], None, self.R[j])
-            try:
-                gain = 2.0 * (b @ np.linalg.solve(sigma, b.mT) @ values[k])
-                ratio = self.dt * float(np.max(np.linalg.norm(gain, ord=2, axis=(-2, -1))))
-            except np.linalg.LinAlgError:
-                ratio = np.inf
-            raise PsdViolation(
-                f"{exc} at t = {self.grid[k - 1]:.6g}; the RK4 stiffness ratio "
-                f"dt |2 B Sigma^{{-1}} B' P| at the last accepted step (t = "
-                f"{self.grid[k]:.6g}) is {ratio:.3e}; explicit RK4 needs it below "
-                f"about 2.8, so refine the grid or rescale the problem; the clip "
-                f"refused regime {exc.member[-1] + 1}", exc.member
-            ) from exc
 
     def solve_p0(self) -> GridIterate:
         """Linear initial iterate: the driver without its quadratic term,
@@ -529,8 +678,22 @@ class _GridEngine(_Engine):
         self._require_stable_step()
         src = np.einsum("ij,hjab->hiab", self.q_off, prev.half_values())
         rhs = lambda j, h, p, chk: -self._driver(j, p, None, src[h], chk, t=self._half_time(h))
-        return GridIterate(self.grid, *self._sweep(rhs, self.G, lambda p, k, _: _guarded(
+        return GridIterate(self.grid, *self._sweep(rhs, self.G, lambda p, k: _guarded(
             matcore.project_psd, p, self.grid[k - 1])))
+
+
+def _error_norm(kf, e3, e5, h, scale) -> float:
+    """DOP853's error estimate of a step of size ``h`` with stage slopes
+    ``kf`` (one flattened row per stage), in units of ``scale``: the 5th-order
+    estimate damped by the 3rd-order one, in the root mean square."""
+    err5 = (e5 @ kf) / scale
+    err3 = (e3 @ kf) / scale
+    sq5, sq3 = float(err5 @ err5), float(err3 @ err3)
+    if sq5 == 0.0 and sq3 == 0.0:
+        return 0.0
+    return abs(h) * sq5 / math.sqrt((sq5 + 0.01 * sq3) * len(scale))
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -695,11 +858,11 @@ def _picard_sequence(engine, it0, options: SolverOptions, on_sweep=None):
 def solve_esre(spec: ProblemSpec, options: SolverOptions = None) -> EsreSolution:
     """Solve the coupled system.
 
-    The grid backend integrates it directly in one backward sweep; the
-    tree backend runs the linear initial iterate, then frozen-coupling
-    sweeps until the sup-norm difference of consecutive iterates is at
-    most ``picard_tol``, and carries the residual history.  Both attach
-    the a priori diagnostics.
+    The grid backend integrates it directly by the error-controlled
+    DOP853 pair; the tree backend runs the linear initial iterate, then
+    frozen-coupling sweeps until the sup-norm difference of consecutive
+    iterates is at most ``picard_tol``, and carries the residual history.
+    Both attach the a priori diagnostics.
 
     Raises
     ------
@@ -708,7 +871,7 @@ def solve_esre(spec: ProblemSpec, options: SolverOptions = None) -> EsreSolution
     NoConvergence
         Tree backend, after ``picard_max_iter`` sweeps; partial residual
         history attached.
-    NearSingular, PsdViolation
+    NearSingular, PsdViolation, StepFailure
         Propagated from the backward stepping guards.
     """
     options = options or SolverOptions()
@@ -939,11 +1102,13 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None) -> E
     original coordinates, martingale part zero).  Deterministic
     coefficients only.
 
-    It runs the grid solve's backward RK4 sweep, ``_GridEngine._sweep``,
-    on the same coefficient pieces; only its driver is written
-    out apart, with the plain A, the whole ``q P`` coupling and
-    ``np.linalg.solve``, and a blow-up guard replaces the PSD clip.  It
-    cross-checks that driver and the clip of :func:`solve_esre`.
+    It runs the fixed-step backward RK4 sweep of the certificate,
+    ``_GridEngine._sweep``, at twice the steps, ``2 * grid_steps``, and
+    returns every second node, on the grid of :func:`solve_esre` with the
+    same options.  Its driver is written out apart, with the plain A, the
+    whole ``q P`` coupling and ``np.linalg.solve``, and a blow-up guard
+    replaces the PSD clip.  So it shares neither the scheme nor the driver
+    of the direct solve, and cross-checks both and the clip.
 
     Raises
     ------
@@ -951,21 +1116,24 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None) -> E
         If the state norm exceeds the blow-up guard (1e8).
     NearSingular
         If ``R + D'PD`` is singular, naming the time and regime.
+    StructuralError
+        If a coefficient table time lies strictly between two nodes of the
+        doubled grid.
     """
     options = options or SolverOptions()
-    engine = _GridEngine(spec, options)
+    engine = _GridEngine(spec, dataclasses.replace(options, grid_steps=2 * options.grid_steps))
 
     def rhs(j, h, p, _):
         pa = p @ engine.A[j]
-        out = pa + np.swapaxes(pa, -1, -2) + engine.Q[j]
+        out = pa + pa.mT + engine.Q[j]
         pc = None
         if engine.has_C:
             pc = p @ engine.C[j]
-            out = out + np.swapaxes(engine.C[j], -1, -2) @ pc
+            out = out + engine.C[j].mT @ pc
         out = out + np.einsum("ij,jab->iab", spec.q, p)
-        m = np.swapaxes(p @ engine.B[j], -1, -2)
+        m = (p @ engine.B[j]).mT
         if engine.has_D and pc is not None:
-            m = m + np.swapaxes(engine.D[j], -1, -2) @ pc
+            m = m + engine.D[j].mT @ pc
         if engine.has_S:
             m = m + engine.S[j]
         if engine.has_D:
@@ -976,20 +1144,21 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None) -> E
                 raise engine._singular(engine._half_time(h), sigma) from exc
         else:
             x = engine.R_inv[j] @ m
-        out = out - np.swapaxes(m, -1, -2) @ x
+        out = out - m.mT @ x
         return -symmetrize(out)
 
-    def guard(p, k, _):
+    def guard(p, k):
         size = float(np.max(np.abs(p)))
         if not size <= BLOWUP_GUARD:   # NaN fails too
             raise StepFailure(f"state norm {size:g} is not within {BLOWUP_GUARD:g} "
                               f"at t={engine.grid[k-1]:g}")
         return p
 
-    values, _ = engine._sweep(rhs, engine.G, guard)
-    diag = _diagnostics(spec, engine.grid, np.linalg.norm(values, axis=(-2, -1)),
+    values = engine._sweep(rhs, engine.G, guard)[0][::2]
+    grid = np.linspace(0.0, spec.T, options.grid_steps + 1)
+    diag = _diagnostics(spec, grid, np.linalg.norm(values, axis=(-2, -1)),
                         np.zeros(spec.ell), check_smallness(spec))
     return EsreSolution(
-        grid=engine.grid, P=values, Lambda=np.zeros_like(values), backend="direct",
+        grid=grid, P=values, Lambda=np.zeros_like(values), backend="direct",
         residual_history=[], diagnostics=diag, options=options,
     )

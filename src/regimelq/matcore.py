@@ -173,8 +173,8 @@ def _psd_verdict(m: np.ndarray, floor: float, eig) -> tuple:
             return *out, wmin
         low = out[0].min(axis=-1)
         member = np.unravel_index(np.argmin(low), low.shape)
-    raise PsdViolation(f"min eigenvalue {wmin:.3e} at or below -psd_tol = {-PSD_TOL:.3e}",
-                       member)
+    raise PsdViolation(f"min eigenvalue {wmin:.3e} at or below -matcore.PSD_TOL = "
+                       f"{-PSD_TOL:.3e}", member)
 
 
 def require_psd(m: np.ndarray) -> None:
@@ -234,7 +234,13 @@ def sym_inverse(m: np.ndarray) -> np.ndarray:
     NearSingular
         If the condition verdict refuses any member, naming the worst.
     """
-    w, v = _conditioning(np.asarray(m, dtype=float), np.linalg.eigh)
+    return _spectral_inverse(*_conditioning(np.asarray(m, dtype=float), np.linalg.eigh))
+
+
+def _spectral_inverse(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The symmetric matrix (or stack) with eigenvalues ``1 / w`` and
+    eigenvectors ``v``: the inverse of the one ``eigh`` gave ``(w, v)``
+    for, with no condition verdict."""
     return symmetrize((v / w[..., None, :]) @ v.mT)
 
 

@@ -438,8 +438,10 @@ def check_smallness(spec: ProblemSpec) -> float:
     the scan below is exact for constant and table coefficients.
     :func:`_smallness_ok` compares the value with ``SMALLNESS_THRESHOLD``:
     it is a solvability indicator, not a hard gate.  Identically zero D
-    gives 0, and R is only inverted where D is nonzero.  Where the
-    exponential factor overflows, the value saturates to ``inf``.
+    gives 0, and R is only inverted where D is nonzero, from its spectral
+    factorization with no condition verdict: R >= delta I is
+    :func:`validate_assumptions`' to judge.  An R with a zero eigenvalue
+    gives ``inf``, as does an exponential factor that overflows.
     """
     times, t_right, _ = _check_points(spec, (spec.D, spec.R))
     d = _stack(spec.D, times)
@@ -447,12 +449,14 @@ def check_smallness(spec: ProblemSpec) -> float:
     if not live.any():
         return 0.0
     d = d[live]
-    drr = (d @ matcore.sym_inverse(_stack(spec.R, times)[live]) @ d.mT).reshape(len(d), -1)
-    with np.errstate(over="ignore"):
+    w, v = np.linalg.eigh(_stack(spec.R, times)[live])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        drr = (d @ matcore._spectral_inverse(w, v) @ d.mT).reshape(len(d), -1)
         decay = np.exp(-np.diag(spec.q)[None, :] * t_right[:, None])[live]
-    # the Frobenius norm as the dot product that np.linalg.norm takes on a
-    # single matrix; its axis= form sums in another order
-    return float(np.max(np.sqrt(np.vecdot(drr, drr)) * decay))
+        # the Frobenius norm as the dot product that np.linalg.norm takes on
+        # a single matrix; its axis= form sums in another order
+        size = np.sqrt(np.vecdot(drr, drr)) * decay
+    return float(np.max(np.where((w == 0.0).any(axis=-1), np.inf, size)))
 
 
 def _smallness_ok(smallness: float) -> bool:

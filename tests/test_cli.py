@@ -656,6 +656,20 @@ class TestCommands:
         cfg = parse_config(write_cfg(tmp_path, text))
         assert run_command("validate", cfg, output_dir=tmp_path).exit_code == 1
 
+    def test_validate_lists_violations_of_a_singular_weight(self, tmp_path, capsys):
+        # the smallness scan inverts R with no condition verdict: R = 0 with
+        # noise is an infinite size, and the violations are what validate says
+        cfg = write_cfg(tmp_path, E1_YAML.replace("  R: [[1.0]]", "  R: [[0.0]]")
+                        .replace("  D: [[0.0]]", "  D: [[1.0]]"))
+        assert main(["validate", "--config", str(cfg)]) == 1
+        out = capsys.readouterr()
+        lines = out.out.splitlines()
+        assert lines[0] == "assumptions: FAIL"
+        assert "  violation R_lower regime=1 at=0.0 min_eig=-0.5" in lines
+        assert "  violation Q_schur regime=2 at=1.0 min_eig=-inf" in lines
+        assert lines[-1] == "diffusion size: inf (warn, threshold 0.1)"
+        assert out.err == ""
+
     @pytest.mark.parametrize("g_line, code", [
         ("  G: [[-1.0e-10]]", 0),       # within matcore.PSD_TOL = 1e-9
         ("", 1),                        # G = -1e-7 is beyond it
@@ -670,7 +684,8 @@ class TestCommands:
         lines = []
         res = run_command("solve", cfg, output_dir=tmp_path, echo=lines.append)
         assert res.exit_code == 0
-        assert lines[0] == "solved by direct integration on 200 steps"
+        assert lines[0] == ("solved by error-controlled DOP853 integration, output on "
+                            "200 grid steps")
         grid, p, _ = read_solution_csv(tmp_path / "s.csv")
         assert abs(p[0, 0, 0, 0] - 0.5) <= 1e-6
 

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from regimelq import esre, matcore, model
+from regimelq import _dop853 as dop853, esre, matcore, model
 from regimelq.config import parse_config
 from regimelq.control import feedback_gain
 from regimelq.errors import (
@@ -356,7 +356,7 @@ class TestSharedDriver:
     @pytest.mark.filterwarnings("ignore:measured diffusion size")
     def test_tree_ill_conditioned_sigma_names_time_and_regime(self, monkeypatch):
         spec = _ill_conditioned_spec()
-        _lower_sigma_threshold(monkeypatch, spec, 3.9)
+        monkeypatch.setattr(matcore, "COND_THRESHOLD", 3.9)
         opts = SolverOptions(backend="tree", tree_depth=100)
         with pytest.raises(NearSingular, match=r"at t = 0\.9 in regime 1: "
                            r"condition number 3\.9\d+e\+00 exceeds threshold 3\.900e\+00"):
@@ -456,8 +456,8 @@ class TestPicardStep:
         opts = SolverOptions(grid_steps=100)
         it0 = solve_p0(e1, opts)
         it0.values[5] = -np.abs(it0.values[5]) - 1.0
-        with pytest.raises(PsdViolation, match=r"-2\.000e\+00 at or below -psd_tol = "
-                           r"-1\.000e-09 at t = 0\.05 in regime 1$"):
+        with pytest.raises(PsdViolation, match=r"-2\.000e\+00 at or below -matcore\.PSD_TOL "
+                           r"= -1\.000e-09 at t = 0\.05 in regime 1$"):
             picard_step(e1, it0, opts)
 
     def test_non_psd_tree_level_named_by_its_time(self, e1):
@@ -568,17 +568,6 @@ def _ill_conditioned_spec():
     )
 
 
-def _lower_sigma_threshold(monkeypatch, spec, threshold):
-    """Set ``matcore.COND_THRESHOLD`` to ``threshold`` for the guards on
-    Sigma = R + D'PD.  The smallness measure inverts R itself, and the
-    condition number of R (20 in regime 1 of :func:`_ill_conditioned_spec`)
-    is above every threshold these tests choose, so the solves read the
-    smallness taken at the default threshold."""
-    smallness = esre.check_smallness(spec)
-    monkeypatch.setattr(esre, "check_smallness", lambda _: smallness)
-    monkeypatch.setattr(matcore, "COND_THRESHOLD", threshold)
-
-
 def _same_error(spec, options):
     """Assert the certificate raises exactly what the replay raises; return
     the number of sweeps the replay completed first."""
@@ -629,7 +618,7 @@ class TestPicardSequence:
                            (SolverOptions(grid_steps=400), r"0\.9975")]:
             run = solve_esre if options.backend == "tree" else picard_certificate
             with pytest.raises(PsdViolation, match=rf"^min eigenvalue -\S+ at or below "
-                               rf"-psd_tol = -1\.000e-09 at t = {t} in regime 1$"):
+                               rf"-matcore\.PSD_TOL = -1\.000e-09 at t = {t} in regime 1$"):
                 run(spec, options)
 
     def test_long_horizon_fails_in_sweep_one(self):
@@ -640,14 +629,14 @@ class TestPicardSequence:
     def test_ill_conditioned_fails_in_sweep_three(self, monkeypatch):
         # cond(R + D'PD) first exceeds 3.99 in sweep 3, at t = 0.89
         spec = _ill_conditioned_spec()
-        _lower_sigma_threshold(monkeypatch, spec, 3.99)
+        monkeypatch.setattr(matcore, "COND_THRESHOLD", 3.99)
         assert _same_error(spec, SolverOptions(grid_steps=400)) == 2
 
     @pytest.mark.filterwarnings("ignore:measured diffusion size")
     def test_ill_conditioned_fails_in_sweep_two(self, monkeypatch):
         # cond(R + D'PD) first exceeds 3.985 in sweep 2, at t = 0.89
         spec = _ill_conditioned_spec()
-        _lower_sigma_threshold(monkeypatch, spec, 3.985)
+        monkeypatch.setattr(matcore, "COND_THRESHOLD", 3.985)
         assert _same_error(spec, SolverOptions(grid_steps=400)) == 1
 
     def test_convergence_at_the_sweep_cap(self, e1):
@@ -722,20 +711,19 @@ class TestSolveEsre:
         assert np.max(np.abs(sol.P[0] - (1.0 + np.sqrt(5.0)) / 2.0)) <= 1e-8
 
     @pytest.mark.parametrize("R, G, steps, t, ratio", [
-        # dt |2 B R^{-1} B' G| = 2e13 / 2000 at t = T: RK4 leaves the PSD
-        # cone in the first step
+        # dt |2 B R^{-1} B' G| = 2e13 / 2000 at t = T: the first DOP853 step
+        # tried, one grid spacing, overflows its stages
         (1e-6, 1e7, 2000, r"0\.9995", r"1\.000e\+10"),
-        # the first step overflows to NaN, which the clip must not pass on
+        # the first step overflows to NaN, which no step control may pass on
         (1e-8, 1e100, 10, r"0\.9", r"2\.000e\+107"),
     ])
     def test_stiff_step_names_time_and_ratio(self, R, G, steps, t, ratio):
         spec = scalar_spec(B=1.0, R=R, G=G, delta=R / 10.0)
-        with pytest.raises(PsdViolation, match=(
-                rf"min eigenvalue \S+ at or below -psd_tol = -1\.000e-09 at t = {t}; "
-                r"the RK4 stiffness ratio dt \|2 B Sigma\^\{-1\} B' P\| at the last "
-                rf"accepted step \(t = 1\) is {ratio}; explicit RK4 needs it below about "
-                r"2\.8, so refine the grid or rescale the problem; the clip refused "
-                r"regime 1$")):
+        with pytest.raises(StepFailure, match=(
+                rf"^the error estimate is not finite for the DOP853 step from t = 1 to "
+                rf"{t}: its stiffness ratio dt \|2 B Sigma\^\{{-1\}} B' P\| is {ratio} in "
+                r"regime 1; refine the grid, whose spacing is the first step tried and "
+                r"which sets the budget, or rescale the problem$")):
             solve_esre(spec, SolverOptions(grid_steps=steps))
 
     def test_grid_diagnostics_measure_the_returned_p(self, e1, e1_solution, e1_certificate):
@@ -1083,8 +1071,8 @@ class TestDirectOracle:
         assert not hasattr(oracle, "smallness_ok") and not hasattr(solved, "smallness_ok")
 
     def test_time_table_coefficients_cross_check(self):
-        # piecewise-constant control weight, on a node of the grid, which
-        # every step of the solve and of the oracle reads on its interior
+        # piecewise-constant control weight: the direct solve ends a step
+        # at the table time, the oracle's fixed steps read one value each
         spec = _weight_table_spec([0.0, 0.5], [1.0, 2.0])
         opts = SolverOptions(grid_steps=500)
         sol = solve_esre(spec, opts)
@@ -1119,16 +1107,75 @@ def _joined_solves(t1, steps_before, steps_after):
     return np.concatenate([before.P, after.P[1:]])
 
 
+class TestDop853:
+    """The direct solve's scheme, checked without the oracle."""
+
+    def test_tableau_is_the_published_one(self):
+        ref = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        for name in ("N_STAGES", "N_STAGES_EXTENDED", "INTERPOLATOR_POWER"):
+            assert getattr(dop853, name) == getattr(ref, name), name
+        for name in ("C", "A", "B", "E3", "E5", "D"):
+            mine, theirs = getattr(dop853, name), getattr(ref, name)
+            assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes(), name
+
+    def test_fixed_steps_are_eighth_order(self, monkeypatch):
+        # no error control and no step growth: every step is one grid
+        # spacing.  B = 0 leaves the linear system dP/ds = M P + Q in the
+        # time to go s, M = 2A + q, with P(T) = G; errors 3.7e-8, 1.3e-10,
+        # 4.7e-13 at 2, 4, 8 steps
+        monkeypatch.setattr(esre, "STEP_TOL", np.inf)
+        monkeypatch.setattr(esre, "MAX_FACTOR", 1.0)
+        spec = scalar_spec(A=[0.5, -0.3], B=0.0, Q=[1.0, 0.5], R=1.0, G=[1.0, 2.0])
+        m = 2.0 * np.diag([0.5, -0.3]) + spec.q
+        w, v = np.linalg.eig(m)
+        shift = np.linalg.solve(m, [1.0, 0.5])
+        exact = ((v * np.exp(w)) @ np.linalg.inv(v)).real @ (np.array([1.0, 2.0]) + shift) - shift
+        err = {n: float(np.max(np.abs(solve_esre(spec, SolverOptions(grid_steps=n)).P[0, :, 0, 0]
+                                      - exact))) for n in (2, 4, 8)}
+        for n in (2, 4):
+            assert 7.8 <= np.log2(err[n] / err[2 * n]) <= 8.6
+
+    def test_clip_names_the_step_it_refuses(self, monkeypatch):
+        # fixed steps of 1e-3 on dP/dt = P^2 / R from G = 100, R = 0.01: the
+        # first step's stiffness ratio is 20, and its P is far below 0
+        monkeypatch.setattr(esre, "STEP_TOL", np.inf)
+        monkeypatch.setattr(esre, "MAX_FACTOR", 1.0)
+        spec = scalar_spec(B=1.0, R=1e-2, G=1e2, delta=1e-3)
+        with pytest.raises(PsdViolation, match=(
+                r"^min eigenvalue \S+ at or below -matcore\.PSD_TOL = -1\.000e-09 at "
+                r"t = 0\.999; the stiffness ratio dt \|2 B Sigma\^\{-1\} B' P\| of the "
+                r"DOP853 step from t = 1 to 0\.999 is 2\.000e\+01; the clip refused "
+                r"regime 1$")):
+            solve_esre(spec, SolverOptions(grid_steps=1000))
+
+    def test_step_budget_ends_in_a_refusal(self):
+        # random_spec(404) takes 46 steps on any grid; 2 grid steps allow 32
+        with pytest.raises(StepFailure, match=(
+                r"^the budget of 32 steps is spent before the DOP853 step from t = \S+ "
+                r"to \S+: its stiffness ratio dt \|2 B Sigma\^\{-1\} B' P\| is \S+ in "
+                r"regime \d; refine the grid, whose spacing is the first step tried")):
+            solve_esre(random_spec(404), SolverOptions(grid_steps=2))
+
+    def test_random_family_against_a_finer_oracle(self, random_family):
+        # the oracle at 8 x 800 steps runs RK4 at 16 x 800; the solve at
+        # N = 800 is within 1.2e-11 of it
+        for spec in random_family:
+            p = solve_esre(spec, SolverOptions(grid_steps=800)).P
+            ref = direct_coupled_oracle(spec, SolverOptions(grid_steps=8 * 800)).P[::8]
+            assert np.max(np.linalg.norm(p - ref, axis=(-2, -1))) <= 1e-8
+
+
 class TestTimeTables:
-    """A coefficient table time is a jump of the right-hand side.  A
-    fixed-step sweep reads each step's coefficients on the step's
-    interior, so its top stage reads the left limit, and it refuses a
-    table time strictly between two nodes."""
+    """A coefficient table time is a jump of the right-hand side.  The
+    direct solve ends a step there; a fixed-step sweep reads each step's
+    coefficients on the step's interior, so its top stage reads the left
+    limit, and it refuses a table time strictly between two nodes."""
 
     @pytest.mark.parametrize("steps", [500, 1000])
     def test_solve_and_oracle_match_joined_constant_solves(self, steps):
         # before the sweeps read left limits, the solve and the oracle were
-        # both 6.248e-5 / 3.124e-5 off at P(0) (first order)
+        # both 6.248e-5 / 3.124e-5 off at P(0) (first order); now the solve
+        # is within 1.4e-12 and the oracle (RK4 at 2N) within 5e-15
         spec = _weight_table_spec([0.0, 0.5], [1.0, 2.0])
         opts = SolverOptions(grid_steps=steps)
         exact = _joined_solves(0.5, steps // 2, steps // 2)
@@ -1136,24 +1183,24 @@ class TestTimeTables:
             assert np.max(np.abs(p - exact)) <= 1e-10
 
     def test_table_time_between_nodes(self):
-        # t1 = 1/3 is no node of a 500-step grid: every fixed-step sweep
-        # refuses it and names a grid that has it
+        # t1 = 1/3 is no node of a 500-step grid: the direct solve steps to
+        # it, every fixed-step sweep refuses it and names a grid that has it
         spec = _weight_table_spec([0.0, 1.0 / 3.0], [1.0, 2.0])
         opts = SolverOptions(grid_steps=500)
+        exact = _joined_solves(1.0 / 3.0, 200, 400)[0]
+        assert np.max(np.abs(solve_esre(spec, opts).P[0] - exact)) <= 1e-11
         prev = GridIterate(np.linspace(0.0, 1.0, 501), np.ones((501, 2, 1, 1)),
                            np.zeros((501, 2, 1, 1)))
-        for call in (lambda: solve_esre(spec, opts), lambda: direct_coupled_oracle(spec, opts),
-                     lambda: solve_p0(spec, opts), lambda: picard_step(spec, prev, opts),
+        for call in (lambda: direct_coupled_oracle(spec, opts), lambda: solve_p0(spec, opts),
+                     lambda: picard_step(spec, prev, opts),
                      lambda: picard_certificate(spec, opts)):
             with pytest.raises(StructuralError, match=(
                     r"^coefficient table time 0\.333333 lies strictly between two nodes "
                     r"of the grid, and a fixed-step sweep reads one coefficient value per "
                     r"step; use grid_steps = 3 or a multiple of it$")):
                 call()
-        exact = _joined_solves(1.0 / 3.0, 200, 400)[0]
-        for sol in (solve_esre(spec, SolverOptions(grid_steps=501)),
-                    direct_coupled_oracle(spec, SolverOptions(grid_steps=501))):
-            assert np.max(np.abs(sol.P[0] - exact)) <= 1e-10
+        oracle = direct_coupled_oracle(spec, SolverOptions(grid_steps=501))
+        assert np.max(np.abs(oracle.P[0] - exact)) <= 1e-10
 
 
 def test_growth_constant_on_e1(e1):

@@ -269,8 +269,8 @@ def _unreadable_member(m):
 
 
 def _psd_refusal(wmin, psd_tol, member):
-    return PsdViolation(f"min eigenvalue {wmin:.3e} at or below -psd_tol = {-psd_tol:.3e}",
-                        member=member)
+    return PsdViolation(f"min eigenvalue {wmin:.3e} at or below -matcore.PSD_TOL = "
+                        f"{-psd_tol:.3e}", member=member)
 
 
 def _project_psd_eigh(m, psd_tol):

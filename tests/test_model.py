@@ -8,6 +8,7 @@ import pytest
 
 from regimelq import matcore
 from regimelq.errors import DimensionMismatch, OutOfRange, StructuralError
+from regimelq.esre import SolverOptions, solve_esre
 from regimelq.matcore import min_eigenvalue, sym_inverse, symmetrize
 from regimelq.model import (
     CoefficientField,
@@ -437,6 +438,21 @@ class TestCheckSmallness:
         value = check_smallness(spec)
         assert value > 0.0
         assert value == _smallness_by_point(spec)
+
+    @pytest.mark.filterwarnings("ignore:measured diffusion size")
+    def test_ill_conditioned_weight_is_measured_not_refused(self):
+        # R = diag(1, 1e-13) >= delta I = 1e-14 I has condition number 1e13,
+        # above matcore.COND_THRESHOLD; the noisy control costs 1e-13, so
+        # the size is 0.1^2 / 1e-13 e^1, and the problem solves: the noise
+        # control only adds variance, so P is e1's, P(0) = 1/2
+        spec = ProblemSpec(
+            n=1, m=2, ell=2, T=1.0, generator=[[-1.0, 1.0], [1.0, -1.0]], delta=1e-14,
+            A=[[0.0]], B=[[1.0, 0.0]], C=[[0.0]], D=[[0.0, 0.1]], Q=[[0.0]],
+            S=[[0.0], [0.0]], R=np.diag([1.0, 1e-13]), G=[[1.0]])
+        assert validate_assumptions(spec).passed
+        assert check_smallness(spec) == pytest.approx(0.01 / 1e-13 * np.e, rel=1e-12)
+        sol = solve_esre(spec, SolverOptions(grid_steps=200))
+        assert np.max(np.abs(sol.P[0] - 0.5)) <= 1e-10
 
     def test_invariant_under_joint_scaling(self):
         base = scalar_spec(D=1.0, R=2.0, G=1.0, delta=0.5)
