@@ -146,8 +146,8 @@ MAX_STEP_RATE = 2.0
 STEP_TOL = 1e-12
 STEP_BUDGET = 16
 # the step-size controller of Hairer, Norsett and Wanner (and of scipy's DOP853)
-SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
-ERROR_EXPONENT = -1.0 / 8.0
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0
 # smallest positive normal float: 1 / x cannot overflow at or above it
 _NORMAL_MIN = np.finfo(float).tiny
 
@@ -553,7 +553,7 @@ class _GridEngine(_Engine):
                         raise self._step_failure(
                             "the error estimate is not finite for", j, t, p, -h)
                     if err >= 1.0:
-                        size = -h * max(MIN_FACTOR, SAFETY * err ** ERROR_EXPONENT)
+                        size = -h * max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
                         rejected = True
                         continue
                     t_old, p_old = t, p
@@ -567,8 +567,8 @@ class _GridEngine(_Engine):
                             j, k, t_old, p_old, p, h, (grid[inside:below] - t_old) / h)
                     out[at:inside] = p
                     below = at
-                    factor = MAX_FACTOR if err == 0.0 else min(
-                        MAX_FACTOR, SAFETY * err ** ERROR_EXPONENT)
+                    factor = _MAX_FACTOR if err == 0.0 else min(
+                        _MAX_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
                     size = -h * (min(1.0, factor) if rejected else factor)
                     rejected = False
                     k[0] = k[stages]
@@ -692,8 +692,6 @@ def _error_norm(kf, e3, e5, h, scale) -> float:
     if sq5 == 0.0 and sq3 == 0.0:
         return 0.0
     return abs(h) * sq5 / math.sqrt((sq5 + 0.01 * sq3) * len(scale))
-
-
 
 
 # ---------------------------------------------------------------------------

@@ -1124,7 +1124,7 @@ class TestDop853:
         # time to go s, M = 2A + q, with P(T) = G; errors 3.7e-8, 1.3e-10,
         # 4.7e-13 at 2, 4, 8 steps
         monkeypatch.setattr(esre, "STEP_TOL", np.inf)
-        monkeypatch.setattr(esre, "MAX_FACTOR", 1.0)
+        monkeypatch.setattr(esre, "_MAX_FACTOR", 1.0)
         spec = scalar_spec(A=[0.5, -0.3], B=0.0, Q=[1.0, 0.5], R=1.0, G=[1.0, 2.0])
         m = 2.0 * np.diag([0.5, -0.3]) + spec.q
         w, v = np.linalg.eig(m)
@@ -1139,7 +1139,7 @@ class TestDop853:
         # fixed steps of 1e-3 on dP/dt = P^2 / R from G = 100, R = 0.01: the
         # first step's stiffness ratio is 20, and its P is far below 0
         monkeypatch.setattr(esre, "STEP_TOL", np.inf)
-        monkeypatch.setattr(esre, "MAX_FACTOR", 1.0)
+        monkeypatch.setattr(esre, "_MAX_FACTOR", 1.0)
         spec = scalar_spec(B=1.0, R=1e-2, G=1e2, delta=1e-3)
         with pytest.raises(PsdViolation, match=(
                 r"^min eigenvalue \S+ at or below -matcore\.PSD_TOL = -1\.000e-09 at "
