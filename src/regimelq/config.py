@@ -34,13 +34,14 @@ values (piecewise constant from the left); regimes are numbered 1..ell.
 Unknown keys anywhere are rejected rather than ignored, so typos fail
 loudly.
 
-The YAML values are SafeLoader's (with libyaml's parser where PyYAML has
-it), but the data is built straight from the parser's event stream: the
-node graph ``yaml.load`` builds first is about nine times the size of a
-large ``tree_table``'s data.  Collection tags other than map and seq
-(``!!set``, ``!!omap``, ``!!pairs``) and a tagged scalar its tag cannot
-read (``T: !!int abc``) are refused with a ParseError naming the key and
-line.
+A run file is plain YAML: mappings, lists and scalars.  Each scalar has
+SafeLoader's value (with libyaml's parser where PyYAML has it), but the
+data is built straight from the parser's event stream: the node graph
+``yaml.load`` builds first is about nine times the size of a large
+``tree_table``'s data.  Anchors, aliases, explicit tags (``!!int 1``), the
+``<<`` merge and ``=`` value keys, keys that are not scalars and a second
+document are refused with a ParseError naming the key and line, as is a
+scalar that SafeLoader cannot read (``T: 2001-99-99``).
 
 This module only reads YAML: sections, unknown and missing keys, numbers
 in scalars (numeric strings too) and the two table forms, into plain
@@ -55,15 +56,11 @@ RangeError whose message starts with the run-file key.
 
 from __future__ import annotations
 
-from collections.abc import Hashable
 from dataclasses import dataclass, field
 from pathlib import Path
-from types import GeneratorType
 
 import numpy as np
 import yaml
-from yaml.composer import ComposerError
-from yaml.constructor import ConstructorError
 
 from .control import Perturbation, _check_path_count
 from .errors import ParseError, RangeError, RegimeLQError, UnknownKey
@@ -78,138 +75,85 @@ from .regime_chain import check_regime, check_seed, validate_generator
 YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 _YAML_TAG = "tag:yaml.org,2002:"
-_STR, _MERGE_TAG, _VALUE_TAG = (_YAML_TAG + s for s in ("str", "merge", "value"))
-_MERGE = object()               # the key of a "<<" entry
+_STR = _YAML_TAG + "str"
 _NO_KEY = object()              # a mapping waiting for its next key
 _ITEM = object()                # the key of every list
 
 
-class _Frame:
-    """A collection being filled: a list, or a dict with its pending key
-    (``_NO_KEY`` between entries) and the mappings its "<<" entries merge."""
-
-    __slots__ = ("data", "mark", "key", "merges")
-
-    def __init__(self, data, mark):
-        self.data, self.mark, self.merges = data, mark, []
-        self.key = _ITEM if isinstance(data, list) else _NO_KEY
-
-
-def _where(stack, mark) -> str:
-    """The run-file key path, with its line, of the slot being filled."""
-    path = "".join(
-        f"[{len(f.data)}]" if f.key is _ITEM
-        else "" if f.key is _NO_KEY else f".{'<<' if f.key is _MERGE else f.key}"
-        for f in stack)
-    return f"{path.lstrip('.') or 'document'} (line {mark.line + 1})"
-
-
-def _remember(anchors: dict, anchor: str, value, mark):
-    if anchor in anchors:
-        raise ComposerError(None, None, f"found duplicate anchor {anchor!r}", mark)
-    anchors[anchor] = value
-
-
-def _short(tag: str) -> str:
-    return tag.replace(_YAML_TAG, "!!")
+def _where(stack, mark, key="") -> str:
+    """The run-file key path, with its line, of the slot being filled: a
+    list item, a mapping value, or a mapping key, which is ``key``."""
+    path = "".join(f"[{len(data)}]" if slot is _ITEM else f".{key if slot is _NO_KEY else slot}"
+                   for data, slot in stack)
+    return f"{path.strip('.') or 'document'} (line {mark.line + 1})"
 
 
 def _load_yaml(text: str):
-    """The data ``yaml.load(text, Loader=YAML_LOADER)`` gives, built from
-    the loader's event stream without its node graph.
+    """The plain data of a run file: mappings, lists and scalars built
+    from ``YAML_LOADER``'s event stream, with no node graph.
 
-    Each scalar takes the loader's own resolved tag and constructor, so
-    values, anchors (recursive ones too), "<<" merges, "=" keys and the
-    YAMLErrors are SafeLoader's.  A scalar its tag cannot read and a
-    collection tag other than map and seq raise ParseError naming the key.
+    Each scalar takes the type that the loader's implicit resolver and
+    constructors give it, so its value is SafeLoader's.  An anchor, an
+    alias, an explicit tag, a "<<" or "=" scalar, a key that is not a
+    scalar, a second document and a scalar its constructor cannot read
+    (``2001-99-99``) raise ParseError naming the key path and line.
     """
     loader = YAML_LOADER(text)
     try:
         loader.get_event()                                  # stream start
         if loader.check_event(yaml.StreamEndEvent):
             return None
-        doc_mark = loader.get_event().start_mark            # document start
+        loader.get_event()                                  # document start
         resolve, constructors = loader.resolve, loader.yaml_constructors
         node = yaml.ScalarNode(None, None)  # reused: constructors read tag, value, mark
-        anchors, stack, top = {}, [], None
+        stack = []                          # [collection, slot] of each open collection
         while True:
             event = loader.get_event()
             kind, mark = type(event), event.start_mark
-            if kind is yaml.ScalarEvent:
-                tag, value = event.tag, event.value
-                if tag is None or tag == "!":
-                    tag = resolve(yaml.ScalarNode, value, event.implicit)
-                if tag == _STR:
-                    pass
-                elif tag == _VALUE_TAG and top is not None and top.key is _NO_KEY:
-                    pass                                    # "=" as a key is a string
-                elif tag == _MERGE_TAG and top is not None and top.key is _NO_KEY:
-                    value = _MERGE
-                else:
+            if kind is yaml.SequenceEndEvent or kind is yaml.MappingEndEvent:
+                value = stack.pop()[0]
+            else:
+                value = event.value if kind is yaml.ScalarEvent else ""
+                if event.anchor is not None:                # an alias has one too
+                    raise ParseError(
+                        f"{_where(stack, mark, value)}: anchors and aliases are not "
+                        f"supported, found {'*' if kind is yaml.AliasEvent else '&'}"
+                        f"{event.anchor}")
+                if event.tag is not None:
+                    raise ParseError(f"{_where(stack, mark, value)}: tags are not supported, "
+                                     f"found {event.tag.replace(_YAML_TAG, '!!')}")
+                if kind is not yaml.ScalarEvent:
+                    if stack and stack[-1][1] is _NO_KEY:
+                        raise ParseError(f"{_where(stack, mark)}: a mapping key must be a scalar")
+                    stack.append([[], _ITEM] if kind is yaml.SequenceStartEvent
+                                 else [{}, _NO_KEY])
+                    continue
+                tag = resolve(yaml.ScalarNode, value, event.implicit)
+                if tag != _STR:
+                    construct = constructors.get(tag)
+                    if construct is None:       # SafeLoader's merge and value keys
+                        raise ParseError(f"{_where(stack, mark, value)}: YAML's "
+                                         f"{tag[len(_YAML_TAG):]} key {value!r} is not supported")
                     node.tag, node.value, node.start_mark = tag, value, mark
                     try:
-                        value = constructors.get(tag, constructors[None])(loader, node)
-                        if isinstance(value, GeneratorType):
-                            value, *_ = value   # !!map or !!seq: runs to its error
-                    except (ValueError, KeyError, AttributeError):
-                        raise ParseError(f"{_where(stack, mark)}: cannot read "
-                                         f"{event.value!r} as {_short(tag)}") from None
-                if event.anchor is not None:
-                    _remember(anchors, event.anchor, value, mark)
-            elif kind is yaml.AliasEvent:
-                if event.anchor not in anchors:
-                    raise ComposerError(None, None,
-                                        f"found undefined alias {event.anchor!r}", mark)
-                value = anchors[event.anchor]
-                if value is _MERGE and not (top is not None and top.key is _NO_KEY):
-                    raise ConstructorError(None, None, "could not determine a constructor "
-                                           f"for the tag {_MERGE_TAG!r}", mark)
-            elif kind is yaml.SequenceStartEvent or kind is yaml.MappingStartEvent:
-                seq = kind is yaml.SequenceStartEvent
-                if event.tag not in (None, "!", _YAML_TAG + ("seq" if seq else "map")):
-                    raise ParseError(f"{_where(stack, mark)}: the collection tag "
-                                     f"{_short(event.tag)} is not supported")
-                top = _Frame([] if seq else {}, mark)
-                stack.append(top)
-                if event.anchor is not None:
-                    _remember(anchors, event.anchor, top.data, mark)
-                continue
-            else:                                           # sequence or mapping end
-                frame = stack.pop()
-                top = stack[-1] if stack else None
-                value, mark = frame.data, frame.mark
-                if frame.merges:                            # explicit keys win
-                    explicit = dict(value)
-                    value.clear()
-                    for merged in frame.merges:
-                        value.update(merged)
-                    value.update(explicit)
-            if top is None:
+                        value = construct(loader, node)
+                    except ValueError:
+                        raise ParseError(f"{_where(stack, mark, value)}: cannot read {value!r} "
+                                         f"as {tag.replace(_YAML_TAG, '!!')}") from None
+            if not stack:
                 break                                       # the document's root
-            if top.key is _ITEM:
-                top.data.append(value)
-            elif top.key is _NO_KEY:
-                if not isinstance(value, Hashable):
-                    raise ConstructorError("while constructing a mapping", top.mark,
-                                           "found unhashable key", mark)
-                top.key = value
-            elif top.key is _MERGE:
-                top.key = _NO_KEY
-                merged = value if isinstance(value, list) else [value]
-                if not all(isinstance(m, dict) for m in merged):
-                    raise ConstructorError(
-                        "while constructing a mapping", top.mark, "expected a mapping "
-                        f"{'' if merged is value else 'or list of mappings '}for merging",
-                        mark)
-                # SafeConstructor.flatten_mapping: earlier list entries win
-                top.merges += reversed(merged)
+            top = stack[-1]
+            if top[1] is _ITEM:
+                top[0].append(value)
+            elif top[1] is _NO_KEY:
+                top[1] = value
             else:
-                top.data[top.key] = value
-                top.key = _NO_KEY
+                top[0][top[1]] = value
+                top[1] = _NO_KEY
         loader.get_event()                                  # document end
         if not loader.check_event(yaml.StreamEndEvent):
-            raise ComposerError("expected a single document in the stream", doc_mark,
-                                "but found another document", loader.get_event().start_mark)
+            raise ParseError(f"{_where([], loader.get_event().start_mark)}: a run file "
+                             f"holds one YAML document, found a second")
         return value
     finally:
         loader.dispose()

@@ -220,23 +220,23 @@ class Diagnostics:
 class GridIterate:
     """One fixed-point iterate on the uniform grid.
 
-    ``values[k, i-1]`` is P at (t_k, regime i); ``derivs`` holds the
-    recorded time derivatives used for midpoint interpolation, each the
-    slope on the step below its node (at t_0, on the step above).
+    ``values[k, i-1]`` is P at (t_k, regime i), and ``midpoints[k]`` is
+    the cubic-Hermite value at the middle of step k, between nodes k and
+    k + 1, from the values and slopes at both ends of the step, each slope
+    read on the step's own coefficient piece.
     """
 
     grid: np.ndarray
     values: np.ndarray           # (N+1, ell, n, n)
-    derivs: np.ndarray           # (N+1, ell, n, n)
+    midpoints: np.ndarray        # (N, ell, n, n)
 
     def half_values(self) -> np.ndarray:
         """Values on the half grid (2N+1 samples): nodes interleaved with
-        the cubic-Hermite midpoints of the node values and derivatives."""
-        v, d = self.values, self.derivs
-        dt = self.grid[1] - self.grid[0]
-        out = np.empty((2 * (v.shape[0] - 1) + 1,) + v.shape[1:])
+        the midpoints."""
+        v = self.values
+        out = np.empty((2 * v.shape[0] - 1,) + v.shape[1:])
         out[0::2] = v
-        out[1::2] = 0.5 * (v[:-1] + v[1:]) + (dt / 8.0) * (d[:-1] - d[1:])
+        out[1::2] = self.midpoints
         return out
 
 
@@ -638,24 +638,27 @@ class _GridEngine(_Engine):
         return np.searchsorted(self.times, mids, side="right") - 1
 
     def _sweep(self, rhs, terminal: np.ndarray, finish=None):
-        """Backward RK4 from ``terminal``: values and derivatives at the grid
-        nodes.  ``rhs(j, h, p, check)`` is the slope on piece ``j`` at
+        """Backward RK4 from ``terminal``: the values at the grid nodes and,
+        per step, its bottom slope minus its top slope, both read on the
+        step's piece.  ``rhs(j, h, p, check)`` is the slope on piece ``j`` at
         half-grid index ``h``; the four stages of a step read the piece of
         its interior, so the top stage reads the coefficients' left limit.
+        The bottom slope is the next step's first stage, unless a table time
+        at the node changes the piece, which costs one more call there.
         ``finish(p, k)`` ends the step from node k, the PSD clip or the
         blow-up guard; it refuses overflow, so numpy warns of none."""
         pieces = self._step_pieces()
         n_steps = self.options.grid_steps
         dt = self.dt
         values = np.empty((n_steps + 1,) + terminal.shape)
-        derivs = np.empty_like(values)
+        gap = np.empty((n_steps,) + terminal.shape)
         p = terminal.copy()
         values[n_steps] = p
         with np.errstate(**({} if finish is None else {"over": "ignore", "invalid": "ignore"})):
+            k1 = rhs(pieces[-1], 2 * n_steps, p, True)
             for k in range(n_steps, 0, -1):
                 j, h = pieces[k - 1], 2 * k
-                k1 = rhs(j, h, p, True)
-                derivs[k] = k1
+                top = k1
                 k2 = rhs(j, h - 1, p - 0.5 * dt * k1, False)
                 k3 = rhs(j, h - 1, p - 0.5 * dt * k2, False)
                 k4 = rhs(j, h - 2, p - dt * k3, False)
@@ -663,8 +666,18 @@ class _GridEngine(_Engine):
                 if finish is not None:
                     p = finish(p, k)
                 values[k - 1] = p
-        derivs[0] = rhs(pieces[0], 0, p, True)
-        return values, derivs
+                k1 = rhs(j, h - 2, p, True)
+                gap[k - 1] = k1 - top
+                if k > 1 and pieces[k - 2] != j:
+                    k1 = rhs(pieces[k - 2], h - 2, p, True)
+        return values, gap
+
+    def _iterate(self, values, gap) -> GridIterate:
+        """The iterate of a sweep's node values and slope gaps: the
+        cubic-Hermite midpoint of each step, formed in place of its gap."""
+        gap *= self.dt / 8.0
+        gap += 0.5 * (values[:-1] + values[1:])
+        return GridIterate(self.grid, values, gap)
 
     def solve_p0(self) -> GridIterate:
         """Linear initial iterate: the driver without its quadratic term,
@@ -672,13 +685,13 @@ class _GridEngine(_Engine):
         self._require_stable_step()
         rhs = lambda j, h, p, chk: -self._driver(
             j, p, None, np.einsum("ij,jab->iab", self.q_off, p), quadratic=False)
-        return GridIterate(self.grid, *self._sweep(rhs, self.G))
+        return self._iterate(*self._sweep(rhs, self.G))
 
     def picard_sweep(self, prev: GridIterate) -> GridIterate:
         self._require_stable_step()
         src = np.einsum("ij,hjab->hiab", self.q_off, prev.half_values())
         rhs = lambda j, h, p, chk: -self._driver(j, p, None, src[h], chk, t=self._half_time(h))
-        return GridIterate(self.grid, *self._sweep(rhs, self.G, lambda p, k: _guarded(
+        return self._iterate(*self._sweep(rhs, self.G, lambda p, k: _guarded(
             matcore.project_psd, p, self.grid[k - 1])))
 
 
@@ -792,7 +805,8 @@ def picard_step(spec: ProblemSpec, prev, options: SolverOptions = None):
 
     ``prev`` must be on the same grid or tree as the options request, hold
     ``(ell, n, n)`` matrices of ``spec`` per sample or node and be positive
-    semidefinite within ``matcore.PSD_TOL``.
+    semidefinite within ``matcore.PSD_TOL``; a grid iterate holds one such
+    stack of midpoints per step too.
     """
     options = options or SolverOptions()
     if isinstance(prev, GridIterate):
@@ -815,6 +829,10 @@ def picard_step(spec: ProblemSpec, prev, options: SolverOptions = None):
                 f"the problem needs (ell, n, n) = {want}"
             )
         _guarded(matcore.require_psd, values, t)
+    if isinstance(prev, GridIterate) and prev.midpoints.shape != (options.grid_steps,) + want:
+        raise DimensionMismatch(
+            f"previous iterate holds midpoints of shape {prev.midpoints.shape}, the grid "
+            f"needs (N, ell, n, n) = {(options.grid_steps,) + want}")
     return engine.picard_sweep(prev)
 
 

@@ -167,7 +167,8 @@ def tree_fbsde_oracle(spec: ProblemSpec, regime: int, prev: TreeIterate,
     Returns ``(triple, deviation)`` where ``deviation`` is the largest
     Frobenius distance over tree nodes between ``Y X^{-1}`` and the
     matching Riccati iterate.  Restricted to D identically zero (the
-    forward diffusion then carries no Z feedback) and small trees.
+    forward diffusion then carries no Z feedback), deterministic
+    coefficients and small trees.
 
     Raises
     ------
@@ -181,6 +182,10 @@ def tree_fbsde_oracle(spec: ProblemSpec, regime: int, prev: TreeIterate,
     options = options or SolverOptions(backend="tree", tree_depth=prev.tree.depth)
     if not spec.D.is_zero():
         raise StructuralError("the forward-backward oracle requires D identically zero")
+    if spec.has_random_coefficients:
+        raise StructuralError("the forward-backward oracle requires deterministic "
+                              "coefficients: it reads one value per level, not per "
+                              "lattice node")
     if spec.n > 2:
         raise StructuralError("oracle restricted to state dimension n <= 2")
     depth = prev.tree.depth

@@ -471,6 +471,14 @@ class TestPicardStep:
         assert err.value.member == (2, 1)
 
 
+    def test_grid_midpoints_of_another_shape_rejected(self, e1):
+        opts = SolverOptions(grid_steps=100)
+        it0 = solve_p0(e1, opts)
+        bad = dataclasses.replace(it0, midpoints=it0.midpoints[:-1])
+        with pytest.raises(DimensionMismatch, match=r"midpoints of shape \(99, 2, 1, 1\), the "
+                                                    r"grid needs .* = \(100, 2, 1, 1\)$"):
+            picard_step(e1, bad, opts)
+
     @pytest.mark.parametrize("backend", ["ode", "tree"])
     def test_iterate_of_another_problem_rejected(self, e1, backend):
         # e1 holds (ell, n, n) = (2, 1, 1) per sample, family 303 (3, 2, 2)
@@ -990,8 +998,9 @@ class TestTreeAgainstOtherSchemes:
 
 class TestRobustnessEnvelope:
     """e1 at any symmetric rate and horizon has the closed form
-    P(0) = 1/(1 + T).  The grid solve must give it or refuse the grid with
-    the typed step-rate error, naming a grid on which it then gives it."""
+    P(0) = 1/(1 + T).  The grid solve, DOP853 under step control, must
+    give it to roundoff or refuse the grid with the typed step-rate error
+    that every grid path keeps, naming a grid on which it then gives it."""
 
     @settings(max_examples=12, deadline=None, database=None, derandomize=True)
     @given(rate=st.floats(0.0, 1e3), T=st.floats(0.0, 50.0, exclude_min=True),
@@ -1006,10 +1015,8 @@ class TestRobustnessEnvelope:
             assert named, str(exc)
             steps = int(named.group(1))
             sol = solve_esre(spec, SolverOptions(grid_steps=steps))
-        # RK4's own error on P' = P^2 is below 1e-6 up to dt = 0.5 and
-        # reaches 1.3e-4 at dt = 1.25 (T = 50, 40 steps)
-        dt = T / steps
-        assert np.max(np.abs(sol.P[0] - 1.0 / (1.0 + T))) <= 1e-6 + 1e-4 * dt**4
+        # DOP853's step control holds P(0) within 1.4e-14 over these draws
+        assert np.max(np.abs(sol.P[0] - 1.0 / (1.0 + T))) <= 1e-12
 
 
 class TestDirectOracle:
@@ -1182,6 +1189,16 @@ class TestTimeTables:
         for p in (solve_esre(spec, opts).P, direct_coupled_oracle(spec, opts).P):
             assert np.max(np.abs(p - exact)) <= 1e-10
 
+    @pytest.mark.parametrize("steps", [500, 1000, 2000])
+    def test_certificate_matches_joined_constant_solves(self, steps):
+        # the midpoints read both end slopes of a step on the step's piece:
+        # 1.10e-11 / 1.06e-11 / 1.06e-11 off; when the bottom slope was the
+        # step below's, 1.412e-7 / 3.531e-8 / 8.830e-9 (second order)
+        spec = _weight_table_spec([0.0, 0.5], [1.0, 2.0])
+        cert = picard_certificate(spec, SolverOptions(grid_steps=steps))
+        exact = _joined_solves(0.5, steps // 2, steps // 2)
+        assert np.max(np.abs(cert.P - exact)) <= 1e-10
+
     def test_table_time_between_nodes(self):
         # t1 = 1/3 is no node of a 500-step grid: the direct solve steps to
         # it, every fixed-step sweep refuses it and names a grid that has it
@@ -1190,7 +1207,7 @@ class TestTimeTables:
         exact = _joined_solves(1.0 / 3.0, 200, 400)[0]
         assert np.max(np.abs(solve_esre(spec, opts).P[0] - exact)) <= 1e-11
         prev = GridIterate(np.linspace(0.0, 1.0, 501), np.ones((501, 2, 1, 1)),
-                           np.zeros((501, 2, 1, 1)))
+                           np.ones((500, 2, 1, 1)))
         for call in (lambda: direct_coupled_oracle(spec, opts), lambda: solve_p0(spec, opts),
                      lambda: picard_step(spec, prev, opts),
                      lambda: picard_certificate(spec, opts)):

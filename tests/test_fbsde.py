@@ -8,6 +8,7 @@ from regimelq.control import feedback_gain
 from regimelq.errors import OutOfRange, StructuralError
 from regimelq.esre import SolverOptions, picard_step, solve_esre, solve_p0
 from regimelq.fbsde import tree_fbsde_oracle, xinv_product_check, ypx_residual
+from regimelq.model import CoefficientField, ProblemSpec
 from conftest import make_e1, scalar_spec
 
 
@@ -114,6 +115,20 @@ class TestTreeFbsdeOracle:
         prev = solve_p0(make_e1(), opts)
         with pytest.raises(StructuralError):
             tree_fbsde_oracle(spec, 1, prev, opts)
+
+
+    def test_refuses_lattice_coefficients(self):
+        # the closed-form spec of the tree's Girsanov test, Q = 1 + 0.5 exp(W_t),
+        # which ended inside CoefficientField.eval with OutOfRange
+        opts = SolverOptions(backend="tree", tree_depth=8)
+        q = CoefficientField.from_tree_function(
+            lambda t, w, i: [[1.0 + 0.5 * np.exp(w)]], 8, 1.0, 2, (1, 1))
+        spec = ProblemSpec(n=1, m=1, ell=2, T=1.0, delta=0.5,
+                           generator=[[-1.0, 1.0], [1.0, -1.0]], A=[[0.3]], B=[[0.0]],
+                           C=[[0.4]], D=[[0.0]], Q=q, S=[[0.0]], R=[[1.0]], G=[[1.0]])
+        with pytest.raises(StructuralError, match="^the forward-backward oracle requires "
+                                                  "deterministic coefficients"):
+            tree_fbsde_oracle(spec, 1, solve_p0(spec, opts), opts)
 
 
 class TestXinvProduct:
