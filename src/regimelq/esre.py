@@ -105,9 +105,11 @@ of the member a refusal names.
 
 :func:`direct_coupled_oracle` integrates the full coupled system with the
 certificate's fixed-step RK4 sweep, ``_GridEngine._sweep``, at twice the
-steps, and returns every second node; its driver is written out apart
-from ``_Engine._driver``.  So it shares neither the scheme nor the driver
-of the direct solve, and cross-checks both and the PSD clip.
+steps, and returns every second node; its driver is one linear map on
+``vec P`` per coefficient piece and regime, built from Kronecker products,
+and reads neither ``_Engine._driver`` nor :func:`_gain_blocks`.  So it
+shares neither the scheme nor the algebra of the direct solve, and
+cross-checks both and the PSD clip.
 """
 
 from __future__ import annotations
@@ -429,7 +431,9 @@ class _GridEngine(_Engine):
     diagonal coupling; the direct solve and the linear iterate read the
     off-diagonal coupling ``q_off P`` at the current state, the
     certificate's sweeps freeze it at the previous iterate.
-    :func:`direct_coupled_oracle` reads the plain A.
+    :func:`direct_coupled_oracle` steps its own right-hand side through
+    ``_sweep``: Kronecker maps on ``vec P`` built from the plain A, with
+    the whole coupling ``q P``.
     """
 
     def __init__(self, spec: ProblemSpec, options: SolverOptions):
@@ -1113,6 +1117,12 @@ def _diagnostics(spec, times, p0_norms, lam_l2, smallness) -> Diagnostics:
 # ---------------------------------------------------------------------------
 
 
+def _kron(x, y):
+    """The Kronecker product of two stacks of matrices, member by member."""
+    (a, b), (c, d) = x.shape[-2:], y.shape[-2:]
+    return np.einsum("...ij,...kl->...ikjl", x, y).reshape(x.shape[:-2] + (a * c, b * d))
+
+
 def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None) -> EsreSolution:
     """Integrate the full coupled system directly (no coupling freeze,
     original coordinates, martingale part zero).  Deterministic
@@ -1121,10 +1131,30 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None) -> E
     It runs the fixed-step backward RK4 sweep of the certificate,
     ``_GridEngine._sweep``, at twice the steps, ``2 * grid_steps``, and
     returns every second node, on the grid of :func:`solve_esre` with the
-    same options.  Its driver is written out apart, with the plain A, the
-    whole ``q P`` coupling and ``np.linalg.solve``, and a blow-up guard
-    replaces the PSD clip.  So it shares neither the scheme nor the driver
-    of the direct solve, and cross-checks both and the clip.
+    same options.  A blow-up guard replaces the PSD clip.
+
+    Its right-hand side acts on ``vec P``, numpy's row-major flattening,
+    through ``vec(X P Y) = (X kron Y') vec P``.  Per coefficient piece and
+    regime it builds, from the plain A, B, C, D, one linear map of
+    ``n^2 + mn + m^2`` rows,
+
+        I kron A' + A' kron I + C' kron C'      (the linear drift),
+        B' kron I + D' kron C'                  (M = B'P + D'P C + S),
+        D' kron D'                              (Sigma = R + D'P D),
+
+    and the constants ``vec Q``, ``vec S``, ``vec R``.  A stage is then
+    that map times ``vec P`` plus the constants, the whole ``q P``
+    coupling as one product with the ``(ell, n^2)`` stack of ``vec P``,
+    and ``-(M' Sigma^{-1} M)`` by ``np.linalg.solve``.  So it shares
+    neither the scheme of the direct solve nor its algebra:
+    ``_Engine._driver`` and :func:`_gain_blocks` form the same driver
+    from matrix products, with A carrying the diagonal coupling.  It
+    cross-checks both and the clip.
+
+    The maps cost ``O(ell n^4)`` per stage against the products'
+    ``O(ell n^3)``: with N = 200 the two forms break even near n = 12, and
+    at n = 20 the map is about 4 times slower.  Every shipped problem has
+    n <= 3.
 
     Raises
     ------
@@ -1133,35 +1163,37 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None) -> E
     NearSingular
         If ``R + D'PD`` is singular, naming the time and regime.
     StructuralError
-        If a coefficient table time lies strictly between two nodes of the
-        doubled grid.
+        If a coefficient depends on the Brownian path, or if a coefficient
+        table time lies strictly between two nodes of the doubled grid.
     """
     options = options or SolverOptions()
+    if spec.has_random_coefficients:
+        names = ", ".join(nm for nm in "ABCDQSRG" if spec.coefficient(nm).is_random)
+        raise StructuralError(
+            f"direct_coupled_oracle needs deterministic coefficients, and these depend "
+            f"on the Brownian path: {names}; a tree solve is checked by replaying "
+            f"solve_p0 and picard_step on its lattice")
     engine = _GridEngine(spec, dataclasses.replace(options, grid_steps=2 * options.grid_steps))
+    n, m, ell = spec.n, spec.m, spec.ell
+    nn, mn = n * n, m * n
+    eye = np.broadcast_to(np.eye(n), engine.A.shape)
+    a_t, b_t, c_t, d_t = engine.A.mT, engine.B.mT, engine.C.mT, engine.D.mT
+    maps = np.concatenate([_kron(eye, a_t) + _kron(a_t, eye) + _kron(c_t, c_t),
+                           _kron(b_t, eye) + _kron(d_t, c_t), _kron(d_t, d_t)], axis=-2)
+    consts = np.concatenate([f.reshape(f.shape[:2] + (-1,)) for f in
+                             (engine.Q, engine.S, engine.R)], axis=-1)
 
     def rhs(j, h, p, _):
-        pa = p @ engine.A[j]
-        out = pa + pa.mT + engine.Q[j]
-        pc = None
-        if engine.has_C:
-            pc = p @ engine.C[j]
-            out = out + engine.C[j].mT @ pc
-        out = out + np.einsum("ij,jab->iab", spec.q, p)
-        m = (p @ engine.B[j]).mT
-        if engine.has_D and pc is not None:
-            m = m + engine.D[j].mT @ pc
-        if engine.has_S:
-            m = m + engine.S[j]
-        if engine.has_D:
-            sigma = symmetrize(engine.R[j] + engine.D[j].mT @ (p @ engine.D[j]))
-            try:
-                x = np.linalg.solve(sigma, m)
-            except np.linalg.LinAlgError as exc:
-                raise engine._singular(engine._half_time(h), sigma) from exc
-        else:
-            x = engine.R_inv[j] @ m
-        out = out - m.mT @ x
-        return -symmetrize(out)
+        vp = p.reshape(ell, nn)
+        y = (maps[j] @ vp[..., None])[..., 0] + consts[j]
+        gain = y[:, nn:nn + mn].reshape(ell, m, n)
+        sigma = symmetrize(y[:, nn + mn:].reshape(ell, m, m))
+        try:
+            x = np.linalg.solve(sigma, gain)
+        except np.linalg.LinAlgError as exc:
+            raise engine._singular(engine._half_time(h), sigma) from exc
+        # the slope is minus the driver
+        return symmetrize(gain.mT @ x - (y[:, :nn] + spec.q @ vp).reshape(ell, n, n))
 
     def guard(p, k):
         size = float(np.max(np.abs(p)))

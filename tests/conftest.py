@@ -54,11 +54,15 @@ def _psd(rng, n, scale):
     return scale * (m @ m.T)
 
 
-def random_spec(seed: int) -> ProblemSpec:
+def random_spec(seed: int, shape=None) -> ProblemSpec:
+    """A random problem; ``shape = (n, m, ell)`` replaces the drawn shape
+    and leaves the rest of the draws as they are."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 4))
     m = int(rng.integers(1, 3))
     ell = int(rng.integers(2, 4))
+    if shape is not None:
+        n, m, ell = shape
     T = 1.0
     delta = 0.3
     q = rng.uniform(0.2, 1.0, (ell, ell))

@@ -1088,6 +1088,63 @@ class TestDirectOracle:
         # cheaper control on [0, 0.5) means more aggressive early damping
         assert sol.P[0, 0, 0, 0] < sol.P[len(sol.grid) // 2, 0, 0, 0] + 0.5
 
+    @pytest.mark.parametrize("make", [
+        lambda: dataclasses.replace(random_spec(7), T=0.1),
+        lambda: dataclasses.replace(random_spec(9), T=0.1),
+        lambda: dataclasses.replace(random_spec(14), T=0.1),
+        lambda: _weight_table_spec([0.0, 0.5], [1.0, 2.0]),
+    ], ids=["n3-m2-D", "n2-m2-D", "n1-m2", "weight-table"])
+    def test_vec_form_is_the_paper_driver(self, make):
+        # grid_steps = 1 is two RK4 steps of size T / 2, which the random
+        # problems survive at T = 0.1; the table time 0.5 is the node between
+        # them.  The vec maps against the paper's pointwise functionals,
+        # stepped by hand
+        spec = make()
+        got = direct_coupled_oracle(spec, SolverOptions(grid_steps=1)).P[0]
+        ref = _two_rk4_steps(spec)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_five_states_agree_with_the_solve(self):
+        # n^2 = 25, mn = 10 and m^2 = 4 rows: every block of the vec maps
+        # has its own size; criterion 03's bound, met at 5.7e-9
+        spec = random_spec(1, shape=(5, 2, 3))
+        assert not spec.D.is_zero() and not spec.C.is_zero() and not spec.S.is_zero()
+        opts = SolverOptions(grid_steps=800)
+        dist = np.linalg.norm(solve_esre(spec, opts).P - direct_coupled_oracle(spec, opts).P,
+                              axis=(-2, -1))
+        assert np.max(dist) <= 1e-7
+
+    def test_refuses_brownian_coefficients(self):
+        cfg = parse_config(CONFIGS / "tree_random_q.yaml")
+        with pytest.raises(StructuralError, match=(
+                r"^direct_coupled_oracle needs deterministic coefficients, and these "
+                r"depend on the Brownian path: Q; a tree solve is checked by replaying "
+                r"solve_p0 and picard_step on its lattice$")):
+            direct_coupled_oracle(cfg.problem, SolverOptions(grid_steps=100))
+
+
+def _two_rk4_steps(spec):
+    """P(0) after two backward RK4 steps of size T / 2 of ``dP_i/dt =
+    -(drift_pi + Q + drift_h + sum_j q_ij P_j)`` from G, Lambda = 0, each
+    step reading the coefficients at its midpoint."""
+    zero = np.zeros((spec.n, spec.n))
+
+    def slope(t, p):
+        return -np.stack([
+            drift_pi(t, i, p[i - 1], zero, spec) + spec.Q.eval(t, i)
+            + drift_h(t, i, p[i - 1], zero, spec) + np.tensordot(spec.q[i - 1], p, 1)
+            for i in range(1, spec.ell + 1)])
+
+    dt = spec.T / 2.0
+    p = np.stack([spec.G.eval(spec.T, i) for i in range(1, spec.ell + 1)])
+    for mid in (1.5 * dt, 0.5 * dt):
+        k1 = slope(mid, p)
+        k2 = slope(mid, p - 0.5 * dt * k1)
+        k3 = slope(mid, p - 0.5 * dt * k2)
+        k4 = slope(mid, p - dt * k3)
+        p = symmetrize(p - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return p
+
 
 def _weight_table_spec(times, weights, T=1.0, G=1.0):
     """The time-table cross-check's problem: scalar state, two equal
