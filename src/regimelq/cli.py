@@ -22,7 +22,8 @@ verify
     Run the forward-backward identity checks and the optimality gaps and
     write a PASS/FAIL report to ``<report_path>.verify.txt``, beside the
     solution report of ``report``; exit 3 when a check fails.  Requires
-    the ODE backend (deterministic coefficients).  Each configured
+    the ODE backend (deterministic coefficients) and ``solver.grid_steps
+    >= 8``, the longest rung of the residual ladder.  Each configured
     perturbation is one Monte Carlo batch of the feedback and the
     perturbed policy on common paths; the value match reads the first
     batch's feedback estimate (a batch of the feedback alone without
@@ -313,6 +314,9 @@ def _cmd_verify(config: RunConfig, paths, echo, seed) -> CommandResult:
             "verify requires the ODE backend (deterministic coefficients); "
             "tree-backend runs support validate/solve/report"
         )
+    steps = config.solver.grid_steps
+    if steps < 8:           # the residual ladder's longest rung is 8 grid steps
+        raise RegimeLQError(f"verify needs solver.grid_steps >= 8, got {steps}")
     spec = config.problem
     solution = solve_esre(spec, config.solver)
     gains = feedback_gain(solution, spec)
@@ -337,8 +341,9 @@ def _cmd_verify(config: RunConfig, paths, echo, seed) -> CommandResult:
     for s in stats:
         lines.append(f"    dt={_f10(s.dt)} rms={_f10(s.rms)} max={_f10(s.max)}")
 
-    # inverse-state product drift (informational scale check)
-    st = xinv_product_check(spec, i0, gains, dt_sol * 4, seed=use_seed)
+    # inverse-state product drift (informational scale check), at 4 grid
+    # steps where 4 divides the grid, else at 2 or 1
+    st = xinv_product_check(spec, i0, gains, dt_sol * np.gcd(steps, 4), seed=use_seed)
     lines.append(f"[info] inverse-state product drift rms={_f10(st.rms)} "
                  f"at dt={_f10(st.dt)}")
 
@@ -443,15 +448,12 @@ def _cmd_report(config: RunConfig, paths, echo) -> CommandResult:
                       f"{type(exc).__name__}: {exc}") from exc
 
     series_path = Path(str(paths["report"]) + ".series.csv")
+    frob_p, frob_lam = matcore._frobenius(p), matcore._frobenius(lam)
+    min_eig = np.linalg.eigvalsh(p).min(axis=-1)
     rows = ["t,regime,frob_P,min_eig_P,frob_Lambda"]
-    for k in range(len(grid)):
-        for i in range(p.shape[1]):
-            rows.append(
-                f"{_f17(grid[k])},{i + 1},"
-                f"{_f17(np.linalg.norm(p[k, i]))},"
-                f"{_f17(matcore.min_eigenvalue(p[k, i]))},"
-                f"{_f17(np.linalg.norm(lam[k, i]))}"
-            )
+    for k, t in enumerate(map(_f17, grid)):
+        rows += [f"{t},{i + 1},{_f17(frob_p[k, i])},{_f17(min_eig[k, i])},"
+                 f"{_f17(frob_lam[k, i])}" for i in range(p.shape[1])]
     for i in range(p.shape[1]):
         lines.append(f"P(0,{i + 1}) = {np.array2string(p[0, i], precision=10)}")
     try:

@@ -340,7 +340,7 @@ class _BatchTables:
         self.n_steps = _step_count(spec.T, dt)
         self.dt = dt
         self.times = dt * np.arange(self.n_steps)
-        self.G = np.stack([spec.G.eval(spec.T, i) for i in range(1, spec.ell + 1)])
+        self.G = spec.G.values
         coef = [spec.coefficient(name).sample_times(self.times) for name in "ABCDQSR"]
         # without diffusion every path is random only through its chain
         self.noisy = not (spec.C.is_zero() and spec.D.is_zero())

@@ -449,7 +449,7 @@ class _GridEngine(_Engine):
         super().__init__(spec, options, starts,
                          lambda f: np.ascontiguousarray(f.sample_times(starts)))
         self.A_drift = self.A + (0.5 * np.diag(spec.q))[:, None, None] * np.eye(spec.n)
-        self.G = np.stack([spec.G.eval(spec.T, i) for i in range(1, spec.ell + 1)])
+        self.G = spec.G.values
 
     def _require_stable_step(self):
         """Refuse a grid on which the explicit RK4 step cannot carry the
@@ -1016,22 +1016,21 @@ def _solve_tree(spec, options, smallness) -> EsreSolution:
     for t, lv in zip(tree.times, last.levels):
         _guarded(matcore.require_psd, lv, t)
 
-    # grid summary: probability-weighted node means (exact when nodes agree)
+    # grid summary: probability-weighted node means (exact when nodes agree),
+    # and the L2 norm of Lambda weighted by node probabilities
     grid = tree.times
     ell, n = spec.ell, spec.n
     P = np.empty((tree.depth + 1, ell, n, n))
     Lam = np.empty_like(P)
-    for k in range(tree.depth + 1):
-        wts = _node_weights(k)[:, None, None, None]
-        P[k] = (last.levels[k] * wts).sum(axis=0)
-        Lam[k] = (last.lam_levels[k] * wts).sum(axis=0)
-    # the lattice's largest |P_0| per level and regime, and the L2 norm of
-    # Lambda weighted by node probabilities
-    p0_norms = np.stack([np.linalg.norm(lv, axis=(-2, -1)).max(axis=0) for lv in it0.levels])
     sq_sum = np.zeros(ell)
-    for k in range(tree.depth):
+    for k in range(tree.depth + 1):
         wts = _node_weights(k)[:, None]
-        sq_sum += (np.linalg.norm(last.lam_levels[k], axis=(-2, -1)) ** 2 * wts).sum(axis=0)
+        P[k] = (last.levels[k] * wts[..., None, None]).sum(axis=0)
+        Lam[k] = (last.lam_levels[k] * wts[..., None, None]).sum(axis=0)
+        if k < tree.depth:
+            sq_sum += (np.linalg.norm(last.lam_levels[k], axis=(-2, -1)) ** 2 * wts).sum(axis=0)
+    # the lattice's largest |P_0| per level and regime
+    p0_norms = np.stack([np.linalg.norm(lv, axis=(-2, -1)).max(axis=0) for lv in it0.levels])
     diag = _diagnostics(spec, grid, p0_norms, np.sqrt(sq_sum * tree.dt), smallness)
     return EsreSolution(
         grid=grid, P=P, Lambda=Lam, backend="tree", residual_history=residuals,

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import matcore
 from .control import _step_count, feedback_gain
 from .errors import NoConvergence, SingularState, StructuralError
 from .esre import EsreSolution, SolverOptions, TreeIterate, picard_step
@@ -94,6 +95,9 @@ def _solution_samples(solution: EsreSolution, dt: float):
         raise StructuralError(
             f"dt={dt} is not a multiple of the solution grid step {dt_sol}"
         )
+    if stride >= len(grid):
+        raise StructuralError(f"dt={dt} leaves no whole step on the solution grid "
+                              f"of {len(grid) - 1} steps of {dt_sol}")
     return np.arange(0, len(grid), stride)
 
 
@@ -109,7 +113,9 @@ def ypx_residual(solution: EsreSolution, spec: ProblemSpec, regime: int,
     is recorded, with the regime coupling ``sum_j q_ij P(t, j)`` in f
     (deterministic coefficients, so no martingale term).  The stats are
     normalized by dt, making the values step-size densities: a consistent
-    scheme shows them shrinking linearly in dt.
+    scheme shows them shrinking linearly in dt.  A dt that is not a multiple
+    of the grid step, or longer than the grid, is a StructuralError naming
+    both; one that does not divide the grid stops at its last whole step.
     """
     if solution.backend == "tree":
         raise StructuralError("ypx_residual expects a grid-backend solution")
@@ -118,33 +124,23 @@ def ypx_residual(solution: EsreSolution, spec: ProblemSpec, regime: int,
     out = []
     for dt in dt_list:
         idx = _solution_samples(solution, dt)
-        times = solution.grid[idx]
+        starts = solution.grid[idx[:-1]]
+        a, b, c, d, q, s = (spec.coefficient(name).sample_times(starts)[:, i - 1]
+                            for name in "ABCDQS")
         pt = solution.P[idx, i - 1]                      # (K, n, n)
-        ktab = gains.values[idx, i - 1]                  # (K, m, n)
-        src = np.einsum("j,kjab->kab", spec.q[i - 1], solution.P[idx])
-        n_steps = len(idx) - 1
-        res = np.empty(n_steps)
-        x = np.eye(spec.n)
-        for k in range(n_steps):
-            t = times[k]
-            a = spec.A.eval(t, i)
-            b = spec.B.eval(t, i)
-            c = spec.C.eval(t, i)
-            d = spec.D.eval(t, i)
-            kk = ktab[k]
-            u = kk @ x
-            y = pt[k] @ x
-            z = pt[k] @ (c @ x) + pt[k] @ (d @ u)
-            f = (
-                a.T @ y + c.T @ z
-                + (spec.Q.eval(t, i) + src[k]) @ x
-                + spec.S.eval(t, i).T @ u
-            )
-            x_next = x + dt * (a @ x + b @ u)
-            y_next = pt[k + 1] @ x_next
-            res[k] = np.linalg.norm(y_next - y + dt * f)
-            x = x_next
-        res /= dt
+        ktab = gains.values[idx[:-1], i - 1]             # (K - 1, m, n)
+        src = np.einsum("j,kjab->kab", spec.q[i - 1], solution.P[idx[:-1]])
+        xs = np.empty_like(pt)
+        xs[0] = np.eye(spec.n)
+        for k in range(len(starts)):
+            x = xs[k]
+            xs[k + 1] = x + dt * (a[k] @ x + b[k] @ (ktab[k] @ x))
+        x = xs[:-1]
+        u = ktab @ x
+        y = pt[:-1] @ x
+        z = pt[:-1] @ (c @ x) + pt[:-1] @ (d @ u)
+        f = a.mT @ y + c.mT @ z + (q + src) @ x + s.mT @ u
+        res = matcore._frobenius(pt[1:] @ xs[1:] - y + dt * f) / dt
         out.append(ResidualStats(rms=float(np.sqrt(np.mean(res**2))),
                                  max=float(res.max()), dt=float(dt)))
     return out
@@ -202,13 +198,10 @@ def tree_fbsde_oracle(spec: ProblemSpec, regime: int, prev: TreeIterate,
     ups = [_upcounts(k) for k in range(depth + 1)]
 
     # per-level coefficients for the frozen regime (deterministic: D == 0)
-    A = [spec.A.eval(times[k], i) for k in range(depth)]
-    B = [spec.B.eval(times[k], i) for k in range(depth)]
-    C = [spec.C.eval(times[k], i) for k in range(depth)]
-    Q = [spec.Q.eval(times[k], i) for k in range(depth)]
-    S = [spec.S.eval(times[k], i) for k in range(depth)]
-    R_inv = [np.linalg.inv(spec.R.eval(times[k], i)) for k in range(depth)]
-    G = spec.G.eval(spec.T, i)
+    A, B, C, Q, S, R = (spec.coefficient(name).sample_times(times[:-1])[:, i - 1]
+                        for name in "ABCQSR")
+    R_inv = np.linalg.inv(R)
+    G = spec.G.values[i - 1]
     q_row = spec.q[i - 1].copy()
     q_ii = q_row[i - 1]
     q_row[i - 1] = 0.0
@@ -302,14 +295,11 @@ def xinv_product_check(spec: ProblemSpec, regime: int, gains: CoefficientField,
     i = check_regime(regime, spec.ell)
     n_steps = _step_count(spec.T, dt)
     n = spec.n
-    times = dt * np.arange(n_steps + 1)
-    acl = np.empty((n_steps, n, n))
-    ccl = np.empty((n_steps, n, n))
-    for k in range(n_steps):
-        t = times[k]
-        kk = gains.eval(t, i)
-        acl[k] = spec.A.eval(t, i) + spec.B.eval(t, i) @ kk
-        ccl[k] = spec.C.eval(t, i) + spec.D.eval(t, i) @ kk
+    starts = dt * np.arange(n_steps)
+    a, b, c, d, kk = (f.sample_times(starts)[:, i - 1]
+                      for f in (spec.A, spec.B, spec.C, spec.D, gains))
+    acl = a + b @ kk
+    ccl = c + d @ kk
     noisy = bool(np.any(ccl))
     dw = np.zeros(n_steps)
     if noisy:

@@ -111,6 +111,14 @@ def min_eigenvalue(m: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(np.asarray(m, dtype=float)).min())
 
 
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each member of a stack, as the dot product that
+    ``np.linalg.norm`` takes on a single matrix; its ``axis=`` form sums in
+    another order."""
+    flat = m.reshape(m.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(flat, flat))
+
+
 @functools.cache
 def _radius_weights(n: int) -> np.ndarray:
     """(n*n, n) 0/1 weights: a row-major flattened |m| times them gives the

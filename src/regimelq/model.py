@@ -451,11 +451,9 @@ def check_smallness(spec: ProblemSpec) -> float:
     d = d[live]
     w, v = np.linalg.eigh(_stack(spec.R, times)[live])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        drr = (d @ matcore._spectral_inverse(w, v) @ d.mT).reshape(len(d), -1)
+        drr = d @ matcore._spectral_inverse(w, v) @ d.mT
         decay = np.exp(-np.diag(spec.q)[None, :] * t_right[:, None])[live]
-        # the Frobenius norm as the dot product that np.linalg.norm takes on
-        # a single matrix; its axis= form sums in another order
-        size = np.sqrt(np.vecdot(drr, drr)) * decay
+        size = matcore._frobenius(drr) * decay
     return float(np.max(np.where((w == 0.0).any(axis=-1), np.inf, size)))
 
 

@@ -20,7 +20,7 @@ from regimelq.errors import NoConvergence
 from regimelq.esre import (
     SolverOptions, TreeIterate, picard_certificate, picard_step, solve_esre, solve_p0,
 )
-from regimelq.model import ProblemSpec, check_smallness
+from regimelq.model import CoefficientField, ProblemSpec, check_smallness
 
 FAMILY_SEEDS = (101, 303, 404)
 
@@ -47,6 +47,20 @@ def scalar_spec(ell=2, generator=None, T=1.0, delta=0.5, x0=1.0, i0=1, **coef):
 
 def make_e1(**overrides):
     return scalar_spec(B=1.0, R=1.0, G=1.0, **overrides)
+
+
+def weight_table_spec(times, weights, T=1.0, G=1.0):
+    """The time-table cross-check's problem: scalar state, two equal
+    regimes, B = 1, Q = 0.3 and the control weight ``weights[k]`` from
+    ``times[k]`` on, a time table where there are two."""
+    r = np.repeat(np.reshape(weights, (-1, 1, 1, 1)), 2, axis=1)
+    return ProblemSpec(
+        n=1, m=1, ell=2, T=T, generator=[[-1.0, 1.0], [1.0, -1.0]],
+        A=np.zeros((2, 1, 1)), B=np.ones((2, 1, 1)), C=np.zeros((2, 1, 1)),
+        D=np.zeros((2, 1, 1)), Q=np.full((2, 1, 1), 0.3), S=np.zeros((2, 1, 1)),
+        R=CoefficientField.from_table(times, r) if len(weights) > 1 else r[0],
+        G=np.broadcast_to(G, (2, 1, 1)), delta=0.5,
+    )
 
 
 def _psd(rng, n, scale):

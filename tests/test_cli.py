@@ -954,6 +954,31 @@ class TestMain:
         assert main(["solve", "--config", str(cfg), "--output", str(tmp_path)]) == 1
         assert "use grid_steps >= 10" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", [1, 4, 7, 9, 250, 1001])
+    def test_verify_grid_is_a_report_or_one_error_line(self, tmp_path, capsys, steps):
+        # a grid of 8 steps or more holds the residual ladder's rungs of 8,
+        # 4 and 2 steps, and its inverse-state check steps 4, 2 or 1 grid
+        # steps, whichever divides it; a coarser grid is one error line.
+        # 250 and 1001 were refused with a dt the run file does not set, and
+        # 1, 4 and 7 ended in a traceback
+        text = (CONFIGS / "e1_scalar.yaml").read_text()
+        assert "  grid_steps: 2000\n" in text and "  n_paths: 100000\n" in text
+        text = text.replace("  grid_steps: 2000\n", f"  grid_steps: {steps}\n").replace(
+            "  n_paths: 100000\n", "  n_paths: 2000\n")
+        code = main(["verify", "--config", str(write_cfg(tmp_path, text)),
+                     "--output", str(tmp_path)])
+        err = capsys.readouterr().err
+        if steps < 8:
+            assert code == 1
+            assert err == f"error: verify needs solver.grid_steps >= 8, got {steps}\n"
+        else:
+            assert code in (0, 3) and err == ""
+            report = (tmp_path / "e1_report.txt.verify.txt").read_text()
+            assert report.startswith("verification report\n")
+            step = 1.0 / steps * np.gcd(steps, 4)
+            assert "inverse-state product drift rms=" in report
+            assert f" at dt={step:.10g}\n" in report
+
     def test_parse_failure_maps_to_one(self, tmp_path, capsys):
         bad = write_cfg(tmp_path, E1_YAML.replace("generator:", "genrator:"))
         assert main(["validate", "--config", str(bad)]) == 1

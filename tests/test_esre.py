@@ -50,7 +50,9 @@ from regimelq.esre import (
 )
 from regimelq.matcore import min_eigenvalue, symmetrize
 from regimelq.model import CoefficientField, ProblemSpec
-from conftest import FAMILY_SEEDS, make_e1, random_spec, replay_picard, scalar_spec
+from conftest import (
+    FAMILY_SEEDS, make_e1, random_spec, replay_picard, scalar_spec, weight_table_spec,
+)
 from paper_algebra import drift_h, drift_pi, f_of_theta, theta_hat
 
 CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
@@ -1080,7 +1082,7 @@ class TestDirectOracle:
     def test_time_table_coefficients_cross_check(self):
         # piecewise-constant control weight: the direct solve ends a step
         # at the table time, the oracle's fixed steps read one value each
-        spec = _weight_table_spec([0.0, 0.5], [1.0, 2.0])
+        spec = weight_table_spec([0.0, 0.5], [1.0, 2.0])
         opts = SolverOptions(grid_steps=500)
         sol = solve_esre(spec, opts)
         oracle = direct_coupled_oracle(spec, opts)
@@ -1092,7 +1094,7 @@ class TestDirectOracle:
         lambda: dataclasses.replace(random_spec(7), T=0.1),
         lambda: dataclasses.replace(random_spec(9), T=0.1),
         lambda: dataclasses.replace(random_spec(14), T=0.1),
-        lambda: _weight_table_spec([0.0, 0.5], [1.0, 2.0]),
+        lambda: weight_table_spec([0.0, 0.5], [1.0, 2.0]),
     ], ids=["n3-m2-D", "n2-m2-D", "n1-m2", "weight-table"])
     def test_vec_form_is_the_paper_driver(self, make):
         # grid_steps = 1 is two RK4 steps of size T / 2, which the random
@@ -1146,27 +1148,13 @@ def _two_rk4_steps(spec):
     return p
 
 
-def _weight_table_spec(times, weights, T=1.0, G=1.0):
-    """The time-table cross-check's problem: scalar state, two equal
-    regimes, B = 1, Q = 0.3 and the control weight ``weights[k]`` from
-    ``times[k]`` on, a time table where there are two."""
-    r = np.repeat(np.reshape(weights, (-1, 1, 1, 1)), 2, axis=1)
-    return ProblemSpec(
-        n=1, m=1, ell=2, T=T, generator=[[-1.0, 1.0], [1.0, -1.0]],
-        A=np.zeros((2, 1, 1)), B=np.ones((2, 1, 1)), C=np.zeros((2, 1, 1)),
-        D=np.zeros((2, 1, 1)), Q=np.full((2, 1, 1), 0.3), S=np.zeros((2, 1, 1)),
-        R=CoefficientField.from_table(times, r) if len(weights) > 1 else r[0],
-        G=np.broadcast_to(G, (2, 1, 1)), delta=0.5,
-    )
-
-
 def _joined_solves(t1, steps_before, steps_after):
     """P of the weight table 1 on [0, t1), 2 on [t1, 1], from two
     constant-weight solves joined at t1: the solve after t1 from G = 1,
     the one before from its P(t1).  Grids of the given step counts."""
-    after = solve_esre(_weight_table_spec([0.0], [2.0], T=1.0 - t1),
+    after = solve_esre(weight_table_spec([0.0], [2.0], T=1.0 - t1),
                        SolverOptions(grid_steps=steps_after))
-    before = solve_esre(_weight_table_spec([0.0], [1.0], T=t1, G=after.P[0]),
+    before = solve_esre(weight_table_spec([0.0], [1.0], T=t1, G=after.P[0]),
                         SolverOptions(grid_steps=steps_before))
     return np.concatenate([before.P, after.P[1:]])
 
@@ -1240,7 +1228,7 @@ class TestTimeTables:
         # before the sweeps read left limits, the solve and the oracle were
         # both 6.248e-5 / 3.124e-5 off at P(0) (first order); now the solve
         # is within 1.4e-12 and the oracle (RK4 at 2N) within 5e-15
-        spec = _weight_table_spec([0.0, 0.5], [1.0, 2.0])
+        spec = weight_table_spec([0.0, 0.5], [1.0, 2.0])
         opts = SolverOptions(grid_steps=steps)
         exact = _joined_solves(0.5, steps // 2, steps // 2)
         for p in (solve_esre(spec, opts).P, direct_coupled_oracle(spec, opts).P):
@@ -1251,7 +1239,7 @@ class TestTimeTables:
         # the midpoints read both end slopes of a step on the step's piece:
         # 1.10e-11 / 1.06e-11 / 1.06e-11 off; when the bottom slope was the
         # step below's, 1.412e-7 / 3.531e-8 / 8.830e-9 (second order)
-        spec = _weight_table_spec([0.0, 0.5], [1.0, 2.0])
+        spec = weight_table_spec([0.0, 0.5], [1.0, 2.0])
         cert = picard_certificate(spec, SolverOptions(grid_steps=steps))
         exact = _joined_solves(0.5, steps // 2, steps // 2)
         assert np.max(np.abs(cert.P - exact)) <= 1e-10
@@ -1259,7 +1247,7 @@ class TestTimeTables:
     def test_table_time_between_nodes(self):
         # t1 = 1/3 is no node of a 500-step grid: the direct solve steps to
         # it, every fixed-step sweep refuses it and names a grid that has it
-        spec = _weight_table_spec([0.0, 1.0 / 3.0], [1.0, 2.0])
+        spec = weight_table_spec([0.0, 1.0 / 3.0], [1.0, 2.0])
         opts = SolverOptions(grid_steps=500)
         exact = _joined_solves(1.0 / 3.0, 200, 400)[0]
         assert np.max(np.abs(solve_esre(spec, opts).P[0] - exact)) <= 1e-11

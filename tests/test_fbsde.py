@@ -1,15 +1,21 @@
 """Forward-backward identity checks: residual scaling, the coupled tree
 oracle, and the inverse-state product."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from regimelq import fbsde
+from regimelq.config import parse_config
 from regimelq.control import feedback_gain
 from regimelq.errors import OutOfRange, StructuralError
 from regimelq.esre import SolverOptions, picard_step, solve_esre, solve_p0
 from regimelq.fbsde import tree_fbsde_oracle, xinv_product_check, ypx_residual
 from regimelq.model import CoefficientField, ProblemSpec
-from conftest import make_e1, scalar_spec
+from conftest import make_e1, scalar_spec, weight_table_spec
+
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
 def static_spec():
@@ -61,6 +67,15 @@ class TestYpxResidual:
     def test_dt_must_refine_grid(self, e1, e1_solution):
         with pytest.raises(StructuralError):
             ypx_residual(e1_solution, e1, 1, [0.0007])
+
+    def test_dt_beyond_the_grid_is_refused(self, e1):
+        # one sample on the 8-step rung of a 4-step grid left no residual
+        # and ended in a raw ValueError
+        sol = solve_esre(e1, SolverOptions(grid_steps=4))
+        with pytest.raises(StructuralError, match=r"^dt=2\.0 leaves no whole step on the "
+                                                  r"solution grid of 4 steps of 0\.25$"):
+            ypx_residual(sol, e1, 1, [2.0])
+        assert [s.dt for s in ypx_residual(sol, e1, 1, [1.0])] == [1.0]
 
 
 class TestTreeFbsdeOracle:
@@ -170,6 +185,120 @@ class TestXinvProduct:
         s1 = xinv_product_check(spec, 1, gains, 0.005, seed=3)
         s2 = xinv_product_check(spec, 1, gains, 0.005, seed=3)
         assert s1 == s2
+
+
+# ---------------------------------------------------------------------------
+# the bulk forms against the per-step loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _ypx_reference(solution, spec, i, dt):
+    """(rms, max) of ypx_residual's per-step loop, which read every
+    coefficient by ``eval`` at each step start."""
+    idx = fbsde._solution_samples(solution, dt)
+    times = solution.grid[idx]
+    pt = solution.P[idx, i - 1]
+    ktab = feedback_gain(solution, spec).values[idx, i - 1]
+    src = np.einsum("j,kjab->kab", spec.q[i - 1], solution.P[idx])
+    res = np.empty(len(idx) - 1)
+    x = np.eye(spec.n)
+    for k in range(len(res)):
+        t = times[k]
+        a, b, c, d = (f.eval(t, i) for f in (spec.A, spec.B, spec.C, spec.D))
+        u = ktab[k] @ x
+        y = pt[k] @ x
+        z = pt[k] @ (c @ x) + pt[k] @ (d @ u)
+        f = a.T @ y + c.T @ z + (spec.Q.eval(t, i) + src[k]) @ x + spec.S.eval(t, i).T @ u
+        x_next = x + dt * (a @ x + b @ u)
+        res[k] = np.linalg.norm(pt[k + 1] @ x_next - y + dt * f)
+        x = x_next
+    res /= dt
+    return float(np.sqrt(np.mean(res**2))), float(res.max())
+
+
+def _tree_oracle_reference(spec, i, prev, options):
+    """The deviation of tree_fbsde_oracle's sweeps with one ``eval`` per
+    level and coefficient."""
+    nxt = picard_step(spec, prev, options)
+    tree = prev.tree
+    depth, dt, sq, times = tree.depth, tree.dt, tree.sqrt_dt, tree.times
+    ups = [fbsde._upcounts(k) for k in range(depth + 1)]
+    A = [spec.A.eval(times[k], i) for k in range(depth)]
+    B = [spec.B.eval(times[k], i) for k in range(depth)]
+    C = [spec.C.eval(times[k], i) for k in range(depth)]
+    Q = [spec.Q.eval(times[k], i) for k in range(depth)]
+    S = [spec.S.eval(times[k], i) for k in range(depth)]
+    R_inv = [np.linalg.inv(spec.R.eval(times[k], i)) for k in range(depth)]
+    G = spec.G.eval(spec.T, i)
+    q_row = spec.q[i - 1].copy()
+    q_ii = q_row[i - 1]
+    q_row[i - 1] = 0.0
+    src = [np.einsum("j,njab->nab", q_row, prev.levels[k])[ups[k]] for k in range(depth)]
+    n = spec.n
+    x = [np.broadcast_to(np.eye(n), (2**k, n, n)).copy() for k in range(depth + 1)]
+    y = [np.zeros((2**k, n, n)) for k in range(depth + 1)]
+    for _ in range(fbsde.MAX_SWEEPS):
+        x_new = [x[0]]
+        for k in range(depth):
+            uk = -R_inv[k] @ (B[k].T @ y[k] + S[k] @ x_new[k])
+            base = x_new[k] + dt * (A[k] @ x_new[k] + B[k] @ uk)
+            sig = C[k] @ x_new[k]
+            child = np.empty((2 ** (k + 1), n, n))
+            child[0::2] = base - sq * sig
+            child[1::2] = base + sq * sig
+            x_new.append(child)
+        x_new = [0.5 * (a + b) for a, b in zip(x_new, x)]
+        y_new = [None] * (depth + 1)
+        y_new[depth] = G @ x_new[depth]
+        for k in range(depth - 1, -1, -1):
+            up_c, dn_c = y_new[k + 1][1::2], y_new[k + 1][0::2]
+            ybar = 0.5 * (up_c + dn_c)
+            zk = (up_c - dn_c) / (2.0 * sq)
+            uk = -R_inv[k] @ (B[k].T @ ybar + S[k] @ x_new[k])
+            f = (A[k].T @ ybar + C[k].T @ zk
+                 + (Q[k] + src[k]) @ x_new[k] + S[k].T @ uk)
+            y_new[k] = (ybar + dt * f) / (1.0 - dt * q_ii)
+        diff = max(max(float(np.max(np.abs(x_new[k] - x[k]))),
+                       float(np.max(np.abs(y_new[k] - y[k])))) for k in range(depth + 1))
+        x, y = x_new, y_new
+        if diff <= fbsde.FP_TOL:
+            break
+    return max(float(np.max(np.linalg.norm(
+        y[k] @ np.linalg.inv(x[k]) - nxt.levels[k][ups[k], i - 1], axis=(-2, -1))))
+        for k in range(depth + 1))
+
+
+# the matrix demo, and a control weight with a table time on a node of
+# every grid and lattice below, so each rung and level reads its own piece
+REFERENCE_SPECS = {
+    "matrix-demo": lambda: parse_config(CONFIGS / "matrix_two_regime.yaml").problem,
+    "weight-table": lambda: weight_table_spec([0.0, 0.5], [1.0, 2.0]),
+}
+
+
+class TestBulkFormsMatchPerStepLoops:
+    @pytest.mark.parametrize("name", REFERENCE_SPECS)
+    def test_ypx_residual(self, name):
+        spec = REFERENCE_SPECS[name]()
+        sol = solve_esre(spec, SolverOptions(grid_steps=400))
+        dts = [8 * 0.0025, 4 * 0.0025, 2 * 0.0025]
+        for i in range(1, spec.ell + 1):
+            for s, dt in zip(ypx_residual(sol, spec, i, dts), dts):
+                rms, top = _ypx_reference(sol, spec, i, dt)
+                assert top > 0.0
+                assert s.rms == pytest.approx(rms, rel=1e-13, abs=0.0)
+                assert s.max == pytest.approx(top, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("name", REFERENCE_SPECS)
+    def test_tree_oracle_deviation_is_bit_identical(self, name):
+        spec = REFERENCE_SPECS[name]()
+        for depth in (4, 8):
+            opts = SolverOptions(backend="tree", tree_depth=depth)
+            p0 = solve_p0(spec, opts)
+            for i in range(1, spec.ell + 1):
+                dev = tree_fbsde_oracle(spec, i, p0, opts)[1]
+                assert dev > 0.0
+                assert dev == _tree_oracle_reference(spec, i, p0, opts)
 
 
 @pytest.mark.parametrize("regime", [0, 3, 1.5, True])
