@@ -58,10 +58,12 @@ Backends
     estimate is within ``STEP_TOL (1 + |P|)`` in the root mean square,
     the first step tried is the grid spacing, and steps end at every
     table time.  ``grid_steps`` sets the output grid, whose nodes are
-    read off the dense output of the accepted steps.  A step whose error
-    estimate is not finite, or more than ``STEP_BUDGET * grid_steps``
-    steps tried, is refused with the time, the regime and the stiffness
-    ratio ``dt |2 B Sigma^{-1} B' P|``.  The linear iterate and the
+    read off the dense output of the accepted steps.  A trial step whose
+    error estimate is not finite, or whose stages reach a Sigma that LU
+    finds singular, is rejected and shrunk like any other.  A solve is
+    refused when such a step is at the floor of ten float spacings of t, or after ``STEP_BUDGET * grid_steps`` steps tried,
+    with the time, the regime, the stiffness ratio ``dt |2 B Sigma^{-1}
+    B' P|`` and ``dt max|q_ii|``.  The linear iterate and the
     certificate's sweeps are classical fixed-step 4th-order backward
     stepping on the output grid, with symmetrization at every stage and
     a PSD eigenvalue clip per step; all four stages of a step read the
@@ -105,9 +107,10 @@ of the member a refusal names.
 
 :func:`direct_coupled_oracle` integrates the full coupled system with the
 certificate's fixed-step RK4 sweep, ``_GridEngine._sweep``, at twice the
-steps, and returns every second node; its driver is one linear map on
-``vec P`` per coefficient piece and regime, built from Kronecker products,
-and reads neither ``_Engine._driver`` nor :func:`_gain_blocks`.  So it
+steps, and returns every second node; its driver is one linear map per
+coefficient piece on the vec of the whole ``(ell, n, n)`` stack, coupling
+included, built from Kronecker products, and reads neither
+``_Engine._driver`` nor :func:`_gain_blocks`.  So it
 shares neither the scheme nor the algebra of the direct solve, and
 cross-checks both and the PSD clip.
 """
@@ -432,8 +435,8 @@ class _GridEngine(_Engine):
     off-diagonal coupling ``q_off P`` at the current state, the
     certificate's sweeps freeze it at the previous iterate.
     :func:`direct_coupled_oracle` steps its own right-hand side through
-    ``_sweep``: Kronecker maps on ``vec P`` built from the plain A, with
-    the whole coupling ``q P``.
+    ``_sweep``: one Kronecker block map per piece on the vec of the stack,
+    built from the plain A, with the whole coupling ``q P`` inside.
     """
 
     def __init__(self, spec: ProblemSpec, options: SolverOptions):
@@ -485,14 +488,16 @@ class _GridEngine(_Engine):
 
     def _step_failure(self, why, j, t, p, dt) -> StepFailure:
         """The refusal of the step of size ``dt`` from ``(t, p)`` on piece
-        ``j``, naming the regime of the largest stiffness ratio."""
+        ``j``, naming the regime of the largest stiffness ratio and the
+        switching rate's ratio ``dt max|q_ii|``."""
         ratio = self._stiffness(j, p, dt)
         i = int(np.argmax(ratio))
+        rate = dt * float(np.max(-np.diag(self.spec.q)))
         return StepFailure(
             f"{why} the DOP853 step from t = {t:.6g} to {t - dt:.6g}: its stiffness "
-            f"ratio dt |2 B Sigma^{{-1}} B' P| is {ratio[i]:.3e} in regime {i + 1}; "
-            f"refine the grid, whose spacing is the first step tried and which sets "
-            f"the budget, or rescale the problem")
+            f"ratio dt |2 B Sigma^{{-1}} B' P| is {ratio[i]:.3e} in regime {i + 1}, "
+            f"and dt max|q_ii| is {rate:.3e}; refine the grid, whose spacing is the "
+            f"first step tried and which sets the budget, or rescale the problem")
 
     # -- the direct solve --------------------------------------------------
 
@@ -505,20 +510,25 @@ class _GridEngine(_Engine):
         Steps end at every coefficient table time; the first step tried is
         the grid spacing.  A step is accepted when its error estimate is
         within ``STEP_TOL (1 + |P|)`` in the root mean square, and the step
-        size follows the estimate as in Hairer, Norsett and Wanner.  Every
-        grid node inside an accepted step is read off its 7th-order dense
-        output, one polynomial in the step fraction.
+        size follows the estimate as in Hairer, Norsett and Wanner; a trial
+        step whose estimate is not finite, or whose stages reach a Sigma
+        that LU finds singular, is rejected and shrunk by the controller's
+        least factor.  Every grid node inside an accepted step
+        is read off its 7th-order dense output, one polynomial in the step
+        fraction.
 
         Raises
         ------
         StepFailure
-            If a step's error estimate is not finite, or after
-            ``STEP_BUDGET * grid_steps`` steps tried, naming the time, the
-            regime and the stiffness ratio of the step.
+            If a step at the floor of ten float spacings of t has an error
+            estimate that is not finite, or after ``STEP_BUDGET * grid_steps``
+            steps tried, naming the time, the regime and the stiffness ratio
+            of the step, and ``dt max|q_ii|``.
         PsdViolation
             If the clip refuses an accepted step.
         NearSingular
-            As the driver's condition test, at a step's first stage.
+            As the driver's condition test, at a step's first stage, or as
+            LU on a trial stage's Sigma at the step floor.
         """
         self._require_stable_step()
         grid, shape = self.grid, self.G.shape
@@ -544,18 +554,30 @@ class _GridEngine(_Engine):
                         raise self._step_failure(
                             f"the budget of {budget} steps is spent before", j, t, p, size)
                     # no step shorter than ten float spacings of t
-                    size = max(size, 10.0 * np.spacing(t))
+                    floor = 10.0 * np.spacing(t)
+                    size = max(size, floor)
                     t_new = t - size if t - size > stop else stop
                     h = t_new - t
-                    for s in range(1, stages):
-                        k[s] = self._slope(j, t + c[s] * h,
-                                           p + h * (a[s, :s] @ kf[:s]).reshape(shape))
-                    y = symmetrize(p + h * (b @ kf[:stages]).reshape(shape))
-                    err = _error_norm(kf[:stages], e3, e5, h,
-                                      STEP_TOL * (1.0 + np.maximum(np.abs(p), np.abs(y)).ravel()))
+                    # an overflowing trial step, whose stages may reach a
+                    # singular Sigma, is rejected and shrunk as far as the
+                    # controller may, down to the step floor
+                    try:
+                        for s in range(1, stages):
+                            k[s] = self._slope(j, t + c[s] * h,
+                                               p + h * (a[s, :s] @ kf[:s]).reshape(shape))
+                    except NearSingular:
+                        if -h <= floor:
+                            raise
+                        err = np.inf
+                    else:
+                        y = symmetrize(p + h * (b @ kf[:stages]).reshape(shape))
+                        err = _error_norm(kf[:stages], e3, e5, h, STEP_TOL * (
+                            1.0 + np.maximum(np.abs(p), np.abs(y)).ravel()))
                     if not np.isfinite(err):
-                        raise self._step_failure(
-                            "the error estimate is not finite for", j, t, p, -h)
+                        if -h <= floor:
+                            raise self._step_failure(
+                                "the error estimate is not finite for", j, t, p, -h)
+                        err = np.inf
                     if err >= 1.0:
                         size = -h * max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
                         rejected = True
@@ -1132,28 +1154,33 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None) -> E
     returns every second node, on the grid of :func:`solve_esre` with the
     same options.  A blow-up guard replaces the PSD clip.
 
-    Its right-hand side acts on ``vec P``, numpy's row-major flattening,
-    through ``vec(X P Y) = (X kron Y') vec P``.  Per coefficient piece and
-    regime it builds, from the plain A, B, C, D, one linear map of
-    ``n^2 + mn + m^2`` rows,
+    Its right-hand side acts on the ``ell n^2`` vec of the whole ``(ell,
+    n, n)`` stack, numpy's row-major flattening, through ``vec(X P Y) = (X
+    kron Y') vec P``.  Per coefficient piece it builds, from the plain A, B,
+    C, D and the generator q, one linear map with regime i's blocks on the
+    diagonal,
 
         I kron A' + A' kron I + C' kron C'      (the linear drift),
         B' kron I + D' kron C'                  (M = B'P + D'P C + S),
         D' kron D'                              (Sigma = R + D'P D),
 
-    and the constants ``vec Q``, ``vec S``, ``vec R``.  A stage is then
-    that map times ``vec P`` plus the constants, the whole ``q P``
-    coupling as one product with the ``(ell, n^2)`` stack of ``vec P``,
-    and ``-(M' Sigma^{-1} M)`` by ``np.linalg.solve``.  So it shares
-    neither the scheme of the direct solve nor its algebra:
-    ``_Engine._driver`` and :func:`_gain_blocks` form the same driver
-    from matrix products, with A carrying the diagonal coupling.  It
-    cross-checks both and the clip.
+    and ``q_ij I`` in the drift rows of regime i and the columns of regime
+    j, so the whole coupling ``q P`` is inside the map; the constants ``vec
+    Q``, ``vec S``, ``vec R`` are flattened the same way.  A stage is then
+    one matrix-vector product plus the constants, read as the drift, M
+    and Sigma stacks by views, and ``-(M' Sigma^{-1} M)``: the division
+    ``M / Sigma`` for a 1 x 1 Sigma at or above the smallest normal float,
+    ``np.linalg.solve`` otherwise, so that a zero or subnormal Sigma meets
+    LU and its refusal.  The stages are not symmetrized; the sweep
+    symmetrizes every RK4 node.  So it shares neither the scheme of the
+    direct solve nor its algebra: ``_Engine._driver`` and
+    :func:`_gain_blocks` form the same driver from matrix products, with A
+    carrying the diagonal coupling.  It cross-checks both and the clip.
 
-    The maps cost ``O(ell n^4)`` per stage against the products'
-    ``O(ell n^3)``: with N = 200 the two forms break even near n = 12, and
-    at n = 20 the map is about 4 times slower.  Every shipped problem has
-    n <= 3.
+    The map costs ``O(ell^2 n^4)`` per stage against the products'
+    ``O(ell n^3)``: with N = 200 and ell = 3 the two forms break even near
+    n = 11, and at n = 20 the map is about 9 times slower.  Every shipped
+    problem has n <= 3, where a stage is a few microseconds of numpy calls.
 
     Raises
     ------
@@ -1174,25 +1201,39 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None) -> E
             f"solve_p0 and picard_step on its lattice")
     engine = _GridEngine(spec, dataclasses.replace(options, grid_steps=2 * options.grid_steps))
     n, m, ell = spec.n, spec.m, spec.ell
-    nn, mn = n * n, m * n
+    nn = n * n
     eye = np.broadcast_to(np.eye(n), engine.A.shape)
     a_t, b_t, c_t, d_t = engine.A.mT, engine.B.mT, engine.C.mT, engine.D.mT
-    maps = np.concatenate([_kron(eye, a_t) + _kron(a_t, eye) + _kron(c_t, c_t),
-                           _kron(b_t, eye) + _kron(d_t, c_t), _kron(d_t, d_t)], axis=-2)
-    consts = np.concatenate([f.reshape(f.shape[:2] + (-1,)) for f in
-                             (engine.Q, engine.S, engine.R)], axis=-1)
+
+    def blocks(x):
+        """Per piece, the regimes' blocks ``x[:, i]`` on the diagonal of one
+        map from the ``ell n^2`` vec of the stack."""
+        pieces, _, rows, cols = x.shape
+        return np.einsum("pirc,ik->pirkc", x, np.eye(ell)).reshape(
+            pieces, ell * rows, ell * cols)
+
+    maps = np.concatenate([
+        blocks(_kron(eye, a_t) + _kron(a_t, eye) + _kron(c_t, c_t)) + np.kron(spec.q, np.eye(nn)),
+        blocks(_kron(b_t, eye) + _kron(d_t, c_t)), blocks(_kron(d_t, d_t))], axis=-2)
+    consts = np.concatenate([f.reshape(len(f), -1) for f in (engine.Q, engine.S, engine.R)],
+                            axis=-1)
+    drift, gains = ell * nn, ell * (nn + m * n)
 
     def rhs(j, h, p, _):
-        vp = p.reshape(ell, nn)
-        y = (maps[j] @ vp[..., None])[..., 0] + consts[j]
-        gain = y[:, nn:nn + mn].reshape(ell, m, n)
-        sigma = symmetrize(y[:, nn + mn:].reshape(ell, m, m))
-        try:
-            x = np.linalg.solve(sigma, gain)
-        except np.linalg.LinAlgError as exc:
-            raise engine._singular(engine._half_time(h), sigma) from exc
+        y = maps[j] @ p.ravel() + consts[j]
+        gain = y[drift:gains].reshape(ell, m, n)
+        sigma = y[gains:].reshape(ell, m, m)
+        # a 1 x 1 Sigma of normal size divides, as in the solve's driver;
+        # LU takes the rest and refuses a zero one
+        if m == 1 and np.abs(sigma).min() >= _NORMAL_MIN:
+            x = gain / sigma
+        else:
+            try:
+                x = np.linalg.solve(sigma, gain)
+            except np.linalg.LinAlgError as exc:
+                raise engine._singular(engine._half_time(h), sigma) from exc
         # the slope is minus the driver
-        return symmetrize(gain.mT @ x - (y[:, :nn] + spec.q @ vp).reshape(ell, n, n))
+        return gain.mT @ x - y[:drift].reshape(ell, n, n)
 
     def guard(p, k):
         size = float(np.max(np.abs(p)))

@@ -720,21 +720,46 @@ class TestSolveEsre:
         sol = solve_esre(spec, SolverOptions(grid_steps=2000))
         assert np.max(np.abs(sol.P[0] - (1.0 + np.sqrt(5.0)) / 2.0)) <= 1e-8
 
-    @pytest.mark.parametrize("R, G, steps, t, ratio", [
-        # dt |2 B R^{-1} B' G| = 2e13 / 2000 at t = T: the first DOP853 step
-        # tried, one grid spacing, overflows its stages
-        (1e-6, 1e7, 2000, r"0\.9995", r"1\.000e\+10"),
-        # the first step overflows to NaN, which no step control may pass on
-        (1e-8, 1e100, 10, r"0\.9", r"2\.000e\+107"),
+    @pytest.mark.parametrize("R, G, steps, bound", [
+        # dt |2 B R^{-1} B' G| = 2 G dt is 200 to 5e6 at t = T: the first
+        # DOP853 step tried, one grid spacing, overflows its stages, and the
+        # controller shrinks it until its error estimate is finite
+        (1.0, 1e3, 10, 1e-13),
+        (1.0, 1e4, 40, 1e-13),
+        (1.0, 1e6, 40, 1e-13),
+        (1.0, 1e8, 40, 1e-13),
+        # a stiffness ratio of 1e10 at t = T; near P(0) = 1e-6 STEP_TOL is an
+        # absolute tolerance, met at 9.4e-10 relative
+        (1e-6, 1e7, 2000, 1e-8),
     ])
-    def test_stiff_step_names_time_and_ratio(self, R, G, steps, t, ratio):
+    def test_overflowing_first_step_is_retried(self, R, G, steps, bound):
+        # equal regimes cancel the coupling: P(0) = 1 / (1/G + T/R)
         spec = scalar_spec(B=1.0, R=R, G=G, delta=R / 10.0)
+        exact = 1.0 / (1.0 / G + 1.0 / R)
+        sol = solve_esre(spec, SolverOptions(grid_steps=steps))
+        assert np.max(np.abs(sol.P[0] - exact)) <= bound * exact
+
+    def test_trial_stage_with_a_singular_sigma_is_retried(self):
+        # G x 1e8: at N = 400 the first trial steps overflow in their stages
+        # until LU finds a stage's Sigma singular; they are rejected and
+        # shrunk, and P(0) is that of N = 4000, where no stage overflows
+        base = random_spec(9)
+        spec = dataclasses.replace(base, G=base.G.values * 1e8)
+        got = solve_esre(spec, SolverOptions(grid_steps=400)).P[0]
+        ref = solve_esre(spec, SolverOptions(grid_steps=4000)).P[0]
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_stiff_step_names_time_and_ratio(self):
+        # every trial step overflows to NaN, down to the floor of ten float
+        # spacings of t, where the ratio 2e107 of one grid spacing is 4.4e93
+        spec = scalar_spec(B=1.0, R=1e-8, G=1e100, delta=1e-9)
         with pytest.raises(StepFailure, match=(
-                rf"^the error estimate is not finite for the DOP853 step from t = 1 to "
-                rf"{t}: its stiffness ratio dt \|2 B Sigma\^\{{-1\}} B' P\| is {ratio} in "
-                r"regime 1; refine the grid, whose spacing is the first step tried and "
-                r"which sets the budget, or rescale the problem$")):
-            solve_esre(spec, SolverOptions(grid_steps=steps))
+                r"^the error estimate is not finite for the DOP853 step from t = 1 to "
+                r"1: its stiffness ratio dt \|2 B Sigma\^\{-1\} B' P\| is 4\.441e\+93 in "
+                r"regime 1, and dt max\|q_ii\| is 2\.220e-15; refine the grid, whose "
+                r"spacing is the first step tried and which sets the budget, or rescale "
+                r"the problem$")):
+            solve_esre(spec, SolverOptions(grid_steps=10))
 
     def test_grid_diagnostics_measure_the_returned_p(self, e1, e1_solution, e1_certificate):
         # 0 <= P <= P_0, so the solve's measured sup lies under the linear
@@ -843,7 +868,7 @@ class TestTreeBackend:
         "at rate 40 and depth 400 the tree's Picard sequence needs 80 "
         "sweeps and stops at picard_max_iter = 60 (NoConvergence); with "
         "more allowed it settles at P(0) = 0.49957.  The one-sweep tree "
-        "solve (ROADMAP item 1) is the fix"))
+        "solve (ROADMAP item 2) is the fix"))
     def test_tree_fast_switching_matches_closed_form(self):
         # e1's closed form P(0) = 1/2 holds for any symmetric switching rate
         spec = make_e1(generator=[[-40.0, 40.0], [40.0, -40.0]])
@@ -1094,8 +1119,9 @@ class TestDirectOracle:
         lambda: dataclasses.replace(random_spec(7), T=0.1),
         lambda: dataclasses.replace(random_spec(9), T=0.1),
         lambda: dataclasses.replace(random_spec(14), T=0.1),
+        lambda: dataclasses.replace(random_spec(3, shape=(2, 1, 3)), T=0.1),
         lambda: weight_table_spec([0.0, 0.5], [1.0, 2.0]),
-    ], ids=["n3-m2-D", "n2-m2-D", "n1-m2", "weight-table"])
+    ], ids=["n3-m2-D", "n2-m2-D", "n1-m2", "n2-m1-D", "weight-table"])
     def test_vec_form_is_the_paper_driver(self, make):
         # grid_steps = 1 is two RK4 steps of size T / 2, which the random
         # problems survive at T = 0.1; the table time 0.5 is the node between
@@ -1205,7 +1231,8 @@ class TestDop853:
         with pytest.raises(StepFailure, match=(
                 r"^the budget of 32 steps is spent before the DOP853 step from t = \S+ "
                 r"to \S+: its stiffness ratio dt \|2 B Sigma\^\{-1\} B' P\| is \S+ in "
-                r"regime \d; refine the grid, whose spacing is the first step tried")):
+                r"regime \d, and dt max\|q_ii\| is \S+; refine the grid, whose spacing is "
+                r"the first step tried")):
             solve_esre(random_spec(404), SolverOptions(grid_steps=2))
 
     def test_random_family_against_a_finer_oracle(self, random_family):
@@ -1365,3 +1392,19 @@ def test_subnormal_one_by_one_sigma_goes_to_lu():
         warnings.simplefilter("always")
         _sigma_engine(1, 1e-310)._driver(0, np.zeros((2, 2, 2)), None, 0.0)
     assert not [w for w in caught if "divide" in str(w.message)]
+
+
+def test_oracle_subnormal_one_by_one_sigma_goes_to_lu(monkeypatch):
+    # Sigma = R = 1e-310 at t = T, where M = S = 1: the oracle divides by no
+    # subnormal Sigma, warns of nothing and refuses as LU does on every Sigma
+    spec = scalar_spec(B=1.0, R=1e-310, D=1.0, S=1.0, delta=1e-311)
+    refusals = []
+    for normal_min in (esre._NORMAL_MIN, np.inf):
+        monkeypatch.setattr(esre, "_NORMAL_MIN", normal_min)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(StepFailure) as err:
+                direct_coupled_oracle(spec, SolverOptions(grid_steps=10))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        refusals.append(str(err.value))
+    assert refusals[0] == refusals[1] == "state norm nan is not within 1e+08 at t=0.95"
