@@ -53,31 +53,23 @@ Backends
 --------
 ``ode``
     The coefficients are piecewise constant in time, sampled once per
-    piece between coefficient table times.  The direct solve steps
-    DOP853 under step control: a step is accepted when its error
-    estimate is within ``STEP_TOL (1 + |P|)`` in the root mean square,
-    the first step tried is the grid spacing, and steps end at every
-    table time.  ``grid_steps`` sets the output grid, whose nodes are
-    read off the dense output of the accepted steps.  A trial step whose
-    error estimate is not finite, or whose stages reach a Sigma that LU
-    finds singular, is rejected and shrunk like any other.  A solve is
-    refused when such a step is at the floor of ten float spacings of t, or after ``STEP_BUDGET * grid_steps`` steps tried,
-    with the time, the regime, the stiffness ratio ``dt |2 B Sigma^{-1}
-    B' P|`` and ``dt max|q_ii|``.  The linear iterate and the
-    certificate's sweeps are classical fixed-step 4th-order backward
-    stepping on the output grid, with symmetrization at every stage and
-    a PSD eigenvalue clip per step; all four stages of a step read the
-    coefficients of its interior, so the top stage reads their left
-    limit, and a table time strictly between two nodes is refused.
-    The diagonal coupling is folded into the drift matrix,
-    ``A + (q_ii / 2) I``, so ``P A + A'P`` carries ``q_ii P``, and the
-    off-diagonal coupling ``q_off P`` is the source: the current state's
-    in the direct solve and the linear iterate, the previous iterate's
-    in a certificate sweep.  The RK4 step is explicit, so a grid with
-    ``dt max_i |q_ii| > 2`` is refused on every grid path.  A
-    certificate sweep evaluates its frozen source at step midpoints
-    through cubic Hermite interpolation of the stored iterate (values +
-    recorded derivatives), so each sweep retains 4th-order accuracy.
+    piece between coefficient table times.  One integrator,
+    ``_GridEngine._integrate``, steps the direct solve, the linear iterate
+    and each certificate sweep by DOP853 under step control: a step is
+    accepted when its error estimate is within ``STEP_TOL (1 + |P|)`` in
+    the root mean square (``SEQUENCE_TOL`` for the sequence, which checks
+    the solve), the first step tried is the grid spacing, steps end at
+    every table time, and the ``grid_steps + 1`` output nodes are read off
+    the accepted steps' dense output.  A trial step whose error estimate
+    is not finite, or whose stages reach a Sigma that LU finds singular,
+    is rejected and shrunk like any other; such a step at the floor of ten
+    float spacings of t, or ``STEP_BUDGET * grid_steps`` steps tried, ends
+    the integration, naming the step, the regime, the stiffness ratio
+    ``dt |2 B Sigma^{-1} B' P|`` and ``dt max|q_ii|``.  The diagonal
+    coupling is folded into the drift matrix, ``A + (q_ii / 2) I``, and
+    the off-diagonal coupling ``q_off P`` is the source: the current
+    state's in the direct solve and the linear iterate, the previous
+    iterate's, off its dense output, in a sweep.
 ``tree``
     Backward induction on a recombining binomial lattice: the drift is
     evaluated at the conditional
@@ -105,13 +97,13 @@ Sigma`` it comes to.  :mod:`regimelq.matcore` decides every guard, and
 :func:`_guarded` names the time (on the tree, the level's) and the regime
 of the member a refusal names.
 
-:func:`direct_coupled_oracle` integrates the full coupled system with the
-certificate's fixed-step RK4 sweep, ``_GridEngine._sweep``, at twice the
-steps, and returns every second node; its driver is one linear map per
-coefficient piece on the vec of the whole ``(ell, n, n)`` stack, coupling
-included, built from Kronecker products, and reads neither
-``_Engine._driver`` nor :func:`_gain_blocks`.  So it
-shares neither the scheme nor the algebra of the direct solve, and
+:func:`direct_coupled_oracle` integrates the full coupled system by the
+repository's only fixed-step scheme, classical RK4 at twice the steps
+(``_GridEngine._sweep``), and returns every second node; its driver is
+one linear map per coefficient piece on the vec of the whole ``(ell, n,
+n)`` stack, coupling included, built from Kronecker products, and reads
+neither ``_Engine._driver`` nor :func:`_gain_blocks`.  So it shares
+neither the scheme nor the algebra of the grid integrator, and
 cross-checks both and the PSD clip.
 """
 
@@ -140,16 +132,15 @@ from .model import (
     check_smallness, validate_assumptions,
 )
 
+# the largest entry the oracle's states and a sweep's previous iterate may hold
 BLOWUP_GUARD = 1e8
-# largest dt max_i |q_ii| the grid's explicit RK4 step accepts: on e1 at
-# rate 20 a ratio of 2 leaves an error of about 1e-2 in P(0), and 2.5
-# already gives 0.669 for the closed form 0.5
-MAX_STEP_RATE = 2.0
-# the direct solve's DOP853 step control: a step is accepted when its error
-# estimate is within STEP_TOL (1 + |P|), entry by entry in the root mean
-# square; at most STEP_BUDGET * grid_steps steps are tried
-STEP_TOL = 1e-12
-STEP_BUDGET = 16
+# the grid integrator's DOP853 step control: a step is accepted when its error
+# estimate is within STEP_TOL (1 + |P|) in the root mean square; at most
+# STEP_BUDGET * grid_steps steps are tried.  The Picard sequence, which checks
+# the solve, runs at SEQUENCE_TOL: with q_ii P against a frozen source the
+# estimate reads about 20 times low, so at STEP_TOL a certificate of a smooth
+# weight table was 2.6e-10 from the exact solve, at SEQUENCE_TOL 1.1e-11
+STEP_TOL, SEQUENCE_TOL, STEP_BUDGET = 1e-12, 1e-14, 16
 # the step-size controller of Hairer, Norsett and Wanner (and of scipy's DOP853)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
@@ -164,12 +155,12 @@ class SolverOptions:
     ``matcore.PSD_TOL``, ``matcore.COND_THRESHOLD`` and
     ``model.SMALLNESS_THRESHOLD``.
 
-    ``grid_steps`` sets the grid of the ODE backend: the direct solve
-    returns P at its ``grid_steps + 1`` nodes, read off the dense output of
-    its error-controlled steps, whose count the step control chooses (at
-    most ``STEP_BUDGET * grid_steps`` tried); the fixed-step sweeps of
-    :func:`solve_p0`, :func:`picard_step` and the certificate take one RK4
-    step per grid step, and :func:`direct_coupled_oracle` two.
+    ``grid_steps`` sets the grid of the ODE backend: the direct solve,
+    :func:`solve_p0`, :func:`picard_step` and the certificate's sweeps
+    return P at its ``grid_steps + 1`` nodes, read off the dense output of
+    their error-controlled DOP853 steps, whose count the step control
+    chooses (at most ``STEP_BUDGET * grid_steps`` tried);
+    :func:`direct_coupled_oracle` takes two fixed RK4 steps per grid step.
 
     ``picard_tol`` bounds the last sweep-to-sweep residual, the sup over
     the grid or lattice of ``|P_k - P_{k-1}|_F``; it is not a bound on the
@@ -223,26 +214,38 @@ class Diagnostics:
 
 @dataclass
 class GridIterate:
-    """One fixed-point iterate on the uniform grid.
+    """One fixed-point iterate on the uniform grid, with the dense output
+    of the DOP853 steps that gave it.
 
-    ``values[k, i-1]`` is P at (t_k, regime i), and ``midpoints[k]`` is
-    the cubic-Hermite value at the middle of step k, between nodes k and
-    k + 1, from the values and slopes at both ends of the step, each slope
-    read on the step's own coefficient piece.
+    ``values[k, i-1]`` is P at (t_k, regime i).  Step s of the S accepted
+    steps runs from ``step_times[s]`` to ``step_times[s + 1]``, from T down
+    to 0; ``dense[s]`` holds P at its start, then the coefficients of its
+    7th-order interpolant, which :meth:`at` reads.
     """
 
     grid: np.ndarray
     values: np.ndarray           # (N+1, ell, n, n)
-    midpoints: np.ndarray        # (N, ell, n, n)
+    step_times: np.ndarray       # (S+1,)
+    dense: np.ndarray            # (S, 8, ell, n, n)
 
-    def half_values(self) -> np.ndarray:
-        """Values on the half grid (2N+1 samples): nodes interleaved with
-        the midpoints."""
-        v = self.values
-        out = np.empty((2 * v.shape[0] - 1,) + v.shape[1:])
-        out[0::2] = v
-        out[1::2] = self.midpoints
-        return out
+    def at(self, t) -> np.ndarray:
+        """P at the time or times ``t`` in [0, T], off the step that holds
+        each (at a step end, the next), by :func:`_interp`: at a grid node
+        above 0, the node's value bit for bit."""
+        times, coef = self.step_times, self.dense
+        s = np.clip(np.searchsorted(-times, -np.asarray(t), side="right"), 1, len(coef)) - 1
+        x = (t - times[s]) / (times[s + 1] - times[s])
+        return _interp(np.moveaxis(coef[s], -4, 0), x[..., None, None, None])
+
+
+def _interp(coef, x):
+    """The 7th-order dense output ``coef`` of a DOP853 step at step fractions
+    ``x``, in the nested form of Hairer, Norsett and Wanner, whose factors
+    are ``x`` and ``1 - x`` in turn."""
+    y = 0.0
+    for i, f in enumerate(coef[:0:-1]):
+        y = (y + f) * (x if i % 2 == 0 else 1.0 - x)
+    return coef[0] + y
 
 
 class BinomialTree:
@@ -420,8 +423,7 @@ class _Engine:
 
 
 class _GridEngine(_Engine):
-    """Coefficient pieces, the adaptive direct solve and the fixed-step
-    sweeps of the ODE backend.
+    """Coefficient pieces and the one DOP853 integrator of the ODE backend.
 
     Deterministic coefficients are piecewise constant in time.  ``times``
     holds 0 and every coefficient table time in (0, T), and each
@@ -431,12 +433,14 @@ class _GridEngine(_Engine):
     right-hand sides take the state as one ``(ell, n, n)`` stack.
 
     The driver reads ``A_drift = A + (q_ii / 2) I``, which carries the
-    diagonal coupling; the direct solve and the linear iterate read the
-    off-diagonal coupling ``q_off P`` at the current state, the
-    certificate's sweeps freeze it at the previous iterate.
-    :func:`direct_coupled_oracle` steps its own right-hand side through
-    ``_sweep``: one Kronecker block map per piece on the vec of the stack,
-    built from the plain A, with the whole coupling ``q P`` inside.
+    diagonal coupling.  :meth:`_integrate` steps three right-hand sides:
+    the direct solve and the linear iterate read the off-diagonal coupling
+    ``q_off P`` at the current state, with and without the quadratic term,
+    and a certificate sweep reads it off the previous iterate's dense
+    output.  :func:`direct_coupled_oracle` steps its own right-hand side by
+    fixed-step RK4 through ``_sweep``: one Kronecker block map per piece on
+    the vec of the stack, built from the plain A, with the whole coupling
+    ``q P`` inside.
     """
 
     def __init__(self, spec: ProblemSpec, options: SolverOptions):
@@ -454,23 +458,15 @@ class _GridEngine(_Engine):
         self.A_drift = self.A + (0.5 * np.diag(spec.q))[:, None, None] * np.eye(spec.n)
         self.G = spec.G.values
 
-    def _require_stable_step(self):
-        """Refuse a grid on which the explicit RK4 step cannot carry the
-        diagonal coupling: ``dt max_i |q_ii|`` must stay <= MAX_STEP_RATE."""
-        rate = float(np.max(-np.diag(self.spec.q)))
-        # T rate > MAX_STEP_RATE N  is  dt rate > MAX_STEP_RATE, free of roundoff in dt
-        if self.spec.T * rate > MAX_STEP_RATE * self.options.grid_steps:
-            need = math.ceil(self.spec.T * rate / MAX_STEP_RATE)
-            raise StructuralError(
-                f"grid too coarse for the switching rate: dt * max|q_ii| = "
-                f"{self.dt * rate:.4g} exceeds {MAX_STEP_RATE:g}; "
-                f"use grid_steps >= {need}"
-            )
+    def _coupling(self, p):
+        """The off-diagonal coupling ``q_off P`` of a stack."""
+        return np.einsum("ij,jab->iab", self.q_off, p)
 
-    def _slope(self, j, t, p, check_cond=False):
-        """dP/dt at time ``t`` on piece ``j``: minus the driver with the live
-        coupling ``q_off P`` as its source and the quadratic term."""
-        return -self._driver(j, p, None, np.einsum("ij,jab->iab", self.q_off, p),
+    def _slope(self, j, t, p, check_cond=False, src=None):
+        """dP/dt at time ``t`` on piece ``j``: minus the driver with the
+        quadratic term and the source ``src``, by default the live coupling
+        ``q_off P``."""
+        return -self._driver(j, p, None, self._coupling(p) if src is None else src,
                              check_cond, t=t)
 
     def _stiffness(self, j, p, dt):
@@ -486,51 +482,51 @@ class _GridEngine(_Engine):
             return np.full(len(p), np.inf)
         return dt * np.linalg.norm(gain, ord=2, axis=(-2, -1))
 
-    def _step_failure(self, why, j, t, p, dt) -> StepFailure:
+    def _step_failure(self, why, advice, j, t, p, dt) -> StepFailure:
         """The refusal of the step of size ``dt`` from ``(t, p)`` on piece
         ``j``, naming the regime of the largest stiffness ratio and the
-        switching rate's ratio ``dt max|q_ii|``."""
+        switching rate's ratio ``dt max|q_ii|``, with ``advice``."""
         ratio = self._stiffness(j, p, dt)
         i = int(np.argmax(ratio))
         rate = dt * float(np.max(-np.diag(self.spec.q)))
         return StepFailure(
-            f"{why} the DOP853 step from t = {t:.6g} to {t - dt:.6g}: its stiffness "
+            f"{why} the DOP853 step of dt = {dt:.3e} from t = {t:.6g}: its stiffness "
             f"ratio dt |2 B Sigma^{{-1}} B' P| is {ratio[i]:.3e} in regime {i + 1}, "
-            f"and dt max|q_ii| is {rate:.3e}; refine the grid, whose spacing is the "
-            f"first step tried and which sets the budget, or rescale the problem")
+            f"and dt max|q_ii| is {rate:.3e}; {advice}")
 
-    # -- the direct solve --------------------------------------------------
+    # -- the integrator ----------------------------------------------------
 
-    def solve_direct(self) -> np.ndarray:
-        """The coupled system integrated backward by the DOP853 pair under
-        step control: the driver with the live coupling ``q_off P`` as its
-        source, the quadratic term, the condition check at each step's first
-        stage and the PSD clip per accepted step.
+    def _integrate(self, rhs, tol, frozen=None) -> GridIterate:
+        """``dP/dt = rhs(j, t, P, check, src)`` backward from G by the DOP853
+        pair under step control, with the PSD clip per accepted step;
+        ``rhs`` reads piece ``j``, ``check`` asks for the condition test, at
+        each step's first stage and at its end, and ``src`` is the iterate
+        ``frozen`` at time t (None without one), read for all the stages of
+        a trial step at once.
 
         Steps end at every coefficient table time; the first step tried is
         the grid spacing.  A step is accepted when its error estimate is
-        within ``STEP_TOL (1 + |P|)`` in the root mean square, and the step
+        within ``tol (1 + |P|)`` in the root mean square, and the step
         size follows the estimate as in Hairer, Norsett and Wanner; a trial
         step whose estimate is not finite, or whose stages reach a Sigma
         that LU finds singular, is rejected and shrunk by the controller's
-        least factor.  Every grid node inside an accepted step
-        is read off its 7th-order dense output, one polynomial in the step
-        fraction.
+        least factor.  Every accepted step forms its 7th-order dense output,
+        one polynomial in the step fraction, and the grid nodes inside it
+        are read off that polynomial.
 
         Raises
         ------
         StepFailure
             If a step at the floor of ten float spacings of t has an error
             estimate that is not finite, or after ``STEP_BUDGET * grid_steps``
-            steps tried, naming the time, the regime and the stiffness ratio
-            of the step, and ``dt max|q_ii|``.
+            steps tried, naming the step, the regime and its stiffness
+            ratio, and ``dt max|q_ii|``.
         PsdViolation
             If the clip refuses an accepted step.
         NearSingular
             As the driver's condition test, at a step's first stage, or as
             LU on a trial stage's Sigma at the step floor.
         """
-        self._require_stable_step()
         grid, shape = self.grid, self.G.shape
         c, a, b, e3, e5 = dop.C, dop.A, dop.B, dop.E3[:-1], dop.E5[:-1]
         stages = dop.N_STAGES
@@ -542,41 +538,47 @@ class _GridEngine(_Engine):
         budget = STEP_BUDGET * self.options.grid_steps
         tried = 0
         t, p, size = self.spec.T, self.G, self.dt
+        step_times, dense = [t], []
         # the refusals below report overflow, so numpy warns of none
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(len(self.times) - 1, -1, -1):
                 stop = self.times[j]
-                k[0] = self._slope(j, t, p, True)
+                k[0] = rhs(j, t, p, True, None if frozen is None else frozen.at(t))
                 rejected = False
                 while t > stop:
                     tried += 1
                     if tried > budget:
                         raise self._step_failure(
-                            f"the budget of {budget} steps is spent before", j, t, p, size)
+                            f"the budget of {budget} steps is spent before",
+                            f"raise grid_steps, which sets the budget at {STEP_BUDGET} "
+                            f"steps tried per grid step", j, t, p, size)
                     # no step shorter than ten float spacings of t
                     floor = 10.0 * np.spacing(t)
                     size = max(size, floor)
                     t_new = t - size if t - size > stop else stop
                     h = t_new - t
+                    src = [None] * len(c) if frozen is None else frozen.at(t + c * h)
                     # an overflowing trial step, whose stages may reach a
                     # singular Sigma, is rejected and shrunk as far as the
                     # controller may, down to the step floor
                     try:
                         for s in range(1, stages):
-                            k[s] = self._slope(j, t + c[s] * h,
-                                               p + h * (a[s, :s] @ kf[:s]).reshape(shape))
+                            k[s] = rhs(j, t + c[s] * h,
+                                       p + h * (a[s, :s] @ kf[:s]).reshape(shape), False, src[s])
                     except NearSingular:
                         if -h <= floor:
                             raise
                         err = np.inf
                     else:
                         y = symmetrize(p + h * (b @ kf[:stages]).reshape(shape))
-                        err = _error_norm(kf[:stages], e3, e5, h, STEP_TOL * (
+                        err = _error_norm(kf[:stages], e3, e5, h, tol * (
                             1.0 + np.maximum(np.abs(p), np.abs(y)).ravel()))
                     if not np.isfinite(err):
                         if -h <= floor:
                             raise self._step_failure(
-                                "the error estimate is not finite for", j, t, p, -h)
+                                "the error estimate is not finite for",
+                                "the step is at its floor of ten float spacings of t, "
+                                "so rescale the problem", j, t, p, -h)
                         err = np.inf
                     if err >= 1.0:
                         size = -h * max(_MIN_FACTOR, _SAFETY * err ** _ERROR_EXPONENT)
@@ -584,13 +586,16 @@ class _GridEngine(_Engine):
                         continue
                     t_old, p_old = t, p
                     t, p = t_new, self._clip(y, j, t_old, p_old, t_new, -h)
-                    k[stages] = self._slope(j, t, p, True)
+                    k[stages] = rhs(j, t, p, True, src[stages])
+                    coef = self._dense_output(rhs, j, k, t_old, p_old, p, h, src)
+                    step_times.append(t)
+                    dense.append(coef)
                     # the nodes strictly inside the step, then those on its end
                     at, inside = np.searchsorted(grid, t, side="left"), np.searchsorted(
                         grid, t, side="right")
                     if inside < below:
-                        out[inside:below] = self._dense_output(
-                            j, k, t_old, p_old, p, h, (grid[inside:below] - t_old) / h)
+                        out[inside:below] = _interp(
+                            coef, ((grid[inside:below] - t_old) / h)[:, None, None, None])
                     out[at:inside] = p
                     below = at
                     factor = _MAX_FACTOR if err == 0.0 else min(
@@ -599,7 +604,7 @@ class _GridEngine(_Engine):
                     rejected = False
                     k[0] = k[stages]
         _guarded(matcore.require_psd, out, grid)
-        return out
+        return GridIterate(grid, out, np.array(step_times), np.stack(dense))
 
     def _clip(self, y, j, t_old, p_old, t, dt) -> np.ndarray:
         """The PSD clip of the step of size ``dt`` from ``(t_old, p_old)`` on
@@ -615,33 +620,58 @@ class _GridEngine(_Engine):
                 f"clip refused regime {exc.member[-1] + 1}", exc.member
             ) from exc
 
-    def _dense_output(self, j, k, t_old, p_old, p, h, x) -> np.ndarray:
+    @staticmethod
+    def _dense_output(rhs, j, k, t_old, p_old, p, h, src) -> np.ndarray:
         """The 7th-order dense output of the accepted step of size ``h`` from
-        ``(t_old, p_old)`` to ``p`` on piece ``j``, at the step fractions ``x``:
-        the three extra stages, then one polynomial in ``x`` for all of them.
-        ``k`` holds the step's twelve slopes and the slope at its end."""
+        ``(t_old, p_old)`` to ``p`` on piece ``j``: the three extra stages,
+        then ``p_old`` and the interpolant's seven coefficients.  ``k``
+        holds the step's twelve slopes and the slope at its end, ``src`` the
+        source of each stage."""
         shape = p.shape
         kf = k.reshape(len(k), -1)
         for s in range(dop.N_STAGES + 1, dop.N_STAGES_EXTENDED):
-            k[s] = self._slope(j, t_old + dop.C[s] * h,
-                                 p_old + h * (dop.A[s, :s] @ kf[:s]).reshape(shape))
+            k[s] = rhs(j, t_old + dop.C[s] * h,
+                       p_old + h * (dop.A[s, :s] @ kf[:s]).reshape(shape), False, src[s])
         dy = p - p_old
-        coef = np.empty((dop.INTERPOLATOR_POWER,) + shape)
-        coef[0] = dy
-        coef[1] = h * k[0] - dy
-        coef[2] = 2.0 * dy - h * (k[dop.N_STAGES] + k[0])
-        coef[3:] = h * (dop.D @ kf).reshape((-1,) + shape)
-        x = x[:, None, None, None]
-        y = 0.0
-        for i, f in enumerate(coef[::-1]):
-            y = (y + f) * (x if i % 2 == 0 else 1.0 - x)
-        return p_old + y
+        coef = np.empty((dop.INTERPOLATOR_POWER + 1,) + shape)
+        coef[0] = p_old
+        coef[1] = dy
+        coef[2] = h * k[0] - dy
+        coef[3] = 2.0 * dy - h * (k[dop.N_STAGES] + k[0])
+        coef[4:] = h * (dop.D @ kf).reshape((-1,) + shape)
+        return coef
 
-    # -- fixed-step sweeps -------------------------------------------------
+    def solve_direct(self) -> np.ndarray:
+        """The coupled system: the driver with the live coupling ``q_off P``
+        as its source and the quadratic term, integrated by
+        :meth:`_integrate`; P at the grid nodes."""
+        return self._integrate(self._slope, STEP_TOL).values
 
-    def _half_time(self, h) -> float:
-        """The time of half-grid index ``h``, the stage times of a sweep."""
-        return self.spec.T * h / (2 * self.options.grid_steps)
+    def solve_p0(self) -> GridIterate:
+        """Linear initial iterate: the driver without its quadratic term,
+        with the live off-diagonal coupling ``q_off P`` as its source."""
+        return self._integrate(lambda j, t, p, check, src: -self._driver(
+            j, p, None, self._coupling(p), quadratic=False), SEQUENCE_TOL)
+
+    def picard_sweep(self, prev: GridIterate) -> GridIterate:
+        """Sweep with the quadratic term and the off-diagonal coupling frozen
+        at ``prev``: ``q_off P_prev(t)`` at each stage time, off ``q_off``
+        times ``prev``'s dense output, the interpolant being linear.  It is
+        refused before its first step where ``prev`` exceeds the blow-up
+        guard at a step start: a source s that large holds P near sqrt(s R)
+        / |B| (scalar case), so stiff that the explicit steps spend the
+        budget."""
+        size = np.abs(prev.dense[:, 0]).reshape(len(prev.dense), -1).max(axis=1)
+        s = int(np.argmax(size))
+        if not size[s] <= BLOWUP_GUARD:   # NaN fails too
+            raise StepFailure(
+                f"the previous iterate reaches {size[s]:.3e} at t = {prev.step_times[s]:.6g}, "
+                f"beyond the blow-up guard {BLOWUP_GUARD:g}, and its source would keep "
+                f"the sweep's steps too short to reach t = 0")
+        return self._integrate(self._slope, SEQUENCE_TOL, dataclasses.replace(
+            prev, dense=np.einsum("ij,skjab->skiab", self.q_off, prev.dense)))
+
+    # -- the oracle's fixed-step reference ---------------------------------
 
     def _step_pieces(self) -> np.ndarray:
         """The coefficient piece of each step of the grid.  A fixed step
@@ -663,62 +693,29 @@ class _GridEngine(_Engine):
         mids = (np.arange(n_steps) + 0.5) * self.dt
         return np.searchsorted(self.times, mids, side="right") - 1
 
-    def _sweep(self, rhs, terminal: np.ndarray, finish=None):
-        """Backward RK4 from ``terminal``: the values at the grid nodes and,
-        per step, its bottom slope minus its top slope, both read on the
-        step's piece.  ``rhs(j, h, p, check)`` is the slope on piece ``j`` at
-        half-grid index ``h``; the four stages of a step read the piece of
-        its interior, so the top stage reads the coefficients' left limit.
-        The bottom slope is the next step's first stage, unless a table time
-        at the node changes the piece, which costs one more call there.
-        ``finish(p, k)`` ends the step from node k, the PSD clip or the
-        blow-up guard; it refuses overflow, so numpy warns of none."""
+    def _sweep(self, rhs, guard) -> np.ndarray:
+        """Backward classical RK4 from G, the fixed-step scheme of
+        :func:`direct_coupled_oracle`: the values at the grid nodes.
+        ``rhs(j, h, p)`` is the slope on piece ``j`` at half-grid index
+        ``h``, at time ``h dt / 2``; the four stages of a step read the
+        piece of its interior, so the top stage reads the coefficients' left
+        limit.  ``guard(p, k)`` ends the step from node k; it refuses
+        overflow, so numpy warns of none."""
         pieces = self._step_pieces()
         n_steps = self.options.grid_steps
         dt = self.dt
-        values = np.empty((n_steps + 1,) + terminal.shape)
-        gap = np.empty((n_steps,) + terminal.shape)
-        p = terminal.copy()
-        values[n_steps] = p
-        with np.errstate(**({} if finish is None else {"over": "ignore", "invalid": "ignore"})):
-            k1 = rhs(pieces[-1], 2 * n_steps, p, True)
+        values = np.empty((n_steps + 1,) + self.G.shape)
+        values[n_steps] = p = self.G
+        with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n_steps, 0, -1):
                 j, h = pieces[k - 1], 2 * k
-                top = k1
-                k2 = rhs(j, h - 1, p - 0.5 * dt * k1, False)
-                k3 = rhs(j, h - 1, p - 0.5 * dt * k2, False)
-                k4 = rhs(j, h - 2, p - dt * k3, False)
-                p = symmetrize(p - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-                if finish is not None:
-                    p = finish(p, k)
+                k1 = rhs(j, h, p)
+                k2 = rhs(j, h - 1, p - 0.5 * dt * k1)
+                k3 = rhs(j, h - 1, p - 0.5 * dt * k2)
+                k4 = rhs(j, h - 2, p - dt * k3)
+                p = guard(symmetrize(p - (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)), k)
                 values[k - 1] = p
-                k1 = rhs(j, h - 2, p, True)
-                gap[k - 1] = k1 - top
-                if k > 1 and pieces[k - 2] != j:
-                    k1 = rhs(pieces[k - 2], h - 2, p, True)
-        return values, gap
-
-    def _iterate(self, values, gap) -> GridIterate:
-        """The iterate of a sweep's node values and slope gaps: the
-        cubic-Hermite midpoint of each step, formed in place of its gap."""
-        gap *= self.dt / 8.0
-        gap += 0.5 * (values[:-1] + values[1:])
-        return GridIterate(self.grid, values, gap)
-
-    def solve_p0(self) -> GridIterate:
-        """Linear initial iterate: the driver without its quadratic term,
-        with the live off-diagonal coupling ``q_off P`` as its source."""
-        self._require_stable_step()
-        rhs = lambda j, h, p, chk: -self._driver(
-            j, p, None, np.einsum("ij,jab->iab", self.q_off, p), quadratic=False)
-        return self._iterate(*self._sweep(rhs, self.G))
-
-    def picard_sweep(self, prev: GridIterate) -> GridIterate:
-        self._require_stable_step()
-        src = np.einsum("ij,hjab->hiab", self.q_off, prev.half_values())
-        rhs = lambda j, h, p, chk: -self._driver(j, p, None, src[h], chk, t=self._half_time(h))
-        return self._iterate(*self._sweep(rhs, self.G, lambda p, k: _guarded(
-            matcore.project_psd, p, self.grid[k - 1])))
+        return values
 
 
 def _error_norm(kf, e3, e5, h, scale) -> float:
@@ -831,8 +828,12 @@ def picard_step(spec: ProblemSpec, prev, options: SolverOptions = None):
 
     ``prev`` must be on the same grid or tree as the options request, hold
     ``(ell, n, n)`` matrices of ``spec`` per sample or node and be positive
-    semidefinite within ``matcore.PSD_TOL``; a grid iterate holds one such
-    stack of midpoints per step too.
+    semidefinite within ``matcore.PSD_TOL``.  A grid sweep steps by the
+    DOP853 integrator of the direct solve and reads the frozen coupling off
+    ``prev``'s dense output, whose steps must run from T down to 0 and hold
+    one finite ``(8, ell, n, n)`` stack each, led by P at the step's start,
+    positive semidefinite as the values are; StepFailure where that P
+    exceeds the blow-up guard.
     """
     options = options or SolverOptions()
     if isinstance(prev, GridIterate):
@@ -855,10 +856,23 @@ def picard_step(spec: ProblemSpec, prev, options: SolverOptions = None):
                 f"the problem needs (ell, n, n) = {want}"
             )
         _guarded(matcore.require_psd, values, t)
-    if isinstance(prev, GridIterate) and prev.midpoints.shape != (options.grid_steps,) + want:
-        raise DimensionMismatch(
-            f"previous iterate holds midpoints of shape {prev.midpoints.shape}, the grid "
-            f"needs (N, ell, n, n) = {(options.grid_steps,) + want}")
+    if isinstance(prev, GridIterate):
+        # the sweep reads only the dense output
+        steps = np.asarray(prev.step_times)
+        need = (steps.size - 1, dop.INTERPOLATOR_POWER + 1) + want
+        if np.shape(prev.dense) != need:
+            raise DimensionMismatch(
+                f"previous iterate holds a dense output of shape {np.shape(prev.dense)}, "
+                f"its {steps.size - 1} steps need (S, 8, ell, n, n) = {need}")
+        if not (steps.ndim == 1 and steps[0] == spec.T and steps[-1] == 0.0
+                and np.all(np.diff(steps) < 0.0)):
+            raise StructuralError(
+                "previous iterate's dense output does not step from T down to 0")
+        bad = ~np.isfinite(prev.dense).reshape(len(prev.dense), -1).all(axis=1)
+        if bad.any():
+            raise StructuralError(f"previous iterate's dense output is not finite on "
+                                  f"its step from t = {steps[np.argmax(bad)]:.6g}")
+        _guarded(matcore.require_psd, prev.dense[:, 0], steps[:-1])
     return engine.picard_sweep(prev)
 
 
@@ -991,13 +1005,18 @@ def picard_certificate(spec: ProblemSpec, options: SolverOptions = None) -> Pica
     The linear initial iterate and the frozen-coupling sweeps (the same
     iterates as :func:`solve_p0` and repeated :func:`picard_step`) run
     until the residual is at most ``picard_tol``; then the direct solve
-    runs on the same grid.
+    runs on the same grid.  Every iterate steps by the direct solve's
+    DOP853 integrator, at the tighter ``SEQUENCE_TOL``, so
+    ``direct_distance`` measures how far the sequence's limit lies from
+    the solve, not a second scheme's error; a sweep costs about two
+    solves.  A sweep is refused before its first step where the previous
+    iterate exceeds the blow-up guard, as the oracle is.
 
     Raises
     ------
     StructuralError
         Unless ``options.backend`` is ``"ode"``.
-    AssumptionViolation, NoConvergence, NearSingular, PsdViolation
+    AssumptionViolation, NoConvergence, NearSingular, PsdViolation, StepFailure
         As :func:`solve_esre`; NoConvergence after ``picard_max_iter``
         sweeps, with the residual history attached.
     """
@@ -1149,10 +1168,11 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None) -> E
     original coordinates, martingale part zero).  Deterministic
     coefficients only.
 
-    It runs the fixed-step backward RK4 sweep of the certificate,
-    ``_GridEngine._sweep``, at twice the steps, ``2 * grid_steps``, and
-    returns every second node, on the grid of :func:`solve_esre` with the
-    same options.  A blow-up guard replaces the PSD clip.
+    It steps classical RK4, the package's only fixed-step scheme
+    (``_GridEngine._sweep``), at ``2 * grid_steps`` and returns every
+    second node, on the grid of :func:`solve_esre` with the same options;
+    each step reads one coefficient piece, so a table time must fall on a
+    node.  A blow-up guard replaces the PSD clip.
 
     Its right-hand side acts on the ``ell n^2`` vec of the whole ``(ell,
     n, n)`` stack, numpy's row-major flattening, through ``vec(X P Y) = (X
@@ -1173,7 +1193,7 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None) -> E
     ``np.linalg.solve`` otherwise, so that a zero or subnormal Sigma meets
     LU and its refusal.  The stages are not symmetrized; the sweep
     symmetrizes every RK4 node.  So it shares neither the scheme of the
-    direct solve nor its algebra: ``_Engine._driver`` and
+    grid integrator nor its algebra: ``_Engine._driver`` and
     :func:`_gain_blocks` form the same driver from matrix products, with A
     carrying the diagonal coupling.  It cross-checks both and the clip.
 
@@ -1219,7 +1239,7 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None) -> E
                             axis=-1)
     drift, gains = ell * nn, ell * (nn + m * n)
 
-    def rhs(j, h, p, _):
+    def rhs(j, h, p):
         y = maps[j] @ p.ravel() + consts[j]
         gain = y[drift:gains].reshape(ell, m, n)
         sigma = y[gains:].reshape(ell, m, m)
@@ -1231,7 +1251,7 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None) -> E
             try:
                 x = np.linalg.solve(sigma, gain)
             except np.linalg.LinAlgError as exc:
-                raise engine._singular(engine._half_time(h), sigma) from exc
+                raise engine._singular(spec.T * h / (4 * options.grid_steps), sigma) from exc
         # the slope is minus the driver
         return gain.mT @ x - y[:drift].reshape(ell, n, n)
 
@@ -1242,7 +1262,7 @@ def direct_coupled_oracle(spec: ProblemSpec, options: SolverOptions = None) -> E
                               f"at t={engine.grid[k-1]:g}")
         return p
 
-    values = engine._sweep(rhs, engine.G, guard)[0][::2]
+    values = engine._sweep(rhs, guard)[::2]
     grid = np.linspace(0.0, spec.T, options.grid_steps + 1)
     diag = _diagnostics(spec, grid, np.linalg.norm(values, axis=(-2, -1)),
                         np.zeros(spec.ell), check_smallness(spec))

@@ -946,13 +946,32 @@ class TestMain:
         assert meta["converged"] is True
         assert meta["diagnostics"]["log_apriori_bound"] == float("inf")
 
-    def test_coarse_grid_for_fast_switching_maps_to_one(self, tmp_path, capsys):
+    def test_coarse_grid_for_fast_switching_solves(self, tmp_path, capsys):
+        # dt * 20 = 2.857 was refused with exit code 1; the solve's steps do
+        # not follow the grid, and e1's P = 1 / (2 - t) holds at any rate
         text = SMALL_RUN.replace("generator: [[-1.0, 1.0], [1.0, -1.0]]",
                                  "generator: [[-20.0, 20.0], [20.0, -20.0]]")
         text = text.replace("grid_steps: 200", "grid_steps: 7")
         cfg = write_cfg(tmp_path, text)
+        assert main(["solve", "--config", str(cfg), "--output", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        grid, p, _ = read_solution_csv(tmp_path / "s.csv")
+        assert np.max(np.abs(p - 1.0 / (2.0 - grid)[:, None, None, None])) <= 1e-12
+
+    def test_refused_grid_solve_maps_to_one(self, tmp_path, capsys):
+        # a stiffness ratio of 2e107 at t = T: every trial step overflows,
+        # down to the step floor, where the solve is refused
+        text = (SMALL_RUN.replace("R: [[1.0]]", "R: [[1.0e-8]]")
+                .replace("G: [[1.0]]", "G: [[1.0e+100]]").replace("delta: 0.5", "delta: 1.0e-9")
+                .replace("grid_steps: 200", "grid_steps: 10"))
+        cfg = write_cfg(tmp_path, text)
         assert main(["solve", "--config", str(cfg), "--output", str(tmp_path)]) == 1
-        assert "use grid_steps >= 10" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(
+            "error: the error estimate is not finite for the DOP853 step of dt = 2.220e-15 "
+            "from t = 1: ")
+        assert err.endswith("; the step is at its floor of ten float spacings of t, so "
+                            "rescale the problem\n")
 
     @pytest.mark.parametrize("steps", [1, 4, 7, 9, 250, 1001])
     def test_verify_grid_is_a_report_or_one_error_line(self, tmp_path, capsys, steps):

@@ -121,10 +121,12 @@ def _random_q_spec(depth):
     )
 
 
-def _p1_closed_form() -> float:
-    r1 = (np.sqrt(5.0) - 1.0) / 2.0
-    r2 = -(np.sqrt(5.0) + 1.0) / 2.0
-    c = (1.0 - r1) / (1.0 - r2) * np.exp(-np.sqrt(5.0))
+def _p1_closed_form(rate: float = 1.0) -> float:
+    """P1(0) of e1 at switching rate ``rate``: dP1/dt = rate P1 + P1^2 - rate
+    backward from 1, whose roots are r1 > 0 > r2."""
+    d = np.sqrt(rate * rate + 4.0 * rate)
+    r1, r2 = (d - rate) / 2.0, -(d + rate) / 2.0
+    c = (1.0 - r1) / (1.0 - r2) * np.exp(-d)
     return float((r1 - r2 * c) / (1.0 - c))
 
 
@@ -472,14 +474,37 @@ class TestPicardStep:
             picard_step(e1, dataclasses.replace(it0, levels=tuple(levels)), opts)
         assert err.value.member == (2, 1)
 
-
-    def test_grid_midpoints_of_another_shape_rejected(self, e1):
+    def test_grid_dense_output_of_another_shape_rejected(self, e1):
+        # S accepted steps: S + 1 step times and S stacks of 8 coefficients
         opts = SolverOptions(grid_steps=100)
         it0 = solve_p0(e1, opts)
-        bad = dataclasses.replace(it0, midpoints=it0.midpoints[:-1])
-        with pytest.raises(DimensionMismatch, match=r"midpoints of shape \(99, 2, 1, 1\), the "
-                                                    r"grid needs .* = \(100, 2, 1, 1\)$"):
+        s = len(it0.dense)
+        bad = dataclasses.replace(it0, dense=it0.dense[:, :-1])
+        with pytest.raises(DimensionMismatch, match=(
+                rf"dense output of shape \({s}, 7, 2, 1, 1\), its {s} steps need "
+                rf"\(S, 8, ell, n, n\) = \({s}, 8, 2, 1, 1\)$")):
             picard_step(e1, bad, opts)
+        with pytest.raises(StructuralError, match=(
+                r"^previous iterate's dense output does not step from T down to 0$")):
+            picard_step(e1, dataclasses.replace(it0, step_times=it0.step_times[::-1]), opts)
+
+    def test_grid_dense_output_the_sweep_reads_is_checked(self, e1):
+        # the sweep reads the dense output, not the values: a NaN in it, or P
+        # below the PSD floor at a step start, is refused with sound values
+        opts = SolverOptions(grid_steps=100)
+        it0 = solve_p0(e1, opts)
+        at = re.escape(f"{it0.step_times[2]:.6g}")
+        dense = it0.dense.copy()
+        dense[2, 5, 1] = np.nan
+        with pytest.raises(StructuralError, match=(
+                rf"^previous iterate's dense output is not finite on its step from t = {at}$")):
+            picard_step(e1, dataclasses.replace(it0, dense=dense), opts)
+        dense = it0.dense.copy()
+        dense[2, 0, 1] = -1.0
+        with pytest.raises(PsdViolation, match=(
+                rf" -1\.000e\+00 at or below -matcore\.PSD_TOL = -1\.000e-09 at t = {at} "
+                rf"in regime 2$")):
+            picard_step(e1, dataclasses.replace(it0, dense=dense), opts)
 
     @pytest.mark.parametrize("backend", ["ode", "tree"])
     def test_iterate_of_another_problem_rejected(self, e1, backend):
@@ -491,26 +516,33 @@ class TestPicardStep:
 
 
 class TestStepRateCheck:
-    """The grid's explicit RK4 step carries q_ii P, so every grid Picard
-    entry point refuses dt max|q_ii| > 2 and names the grid that works."""
+    """No grid path limits ``dt max|q_ii|``: the DOP853 steps are sized by
+    their error estimate, not by the output grid.  Only the oracle steps by
+    fixed RK4, and it keeps only its blow-up guard."""
 
     FAST = [[-20.0, 20.0], [20.0, -20.0]]
 
-    def test_every_grid_entry_point_refuses(self):
+    def test_every_grid_entry_point_steps_a_coarse_grid(self):
+        # dt * 20 = 2.857 was refused on every grid path; e1's closed forms
+        # hold at any rate: P = 1 / (2 - t), the linear iterate is 1, and
+        # its first sweep is the scalar Riccati solution of _p1_closed_form
         spec = make_e1(generator=self.FAST)
-        opts = SolverOptions(grid_steps=7)                  # dt * 20 = 2.857
-        prev = solve_p0(make_e1(), opts)
-        calls = (lambda: solve_esre(spec, opts), lambda: solve_p0(spec, opts),
-                 lambda: picard_step(spec, prev, opts))
-        for call in calls:
-            with pytest.raises(StructuralError, match=r"2\.857 exceeds 2; use grid_steps >= 10"):
-                call()
+        opts = SolverOptions(grid_steps=7)
+        exact = 1.0 / (2.0 - np.linspace(0.0, 1.0, 8))[:, None, None, None]
+        assert np.max(np.abs(solve_esre(spec, opts).P - exact)) <= 1e-12
+        it0 = solve_p0(spec, opts)
+        assert np.max(np.abs(it0.values - 1.0)) <= 1e-12
+        assert np.max(np.abs(picard_step(spec, it0, opts).values[0]
+                             - _p1_closed_form(rate=20.0))) <= 1e-10
 
-    def test_smallest_grid_named_is_accepted(self):
-        spec = make_e1(generator=self.FAST)
-        with pytest.raises(StructuralError, match="grid_steps >= 10"):
-            solve_p0(spec, SolverOptions(grid_steps=9))
-        solve_p0(spec, SolverOptions(grid_steps=10))        # dt * 20 = 2 exactly
+    def test_fast_switching_family_member_on_a_coarse_grid(self):
+        # random_spec(404) with q x 100 (rate 117): dt * 117 = 2.93 at N = 40
+        # was refused; the solve is 4.6e-10 from the oracle at N = 4000
+        base = random_spec(404)
+        spec = dataclasses.replace(base, generator=base.q * 100.0)
+        p = solve_esre(spec, SolverOptions(grid_steps=40)).P
+        ref = direct_coupled_oracle(spec, SolverOptions(grid_steps=4000)).P[::100]
+        assert np.max(np.linalg.norm(p - ref, axis=(-2, -1))) <= 1e-9
 
     def test_oracle_keeps_only_its_blowup_guard(self):
         spec = make_e1(generator=self.FAST)
@@ -564,8 +596,9 @@ def test_solver_options_accept_numpy_integers():
 def _ill_conditioned_spec():
     """Two regimes whose P(t, 1) dips to a minimum near t = 0.88; D loads
     the cheap second control of regime 1 only, so cond(R + D'PD) there
-    peaks with that dip and grows from sweep to sweep (3.9750, 3.9883,
-    3.9941 in sweeps 1, 2, 3 at N = 400)."""
+    peaks with that dip and grows from sweep to sweep: at the starts and
+    ends of the DOP853 steps, where a sweep checks it, its largest values
+    are 3.9737, 3.9872, 3.9939 in sweeps 1, 2, 3 at N = 400."""
     from regimelq.model import ProblemSpec
 
     return ProblemSpec(
@@ -621,30 +654,43 @@ class TestPicardSequence:
         assert _same_error(spec, SolverOptions(grid_steps=400)) == 0
 
     def test_stiff_terminal_weight_names_time_and_regime(self):
-        # the tree's first sweep and the certificate's leave the PSD cone
-        # in the first level or step below T, both in regime 1
+        # the tree's first sweep leaves the PSD cone in the first level below
+        # T.  The certificate's first sweep, under step control, meets a
+        # stiffness ratio of about 6 at steps of 1e-6 and spends its budget
+        # just below T.  Both name regime 1
         spec = scalar_spec(B=1.0, R=1e-6, G=1e7, delta=1e-7)
-        for options, t in [(SolverOptions(backend="tree", tree_depth=10), r"0\.9"),
-                           (SolverOptions(grid_steps=400), r"0\.9975")]:
-            run = solve_esre if options.backend == "tree" else picard_certificate
-            with pytest.raises(PsdViolation, match=rf"^min eigenvalue -\S+ at or below "
-                               rf"-matcore\.PSD_TOL = -1\.000e-09 at t = {t} in regime 1$"):
-                run(spec, options)
+        with pytest.raises(PsdViolation, match=r"^min eigenvalue -\S+ at or below "
+                           r"-matcore\.PSD_TOL = -1\.000e-09 at t = 0\.9 in regime 1$"):
+            solve_esre(spec, SolverOptions(backend="tree", tree_depth=10))
+        with pytest.raises(StepFailure, match=(
+                r"^the budget of 6400 steps is spent before the DOP853 step of dt = \S+ "
+                r"from t = 0\.99\d*: its stiffness ratio dt \|2 B Sigma\^\{-1\} B' P\| is "
+                r"\S+ in regime 1, ")):
+            picard_certificate(spec, SolverOptions(grid_steps=400))
 
     def test_long_horizon_fails_in_sweep_one(self):
+        # the linear iterate reaches 1e22, and a sweep reading a source that
+        # large is refused before its first step, where it would spend its
+        # budget in steps kept short by the quadratic term
         spec = scalar_spec(A=0.5, Q=1.0, B=1.0, R=1.0, G=1.0, T=50.0)
-        assert _same_error(spec, SolverOptions(grid_steps=2000)) == 0
+        opts = SolverOptions(grid_steps=2000)
+        assert _same_error(spec, opts) == 0
+        with pytest.raises(StepFailure, match=(
+                r"^the previous iterate reaches 9\.\d{3}e\+21 at t = \S+, beyond the blow-up "
+                r"guard 1e\+08, and its source would keep the sweep's steps too short to "
+                r"reach t = 0$")):
+            picard_step(spec, solve_p0(spec, opts), opts)
 
     @pytest.mark.filterwarnings("ignore:measured diffusion size")
     def test_ill_conditioned_fails_in_sweep_three(self, monkeypatch):
-        # cond(R + D'PD) first exceeds 3.99 in sweep 3, at t = 0.89
+        # cond(R + D'PD) first exceeds 3.99 in sweep 3, at t = 0.878
         spec = _ill_conditioned_spec()
         monkeypatch.setattr(matcore, "COND_THRESHOLD", 3.99)
         assert _same_error(spec, SolverOptions(grid_steps=400)) == 2
 
     @pytest.mark.filterwarnings("ignore:measured diffusion size")
     def test_ill_conditioned_fails_in_sweep_two(self, monkeypatch):
-        # cond(R + D'PD) first exceeds 3.985 in sweep 2, at t = 0.89
+        # cond(R + D'PD) first exceeds 3.985 in sweep 2, at t = 0.877
         spec = _ill_conditioned_spec()
         monkeypatch.setattr(matcore, "COND_THRESHOLD", 3.985)
         assert _same_error(spec, SolverOptions(grid_steps=400)) == 1
@@ -754,11 +800,10 @@ class TestSolveEsre:
         # spacings of t, where the ratio 2e107 of one grid spacing is 4.4e93
         spec = scalar_spec(B=1.0, R=1e-8, G=1e100, delta=1e-9)
         with pytest.raises(StepFailure, match=(
-                r"^the error estimate is not finite for the DOP853 step from t = 1 to "
-                r"1: its stiffness ratio dt \|2 B Sigma\^\{-1\} B' P\| is 4\.441e\+93 in "
-                r"regime 1, and dt max\|q_ii\| is 2\.220e-15; refine the grid, whose "
-                r"spacing is the first step tried and which sets the budget, or rescale "
-                r"the problem$")):
+                r"^the error estimate is not finite for the DOP853 step of dt = 2\.220e-15 "
+                r"from t = 1: its stiffness ratio dt \|2 B Sigma\^\{-1\} B' P\| is "
+                r"4\.441e\+93 in regime 1, and dt max\|q_ii\| is 2\.220e-15; the step is "
+                r"at its floor of ten float spacings of t, so rescale the problem$")):
             solve_esre(spec, SolverOptions(grid_steps=10))
 
     def test_grid_diagnostics_measure_the_returned_p(self, e1, e1_solution, e1_certificate):
@@ -852,6 +897,24 @@ class TestSolveEsre:
         assert sol.diagnostics.smallness > model.SMALLNESS_THRESHOLD
         oracle = direct_coupled_oracle(spec, SolverOptions(grid_steps=300))
         assert np.max(np.abs(sol.P - oracle.P)) <= 1e-12
+
+
+class TestSmallnessWarning:
+    """The paper's smallness hypothesis against the measured sequence: the
+    warning fires, and the certificate measures a monotone sequence."""
+
+    @pytest.mark.parametrize("C", [0.0, 1.0])
+    @pytest.mark.parametrize("D", [0.1, 1.0, 5.0, 20.0])
+    def test_flagged_problems_keep_a_monotone_sequence(self, C, D):
+        # smallness 0.201 (D = 0.1) to 8.03e3 (D = 20), each above the
+        # threshold 0.1; every sequence converges in 13 to 16 sweeps, with
+        # its margin at roundoff and within 7.8e-11 of the solve
+        spec = scalar_spec(generator=[[-3.0, 3.0], [1.0, -1.0]], B=1.0, R=1.0, C=C, D=D,
+                           G=[1.0, 4.0], Q=[1.0, 0.0])
+        with pytest.warns(UserWarning, match="diffusion size"):
+            cert = picard_certificate(spec, SolverOptions(grid_steps=400))
+        assert cert.diagnostics.smallness > model.SMALLNESS_THRESHOLD
+        assert cert.monotonicity_margin >= -1e-8 and cert.direct_distance <= 1e-9
 
 
 class TestTreeBackend:
@@ -1026,22 +1089,14 @@ class TestTreeAgainstOtherSchemes:
 class TestRobustnessEnvelope:
     """e1 at any symmetric rate and horizon has the closed form
     P(0) = 1/(1 + T).  The grid solve, DOP853 under step control, must
-    give it to roundoff or refuse the grid with the typed step-rate error
-    that every grid path keeps, naming a grid on which it then gives it."""
+    give it to roundoff on any grid: no grid path limits the rate."""
 
     @settings(max_examples=12, deadline=None, database=None, derandomize=True)
     @given(rate=st.floats(0.0, 1e3), T=st.floats(0.0, 50.0, exclude_min=True),
            steps=st.integers(40, 4000))
     def test_e1_solves_or_names_a_grid(self, rate, T, steps):
         spec = make_e1(generator=[[-rate, rate], [rate, -rate]], T=T)
-        try:
-            sol = solve_esre(spec, SolverOptions(grid_steps=steps))
-        except StructuralError as exc:
-            named = re.search(r"dt \* max\|q_ii\| = \S+ exceeds 2; use grid_steps >= (\d+)$",
-                              str(exc))
-            assert named, str(exc)
-            steps = int(named.group(1))
-            sol = solve_esre(spec, SolverOptions(grid_steps=steps))
+        sol = solve_esre(spec, SolverOptions(grid_steps=steps))
         # DOP853's step control holds P(0) within 1.4e-14 over these draws
         assert np.max(np.abs(sol.P[0] - 1.0 / (1.0 + T))) <= 1e-12
 
@@ -1065,8 +1120,10 @@ class TestDirectOracle:
         opts = SolverOptions(grid_steps=2000)
         for sol in (direct_coupled_oracle(spec, opts), solve_esre(spec, opts)):
             assert np.max(np.abs(sol.P[0] - 1.0 / (1.0 + T))) <= 1e-8
-        # on the coarsest grid the step rule accepts the residual at sweep
-        # 60 is 1.082e-3 (rate 800) and 4.191e-3 (rate 50), as at N = 2000
+        # its residual at sweep 60 is 1.082e-3 (rate 800) and 4.191e-3
+        # (rate 50), as on the RK4 sweeps; N = rate T / 2 was the coarsest
+        # grid their rate limit accepted, and now sets only the output nodes
+        # and the step budget
         with pytest.raises(NoConvergence):
             picard_certificate(spec, SolverOptions(grid_steps=int(rate * T / 2)))
 
@@ -1229,11 +1286,26 @@ class TestDop853:
     def test_step_budget_ends_in_a_refusal(self):
         # random_spec(404) takes 46 steps on any grid; 2 grid steps allow 32
         with pytest.raises(StepFailure, match=(
-                r"^the budget of 32 steps is spent before the DOP853 step from t = \S+ "
-                r"to \S+: its stiffness ratio dt \|2 B Sigma\^\{-1\} B' P\| is \S+ in "
-                r"regime \d, and dt max\|q_ii\| is \S+; refine the grid, whose spacing is "
-                r"the first step tried")):
+                r"^the budget of 32 steps is spent before the DOP853 step of dt = \S+ "
+                r"from t = \S+: its stiffness ratio dt \|2 B Sigma\^\{-1\} B' P\| is \S+ "
+                r"in regime \d, and dt max\|q_ii\| is \S+; raise grid_steps, which sets "
+                r"the budget at 16 steps tried per grid step$")):
             solve_esre(random_spec(404), SolverOptions(grid_steps=2))
+
+    def test_dense_output_read_at_the_nodes(self, random_family):
+        # GridIterate.at and the node fill are one interpolant: at every node
+        # above 0 it returns the node's value bit for bit, read one time or
+        # all at once, and at every step start the stored start.  At t = 0
+        # it reads the last step at x = 1, one rounding from its end
+        for spec in random_family:
+            it = picard_step(spec, solve_p0(spec, SolverOptions(grid_steps=200)),
+                             SolverOptions(grid_steps=200))
+            nodes = np.stack([it.at(t) for t in it.grid])
+            assert np.array_equal(it.at(it.grid), nodes)
+            assert np.array_equal(nodes[1:], it.values[1:])
+            assert np.max(np.abs(nodes[0] - it.values[0])) <= 1e-15 * np.max(np.abs(it.values))
+            for s, t in enumerate(it.step_times[:-1]):
+                assert np.array_equal(it.at(t), it.dense[s, 0])
 
     def test_random_family_against_a_finer_oracle(self, random_family):
         # the oracle at 8 x 800 steps runs RK4 at 16 x 800; the solve at
@@ -1245,8 +1317,9 @@ class TestDop853:
 
 
 class TestTimeTables:
-    """A coefficient table time is a jump of the right-hand side.  The
-    direct solve ends a step there; a fixed-step sweep reads each step's
+    """A coefficient table time is a jump of the right-hand side.  Every
+    DOP853 integration, the direct solve's and the Picard sequence's, ends
+    a step there; the oracle's fixed RK4 steps read each step's
     coefficients on the step's interior, so its top stage reads the left
     limit, and it refuses a table time strictly between two nodes."""
 
@@ -1263,31 +1336,36 @@ class TestTimeTables:
 
     @pytest.mark.parametrize("steps", [500, 1000, 2000])
     def test_certificate_matches_joined_constant_solves(self, steps):
-        # the midpoints read both end slopes of a step on the step's piece:
-        # 1.10e-11 / 1.06e-11 / 1.06e-11 off; when the bottom slope was the
-        # step below's, 1.412e-7 / 3.531e-8 / 8.830e-9 (second order)
+        # every iterate ends a step at the table time: 1.06e-11 off at each
+        # grid, the distance of the last iterate to the limit
         spec = weight_table_spec([0.0, 0.5], [1.0, 2.0])
         cert = picard_certificate(spec, SolverOptions(grid_steps=steps))
         exact = _joined_solves(0.5, steps // 2, steps // 2)
         assert np.max(np.abs(cert.P - exact)) <= 1e-10
 
     def test_table_time_between_nodes(self):
-        # t1 = 1/3 is no node of a 500-step grid: the direct solve steps to
-        # it, every fixed-step sweep refuses it and names a grid that has it
-        spec = weight_table_spec([0.0, 1.0 / 3.0], [1.0, 2.0])
+        # t1 = 1/3 is no node of a 500-step grid: every DOP853 integration
+        # ends a step at it, the oracle's fixed steps refuse it and name a
+        # grid that has it
+        t1 = 1.0 / 3.0
+        spec = weight_table_spec([0.0, t1], [1.0, 2.0])
         opts = SolverOptions(grid_steps=500)
-        exact = _joined_solves(1.0 / 3.0, 200, 400)[0]
+        exact = _joined_solves(t1, 200, 400)[0]
         assert np.max(np.abs(solve_esre(spec, opts).P[0] - exact)) <= 1e-11
+        assert np.max(np.abs(picard_certificate(spec, opts).P[0] - exact)) <= 1e-10
+        # a constant iterate from outside: one step from T to 0 whose dense
+        # output is the value 1
+        dense = np.zeros((1, 8, 2, 1, 1))
+        dense[0, 0] = 1.0
         prev = GridIterate(np.linspace(0.0, 1.0, 501), np.ones((501, 2, 1, 1)),
-                           np.ones((500, 2, 1, 1)))
-        for call in (lambda: direct_coupled_oracle(spec, opts), lambda: solve_p0(spec, opts),
-                     lambda: picard_step(spec, prev, opts),
-                     lambda: picard_certificate(spec, opts)):
-            with pytest.raises(StructuralError, match=(
-                    r"^coefficient table time 0\.333333 lies strictly between two nodes "
-                    r"of the grid, and a fixed-step sweep reads one coefficient value per "
-                    r"step; use grid_steps = 3 or a multiple of it$")):
-                call()
+                           np.array([1.0, 0.0]), dense)
+        for it in (solve_p0(spec, opts), picard_step(spec, prev, opts)):
+            assert t1 in it.step_times
+        with pytest.raises(StructuralError, match=(
+                r"^coefficient table time 0\.333333 lies strictly between two nodes "
+                r"of the grid, and a fixed-step sweep reads one coefficient value per "
+                r"step; use grid_steps = 3 or a multiple of it$")):
+            direct_coupled_oracle(spec, opts)
         oracle = direct_coupled_oracle(spec, SolverOptions(grid_steps=501))
         assert np.max(np.abs(oracle.P[0] - exact)) <= 1e-10
 
